@@ -92,6 +92,9 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(r.take(hlen, "header JSON").decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"malformed header JSON: {exc}", offset=hdr_start)
+    if not isinstance(header, dict):
+        raise CheckpointError(f"header JSON is a {type(header).__name__}, not an object",
+                              offset=hdr_start)
     count = r.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):

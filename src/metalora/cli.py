@@ -91,6 +91,12 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
+    n = values["n_identities"]
+    for key, lo, hi in (("heldout_identities", 1, n), ("target_identity", -1, n)):
+        if not lo <= values[key] < hi:
+            raise ConfigError(f"{key} = {values[key]} is outside [{lo}, {hi})")
+    if values["batch_size"] < 1:
+        raise ConfigError(f"batch_size = {values['batch_size']} must be >= 1")
     return values
 
 
@@ -158,6 +164,14 @@ def _load_base_model(cfg: dict, base_ckpt: str) -> toymodel.ToyDenoiser:
     return model
 
 
+def _personalize_config(cfg: dict) -> personalize.PersonalizeConfig:
+    return personalize.PersonalizeConfig(
+        q_st2=cfg["q_st2"], r1=cfg["r1"], r2=cfg["r2"], lr=cfg["stage2_lr"],
+        seed=cfg["seed"], weight_decay=cfg["weight_decay"],
+        view_strength=cfg["view_strength"], tau_fraction=cfg["tau_fraction"],
+        smoothing_window=cfg["smoothing_window"])
+
+
 def cmd_pretrain(args) -> int:
     cfg = parse_config(args.config, {"seed": args.seed})
     dataset, schedule = _build_world(cfg)
@@ -217,11 +231,7 @@ def cmd_personalize(args) -> int:
     lmd = personalize.load_stage1(args.stage1, cfg["r1"], dims)
     ident = cfg["target_identity"] if cfg["target_identity"] >= 0 else heldout[0]
     ref = dataset.reference_of(ident)
-    pc = personalize.PersonalizeConfig(
-        q_st2=cfg["q_st2"], r1=cfg["r1"], r2=cfg["r2"], lr=cfg["stage2_lr"],
-        seed=cfg["seed"], weight_decay=cfg["weight_decay"],
-        view_strength=cfg["view_strength"])
-    result = personalize.run_stage2(model, lmd, ref, schedule, pc)
+    result = personalize.run_stage2(model, lmd, ref, schedule, _personalize_config(cfg))
     tensors = {}
     for li, f in enumerate(result.factors):
         tensors[f"lmd.{li}"] = f.l_meta_down
@@ -251,6 +261,9 @@ def cmd_merge(args) -> int:
     out_tensors = {}
     max_err = 0.0
     for li in layers:
+        missing = [n for n in (f"lm.{li}", f"lu.{li}") if n not in tensors]
+        if missing:
+            raise CheckpointError(f"personalized checkpoint lacks {', '.join(missing)}")
         f = AdapterFactors(tensors[f"lmd.{li}"], tensors[f"lm.{li}"], tensors[f"lu.{li}"])
         m = merge(f)
         out_tensors[f"down.{li}"] = m.down
@@ -264,8 +277,9 @@ def cmd_merge(args) -> int:
                 max_err = max(max_err, float(np.max(np.abs(three - two))))
     if args.verify and max_err > 1e-12:
         raise NumericError(f"merge verification failed: max |diff| = {max_err:.3e}")
+    # the source path goes only into the run trace, so that the export's
+    # bytes do not depend on where its input was stored
     out_header = {"kind": "merged", "r2": header.get("r2"),
-                  "source": str(args.checkpoint),
                   "identity": header.get("identity")}
     save_checkpoint(args.out, out_header, out_tensors)
     write_run_trace(args.out, "merge", {"source": str(args.checkpoint)},
@@ -316,7 +330,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_augment_plan(args) -> int:
-    fx, fy, fw, fh = (int(v) for v in args.face.split(","))
+    try:
+        fx, fy, fw, fh = (int(v) for v in args.face.split(","))
+    except ValueError:
+        raise ConfigError(f"--face expects four integers x,y,w,h, got {args.face!r}")
     specs = augment.plan_crops(args.image_w, args.image_h,
                                augment.FaceBox(fx, fy, fw, fh))
     text = augment.plan_to_jsonl(specs)
@@ -335,14 +352,9 @@ def cmd_speed_experiment(args) -> int:
     model = _load_base_model(cfg, args.checkpoint)
     dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
     lmd = personalize.load_stage1(args.stage1, cfg["r1"], dims)
-    pc = personalize.PersonalizeConfig(
-        q_st2=cfg["q_st2"], r1=cfg["r1"], r2=cfg["r2"], lr=cfg["stage2_lr"],
-        seed=cfg["seed"], weight_decay=cfg["weight_decay"],
-        view_strength=cfg["view_strength"], tau_fraction=cfg["tau_fraction"],
-        smoothing_window=cfg["smoothing_window"])
     seeds = [cfg["seed"] + i for i in range(cfg["speed_seeds"])]
     report = personalize.adaptation_speed_experiment(
-        model, dataset, heldout, lmd, schedule, pc, seeds)
+        model, dataset, heldout, lmd, schedule, _personalize_config(cfg), seeds)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     with open(str(args.out) + ".csv", "w", newline="") as fh:
@@ -367,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="flat key=value config file")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", required=True, help="output artifact path")
-        sp.add_argument("--threads", type=int, default=1)
         if checkpoint:
             sp.add_argument("--checkpoint", required=True, help="base checkpoint")
         if stage1:
@@ -399,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSONL of generated vectors keyed 'identity||prompt'")
     sp.add_argument("--embedder-seed", type=int, default=1234)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("augment-plan", help="print the crop plan as JSON lines")

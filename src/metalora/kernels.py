@@ -1,23 +1,13 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: the factor-chain forward/backward and the AdamW update.
 
-The pure-numpy implementations are the default. Setting ``METALORA_NUMBA=1``
-in the environment before import swaps in ``numba.njit``-compiled versions of
-the same kernels (first call pays a one-time JIT cost; compiled code is
-cached on disk). Both backends implement identical arithmetic; they may
-differ in the last floating-point bits because BLAS and the JIT reduce sums
-in different orders. ``benchmarks/bench_backends.py`` times both.
+They live in their own module so that callers reach them as
+``kernels.<name>`` attributes; the benchmark's tracer wraps them there.
 """
-
-import os
 
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("METALORA_NUMBA", "0") == "1"
 
-
-# --- pure-numpy backend ---
-
-def _adamw_update_np(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
+def adamw_update(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
@@ -27,14 +17,14 @@ def _adamw_update_np(param, grad, m, v, step, lr, beta1, beta2, eps, weight_deca
     param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
 
 
-def _chain_forward_np(w0, lmd, lm, lu, scale, x):
+def chain_forward(w0, lmd, lm, lu, scale, x):
     u = lmd @ x
     mid = lm @ u
     h = w0 @ x + scale * (lu @ mid)
     return h, u, mid
 
 
-def _chain_backward_np(w0, lmd, lm, lu, scale, x, u, mid, g):
+def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g):
     d_lu = scale * (g @ mid.T)
     lut_g = lu.T @ g
     d_lm = scale * (lut_g @ u.T)
@@ -43,60 +33,3 @@ def _chain_backward_np(w0, lmd, lm, lu, scale, x, u, mid, g):
     dx = w0.T @ g + scale * (lmd.T @ lmt_lut_g)
     dw0 = g @ x.T
     return d_lu, d_lm, d_lmd, dx, dw0
-
-
-adamw_update = _adamw_update_np
-chain_forward = _chain_forward_np
-chain_backward = _chain_backward_np
-BACKEND = "numpy"
-
-
-# --- numba backend (opt-in) ---
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-
-    if njit is not None:
-        @njit(cache=True)
-        def _adamw_update_nb(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
-            c1 = 1.0 - beta1 ** step
-            c2 = 1.0 - beta2 ** step
-            for i in range(param.shape[0]):
-                for j in range(param.shape[1]):
-                    g = grad[i, j]
-                    m[i, j] = beta1 * m[i, j] + (1.0 - beta1) * g
-                    v[i, j] = beta2 * v[i, j] + (1.0 - beta2) * g * g
-                    m_hat = m[i, j] / c1
-                    v_hat = v[i, j] / c2
-                    param[i, j] -= lr * (m_hat / (np.sqrt(v_hat) + eps)
-                                         + weight_decay * param[i, j])
-
-        @njit(cache=True)
-        def _chain_forward_nb(w0, lmd, lm, lu, scale, x):
-            u = lmd @ x
-            mid = lm @ u
-            h = w0 @ x + scale * (lu @ mid)
-            return h, u, mid
-
-        @njit(cache=True)
-        def _chain_backward_nb(w0, lmd, lm, lu, scale, x, u, mid, g):
-            d_lu = scale * (g @ mid.T)
-            lut_g = lu.T @ g
-            d_lm = scale * (lut_g @ u.T)
-            lmt_lut_g = lm.T @ lut_g
-            d_lmd = scale * (lmt_lut_g @ x.T)
-            dx = w0.T @ g + scale * (lmd.T @ lmt_lut_g)
-            dw0 = g @ x.T
-            return d_lu, d_lm, d_lmd, dx, dw0
-
-        adamw_update = _adamw_update_nb
-        chain_forward = _chain_forward_nb
-        chain_backward = _chain_backward_nb
-        BACKEND = "numba"
-
-
-def backend_name() -> str:
-    return BACKEND

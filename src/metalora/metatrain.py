@@ -36,11 +36,7 @@ class TrainConfig:
     warm_up_fraction: float = 0.4
     # whether a revisited bucket re-triggers its warm-up phase
     warm_up_every_entry: bool = True
-    reset_optimizer_on_entry: bool = False
     weight_decay: float = 0.0
-
-    def q_warm_up_for(self, q_bucket: int) -> int:
-        return round(self.warm_up_fraction * q_bucket)
 
 
 @dataclass
@@ -82,11 +78,34 @@ def partition_buckets(dataset: ToyIdentityDataset, identities_per_bucket: int,
     return buckets
 
 
-def warm_up_gate(iter_in_bucket: int, q_warm_up: int, q_bucket: int) -> dict[str, bool]:
-    """Update mask for one bucket iteration: shared factor gated by warm-up."""
+def warm_up_gate(iter_in_bucket: int, q_warm_up: int, q_bucket: int) -> bool:
+    """Whether the shared down factor updates at this bucket iteration.
+
+    The identity-specific mid and up factors update at every iteration.
+    """
     if not 0 <= iter_in_bucket < q_bucket:
         raise ValueError(f"iter_in_bucket {iter_in_bucket} outside [0, {q_bucket})")
-    return {"lomd": iter_in_bucket >= q_warm_up, "lom_lou": True}
+    return iter_in_bucket >= q_warm_up
+
+
+def fresh_identity_factors(rng: np.random.Generator, lmd: list[np.ndarray],
+                           dims: list[tuple[int, int]], r1: int, r2: int,
+                           lr: float, weight_decay: float
+                           ) -> tuple[list[AdapterFactors], list[tuple[AdamWState, AdamWState]]]:
+    """One identity's fresh mid/up factors over the shared down factors.
+
+    Returns a factor chain per layer (aliasing ``lmd[li]``) and an AdamW
+    state pair (mid, up) per layer. Each layer draws one full
+    ``init_factors(..., "fresh")``; its down factor is discarded, but the
+    draw fixes the random stream that every checkpoint depends on.
+    """
+    factors, states = [], []
+    for li, (d1, d2) in enumerate(dims):
+        fresh = init_factors(rng, d1, d2, r1, r2, mode="fresh")
+        factors.append(AdapterFactors(lmd[li], fresh.l_mid, fresh.l_up))
+        states.append((AdamWState(lr=lr, weight_decay=weight_decay),
+                       AdamWState(lr=lr, weight_decay=weight_decay)))
+    return factors, states
 
 
 class IdentityBank:
@@ -111,15 +130,9 @@ class IdentityBank:
         self.factors: dict[int, list[AdapterFactors]] = {}
         self.states: dict[int, list[tuple[AdamWState, AdamWState]]] = {}
         for i in identity_ids:
-            per_layer = []
-            st = []
-            for li, (d1, d2) in enumerate(dims):
-                fresh = init_factors(rng, d1, d2, config.r1, config.r2, mode="fresh")
-                per_layer.append(AdapterFactors(self.lmd[li], fresh.l_mid, fresh.l_up))
-                st.append((AdamWState(lr=config.lr, weight_decay=config.weight_decay),
-                           AdamWState(lr=config.lr, weight_decay=config.weight_decay)))
-            self.factors[i] = per_layer
-            self.states[i] = st
+            self.factors[i], self.states[i] = fresh_identity_factors(
+                rng, self.lmd, dims, config.r1, config.r2, config.lr,
+                config.weight_decay)
 
     def factors_for(self, identity: int):
         pair = self.factors[identity]
@@ -202,15 +215,8 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
             if not config.warm_up_every_entry and bucket.bucket_id in seen_entries:
                 warm_up = 0
             seen_entries.add(bucket.bucket_id)
-            if config.reset_optimizer_on_entry:
-                for i in bucket.identity_ids:
-                    for st_lm, st_lu in bank.states[i]:
-                        st_lm.m = st_lm.v = None
-                        st_lm.step = 0
-                        st_lu.m = st_lu.v = None
-                        st_lu.step = 0
             for i_cb in range(bucket.q_bucket):
-                mask = warm_up_gate(i_cb, warm_up, bucket.q_bucket)
+                lomd_live = warm_up_gate(i_cb, warm_up, bucket.q_bucket)
                 idxs = rng.integers(len(bucket.examples), size=config.batch_size)
                 batch = [bucket.examples[i] for i in idxs]
                 try:
@@ -224,13 +230,13 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                         f = bank.factors[ident][li]
                         adamw_step(f.l_mid, d_lm, st_lm)
                         adamw_step(f.l_up, d_lu, st_lu)
-                if mask["lomd"]:
+                if lomd_live:
                     for li, d_lmd in enumerate(grads.lmd):
                         adamw_step(bank.lmd[li], d_lmd, bank.lmd_states[li])
                 trace.append(TraceRecord(
                     iteration=i_curr + i_cb, bucket_id=bucket.bucket_id,
                     entry_index=entry_index, iter_in_bucket=i_cb, loss=loss,
-                    lomd_updated=mask["lomd"],
+                    lomd_updated=lomd_live,
                     batch_identities=sorted({b.identity for b in batch}),
                     lomd_checksum=bank.lmd_checksum(),
                     identity_checksums={i: bank.identity_checksum(i)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
 from .augment import FaceBox, plan_crops, sample_view
 from .checkpoint import load_checkpoint
 from .errors import CheckpointError, MetaLoraError, NumericError, RankError
-from .metatrain import TrainConfig
-from .numerics import AdamWState, adamw_step, checksum, make_rng
+from .metatrain import fresh_identity_factors
+from .numerics import adamw_step, checksum, make_rng
 from .toymodel import (DiffusionSchedule, Example, ToyDenoiser,
                        ToyIdentityDataset, noisify)
 
@@ -153,14 +153,9 @@ def run_stage2(model: ToyDenoiser, lmd: list[np.ndarray],
     if not views:
         raise MetaLoraError("augmentation plan is empty")
 
-    factors = []
-    states = []
-    for li, layer in enumerate(model.layers):
-        fresh = init_factors(rng, layer.factors.d1, layer.factors.d2,
-                             config.r1, config.r2, mode="fresh")
-        factors.append(AdapterFactors(lmd[li], fresh.l_mid, fresh.l_up))
-        states.append((AdamWState(lr=config.lr, weight_decay=config.weight_decay),
-                       AdamWState(lr=config.lr, weight_decay=config.weight_decay)))
+    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+    factors, states = fresh_identity_factors(rng, lmd, dims, config.r1, config.r2,
+                                             config.lr, config.weight_decay)
     model.set_factors(factors[0], factors[1])
 
     before = "".join(checksum(m) for m in lmd)
@@ -218,8 +213,7 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
                                 lmd_meta: list[np.ndarray],
                                 schedule: DiffusionSchedule,
                                 config: PersonalizeConfig,
-                                seeds: list[int],
-                                train_config: TrainConfig | None = None) -> dict:
+                                seeds: list[int]) -> dict:
     """Iterations-to-threshold comparison: meta-trained vs random shared
     down factors, per held-out identity per seed."""
     if len(seeds) < 3:
@@ -230,12 +224,7 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
         for ident in heldout_identities:
             ref = dataset.reference_of(ident)
             probe = make_probe(dataset, ident, schedule, seed=seed * 10007 + ident)
-            cfg = PersonalizeConfig(q_st2=config.q_st2, r1=config.r1, r2=config.r2,
-                                    lr=config.lr, seed=seed * 31 + ident,
-                                    weight_decay=config.weight_decay,
-                                    view_strength=config.view_strength,
-                                    tau_fraction=config.tau_fraction,
-                                    smoothing_window=config.smoothing_window)
+            cfg = replace(config, seed=seed * 31 + ident)
             res_meta = run_stage2(model, lmd_meta, ref, schedule, cfg, probe=probe)
             rrng = make_rng(seed * 977 + ident)
             lmd_rand = [init_factors(rrng, l.factors.d1, l.factors.d2,

@@ -13,6 +13,12 @@ from metalora.errors import CheckpointError, ConfigError
 from metalora.numerics import make_rng
 
 
+def header_only_checkpoint(path, hdr: bytes):
+    """A checkpoint with the given raw header bytes and no tensors."""
+    path.write_bytes(MAGIC + struct.pack("<HI", VERSION, len(hdr)) + hdr
+                     + struct.pack("<I", 0))
+
+
 class TestCheckpointFormat:
     def sample(self, tmp_path, name="a.bin"):
         path = tmp_path / name
@@ -76,6 +82,14 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert exc.value.offset == 10  # header JSON starts after magic+ver+len
+
+    @pytest.mark.parametrize("hdr", [b"[]", b"42", b'"text"'])
+    def test_header_not_an_object(self, tmp_path, hdr):
+        path = tmp_path / "h.bin"
+        header_only_checkpoint(path, hdr)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 10
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, _, _ = self.sample(tmp_path)
@@ -202,6 +216,18 @@ class TestPipeline:
             want = tp[f"lm.{li}"] @ tp[f"lmd.{li}"]
             assert np.max(np.abs(down - want)) <= 1e-15
 
+    def test_merged_export_independent_of_source_path(self, cli_run, tmp_path):
+        pers = cli_run[4]
+        merged = []
+        for name in ("a", "b"):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "pers.bin").write_bytes(pers.read_bytes())
+            assert main(["merge", "--checkpoint", str(d / "pers.bin"),
+                         "--out", str(d / "merged.bin")]) == 0
+            merged.append((d / "merged.bin").read_bytes())
+        assert merged[0] == merged[1]
+
     def test_same_seed_twice_byte_identical(self, cli_run):
         root, cfg, base, s1, pers, merged = cli_run
         again = root / "base2.bin"
@@ -253,6 +279,23 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("line", ["heldout_identities = 6", "heldout_identities = 0",
+                                      "target_identity = 6", "target_identity = -2",
+                                      "batch_size = 0"])
+    def test_config_out_of_range_is_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + line + "\n")
+        rc = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("face", ["1,2", "1,2,3,x"])
+    def test_malformed_face_is_2(self, capsys, face):
+        rc = main(["augment-plan", "--image-w", "1024", "--image-h", "1024",
+                   "--face", face])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_io_error_is_3(self, tmp_path, capsys):
         rc = main(["metatrain", "--checkpoint", str(tmp_path / "missing.bin"),
                    "--out", str(tmp_path / "o")])
@@ -263,6 +306,22 @@ class TestExitCodes:
         bad.write_bytes(b"XXXX junk")
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @pytest.mark.parametrize("case", ["list header", "no lm.0", "no lu.1"])
+    def test_malformed_checkpoint_is_3(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.bin"
+        if case == "list header":
+            header_only_checkpoint(bad, b"[]")
+        else:
+            tensors = {f"{kind}.{li}": np.zeros(shape) for li in range(2)
+                       for kind, shape in (("lmd", (2, 3)), ("lm", (1, 2)),
+                                           ("lu", (3, 1)))}
+            del tensors[case.split()[1]]
+            save_checkpoint(bad, {"kind": "personalized", "r1": 2, "r2": 1}, tensors)
+        rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert not (tmp_path / "o").exists()
 
     def test_rank_mismatch_is_3(self, cli_run, tmp_path):
         root, cfg, base, s1, pers, merged = cli_run

@@ -1,21 +1,12 @@
-"""Backend selection and numpy/numba kernel agreement."""
-
-import subprocess
-import sys
-import textwrap
+"""The numpy kernels against their direct expressions."""
 
 import numpy as np
-import pytest
 
 from metalora import kernels
 from metalora.numerics import make_rng
 
 
 class TestNumpyBackend:
-    def test_default_backend_is_numpy(self):
-        # the test process does not set METALORA_NUMBA
-        assert kernels.backend_name() in ("numpy", "numba")
-
     def test_chain_forward_matches_direct_expression(self):
         rng = make_rng(0)
         w0 = rng.standard_normal((6, 5))
@@ -23,7 +14,7 @@ class TestNumpyBackend:
         lm = rng.standard_normal((2, 3))
         lu = rng.standard_normal((6, 2))
         x = rng.standard_normal((5, 4))
-        h, u, mid = kernels._chain_forward_np(w0, lmd, lm, lu, 0.7, x)
+        h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
         assert np.allclose(u, lmd @ x)
         assert np.allclose(mid, lm @ (lmd @ x))
         assert np.allclose(h, w0 @ x + 0.7 * (lu @ (lm @ (lmd @ x))))
@@ -34,51 +25,6 @@ class TestNumpyBackend:
         g = rng.standard_normal((3, 3))
         m = np.zeros((3, 3))
         v = np.zeros((3, 3))
-        kernels._adamw_update_np(p, g, m, v, 1, 0.1, 0.9, 0.999, 1e-8, 0.0)
+        kernels.adamw_update(p, g, m, v, 1, 0.1, 0.9, 0.999, 1e-8, 0.0)
         assert np.allclose(m, 0.1 * g)
         assert np.allclose(v, 0.001 * g * g)
-
-
-NUMBA_PROBE = textwrap.dedent("""
-    import os
-    os.environ["METALORA_NUMBA"] = "1"
-    import numpy as np
-    from metalora import kernels
-    assert kernels.backend_name() == "numba", kernels.backend_name()
-    rng = np.random.default_rng(7)
-    w0 = rng.standard_normal((8, 6)); lmd = rng.standard_normal((4, 6))
-    lm = rng.standard_normal((2, 4)); lu = rng.standard_normal((8, 2))
-    x = rng.standard_normal((6, 5)); g = rng.standard_normal((8, 5))
-    h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.9, x)
-    nb = kernels.chain_backward(w0, lmd, lm, lu, 0.9, x, u, mid, g)
-    h2, u2, mid2 = kernels._chain_forward_np(w0, lmd, lm, lu, 0.9, x)
-    np_ = kernels._chain_backward_np(w0, lmd, lm, lu, 0.9, x, u2, mid2, g)
-    assert np.allclose(h, h2, atol=1e-12)
-    for a, b in zip(nb, np_):
-        assert np.allclose(a, b, atol=1e-12)
-    p = rng.standard_normal((5, 5)); gr = rng.standard_normal((5, 5))
-    m = np.zeros((5, 5)); v = np.zeros((5, 5))
-    p2, m2, v2 = p.copy(), m.copy(), v.copy()
-    for step in range(1, 6):
-        kernels.adamw_update(p, gr, m, v, step, 0.01, 0.9, 0.999, 1e-8, 0.01)
-        kernels._adamw_update_np(p2, gr, m2, v2, step, 0.01, 0.9, 0.999, 1e-8, 0.01)
-    assert np.allclose(p, p2, atol=1e-13)
-    print("agreement-ok")
-""")
-
-
-class TestNumbaBackend:
-    def test_opt_in_backend_agrees_with_numpy(self):
-        # fresh interpreter so the env flag is read at import time
-        proc = subprocess.run([sys.executable, "-c", NUMBA_PROBE],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert "agreement-ok" in proc.stdout
-
-    def test_flag_off_stays_numpy(self):
-        code = ("import os; os.environ['METALORA_NUMBA']='0'; "
-                "from metalora import kernels; print(kernels.backend_name())")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "numpy"

@@ -72,15 +72,13 @@ class TestBucketSizing:
 class TestWarmUpGate:
     def test_boundary_flip(self):
         # q_bucket 2500 -> q_warm_up 1000: frozen at 999, live at 1000.
-        assert warm_up_gate(999, 1000, 2500) == {"lomd": False, "lom_lou": True}
-        assert warm_up_gate(1000, 1000, 2500) == {"lomd": True, "lom_lou": True}
+        assert warm_up_gate(999, 1000, 2500) is False
+        assert warm_up_gate(1000, 1000, 2500) is True
 
     def test_small_bucket_flip(self):
         # q_bucket 50 -> warm-up 20.
         for i in range(50):
-            g = warm_up_gate(i, 20, 50)
-            assert g["lomd"] == (i >= 20)
-            assert g["lom_lou"] is True
+            assert warm_up_gate(i, 20, 50) is (i >= 20)
 
     def test_range_validated(self):
         with pytest.raises(ValueError):
