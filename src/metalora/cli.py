@@ -18,8 +18,8 @@ import numpy as np
 from . import augment, evaluation, metatrain, personalize, toymodel
 from .adapter import AdapterFactors, merge
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
-from .errors import (CheckpointError, ConfigError, MetaLoraError, NumericError,
-                     RankError)
+from .errors import (CheckpointError, ConfigError, DimensionError, MetaLoraError,
+                     NumericError, RankError)
 from .numerics import make_rng
 
 # key -> (type, default). Unknown keys in a config file are rejected.
@@ -264,7 +264,11 @@ def cmd_merge(args) -> int:
         missing = [n for n in (f"lm.{li}", f"lu.{li}") if n not in tensors]
         if missing:
             raise CheckpointError(f"personalized checkpoint lacks {', '.join(missing)}")
-        f = AdapterFactors(tensors[f"lmd.{li}"], tensors[f"lm.{li}"], tensors[f"lu.{li}"])
+        try:
+            f = AdapterFactors(tensors[f"lmd.{li}"], tensors[f"lm.{li}"],
+                               tensors[f"lu.{li}"])
+        except DimensionError as exc:
+            raise CheckpointError(f"personalized checkpoint layer {li}: {exc}")
         m = merge(f)
         out_tensors[f"down.{li}"] = m.down
         out_tensors[f"up.{li}"] = m.up
@@ -334,8 +338,11 @@ def cmd_augment_plan(args) -> int:
         fx, fy, fw, fh = (int(v) for v in args.face.split(","))
     except ValueError:
         raise ConfigError(f"--face expects four integers x,y,w,h, got {args.face!r}")
-    specs = augment.plan_crops(args.image_w, args.image_h,
-                               augment.FaceBox(fx, fy, fw, fh))
+    try:
+        specs = augment.plan_crops(args.image_w, args.image_h,
+                                   augment.FaceBox(fx, fy, fw, fh))
+    except MetaLoraError as exc:  # an empty or out-of-image face box
+        raise ConfigError(str(exc))
     text = augment.plan_to_jsonl(specs)
     if args.out:
         with open(args.out, "w") as fh:

@@ -2,6 +2,11 @@
 
 They live in their own module so that callers reach them as
 ``kernels.<name>`` attributes; the benchmark's tracer wraps them there.
+
+The chain kernels take 2-d operands, or stacks of independent runs with a
+leading run axis: ``(R, ., .)`` factors and inputs against a shared 2-d
+``w0``. Stacked matmuls make the same BLAS call per run as the 2-d call, so
+a run gives the same bits alone or inside a stack.
 """
 
 import numpy as np
@@ -25,11 +30,11 @@ def chain_forward(w0, lmd, lm, lu, scale, x):
 
 
 def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g):
-    d_lu = scale * (g @ mid.T)
-    lut_g = lu.T @ g
-    d_lm = scale * (lut_g @ u.T)
-    lmt_lut_g = lm.T @ lut_g
-    d_lmd = scale * (lmt_lut_g @ x.T)
-    dx = w0.T @ g + scale * (lmd.T @ lmt_lut_g)
-    dw0 = g @ x.T
+    d_lu = scale * (g @ mid.swapaxes(-1, -2))
+    lut_g = lu.swapaxes(-1, -2) @ g
+    d_lm = scale * (lut_g @ u.swapaxes(-1, -2))
+    lmt_lut_g = lm.swapaxes(-1, -2) @ lut_g
+    d_lmd = scale * (lmt_lut_g @ x.swapaxes(-1, -2))
+    dx = w0.swapaxes(-1, -2) @ g + scale * (lmd.swapaxes(-1, -2) @ lmt_lut_g)
+    dw0 = g @ x.swapaxes(-1, -2)
     return d_lu, d_lm, d_lmd, dx, dw0

@@ -89,23 +89,19 @@ def warm_up_gate(iter_in_bucket: int, q_warm_up: int, q_bucket: int) -> bool:
 
 
 def fresh_identity_factors(rng: np.random.Generator, lmd: list[np.ndarray],
-                           dims: list[tuple[int, int]], r1: int, r2: int,
-                           lr: float, weight_decay: float
-                           ) -> tuple[list[AdapterFactors], list[tuple[AdamWState, AdamWState]]]:
+                           dims: list[tuple[int, int]], r1: int, r2: int
+                           ) -> list[AdapterFactors]:
     """One identity's fresh mid/up factors over the shared down factors.
 
-    Returns a factor chain per layer (aliasing ``lmd[li]``) and an AdamW
-    state pair (mid, up) per layer. Each layer draws one full
-    ``init_factors(..., "fresh")``; its down factor is discarded, but the
-    draw fixes the random stream that every checkpoint depends on.
+    Returns a factor chain per layer (aliasing ``lmd[li]``). Each layer draws
+    one full ``init_factors(..., "fresh")``; its down factor is discarded,
+    but the draw fixes the random stream that every checkpoint depends on.
     """
-    factors, states = [], []
+    factors = []
     for li, (d1, d2) in enumerate(dims):
         fresh = init_factors(rng, d1, d2, r1, r2, mode="fresh")
         factors.append(AdapterFactors(lmd[li], fresh.l_mid, fresh.l_up))
-        states.append((AdamWState(lr=lr, weight_decay=weight_decay),
-                       AdamWState(lr=lr, weight_decay=weight_decay)))
-    return factors, states
+    return factors
 
 
 class IdentityBank:
@@ -130,9 +126,11 @@ class IdentityBank:
         self.factors: dict[int, list[AdapterFactors]] = {}
         self.states: dict[int, list[tuple[AdamWState, AdamWState]]] = {}
         for i in identity_ids:
-            self.factors[i], self.states[i] = fresh_identity_factors(
-                rng, self.lmd, dims, config.r1, config.r2, config.lr,
-                config.weight_decay)
+            self.factors[i] = fresh_identity_factors(rng, self.lmd, dims,
+                                                     config.r1, config.r2)
+            self.states[i] = [(AdamWState(lr=config.lr, weight_decay=config.weight_decay),
+                               AdamWState(lr=config.lr, weight_decay=config.weight_decay))
+                              for _ in dims]
 
     def factors_for(self, identity: int):
         pair = self.factors[identity]

@@ -3,8 +3,10 @@
 The shared down factors arrive frozen from a Stage-1 checkpoint; fresh mid
 and up factors are initialized (the up factor at zero, so iteration 0 is the
 unmodified base model) and trained with batch-size-1 AdamW over the crop-
-augmented views of the reference example. The result is exported as a
-standard two-factor adapter via :func:`metalora.adapter.merge`.
+augmented views of the reference example. Independent runs train in
+lockstep (:func:`run_stage2_many`), each with the bits it would get alone.
+The result is exported as a standard two-factor adapter via
+:func:`metalora.adapter.merge`.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
 from .augment import FaceBox, plan_crops, sample_view
 from .checkpoint import load_checkpoint
-from .errors import CheckpointError, MetaLoraError, NumericError, RankError
+from .errors import (CheckpointError, DimensionError, MetaLoraError,
+                     NumericError, RankError)
 from .metatrain import fresh_identity_factors
-from .numerics import adamw_step, checksum, make_rng
+from .numerics import AdamWState, adamw_step, checksum, make_rng
 from .toymodel import (DiffusionSchedule, Example, ToyDenoiser,
-                       ToyIdentityDataset, noisify)
+                       ToyIdentityDataset, time_embedding)
 
 
 @dataclass
@@ -106,9 +110,9 @@ def make_probe(dataset: ToyIdentityDataset, identity: int,
     return probe
 
 
-def probe_loss(model: ToyDenoiser, schedule: DiffusionSchedule,
-               probe: list[ProbeItem]) -> float:
-    # evaluated every stage-2 iteration, so all items go through in one batch
+def _probe_batch(model: ToyDenoiser, schedule: DiffusionSchedule,
+                 probe: list[ProbeItem]) -> tuple[np.ndarray, np.ndarray]:
+    """The probe as one batch: network inputs (d_in, n) and noise targets (d, n)."""
     cols = []
     eps_mat = []
     for p in probe:
@@ -117,10 +121,16 @@ def probe_loss(model: ToyDenoiser, schedule: DiffusionSchedule,
         cols.append(np.concatenate([x_t, model._conditioning(p.t, schedule.T,
                                                              p.prompt_id)]))
         eps_mat.append(p.eps)
-    inp = np.stack(cols, axis=1)
+    return np.stack(cols, axis=1), np.stack(eps_mat, axis=1)
+
+
+def probe_loss(model: ToyDenoiser, schedule: DiffusionSchedule,
+               probe: list[ProbeItem]) -> float:
+    """Probe loss of the model with its installed factors."""
+    inp, eps = _probe_batch(model, schedule, probe)
     a = np.tanh(model.layer1.forward(inp))
     out = model.layer2.forward(a)
-    return float(np.mean((out - np.stack(eps_mat, axis=1)) ** 2))
+    return float(np.mean((out - eps) ** 2))
 
 
 @dataclass
@@ -133,6 +143,16 @@ class Stage2Result:
     lmd_checksum_after: str = ""
 
 
+@dataclass
+class Stage2Job:
+    """One stage-2 run: frozen shared down factors (one per layer), the
+    reference example(s), its config and an optional loss probe."""
+    lmd: list[np.ndarray]
+    references: Example | list[Example]
+    config: PersonalizeConfig
+    probe: list[ProbeItem] | None = None
+
+
 def run_stage2(model: ToyDenoiser, lmd: list[np.ndarray],
                references: Example | list[Example],
                schedule: DiffusionSchedule, config: PersonalizeConfig,
@@ -141,51 +161,169 @@ def run_stage2(model: ToyDenoiser, lmd: list[np.ndarray],
 
     Accepts one reference example or several (the multi-reference
     extension); views from all references are pooled. AdamW runs with batch
-    size 1 for q_st2 iterations. The shared down factors never move.
+    size 1 for q_st2 iterations. The shared down factors never move, and
+    ``model`` is only read. This is :func:`run_stage2_many` with one job.
     """
-    if isinstance(references, Example):
-        references = [references]
-    rng = make_rng(config.seed)
-    views = []
-    for ref in references:
-        specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
-        views.extend((ref, spec) for spec in specs)
-    if not views:
-        raise MetaLoraError("augmentation plan is empty")
+    return run_stage2_many(model, [Stage2Job(lmd, references, config, probe)],
+                           schedule)[0]
 
+
+def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
+    if not jobs:
+        raise MetaLoraError("run_stage2_many: no jobs")
+    first = jobs[0]
+    for k, job in enumerate(jobs):
+        if replace(job.config, seed=first.config.seed) != first.config:
+            raise MetaLoraError(f"job {k}: config differs from job 0 in more "
+                                f"than its seed")
+        if (job.probe is None) != (first.probe is None):
+            raise MetaLoraError(f"job {k}: either every job has a probe or none has")
+        if job.probe is not None and len(job.probe) != len(first.probe):
+            raise MetaLoraError(f"job {k}: probe has {len(job.probe)} items, "
+                                f"job 0's has {len(first.probe)}")
+        for li, layer in enumerate(model.layers):
+            want = (first.config.r1, layer.factors.d1)
+            if job.lmd[li].shape != want:
+                raise DimensionError(f"job {k}: shared down factor {li}",
+                                     job.lmd[li].shape, want)
+
+
+def _split(buf: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """(R, a, b) views of consecutive column blocks of an (R, n) buffer."""
+    views, offset = [], 0
+    for a, b in shapes:
+        views.append(buf[:, offset:offset + a * b].reshape(len(buf), a, b))
+        offset += a * b
+    return views
+
+
+def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
+                    schedule: DiffusionSchedule) -> list[Stage2Result]:
+    """Train R independent stage-2 runs in lockstep.
+
+    Each run gives the same bits as when trained alone. It replays its own
+    random stream in the order of a single run: fresh factors, then a view
+    index, a flip, ``t`` and the noise on every iteration. The math of all
+    runs goes through one ``kernels.chain_forward``/``chain_backward`` call
+    per layer over stacked (R, ., .) operands, whose matmuls make the same
+    BLAS call per run as a lone run. One AdamW update covers a flat (R, n)
+    buffer holding every run's mid and up factors. A probe's input and its
+    frozen layer-1 products are built once per run.
+
+    Jobs may differ in their seed, references, shared down factors and
+    probe; the rest of their configs must agree, and either every job or
+    none has a probe, all of one size. ``model`` is only read.
+    """
+    _check_jobs(model, jobs)
+    cfg = jobs[0].config
+    R, d, T = len(jobs), model.d, schedule.T
+    layer1, layer2 = model.layers
     dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
-    factors, states = fresh_identity_factors(rng, lmd, dims, config.r1, config.r2,
-                                             config.lr, config.weight_decay)
-    model.set_factors(factors[0], factors[1])
 
-    before = "".join(checksum(m) for m in lmd)
-    train_losses = []
-    probe_losses = []
-    if probe is not None:
-        probe_losses.append(probe_loss(model, schedule, probe))
-    for it in range(config.q_st2):
-        ref, spec = views[int(rng.integers(len(views)))]
-        view = sample_view(spec, rng)
-        x0_v = view_latent(ref.x0, view.rect, view.flip, config.view_strength)
-        t = int(rng.integers(schedule.T))
-        x_t, eps = noisify(schedule, x0_v, t, rng)
-        eps_hat = model.predict(x_t, t, schedule.T, ref.prompt_id)
-        resid = eps_hat - eps
-        loss = float(np.mean(resid ** 2))
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at stage-2 iteration {it}")
-        g1, g2 = model.backprop(2.0 * resid / resid.size)
-        for li, g in enumerate((g1, g2)):
-            st_lm, st_lu = states[li]
-            adamw_step(factors[li].l_mid, g.l_mid, st_lm)
-            adamw_step(factors[li].l_up, g.l_up, st_lu)
-        train_losses.append(loss)
-        if probe is not None:
-            probe_losses.append(probe_loss(model, schedule, probe))
-    after = "".join(checksum(m) for m in lmd)
-    return Stage2Result(factors=factors, merged=[merge(f) for f in factors],
-                        train_losses=train_losses, probe_losses=probe_losses,
-                        lmd_checksum_before=before, lmd_checksum_after=after)
+    streams, chains, before = [], [], []
+    for k, job in enumerate(jobs):
+        refs = [job.references] if isinstance(job.references, Example) else job.references
+        rng = make_rng(job.config.seed)
+        views = []
+        for ref in refs:
+            if ref.x0.shape != (d,):
+                raise DimensionError(f"job {k}: reference latent", ref.x0.shape, (d,))
+            specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
+            latents = {}  # (rect, flip) -> view latent of this reference
+            views.extend((ref, spec, latents) for spec in specs)
+        if not views:
+            raise MetaLoraError(f"job {k}: augmentation plan is empty")
+        streams.append((rng, views))
+        chains.append(fresh_identity_factors(rng, job.lmd, dims, cfg.r1, cfg.r2))
+        before.append("".join(checksum(m) for m in job.lmd))
+
+    shapes = [s for d1, d2 in dims for s in ((cfg.r2, cfg.r1), (d2, cfg.r2))]
+    params = np.stack([np.concatenate([a.ravel() for f in chain
+                                       for a in (f.l_mid, f.l_up)])
+                       for chain in chains])
+    lm1, lu1, lm2, lu2 = _split(params, shapes)
+    lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
+    state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    w0_1, w0_2, s1, s2 = layer1.w0, layer2.w0, layer1.scale, layer2.scale
+
+    # the conditioning is a time-embedding row next to a one-hot prompt code
+    temb = np.stack([time_embedding(t, T) for t in range(T)])
+    onehot = np.eye(model.n_prompts)
+    sqrt_ab = np.sqrt(schedule.alpha_bar)
+    sqrt_1m_ab = np.sqrt(1.0 - schedule.alpha_bar)
+
+    probed = jobs[0].probe is not None
+    probe_curves: list[list[float]] = [[] for _ in jobs]
+    if probed:
+        batches = [_probe_batch(model, schedule, job.probe) for job in jobs]
+        p_inp = np.stack([b[0] for b in batches])
+        p_eps = np.stack([b[1] for b in batches])
+        p_w0x = w0_1 @ p_inp   # frozen: the base weight and the shared
+        p_u = lmd1 @ p_inp     # down factor never move in stage 2
+
+    def record_probe():
+        h = p_w0x + s1 * (lu1 @ (lm1 @ p_u))
+        out = kernels.chain_forward(w0_2, lmd2, lm2, lu2, s2, np.tanh(h))[0]
+        losses = np.mean(((out - p_eps) ** 2).reshape(R, -1), axis=1)
+        for curve, loss in zip(probe_curves, losses.tolist()):
+            curve.append(loss)
+
+    if probed:
+        record_probe()
+    train_curves: list[list[float]] = [[] for _ in jobs]
+    x0 = np.empty((R, d))
+    eps = np.empty((R, d))
+    ts = np.empty(R, dtype=np.intp)
+    prompts = np.empty(R, dtype=np.intp)
+    for it in range(cfg.q_st2):
+        for r, (rng, views) in enumerate(streams):
+            ref, spec, latents = views[int(rng.integers(len(views)))]
+            view = sample_view(spec, rng)
+            key = (view.rect, view.flip)
+            if key not in latents:
+                latents[key] = view_latent(ref.x0, view.rect, view.flip,
+                                           cfg.view_strength)
+            x0[r] = latents[key]
+            ts[r] = rng.integers(T)
+            eps[r] = rng.normal(0.0, 1.0, size=d)
+            prompts[r] = ref.prompt_id
+        x_t = sqrt_ab[ts, None] * x0 + sqrt_1m_ab[ts, None] * eps
+        inp = np.concatenate([x_t, temb[ts], onehot[prompts]], axis=1)[:, :, None]
+        z, u1, mid1 = kernels.chain_forward(w0_1, lmd1, lm1, lu1, s1, inp)
+        a = np.tanh(z)
+        out, u2, mid2 = kernels.chain_forward(w0_2, lmd2, lm2, lu2, s2, a)
+        resid = out[:, :, 0] - eps
+        losses = np.mean(resid ** 2, axis=1)
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if len(bad):
+            raise NumericError(f"job {bad[0]}: non-finite loss at stage-2 iteration {it}")
+        g_out = (2.0 * resid / d)[:, :, None]
+        d_lu2, d_lm2, _, g_a, _ = kernels.chain_backward(
+            w0_2, lmd2, lm2, lu2, s2, a, u2, mid2, g_out)
+        d_lu1, d_lm1, _, _, _ = kernels.chain_backward(
+            w0_1, lmd1, lm1, lu1, s1, inp, u1, mid1, g_a * (1.0 - a * a))
+        grads = np.concatenate([g.reshape(R, -1) for g in (d_lm1, d_lu1, d_lm2, d_lu2)],
+                               axis=1)
+        bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
+        if len(bad):
+            raise NumericError(f"job {bad[0]}: non-finite gradient at stage-2 "
+                               f"iteration {it}")
+        adamw_step(params, grads, state)
+        for curve, loss in zip(train_curves, losses.tolist()):
+            curve.append(loss)
+        if probed:
+            record_probe()
+
+    results = []
+    for k, job in enumerate(jobs):
+        factors = [AdapterFactors(job.lmd[0], lm1[k].copy(), lu1[k].copy()),
+                   AdapterFactors(job.lmd[1], lm2[k].copy(), lu2[k].copy())]
+        results.append(Stage2Result(
+            factors=factors, merged=[merge(f) for f in factors],
+            train_losses=train_curves[k], probe_losses=probe_curves[k],
+            lmd_checksum_before=before[k],
+            lmd_checksum_after="".join(checksum(m) for m in job.lmd)))
+    return results
 
 
 def smooth(values: list[float], window: int) -> np.ndarray:
@@ -215,41 +353,51 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
                                 config: PersonalizeConfig,
                                 seeds: list[int]) -> dict:
     """Iterations-to-threshold comparison: meta-trained vs random shared
-    down factors, per held-out identity per seed."""
+    down factors, per held-out identity per seed.
+
+    All 2 x |seeds| x |identities| probed runs train in one
+    :func:`run_stage2_many` call. A run that never reaches the threshold
+    reports the sentinel ``q_st2 + 1`` (the length of its probe curve), and
+    that value enters the medians like any other; ``meta_never_reached`` and
+    ``random_never_reached`` count such runs, overall and per seed.
+    """
     if len(seeds) < 3:
         raise MetaLoraError("need at least 3 seeds")
-    results = []
+    jobs = []
     for seed in seeds:
-        per_identity = []
         for ident in heldout_identities:
             ref = dataset.reference_of(ident)
             probe = make_probe(dataset, ident, schedule, seed=seed * 10007 + ident)
             cfg = replace(config, seed=seed * 31 + ident)
-            res_meta = run_stage2(model, lmd_meta, ref, schedule, cfg, probe=probe)
             rrng = make_rng(seed * 977 + ident)
             lmd_rand = [init_factors(rrng, l.factors.d1, l.factors.d2,
                                      config.r1, config.r2).l_meta_down
                         for l in model.layers]
-            res_rand = run_stage2(model, lmd_rand, ref, schedule, cfg, probe=probe)
-            per_identity.append({
-                "identity": ident,
-                "meta_iters": iterations_to_threshold(
-                    res_meta.probe_losses, cfg.tau_fraction, cfg.smoothing_window),
-                "random_iters": iterations_to_threshold(
-                    res_rand.probe_losses, cfg.tau_fraction, cfg.smoothing_window),
-            })
-        results.append({
-            "seed": seed,
-            "per_identity": per_identity,
-            "median_meta": float(np.median([p["meta_iters"] for p in per_identity])),
-            "median_random": float(np.median([p["random_iters"] for p in per_identity])),
-        })
-    all_meta = [p["meta_iters"] for r in results for p in r["per_identity"]]
-    all_random = [p["random_iters"] for r in results for p in r["per_identity"]]
+            jobs += [Stage2Job(lmd_meta, ref, cfg, probe),
+                     Stage2Job(lmd_rand, ref, cfg, probe)]
+    iters = iter([iterations_to_threshold(res.probe_losses, config.tau_fraction,
+                                          config.smoothing_window)
+                  for res in run_stage2_many(model, jobs, schedule)])
+    never = config.q_st2 + 1
+
+    def summary(per_identity: list[dict]) -> dict:
+        meta = [p["meta_iters"] for p in per_identity]
+        rand = [p["random_iters"] for p in per_identity]
+        return {"median_meta": float(np.median(meta)),
+                "median_random": float(np.median(rand)),
+                "meta_never_reached": meta.count(never),
+                "random_never_reached": rand.count(never)}
+
+    results = []
+    for seed in seeds:
+        per_identity = [{"identity": ident, "meta_iters": next(iters),
+                         "random_iters": next(iters)}
+                        for ident in heldout_identities]
+        results.append({"seed": seed, "per_identity": per_identity,
+                        **summary(per_identity)})
     return {
         "seeds": results,
-        "median_meta": float(np.median(all_meta)),
-        "median_random": float(np.median(all_random)),
+        **summary([p for r in results for p in r["per_identity"]]),
         "seeds_meta_faster": sum(r["median_meta"] < r["median_random"] for r in results),
         "max_iterations": config.q_st2,
     }

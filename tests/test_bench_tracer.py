@@ -5,10 +5,11 @@ rename in the package would otherwise surface only in a traced benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import metalora.cli  # noqa: F401  (the benchmark wraps after importing the CLI)
-from metalora import adapter, kernels, numerics
+from metalora import adapter, augment, kernels, numerics, personalize, toymodel
 from metalora.numerics import make_rng
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "pipeline_bench" / "tracer.py"
@@ -40,3 +41,36 @@ def test_tracer_records_kernel_calls():
         assert stats[name]["calls"] >= 1, name
     assert stats["kernels"]["flops"] > 0
     assert (kernels.chain_forward, kernels.chain_backward, kernels.adamw_update) == originals
+
+
+def test_tracer_covers_the_speed_experiment():
+    tracer_module = load_tracer_module()
+    for module_name, attr, name, _hook in tracer_module.TARGETS:
+        owner = sys.modules[module_name]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name
+    for module, attr in ((personalize, "probe_loss"), (personalize, "view_latent"),
+                         (toymodel, "time_embedding"), (toymodel, "noisify"),
+                         (augment, "sample_view")):
+        assert callable(getattr(module, attr)), attr
+
+    rng = make_rng(0)
+    dataset = toymodel.make_dataset(rng, n_identities=2, d=4, samples_per_identity=3,
+                                    n_prompts=2)
+    model = toymodel.ToyDenoiser.build(rng, d=4, hidden=8, n_prompts=2, r1=2, r2=1)
+    lmd = [adapter.init_factors(rng, l.factors.d1, l.factors.d2, 2, 1).l_meta_down
+           for l in model.layers]
+    config = personalize.PersonalizeConfig(q_st2=10, r1=2, r2=1)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        report = personalize.adaptation_speed_experiment(
+            model, dataset, [1], lmd, toymodel.linear_schedule(), config, [0, 1, 2])
+    finally:
+        tracer.uninstall()
+    assert len(report["seeds"]) == 3
+    stats = tracer.stats["setup"]
+    for name in ("kernels.chain_forward", "kernels.chain_backward", "kernels.adamw_update"):
+        assert stats[name]["calls"] >= 10, name
+    assert stats["kernels"]["flops"] > 0

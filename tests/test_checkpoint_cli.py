@@ -296,6 +296,13 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("face", ["90,90,50,50", "10,10,0,5"])
+    def test_face_outside_image_is_2(self, capsys, face):
+        rc = main(["augment-plan", "--image-w", "100", "--image-h", "100",
+                   "--face", face])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_io_error_is_3(self, tmp_path, capsys):
         rc = main(["metatrain", "--checkpoint", str(tmp_path / "missing.bin"),
                    "--out", str(tmp_path / "o")])
@@ -307,7 +314,8 @@ class TestExitCodes:
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
 
-    @pytest.mark.parametrize("case", ["list header", "no lm.0", "no lu.1"])
+    @pytest.mark.parametrize("case", ["list header", "no lm.0", "no lu.1",
+                                      "lm.0 does not chain"])
     def test_malformed_checkpoint_is_3(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.bin"
         if case == "list header":
@@ -316,7 +324,10 @@ class TestExitCodes:
             tensors = {f"{kind}.{li}": np.zeros(shape) for li in range(2)
                        for kind, shape in (("lmd", (2, 3)), ("lm", (1, 2)),
                                            ("lu", (3, 1)))}
-            del tensors[case.split()[1]]
+            if case == "lm.0 does not chain":
+                tensors["lm.0"] = np.zeros((1, 5))
+            else:
+                del tensors[case.split()[1]]
             save_checkpoint(bad, {"kind": "personalized", "r1": 2, "r2": 1}, tensors)
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3

@@ -1,6 +1,7 @@
 """The numpy kernels against their direct expressions."""
 
 import numpy as np
+import pytest
 
 from metalora import kernels
 from metalora.numerics import make_rng
@@ -28,3 +29,60 @@ class TestNumpyBackend:
         kernels.adamw_update(p, g, m, v, 1, 0.1, 0.9, 0.999, 1e-8, 0.0)
         assert np.allclose(m, 0.1 * g)
         assert np.allclose(v, 0.001 * g * g)
+
+
+def stacked_operands(rng, R=3, d1=5, d2=6, r1=3, r2=2, cols=4):
+    """A shared 2-d base weight and R stacked factor chains, inputs and
+    upstream gradients."""
+    w0 = rng.standard_normal((d2, d1))
+    lmd = rng.standard_normal((R, r1, d1))
+    lm = rng.standard_normal((R, r2, r1))
+    lu = rng.standard_normal((R, d2, r2))
+    x = rng.standard_normal((R, d1, cols))
+    g = rng.standard_normal((R, d2, cols))
+    return w0, lmd, lm, lu, x, g
+
+
+class TestStackedChain:
+    @pytest.mark.parametrize("cols", [1, 4])
+    def test_stack_equals_per_slice_calls_bitwise(self, cols):
+        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(2), cols=cols)
+        h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+        back = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g)
+        for r in range(len(x)):
+            one = kernels.chain_forward(w0, lmd[r], lm[r], lu[r], 0.7, x[r])
+            for stacked, alone in zip((h, u, mid), one):
+                assert stacked[r].tobytes() == alone.tobytes()
+            one_back = kernels.chain_backward(w0, lmd[r], lm[r], lu[r], 0.7, x[r],
+                                              one[1], one[2], g[r])
+            for stacked, alone in zip(back, one_back):
+                assert stacked[r].tobytes() == alone.tobytes()
+
+    def test_stacked_gradients_match_central_differences(self):
+        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(3))
+        scale, h = 0.7, 1e-5
+
+        def objective():
+            return float(np.sum(g * kernels.chain_forward(w0, lmd, lm, lu, scale, x)[0]))
+
+        def central(param):
+            grad = np.zeros_like(param)
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
+                fp = objective()
+                param[idx] = orig - h
+                fm = objective()
+                param[idx] = orig
+                grad[idx] = (fp - fm) / (2 * h)
+            return grad
+
+        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, scale, x)
+        d_lu, d_lm, d_lmd, dx, dw0 = kernels.chain_backward(
+            w0, lmd, lm, lu, scale, x, u, mid, g)
+        # w0 is shared by the stack: its gradient is the sum of the runs'
+        for analytic, param in ((d_lu, lu), (d_lm, lm), (d_lmd, lmd), (dx, x),
+                                (dw0.sum(axis=0), w0)):
+            numeric = central(param)
+            err = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
+            assert err <= 1e-4

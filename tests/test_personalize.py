@@ -1,19 +1,25 @@
 """Single-example personalization: frozen shared factors, export, speed."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from metalora import kernels
 from metalora.adapter import init_factors, merged_forward
+from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_checkpoint
 from metalora.errors import (CheckpointError, ImmutabilityError,
-                             MetaLoraError, RankError)
-from metalora.metatrain import TrainConfig, run_stage1
-from metalora.numerics import make_rng, checksum
-from metalora.personalize import (PersonalizeConfig, adaptation_speed_experiment,
+                             MetaLoraError, NumericError, RankError)
+from metalora.metatrain import TrainConfig, fresh_identity_factors, run_stage1
+from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
+from metalora.personalize import (PersonalizeConfig, Stage2Job,
+                                  adaptation_speed_experiment,
                                   iterations_to_threshold, load_stage1,
-                                  make_probe, probe_loss, run_stage2, smooth,
-                                  view_latent)
-from metalora.toymodel import (linear_schedule, make_dataset, pretrain_base)
+                                  make_probe, probe_loss, run_stage2,
+                                  run_stage2_many, smooth, view_latent)
+from metalora.toymodel import (Example, linear_schedule, make_dataset, noisify,
+                               pretrain_base)
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +224,170 @@ class TestSpeedExperiment:
         assert rep["max_iterations"] == 25
         assert len(rep["seeds"]) == 3
         assert 0 <= rep["seeds_meta_faster"] <= 3
-        for s in rep["seeds"]:
-            for p in s["per_identity"]:
-                assert 0 <= p["meta_iters"] <= 26
-                assert 0 <= p["random_iters"] <= 26
+        never = 26  # q_st2 + 1: the run never reached the threshold
+        groups = [(s, s["per_identity"]) for s in rep["seeds"]]
+        groups.append((rep, [p for s in rep["seeds"] for p in s["per_identity"]]))
+        for summary, per_identity in groups:
+            meta = [p["meta_iters"] for p in per_identity]
+            rand = [p["random_iters"] for p in per_identity]
+            assert all(0 <= v <= never for v in meta + rand)
+            assert summary["meta_never_reached"] == meta.count(never)
+            assert summary["random_never_reached"] == rand.count(never)
+            assert summary["median_meta"] == float(np.median(meta))
+            assert summary["median_random"] == float(np.median(rand))
+
+
+def reference_stage2(model, lmd, ref, schedule, cfg, probe):
+    """Single-run stage 2 as the engine must reproduce it: factors installed
+    in the model, its predict/backprop (an AdaptedLayer forward/backward per
+    layer) every iteration and one adamw_step per factor. Returns (train
+    losses, probe curve, factors); the model's factors are restored."""
+    installed = (model.layer1.factors, model.layer2.factors)
+    rng = make_rng(cfg.seed)
+    views = [(ref, spec) for spec in plan_crops(ref.image_w, ref.image_h,
+                                                FaceBox(*ref.face_box))]
+    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+    factors = fresh_identity_factors(rng, lmd, dims, cfg.r1, cfg.r2)
+    states = [(AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay),
+               AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in dims]
+    model.set_factors(*factors)
+    try:
+        losses, curve = [], [probe_loss(model, schedule, probe)]
+        for _ in range(cfg.q_st2):
+            ref, spec = views[int(rng.integers(len(views)))]
+            view = sample_view(spec, rng)
+            x0 = view_latent(ref.x0, view.rect, view.flip, cfg.view_strength)
+            t = int(rng.integers(schedule.T))
+            x_t, eps = noisify(schedule, x0, t, rng)
+            resid = model.predict(x_t, t, schedule.T, ref.prompt_id) - eps
+            losses.append(float(np.mean(resid ** 2)))
+            g1, g2 = model.backprop(2.0 * resid / resid.size)
+            for f, g, (st_lm, st_lu) in zip(factors, (g1, g2), states):
+                adamw_step(f.l_mid, g.l_mid, st_lm)
+                adamw_step(f.l_up, g.l_up, st_lu)
+            curve.append(probe_loss(model, schedule, probe))
+    finally:
+        model.set_factors(*installed)
+    return losses, curve, factors
+
+
+def speed_runs(model, ds, schedule, idents, lmd_meta, config, seeds):
+    """The speed experiment's runs in its order: (shared factors, reference,
+    config, probe) for the meta then the random arm per (seed, identity)."""
+    for seed in seeds:
+        for ident in idents:
+            ref = ds.reference_of(ident)
+            probe = make_probe(ds, ident, schedule, seed=seed * 10007 + ident)
+            cfg = replace(config, seed=seed * 31 + ident)
+            rrng = make_rng(seed * 977 + ident)
+            lmd_rand = [init_factors(rrng, l.factors.d1, l.factors.d2,
+                                     config.r1, config.r2).l_meta_down
+                        for l in model.layers]
+            yield lmd_meta, ref, cfg, probe
+            yield lmd_rand, ref, cfg, probe
+
+
+def assert_same_run(res, losses, curve, factors):
+    assert res.train_losses == losses
+    assert np.array(res.probe_losses).tobytes() == np.array(curve).tobytes()
+    for got, want in zip(res.factors, factors):
+        assert got.l_mid.tobytes() == want.l_mid.tobytes()
+        assert got.l_up.tobytes() == want.l_up.tobytes()
+        assert got.l_meta_down is want.l_meta_down
+
+
+class TestLockstepEngine:
+    def six_jobs(self, world):
+        ds, schedule, model, lmd = world
+        rand = [init_factors(make_rng(9), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
+                for l in model.layers]
+        jobs = []
+        for k in range(6):
+            ident = k % 4
+            refs = ds.of_identity(ident)[:2] if k == 4 else ds.reference_of(ident)
+            jobs.append(Stage2Job(rand if k % 2 else lmd, refs, pcfg(seed=100 + k),
+                                  make_probe(ds, ident, schedule, seed=k)))
+        return jobs
+
+    def test_alone_equals_inside_batch(self, world):
+        ds, schedule, model, lmd = world
+        jobs = self.six_jobs(world)
+        batch = run_stage2_many(model, jobs, schedule)
+        for k in (3, 4):  # a single- and a multi-reference run
+            job = jobs[k]
+            alone = run_stage2(model, job.lmd, job.references, schedule, job.config,
+                               probe=job.probe)
+            assert_same_run(batch[k], alone.train_losses, alone.probe_losses,
+                            alone.factors)
+            assert len(alone.probe_losses) == 41
+
+    def test_matches_single_run_reference(self, world):
+        ds, schedule, model, lmd = world
+        job = self.six_jobs(world)[1]
+        res = run_stage2_many(model, [job], schedule)[0]
+        assert_same_run(res, *reference_stage2(model, job.lmd, job.references,
+                                               schedule, job.config, job.probe))
+
+    def test_does_not_touch_model(self, world):
+        ds, schedule, model, lmd = world
+        before = [(l.factors, checksum(l.w0)) for l in model.layers]
+        run_stage2(model, lmd, ds.reference_of(0), schedule, pcfg(q_st2=5))
+        assert [(l.factors, checksum(l.w0)) for l in model.layers] == before
+
+    def test_speed_experiment_matches_per_run_loop(self, world):
+        ds, schedule, model, lmd = world
+        config, idents, seeds = pcfg(q_st2=40), [2, 3], [0, 1, 2]
+        rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule,
+                                          config, seeds)
+        runs = list(speed_runs(model, ds, schedule, idents, lmd, config, seeds))
+        batch = run_stage2_many(model, [Stage2Job(*run) for run in runs], schedule)
+        want = []
+        for res, run in zip(batch, runs):
+            losses, curve, factors = reference_stage2(model, *run[:2], schedule,
+                                                      *run[2:])
+            assert_same_run(res, losses, curve, factors)
+            want.append(iterations_to_threshold(curve, config.tau_fraction,
+                                                config.smoothing_window))
+        got = [v for s in rep["seeds"] for p in s["per_identity"]
+               for v in (p["meta_iters"], p["random_iters"])]
+        assert got == want
+
+    def test_jobs_must_agree_beyond_seed_and_references(self, world):
+        ds, schedule, model, lmd = world
+        jobs = self.six_jobs(world)
+        with pytest.raises(MetaLoraError, match="job 2"):
+            run_stage2_many(model, jobs[:2] + [replace(jobs[2], config=pcfg(lr=1e-3))],
+                            schedule)
+        with pytest.raises(MetaLoraError, match="job 1"):
+            run_stage2_many(model, [jobs[0], replace(jobs[1], probe=None)], schedule)
+        with pytest.raises(MetaLoraError):
+            run_stage2_many(model, [], schedule)
+
+    def test_non_finite_loss_names_job_and_iteration(self, world):
+        ds, schedule, model, lmd = world
+        ref = ds.reference_of(0)
+        bad = Example(identity=0, x0=np.full(ref.x0.shape, np.nan),
+                      prompt_id=ref.prompt_id, split="reference",
+                      image_w=ref.image_w, image_h=ref.image_h, face_box=ref.face_box)
+        jobs = [Stage2Job(lmd, ref, pcfg()), Stage2Job(lmd, bad, pcfg(seed=1))]
+        with pytest.raises(NumericError, match="job 1: non-finite loss at "
+                                              "stage-2 iteration 0"):
+            run_stage2_many(model, jobs, schedule)
+
+    def test_non_finite_gradient_names_job_and_iteration(self, world, monkeypatch):
+        ds, schedule, model, lmd = world
+        jobs = [Stage2Job(lmd, ds.reference_of(i), pcfg(seed=i)) for i in range(3)]
+        calls = []
+        backward = kernels.chain_backward
+
+        def poisoned(*args):
+            grads = backward(*args)
+            calls.append(None)
+            if len(calls) == 2 * 5 + 1:  # layer 2 of iteration 5
+                grads[1][2, 0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(kernels, "chain_backward", poisoned)
+        with pytest.raises(NumericError, match="job 2: non-finite gradient at "
+                                              "stage-2 iteration 5"):
+            run_stage2_many(model, jobs, schedule)
