@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, ImmutabilityError, MissingCacheError, RankError
+from .errors import DimensionError, ImmutabilityError, RankError
 from .numerics import checksum, gaussian
 
 
@@ -98,7 +98,6 @@ class AdaptedLayer:
         self.scale = scale
         self.base_frozen = False
         self._base_checksum: str | None = None
-        self._cache = None
 
     def freeze_base(self) -> str:
         self.base_frozen = True
@@ -117,36 +116,28 @@ class AdaptedLayer:
             raise DimensionError("update_base", self.w0.shape, delta.shape)
         self.w0 += delta
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Residual forward pass; caches intermediates for backward()."""
+    def _operands(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         if x.ndim != 2 or x.shape[0] != self.factors.d1:
-            raise DimensionError("forward: x", x.shape, (self.factors.d1, "batch"))
+            raise DimensionError("AdaptedLayer: x", x.shape, (self.factors.d1, "batch"))
         f = self.factors
-        h, u, mid = kernels.chain_forward(
-            self.w0, np.ascontiguousarray(f.l_meta_down),
-            np.ascontiguousarray(f.l_mid), np.ascontiguousarray(f.l_up),
-            self.scale, np.ascontiguousarray(x))
-        self._cache = (x, u, mid)
-        return h
+        return (self.w0, np.ascontiguousarray(f.l_meta_down),
+                np.ascontiguousarray(f.l_mid), np.ascontiguousarray(f.l_up),
+                self.scale, np.ascontiguousarray(x))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Residual forward pass over the columns of ``x`` (d1, batch)."""
+        return kernels.chain_forward(*self._operands(x))[0]
 
     def backward(self, x: np.ndarray, upstream_grad: np.ndarray) -> FactorGrads:
-        """Analytic gradients for all three factors, x, and w0.
-
-        Requires the forward cache produced by the most recent forward()
-        call on this same x.
-        """
-        if self._cache is None or self._cache[0] is not x:
-            raise MissingCacheError("backward: no forward cache for this input")
+        """Analytic gradients for all three factors, x, and w0, given
+        d(loss)/d(forward(x)). Recomputes the chain's intermediates from x."""
         if upstream_grad.shape[0] != self.factors.d2 or upstream_grad.shape[1] != x.shape[1]:
             raise DimensionError("backward: upstream_grad", upstream_grad.shape,
                                  (self.factors.d2, x.shape[1]))
-        _, u, mid = self._cache
-        f = self.factors
+        w0, lmd, lm, lu, scale, x = self._operands(x)
+        u = lmd @ x
         d_lu, d_lm, d_lmd, dx, dw0 = kernels.chain_backward(
-            self.w0, np.ascontiguousarray(f.l_meta_down),
-            np.ascontiguousarray(f.l_mid), np.ascontiguousarray(f.l_up),
-            self.scale, np.ascontiguousarray(x), u, mid,
-            np.ascontiguousarray(upstream_grad))
+            w0, lmd, lm, lu, scale, x, u, lm @ u, np.ascontiguousarray(upstream_grad))
         return FactorGrads(l_up=d_lu, l_mid=d_lm, l_meta_down=d_lmd, x=dx, w0=dw0)
 
 

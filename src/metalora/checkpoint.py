@@ -13,13 +13,15 @@ Layout (all integers little-endian):
         data  rows*cols float64, row-major, little-endian
 
 Round trips are bit-exact; every parse error reports the byte offset where
-the file stopped making sense.
+the file stopped making sense. Writes are atomic: a reader sees the previous
+file or the complete new one, never a part.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -53,8 +55,18 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
         blob += nb
         blob += struct.pack("<II", arr.shape[0], arr.shape[1])
         blob += arr.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    # next to the target, so that os.replace renames within one file system
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(blob))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:

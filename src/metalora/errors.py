@@ -39,9 +39,5 @@ class ConfigError(MetaLoraError):
     """Run configuration file is invalid or contains unknown keys."""
 
 
-class MissingCacheError(MetaLoraError):
-    """backward() called without a matching forward() cache."""
-
-
 class ConvergenceError(MetaLoraError):
     """Training failed to reach its target within the iteration budget."""

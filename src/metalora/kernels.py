@@ -3,10 +3,10 @@
 They live in their own module so that callers reach them as
 ``kernels.<name>`` attributes; the benchmark's tracer wraps them there.
 
-The chain kernels take 2-d operands, or stacks of independent runs with a
-leading run axis: ``(R, ., .)`` factors and inputs against a shared 2-d
-``w0``. Stacked matmuls make the same BLAS call per run as the 2-d call, so
-a run gives the same bits alone or inside a stack.
+The chain kernels take 2-d operands, or stacks of independent items (batch
+items or runs) with a leading axis: ``(B, ., .)`` factors and inputs against
+a shared 2-d ``w0``. Stacked matmuls make the same BLAS call per item as the
+2-d call, so an item gives the same bits alone or inside a stack.
 """
 
 import numpy as np

@@ -132,10 +132,6 @@ class IdentityBank:
                                AdamWState(lr=config.lr, weight_decay=config.weight_decay))
                               for _ in dims]
 
-    def factors_for(self, identity: int):
-        pair = self.factors[identity]
-        return pair[0], pair[1]
-
     def identity_checksum(self, identity: int) -> str:
         parts = [checksum(f.l_mid) + checksum(f.l_up) for f in self.factors[identity]]
         return "".join(parts)
@@ -219,7 +215,7 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                 batch = [bucket.examples[i] for i in idxs]
                 try:
                     loss, grads = diffusion_loss(model, batch, schedule, rng,
-                                                 factor_provider=bank.factors_for)
+                                                 factors=bank.factors)
                 except NumericError as exc:
                     raise NumericError(f"iteration {i_curr + i_cb}: {exc}") from exc
                 for ident, layer_grads in grads.per_identity.items():

@@ -1,6 +1,6 @@
-"""Dense matrix helpers, seeded PRNG, and the AdamW optimizer.
+"""Seeded PRNG, Gaussian init, finiteness checks, checksums and AdamW.
 
-Matrices are plain 2-d float64 numpy arrays throughout the package. Random
+Parameters are plain float64 numpy arrays throughout the package. Random
 streams come from numpy's PCG64 generator: the algorithm is fixed and
 documented, so a recorded seed reproduces every downstream artifact
 bit-exactly on any platform.
@@ -22,22 +22,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError("as_matrix: expected 2-d data", arr.shape)
-    return arr
-
-
 def check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{what} contains non-finite values")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError("matmul", a.shape, b.shape)
-    return a @ b
 
 
 def gaussian(rng: np.random.Generator, rows: int, cols: int, std: float) -> np.ndarray:

@@ -16,6 +16,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
@@ -26,7 +27,7 @@ from .errors import (CheckpointError, DimensionError, MetaLoraError,
 from .metatrain import fresh_identity_factors
 from .numerics import AdamWState, adamw_step, checksum, make_rng
 from .toymodel import (DiffusionSchedule, Example, ToyDenoiser,
-                       ToyIdentityDataset, time_embedding)
+                       ToyIdentityDataset, train_step)
 
 
 @dataclass
@@ -113,15 +114,13 @@ def make_probe(dataset: ToyIdentityDataset, identity: int,
 def _probe_batch(model: ToyDenoiser, schedule: DiffusionSchedule,
                  probe: list[ProbeItem]) -> tuple[np.ndarray, np.ndarray]:
     """The probe as one batch: network inputs (d_in, n) and noise targets (d, n)."""
-    cols = []
-    eps_mat = []
+    x_t = []
     for p in probe:
         ab = schedule.alpha_bar[p.t]
-        x_t = np.sqrt(ab) * p.x0 + np.sqrt(1.0 - ab) * p.eps
-        cols.append(np.concatenate([x_t, model._conditioning(p.t, schedule.T,
-                                                             p.prompt_id)]))
-        eps_mat.append(p.eps)
-    return np.stack(cols, axis=1), np.stack(eps_mat, axis=1)
+        x_t.append(np.sqrt(ab) * p.x0 + np.sqrt(1.0 - ab) * p.eps)
+    rows = model.conditioned(np.stack(x_t), [p.t for p in probe],
+                             [p.prompt_id for p in probe], schedule)
+    return np.ascontiguousarray(rows.T), np.stack([p.eps for p in probe], axis=1)
 
 
 def probe_loss(model: ToyDenoiser, schedule: DiffusionSchedule,
@@ -204,11 +203,11 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     Each run gives the same bits as when trained alone. It replays its own
     random stream in the order of a single run: fresh factors, then a view
     index, a flip, ``t`` and the noise on every iteration. The math of all
-    runs goes through one ``kernels.chain_forward``/``chain_backward`` call
-    per layer over stacked (R, ., .) operands, whose matmuls make the same
-    BLAS call per run as a lone run. One AdamW update covers a flat (R, n)
-    buffer holding every run's mid and up factors. A probe's input and its
-    frozen layer-1 products are built once per run.
+    runs goes through one :func:`metalora.toymodel.train_step` over stacked
+    (R, ., .) operands, whose matmuls make the same BLAS call per run as a
+    lone run. One AdamW update covers a flat (R, n) buffer holding every
+    run's mid and up factors. A probe's input and its frozen layer-1
+    products are built once per run.
 
     Jobs may differ in their seed, references, shared down factors and
     probe; the rest of their configs must agree, and either every job or
@@ -245,10 +244,6 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     w0_1, w0_2, s1, s2 = layer1.w0, layer2.w0, layer1.scale, layer2.scale
-
-    # the conditioning is a time-embedding row next to a one-hot prompt code
-    temb = np.stack([time_embedding(t, T) for t in range(T)])
-    onehot = np.eye(model.n_prompts)
     sqrt_ab = np.sqrt(schedule.alpha_bar)
     sqrt_1m_ab = np.sqrt(1.0 - schedule.alpha_bar)
 
@@ -288,22 +283,15 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
             eps[r] = rng.normal(0.0, 1.0, size=d)
             prompts[r] = ref.prompt_id
         x_t = sqrt_ab[ts, None] * x0 + sqrt_1m_ab[ts, None] * eps
-        inp = np.concatenate([x_t, temb[ts], onehot[prompts]], axis=1)[:, :, None]
-        z, u1, mid1 = kernels.chain_forward(w0_1, lmd1, lm1, lu1, s1, inp)
-        a = np.tanh(z)
-        out, u2, mid2 = kernels.chain_forward(w0_2, lmd2, lm2, lu2, s2, a)
-        resid = out[:, :, 0] - eps
-        losses = np.mean(resid ** 2, axis=1)
+        inp = model.conditioned(x_t, ts, prompts, schedule)[:, :, None]
+        losses, layer_grads = train_step([w0_1, w0_2], [s1, s2], [lmd1, lmd2],
+                                         [lm1, lm2], [lu1, lu2], inp, eps, 1)
         bad = np.flatnonzero(~np.isfinite(losses))
         if len(bad):
             raise NumericError(f"job {bad[0]}: non-finite loss at stage-2 iteration {it}")
-        g_out = (2.0 * resid / d)[:, :, None]
-        d_lu2, d_lm2, _, g_a, _ = kernels.chain_backward(
-            w0_2, lmd2, lm2, lu2, s2, a, u2, mid2, g_out)
-        d_lu1, d_lm1, _, _, _ = kernels.chain_backward(
-            w0_1, lmd1, lm1, lu1, s1, inp, u1, mid1, g_a * (1.0 - a * a))
-        grads = np.concatenate([g.reshape(R, -1) for g in (d_lm1, d_lu1, d_lm2, d_lu2)],
-                               axis=1)
+        # each layer's mid then up gradients, in the layout of ``params``
+        grads = np.concatenate([g.reshape(R, -1) for layer in layer_grads
+                                for g in layer[:2]], axis=1)
         bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
         if len(bad):
             raise NumericError(f"job {bad[0]}: non-finite gradient at stage-2 "
@@ -327,12 +315,18 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
 
 
 def smooth(values: list[float], window: int) -> np.ndarray:
-    """Trailing moving average (window shrinks at the start)."""
+    """Trailing moving average (window shrinks at the start).
+
+    Each mean is taken over a contiguous run of the curve, the full windows
+    all at once, so an entry has the same bits as ``arr[lo:i + 1].mean()``.
+    """
     arr = np.asarray(values, dtype=np.float64)
     out = np.empty_like(arr)
-    for i in range(len(arr)):
-        lo = max(0, i - window + 1)
-        out[i] = arr[lo:i + 1].mean()
+    head = min(window - 1, len(arr))
+    for i in range(head):
+        out[i] = arr[:i + 1].mean()
+    if len(arr) >= window:
+        out[head:] = sliding_window_view(arr, window).mean(axis=1)
     return out
 
 

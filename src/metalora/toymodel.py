@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .adapter import AdaptedLayer, AdapterFactors, init_factors
 from .errors import ConvergenceError, DimensionError, NumericError
 from .numerics import AdamWState, adamw_step, make_rng
@@ -24,6 +25,8 @@ TEMB_DIM = 8
 @dataclass
 class DiffusionSchedule:
     alpha_bar: np.ndarray  # strictly decreasing, in (0, 1]
+    # row t: time_embedding(t, T), the conditioning features of timestep t
+    time_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ab = np.asarray(self.alpha_bar, dtype=np.float64)
@@ -34,6 +37,7 @@ class DiffusionSchedule:
         if np.any(np.diff(ab) >= 0):
             raise ValueError("alpha_bar must be strictly decreasing")
         self.alpha_bar = ab
+        self.time_table = np.stack([time_embedding(t, len(ab)) for t in range(len(ab))])
 
     @property
     def T(self) -> int:
@@ -172,6 +176,7 @@ class ToyDenoiser:
         self.layer2 = layer2
         self.d = d
         self.n_prompts = n_prompts
+        self.prompt_codes = np.eye(n_prompts)  # row p: the one-hot code of prompt p
         self.hidden = layer1.factors.d2
 
     @classmethod
@@ -193,82 +198,91 @@ class ToyDenoiser:
         self.layer1.factors = f1
         self.layer2.factors = f2
 
-    def _conditioning(self, t: int, T: int, prompt_id: int) -> np.ndarray:
-        onehot = np.zeros(self.n_prompts)
-        onehot[prompt_id] = 1.0
-        return np.concatenate([time_embedding(t, T), onehot])
+    def conditioned(self, x_t: np.ndarray, ts, prompt_ids,
+                    schedule: DiffusionSchedule) -> np.ndarray:
+        """Network input rows (B, d_in): each noisy latent (B, d) next to its
+        timestep's row of ``schedule.time_table`` and its prompt's one-hot code."""
+        return np.concatenate([x_t, schedule.time_table[ts], self.prompt_codes[prompt_ids]],
+                              axis=1)
 
-    def predict(self, x_t: np.ndarray, t: int, T: int, prompt_id: int) -> np.ndarray:
-        """Predict eps from the noisy latent and the conditioning. Caches
-        intermediates for :meth:`backprop`."""
-        inp = np.concatenate([x_t, self._conditioning(t, T, prompt_id)]).reshape(-1, 1)
-        z = self.layer1.forward(inp)
-        a = np.tanh(z)
-        out = self.layer2.forward(a)
-        self._bp_cache = (inp, a)
-        return out[:, 0]
+    def predict(self, x_t: np.ndarray, t: int, schedule: DiffusionSchedule,
+                prompt_id: int) -> np.ndarray:
+        """Predict eps from the noisy latent and the conditioning, with the
+        installed factors. Forward only."""
+        inp = self.conditioned(x_t[None], [t], [prompt_id], schedule).reshape(-1, 1)
+        return self.layer2.forward(np.tanh(self.layer1.forward(inp)))[:, 0]
 
-    def backprop(self, g_out: np.ndarray):
-        """Gradients of a scalar loss given d(loss)/d(output)."""
-        inp, a = self._bp_cache
-        g2 = self.layer2.backward(a, g_out.reshape(-1, 1))
-        g_a = g2.x * (1.0 - a * a)  # tanh'
-        g1 = self.layer1.backward(inp, g_a)
-        return g1, g2
+
+def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n):
+    """One forward/backward of the denoiser over B stacked items.
+
+    Each argument but the last three is a per-layer list: the base ``w0``
+    (d2, d1) and ``scale``, the down factors (B, r1, d1) or one (r1, d1)
+    shared by all items, and each item's mid (B, r2, r1) and up (B, d2, r2)
+    factors. ``inp`` (B, d_in, 1) holds the network inputs, ``eps`` (B, d)
+    the injected noise. A layer makes one ``kernels.chain_forward`` and one
+    ``chain_backward`` call; their stacked matmuls make the same BLAS call
+    per item as a lone item. Returns the per-item losses (B,) and, per
+    layer, the per-item gradients ``(d_lm, d_lu, d_lmd, dw0)`` of
+    ``sum(losses) / n``. The caller checks them for non-finite values.
+    """
+    z, u1, mid1 = kernels.chain_forward(w0[0], lmd[0], lm[0], lu[0], scale[0], inp)
+    a = np.tanh(z)
+    out, u2, mid2 = kernels.chain_forward(w0[1], lmd[1], lm[1], lu[1], scale[1], a)
+    resid = out[:, :, 0] - eps
+    losses = np.mean(resid ** 2, axis=1)
+    g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
+    d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
+        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out)
+    d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
+        w0[0], lmd[0], lm[0], lu[0], scale[0], inp, u1, mid1, g_a * (1.0 - a * a))
+    return losses, [(d_lm1, d_lu1, d_lmd1, dw0_1), (d_lm2, d_lu2, d_lmd2, dw0_2)]
+
+
+def _item_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, adding the items in order onto zeros."""
+    return sum(stack, np.zeros(stack.shape[1:]))
 
 
 def diffusion_loss(model: ToyDenoiser, batch: list[Example],
                    schedule: DiffusionSchedule, rng: np.random.Generator,
-                   factor_provider=None,
-                   predictor=None) -> tuple[float, BatchGrads]:
+                   factors: dict[int, list[AdapterFactors]] | None = None
+                   ) -> tuple[float, BatchGrads]:
     """Mean squared error between predicted and injected noise over a batch.
 
-    ``factor_provider(identity)`` returns the (layer1, layer2) factor pair to
-    install per item; omitted, the model's current factors are used for every
-    item. ``predictor`` (tests only) overrides the model's eps prediction.
+    ``factors[identity]`` is an identity's (layer1, layer2) factor chain;
+    omitted, every item uses the model's own factors. Each item draws its
+    ``t`` and noise in batch order, and the whole batch makes one
+    :func:`train_step`. The down-factor and base-weight gradients are summed
+    over the items; the mid/up gradients are summed per identity, keyed in
+    order of first appearance. The model is only read.
     """
     if not batch:
         raise ValueError("diffusion_loss: empty batch")
-    n = len(batch)
-    d = model.d
-    total = 0.0
-    grads = BatchGrads(
-        lmd=[np.zeros_like(l.factors.l_meta_down) for l in model.layers],
-        w0=[np.zeros_like(l.w0) for l in model.layers],
-        per_identity={},
-    )
-    for idx, item in enumerate(batch):
-        t = int(rng.integers(schedule.T))
-        x_t, eps = noisify(schedule, item.x0, t, rng)
-        if factor_provider is not None:
-            f1, f2 = factor_provider(item.identity)
-            model.set_factors(f1, f2)
-        if predictor is not None:
-            eps_hat = predictor(x_t, t, eps)
-            resid = eps_hat - eps
-            total += float(np.mean(resid ** 2))
-            continue
-        eps_hat = model.predict(x_t, t, schedule.T, item.prompt_id)
-        resid = eps_hat - eps
-        item_loss = float(np.mean(resid ** 2))
-        if not np.isfinite(item_loss):
-            raise NumericError(f"non-finite loss at batch index {idx}")
-        total += item_loss
-        g_out = 2.0 * resid / (d * n)
-        g1, g2 = model.backprop(g_out)
-        for li, g in enumerate((g1, g2)):
-            grads.lmd[li] += g.l_meta_down
-            grads.w0[li] += g.w0
-        if item.identity not in grads.per_identity:
-            grads.per_identity[item.identity] = [
-                (np.zeros_like(model.layers[li].factors.l_mid),
-                 np.zeros_like(model.layers[li].factors.l_up))
-                for li in range(2)]
-        for li, g in enumerate((g1, g2)):
-            acc_lm, acc_lu = grads.per_identity[item.identity][li]
-            acc_lm += g.l_mid
-            acc_lu += g.l_up
-    return total / n, grads
+    ts, noised = [], []
+    for item in batch:
+        ts.append(int(rng.integers(schedule.T)))
+        noised.append(noisify(schedule, item.x0, ts[-1], rng))
+    x_t, eps = (np.stack(arrays) for arrays in zip(*noised))
+    inp = model.conditioned(x_t, ts, [item.prompt_id for item in batch], schedule)
+    chains = [factors[item.identity] if factors is not None
+              else [l.factors for l in model.layers] for item in batch]
+    stacked = [[np.stack([getattr(chain[li], name) for chain in chains]) for li in range(2)]
+               for name in ("l_meta_down", "l_mid", "l_up")]
+    losses, layer_grads = train_step([l.w0 for l in model.layers],
+                                     [l.scale for l in model.layers],
+                                     *stacked, inp[:, :, None], eps, len(batch))
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if len(bad):
+        raise NumericError(f"non-finite loss at batch index {bad[0]}")
+    grads = BatchGrads(lmd=[_item_sum(g[2]) for g in layer_grads],
+                       w0=[_item_sum(g[3]) for g in layer_grads], per_identity={})
+    for ident in dict.fromkeys(item.identity for item in batch):
+        rows = [b for b, item in enumerate(batch) if item.identity == ident]
+        grads.per_identity[ident] = [(_item_sum(d_lm[rows]), _item_sum(d_lu[rows]))
+                                     for d_lm, d_lu, _, _ in layer_grads]
+    # a running sum adds the item losses one by one, as a loop over the items
+    return float(np.cumsum(losses)[-1]) / len(batch), grads
 
 
 def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
@@ -315,7 +329,7 @@ def generate(model: ToyDenoiser, schedule: DiffusionSchedule, prompt_id: int,
     x = rng.normal(0.0, 1.0, size=model.d)
     ab = schedule.alpha_bar
     for t in range(schedule.T - 1, -1, -1):
-        eps_hat = model.predict(x, t, schedule.T, prompt_id)
+        eps_hat = model.predict(x, t, schedule, prompt_id)
         x0_hat = (x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t])
         if t > 0:
             x = np.sqrt(ab[t - 1]) * x0_hat + np.sqrt(1.0 - ab[t - 1]) * eps_hat

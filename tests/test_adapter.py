@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metalora import kernels
 from metalora.adapter import (AdaptedLayer, AdapterFactors, init_factors,
                               merge, merged_forward)
-from metalora.errors import (DimensionError, ImmutabilityError,
-                             MissingCacheError, RankError)
+from metalora.errors import DimensionError, ImmutabilityError, RankError
 from metalora.numerics import make_rng
 
 
@@ -71,7 +71,6 @@ def finite_diff(layer, x, g, param, h=1e-5):
         fm = float(np.sum(g * layer.forward(x)))
         param[idx] = orig
         grad[idx] = (fp - fm) / (2 * h)
-    layer.forward(x)  # restore a valid cache for the unperturbed input
     return grad
 
 
@@ -129,14 +128,22 @@ class TestAnalyticGradients:
         assert np.max(np.abs(grads.l_up)) > 0
 
     def test_backward_without_matching_forward(self):
+        # backward recomputes the chain from x, so it needs no forward call
+        # and gives the bits of the kernels fed the forward's intermediates
         rng = make_rng(301)
         layer = random_layer(rng, 4, 4, 2, 1)
         x = rng.standard_normal((4, 2))
-        with pytest.raises(MissingCacheError):
-            layer.backward(x, rng.standard_normal((4, 2)))
-        layer.forward(x)
-        with pytest.raises(MissingCacheError):
-            layer.backward(x.copy(), rng.standard_normal((4, 2)))
+        g = rng.standard_normal((4, 2))
+        f = layer.factors
+        operands = (layer.w0, f.l_meta_down, f.l_mid, f.l_up, layer.scale, x)
+        _, u, mid = kernels.chain_forward(*operands)
+        want = kernels.chain_backward(*operands, u, mid, g)
+        alone = layer.backward(x, g)
+        layer.forward(rng.standard_normal((4, 2)))
+        after_other_input = layer.backward(x.copy(), g)
+        for grads in (alone, after_other_input):
+            got = (grads.l_up, grads.l_mid, grads.l_meta_down, grads.x, grads.w0)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 class TestMerge:

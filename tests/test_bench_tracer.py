@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import metalora.cli  # noqa: F401  (the benchmark wraps after importing the CLI)
-from metalora import adapter, augment, kernels, numerics, personalize, toymodel
+from metalora import adapter, augment, kernels, metatrain, numerics, personalize, toymodel
 from metalora.numerics import make_rng
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "pipeline_bench" / "tracer.py"
@@ -74,3 +74,33 @@ def test_tracer_covers_the_speed_experiment():
     for name in ("kernels.chain_forward", "kernels.chain_backward", "kernels.adamw_update"):
         assert stats[name]["calls"] >= 10, name
     assert stats["kernels"]["flops"] > 0
+
+
+def test_one_stacked_step_per_training_iteration():
+    # pretraining (batch 8) and stage 1 (batch 4) each make one diffusion_loss
+    # call per iteration, and it makes one chain_forward and one
+    # chain_backward call per layer, whatever the batch size
+    tracer_module = load_tracer_module()
+    rng = make_rng(0)
+    dataset = toymodel.make_dataset(rng, n_identities=4, d=4, samples_per_identity=3,
+                                    n_prompts=2)
+    schedule = toymodel.linear_schedule()
+    config = metatrain.TrainConfig(q_total=12, batch_size=4, r1=2, r2=1,
+                                   identities_per_bucket=2)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        # a threshold every loss meets: exactly `window` iterations
+        model = toymodel.pretrain_base(dataset, schedule, seed=1, hidden=8,
+                                       batch_size=8, loss_threshold=1e9,
+                                       max_iters=50, window=5, r1=2)
+        tracer.set_phase("stage1")
+        result = metatrain.run_stage1(model, dataset, schedule, config)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["setup"]["toymodel.pretrain_base"]["iterations"] == 5
+    for phase, iterations in (("setup", 5), ("stage1", result.executed_iterations)):
+        stats = tracer.stats[phase]
+        assert stats["toymodel.diffusion_loss"]["calls"] == iterations, phase
+        assert stats["kernels.chain_forward"]["calls"] == 2 * iterations, phase
+        assert stats["kernels.chain_backward"]["calls"] == 2 * iterations, phase

@@ -1,6 +1,7 @@
 """Checkpoint container format and the command-line pipeline."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -102,6 +103,21 @@ class TestCheckpointFormat:
     def test_non_2d_tensor_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_checkpoint(tmp_path / "x.bin", {}, {"v": np.zeros(3)})
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing):
+        path, _, _ = self.sample(tmp_path)
+        before = path.read_bytes()
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, failing, disk_full)
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"kind": "stage1"}, {"lmd.0": np.ones((2, 2))})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_config_hash_canonical(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})

@@ -1,59 +1,11 @@
-"""Core numeric helpers: matmul, RNG, gaussian init, AdamW."""
+"""Core numeric helpers: RNG, gaussian init, finiteness checks, AdamW."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from metalora.errors import DimensionError, NumericError
-from metalora.numerics import (AdamWState, adamw_step, as_matrix, check_finite,
-                               checksum, gaussian, make_rng, matmul)
-
-
-def triple_loop_matmul(a, b):
-    """Independent oracle: O(n^3) scalar loops, no numpy matmul."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_against_triple_loop_oracle(self):
-        rng = make_rng(11)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        got = matmul(a, b)
-        want = triple_loop_matmul(a, b)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError) as exc:
-            matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-        msg = str(exc.value)
-        assert "(2, 3)" in msg and "(4, 5)" in msg
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
-           st.integers(1, 6), st.integers(0, 2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_associativity(self, n, k, m, p, seed):
-        rng = make_rng(seed)
-        a = rng.standard_normal((n, k))
-        b = rng.standard_normal((k, m))
-        c = rng.standard_normal((m, p))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.allclose(left, right, atol=1e-10)
+from metalora.numerics import (AdamWState, adamw_step, check_finite, checksum,
+                               gaussian, make_rng)
 
 
 class TestRngAndGaussian:
@@ -103,10 +55,6 @@ class TestFiniteChecks:
         arr[0, 1] = bad
         with pytest.raises(NumericError):
             check_finite(arr, "w")
-
-    def test_as_matrix_rejects_vector(self):
-        with pytest.raises(DimensionError):
-            as_matrix(np.zeros(3))
 
 
 def hand_adamw(p, g, lr, b1, b2, eps, wd, steps):

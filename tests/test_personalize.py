@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metalora import kernels
-from metalora.adapter import init_factors, merged_forward
+from metalora.adapter import AdaptedLayer, init_factors, merged_forward
 from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_checkpoint
 from metalora.errors import (CheckpointError, ImmutabilityError,
@@ -19,7 +19,7 @@ from metalora.personalize import (PersonalizeConfig, Stage2Job,
                                   make_probe, probe_loss, run_stage2,
                                   run_stage2_many, smooth, view_latent)
 from metalora.toymodel import (Example, linear_schedule, make_dataset, noisify,
-                               pretrain_base)
+                               pretrain_base, time_embedding)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +209,24 @@ class TestIterationsToThreshold:
         got = smooth([4.0, 2.0, 6.0], window=2)
         assert np.allclose(got, [4.0, 3.0, 4.0])
 
+    def test_smooth_matches_loop_bit_for_bit(self):
+        def loop_smooth(values, window):
+            arr = np.asarray(values, dtype=np.float64)
+            out = np.empty_like(arr)
+            for i in range(len(arr)):
+                lo = max(0, i - window + 1)
+                out[i] = arr[lo:i + 1].mean()
+            return out
+
+        rng = make_rng(17)
+        cases = [(1, 1), (5, 1), (5, 5), (5, 6), (3, 40), (376, 15)]
+        cases += [(int(rng.integers(1, 501)), int(rng.integers(1, 40)))
+                  for _ in range(200)]
+        for length, window in cases:
+            curve = rng.exponential(size=length) * rng.uniform(1e-3, 1e3)
+            got = smooth(list(curve), window)
+            assert got.tobytes() == loop_smooth(curve, window).tobytes(), (length, window)
+
 
 class TestSpeedExperiment:
     def test_requires_three_seeds(self, world):
@@ -238,11 +256,11 @@ class TestSpeedExperiment:
 
 
 def reference_stage2(model, lmd, ref, schedule, cfg, probe):
-    """Single-run stage 2 as the engine must reproduce it: factors installed
-    in the model, its predict/backprop (an AdaptedLayer forward/backward per
-    layer) every iteration and one adamw_step per factor. Returns (train
-    losses, probe curve, factors); the model's factors are restored."""
-    installed = (model.layer1.factors, model.layer2.factors)
+    """Single-run stage 2 as the engine must reproduce it: every iteration
+    builds its item's input from time_embedding and a one-hot code, runs an
+    AdaptedLayer forward/backward per layer and one adamw_step per factor;
+    the probe loss goes through the same layers. Returns (train losses,
+    probe curve, factors). ``model`` is only read."""
     rng = make_rng(cfg.seed)
     views = [(ref, spec) for spec in plan_crops(ref.image_w, ref.image_h,
                                                 FaceBox(*ref.face_box))]
@@ -250,24 +268,40 @@ def reference_stage2(model, lmd, ref, schedule, cfg, probe):
     factors = fresh_identity_factors(rng, lmd, dims, cfg.r1, cfg.r2)
     states = [(AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay),
                AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in dims]
-    model.set_factors(*factors)
-    try:
-        losses, curve = [], [probe_loss(model, schedule, probe)]
-        for _ in range(cfg.q_st2):
-            ref, spec = views[int(rng.integers(len(views)))]
-            view = sample_view(spec, rng)
-            x0 = view_latent(ref.x0, view.rect, view.flip, cfg.view_strength)
-            t = int(rng.integers(schedule.T))
-            x_t, eps = noisify(schedule, x0, t, rng)
-            resid = model.predict(x_t, t, schedule.T, ref.prompt_id) - eps
-            losses.append(float(np.mean(resid ** 2)))
-            g1, g2 = model.backprop(2.0 * resid / resid.size)
-            for f, g, (st_lm, st_lu) in zip(factors, (g1, g2), states):
-                adamw_step(f.l_mid, g.l_mid, st_lm)
-                adamw_step(f.l_up, g.l_up, st_lu)
-            curve.append(probe_loss(model, schedule, probe))
-    finally:
-        model.set_factors(*installed)
+    layer1, layer2 = (AdaptedLayer(l.w0, f, l.scale)
+                      for l, f in zip(model.layers, factors))
+
+    def model_input(x_t, t, prompt_id):
+        onehot = np.zeros(model.n_prompts)
+        onehot[prompt_id] = 1.0
+        return np.concatenate([x_t, time_embedding(t, schedule.T), onehot])
+
+    ab = schedule.alpha_bar
+    p_inp = np.stack([model_input(np.sqrt(ab[p.t]) * p.x0 + np.sqrt(1.0 - ab[p.t]) * p.eps,
+                                  p.t, p.prompt_id) for p in probe], axis=1)
+    p_eps = np.stack([p.eps for p in probe], axis=1)
+
+    def probe_point():
+        out = layer2.forward(np.tanh(layer1.forward(p_inp)))
+        return float(np.mean((out - p_eps) ** 2))
+
+    losses, curve = [], [probe_point()]
+    for _ in range(cfg.q_st2):
+        ref, spec = views[int(rng.integers(len(views)))]
+        view = sample_view(spec, rng)
+        x0 = view_latent(ref.x0, view.rect, view.flip, cfg.view_strength)
+        t = int(rng.integers(schedule.T))
+        x_t, eps = noisify(schedule, x0, t, rng)
+        inp = model_input(x_t, t, ref.prompt_id).reshape(-1, 1)
+        a = np.tanh(layer1.forward(inp))
+        resid = layer2.forward(a)[:, 0] - eps
+        losses.append(float(np.mean(resid ** 2)))
+        g2 = layer2.backward(a, (2.0 * resid / resid.size).reshape(-1, 1))
+        g1 = layer1.backward(inp, g2.x * (1.0 - a * a))
+        for f, g, (st_lm, st_lu) in zip(factors, (g1, g2), states):
+            adamw_step(f.l_mid, g.l_mid, st_lm)
+            adamw_step(f.l_up, g.l_up, st_lu)
+        curve.append(probe_point())
     return losses, curve, factors
 
 

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from metalora.adapter import init_factors
+from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import ConvergenceError, ImmutabilityError, NumericError
 from metalora.numerics import make_rng
 from metalora.toymodel import (DiffusionSchedule, Example, ToyDenoiser,
                                diffusion_loss, generate, linear_schedule,
                                make_dataset, noisify, pretrain_base,
-                               subset_dataset, time_embedding)
+                               subset_dataset, time_embedding, train_step)
 
 
 class TestSchedule:
@@ -114,6 +114,62 @@ class TestDataset:
             assert 0 <= x and 0 <= y and x + w <= e.image_w and y + h <= e.image_h
 
 
+def stage1_factors(model, identities, seed):
+    """Per-identity chains over one shared down factor per layer, as
+    IdentityBank builds them, with non-zero up factors."""
+    rng = make_rng(seed)
+    r1, r2 = model.layer1.factors.r1, model.layer1.factors.r2
+    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+    lmd = [init_factors(rng, d1, d2, r1, r2).l_meta_down for d1, d2 in dims]
+    factors = {}
+    for i in identities:
+        factors[i] = []
+        for li, (d1, d2) in enumerate(dims):
+            f = init_factors(rng, d1, d2, r1, r2, "fresh")
+            factors[i].append(AdapterFactors(lmd[li], f.l_mid,
+                                             0.3 * rng.normal(size=f.l_up.shape)))
+    return factors
+
+
+def per_item_reference(model, batch, schedule, rng, factors=None):
+    """diffusion_loss item by item: each item's own conditioning and an
+    AdaptedLayer forward/backward per layer, its gradients added in item
+    order. Returns (loss, lmd sums, w0 sums, per-identity (d_lm, d_lu))."""
+    n, d, T = len(batch), model.d, schedule.T
+    total = 0.0
+    lmd = [np.zeros_like(l.factors.l_meta_down) for l in model.layers]
+    w0 = [np.zeros_like(l.w0) for l in model.layers]
+    per_identity = {}
+    for item in batch:
+        t = int(rng.integers(T))
+        x_t, eps = noisify(schedule, item.x0, t, rng)
+        chain = (factors[item.identity] if factors is not None
+                 else [l.factors for l in model.layers])
+        l1, l2 = (AdaptedLayer(l.w0, f, l.scale) for l, f in zip(model.layers, chain))
+        onehot = np.zeros(model.n_prompts)
+        onehot[item.prompt_id] = 1.0
+        inp = np.concatenate([x_t, time_embedding(t, T), onehot]).reshape(-1, 1)
+        a = np.tanh(l1.forward(inp))
+        resid = l2.forward(a)[:, 0] - eps
+        total += float(np.mean(resid ** 2))
+        g2 = l2.backward(a, (2.0 * resid / (d * n)).reshape(-1, 1))
+        g1 = l1.backward(inp, g2.x * (1.0 - a * a))
+        acc = per_identity.setdefault(item.identity, [
+            (np.zeros_like(f.l_mid), np.zeros_like(f.l_up)) for f in chain])
+        for li, g in enumerate((g1, g2)):
+            lmd[li] += g.l_meta_down
+            w0[li] += g.w0
+            acc_lm, acc_lu = acc[li]
+            acc_lm += g.l_mid
+            acc_lu += g.l_up
+    return total / n, lmd, w0, per_identity
+
+
+def rel_err(a, b):
+    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
+    return np.max(np.abs(a - b)) / denom
+
+
 class TestDenoiser:
     def test_zero_factors_identity_agnostic(self):
         # With zeroed adapter factors the prediction depends only on
@@ -121,19 +177,35 @@ class TestDenoiser:
         # input at all, so two models built identically agree.
         rng = make_rng(1)
         m = ToyDenoiser.build(rng, d=8, hidden=16, n_prompts=2, r1=4, r2=1)
+        s = linear_schedule(50)
         x = make_rng(2).normal(size=8)
-        a = m.predict(x, 3, 50, 0)
-        b = m.predict(x, 3, 50, 0)
+        a = m.predict(x, 3, s, 0)
+        b = m.predict(x, 3, s, 0)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, m.predict(x, 3, 50, 1))  # prompt matters
+        assert not np.array_equal(a, m.predict(x, 3, s, 1))  # prompt matters
 
     def test_oracle_predictor_gives_zero_loss(self):
+        # noise equal to the network's own prediction: zero loss, and zero
+        # gradients for every item and parameter
         ds = small_dataset()
         s = linear_schedule()
         m = ToyDenoiser.build(make_rng(3), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
-        loss, _ = diffusion_loss(m, ds.examples[:4], s, make_rng(4),
-                                 predictor=lambda x_t, t, eps: eps)
-        assert loss == 0.0
+        chain = stage1_factors(m, [0], seed=4)[0]
+        m.set_factors(*chain)
+        rng = make_rng(5)
+        x_t = rng.normal(size=(4, 8))
+        ts = [int(t) for t in rng.integers(s.T, size=4)]
+        prompts = [e.prompt_id for e in ds.examples[:4]]
+        eps = np.stack([m.predict(x, t, s, p) for x, t, p in zip(x_t, ts, prompts)])
+        losses, layer_grads = train_step(
+            [l.w0 for l in m.layers], [l.scale for l in m.layers],
+            *[[np.stack([getattr(f, name)] * 4) for f in chain]
+              for name in ("l_meta_down", "l_mid", "l_up")],
+            m.conditioned(x_t, ts, prompts, s)[:, :, None], eps, 4)
+        assert np.count_nonzero(losses) == 0
+        for grads in layer_grads:
+            for g in grads:
+                assert np.count_nonzero(g) == 0
 
     def test_zero_adapter_matches_base_loss(self):
         # Fresh factors have a zero up factor, so loss equals the zero-mode
@@ -145,8 +217,8 @@ class TestDenoiser:
         loss_zero, _ = diffusion_loss(m, ds.examples[:4], s, make_rng(6))
         f1 = init_factors(make_rng(7), m.layer1.factors.d1, 16, 4, 1, "fresh")
         f2 = init_factors(make_rng(8), 16, 8, 4, 1, "fresh")
-        m.set_factors(f1, f2)
-        loss_fresh, _ = diffusion_loss(m, ds.examples[:4], s, make_rng(6))
+        loss_fresh, _ = diffusion_loss(m, ds.examples[:4], s, make_rng(6),
+                                       factors={0: [f1, f2]})
         assert loss_fresh == pytest.approx(loss_zero, abs=1e-15)
 
     def test_empty_batch_rejected(self):
@@ -162,41 +234,69 @@ class TestDenoiser:
             diffusion_loss(m, [ds.examples[0], bad], linear_schedule(), make_rng(0))
 
     def test_model_gradients_match_finite_differences(self):
-        # End-to-end (through tanh) check on l_up of layer 2.
+        # Central differences through diffusion_loss (stage-1 mode, through
+        # the tanh) on every trained tensor of both layers: each identity's
+        # mid and up factors, the shared down factor and the base weight.
+        # Identity 0 appears twice, so the per-identity sums and the shared
+        # sums both add more than one item.
         ds = small_dataset()
         s = linear_schedule()
         m = ToyDenoiser.build(make_rng(9), d=8, hidden=16, n_prompts=2, r1=4, r2=2)
-        f1 = init_factors(make_rng(10), m.layer1.factors.d1, 16, 4, 2, "fresh")
-        f2 = init_factors(make_rng(11), 16, 8, 4, 2, "fresh")
-        f1.l_up[:] = make_rng(12).normal(size=f1.l_up.shape) * 0.3
-        f2.l_up[:] = make_rng(13).normal(size=f2.l_up.shape) * 0.3
-        m.set_factors(f1, f2)
-        batch = ds.examples[:3]
-
-        def batch_loss():
-            loss, _ = diffusion_loss(m, batch, s, make_rng(42))
-            return loss
-
-        _, grads = diffusion_loss(m, batch, s, make_rng(42))
-        g_analytic = grads.per_identity[batch[0].identity]
-        # all three examples share identity 0 in this slice?
-        # accumulate over whatever identities appear:
-        g_lu2 = np.zeros_like(f2.l_up)
-        for pair in grads.per_identity.values():
-            g_lu2 += pair[1][1]
+        factors = stage1_factors(m, [0, 1], seed=10)
+        batch = [ds.of_identity(0)[1], ds.of_identity(1)[2], ds.of_identity(0)[3]]
+        _, grads = diffusion_loss(m, batch, s, make_rng(42), factors=factors)
+        assert list(grads.per_identity) == [0, 1]
+        checks = []
+        for li, layer in enumerate(m.layers):
+            checks += [(grads.w0[li], layer.w0),
+                       (grads.lmd[li], factors[0][li].l_meta_down)]
+            for ident in (0, 1):
+                d_lm, d_lu = grads.per_identity[ident][li]
+                checks += [(d_lm, factors[ident][li].l_mid),
+                           (d_lu, factors[ident][li].l_up)]
         h = 1e-5
-        fd = np.zeros_like(f2.l_up)
-        for idx in np.ndindex(f2.l_up.shape):
-            orig = f2.l_up[idx]
-            f2.l_up[idx] = orig + h
-            fp = batch_loss()
-            f2.l_up[idx] = orig - h
-            fm = batch_loss()
-            f2.l_up[idx] = orig
-            fd[idx] = (fp - fm) / (2 * h)
-        denom = max(np.max(np.abs(fd)), 1e-12)
-        assert np.max(np.abs(g_lu2 - fd)) / denom <= 1e-4
-        assert g_analytic is not None
+        for analytic, param in checks:
+            fd = np.zeros_like(param)
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
+                fp, _ = diffusion_loss(m, batch, s, make_rng(42), factors=factors)
+                param[idx] = orig - h
+                fm, _ = diffusion_loss(m, batch, s, make_rng(42), factors=factors)
+                param[idx] = orig
+                fd[idx] = (fp - fm) / (2 * h)
+            assert np.max(np.abs(fd)) > 0
+            assert rel_err(analytic, fd) <= 1e-4
+
+    @pytest.mark.parametrize("mode", ["pretraining", "stage1"])
+    def test_matches_per_item_reference_bit_for_bit(self, mode):
+        ds = small_dataset()
+        s = linear_schedule()
+        m = ToyDenoiser.build(make_rng(11), d=8, hidden=16, n_prompts=2, r1=4, r2=2)
+        factors = stage1_factors(m, range(ds.n_identities), seed=12)
+        if mode == "pretraining":
+            m.set_factors(*factors[0])
+            factors = None
+        pick = make_rng(13)
+        for k in range(20):
+            batch = [ds.examples[i] for i in pick.integers(len(ds.examples), size=6)]
+            loss, grads = diffusion_loss(m, batch, s, make_rng(k), factors=factors)
+            want = per_item_reference(m, batch, s, make_rng(k), factors=factors)
+            assert loss == want[0]
+            for got, ref in ((grads.lmd, want[1]), (grads.w0, want[2])):
+                assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+            assert list(grads.per_identity) == list(want[3])
+            for ident, layers in want[3].items():
+                for got, ref in zip(grads.per_identity[ident], layers):
+                    assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+
+    def test_model_is_only_read(self):
+        ds = small_dataset()
+        m = ToyDenoiser.build(make_rng(14), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
+        installed = [l.factors for l in m.layers]
+        diffusion_loss(m, ds.examples[:6], linear_schedule(), make_rng(15),
+                       factors=stage1_factors(m, range(ds.n_identities), seed=16))
+        assert all(a is b for a, b in zip((l.factors for l in m.layers), installed))
 
 
 class TestPretrain:
