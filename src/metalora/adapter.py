@@ -60,9 +60,6 @@ class AdapterFactors:
     def d2(self) -> int:
         return self.l_up.shape[0]
 
-    def copy(self) -> "AdapterFactors":
-        return AdapterFactors(self.l_meta_down.copy(), self.l_mid.copy(), self.l_up.copy())
-
 
 @dataclass
 class MergedLoRA:

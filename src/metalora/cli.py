@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import re
 import sys
 
 import numpy as np
@@ -22,46 +24,47 @@ from .errors import (CheckpointError, ConfigError, DimensionError, MetaLoraError
                      NumericError, RankError)
 from .numerics import make_rng
 
-# key -> (type, default). Unknown keys in a config file are rejected.
-CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    "seed": (int, 0),
-    "lr": (float, 4e-3),
-    "weight_decay": (float, 0.0),
+# key -> (type, default, lowest, highest): a value must be finite and in [lowest,
+# highest], bounds may depend on earlier keys, and unknown keys are rejected.
+CONFIG_SCHEMA: dict[str, tuple] = {
+    "seed": (int, 0, 0, math.inf),
+    "lr": (float, 4e-3, 0.0, math.inf),
+    "weight_decay": (float, 0.0, 0.0, math.inf),
     # dataset / model geometry
-    "n_identities": (int, 16),
-    "heldout_identities": (int, 4),
-    "latent_dim": (int, 32),
-    "hidden_dim": (int, 64),
-    "samples_per_identity": (int, 20),
-    "n_prompts": (int, 4),
-    "timesteps": (int, 50),
-    "single_prototype": (bool, False),
+    "n_identities": (int, 16, 2, math.inf),
+    "heldout_identities": (int, 4, 1, lambda c: c["n_identities"] - 1),
+    "latent_dim": (int, 32, 1, math.inf),
+    "hidden_dim": (int, 64, 1, math.inf),
+    "samples_per_identity": (int, 20, 2, math.inf),  # a reference and a test sample
+    "n_prompts": (int, 4, 1, math.inf),
+    "timesteps": (int, 50, 1, math.inf),
+    "single_prototype": (bool, False, False, True),
     # stage-1
-    "q_total": (int, 3000),
-    "batch_size": (int, 4),
-    "r1": (int, 16),
-    "r2": (int, 1),
-    "identities_per_bucket": (int, 4),
-    "warm_up_fraction": (float, 0.4),
-    "warm_up_every_entry": (bool, True),
+    "q_total": (int, 3000, 1, math.inf),
+    "batch_size": (int, 4, 1, math.inf),
+    "r1": (int, 16, 1, lambda c: min(c["latent_dim"], c["hidden_dim"])),
+    "r2": (int, 1, 1, lambda c: c["r1"]),
+    "identities_per_bucket": (int, 4, 1, math.inf),
+    "warm_up_fraction": (float, 0.4, 0.0, 1.0),
+    "warm_up_every_entry": (bool, True, False, True),
     # base pretraining
-    "pretrain_lr": (float, 2e-3),
-    "pretrain_batch_size": (int, 8),
-    "pretrain_loss_threshold": (float, 0.22),
-    "pretrain_max_iters": (int, 15000),
+    "pretrain_lr": (float, 2e-3, 0.0, math.inf),
+    "pretrain_batch_size": (int, 8, 1, math.inf),
+    "pretrain_loss_threshold": (float, 0.22, 0.0, math.inf),
+    "pretrain_max_iters": (int, 15000, 1, math.inf),
     # stage-2 / speed experiment
-    "q_st2": (int, 375),
-    "stage2_lr": (float, 1e-2),
-    "view_strength": (float, 0.05),
-    "tau_fraction": (float, 0.5),
-    "smoothing_window": (int, 15),
-    "speed_seeds": (int, 5),
-    "target_identity": (int, -1),  # -1: first held-out identity
+    "q_st2": (int, 375, 1, math.inf),
+    "stage2_lr": (float, 1e-2, 0.0, math.inf),
+    "view_strength": (float, 0.05, 0.0, math.inf),
+    "tau_fraction": (float, 0.5, 0.0, 1.0),
+    "smoothing_window": (int, 15, 1, math.inf),
+    "speed_seeds": (int, 5, 3, math.inf),
+    "target_identity": (int, -1, -1, lambda c: c["n_identities"] - 1),  # -1: first held-out
 }
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
-    values = {k: d for k, (_t, d) in CONFIG_SCHEMA.items()}
+    values = {k: spec[1] for k, spec in CONFIG_SCHEMA.items()}
     if path is not None:
         try:
             with open(path) as fh:
@@ -91,12 +94,10 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
-    n = values["n_identities"]
-    for key, lo, hi in (("heldout_identities", 1, n), ("target_identity", -1, n)):
-        if not lo <= values[key] < hi:
-            raise ConfigError(f"{key} = {values[key]} is outside [{lo}, {hi})")
-    if values["batch_size"] < 1:
-        raise ConfigError(f"batch_size = {values['batch_size']} must be >= 1")
+    for key, (_typ, _default, lo, hi) in CONFIG_SCHEMA.items():
+        lo, hi = (bound(values) if callable(bound) else bound for bound in (lo, hi))
+        if not (math.isfinite(values[key]) and lo <= values[key] <= hi):
+            raise ConfigError(f"{key} = {values[key]} is outside [{lo}, {hi}]")
     return values
 
 
@@ -257,11 +258,15 @@ def cmd_merge(args) -> int:
     if header.get("kind") != "personalized":
         raise CheckpointError(f"not a personalized checkpoint "
                               f"(kind={header.get('kind')!r})")
-    layers = sorted({int(k.split(".")[1]) for k in tensors if k.startswith("lmd.")})
+    names = [re.fullmatch(r"(lmd|lm|lu)\.(0|[1-9][0-9]*)", k) for k in tensors]
+    if not all(names):
+        raise CheckpointError(f"personalized checkpoint tensors {sorted(tensors)} are not "
+                              f"all named lmd.N, lm.N or lu.N")
+    layers = sorted({int(match.group(2)) for match in names})
     out_tensors = {}
     max_err = 0.0
     for li in layers:
-        missing = [n for n in (f"lm.{li}", f"lu.{li}") if n not in tensors]
+        missing = [n for n in (f"lmd.{li}", f"lm.{li}", f"lu.{li}") if n not in tensors]
         if missing:
             raise CheckpointError(f"personalized checkpoint lacks {', '.join(missing)}")
         try:

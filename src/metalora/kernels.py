@@ -17,8 +17,15 @@ def adamw_update(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
     m += (1.0 - beta1) * grad
     v *= beta2
     v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
+    if isinstance(step, np.ndarray):  # a column of counts, one per row of param
+        # each row's bias corrections are Python's float ** int, as for one
+        # count: numpy's vectorised power can differ from it in the last bit
+        c1, c2 = (np.array([[1.0 - beta ** s] for s in step.ravel().tolist()])
+                  for beta in (beta1, beta2))
+    else:
+        c1, c2 = 1.0 - beta1 ** step, 1.0 - beta2 ** step
+    m_hat = m / c1
+    v_hat = v / c2
     param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
 
 

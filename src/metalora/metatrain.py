@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import AdapterFactors, init_factors
+from . import kernels
+from .adapter import init_factors
 from .errors import MetaLoraError, NumericError
-from .numerics import AdamWState, adamw_step, checksum, make_rng
+from .numerics import AdamWState, adamw_step, check_finite, checksum, make_rng
 from .toymodel import Example, ToyDenoiser, ToyIdentityDataset, DiffusionSchedule, diffusion_loss
 
 
@@ -88,56 +89,83 @@ def warm_up_gate(iter_in_bucket: int, q_warm_up: int, q_bucket: int) -> bool:
     return iter_in_bucket >= q_warm_up
 
 
-def fresh_identity_factors(rng: np.random.Generator, lmd: list[np.ndarray],
-                           dims: list[tuple[int, int]], r1: int, r2: int
-                           ) -> list[AdapterFactors]:
-    """One identity's fresh mid/up factors over the shared down factors.
-
-    Returns a factor chain per layer (aliasing ``lmd[li]``). Each layer draws
-    one full ``init_factors(..., "fresh")``; its down factor is discarded,
-    but the draw fixes the random stream that every checkpoint depends on.
-    """
-    factors = []
-    for li, (d1, d2) in enumerate(dims):
+def fresh_identity_params(rng: np.random.Generator, dims: list[tuple[int, int]],
+                          r1: int, r2: int) -> np.ndarray:
+    """One identity's fresh mid/up factors as one flat row in the layout of
+    :func:`split_params`. Each layer draws one full ``init_factors(...,
+    "fresh")``; its down factor is discarded, but the draw fixes the random
+    stream that every checkpoint depends on."""
+    parts = []
+    for d1, d2 in dims:
         fresh = init_factors(rng, d1, d2, r1, r2, mode="fresh")
-        factors.append(AdapterFactors(lmd[li], fresh.l_mid, fresh.l_up))
-    return factors
+        parts += [fresh.l_mid.ravel(), fresh.l_up.ravel()]
+    return np.concatenate(parts)
+
+
+def split_params(params: np.ndarray, dims: list[tuple[int, int]], r1: int, r2: int
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the (R, r2, r1) mid and (R, d2, r2) up views of an (R, n)
+    buffer whose rows hold, per layer, the mid then the up factor."""
+    views, offset = [], 0
+    for _d1, d2 in dims:
+        for a, b in ((r2, r1), (d2, r2)):
+            views.append(params[:, offset:offset + a * b].reshape(len(params), a, b))
+            offset += a * b
+    return list(zip(views[0::2], views[1::2]))
+
+
+def join_grads(layer_grads) -> np.ndarray:
+    """Each item's mid/up gradients from :func:`metalora.toymodel.train_step`
+    as one row in the layout of :func:`split_params`."""
+    return np.concatenate([g.reshape(len(g), -1) for grads in layer_grads
+                           for g in grads[:2]], axis=1)
 
 
 class IdentityBank:
-    """Shared down factors (one per adapted layer) plus per-identity mid/up
-    factor pairs and their optimizer states.
-
-    Every identity's factor chain aliases the same shared down arrays, so an
-    in-place update of the shared factor is visible to all identities.
+    """Shared down factors (one per adapted layer) plus every identity's
+    mid/up factors, one row each of a flat (n_identities, n) buffer, with
+    per-row AdamW moments and step counts.
     """
 
-    def __init__(self, model: ToyDenoiser, identity_ids, config: TrainConfig,
-                 rng: np.random.Generator, shared_lmd: list[np.ndarray] | None = None):
-        self.config = config
+    def __init__(self, model: ToyDenoiser, n_identities: int, config: TrainConfig,
+                 rng: np.random.Generator):
         dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
-        if shared_lmd is None:
-            self.lmd = [init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down
-                        for d1, d2 in dims]
-        else:
-            self.lmd = [np.array(m, dtype=np.float64) for m in shared_lmd]
+        self.layout = (dims, config.r1, config.r2)  # split_params' arguments
+        self.lmd = [init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down
+                    for d1, d2 in dims]
         self.lmd_states = [AdamWState(lr=config.lr, weight_decay=config.weight_decay)
                            for _ in dims]
-        self.factors: dict[int, list[AdapterFactors]] = {}
-        self.states: dict[int, list[tuple[AdamWState, AdamWState]]] = {}
-        for i in identity_ids:
-            self.factors[i] = fresh_identity_factors(rng, self.lmd, dims,
-                                                     config.r1, config.r2)
-            self.states[i] = [(AdamWState(lr=config.lr, weight_decay=config.weight_decay),
-                               AdamWState(lr=config.lr, weight_decay=config.weight_decay))
-                              for _ in dims]
+        self.params = np.stack([fresh_identity_params(rng, *self.layout)
+                                for _ in range(n_identities)])
+        self.state = AdamWState(lr=config.lr, weight_decay=config.weight_decay,
+                                m=np.zeros_like(self.params), v=np.zeros_like(self.params))
+        self.steps = np.zeros(n_identities, dtype=np.int64)
 
-    def identity_checksum(self, identity: int) -> str:
-        parts = [checksum(f.l_mid) + checksum(f.l_up) for f in self.factors[identity]]
-        return "".join(parts)
+    def operands(self, identities: np.ndarray) -> list[tuple]:
+        """Per layer, :func:`metalora.toymodel.train_step`'s ``(lmd, lm, lu)``
+        for a batch: the shared down factor and each item's gathered mid/up."""
+        return [(lmd, lm, lu) for lmd, (lm, lu)
+                in zip(self.lmd, split_params(self.params[identities], *self.layout))]
 
-    def lmd_checksum(self) -> str:
-        return "".join(checksum(m) for m in self.lmd)
+    def update(self, identities: np.ndarray, item_grads: np.ndarray) -> None:
+        """One AdamW step on the rows of the batch's identities only. A row's
+        gradient adds its items' rows of ``item_grads`` onto zeros in item
+        order; the other rows, their moments and step counts do not move."""
+        grads = np.zeros_like(self.params)
+        np.add.at(grads, identities, item_grads)
+        rows = sorted(set(identities.tolist()))
+        grads = grads[rows]
+        check_finite(grads, "stage-1 mid/up gradient")
+        self.steps[rows] += 1
+        st = self.state
+        param, m, v = self.params[rows], st.m[rows], st.v[rows]
+        kernels.adamw_update(param, grads, m, v, self.steps[rows, None], st.lr,
+                             st.beta1, st.beta2, st.eps, st.weight_decay)
+        self.params[rows], st.m[rows], st.v[rows] = param, m, v
+
+    def identity_checksums(self) -> dict[int, str]:
+        blocks = [b for pair in split_params(self.params, *self.layout) for b in pair]
+        return {i: "".join(checksum(b[i]) for b in blocks) for i in range(len(self.params))}
 
 
 @dataclass
@@ -198,7 +226,7 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
     buckets = partition_buckets(dataset, config.identities_per_bucket,
                                 config.batch_size, config.seed,
                                 config.warm_up_fraction)
-    bank = IdentityBank(model, range(dataset.n_identities), config, rng)
+    bank = IdentityBank(model, dataset.n_identities, config, rng)
     trace: list[TraceRecord] = []
     i_curr = 0
     entry_index = 0
@@ -213,28 +241,25 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                 lomd_live = warm_up_gate(i_cb, warm_up, bucket.q_bucket)
                 idxs = rng.integers(len(bucket.examples), size=config.batch_size)
                 batch = [bucket.examples[i] for i in idxs]
+                identities = np.array([item.identity for item in batch])
                 try:
-                    loss, grads = diffusion_loss(model, batch, schedule, rng,
-                                                 factors=bank.factors)
+                    loss, layer_grads = diffusion_loss(model, batch, schedule, rng,
+                                                       factors=bank.operands(identities))
+                    bank.update(identities, join_grads(layer_grads))
                 except NumericError as exc:
                     raise NumericError(f"iteration {i_curr + i_cb}: {exc}") from exc
-                for ident, layer_grads in grads.per_identity.items():
-                    for li, (d_lm, d_lu) in enumerate(layer_grads):
-                        st_lm, st_lu = bank.states[ident][li]
-                        f = bank.factors[ident][li]
-                        adamw_step(f.l_mid, d_lm, st_lm)
-                        adamw_step(f.l_up, d_lu, st_lu)
                 if lomd_live:
-                    for li, d_lmd in enumerate(grads.lmd):
-                        adamw_step(bank.lmd[li], d_lmd, bank.lmd_states[li])
+                    for lmd, (_, _, d_lmd, _), state in zip(bank.lmd, layer_grads,
+                                                            bank.lmd_states):
+                        # in item order onto zeros: the order fixes every checkpoint's bits
+                        adamw_step(lmd, sum(d_lmd, np.zeros(d_lmd.shape[1:])), state)
                 trace.append(TraceRecord(
                     iteration=i_curr + i_cb, bucket_id=bucket.bucket_id,
                     entry_index=entry_index, iter_in_bucket=i_cb, loss=loss,
                     lomd_updated=lomd_live,
                     batch_identities=sorted({b.identity for b in batch}),
-                    lomd_checksum=bank.lmd_checksum(),
-                    identity_checksums={i: bank.identity_checksum(i)
-                                        for i in range(dataset.n_identities)},
+                    lomd_checksum="".join(checksum(m) for m in bank.lmd),
+                    identity_checksums=bank.identity_checksums(),
                 ))
             i_curr += bucket.q_bucket
             entry_index += 1

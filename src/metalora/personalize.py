@@ -24,7 +24,7 @@ from .augment import FaceBox, plan_crops, sample_view
 from .checkpoint import load_checkpoint
 from .errors import (CheckpointError, DimensionError, MetaLoraError,
                      NumericError, RankError)
-from .metatrain import fresh_identity_factors
+from .metatrain import fresh_identity_params, join_grads, split_params
 from .numerics import AdamWState, adamw_step, checksum, make_rng
 from .toymodel import (DiffusionSchedule, Example, ToyDenoiser,
                        ToyIdentityDataset, train_step)
@@ -187,15 +187,6 @@ def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
                                      job.lmd[li].shape, want)
 
 
-def _split(buf: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
-    """(R, a, b) views of consecutive column blocks of an (R, n) buffer."""
-    views, offset = [], 0
-    for a, b in shapes:
-        views.append(buf[:, offset:offset + a * b].reshape(len(buf), a, b))
-        offset += a * b
-    return views
-
-
 def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                     schedule: DiffusionSchedule) -> list[Stage2Result]:
     """Train R independent stage-2 runs in lockstep.
@@ -206,8 +197,9 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     runs goes through one :func:`metalora.toymodel.train_step` over stacked
     (R, ., .) operands, whose matmuls make the same BLAS call per run as a
     lone run. One AdamW update covers a flat (R, n) buffer holding every
-    run's mid and up factors. A probe's input and its frozen layer-1
-    products are built once per run.
+    run's mid and up factors in stage 1's layout
+    (:func:`metalora.metatrain.split_params`). A probe's input and its
+    frozen layer-1 products are built once per run.
 
     Jobs may differ in their seed, references, shared down factors and
     probe; the rest of their configs must agree, and either every job or
@@ -219,7 +211,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     layer1, layer2 = model.layers
     dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
 
-    streams, chains, before = [], [], []
+    streams, rows, before = [], [], []
     for k, job in enumerate(jobs):
         refs = [job.references] if isinstance(job.references, Example) else job.references
         rng = make_rng(job.config.seed)
@@ -233,14 +225,11 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         if not views:
             raise MetaLoraError(f"job {k}: augmentation plan is empty")
         streams.append((rng, views))
-        chains.append(fresh_identity_factors(rng, job.lmd, dims, cfg.r1, cfg.r2))
+        rows.append(fresh_identity_params(rng, dims, cfg.r1, cfg.r2))
         before.append("".join(checksum(m) for m in job.lmd))
 
-    shapes = [s for d1, d2 in dims for s in ((cfg.r2, cfg.r1), (d2, cfg.r2))]
-    params = np.stack([np.concatenate([a.ravel() for f in chain
-                                       for a in (f.l_mid, f.l_up)])
-                       for chain in chains])
-    lm1, lu1, lm2, lu2 = _split(params, shapes)
+    params = np.stack(rows)
+    (lm1, lu1), (lm2, lu2) = split_params(params, dims, cfg.r1, cfg.r2)
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     w0_1, w0_2, s1, s2 = layer1.w0, layer2.w0, layer1.scale, layer2.scale
@@ -289,9 +278,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         bad = np.flatnonzero(~np.isfinite(losses))
         if len(bad):
             raise NumericError(f"job {bad[0]}: non-finite loss at stage-2 iteration {it}")
-        # each layer's mid then up gradients, in the layout of ``params``
-        grads = np.concatenate([g.reshape(R, -1) for layer in layer_grads
-                                for g in layer[:2]], axis=1)
+        grads = join_grads(layer_grads)
         bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
         if len(bad):
             raise NumericError(f"job {bad[0]}: non-finite gradient at stage-2 "

@@ -158,15 +158,6 @@ def subset_dataset(dataset: ToyIdentityDataset, identity_ids: list[int]) -> ToyI
                               perturbation_std=dataset.perturbation_std)
 
 
-@dataclass
-class BatchGrads:
-    """Gradients of one batch loss, routed per layer and per identity."""
-
-    lmd: list[np.ndarray]
-    w0: list[np.ndarray]
-    per_identity: dict[int, list[tuple[np.ndarray, np.ndarray]]]  # id -> [(d_lm, d_lu)] per layer
-
-
 class ToyDenoiser:
     """Two adapted linear layers around a tanh, predicting the injected noise."""
 
@@ -177,7 +168,6 @@ class ToyDenoiser:
         self.d = d
         self.n_prompts = n_prompts
         self.prompt_codes = np.eye(n_prompts)  # row p: the one-hot code of prompt p
-        self.hidden = layer1.factors.d2
 
     @classmethod
     def build(cls, rng: np.random.Generator, d: int = 32, hidden: int = 64,
@@ -239,23 +229,16 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n):
     return losses, [(d_lm1, d_lu1, d_lmd1, dw0_1), (d_lm2, d_lu2, d_lmd2, dw0_2)]
 
 
-def _item_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, adding the items in order onto zeros."""
-    return sum(stack, np.zeros(stack.shape[1:]))
-
-
 def diffusion_loss(model: ToyDenoiser, batch: list[Example],
                    schedule: DiffusionSchedule, rng: np.random.Generator,
-                   factors: dict[int, list[AdapterFactors]] | None = None
-                   ) -> tuple[float, BatchGrads]:
+                   factors: list[tuple] | None = None) -> tuple[float, list[tuple]]:
     """Mean squared error between predicted and injected noise over a batch.
 
-    ``factors[identity]`` is an identity's (layer1, layer2) factor chain;
-    omitted, every item uses the model's own factors. Each item draws its
-    ``t`` and noise in batch order, and the whole batch makes one
-    :func:`train_step`. The down-factor and base-weight gradients are summed
-    over the items; the mid/up gradients are summed per identity, keyed in
-    order of first appearance. The model is only read.
+    ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` operands per
+    layer; omitted, every item uses the model's own factors. Each item draws
+    its ``t`` and noise in batch order, and the whole batch makes one
+    :func:`train_step`, whose per-item gradients are returned. The model is
+    only read.
     """
     if not batch:
         raise ValueError("diffusion_loss: empty batch")
@@ -265,24 +248,17 @@ def diffusion_loss(model: ToyDenoiser, batch: list[Example],
         noised.append(noisify(schedule, item.x0, ts[-1], rng))
     x_t, eps = (np.stack(arrays) for arrays in zip(*noised))
     inp = model.conditioned(x_t, ts, [item.prompt_id for item in batch], schedule)
-    chains = [factors[item.identity] if factors is not None
-              else [l.factors for l in model.layers] for item in batch]
-    stacked = [[np.stack([getattr(chain[li], name) for chain in chains]) for li in range(2)]
-               for name in ("l_meta_down", "l_mid", "l_up")]
+    if factors is None:
+        factors = [(l.factors.l_meta_down, l.factors.l_mid, l.factors.l_up)
+                   for l in model.layers]
     losses, layer_grads = train_step([l.w0 for l in model.layers],
                                      [l.scale for l in model.layers],
-                                     *stacked, inp[:, :, None], eps, len(batch))
+                                     *zip(*factors), inp[:, :, None], eps, len(batch))
     bad = np.flatnonzero(~np.isfinite(losses))
     if len(bad):
         raise NumericError(f"non-finite loss at batch index {bad[0]}")
-    grads = BatchGrads(lmd=[_item_sum(g[2]) for g in layer_grads],
-                       w0=[_item_sum(g[3]) for g in layer_grads], per_identity={})
-    for ident in dict.fromkeys(item.identity for item in batch):
-        rows = [b for b, item in enumerate(batch) if item.identity == ident]
-        grads.per_identity[ident] = [(_item_sum(d_lm[rows]), _item_sum(d_lu[rows]))
-                                     for d_lm, d_lu, _, _ in layer_grads]
     # a running sum adds the item losses one by one, as a loop over the items
-    return float(np.cumsum(losses)[-1]) / len(batch), grads
+    return float(np.cumsum(losses)[-1]) / len(batch), layer_grads
 
 
 def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
@@ -306,9 +282,10 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     for it in range(max_iters):
         idxs = rng.integers(len(pool), size=batch_size)
         batch = [pool[i] for i in idxs]
-        loss, grads = diffusion_loss(model, batch, schedule, rng)
-        for li, layer in enumerate(model.layers):
-            adamw_step(layer.w0, grads.w0[li], states[li])
+        loss, layer_grads = diffusion_loss(model, batch, schedule, rng)
+        for layer, (_, _, _, dw0), state in zip(model.layers, layer_grads, states):
+            # in item order onto zeros: the order fixes every checkpoint's bits
+            adamw_step(layer.w0, sum(dw0, np.zeros(dw0.shape[1:])), state)
         recent.append(loss)
         if len(recent) > window:
             recent.pop(0)

@@ -79,7 +79,9 @@ def test_tracer_covers_the_speed_experiment():
 def test_one_stacked_step_per_training_iteration():
     # pretraining (batch 8) and stage 1 (batch 4) each make one diffusion_loss
     # call per iteration, and it makes one chain_forward and one
-    # chain_backward call per layer, whatever the batch size
+    # chain_backward call per layer, whatever the batch size; a stage-1
+    # iteration makes one AdamW update for the identities' mid/up factors
+    # and one per shared down factor
     tracer_module = load_tracer_module()
     rng = make_rng(0)
     dataset = toymodel.make_dataset(rng, n_identities=4, d=4, samples_per_identity=3,
@@ -104,3 +106,5 @@ def test_one_stacked_step_per_training_iteration():
         assert stats["toymodel.diffusion_loss"]["calls"] == iterations, phase
         assert stats["kernels.chain_forward"]["calls"] == 2 * iterations, phase
         assert stats["kernels.chain_backward"]["calls"] == 2 * iterations, phase
+    adamw_calls = tracer.stats["stage1"]["kernels.adamw_update"]["calls"]
+    assert adamw_calls <= 3 * result.executed_iterations

@@ -297,7 +297,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", ["heldout_identities = 6", "heldout_identities = 0",
                                       "target_identity = 6", "target_identity = -2",
-                                      "batch_size = 0"])
+                                      "batch_size = 0", "n_prompts = 0",
+                                      "samples_per_identity = -1", "timesteps = -1",
+                                      "timesteps = 0", "identities_per_bucket = 0",
+                                      "r1 = 0", "r2 = 0", "r2 = 5", "r1 = 9",
+                                      "warm_up_fraction = 2.0", "warm_up_fraction = -1",
+                                      "lr = nan", "stage2_lr = inf", "speed_seeds = 2"])
     def test_config_out_of_range_is_2(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_CFG + line + "\n")
@@ -330,8 +335,10 @@ class TestExitCodes:
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
 
-    @pytest.mark.parametrize("case", ["list header", "no lm.0", "no lu.1",
-                                      "lm.0 does not chain"])
+    @pytest.mark.parametrize("case", ["list header", "no lm.0", "no lu.1", "no lmd.1",
+                                      "lm.0 does not chain", "extra lmd.%", "extra lmd.x",
+                                      "extra lmd.", "extra lmd.0.1", "extra lm.01",
+                                      "extra w0.0"])
     def test_malformed_checkpoint_is_3(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.bin"
         if case == "list header":
@@ -340,10 +347,13 @@ class TestExitCodes:
             tensors = {f"{kind}.{li}": np.zeros(shape) for li in range(2)
                        for kind, shape in (("lmd", (2, 3)), ("lm", (1, 2)),
                                            ("lu", (3, 1)))}
+            what, name = case.split(maxsplit=1)
             if case == "lm.0 does not chain":
                 tensors["lm.0"] = np.zeros((1, 5))
+            elif what == "extra":
+                tensors[name] = np.zeros((2, 3))
             else:
-                del tensors[case.split()[1]]
+                del tensors[name]
             save_checkpoint(bad, {"kind": "personalized", "r1": 2, "r2": 1}, tensors)
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3

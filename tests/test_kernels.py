@@ -30,6 +30,31 @@ class TestNumpyBackend:
         assert np.allclose(m, 0.1 * g)
         assert np.allclose(v, 0.001 * g * g)
 
+    def test_adamw_update_step_column_matches_per_row_calls_bitwise(self):
+        # one call over rows at their own step counts 1..20,000 gives each
+        # row the bits of a lone call at its count, and both take the bias
+        # corrections from Python's float ** int, not numpy's vectorised
+        # power (which differs from it in the last bit at some counts). The
+        # parameters start at zero, so an update's last bit is not rounded
+        # away in the sum.
+        rng = make_rng(4)
+        k, lr, b1, b2, eps = 20_000, 0.1, 0.9, 0.999, 1e-8
+        g, m0 = rng.standard_normal((2, k, 4))
+        v0 = rng.random((k, 4))
+        p, m, v = np.zeros((k, 4)), m0.copy(), v0.copy()
+        kernels.adamw_update(p, g, m, v, np.arange(1, k + 1)[:, None],
+                             lr, b1, b2, eps, 0.0)
+        for i in range(k):
+            step = i + 1
+            m_i = m0[i] * b1 + (1.0 - b1) * g[i]
+            v_i = v0[i] * b2 + (1.0 - b2) * g[i] * g[i]
+            p_i = -(lr * ((m_i / (1.0 - b1 ** step))
+                          / (np.sqrt(v_i / (1.0 - b2 ** step)) + eps)))
+            p_l, m_l, v_l = np.zeros(4), m0[i].copy(), v0[i].copy()
+            kernels.adamw_update(p_l, g[i], m_l, v_l, step, lr, b1, b2, eps, 0.0)
+            for want, lone, column in ((p_i, p_l, p[i]), (m_i, m_l, m[i]), (v_i, v_l, v[i])):
+                assert lone.tobytes() == column.tobytes() == want.tobytes(), step
+
 
 def stacked_operands(rng, R=3, d1=5, d2=6, r1=3, r2=2, cols=4):
     """A shared 2-d base weight and R stacked factor chains, inputs and

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from metalora.adapter import AdapterFactors, init_factors
 from metalora.errors import MetaLoraError
-from metalora.metatrain import (Bucket, IdentityBank, TrainConfig,
+from metalora.metatrain import (Bucket, IdentityBank, TraceRecord, TrainConfig,
                                 partition_buckets, run_stage1, warm_up_gate,
                                 write_trace_csv, write_trace_jsonl)
-from metalora.numerics import make_rng
-from metalora.toymodel import (Example, ToyDenoiser, linear_schedule,
-                               make_dataset, pretrain_base)
+from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
+from metalora.toymodel import (Example, ToyDenoiser, diffusion_loss,
+                               linear_schedule, make_dataset, pretrain_base)
 
 
 def tiny_dataset(seed=0, n_identities=4, samples=6):
@@ -100,6 +101,70 @@ def small_stage1(seed=0, **cfg_kw):
     return model, ds, schedule, config
 
 
+def reference_stage1(model, dataset, schedule, config):
+    """Stage 1 as the identity bank must reproduce it: a dict of per-identity
+    factor chains over the shared down factors, each identity's gradients
+    summed in item order, and one adamw_step per tensor with its own
+    AdamWState. Returns (trace, shared down factors)."""
+    rng = make_rng(config.seed)
+    buckets = partition_buckets(dataset, config.identities_per_bucket,
+                                config.batch_size, config.seed, config.warm_up_fraction)
+    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+
+    def state():
+        return AdamWState(lr=config.lr, weight_decay=config.weight_decay)
+
+    def item_sum(stack):
+        return sum(stack, np.zeros(stack.shape[1:]))
+
+    lmd = [init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down for d1, d2 in dims]
+    lmd_states = [state() for _ in dims]
+    chains, states = {}, {}
+    for i in range(dataset.n_identities):
+        chains[i] = []
+        for li, (d1, d2) in enumerate(dims):
+            fresh = init_factors(rng, d1, d2, config.r1, config.r2, "fresh")
+            chains[i].append(AdapterFactors(lmd[li], fresh.l_mid, fresh.l_up))
+        states[i] = [(state(), state()) for _ in dims]
+    trace, i_curr, entry, seen = [], 0, 0, set()
+    while i_curr < config.q_total:
+        for bucket in buckets:
+            revisit = not config.warm_up_every_entry and bucket.bucket_id in seen
+            warm_up = 0 if revisit else bucket.q_warm_up
+            seen.add(bucket.bucket_id)
+            for i_cb in range(bucket.q_bucket):
+                idxs = rng.integers(len(bucket.examples), size=config.batch_size)
+                batch = [bucket.examples[i] for i in idxs]
+                operands = [(lmd[li], np.stack([chains[b.identity][li].l_mid for b in batch]),
+                             np.stack([chains[b.identity][li].l_up for b in batch]))
+                            for li in range(2)]
+                loss, layer_grads = diffusion_loss(model, batch, schedule, rng,
+                                                   factors=operands)
+                for ident in dict.fromkeys(b.identity for b in batch):
+                    items = [k for k, b in enumerate(batch) if b.identity == ident]
+                    for li, (d_lm, d_lu, _, _) in enumerate(layer_grads):
+                        st_lm, st_lu = states[ident][li]
+                        adamw_step(chains[ident][li].l_mid, item_sum(d_lm[items]), st_lm)
+                        adamw_step(chains[ident][li].l_up, item_sum(d_lu[items]), st_lu)
+                live = i_cb >= warm_up
+                if live:
+                    for li, (_, _, d_lmd, _) in enumerate(layer_grads):
+                        adamw_step(lmd[li], item_sum(d_lmd), lmd_states[li])
+                trace.append(TraceRecord(
+                    iteration=i_curr + i_cb, bucket_id=bucket.bucket_id,
+                    entry_index=entry, iter_in_bucket=i_cb, loss=loss,
+                    lomd_updated=live, batch_identities=sorted({b.identity for b in batch}),
+                    lomd_checksum="".join(checksum(m) for m in lmd),
+                    identity_checksums={i: "".join(checksum(f.l_mid) + checksum(f.l_up)
+                                                   for f in chain)
+                                        for i, chain in chains.items()}))
+            i_curr += bucket.q_bucket
+            entry += 1
+            if i_curr >= config.q_total:
+                break
+    return trace, lmd
+
+
 class TestStage1:
     def test_budget_accounting_full_buckets(self):
         model, ds, schedule, config = small_stage1()
@@ -180,16 +245,32 @@ class TestStage1:
                  if r.entry_index >= len(res.buckets) and r.iter_in_bucket == 0]
         assert later and all(r.lomd_updated for r in later)
 
-    def test_shared_alias_propagates(self):
-        # In the identity bank, every identity's chain aliases the same
-        # shared down array per layer.
+    def test_update_moves_only_the_batch_rows(self):
+        # one update moves the rows of the batch's identities, their moments
+        # and step counts, and nothing else; every item's operands share the
+        # bank's own down arrays
         model, ds, schedule, config = small_stage1()
-        bank = IdentityBank(model, range(ds.n_identities), config, make_rng(0))
-        for li in range(2):
-            base = bank.factors[0][li].l_meta_down
-            assert all(bank.factors[i][li].l_meta_down is base
-                       for i in range(ds.n_identities))
-            assert base is bank.lmd[li]
+        bank = IdentityBank(model, ds.n_identities, config, make_rng(0))
+        ids = np.array([2, 0, 2])
+        assert all(lmd is shared for (lmd, _, _), shared
+                   in zip(bank.operands(ids), bank.lmd))
+        buffers = (bank.params, bank.state.m, bank.state.v)
+        before = [b.copy() for b in buffers]
+        bank.update(ids, make_rng(1).normal(size=(len(ids), bank.params.shape[1])))
+        for now, then in zip(buffers, before):
+            assert np.flatnonzero((now != then).any(axis=1)).tolist() == [0, 2]
+        assert bank.steps.tolist() == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("cfg_kw", [
+        {},
+        dict(q_total=200, batch_size=6, r2=2, weight_decay=0.01,
+             warm_up_every_entry=False)], ids=["small", "no_rewarm_r2_2_decay"])
+    def test_matches_per_tensor_reference_bit_for_bit(self, cfg_kw):
+        model, ds, schedule, config = small_stage1(**cfg_kw)
+        res = run_stage1(model, ds, schedule, config)
+        trace, lmd = reference_stage1(model, ds, schedule, config)
+        assert res.trace == trace
+        assert [m.tobytes() for m in res.lmd] == [m.tobytes() for m in lmd]
 
     def test_trace_writers(self, tmp_path):
         model, ds, schedule, config = small_stage1(q_total=30)

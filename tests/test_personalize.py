@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from metalora import kernels
-from metalora.adapter import AdaptedLayer, init_factors, merged_forward
+from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors, merged_forward
 from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_checkpoint
 from metalora.errors import (CheckpointError, ImmutabilityError,
                              MetaLoraError, NumericError, RankError)
-from metalora.metatrain import TrainConfig, fresh_identity_factors, run_stage1
+from metalora.metatrain import TrainConfig, run_stage1
 from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
 from metalora.personalize import (PersonalizeConfig, Stage2Job,
                                   adaptation_speed_experiment,
@@ -264,10 +264,12 @@ def reference_stage2(model, lmd, ref, schedule, cfg, probe):
     rng = make_rng(cfg.seed)
     views = [(ref, spec) for spec in plan_crops(ref.image_w, ref.image_h,
                                                 FaceBox(*ref.face_box))]
-    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
-    factors = fresh_identity_factors(rng, lmd, dims, cfg.r1, cfg.r2)
+    factors = []
+    for l, shared in zip(model.layers, lmd):
+        fresh = init_factors(rng, l.factors.d1, l.factors.d2, cfg.r1, cfg.r2, "fresh")
+        factors.append(AdapterFactors(shared, fresh.l_mid, fresh.l_up))
     states = [(AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay),
-               AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in dims]
+               AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in lmd]
     layer1, layer2 = (AdaptedLayer(l.w0, f, l.scale)
                       for l, f in zip(model.layers, factors))
 

@@ -5,6 +5,7 @@ import pytest
 
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import ConvergenceError, ImmutabilityError, NumericError
+from metalora.metatrain import IdentityBank, TrainConfig, join_grads
 from metalora.numerics import make_rng
 from metalora.toymodel import (DiffusionSchedule, Example, ToyDenoiser,
                                diffusion_loss, generate, linear_schedule,
@@ -115,8 +116,8 @@ class TestDataset:
 
 
 def stage1_factors(model, identities, seed):
-    """Per-identity chains over one shared down factor per layer, as
-    IdentityBank builds them, with non-zero up factors."""
+    """Per-identity chains over one shared down factor per layer, with
+    non-zero up factors."""
     rng = make_rng(seed)
     r1, r2 = model.layer1.factors.r1, model.layer1.factors.r2
     dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
@@ -131,15 +132,21 @@ def stage1_factors(model, identities, seed):
     return factors
 
 
+def batch_operands(factors, batch):
+    """diffusion_loss's per-layer (lmd, lm, lu) for a batch: the shared down
+    factor and each item's identity's mid and up factors, stacked."""
+    chains = [factors[item.identity] for item in batch]
+    return [(chains[0][li].l_meta_down, np.stack([c[li].l_mid for c in chains]),
+             np.stack([c[li].l_up for c in chains])) for li in range(2)]
+
+
 def per_item_reference(model, batch, schedule, rng, factors=None):
     """diffusion_loss item by item: each item's own conditioning and an
-    AdaptedLayer forward/backward per layer, its gradients added in item
-    order. Returns (loss, lmd sums, w0 sums, per-identity (d_lm, d_lu))."""
+    AdaptedLayer forward/backward per layer. Returns the loss and, per layer,
+    the items' (d_lm, d_lu, d_lmd, dw0) stacked."""
     n, d, T = len(batch), model.d, schedule.T
     total = 0.0
-    lmd = [np.zeros_like(l.factors.l_meta_down) for l in model.layers]
-    w0 = [np.zeros_like(l.w0) for l in model.layers]
-    per_identity = {}
+    grads = [[], []]
     for item in batch:
         t = int(rng.integers(T))
         x_t, eps = noisify(schedule, item.x0, t, rng)
@@ -154,15 +161,9 @@ def per_item_reference(model, batch, schedule, rng, factors=None):
         total += float(np.mean(resid ** 2))
         g2 = l2.backward(a, (2.0 * resid / (d * n)).reshape(-1, 1))
         g1 = l1.backward(inp, g2.x * (1.0 - a * a))
-        acc = per_identity.setdefault(item.identity, [
-            (np.zeros_like(f.l_mid), np.zeros_like(f.l_up)) for f in chain])
         for li, g in enumerate((g1, g2)):
-            lmd[li] += g.l_meta_down
-            w0[li] += g.w0
-            acc_lm, acc_lu = acc[li]
-            acc_lm += g.l_mid
-            acc_lu += g.l_up
-    return total / n, lmd, w0, per_identity
+            grads[li].append((g.l_mid, g.l_up, g.l_meta_down, g.w0))
+    return total / n, [[np.stack(gs) for gs in zip(*layer)] for layer in grads]
 
 
 def rel_err(a, b):
@@ -218,7 +219,8 @@ class TestDenoiser:
         f1 = init_factors(make_rng(7), m.layer1.factors.d1, 16, 4, 1, "fresh")
         f2 = init_factors(make_rng(8), 16, 8, 4, 1, "fresh")
         loss_fresh, _ = diffusion_loss(m, ds.examples[:4], s, make_rng(6),
-                                       factors={0: [f1, f2]})
+                                       factors=[(f.l_meta_down, f.l_mid, f.l_up)
+                                                for f in (f1, f2)])
         assert loss_fresh == pytest.approx(loss_zero, abs=1e-15)
 
     def test_empty_batch_rejected(self):
@@ -235,34 +237,37 @@ class TestDenoiser:
 
     def test_model_gradients_match_finite_differences(self):
         # Central differences through diffusion_loss (stage-1 mode, through
-        # the tanh) on every trained tensor of both layers: each identity's
-        # mid and up factors, the shared down factor and the base weight.
-        # Identity 0 appears twice, so the per-identity sums and the shared
-        # sums both add more than one item.
+        # the tanh) on every trained tensor of both layers: the identity
+        # bank's flat mid/up rows, the shared down factor and the base
+        # weight. Identity 0 appears twice, so its row's gradient and the
+        # shared sums both add more than one item, and the flat gradient
+        # layout must match the parameter layout.
         ds = small_dataset()
         s = linear_schedule()
         m = ToyDenoiser.build(make_rng(9), d=8, hidden=16, n_prompts=2, r1=4, r2=2)
-        factors = stage1_factors(m, [0, 1], seed=10)
+        bank = IdentityBank(m, 2, TrainConfig(r1=4, r2=2), make_rng(10))
+        bank.params[:] = 0.3 * make_rng(11).normal(size=bank.params.shape)
         batch = [ds.of_identity(0)[1], ds.of_identity(1)[2], ds.of_identity(0)[3]]
-        _, grads = diffusion_loss(m, batch, s, make_rng(42), factors=factors)
-        assert list(grads.per_identity) == [0, 1]
-        checks = []
-        for li, layer in enumerate(m.layers):
-            checks += [(grads.w0[li], layer.w0),
-                       (grads.lmd[li], factors[0][li].l_meta_down)]
-            for ident in (0, 1):
-                d_lm, d_lu = grads.per_identity[ident][li]
-                checks += [(d_lm, factors[ident][li].l_mid),
-                           (d_lu, factors[ident][li].l_up)]
+        ids = np.array([item.identity for item in batch])
+
+        def loss():
+            return diffusion_loss(m, batch, s, make_rng(42), factors=bank.operands(ids))
+
+        _, layer_grads = loss()
+        rows = np.zeros_like(bank.params)
+        np.add.at(rows, ids, join_grads(layer_grads))
+        checks = [(rows, bank.params)]
+        for layer, lmd, (_, _, d_lmd, dw0) in zip(m.layers, bank.lmd, layer_grads):
+            checks += [(dw0.sum(axis=0), layer.w0), (d_lmd.sum(axis=0), lmd)]
         h = 1e-5
         for analytic, param in checks:
             fd = np.zeros_like(param)
             for idx in np.ndindex(param.shape):
                 orig = param[idx]
                 param[idx] = orig + h
-                fp, _ = diffusion_loss(m, batch, s, make_rng(42), factors=factors)
+                fp, _ = loss()
                 param[idx] = orig - h
-                fm, _ = diffusion_loss(m, batch, s, make_rng(42), factors=factors)
+                fm, _ = loss()
                 param[idx] = orig
                 fd[idx] = (fp - fm) / (2 * h)
             assert np.max(np.abs(fd)) > 0
@@ -280,23 +285,27 @@ class TestDenoiser:
         pick = make_rng(13)
         for k in range(20):
             batch = [ds.examples[i] for i in pick.integers(len(ds.examples), size=6)]
-            loss, grads = diffusion_loss(m, batch, s, make_rng(k), factors=factors)
-            want = per_item_reference(m, batch, s, make_rng(k), factors=factors)
-            assert loss == want[0]
-            for got, ref in ((grads.lmd, want[1]), (grads.w0, want[2])):
+            operands = None if factors is None else batch_operands(factors, batch)
+            loss, layer_grads = diffusion_loss(m, batch, s, make_rng(k), factors=operands)
+            want_loss, want_grads = per_item_reference(m, batch, s, make_rng(k),
+                                                       factors=factors)
+            assert loss == want_loss
+            for got, ref in zip(layer_grads, want_grads):
                 assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
-            assert list(grads.per_identity) == list(want[3])
-            for ident, layers in want[3].items():
-                for got, ref in zip(grads.per_identity[ident], layers):
-                    assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
 
     def test_model_is_only_read(self):
         ds = small_dataset()
         m = ToyDenoiser.build(make_rng(14), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         installed = [l.factors for l in m.layers]
+        snapshot = [[a.copy() for a in (l.w0, l.factors.l_meta_down, l.factors.l_mid,
+                                         l.factors.l_up)] for l in m.layers]
+        factors = stage1_factors(m, range(ds.n_identities), seed=16)
         diffusion_loss(m, ds.examples[:6], linear_schedule(), make_rng(15),
-                       factors=stage1_factors(m, range(ds.n_identities), seed=16))
+                       factors=batch_operands(factors, ds.examples[:6]))
         assert all(a is b for a, b in zip((l.factors for l in m.layers), installed))
+        for l, arrays in zip(m.layers, snapshot):
+            assert all(np.array_equal(a, b) for a, b in zip(
+                (l.w0, l.factors.l_meta_down, l.factors.l_mid, l.factors.l_up), arrays))
 
 
 class TestPretrain:
