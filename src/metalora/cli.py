@@ -263,6 +263,8 @@ def cmd_merge(args) -> int:
         raise CheckpointError(f"personalized checkpoint tensors {sorted(tensors)} are not "
                               f"all named lmd.N, lm.N or lu.N")
     layers = sorted({int(match.group(2)) for match in names})
+    if not layers:
+        raise CheckpointError("personalized checkpoint has no adapter layers")
     out_tensors = {}
     max_err = 0.0
     for li in layers:

@@ -36,12 +36,37 @@ def chain_forward(w0, lmd, lm, lu, scale, x):
     return h, u, mid
 
 
-def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g):
-    d_lu = scale * (g @ mid.swapaxes(-1, -2))
-    lut_g = lu.swapaxes(-1, -2) @ g
-    d_lm = scale * (lut_g @ u.swapaxes(-1, -2))
-    lmt_lut_g = lm.swapaxes(-1, -2) @ lut_g
-    d_lmd = scale * (lmt_lut_g @ x.swapaxes(-1, -2))
-    dx = w0.swapaxes(-1, -2) @ g + scale * (lmd.swapaxes(-1, -2) @ lmt_lut_g)
-    dw0 = g @ x.swapaxes(-1, -2)
+# the gradients chain_backward can compute, named for the operand each is of
+GRADIENTS = frozenset({"lu", "lm", "lmd", "x", "w0"})
+
+
+def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS):
+    """Gradients ``(d_lu, d_lm, d_lmd, dx, dw0)`` of the chain, given
+    d(loss)/dh ``g`` and the forward's ``u`` and ``mid``.
+
+    ``need`` names the gradients to compute, from :data:`GRADIENTS`; each
+    one left out is ``None``, and the matmuls only it uses are skipped. A
+    computed gradient has the same bits whatever else is needed. An unknown
+    name, or a bare string in place of a collection of names, raises
+    ``ValueError``.
+    """
+    if isinstance(need, str) or not GRADIENTS.issuperset(need):
+        raise ValueError(f"chain_backward: need={need!r} is not a collection of "
+                         f"names from {sorted(GRADIENTS)}")
+    need = frozenset(need)
+    d_lu = d_lm = d_lmd = dx = dw0 = None
+    if "lu" in need:
+        d_lu = scale * (g @ mid.swapaxes(-1, -2))
+    if need & {"lm", "lmd", "x"}:
+        lut_g = lu.swapaxes(-1, -2) @ g
+        if "lm" in need:
+            d_lm = scale * (lut_g @ u.swapaxes(-1, -2))
+        if need & {"lmd", "x"}:
+            lmt_lut_g = lm.swapaxes(-1, -2) @ lut_g
+            if "lmd" in need:
+                d_lmd = scale * (lmt_lut_g @ x.swapaxes(-1, -2))
+            if "x" in need:
+                dx = w0.swapaxes(-1, -2) @ g + scale * (lmd.swapaxes(-1, -2) @ lmt_lut_g)
+    if "w0" in need:
+        dw0 = g @ x.swapaxes(-1, -2)
     return d_lu, d_lm, d_lmd, dx, dw0

@@ -243,8 +243,9 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                 batch = [bucket.examples[i] for i in idxs]
                 identities = np.array([item.identity for item in batch])
                 try:
-                    loss, layer_grads = diffusion_loss(model, batch, schedule, rng,
-                                                       factors=bank.operands(identities))
+                    loss, layer_grads = diffusion_loss(
+                        model, batch, schedule, rng, factors=bank.operands(identities),
+                        need={"lu", "lm", "lmd"} if lomd_live else {"lu", "lm"})
                     bank.update(identities, join_grads(layer_grads))
                 except NumericError as exc:
                     raise NumericError(f"iteration {i_curr + i_cb}: {exc}") from exc

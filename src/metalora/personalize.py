@@ -274,7 +274,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         x_t = sqrt_ab[ts, None] * x0 + sqrt_1m_ab[ts, None] * eps
         inp = model.conditioned(x_t, ts, prompts, schedule)[:, :, None]
         losses, layer_grads = train_step([w0_1, w0_2], [s1, s2], [lmd1, lmd2],
-                                         [lm1, lm2], [lu1, lu2], inp, eps, 1)
+                                         [lm1, lm2], [lu1, lu2], inp, eps, 1,
+                                         need={"lu", "lm"})
         bad = np.flatnonzero(~np.isfinite(losses))
         if len(bad):
             raise NumericError(f"job {bad[0]}: non-finite loss at stage-2 iteration {it}")

@@ -203,7 +203,12 @@ class ToyDenoiser:
         return self.layer2.forward(np.tanh(self.layer1.forward(inp)))[:, 0]
 
 
-def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n):
+# the trained tensors whose gradients train_step and diffusion_loss can return
+TRAINED = frozenset({"lu", "lm", "lmd", "w0"})
+
+
+def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
+               need=TRAINED):
     """One forward/backward of the denoiser over B stacked items.
 
     Each argument but the last three is a per-layer list: the base ``w0``
@@ -215,7 +220,16 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n):
     per item as a lone item. Returns the per-item losses (B,) and, per
     layer, the per-item gradients ``(d_lm, d_lu, d_lmd, dw0)`` of
     ``sum(losses) / n``. The caller checks them for non-finite values.
+
+    ``need`` names the gradients to compute, from :data:`TRAINED`; each one
+    left out is ``None`` in every layer, and its matmuls are skipped. The
+    gradient with respect to layer 2's input is always computed, because
+    it carries the backward pass into layer 1; layer 1's is never
+    computed. A computed gradient has the same bits whatever else is needed.
     """
+    need = frozenset(need)
+    if "x" in need:
+        raise ValueError("train_step: the input gradient is not a trained tensor")
     z, u1, mid1 = kernels.chain_forward(w0[0], lmd[0], lm[0], lu[0], scale[0], inp)
     a = np.tanh(z)
     out, u2, mid2 = kernels.chain_forward(w0[1], lmd[1], lm[1], lu[1], scale[1], a)
@@ -223,21 +237,24 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n):
     losses = np.mean(resid ** 2, axis=1)
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
     d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
-        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out)
+        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=need | {"x"})
     d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
-        w0[0], lmd[0], lm[0], lu[0], scale[0], inp, u1, mid1, g_a * (1.0 - a * a))
+        w0[0], lmd[0], lm[0], lu[0], scale[0], inp, u1, mid1, g_a * (1.0 - a * a),
+        need=need)
     return losses, [(d_lm1, d_lu1, d_lmd1, dw0_1), (d_lm2, d_lu2, d_lmd2, dw0_2)]
 
 
 def diffusion_loss(model: ToyDenoiser, batch: list[Example],
                    schedule: DiffusionSchedule, rng: np.random.Generator,
-                   factors: list[tuple] | None = None) -> tuple[float, list[tuple]]:
+                   factors: list[tuple] | None = None, *,
+                   need=TRAINED) -> tuple[float, list[tuple]]:
     """Mean squared error between predicted and injected noise over a batch.
 
     ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` operands per
     layer; omitted, every item uses the model's own factors. Each item draws
     its ``t`` and noise in batch order, and the whole batch makes one
-    :func:`train_step`, whose per-item gradients are returned. The model is
+    :func:`train_step`, whose per-item gradients are returned: those named
+    in ``need``, and ``None`` in place of each one left out. The model is
     only read.
     """
     if not batch:
@@ -253,7 +270,8 @@ def diffusion_loss(model: ToyDenoiser, batch: list[Example],
                    for l in model.layers]
     losses, layer_grads = train_step([l.w0 for l in model.layers],
                                      [l.scale for l in model.layers],
-                                     *zip(*factors), inp[:, :, None], eps, len(batch))
+                                     *zip(*factors), inp[:, :, None], eps, len(batch),
+                                     need=need)
     bad = np.flatnonzero(~np.isfinite(losses))
     if len(bad):
         raise NumericError(f"non-finite loss at batch index {bad[0]}")
@@ -282,7 +300,7 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     for it in range(max_iters):
         idxs = rng.integers(len(pool), size=batch_size)
         batch = [pool[i] for i in idxs]
-        loss, layer_grads = diffusion_loss(model, batch, schedule, rng)
+        loss, layer_grads = diffusion_loss(model, batch, schedule, rng, need={"w0"})
         for layer, (_, _, _, dw0), state in zip(model.layers, layer_grads, states):
             # in item order onto zeros: the order fixes every checkpoint's bits
             adamw_step(layer.w0, sum(dw0, np.zeros(dw0.shape[1:])), state)

@@ -2,10 +2,12 @@
 
 ``pipeline_bench/tracer.py`` wraps named metalora functions by attribute; a
 rename in the package would otherwise surface only in a traced benchmark run.
+The guards on how the training loops call the kernels live here too.
 """
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import metalora.cli  # noqa: F401  (the benchmark wraps after importing the CLI)
@@ -108,3 +110,44 @@ def test_one_stacked_step_per_training_iteration():
         assert stats["kernels.chain_backward"]["calls"] == 2 * iterations, phase
     adamw_calls = tracer.stats["stage1"]["kernels.adamw_update"]["calls"]
     assert adamw_calls <= 3 * result.executed_iterations
+
+
+def test_each_stage_requests_only_the_gradients_it_trains(monkeypatch):
+    # pretraining trains w0 only; stage 1 trains mid/up, and the shared down
+    # factors while the warm-up gate is open; stage 2 trains mid/up only.
+    # Layer 2 also needs its input gradient for backprop, layer 1 never does.
+    calls = []
+    backward = kernels.chain_backward
+
+    def spy(*args, **kwargs):
+        layer = 1 if args[0].shape == (8, 4 + toymodel.TEMB_DIM + 2) else 2
+        calls.append((layer, set(kwargs.get("need", kernels.GRADIENTS))))
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "chain_backward", spy)
+    rng = make_rng(0)
+    dataset = toymodel.make_dataset(rng, n_identities=4, d=4, samples_per_identity=3,
+                                    n_prompts=2)
+    schedule = toymodel.linear_schedule()
+    model = toymodel.pretrain_base(dataset, schedule, seed=1, hidden=8, batch_size=8,
+                                   loss_threshold=1e9, max_iters=50, window=5, r1=2)
+    assert calls == [(2, {"w0", "x"}), (1, {"w0"})] * 5
+
+    calls.clear()
+    config = metatrain.TrainConfig(q_total=12, batch_size=4, r1=2, r2=1,
+                                   identities_per_bucket=2)
+    result = metatrain.run_stage1(model, dataset, schedule, config)
+    gates = [record.lomd_updated for record in result.trace]
+    assert any(gates) and not all(gates)
+    want = []
+    for gate in gates:
+        trained = {"lu", "lm", "lmd"} if gate else {"lu", "lm"}
+        want += [(2, trained | {"x"}), (1, trained)]
+    assert calls == want
+
+    calls.clear()
+    config = personalize.PersonalizeConfig(q_st2=10, r1=2, r2=1)
+    jobs = [personalize.Stage2Job(result.lmd, dataset.reference_of(i),
+                                  replace(config, seed=i)) for i in range(3)]
+    personalize.run_stage2_many(model, jobs, schedule)
+    assert calls == [(2, {"lu", "lm", "x"}), (1, {"lu", "lm"})] * 10

@@ -360,6 +360,16 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "io"
         assert not (tmp_path / "o").exists()
 
+    def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        save_checkpoint(empty, {"kind": "personalized", "r1": 2, "r2": 1}, {})
+        rc = main(["merge", "--checkpoint", str(empty), "--out", str(tmp_path / "o"),
+                   "--verify"])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and "no adapter layers" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_rank_mismatch_is_3(self, cli_run, tmp_path):
         root, cfg, base, s1, pers, merged = cli_run
         other = tmp_path / "other.cfg"

@@ -1,5 +1,7 @@
 """The numpy kernels against their direct expressions."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,41 @@ class TestStackedChain:
             numeric = central(param)
             err = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
             assert err <= 1e-4
+
+
+NAMES = ("lu", "lm", "lmd", "x", "w0")  # chain_backward's outputs, in order
+
+
+class TestNeed:
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+    def test_every_subset_gives_the_default_bits_and_none_elsewhere(self, stacked):
+        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(5))
+        if not stacked:
+            lmd, lm, lu, x, g = (a[0] for a in (lmd, lm, lu, x, g))
+        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+        operands = (w0, lmd, lm, lu, 0.7, x, u, mid, g)
+        full = kernels.chain_backward(*operands)
+        assert kernels.GRADIENTS == set(NAMES)
+        subsets = [set(c) for k in range(1, len(NAMES) + 1)
+                   for c in combinations(NAMES, k)]
+        assert len(subsets) == 31
+        for need in subsets:
+            got = kernels.chain_backward(*operands, need=need)
+            for name, want, out in zip(NAMES, full, got):
+                if name in need:
+                    assert out.tobytes() == want.tobytes(), (need, name)
+                else:
+                    assert out is None, (need, name)
+
+    def test_need_may_be_a_tuple(self):
+        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(6))
+        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+        got = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g, need=("lm",))
+        assert got[1] is not None and all(o is None for o in got[:1] + got[2:])
+
+    @pytest.mark.parametrize("need", [{"lu", "dw0"}, {"u"}, "lm", "x", ["lmd", "mid"]])
+    def test_unknown_name_raises(self, need):
+        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(7))
+        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+        with pytest.raises(ValueError, match="need"):
+            kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g, need=need)

@@ -416,8 +416,8 @@ class TestLockstepEngine:
         calls = []
         backward = kernels.chain_backward
 
-        def poisoned(*args):
-            grads = backward(*args)
+        def poisoned(*args, **kwargs):
+            grads = backward(*args, **kwargs)
             calls.append(None)
             if len(calls) == 2 * 5 + 1:  # layer 2 of iteration 5
                 grads[1][2, 0, 0] = np.inf

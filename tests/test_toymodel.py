@@ -223,6 +223,33 @@ class TestDenoiser:
                                                 for f in (f1, f2)])
         assert loss_fresh == pytest.approx(loss_zero, abs=1e-15)
 
+    def test_need_keeps_the_bits_of_the_requested_gradients(self):
+        # each trained tensor alone, and the three stages' requests: the
+        # requested gradients have the default call's bits, the rest are None
+        ds = small_dataset()
+        s = linear_schedule()
+        m = ToyDenoiser.build(make_rng(3), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
+        factors = [(f.l_meta_down, f.l_mid, f.l_up)
+                   for f in stage1_factors(m, [0], seed=4)[0]]
+        _, full = diffusion_loss(m, ds.examples[:4], s, make_rng(6), factors=factors)
+        names = ("lm", "lu", "lmd", "w0")  # the order of each layer's gradients
+        for need in ({"lm"}, {"lu"}, {"lmd"}, {"w0"}, {"lu", "lm"}, {"lu", "lm", "lmd"}):
+            _, got = diffusion_loss(m, ds.examples[:4], s, make_rng(6), factors=factors,
+                                    need=need)
+            for want_layer, got_layer in zip(full, got):
+                for name, want, g in zip(names, want_layer, got_layer):
+                    if name in need:
+                        assert g.tobytes() == want.tobytes(), (need, name)
+                    else:
+                        assert g is None, (need, name)
+
+    @pytest.mark.parametrize("need", [{"x"}, {"lu", "x"}, {"mid"}])
+    def test_need_names_only_trained_tensors(self, need):
+        ds = small_dataset()
+        m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
+        with pytest.raises(ValueError):
+            diffusion_loss(m, ds.examples[:2], linear_schedule(), make_rng(0), need=need)
+
     def test_empty_batch_rejected(self):
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         with pytest.raises(ValueError):
