@@ -140,6 +140,9 @@ class IdentityBank:
         self.state = AdamWState(lr=config.lr, weight_decay=config.weight_decay,
                                 m=np.zeros_like(self.params), v=np.zeros_like(self.params))
         self.steps = np.zeros(n_identities, dtype=np.int64)
+        # identity_checksums' memo: the params' bits it last hashed, and each row's hash
+        self._hashed_bits: np.ndarray | None = None
+        self._row_checksums = [""] * n_identities
 
     def operands(self, identities: np.ndarray) -> list[tuple]:
         """Per layer, :func:`metalora.toymodel.train_step`'s ``(lmd, lm, lu)``
@@ -164,8 +167,23 @@ class IdentityBank:
         self.params[rows], st.m[rows], st.v[rows] = param, m, v
 
     def identity_checksums(self) -> dict[int, str]:
-        blocks = [b for pair in split_params(self.params, *self.layout) for b in pair]
-        return {i: "".join(checksum(b[i]) for b in blocks) for i in range(len(self.params))}
+        """Every identity's checksum: per layer, its mid then its up factor.
+
+        Only rows whose bits changed since the last call are rehashed. The
+        comparison is on the raw 64-bit words, so any change of bits (``0.0``
+        to ``-0.0`` too) is seen, in or out of the batch."""
+        bits = self.params.view(np.uint64)
+        if self._hashed_bits is None:
+            changed = np.arange(len(bits))
+        else:
+            changed = np.flatnonzero((bits != self._hashed_bits).any(axis=1))
+        if len(changed):
+            blocks = [b for pair in split_params(self.params[changed], *self.layout)
+                      for b in pair]
+            for j, i in enumerate(changed.tolist()):
+                self._row_checksums[i] = "".join(checksum(b[j]) for b in blocks)
+            self._hashed_bits = bits.copy()
+        return dict(enumerate(self._row_checksums))
 
 
 @dataclass

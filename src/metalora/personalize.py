@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
-from .augment import FaceBox, plan_crops, sample_view
+from .augment import CropSpec, FaceBox, plan_crops, sample_view
 from .checkpoint import load_checkpoint
 from .errors import (CheckpointError, DimensionError, MetaLoraError,
                      NumericError, RankError)
@@ -187,19 +187,105 @@ def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
                                      job.lmd[li].shape, want)
 
 
+# iterations whose random draws each stream makes ahead of the lockstep loop
+DRAW_BLOCK = 64
+
+
+@dataclass
+class _Stream:
+    """One seeded random stream of :func:`run_stage2_many`, shared by the jobs
+    with its seed and reference objects. ``slots[v, flip]`` is the view-latent
+    table row of view ``v`` (a reference and a crop spec) with that flip."""
+    rng: np.random.Generator
+    views: list[tuple[Example, CropSpec]]
+    slots: np.ndarray
+    prompts: np.ndarray  # (n_views,) each view's reference prompt
+    fresh: np.ndarray    # the fresh mid/up factors, drawn first
+
+
+def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]]):
+    """The call's streams, one per distinct (seed, reference objects), and
+    the stream of each job. Also the view-latent table's rows: one per
+    distinct (reference latent bytes, rect, flip), as :func:`view_latent`'s
+    first three arguments."""
+    streams: list[_Stream] = []
+    stream_of: dict[tuple, int] = {}  # (seed, reference ids) -> stream
+    rows: dict[tuple, int] = {}       # (latent bytes, rect, flip) -> table row
+    latent_args: list[tuple] = []
+    job_stream = []
+    for k, job in enumerate(jobs):
+        refs = [job.references] if isinstance(job.references, Example) else job.references
+        key = (job.config.seed, tuple(id(ref) for ref in refs))
+        if key not in stream_of:
+            views = []
+            for ref in refs:
+                if ref.x0.shape != (d,):
+                    raise DimensionError(f"job {k}: reference latent", ref.x0.shape, (d,))
+                specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
+                views.extend((ref, spec) for spec in specs)
+            if not views:
+                raise MetaLoraError(f"job {k}: augmentation plan is empty")
+            slots = np.empty((len(views), 2), dtype=np.intp)
+            for v, (ref, spec) in enumerate(views):
+                for flip in (False, True):
+                    content = (ref.x0.tobytes(), spec.rect, flip)
+                    if content not in rows:
+                        rows[content] = len(latent_args)
+                        latent_args.append((ref.x0, spec.rect, flip))
+                    slots[v, int(flip)] = rows[content]
+            rng = make_rng(job.config.seed)
+            fresh = fresh_identity_params(rng, dims, job.config.r1, job.config.r2)
+            stream_of[key] = len(streams)
+            streams.append(_Stream(rng, views, slots,
+                                   np.array([ref.prompt_id for ref, _ in views]), fresh))
+        job_stream.append(stream_of[key])
+    return streams, np.array(job_stream), latent_args
+
+
+def _draw_block(streams: list[_Stream], n: int, T: int, d: int):
+    """Each stream's next ``n`` iterations, drawn in a lone run's order: a
+    view index, its flip, ``t`` and the noise. Returns the (S, n) view-latent
+    table rows, timesteps and prompts and the (S, n, d) noise."""
+    rows = np.empty((len(streams), n), dtype=np.intp)
+    ts = np.empty((len(streams), n), dtype=np.intp)
+    prompts = np.empty((len(streams), n), dtype=np.intp)
+    eps = np.empty((len(streams), n, d))
+    for s, st in enumerate(streams):
+        rng, views = st.rng, st.views
+        picks, flips, times = [], [], []
+        for i in range(n):
+            v = int(rng.integers(len(views)))
+            picks.append(v)
+            flips.append(int(sample_view(views[v][1], rng).flip))
+            times.append(rng.integers(T))
+            eps[s, i] = rng.normal(0.0, 1.0, size=d)
+        rows[s] = st.slots[picks, flips]
+        ts[s] = times
+        prompts[s] = st.prompts[picks]
+    return rows, ts, prompts, eps
+
+
 def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                     schedule: DiffusionSchedule) -> list[Stage2Result]:
     """Train R independent stage-2 runs in lockstep.
 
     Each run gives the same bits as when trained alone. It replays its own
     random stream in the order of a single run: fresh factors, then a view
-    index, a flip, ``t`` and the noise on every iteration. The math of all
-    runs goes through one :func:`metalora.toymodel.train_step` over stacked
-    (R, ., .) operands, whose matmuls make the same BLAS call per run as a
-    lone run. One AdamW update covers a flat (R, n) buffer holding every
-    run's mid and up factors in stage 1's layout
-    (:func:`metalora.metatrain.split_params`). A probe's input and its
-    frozen layer-1 products are built once per run.
+    index, a flip, ``t`` and the noise on every iteration. Jobs with the
+    same seed and the same reference objects replay the same stream, so
+    they share one generator and its draws. Every stream draws its next
+    :data:`DRAW_BLOCK` iterations ahead of the loop into arrays, so memory
+    does not grow with ``q_st2``. View latents come from one table per call,
+    keyed by content (the reference latent's bytes, the rect and the flip),
+    and each key's :func:`view_latent` is computed once, on first draw.
+    Each iteration gathers every run's latent, ``t``, noise and prompt by
+    fancy indexing. The math of all runs goes through one
+    :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands,
+    whose matmuls make the same BLAS call per run as a lone run. One AdamW
+    update covers a flat (R, n) buffer holding every run's mid and up
+    factors in stage 1's layout (:func:`metalora.metatrain.split_params`).
+    A probe's input and its frozen layer-1 products are built once per run,
+    and its layer-1 pre-activation is written into one preallocated buffer.
 
     Jobs may differ in their seed, references, shared down factors and
     probe; the rest of their configs must agree, and either every job or
@@ -210,25 +296,12 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     R, d, T = len(jobs), model.d, schedule.T
     layer1, layer2 = model.layers
     dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+    streams, job_stream, latent_args = _make_streams(jobs, d, dims)
+    table = np.empty((len(latent_args), d))
+    filled = np.zeros(len(latent_args), dtype=bool)
+    before = ["".join(checksum(m) for m in job.lmd) for job in jobs]
 
-    streams, rows, before = [], [], []
-    for k, job in enumerate(jobs):
-        refs = [job.references] if isinstance(job.references, Example) else job.references
-        rng = make_rng(job.config.seed)
-        views = []
-        for ref in refs:
-            if ref.x0.shape != (d,):
-                raise DimensionError(f"job {k}: reference latent", ref.x0.shape, (d,))
-            specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
-            latents = {}  # (rect, flip) -> view latent of this reference
-            views.extend((ref, spec, latents) for spec in specs)
-        if not views:
-            raise MetaLoraError(f"job {k}: augmentation plan is empty")
-        streams.append((rng, views))
-        rows.append(fresh_identity_params(rng, dims, cfg.r1, cfg.r2))
-        before.append("".join(checksum(m) for m in job.lmd))
-
-    params = np.stack(rows)
+    params = np.stack([streams[s].fresh for s in job_stream])
     (lm1, lu1), (lm2, lu2) = split_params(params, dims, cfg.r1, cfg.r2)
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -244,10 +317,13 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         p_eps = np.stack([b[1] for b in batches])
         p_w0x = w0_1 @ p_inp   # frozen: the base weight and the shared
         p_u = lmd1 @ p_inp     # down factor never move in stage 2
+        p_mid = np.empty((R, cfg.r2, p_inp.shape[2]))
+        p_h = np.empty_like(p_w0x)  # layer 1's pre-activation, then its tanh
 
     def record_probe():
-        h = p_w0x + s1 * (lu1 @ (lm1 @ p_u))
-        out = kernels.chain_forward(w0_2, lmd2, lm2, lu2, s2, np.tanh(h))[0]
+        np.matmul(lu1, np.matmul(lm1, p_u, out=p_mid), out=p_h)
+        np.add(p_w0x, np.multiply(s1, p_h, out=p_h), out=p_h)
+        out = kernels.chain_forward(w0_2, lmd2, lm2, lu2, s2, np.tanh(p_h, out=p_h))[0]
         losses = np.mean(((out - p_eps) ** 2).reshape(R, -1), axis=1)
         for curve, loss in zip(probe_curves, losses.tolist()):
             curve.append(loss)
@@ -255,26 +331,21 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     if probed:
         record_probe()
     train_curves: list[list[float]] = [[] for _ in jobs]
-    x0 = np.empty((R, d))
-    eps = np.empty((R, d))
-    ts = np.empty(R, dtype=np.intp)
-    prompts = np.empty(R, dtype=np.intp)
     for it in range(cfg.q_st2):
-        for r, (rng, views) in enumerate(streams):
-            ref, spec, latents = views[int(rng.integers(len(views)))]
-            view = sample_view(spec, rng)
-            key = (view.rect, view.flip)
-            if key not in latents:
-                latents[key] = view_latent(ref.x0, view.rect, view.flip,
-                                           cfg.view_strength)
-            x0[r] = latents[key]
-            ts[r] = rng.integers(T)
-            eps[r] = rng.normal(0.0, 1.0, size=d)
-            prompts[r] = ref.prompt_id
-        x_t = sqrt_ab[ts, None] * x0 + sqrt_1m_ab[ts, None] * eps
-        inp = model.conditioned(x_t, ts, prompts, schedule)[:, :, None]
+        i = it % DRAW_BLOCK
+        if i == 0:
+            rows, ts, prompts, eps = _draw_block(
+                streams, min(DRAW_BLOCK, cfg.q_st2 - it), T, d)
+            drawn = np.unique(rows)
+            for row in drawn[~filled[drawn]]:
+                table[row] = view_latent(*latent_args[row], cfg.view_strength)
+            filled[drawn] = True
+            rows, ts, prompts = rows[job_stream], ts[job_stream], prompts[job_stream]
+        t, noise = ts[:, i], eps[job_stream, i]
+        x_t = sqrt_ab[t, None] * table[rows[:, i]] + sqrt_1m_ab[t, None] * noise
+        inp = model.conditioned(x_t, t, prompts[:, i], schedule)[:, :, None]
         losses, layer_grads = train_step([w0_1, w0_2], [s1, s2], [lmd1, lmd2],
-                                         [lm1, lm2], [lu1, lu2], inp, eps, 1,
+                                         [lm1, lm2], [lu1, lu2], inp, noise, 1,
                                          need={"lu", "lm"})
         bad = np.flatnonzero(~np.isfinite(losses))
         if len(bad):

@@ -252,18 +252,22 @@ def diffusion_loss(model: ToyDenoiser, batch: list[Example],
 
     ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` operands per
     layer; omitted, every item uses the model's own factors. Each item draws
-    its ``t`` and noise in batch order, and the whole batch makes one
+    its ``t`` and noise in batch order (as :func:`noisify` would), the batch
+    is noised in one expression, and the whole batch makes one
     :func:`train_step`, whose per-item gradients are returned: those named
     in ``need``, and ``None`` in place of each one left out. The model is
     only read.
     """
     if not batch:
         raise ValueError("diffusion_loss: empty batch")
-    ts, noised = [], []
-    for item in batch:
-        ts.append(int(rng.integers(schedule.T)))
-        noised.append(noisify(schedule, item.x0, ts[-1], rng))
-    x_t, eps = (np.stack(arrays) for arrays in zip(*noised))
+    x0 = np.stack([item.x0 for item in batch])
+    ts = np.empty(len(batch), dtype=np.intp)
+    eps = np.empty(x0.shape)
+    for k in range(len(batch)):
+        ts[k] = rng.integers(schedule.T)
+        eps[k] = rng.normal(0.0, 1.0, size=x0.shape[1:])
+    ab = schedule.alpha_bar[ts, None]
+    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
     inp = model.conditioned(x_t, ts, [item.prompt_id for item in batch], schedule)
     if factors is None:
         factors = [(l.factors.l_meta_down, l.factors.l_mid, l.factors.l_up)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from metalora import metatrain
 from metalora.adapter import AdapterFactors, init_factors
 from metalora.errors import MetaLoraError
 from metalora.metatrain import (Bucket, IdentityBank, TraceRecord, TrainConfig,
-                                partition_buckets, run_stage1, warm_up_gate,
-                                write_trace_csv, write_trace_jsonl)
+                                partition_buckets, run_stage1, split_params,
+                                warm_up_gate, write_trace_csv, write_trace_jsonl)
 from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
 from metalora.toymodel import (Example, ToyDenoiser, diffusion_loss,
                                linear_schedule, make_dataset, pretrain_base)
@@ -260,6 +261,35 @@ class TestStage1:
         for now, then in zip(buffers, before):
             assert np.flatnonzero((now != then).any(axis=1)).tolist() == [0, 2]
         assert bank.steps.tolist() == [1, 0, 1, 0]
+
+    def test_checksums_rehash_only_rows_whose_bits_changed(self, monkeypatch):
+        model, ds, schedule, config = small_stage1()
+        bank = IdentityBank(model, ds.n_identities, config, make_rng(0))
+
+        def full():
+            blocks = [b for pair in split_params(bank.params, *bank.layout) for b in pair]
+            return {i: "".join(checksum(b[i]) for b in blocks)
+                    for i in range(len(bank.params))}
+
+        calls = []
+        monkeypatch.setattr(metatrain, "checksum",
+                            lambda arr: calls.append(None) or checksum(arr))
+        first = bank.identity_checksums()
+        assert first == full() and len(calls) == 4 * ds.n_identities
+        bank.update(np.array([2, 0, 2]), make_rng(1).normal(size=(3, bank.params.shape[1])))
+        calls.clear()
+        moved = bank.identity_checksums()
+        assert moved == full() and len(calls) == 4 * 2  # rows 0 and 2
+        assert [i for i in moved if moved[i] != first[i]] == [0, 2]
+        calls.clear()
+        assert bank.identity_checksums() == moved and not calls
+        # a bit-only change out of any batch: an up factor's 0.0 becomes -0.0
+        (_, up), _ = split_params(bank.params, *bank.layout)
+        assert up[3, 0, 0] == 0.0 and not np.signbit(up[3, 0, 0])
+        up[3, 0, 0] = -0.0
+        flipped = bank.identity_checksums()
+        assert flipped[3] != moved[3] and flipped == full()
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("cfg_kw", [
         {},

@@ -1,11 +1,12 @@
 """Single-example personalization: frozen shared factors, export, speed."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from metalora import kernels
+from metalora import kernels, personalize
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors, merged_forward
 from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_checkpoint
@@ -18,8 +19,8 @@ from metalora.personalize import (PersonalizeConfig, Stage2Job,
                                   iterations_to_threshold, load_stage1,
                                   make_probe, probe_loss, run_stage2,
                                   run_stage2_many, smooth, view_latent)
-from metalora.toymodel import (Example, linear_schedule, make_dataset, noisify,
-                               pretrain_base, time_embedding)
+from metalora.toymodel import (Example, ToyDenoiser, linear_schedule, make_dataset,
+                               noisify, pretrain_base, time_embedding)
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +428,89 @@ class TestLockstepEngine:
         with pytest.raises(NumericError, match="job 2: non-finite gradient at "
                                               "stage-2 iteration 5"):
             run_stage2_many(model, jobs, schedule)
+
+
+class TestDrawAhead:
+    """Streams shared by (seed, reference objects), one view-latent table per
+    call, and draws made in fixed-size blocks ahead of the lockstep loop."""
+
+    def test_same_seed_different_references_do_not_share_a_stream(self, world):
+        ds, schedule, model, lmd = world
+        a, b = ds.reference_of(0), ds.reference_of(1)
+        cfg = pcfg(q_st2=70)  # crosses a draw block
+        refs = [a, b, a, [a, b], [b, a], a]
+        jobs = [Stage2Job(lmd, r, cfg) for r in refs]
+        batch = run_stage2_many(model, jobs, schedule)
+        for res, job in zip(batch, jobs):
+            alone = run_stage2(model, lmd, job.references, schedule, cfg)
+            assert_same_run(res, alone.train_losses, alone.probe_losses, alone.factors)
+        assert batch[0].train_losses == batch[2].train_losses
+        assert batch[0].train_losses != batch[1].train_losses
+        assert batch[3].train_losses != batch[4].train_losses
+
+    def test_jobs_with_one_seed_and_references_draw_once(self, world, monkeypatch):
+        ds, schedule, model, lmd = world
+        ref = ds.reference_of(2)
+        calls = []
+        draw = personalize.sample_view
+
+        def spy(spec, rng):
+            calls.append(None)
+            return draw(spec, rng)
+
+        monkeypatch.setattr(personalize, "sample_view", spy)
+        rand = [init_factors(make_rng(3), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
+                for l in model.layers]
+        run_stage2_many(model, [Stage2Job(lmd, ref, pcfg(seed=4)),
+                                Stage2Job(rand, ref, pcfg(seed=4)),
+                                Stage2Job(lmd, ref, pcfg(seed=5))], schedule)
+        assert len(calls) == 2 * 40  # two streams of q_st2 draws
+
+    def test_each_view_latent_is_computed_once_per_call(self, world, monkeypatch):
+        ds, schedule, model, lmd = world
+        ref = ds.reference_of(3)
+        twin = replace(ref)  # another object with the same latent and geometry
+        calls = []
+        compute = personalize.view_latent
+
+        def spy(x0, rect, flip, strength):
+            calls.append((x0.tobytes(), rect, flip))
+            return compute(x0, rect, flip, strength)
+
+        monkeypatch.setattr(personalize, "view_latent", spy)
+        jobs = [Stage2Job(lmd, r, pcfg(seed=s, q_st2=150))
+                for s in range(4) for r in (ref, twin)]
+        jobs.append(Stage2Job(lmd, [ref, ds.reference_of(0)], pcfg(seed=9, q_st2=150)))
+        batch = run_stage2_many(model, jobs, schedule)
+        assert len(calls) == len(set(calls))
+        views = len(plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box)))
+        assert views < len([c for c in calls if c[0] == ref.x0.tobytes()]) <= 2 * views
+        monkeypatch.undo()
+        for res, job in zip(batch[-3:], jobs[-3:]):
+            alone = run_stage2(model, lmd, job.references, schedule, job.config)
+            assert res.train_losses == alone.train_losses
+
+    def test_peak_memory_does_not_grow_with_q_st2(self):
+        # at d = 32, the noise of 1,800 more iterations drawn ahead for two
+        # streams would take 0.9 MB; the loss curves' floats take about 0.1 MB
+        rng = make_rng(4)
+        model = ToyDenoiser.build(rng, d=32, hidden=16, n_prompts=2, r1=4)
+        lmd = [init_factors(rng, l.factors.d1, l.factors.d2, 4, 1).l_meta_down
+               for l in model.layers]
+        refs = [Example(identity=i, x0=rng.normal(size=32), prompt_id=i, split="reference")
+                for i in range(2)]
+        schedule = linear_schedule()
+
+        def peak(q_st2):
+            jobs = [Stage2Job(lmd, r, pcfg(seed=i, q_st2=q_st2, lr=1e-4))
+                    for i, r in enumerate(refs)]
+            tracemalloc.start()
+            try:
+                run_stage2_many(model, jobs, schedule)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # first-call allocations
+        growth = peak(2000) - peak(200)
+        assert growth < 300_000, growth
