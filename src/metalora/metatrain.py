@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,9 +141,15 @@ class IdentityBank:
         self.state = AdamWState(lr=config.lr, weight_decay=config.weight_decay,
                                 m=np.zeros_like(self.params), v=np.zeros_like(self.params))
         self.steps = np.zeros(n_identities, dtype=np.int64)
-        # identity_checksums' memo: the params' bits it last hashed, and each row's hash
+        # each factor block's slice of a params row, in split_params' order
+        sizes = [n for _d1, d2 in dims for n in (config.r2 * config.r1, d2 * config.r2)]
+        ends = list(accumulate(sizes, initial=0))
+        self._blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        # the checksum memos: what was last hashed, and its checksums
         self._hashed_bits: np.ndarray | None = None
         self._row_checksums = [""] * n_identities
+        self._lmd_bytes: list[bytes] = []
+        self._lmd_checksum = ""
 
     def operands(self, identities: np.ndarray) -> list[tuple]:
         """Per layer, :func:`metalora.toymodel.train_step`'s ``(lmd, lm, lu)``
@@ -167,23 +174,32 @@ class IdentityBank:
         self.params[rows], st.m[rows], st.v[rows] = param, m, v
 
     def identity_checksums(self) -> dict[int, str]:
-        """Every identity's checksum: per layer, its mid then its up factor.
+        """Every identity's checksum: per layer, its mid then its up factor,
+        each hashed from its contiguous slice of the identity's row.
 
         Only rows whose bits changed since the last call are rehashed. The
         comparison is on the raw 64-bit words, so any change of bits (``0.0``
         to ``-0.0`` too) is seen, in or out of the batch."""
         bits = self.params.view(np.uint64)
         if self._hashed_bits is None:
-            changed = np.arange(len(bits))
+            changed = range(len(bits))
         else:
-            changed = np.flatnonzero((bits != self._hashed_bits).any(axis=1))
+            changed = np.flatnonzero((bits != self._hashed_bits).any(axis=1)).tolist()
         if len(changed):
-            blocks = [b for pair in split_params(self.params[changed], *self.layout)
-                      for b in pair]
-            for j, i in enumerate(changed.tolist()):
-                self._row_checksums[i] = "".join(checksum(b[j]) for b in blocks)
+            for i in changed:
+                row = self.params[i]
+                self._row_checksums[i] = "".join(checksum(row[b]) for b in self._blocks)
             self._hashed_bits = bits.copy()
         return dict(enumerate(self._row_checksums))
+
+    def lomd_checksum(self) -> str:
+        """The shared down factors' checksum, rehashed only when their raw
+        bytes changed since the last call, so ``0.0`` to ``-0.0`` counts."""
+        raw = [m.tobytes() for m in self.lmd]
+        if raw != self._lmd_bytes:
+            self._lmd_checksum = "".join(checksum(m) for m in self.lmd)
+            self._lmd_bytes = raw
+        return self._lmd_checksum
 
 
 @dataclass
@@ -231,6 +247,12 @@ def write_trace_jsonl(trace: list[TraceRecord], path) -> None:
             }) + "\n")
 
 
+# the gradients stage 1 trains: the mid and up factors, plus the shared down
+# factors once the warm-up gate opens
+WARM_UP_NEED = frozenset({"lu", "lm"})
+LIVE_NEED = WARM_UP_NEED | {"lmd"}
+
+
 def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                schedule: DiffusionSchedule, config: TrainConfig) -> Stage1Result:
     """Bucketed meta-training loop.
@@ -263,7 +285,7 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                 try:
                     loss, layer_grads = diffusion_loss(
                         model, batch, schedule, rng, factors=bank.operands(identities),
-                        need={"lu", "lm", "lmd"} if lomd_live else {"lu", "lm"})
+                        need=LIVE_NEED if lomd_live else WARM_UP_NEED)
                     bank.update(identities, join_grads(layer_grads))
                 except NumericError as exc:
                     raise NumericError(f"iteration {i_curr + i_cb}: {exc}") from exc
@@ -277,7 +299,7 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                     entry_index=entry_index, iter_in_bucket=i_cb, loss=loss,
                     lomd_updated=lomd_live,
                     batch_identities=sorted({b.identity for b in batch}),
-                    lomd_checksum="".join(checksum(m) for m in bank.lmd),
+                    lomd_checksum=bank.lomd_checksum(),
                     identity_checksums=bank.identity_checksums(),
                 ))
             i_curr += bucket.q_bucket

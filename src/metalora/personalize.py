@@ -25,7 +25,7 @@ from .checkpoint import load_checkpoint
 from .errors import (CheckpointError, DimensionError, MetaLoraError,
                      NumericError, RankError)
 from .metatrain import fresh_identity_params, join_grads, split_params
-from .numerics import AdamWState, adamw_step, checksum, make_rng
+from .numerics import AdamWState, checksum, make_rng
 from .toymodel import (DiffusionSchedule, Example, ToyDenoiser,
                        ToyIdentityDataset, train_step)
 
@@ -242,14 +242,15 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]]):
     return streams, np.array(job_stream), latent_args
 
 
-def _draw_block(streams: list[_Stream], n: int, T: int, d: int):
-    """Each stream's next ``n`` iterations, drawn in a lone run's order: a
-    view index, its flip, ``t`` and the noise. Returns the (S, n) view-latent
-    table rows, timesteps and prompts and the (S, n, d) noise."""
-    rows = np.empty((len(streams), n), dtype=np.intp)
-    ts = np.empty((len(streams), n), dtype=np.intp)
-    prompts = np.empty((len(streams), n), dtype=np.intp)
-    eps = np.empty((len(streams), n, d))
+def _draw_block(streams: list[_Stream], noise: np.ndarray, T: int):
+    """Each stream's next ``len(noise)`` iterations, drawn in a lone run's
+    order: a view index, its flip, ``t`` and the noise, which goes into the
+    (n, S, d) ``noise``. Returns the (n, S) view-latent table rows,
+    timesteps and prompts."""
+    n = len(noise)
+    rows = np.empty((n, len(streams)), dtype=np.intp)
+    ts = np.empty((n, len(streams)), dtype=np.intp)
+    prompts = np.empty((n, len(streams)), dtype=np.intp)
     for s, st in enumerate(streams):
         rng, views = st.rng, st.views
         picks, flips, times = [], [], []
@@ -258,11 +259,15 @@ def _draw_block(streams: list[_Stream], n: int, T: int, d: int):
             picks.append(v)
             flips.append(int(sample_view(views[v][1], rng).flip))
             times.append(rng.integers(T))
-            eps[s, i] = rng.normal(0.0, 1.0, size=d)
-        rows[s] = st.slots[picks, flips]
-        ts[s] = times
-        prompts[s] = st.prompts[picks]
-    return rows, ts, prompts, eps
+            noise[i, s] = rng.normal(0.0, 1.0, size=noise.shape[2])
+        rows[:, s] = st.slots[picks, flips]
+        ts[:, s] = times
+        prompts[:, s] = st.prompts[picks]
+    return rows, ts, prompts
+
+
+# the gradients stage 2 trains: the mid and up factors
+STAGE2_NEED = frozenset({"lu", "lm"})
 
 
 def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
@@ -274,18 +279,22 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     index, a flip, ``t`` and the noise on every iteration. Jobs with the
     same seed and the same reference objects replay the same stream, so
     they share one generator and its draws. Every stream draws its next
-    :data:`DRAW_BLOCK` iterations ahead of the loop into arrays, so memory
-    does not grow with ``q_st2``. View latents come from one table per call,
-    keyed by content (the reference latent's bytes, the rect and the flip),
-    and each key's :func:`view_latent` is computed once, on first draw.
-    Each iteration gathers every run's latent, ``t``, noise and prompt by
-    fancy indexing. The math of all runs goes through one
+    :data:`DRAW_BLOCK` iterations ahead of the loop, so memory does not grow
+    with ``q_st2``. View latents come from one table per call, keyed by
+    content (the reference latent's bytes, the rect and the flip), and each
+    key's :func:`view_latent` is computed once, on first draw. A drawn
+    block is noised and conditioned at once, per stream, by one
+    ``model.conditioned`` call, into (block, streams, .) buffers allocated
+    once per call; each iteration gathers its row of them by the jobs'
+    streams. The math of all runs goes through one
     :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands,
-    whose matmuls make the same BLAS call per run as a lone run. One AdamW
-    update covers a flat (R, n) buffer holding every run's mid and up
-    factors in stage 1's layout (:func:`metalora.metatrain.split_params`).
-    A probe's input and its frozen layer-1 products are built once per run,
-    and its layer-1 pre-activation is written into one preallocated buffer.
+    whose matmuls make the same BLAS call per run as a lone run. One
+    ``kernels.adamw_update`` covers a flat (R, n) buffer holding every run's
+    mid and up factors in stage 1's layout
+    (:func:`metalora.metatrain.split_params`). The loss curves fill
+    (iterations, R) arrays. A probe's input and its frozen layer-1 products
+    are built once per run, and its layer-1 pre-activation is written into
+    one preallocated buffer.
 
     Jobs may differ in their seed, references, shared down factors and
     probe; the rest of their configs must agree, and either every job or
@@ -293,24 +302,30 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     """
     _check_jobs(model, jobs)
     cfg = jobs[0].config
+    if cfg.lr < 0:  # adamw_step's check, made once before the loop
+        raise ValueError(f"adamw_step: lr must be >= 0, got {cfg.lr}")
     R, d, T = len(jobs), model.d, schedule.T
     layer1, layer2 = model.layers
     dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
     streams, job_stream, latent_args = _make_streams(jobs, d, dims)
     table = np.empty((len(latent_args), d))
     filled = np.zeros(len(latent_args), dtype=bool)
+    block = min(DRAW_BLOCK, cfg.q_st2)
+    noise = np.empty((block, len(streams), d))
+    inputs = np.empty((block, len(streams), layer1.w0.shape[1]))
     before = ["".join(checksum(m) for m in job.lmd) for job in jobs]
 
     params = np.stack([streams[s].fresh for s in job_stream])
     (lm1, lu1), (lm2, lu2) = split_params(params, dims, cfg.r1, cfg.r2)
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    hyper = (state.lr, state.beta1, state.beta2, state.eps, state.weight_decay)
+    moments = np.zeros_like(params), np.zeros_like(params)
     w0_1, w0_2, s1, s2 = layer1.w0, layer2.w0, layer1.scale, layer2.scale
     sqrt_ab = np.sqrt(schedule.alpha_bar)
     sqrt_1m_ab = np.sqrt(1.0 - schedule.alpha_bar)
 
     probed = jobs[0].probe is not None
-    probe_curves: list[list[float]] = [[] for _ in jobs]
     if probed:
         batches = [_probe_batch(model, schedule, job.probe) for job in jobs]
         p_inp = np.stack([b[0] for b in batches])
@@ -319,48 +334,51 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         p_u = lmd1 @ p_inp     # down factor never move in stage 2
         p_mid = np.empty((R, cfg.r2, p_inp.shape[2]))
         p_h = np.empty_like(p_w0x)  # layer 1's pre-activation, then its tanh
+        probe_losses = np.empty((cfg.q_st2 + 1, R))
 
-    def record_probe():
+    def record_probe(row):
         np.matmul(lu1, np.matmul(lm1, p_u, out=p_mid), out=p_h)
         np.add(p_w0x, np.multiply(s1, p_h, out=p_h), out=p_h)
         out = kernels.chain_forward(w0_2, lmd2, lm2, lu2, s2, np.tanh(p_h, out=p_h))[0]
-        losses = np.mean(((out - p_eps) ** 2).reshape(R, -1), axis=1)
-        for curve, loss in zip(probe_curves, losses.tolist()):
-            curve.append(loss)
+        probe_losses[row] = np.mean(((out - p_eps) ** 2).reshape(R, -1), axis=1)
 
     if probed:
-        record_probe()
-    train_curves: list[list[float]] = [[] for _ in jobs]
+        record_probe(0)
+    train_losses = np.empty((cfg.q_st2, R))
     for it in range(cfg.q_st2):
         i = it % DRAW_BLOCK
         if i == 0:
-            rows, ts, prompts, eps = _draw_block(
-                streams, min(DRAW_BLOCK, cfg.q_st2 - it), T, d)
+            n = min(DRAW_BLOCK, cfg.q_st2 - it)
+            rows, ts, prompts = _draw_block(streams, noise[:n], T)
             drawn = np.unique(rows)
             for row in drawn[~filled[drawn]]:
                 table[row] = view_latent(*latent_args[row], cfg.view_strength)
             filled[drawn] = True
-            rows, ts, prompts = rows[job_stream], ts[job_stream], prompts[job_stream]
-        t, noise = ts[:, i], eps[job_stream, i]
-        x_t = sqrt_ab[t, None] * table[rows[:, i]] + sqrt_1m_ab[t, None] * noise
-        inp = model.conditioned(x_t, t, prompts[:, i], schedule)[:, :, None]
+            x_t = table[rows]
+            x_t *= sqrt_ab[ts, None]
+            x_t += sqrt_1m_ab[ts, None] * noise[:n]
+            inputs[:n] = model.conditioned(x_t.reshape(-1, d), ts.ravel(), prompts.ravel(),
+                                           schedule).reshape(n, len(streams), -1)
         losses, layer_grads = train_step([w0_1, w0_2], [s1, s2], [lmd1, lmd2],
-                                         [lm1, lm2], [lu1, lu2], inp, noise, 1,
-                                         need={"lu", "lm"})
-        bad = np.flatnonzero(~np.isfinite(losses))
-        if len(bad):
-            raise NumericError(f"job {bad[0]}: non-finite loss at stage-2 iteration {it}")
+                                         [lm1, lm2], [lu1, lu2],
+                                         inputs[i][job_stream][:, :, None],
+                                         noise[i][job_stream], 1, need=STAGE2_NEED)
+        if not np.isfinite(losses).all():
+            bad = np.flatnonzero(~np.isfinite(losses))[0]
+            raise NumericError(f"job {bad}: non-finite loss at stage-2 iteration {it}")
         grads = join_grads(layer_grads)
-        bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
-        if len(bad):
-            raise NumericError(f"job {bad[0]}: non-finite gradient at stage-2 "
+        if not np.isfinite(grads).all():
+            bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))[0]
+            raise NumericError(f"job {bad}: non-finite gradient at stage-2 "
                                f"iteration {it}")
-        adamw_step(params, grads, state)
-        for curve, loss in zip(train_curves, losses.tolist()):
-            curve.append(loss)
+        kernels.adamw_update(params, grads, *moments, it + 1, *hyper)
+        train_losses[it] = losses
         if probed:
-            record_probe()
+            record_probe(it + 1)
 
+    del noise, inputs, x_t  # the blocks' buffers go before the curves become lists
+    train_curves = train_losses.T.tolist()
+    probe_curves = probe_losses.T.tolist() if probed else [[] for _ in jobs]
     results = []
     for k, job in enumerate(jobs):
         factors = [AdapterFactors(job.lmd[0], lm1[k].copy(), lu1[k].copy()),

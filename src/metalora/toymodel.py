@@ -11,6 +11,7 @@ identity-agnostic by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -205,6 +206,10 @@ class ToyDenoiser:
 
 # the trained tensors whose gradients train_step and diffusion_loss can return
 TRAINED = frozenset({"lu", "lm", "lmd", "w0"})
+# each subset of TRAINED, and what train_step asks of layer 2 for it: the
+# subset plus the input gradient, which carries the backward pass on
+_LAYER2_NEED = {frozenset(c): frozenset(c) | {"x"}
+                for k in range(len(TRAINED) + 1) for c in combinations(TRAINED, k)}
 
 
 def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
@@ -228,16 +233,18 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
     computed. A computed gradient has the same bits whatever else is needed.
     """
     need = frozenset(need)
-    if "x" in need:
-        raise ValueError("train_step: the input gradient is not a trained tensor")
+    if need not in _LAYER2_NEED:
+        raise ValueError(f"train_step: need={sorted(need)} names a tensor outside "
+                         f"{sorted(TRAINED)}")
     z, u1, mid1 = kernels.chain_forward(w0[0], lmd[0], lm[0], lu[0], scale[0], inp)
     a = np.tanh(z)
     out, u2, mid2 = kernels.chain_forward(w0[1], lmd[1], lm[1], lu[1], scale[1], a)
     resid = out[:, :, 0] - eps
-    losses = np.mean(resid ** 2, axis=1)
+    # np.mean's own sum and division, without its Python wrapper
+    losses = np.add.reduce(resid ** 2, axis=1) / resid.shape[1]
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
     d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
-        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=need | {"x"})
+        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=_LAYER2_NEED[need])
     d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
         w0[0], lmd[0], lm[0], lu[0], scale[0], inp, u1, mid1, g_a * (1.0 - a * a),
         need=need)

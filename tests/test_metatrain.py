@@ -291,6 +291,46 @@ class TestStage1:
         assert flipped[3] != moved[3] and flipped == full()
         assert len(calls) == 4
 
+    def test_lomd_checksum_rehashes_only_when_bits_change(self, monkeypatch):
+        model, ds, schedule, config = small_stage1()
+        bank = IdentityBank(model, ds.n_identities, config, make_rng(0))
+        calls = []
+        monkeypatch.setattr(metatrain, "checksum",
+                            lambda arr: calls.append(None) or checksum(arr))
+
+        def full():
+            return "".join(checksum(m) for m in bank.lmd)
+
+        first = bank.lomd_checksum()
+        assert first == full() and len(calls) == 2
+        calls.clear()
+        assert bank.lomd_checksum() == first and not calls
+        bank.lmd[0][1, 2] = 0.0
+        zero = bank.lomd_checksum()
+        assert zero != first and zero == full() and len(calls) == 2
+        # a bit-only change: 0.0 becomes -0.0
+        bank.lmd[0][1, 2] = -0.0
+        assert bank.lomd_checksum() not in (zero, first)
+        assert bank.lomd_checksum() == full() and len(calls) == 4
+
+    def test_audit_sees_a_shared_factor_change_while_the_gate_is_closed(self, monkeypatch):
+        # a change of the shared down factors must show in the trace whatever
+        # the gate says: pipeline_bench's warm-up rule relies on it
+        model, ds, schedule, config = small_stage1()
+        calls = []
+        loss = metatrain.diffusion_loss
+
+        def tamper(*args, factors, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # iteration 1, in the first warm-up
+                factors[1][0][0, 0] += 1.0  # the bank's own shared down array
+            return loss(*args, factors=factors, **kwargs)
+
+        monkeypatch.setattr(metatrain, "diffusion_loss", tamper)
+        trace = run_stage1(model, ds, schedule, config).trace
+        assert not trace[1].lomd_updated and not trace[2].lomd_updated
+        assert trace[0].lomd_checksum != trace[1].lomd_checksum == trace[2].lomd_checksum
+
     @pytest.mark.parametrize("cfg_kw", [
         {},
         dict(q_total=200, batch_size=6, r2=2, weight_decay=0.01,

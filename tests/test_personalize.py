@@ -14,7 +14,7 @@ from metalora.errors import (CheckpointError, ImmutabilityError,
                              MetaLoraError, NumericError, RankError)
 from metalora.metatrain import TrainConfig, run_stage1
 from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
-from metalora.personalize import (PersonalizeConfig, Stage2Job,
+from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   adaptation_speed_experiment,
                                   iterations_to_threshold, load_stage1,
                                   make_probe, probe_loss, run_stage2,
@@ -365,6 +365,34 @@ class TestLockstepEngine:
         assert_same_run(res, *reference_stage2(model, job.lmd, job.references,
                                                schedule, job.config, job.probe))
 
+    def test_matches_single_run_reference_across_draw_blocks(self, world):
+        # two block boundaries and a short last block, for one run and for
+        # three runs of which the first and the last share a stream (one
+        # seed, one reference object)
+        ds, schedule, model, lmd = world
+        cfg = pcfg(q_st2=2 * DRAW_BLOCK + 3)
+        rand = self.six_jobs(world)[1].lmd
+        ref = ds.reference_of(2)
+        lone = [Stage2Job(lmd, ref, replace(cfg, seed=7), make_probe(ds, 2, schedule, seed=1))]
+        three = [Stage2Job(lmd, ref, cfg, make_probe(ds, 2, schedule, seed=2)),
+                 Stage2Job(rand, ds.reference_of(3), cfg, make_probe(ds, 3, schedule, seed=3)),
+                 Stage2Job(rand, ref, cfg, make_probe(ds, 2, schedule, seed=4))]
+        for jobs in (lone, three):
+            for res, job in zip(run_stage2_many(model, jobs, schedule), jobs):
+                assert_same_run(res, *reference_stage2(model, job.lmd, job.references,
+                                                       schedule, job.config, job.probe))
+
+    def test_negative_lr_raises_before_any_iteration(self, world, monkeypatch):
+        ds, schedule, model, lmd = world
+        calls = []
+        forward = kernels.chain_forward
+        monkeypatch.setattr(kernels, "chain_forward",
+                            lambda *args: calls.append(None) or forward(*args))
+        with pytest.raises(ValueError, match="lr must be >= 0"):
+            run_stage2(model, lmd, ds.reference_of(0), schedule, pcfg(lr=-1e-3),
+                       probe=make_probe(ds, 0, schedule, seed=0))
+        assert not calls
+
     def test_does_not_touch_model(self, world):
         ds, schedule, model, lmd = world
         before = [(l.factors, checksum(l.w0)) for l in model.layers]
@@ -489,6 +517,28 @@ class TestDrawAhead:
         for res, job in zip(batch[-3:], jobs[-3:]):
             alone = run_stage2(model, lmd, job.references, schedule, job.config)
             assert res.train_losses == alone.train_losses
+
+    def test_inputs_are_built_once_per_block_per_stream(self, world, monkeypatch):
+        # three jobs on two streams: each block of draws makes one
+        # conditioned call over (block iterations) x (streams) rows
+        ds, schedule, model, lmd = world
+        rand = [init_factors(make_rng(3), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
+                for l in model.layers]
+        ref = ds.reference_of(1)
+        q_st2 = 2 * DRAW_BLOCK + 3
+        rows = []
+        conditioned = ToyDenoiser.conditioned
+
+        def spy(self, x_t, *args):
+            rows.append(len(x_t))
+            return conditioned(self, x_t, *args)
+
+        monkeypatch.setattr(ToyDenoiser, "conditioned", spy)
+        run_stage2_many(model, [Stage2Job(lmd, ref, pcfg(seed=4, q_st2=q_st2)),
+                                Stage2Job(lmd, ref, pcfg(seed=5, q_st2=q_st2)),
+                                Stage2Job(rand, ref, pcfg(seed=4, q_st2=q_st2))], schedule)
+        assert len(rows) == -(-q_st2 // DRAW_BLOCK)
+        assert rows == [2 * DRAW_BLOCK, 2 * DRAW_BLOCK, 2 * 3]
 
     def test_peak_memory_does_not_grow_with_q_st2(self):
         # at d = 32, the noise of 1,800 more iterations drawn ahead for two
