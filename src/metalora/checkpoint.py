@@ -110,12 +110,15 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     count = r.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
+        tensor_start = r.pos
         nlen = r.u16(f"tensor {i} name length")
         name_start = r.pos
         try:
             name = r.take(nlen, f"tensor {i} name").decode()
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"malformed tensor name: {exc}", offset=name_start)
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor name {name!r}", offset=tensor_start)
         rows = r.u32(f"tensor {name!r} rows")
         cols = r.u32(f"tensor {name!r} cols")
         payload = r.take(rows * cols * 8, f"tensor {name!r} data")

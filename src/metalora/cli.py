@@ -2,8 +2,8 @@
 
 Every command reads a flat key=value config file, echoes the resolved
 config (defaults included) plus its hash into a ``*.trace.json`` next to its
-output, and exits 0 on success. Exit codes: 2 for config errors, 3 for I/O
-and checkpoint errors, 4 for numeric failures.
+output, and exits 0 on success. Exit codes: 2 for config errors, 3 for I/O,
+checkpoint and manifest errors, 4 for numeric failures.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from . import augment, evaluation, metatrain, personalize, toymodel
 from .adapter import AdapterFactors, merge
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
-from .errors import (CheckpointError, ConfigError, DimensionError, MetaLoraError,
-                     NumericError, RankError)
+from .errors import (CheckpointError, ConfigError, DimensionError, ManifestError,
+                     MetaLoraError, NumericError, RankError)
 from .numerics import make_rng
 
 # key -> (type, default, lowest, highest): a value must be finite and in [lowest,
@@ -156,6 +156,8 @@ def _load_base_model(cfg: dict, base_ckpt: str) -> toymodel.ToyDenoiser:
         rng, d=cfg["latent_dim"], hidden=cfg["hidden_dim"],
         n_prompts=cfg["n_prompts"], r1=cfg["r1"], r2=cfg["r2"], factor_mode="zero")
     for li, layer in enumerate(model.layers):
+        if f"w0.{li}" not in tensors:
+            raise CheckpointError(f"base checkpoint lacks w0.{li}")
         w0 = tensors[f"w0.{li}"]
         if w0.shape != layer.w0.shape:
             raise CheckpointError(f"w0.{li} shape {w0.shape} does not match model "
@@ -302,7 +304,11 @@ def cmd_merge(args) -> int:
 
 def cmd_evaluate(args) -> int:
     with open(args.manifest) as fh:
-        manifest = evaluation.EvalManifest.from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ManifestError(f"manifest {args.manifest} is not JSON: {exc}") from exc
+    manifest = evaluation.EvalManifest.from_json(doc)
     generated = evaluation.read_embeddings_jsonl(args.generated)
 
     def generator(reference, prompt):
@@ -448,7 +454,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
-    except (OSError, CheckpointError, RankError) as exc:
+    except (OSError, CheckpointError, ManifestError, RankError) as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 3
     except (NumericError, MetaLoraError) as exc:

@@ -35,6 +35,10 @@ class CheckpointError(MetaLoraError):
         super().__init__(message)
 
 
+class ManifestError(MetaLoraError):
+    """Evaluation manifest is malformed."""
+
+
 class ConfigError(MetaLoraError):
     """Run configuration file is invalid or contains unknown keys."""
 

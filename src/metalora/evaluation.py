@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, MetaLoraError, NumericError
+from .errors import DimensionError, ManifestError, MetaLoraError, NumericError
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,7 +37,7 @@ class IdentityEntry:
 
     def __post_init__(self):
         if not self.tests:
-            raise MetaLoraError(f"identity {self.identity!r} has no test items "
+            raise ManifestError(f"identity {self.identity!r} has no test items "
                                 "after excluding the reference")
 
 
@@ -48,17 +48,23 @@ class EvalManifest:
 
     def __post_init__(self):
         if not self.identities:
-            raise MetaLoraError("manifest has no identities")
+            raise ManifestError("manifest has no identities")
         if not self.prompts:
-            raise MetaLoraError("manifest has no prompts")
+            raise ManifestError("manifest has no prompts")
 
     @classmethod
     def from_json(cls, doc: dict) -> "EvalManifest":
-        idents = [IdentityEntry(identity=str(e["id"]),
-                                reference=np.asarray(e["reference"], dtype=np.float64),
-                                tests=[np.asarray(t, dtype=np.float64) for t in e["tests"]])
-                  for e in doc["identities"]]
-        return cls(identities=idents, prompts=list(doc["prompts"]))
+        """The manifest of a parsed JSON document; a missing or ill-typed
+        field raises :class:`ManifestError`."""
+        try:
+            idents = [IdentityEntry(identity=str(e["id"]),
+                                    reference=np.asarray(e["reference"], dtype=np.float64),
+                                    tests=[np.asarray(t, dtype=np.float64) for t in e["tests"]])
+                      for e in doc["identities"]]
+            prompts = list(doc["prompts"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
+        return cls(identities=idents, prompts=prompts)
 
     def to_json(self) -> dict:
         return {"identities": [{"id": e.identity,

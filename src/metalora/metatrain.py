@@ -15,15 +15,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, cycle, tee
 
 import numpy as np
 
 from . import kernels
 from .adapter import init_factors
 from .errors import MetaLoraError, NumericError
-from .numerics import AdamWState, adamw_step, check_finite, checksum, make_rng
-from .toymodel import Example, ToyDenoiser, ToyIdentityDataset, DiffusionSchedule, diffusion_loss
+from .numerics import AdamWState, FlatGroup, check_finite, checksum, make_rng
+from .toymodel import (DiffusionSchedule, Example, ToyDenoiser, ToyIdentityDataset,
+                       diffusion_loss, drawn_batches)
 
 
 @dataclass
@@ -123,23 +124,25 @@ def join_grads(layer_grads) -> np.ndarray:
 
 
 class IdentityBank:
-    """Shared down factors (one per adapted layer) plus every identity's
-    mid/up factors, one row each of a flat (n_identities, n) buffer, with
-    per-row AdamW moments and step counts.
+    """Shared down factors (one per adapted layer, a ``FlatGroup``) plus
+    every identity's mid/up factors, one row each of a flat
+    (n_identities, n) buffer, with per-row AdamW moments and step counts.
     """
 
     def __init__(self, model: ToyDenoiser, n_identities: int, config: TrainConfig,
                  rng: np.random.Generator):
         dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
         self.layout = (dims, config.r1, config.r2)  # split_params' arguments
-        self.lmd = [init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down
-                    for d1, d2 in dims]
-        self.lmd_states = [AdamWState(lr=config.lr, weight_decay=config.weight_decay)
-                           for _ in dims]
-        self.params = np.stack([fresh_identity_params(rng, *self.layout)
-                                for _ in range(n_identities)])
-        self.state = AdamWState(lr=config.lr, weight_decay=config.weight_decay,
-                                m=np.zeros_like(self.params), v=np.zeros_like(self.params))
+        self.shared = FlatGroup([init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down
+                                 for d1, d2 in dims],
+                                AdamWState(lr=config.lr, weight_decay=config.weight_decay))
+        self.lmd = self.shared.tensors
+        params = np.stack([fresh_identity_params(rng, *self.layout)
+                           for _ in range(n_identities)])
+        # the factors and their two AdamW moments, gathered and scattered together
+        self._planes = np.stack([params, np.zeros_like(params), np.zeros_like(params)])
+        self.params, m, v = self._planes
+        self.state = AdamWState(lr=config.lr, weight_decay=config.weight_decay, m=m, v=v)
         self.steps = np.zeros(n_identities, dtype=np.int64)
         # each factor block's slice of a params row, in split_params' order
         sizes = [n for _d1, d2 in dims for n in (config.r2 * config.r1, d2 * config.r2)]
@@ -148,7 +151,7 @@ class IdentityBank:
         # the checksum memos: what was last hashed, and its checksums
         self._hashed_bits: np.ndarray | None = None
         self._row_checksums = [""] * n_identities
-        self._lmd_bytes: list[bytes] = []
+        self._lmd_bytes = b""
         self._lmd_checksum = ""
 
     def operands(self, identities: np.ndarray) -> list[tuple]:
@@ -157,21 +160,22 @@ class IdentityBank:
         return [(lmd, lm, lu) for lmd, (lm, lu)
                 in zip(self.lmd, split_params(self.params[identities], *self.layout))]
 
-    def update(self, identities: np.ndarray, item_grads: np.ndarray) -> None:
-        """One AdamW step on the rows of the batch's identities only. A row's
-        gradient adds its items' rows of ``item_grads`` onto zeros in item
-        order; the other rows, their moments and step counts do not move."""
-        grads = np.zeros_like(self.params)
-        np.add.at(grads, identities, item_grads)
+    def update(self, identities: np.ndarray, item_grads: np.ndarray) -> list[int]:
+        """One AdamW step on the rows of the batch's identities only; returns
+        them sorted. A row's gradient adds its items' rows of ``item_grads``
+        onto zeros in item order; other rows, moments and steps stay."""
         rows = sorted(set(identities.tolist()))
-        grads = grads[rows]
+        idx = np.array(rows)
+        grads = np.zeros((len(rows), item_grads.shape[1]))
+        np.add.at(grads, np.searchsorted(idx, identities), item_grads)
         check_finite(grads, "stage-1 mid/up gradient")
-        self.steps[rows] += 1
+        self.steps[idx] += 1
         st = self.state
-        param, m, v = self.params[rows], st.m[rows], st.v[rows]
-        kernels.adamw_update(param, grads, m, v, self.steps[rows, None], st.lr,
-                             st.beta1, st.beta2, st.eps, st.weight_decay)
-        self.params[rows], st.m[rows], st.v[rows] = param, m, v
+        block = self._planes[:, idx]
+        kernels.adamw_update(block[0], grads, block[1], block[2], self.steps[idx, None],
+                             st.lr, st.beta1, st.beta2, st.eps, st.weight_decay)
+        self._planes[:, idx] = block
+        return rows
 
     def identity_checksums(self) -> dict[int, str]:
         """Every identity's checksum: per layer, its mid then its up factor,
@@ -188,14 +192,14 @@ class IdentityBank:
         if len(changed):
             for i in changed:
                 row = self.params[i]
-                self._row_checksums[i] = "".join(checksum(row[b]) for b in self._blocks)
+                self._row_checksums[i] = "".join([checksum(row[b]) for b in self._blocks])
             self._hashed_bits = bits.copy()
         return dict(enumerate(self._row_checksums))
 
     def lomd_checksum(self) -> str:
         """The shared down factors' checksum, rehashed only when their raw
         bytes changed since the last call, so ``0.0`` to ``-0.0`` counts."""
-        raw = [m.tobytes() for m in self.lmd]
+        raw = self.shared.flat.tobytes()
         if raw != self._lmd_bytes:
             self._lmd_checksum = "".join(checksum(m) for m in self.lmd)
             self._lmd_bytes = raw
@@ -261,51 +265,51 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
     each bucket entry runs its full q_bucket iterations, so the executed
     total may overshoot q_total by at most one bucket remainder. Only the
     shared down factors survive; all identity factors are discarded.
+
+    The schedule is fixed before the loop, so :func:`drawn_batches` draws
+    each iteration's batch, from its bucket's examples, blocks ahead. An
+    iteration makes one :func:`diffusion_loss` call, one update of its
+    identities' rows and, with the gate open, one step of the shared
+    factors' ``FlatGroup``.
     """
     rng = make_rng(config.seed)
     buckets = partition_buckets(dataset, config.identities_per_bucket,
                                 config.batch_size, config.seed,
                                 config.warm_up_fraction)
     bank = IdentityBank(model, dataset.n_identities, config, rng)
+    entries, executed = [], 0  # each bucket entry's bucket and warm-up
+    for bucket in cycle(buckets):
+        if executed >= config.q_total:
+            break
+        revisit = len(entries) >= len(buckets) and not config.warm_up_every_entry
+        entries.append((bucket, 0 if revisit else bucket.q_warm_up))
+        executed += bucket.q_bucket
+    # each iteration's (bucket, entry index, iteration in bucket, gate), read
+    # by the loop and, up to a block ahead of it, by the drawer
+    plan, ahead = tee((bucket, entry_index, i_cb, warm_up_gate(i_cb, warm_up, bucket.q_bucket))
+                      for entry_index, (bucket, warm_up) in enumerate(entries)
+                      for i_cb in range(bucket.q_bucket))
+    batches = drawn_batches(rng, model, schedule, (p[0].examples for p in ahead),
+                            config.batch_size)
     trace: list[TraceRecord] = []
-    i_curr = 0
-    entry_index = 0
-    seen_entries: set[int] = set()
-    while i_curr < config.q_total:
-        for bucket in buckets:
-            warm_up = bucket.q_warm_up
-            if not config.warm_up_every_entry and bucket.bucket_id in seen_entries:
-                warm_up = 0
-            seen_entries.add(bucket.bucket_id)
-            for i_cb in range(bucket.q_bucket):
-                lomd_live = warm_up_gate(i_cb, warm_up, bucket.q_bucket)
-                idxs = rng.integers(len(bucket.examples), size=config.batch_size)
-                batch = [bucket.examples[i] for i in idxs]
-                identities = np.array([item.identity for item in batch])
-                try:
-                    loss, layer_grads = diffusion_loss(
-                        model, batch, schedule, rng, factors=bank.operands(identities),
-                        need=LIVE_NEED if lomd_live else WARM_UP_NEED)
-                    bank.update(identities, join_grads(layer_grads))
-                except NumericError as exc:
-                    raise NumericError(f"iteration {i_curr + i_cb}: {exc}") from exc
-                if lomd_live:
-                    for lmd, (_, _, d_lmd, _), state in zip(bank.lmd, layer_grads,
-                                                            bank.lmd_states):
-                        # in item order onto zeros: the order fixes every checkpoint's bits
-                        adamw_step(lmd, sum(d_lmd, np.zeros(d_lmd.shape[1:])), state)
-                trace.append(TraceRecord(
-                    iteration=i_curr + i_cb, bucket_id=bucket.bucket_id,
-                    entry_index=entry_index, iter_in_bucket=i_cb, loss=loss,
-                    lomd_updated=lomd_live,
-                    batch_identities=sorted({b.identity for b in batch}),
-                    lomd_checksum=bank.lomd_checksum(),
-                    identity_checksums=bank.identity_checksums(),
-                ))
-            i_curr += bucket.q_bucket
-            entry_index += 1
-            if i_curr >= config.q_total:
-                break
+    for it, ((bucket, entry_index, i_cb, lomd_live), (batch, inp, eps)) in enumerate(
+            zip(plan, batches)):
+        identities = np.array([item.identity for item in batch])
+        try:
+            loss, layer_grads = diffusion_loss(
+                model, inp, eps, factors=bank.operands(identities),
+                need=LIVE_NEED if lomd_live else WARM_UP_NEED)
+            rows = bank.update(identities, join_grads(layer_grads))
+        except NumericError as exc:
+            raise NumericError(f"iteration {it}: {exc}") from exc
+        if lomd_live:
+            bank.shared.step([d_lmd for _, _, d_lmd, _ in layer_grads])
+        trace.append(TraceRecord(
+            iteration=it, bucket_id=bucket.bucket_id, entry_index=entry_index,
+            iter_in_bucket=i_cb, loss=loss, lomd_updated=lomd_live,
+            batch_identities=rows, lomd_checksum=bank.lomd_checksum(),
+            identity_checksums=bank.identity_checksums(),
+        ))
     lmd = [m.copy() for m in bank.lmd]
-    return Stage1Result(lmd=lmd, trace=trace, executed_iterations=i_curr,
+    return Stage1Result(lmd=lmd, trace=trace, executed_iterations=executed,
                         buckets=buckets)

@@ -1,15 +1,19 @@
 """Seeded PRNG, Gaussian init, finiteness checks, checksums and AdamW.
 
 Parameters are plain float64 numpy arrays throughout the package. Random
-streams come from numpy's PCG64 generator: the algorithm is fixed and
-documented, so a recorded seed reproduces every downstream artifact
-bit-exactly on any platform.
+streams come from numpy's PCG64 generator, whose algorithm is fixed and
+documented, so a seed gives the same stream everywhere. The same seed,
+config, numpy build and BLAS core (the kernels OpenBLAS picks for the CPU,
+such as SkylakeX or Haswell) give byte-identical artifacts, whatever the
+BLAS thread count. Another BLAS core may round the matmuls differently and
+change every trained artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,7 +27,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{what} contains non-finite values")
 
 
@@ -41,7 +45,7 @@ def checksum(arr: np.ndarray) -> str:
     data = np.ascontiguousarray(arr, dtype=np.float64)
     if data.dtype.byteorder == ">":
         data = data.astype("<f8")
-    return hashlib.sha1(data.tobytes()).hexdigest()
+    return hashlib.sha1(data).hexdigest()  # hashes the contiguous buffer, uncopied
 
 
 @dataclass
@@ -82,3 +86,28 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, state: AdamWState) -> np.nda
                          state.step, state.lr, state.beta1, state.beta2,
                          state.eps, state.weight_decay)
     return param
+
+
+class FlatGroup:
+    """Tensors trained together. Their values are copied into one flat buffer,
+    ``flat``, of which ``tensors`` are views, and one :func:`adamw_step`
+    moves them all: AdamW is elementwise, so each gets the bits of its own."""
+
+    def __init__(self, tensors: list[np.ndarray], state: AdamWState):
+        if state.lr < 0:  # adamw_step's check, made once before any step
+            raise ValueError(f"adamw_step: lr must be >= 0, got {state.lr}")
+        ends = list(accumulate((t.size for t in tensors), initial=0))
+        self.flat = np.concatenate([t.ravel() for t in tensors])
+        self.grad = np.empty_like(self.flat)
+        self.tensors, self._grads = ([buf[a:b].reshape(t.shape) for a, b, t
+                                      in zip(ends, ends[1:], tensors)]
+                                     for buf in (self.flat, self.grad))
+        self.state = state
+
+    def step(self, item_grads: list[np.ndarray]) -> None:
+        """One AdamW step. Each tensor's gradient adds its per-item gradients
+        (B, ...) from ``item_grads`` in item order onto zeros: the bits of
+        ``sum(items, np.zeros(...))``, signed zeros included."""
+        for g, items in zip(self._grads, item_grads):
+            np.add.reduce(items, axis=0, initial=0.0, out=g)
+        adamw_step(self.flat, self.grad, self.state)

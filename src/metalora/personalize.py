@@ -26,7 +26,7 @@ from .errors import (CheckpointError, DimensionError, MetaLoraError,
                      NumericError, RankError)
 from .metatrain import fresh_identity_params, join_grads, split_params
 from .numerics import AdamWState, checksum, make_rng
-from .toymodel import (DiffusionSchedule, Example, ToyDenoiser,
+from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
                        ToyIdentityDataset, train_step)
 
 
@@ -58,6 +58,9 @@ def load_stage1(path, expected_r1: int, expected_dims: list[tuple[int, int]]
     if header.get("kind") != "stage1":
         raise CheckpointError(f"not a stage-1 checkpoint (kind={header.get('kind')!r})")
     r1 = header.get("r1")
+    if type(r1) is not int:  # bool too: True == 1
+        raise CheckpointError(f"stage-1 header field r1 is {r1!r} of type "
+                              f"{type(r1).__name__}, not an int")
     if r1 != expected_r1:
         raise RankError(f"checkpoint has r1={r1}, model expects r1={expected_r1}")
     lmd = []
@@ -114,13 +117,10 @@ def make_probe(dataset: ToyIdentityDataset, identity: int,
 def _probe_batch(model: ToyDenoiser, schedule: DiffusionSchedule,
                  probe: list[ProbeItem]) -> tuple[np.ndarray, np.ndarray]:
     """The probe as one batch: network inputs (d_in, n) and noise targets (d, n)."""
-    x_t = []
-    for p in probe:
-        ab = schedule.alpha_bar[p.t]
-        x_t.append(np.sqrt(ab) * p.x0 + np.sqrt(1.0 - ab) * p.eps)
-    rows = model.conditioned(np.stack(x_t), [p.t for p in probe],
-                             [p.prompt_id for p in probe], schedule)
-    return np.ascontiguousarray(rows.T), np.stack([p.eps for p in probe], axis=1)
+    eps = np.stack([p.eps for p in probe])
+    rows = model.noised_inputs(np.stack([p.x0 for p in probe]), [p.t for p in probe],
+                               [p.prompt_id for p in probe], eps, schedule)
+    return np.ascontiguousarray(rows.T), np.ascontiguousarray(eps.T)
 
 
 def probe_loss(model: ToyDenoiser, schedule: DiffusionSchedule,
@@ -185,10 +185,6 @@ def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
             if job.lmd[li].shape != want:
                 raise DimensionError(f"job {k}: shared down factor {li}",
                                      job.lmd[li].shape, want)
-
-
-# iterations whose random draws each stream makes ahead of the lockstep loop
-DRAW_BLOCK = 64
 
 
 @dataclass
@@ -284,7 +280,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     content (the reference latent's bytes, the rect and the flip), and each
     key's :func:`view_latent` is computed once, on first draw. A drawn
     block is noised and conditioned at once, per stream, by one
-    ``model.conditioned`` call, into (block, streams, .) buffers allocated
+    ``model.noised_inputs`` call, into (block, streams, .) buffers allocated
     once per call; each iteration gathers its row of them by the jobs'
     streams. The math of all runs goes through one
     :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands,
@@ -322,8 +318,6 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     hyper = (state.lr, state.beta1, state.beta2, state.eps, state.weight_decay)
     moments = np.zeros_like(params), np.zeros_like(params)
     w0_1, w0_2, s1, s2 = layer1.w0, layer2.w0, layer1.scale, layer2.scale
-    sqrt_ab = np.sqrt(schedule.alpha_bar)
-    sqrt_1m_ab = np.sqrt(1.0 - schedule.alpha_bar)
 
     probed = jobs[0].probe is not None
     if probed:
@@ -354,11 +348,9 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
             for row in drawn[~filled[drawn]]:
                 table[row] = view_latent(*latent_args[row], cfg.view_strength)
             filled[drawn] = True
-            x_t = table[rows]
-            x_t *= sqrt_ab[ts, None]
-            x_t += sqrt_1m_ab[ts, None] * noise[:n]
-            inputs[:n] = model.conditioned(x_t.reshape(-1, d), ts.ravel(), prompts.ravel(),
-                                           schedule).reshape(n, len(streams), -1)
+            inputs[:n] = model.noised_inputs(
+                table[rows].reshape(-1, d), ts.ravel(), prompts.ravel(),
+                noise[:n].reshape(-1, d), schedule).reshape(n, len(streams), -1)
         losses, layer_grads = train_step([w0_1, w0_2], [s1, s2], [lmd1, lmd2],
                                          [lm1, lm2], [lu1, lu2],
                                          inputs[i][job_stream][:, :, None],
@@ -376,7 +368,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         if probed:
             record_probe(it + 1)
 
-    del noise, inputs, x_t  # the blocks' buffers go before the curves become lists
+    del noise, inputs  # the blocks' buffers go before the curves become lists
     train_curves = train_losses.T.tolist()
     probe_curves = probe_losses.T.tolist() if probed else [[] for _ in jobs]
     results = []

@@ -11,16 +11,18 @@ identity-agnostic by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice, repeat
 
 import numpy as np
 
 from . import kernels
 from .adapter import AdaptedLayer, AdapterFactors, init_factors
 from .errors import ConvergenceError, DimensionError, NumericError
-from .numerics import AdamWState, adamw_step, make_rng
+from .numerics import AdamWState, FlatGroup, make_rng
 
 TEMB_DIM = 8
+# iterations whose inputs a training loop draws ahead of its steps
+DRAW_BLOCK = 64
 
 
 @dataclass
@@ -28,6 +30,8 @@ class DiffusionSchedule:
     alpha_bar: np.ndarray  # strictly decreasing, in (0, 1]
     # row t: time_embedding(t, T), the conditioning features of timestep t
     time_table: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_ab: np.ndarray = field(init=False, repr=False, compare=False)  # sqrt(alpha_bar)
+    sqrt_1m_ab: np.ndarray = field(init=False, repr=False, compare=False)  # sqrt(1 - ab)
 
     def __post_init__(self):
         ab = np.asarray(self.alpha_bar, dtype=np.float64)
@@ -39,6 +43,7 @@ class DiffusionSchedule:
             raise ValueError("alpha_bar must be strictly decreasing")
         self.alpha_bar = ab
         self.time_table = np.stack([time_embedding(t, len(ab)) for t in range(len(ab))])
+        self.sqrt_ab, self.sqrt_1m_ab = np.sqrt(ab), np.sqrt(1.0 - ab)
 
     @property
     def T(self) -> int:
@@ -196,6 +201,15 @@ class ToyDenoiser:
         return np.concatenate([x_t, schedule.time_table[ts], self.prompt_codes[prompt_ids]],
                               axis=1)
 
+    def noised_inputs(self, x0: np.ndarray, ts, prompt_ids, eps: np.ndarray,
+                      schedule: DiffusionSchedule) -> np.ndarray:
+        """:meth:`conditioned` rows of the latents ``x0`` (N, d) noised at
+        timesteps ``ts`` by ``eps`` (N, d), as :func:`noisify` noises one.
+        ``x0`` is overwritten by the noisy latents."""
+        x0 *= schedule.sqrt_ab[ts, None]
+        x0 += schedule.sqrt_1m_ab[ts, None] * eps
+        return self.conditioned(x0, ts, prompt_ids, schedule)
+
     def predict(self, x_t: np.ndarray, t: int, schedule: DiffusionSchedule,
                 prompt_id: int) -> np.ndarray:
         """Predict eps from the noisy latent and the conditioning, with the
@@ -251,43 +265,56 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
     return losses, [(d_lm1, d_lu1, d_lmd1, dw0_1), (d_lm2, d_lu2, d_lmd2, dw0_2)]
 
 
-def diffusion_loss(model: ToyDenoiser, batch: list[Example],
-                   schedule: DiffusionSchedule, rng: np.random.Generator,
+def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: DiffusionSchedule,
+                  pools, batch_size: int):
+    """Each iteration's batch (examples), network inputs (B, d_in) and noise
+    (B, d), drawn :data:`DRAW_BLOCK` iterations ahead in a lone loop's order:
+    ``batch_size`` picks from the iteration's pool (the next of ``pools``),
+    then each item's ``t`` and noise. A block is noised and conditioned at
+    once."""
+    pools = iter(pools)
+    while block := list(islice(pools, DRAW_BLOCK)):
+        batches, ts = [], []
+        noise = np.empty((len(block), batch_size, model.d))
+        for j, pool in enumerate(block):
+            batches.append([pool[i] for i in rng.integers(len(pool), size=batch_size).tolist()])
+            for k in range(batch_size):
+                ts.append(rng.integers(schedule.T))
+                noise[j, k] = rng.normal(0.0, 1.0, size=model.d)
+        items = [item for batch in batches for item in batch]
+        inputs = model.noised_inputs(np.stack([e.x0 for e in items]), np.array(ts),
+                                     [e.prompt_id for e in items], noise.reshape(-1, model.d),
+                                     schedule)
+        yield from zip(batches, inputs.reshape(len(block), batch_size, -1), noise)
+
+
+def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
                    factors: list[tuple] | None = None, *,
                    need=TRAINED) -> tuple[float, list[tuple]]:
-    """Mean squared error between predicted and injected noise over a batch.
+    """Mean squared error between predicted and injected noise over a batch:
+    the network inputs ``inp`` (B, d_in) and the noise ``eps`` (B, d), one
+    iteration's draw of :func:`drawn_batches`.
 
     ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` operands per
-    layer; omitted, every item uses the model's own factors. Each item draws
-    its ``t`` and noise in batch order (as :func:`noisify` would), the batch
-    is noised in one expression, and the whole batch makes one
-    :func:`train_step`, whose per-item gradients are returned: those named
-    in ``need``, and ``None`` in place of each one left out. The model is
-    only read.
+    layer; omitted, every item uses the model's own factors. The whole batch
+    makes one :func:`train_step`, whose per-item gradients are returned:
+    those named in ``need``, and ``None`` in place of each one left out. The
+    model is only read.
     """
-    if not batch:
+    if not len(eps):
         raise ValueError("diffusion_loss: empty batch")
-    x0 = np.stack([item.x0 for item in batch])
-    ts = np.empty(len(batch), dtype=np.intp)
-    eps = np.empty(x0.shape)
-    for k in range(len(batch)):
-        ts[k] = rng.integers(schedule.T)
-        eps[k] = rng.normal(0.0, 1.0, size=x0.shape[1:])
-    ab = schedule.alpha_bar[ts, None]
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    inp = model.conditioned(x_t, ts, [item.prompt_id for item in batch], schedule)
     if factors is None:
         factors = [(l.factors.l_meta_down, l.factors.l_mid, l.factors.l_up)
                    for l in model.layers]
     losses, layer_grads = train_step([l.w0 for l in model.layers],
                                      [l.scale for l in model.layers],
-                                     *zip(*factors), inp[:, :, None], eps, len(batch),
+                                     *zip(*factors), inp[:, :, None], eps, len(eps),
                                      need=need)
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if len(bad):
-        raise NumericError(f"non-finite loss at batch index {bad[0]}")
+    if not np.isfinite(losses).all():
+        raise NumericError(f"non-finite loss at batch index "
+                           f"{np.flatnonzero(~np.isfinite(losses))[0]}")
     # a running sum adds the item losses one by one, as a loop over the items
-    return float(np.cumsum(losses)[-1]) / len(batch), layer_grads
+    return float(np.cumsum(losses)[-1]) / len(eps), layer_grads
 
 
 def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
@@ -299,31 +326,33 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
 
     The pool ignores identity labels entirely. Stops once the windowed mean
     loss drops below ``loss_threshold``; raises if the budget runs out first.
+    The last block of :func:`drawn_batches` may draw past the stop; nothing
+    reads the stream after the loop, so no bit depends on it. Both base
+    weights train as one :class:`~metalora.numerics.FlatGroup`.
     """
     rng = make_rng(seed)
     if r1 is None:
         r1 = min(16, dataset.d, hidden)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=r1, r2=r2,
                               n_prompts=dataset.n_prompts, factor_mode="zero")
-    states = [AdamWState(lr=lr) for _ in model.layers]
-    pool = dataset.examples
-    recent: list[float] = []
-    for it in range(max_iters):
-        idxs = rng.integers(len(pool), size=batch_size)
-        batch = [pool[i] for i in idxs]
-        loss, layer_grads = diffusion_loss(model, batch, schedule, rng, need={"w0"})
-        for layer, (_, _, _, dw0), state in zip(model.layers, layer_grads, states):
-            # in item order onto zeros: the order fixes every checkpoint's bits
-            adamw_step(layer.w0, sum(dw0, np.zeros(dw0.shape[1:])), state)
-        recent.append(loss)
-        if len(recent) > window:
-            recent.pop(0)
-        if len(recent) == window and float(np.mean(recent)) < loss_threshold:
+    base = FlatGroup([l.w0 for l in model.layers], AdamWState(lr=lr))
+    for layer, w0 in zip(model.layers, base.tensors):
+        layer.w0 = w0
+    recent, kept = np.empty(window + DRAW_BLOCK), 0  # the losses, in iteration order
+    batches = drawn_batches(rng, model, schedule, repeat(dataset.examples), batch_size)
+    for _, (_, inp, eps) in zip(range(max_iters), batches):
+        loss, layer_grads = diffusion_loss(model, inp, eps, need={"w0"})
+        base.step([dw0 for *_, dw0 in layer_grads])
+        if kept == len(recent):  # the last window - 1 losses move to the front
+            recent[:window - 1], kept = recent[kept - window + 1:], window - 1
+        recent[kept], kept = loss, kept + 1
+        # np.mean's own sum and division, without its Python wrapper
+        if kept >= window and np.add.reduce(recent[kept - window:kept]) / window < loss_threshold:
             break
     else:
         raise ConvergenceError(
             f"pretraining did not reach loss {loss_threshold} within {max_iters} "
-            f"iterations (windowed loss {np.mean(recent):.4f})")
+            f"iterations (windowed loss {np.mean(recent[max(kept - window, 0):kept]):.4f})")
     for layer in model.layers:
         layer.freeze_base()
     return model

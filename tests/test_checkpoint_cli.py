@@ -100,6 +100,15 @@ class TestCheckpointFormat:
             load_checkpoint(path)
         assert exc.value.offset == len(blob)
 
+    def test_duplicate_tensor_name_rejected_at_its_offset(self, tmp_path):
+        path, _, tensors = self.sample(tmp_path)
+        blob = path.read_bytes()
+        second = blob.index(b"lmd.1") - 2  # its name length field
+        path.write_bytes(blob[:second + 2] + b"lmd.0" + blob[second + 7:])
+        with pytest.raises(CheckpointError, match="duplicate tensor name 'lmd.0'") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == second
+
     def test_non_2d_tensor_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_checkpoint(tmp_path / "x.bin", {}, {"v": np.zeros(3)})
@@ -356,6 +365,62 @@ class TestExitCodes:
                 del tensors[name]
             save_checkpoint(bad, {"kind": "personalized", "r1": 2, "r2": 1}, tensors)
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert not (tmp_path / "o").exists()
+
+    def test_merge_of_duplicate_tensor_is_3(self, tmp_path, capsys):
+        dup = tmp_path / "dup.bin"
+        save_checkpoint(dup, {"kind": "personalized", "r1": 2, "r2": 1},
+                        {"lmd.0": np.zeros((2, 3)), "lm.0": np.zeros((1, 2)),
+                         "lu.0": np.zeros((3, 1)), "lm.1": np.ones((1, 2))})
+        dup.write_bytes(dup.read_bytes().replace(b"lm.1", b"lm.0"))
+        rc = main(["merge", "--checkpoint", str(dup), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and "duplicate tensor name 'lm.0'" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["metatrain", "personalize", "speed-experiment"])
+    def test_base_checkpoint_without_a_layer_is_3(self, tmp_path, capsys, command):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        base = tmp_path / "base.bin"
+        save_checkpoint(base, {"kind": "base"}, {"w0.0": np.zeros((16, 8 + 8 + 2))})
+        args = [command, "--config", str(cfg), "--checkpoint", str(base),
+                "--out", str(tmp_path / "o")]
+        if command != "metatrain":
+            args += ["--stage1", str(tmp_path / "stage1.bin")]
+        assert main(args) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and "lacks w0.1" in err["message"]
+
+    @pytest.mark.parametrize("r1, cfg_r1", [("4", 4), (True, 1), (4.0, 4), (None, 4)])
+    def test_stage1_rank_of_the_wrong_type_is_3(self, cli_run, tmp_path, capsys, r1, cfg_r1):
+        base = cli_run[2]
+        cfg = tmp_path / "r1.cfg"
+        cfg.write_text(SMALL_CFG.replace("r1 = 4", f"r1 = {cfg_r1}"))
+        s1 = tmp_path / "stage1.bin"
+        save_checkpoint(s1, {"kind": "stage1", "r1": r1},
+                        {"lmd.0": np.zeros((cfg_r1, 18)), "lmd.1": np.zeros((cfg_r1, 16))})
+        rc = main(["personalize", "--config", str(cfg), "--checkpoint", str(base),
+                   "--stage1", str(s1), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io"
+        assert f"r1 is {r1!r} of type {type(r1).__name__}, not an int" in err["message"]
+
+    @pytest.mark.parametrize("manifest", ["{}", '{"identities": [1]}', "not json", "[]",
+                                          '{"identities": [], "prompts": ["p"]}',
+                                          '{"identities": [{"id": 1, "reference": "x", '
+                                          '"tests": [[1]]}], "prompts": ["p"]}'])
+    def test_malformed_manifest_is_3(self, tmp_path, capsys, manifest):
+        man = tmp_path / "man.json"
+        man.write_text(manifest)
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text("")
+        rc = main(["evaluate", "--manifest", str(man), "--generated", str(gen),
+                   "--out", str(tmp_path / "o")])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "io"
         assert not (tmp_path / "o").exists()

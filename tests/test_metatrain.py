@@ -12,8 +12,8 @@ from metalora.metatrain import (Bucket, IdentityBank, TraceRecord, TrainConfig,
                                 partition_buckets, run_stage1, split_params,
                                 warm_up_gate, write_trace_csv, write_trace_jsonl)
 from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
-from metalora.toymodel import (Example, ToyDenoiser, diffusion_loss,
-                               linear_schedule, make_dataset, pretrain_base)
+from metalora.toymodel import (DRAW_BLOCK, Example, ToyDenoiser, diffusion_loss,
+                               linear_schedule, make_dataset, noisify, pretrain_base)
 
 
 def tiny_dataset(seed=0, n_identities=4, samples=6):
@@ -102,6 +102,19 @@ def small_stage1(seed=0, **cfg_kw):
     return model, ds, schedule, config
 
 
+def item_by_item_inputs(model, batch, schedule, rng):
+    """A batch's network inputs and noise, drawn and noised item by item:
+    each item its t, then its noise, through noisify."""
+    ts, x_t, eps = [], [], []
+    for item in batch:
+        ts.append(int(rng.integers(schedule.T)))
+        xt, e = noisify(schedule, item.x0, ts[-1], rng)
+        x_t.append(xt)
+        eps.append(e)
+    inp = model.conditioned(np.stack(x_t), ts, [item.prompt_id for item in batch], schedule)
+    return inp, np.stack(eps)
+
+
 def reference_stage1(model, dataset, schedule, config):
     """Stage 1 as the identity bank must reproduce it: a dict of per-identity
     factor chains over the shared down factors, each identity's gradients
@@ -139,8 +152,9 @@ def reference_stage1(model, dataset, schedule, config):
                 operands = [(lmd[li], np.stack([chains[b.identity][li].l_mid for b in batch]),
                              np.stack([chains[b.identity][li].l_up for b in batch]))
                             for li in range(2)]
-                loss, layer_grads = diffusion_loss(model, batch, schedule, rng,
-                                                   factors=operands)
+                loss, layer_grads = diffusion_loss(
+                    model, *item_by_item_inputs(model, batch, schedule, rng),
+                    factors=operands)
                 for ident in dict.fromkeys(b.identity for b in batch):
                     items = [k for k, b in enumerate(batch) if b.identity == ident]
                     for li, (d_lm, d_lu, _, _) in enumerate(layer_grads):
@@ -334,13 +348,25 @@ class TestStage1:
     @pytest.mark.parametrize("cfg_kw", [
         {},
         dict(q_total=200, batch_size=6, r2=2, weight_decay=0.01,
-             warm_up_every_entry=False)], ids=["small", "no_rewarm_r2_2_decay"])
+             warm_up_every_entry=False),
+        dict(q_total=2 * DRAW_BLOCK + 1, identities_per_bucket=3)],
+        ids=["small", "no_rewarm_r2_2_decay", "past_two_blocks"])
     def test_matches_per_tensor_reference_bit_for_bit(self, cfg_kw):
         model, ds, schedule, config = small_stage1(**cfg_kw)
         res = run_stage1(model, ds, schedule, config)
         trace, lmd = reference_stage1(model, ds, schedule, config)
         assert res.trace == trace
         assert [m.tobytes() for m in res.lmd] == [m.tobytes() for m in lmd]
+        # a bucket entry starts inside a drawn block, so one block draws
+        # from two buckets
+        assert any(r.iteration % DRAW_BLOCK for r in res.trace if r.iter_in_bucket == 0)
+        if "q_total" in cfg_kw:
+            assert res.executed_iterations > 2 * DRAW_BLOCK
+
+    def test_negative_lr_rejected_before_training(self):
+        model, ds, schedule, config = small_stage1(lr=-1.0)
+        with pytest.raises(ValueError, match="lr must be >= 0"):
+            run_stage1(model, ds, schedule, config)
 
     def test_trace_writers(self, tmp_path):
         model, ds, schedule, config = small_stage1(q_total=30)

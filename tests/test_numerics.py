@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from metalora.errors import DimensionError, NumericError
-from metalora.numerics import (AdamWState, adamw_step, check_finite, checksum,
-                               gaussian, make_rng)
+from metalora.numerics import (AdamWState, FlatGroup, adamw_step, check_finite,
+                               checksum, gaussian, make_rng)
 
 
 class TestRngAndGaussian:
@@ -126,3 +126,32 @@ class TestAdamW:
                 adamw_step(p, rng.standard_normal((5, 5)), st_)
             return p
         assert np.array_equal(run(), run())
+
+
+class TestFlatGroup:
+    def test_matches_an_adamw_step_per_tensor(self):
+        rng = make_rng(3)
+        tensors = [rng.standard_normal((4, 3)), rng.standard_normal((2, 5))]
+        group = FlatGroup(tensors, AdamWState(lr=0.05, weight_decay=0.01))
+        states = [AdamWState(lr=0.05, weight_decay=0.01) for _ in tensors]
+        for _ in range(5):
+            items = [rng.standard_normal((3, *t.shape)) for t in tensors]
+            group.step(items)
+            for t, g, st_ in zip(tensors, items, states):
+                adamw_step(t, sum(g, np.zeros(t.shape)), st_)
+        assert [t.tobytes() for t in group.tensors] == [t.tobytes() for t in tensors]
+        assert all(np.shares_memory(t, group.flat) for t in group.tensors)
+
+    def test_gradient_adds_items_onto_zeros_in_item_order(self):
+        # signed zeros: 0.0 + -0.0 is 0.0; order: (1e16 + 1) - 1e16 is 0
+        g = np.array([[-0.0, 1e16, 0.5], [-0.0, 1.0, -0.0], [-0.0, -1e16, 0.25]])
+        items = [np.stack([g, -g, 2 * g], axis=1), g[:, :2]]  # (3 items, 3, 3), (3 items, 2)
+        group = FlatGroup([np.zeros((3, 3)), np.zeros(2)], AdamWState(lr=0.0))
+        group.step(items)
+        want = [sum(i, np.zeros(i.shape[1:])) for i in items]
+        assert group.grad.tobytes() == b"".join(w.tobytes() for w in want)
+        assert not np.signbit(want[0][0, 0]) and want[0][0, 1] == 0.0
+
+    def test_negative_lr_rejected_before_any_step(self):
+        with pytest.raises(ValueError, match="lr must be >= 0"):
+            FlatGroup([np.zeros(2)], AdamWState(lr=-1.0))

@@ -1,13 +1,15 @@
 """Toy conditional denoiser: schedule, noising, losses, base pretraining."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import ConvergenceError, ImmutabilityError, NumericError
 from metalora.metatrain import IdentityBank, TrainConfig, join_grads
-from metalora.numerics import make_rng
-from metalora.toymodel import (DiffusionSchedule, Example, ToyDenoiser,
+from metalora.numerics import AdamWState, adamw_step, make_rng
+from metalora.toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
                                diffusion_loss, generate, linear_schedule,
                                make_dataset, noisify, pretrain_base,
                                subset_dataset, time_embedding, train_step)
@@ -140,6 +142,19 @@ def batch_operands(factors, batch):
              np.stack([c[li].l_up for c in chains])) for li in range(2)]
 
 
+def batch_inputs(model, batch, schedule, rng):
+    """diffusion_loss's inputs and noise for a batch, drawn as the training
+    loops draw them: each item its t, then its noise, in batch order. The
+    batch is noised and conditioned at once."""
+    ts = np.empty(len(batch), dtype=np.intp)
+    eps = np.empty((len(batch), model.d))
+    for k in range(len(batch)):
+        ts[k] = rng.integers(schedule.T)
+        eps[k] = rng.normal(0.0, 1.0, size=model.d)
+    x0 = np.stack([item.x0 for item in batch])
+    return model.noised_inputs(x0, ts, [item.prompt_id for item in batch], eps, schedule), eps
+
+
 def per_item_reference(model, batch, schedule, rng, factors=None):
     """diffusion_loss item by item: each item's own conditioning and an
     AdaptedLayer forward/backward per layer. Returns the loss and, per layer,
@@ -215,12 +230,12 @@ class TestDenoiser:
         s = linear_schedule()
         rng = make_rng(5)
         m = ToyDenoiser.build(rng, d=8, hidden=16, n_prompts=2, r1=4, r2=1)
-        loss_zero, _ = diffusion_loss(m, ds.examples[:4], s, make_rng(6))
+        inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
+        loss_zero, _ = diffusion_loss(m, inp, eps)
         f1 = init_factors(make_rng(7), m.layer1.factors.d1, 16, 4, 1, "fresh")
         f2 = init_factors(make_rng(8), 16, 8, 4, 1, "fresh")
-        loss_fresh, _ = diffusion_loss(m, ds.examples[:4], s, make_rng(6),
-                                       factors=[(f.l_meta_down, f.l_mid, f.l_up)
-                                                for f in (f1, f2)])
+        loss_fresh, _ = diffusion_loss(m, inp, eps, factors=[(f.l_meta_down, f.l_mid, f.l_up)
+                                                             for f in (f1, f2)])
         assert loss_fresh == pytest.approx(loss_zero, abs=1e-15)
 
     def test_need_keeps_the_bits_of_the_requested_gradients(self):
@@ -231,11 +246,11 @@ class TestDenoiser:
         m = ToyDenoiser.build(make_rng(3), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         factors = [(f.l_meta_down, f.l_mid, f.l_up)
                    for f in stage1_factors(m, [0], seed=4)[0]]
-        _, full = diffusion_loss(m, ds.examples[:4], s, make_rng(6), factors=factors)
+        inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
+        _, full = diffusion_loss(m, inp, eps, factors=factors)
         names = ("lm", "lu", "lmd", "w0")  # the order of each layer's gradients
         for need in ({"lm"}, {"lu"}, {"lmd"}, {"w0"}, {"lu", "lm"}, {"lu", "lm", "lmd"}):
-            _, got = diffusion_loss(m, ds.examples[:4], s, make_rng(6), factors=factors,
-                                    need=need)
+            _, got = diffusion_loss(m, inp, eps, factors=factors, need=need)
             for want_layer, got_layer in zip(full, got):
                 for name, want, g in zip(names, want_layer, got_layer):
                     if name in need:
@@ -248,19 +263,21 @@ class TestDenoiser:
         ds = small_dataset()
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         with pytest.raises(ValueError):
-            diffusion_loss(m, ds.examples[:2], linear_schedule(), make_rng(0), need=need)
+            diffusion_loss(m, *batch_inputs(m, ds.examples[:2], linear_schedule(), make_rng(0)),
+                           need=need)
 
     def test_empty_batch_rejected(self):
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
-        with pytest.raises(ValueError):
-            diffusion_loss(m, [], linear_schedule(), make_rng(0))
+        with pytest.raises(ValueError, match="empty batch"):
+            diffusion_loss(m, np.empty((0, m.layer1.w0.shape[1])), np.empty((0, m.d)))
 
     def test_nonfinite_loss_reports_batch_index(self):
         ds = small_dataset()
         bad = Example(identity=0, x0=np.full(8, np.inf), prompt_id=0, split="test")
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="index 1"):
-            diffusion_loss(m, [ds.examples[0], bad], linear_schedule(), make_rng(0))
+            diffusion_loss(m, *batch_inputs(m, [ds.examples[0], bad], linear_schedule(),
+                                            make_rng(0)))
 
     def test_model_gradients_match_finite_differences(self):
         # Central differences through diffusion_loss (stage-1 mode, through
@@ -276,9 +293,10 @@ class TestDenoiser:
         bank.params[:] = 0.3 * make_rng(11).normal(size=bank.params.shape)
         batch = [ds.of_identity(0)[1], ds.of_identity(1)[2], ds.of_identity(0)[3]]
         ids = np.array([item.identity for item in batch])
+        inp, eps = batch_inputs(m, batch, s, make_rng(42))
 
         def loss():
-            return diffusion_loss(m, batch, s, make_rng(42), factors=bank.operands(ids))
+            return diffusion_loss(m, inp, eps, factors=bank.operands(ids))
 
         _, layer_grads = loss()
         rows = np.zeros_like(bank.params)
@@ -313,7 +331,8 @@ class TestDenoiser:
         for k in range(20):
             batch = [ds.examples[i] for i in pick.integers(len(ds.examples), size=6)]
             operands = None if factors is None else batch_operands(factors, batch)
-            loss, layer_grads = diffusion_loss(m, batch, s, make_rng(k), factors=operands)
+            loss, layer_grads = diffusion_loss(m, *batch_inputs(m, batch, s, make_rng(k)),
+                                               factors=operands)
             want_loss, want_grads = per_item_reference(m, batch, s, make_rng(k),
                                                        factors=factors)
             assert loss == want_loss
@@ -327,7 +346,7 @@ class TestDenoiser:
         snapshot = [[a.copy() for a in (l.w0, l.factors.l_meta_down, l.factors.l_mid,
                                          l.factors.l_up)] for l in m.layers]
         factors = stage1_factors(m, range(ds.n_identities), seed=16)
-        diffusion_loss(m, ds.examples[:6], linear_schedule(), make_rng(15),
+        diffusion_loss(m, *batch_inputs(m, ds.examples[:6], linear_schedule(), make_rng(15)),
                        factors=batch_operands(factors, ds.examples[:6]))
         assert all(a is b for a, b in zip((l.factors for l in m.layers), installed))
         for l, arrays in zip(m.layers, snapshot):
@@ -335,7 +354,77 @@ class TestDenoiser:
                 (l.w0, l.factors.l_meta_down, l.factors.l_mid, l.factors.l_up), arrays))
 
 
+def reference_pretrain(dataset, schedule, seed, hidden, loss_threshold, max_iters,
+                       window, lr=2e-3, batch_size=8):
+    """pretrain_base item by item: each iteration draws its picks, then each
+    item's t and noise (per_item_reference), and makes one adamw_step per
+    base weight on the items' gradients summed in item order onto zeros."""
+    rng = make_rng(seed)
+    model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, n_prompts=dataset.n_prompts,
+                              r1=min(16, dataset.d, hidden), factor_mode="zero")
+    states = [AdamWState(lr=lr) for _ in model.layers]
+    recent = []
+    for _ in range(max_iters):
+        idxs = rng.integers(len(dataset.examples), size=batch_size)
+        loss, layer_grads = per_item_reference(model, [dataset.examples[i] for i in idxs],
+                                               schedule, rng)
+        for layer, (_, _, _, dw0), state in zip(model.layers, layer_grads, states):
+            adamw_step(layer.w0, sum(dw0, np.zeros(dw0.shape[1:])), state)
+        recent = (recent + [loss])[-window:]
+        if len(recent) == window and float(np.mean(recent)) < loss_threshold:
+            return model
+    raise ConvergenceError(
+        f"pretraining did not reach loss {loss_threshold} within {max_iters} "
+        f"iterations (windowed loss {np.mean(recent):.4f})")
+
+
 class TestPretrain:
+    # every loss meets 1e9, so the run stops after exactly `window`
+    # iterations; at 0.9 it stops after 69, in the second block
+    @pytest.mark.parametrize("window, threshold, max_iters", [
+        (37, 1e9, 3000), (2 * DRAW_BLOCK + 9, 1e9, 3000), (20, 0.9, 3000)],
+        ids=["stops_mid_block", "past_two_blocks", "stops_on_its_loss"])
+    def test_matches_item_by_item_reference(self, window, threshold, max_iters):
+        # the last block is drawn past the stop; nothing reads the random
+        # stream after the loop, so the reference, which draws no further,
+        # has the same bits
+        ds = small_dataset(seed=20)
+        s = linear_schedule()
+        got = pretrain_base(ds, s, seed=6, hidden=16, loss_threshold=threshold,
+                            max_iters=max_iters, window=window)
+        want = reference_pretrain(ds, s, seed=6, hidden=16, loss_threshold=threshold,
+                                  max_iters=max_iters, window=window)
+        for a, b in zip(got.layers, want.layers):
+            assert a.w0.tobytes() == b.w0.tobytes()
+
+    def test_budget_exhaustion_matches_item_by_item_reference(self):
+        ds = small_dataset(seed=22)
+        s = linear_schedule()
+        errors = []
+        for train in (pretrain_base, reference_pretrain):
+            with pytest.raises(ConvergenceError) as exc:
+                train(ds, s, seed=3, hidden=16, loss_threshold=1e-9,
+                      max_iters=DRAW_BLOCK + 6, window=10)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        # a budget of a million iterations and a stop after five: the loss
+        # window and the drawn blocks stay small
+        ds = small_dataset(seed=24)
+        tracemalloc.start()
+        try:
+            pretrain_base(ds, linear_schedule(), seed=5, hidden=16, loss_threshold=1e9,
+                          max_iters=10**6, window=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_negative_lr_rejected_before_training(self):
+        with pytest.raises(ValueError, match="lr must be >= 0"):
+            pretrain_base(small_dataset(), linear_schedule(), seed=1, hidden=16, lr=-1.0)
+
     def test_pretrain_learns_and_freezes(self):
         ds = small_dataset(seed=20)
         s = linear_schedule()
@@ -348,8 +437,9 @@ class TestPretrain:
         # trained base beats an untrained one on the same batches
         fresh = ToyDenoiser.build(make_rng(1), d=8, hidden=16, n_prompts=2,
                                   r1=4, r2=1)
-        l_tr, _ = diffusion_loss(m, ds.examples[:16], s, make_rng(99))
-        l_un, _ = diffusion_loss(fresh, ds.examples[:16], s, make_rng(99))
+        l_tr, _ = diffusion_loss(m, *batch_inputs(m, ds.examples[:16], s, make_rng(99)))
+        l_un, _ = diffusion_loss(fresh, *batch_inputs(fresh, ds.examples[:16], s,
+                                                      make_rng(99)))
         assert l_tr < l_un
 
     def test_pretrain_deterministic(self):
