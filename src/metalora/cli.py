@@ -117,11 +117,10 @@ def write_svg_curve(path, ys, title: str = "", width: int = 640, height: int = 2
     lo, hi = float(ys.min()), float(ys.max())
     span = (hi - lo) or 1.0
     pad = 10
-    pts = []
-    for i, y in enumerate(ys):
-        px = pad + i * (width - 2 * pad) / (len(ys) - 1)
-        py = height - pad - (y - lo) * (height - 2 * pad) / span
-        pts.append(f"{px:.1f},{py:.1f}")
+    # each point's operations in a fixed order: the file's bytes depend on their bits
+    px = pad + np.arange(len(ys)) * (width - 2 * pad) / (len(ys) - 1)
+    py = height - pad - (ys - lo) * (height - 2 * pad) / span
+    pts = map("{:.1f},{:.1f}".format, px.tolist(), py.tolist())
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
            f'<title>{title}</title>'
            f'<rect width="100%" height="100%" fill="white"/>'
@@ -309,7 +308,8 @@ def cmd_evaluate(args) -> int:
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ManifestError(f"manifest {args.manifest} is not JSON: {exc}") from exc
     manifest = evaluation.EvalManifest.from_json(doc)
-    generated = evaluation.read_embeddings_jsonl(args.generated)
+    dim = manifest.identities[0].reference.size
+    generated = evaluation.read_embeddings_jsonl(args.generated, dim)
 
     def generator(reference, prompt):
         # reverse lookup by (identity, prompt); entries keyed "identity||prompt"
@@ -321,7 +321,6 @@ def cmd_evaluate(args) -> int:
                 return generated[key]
         raise KeyError("unknown reference")
 
-    dim = manifest.identities[0].reference.size
     embedder = evaluation.ToyEmbedder(dim, seed=args.embedder_seed)
     robust = evaluation.r_facesim(manifest, generator, embedder)
     conventional = evaluation.facesim_conventional(manifest, generator, embedder)

@@ -156,16 +156,22 @@ def discrepancy_report(facesim: float, r_facesim_score: float) -> float:
     return round(100.0 * (r_facesim_score - facesim) / facesim, 1)
 
 
-def read_embeddings_jsonl(path) -> dict[str, np.ndarray]:
-    """Embedding-exchange format: one {"id": ..., "vector": [...]} per line."""
+def read_embeddings_jsonl(path, dim: int | None = None) -> dict[str, np.ndarray]:
+    """Embedding-exchange format: one {"id": ..., "vector": [...]} per line, the
+    vector ``dim`` (if given) finite numbers; :class:`ManifestError` names a bad line."""
     out: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out[str(obj["id"])] = np.asarray(obj["vector"], dtype=np.float64)
+    with open(path, "rb") as fh:
+        for ln, line in enumerate(fh, 1):
+            try:  # ValueError: not JSON or not UTF-8, or not numbers
+                if line.strip():
+                    obj = json.loads(line)
+                    out[str(obj["id"])] = vec = np.asarray(obj["vector"], dtype=np.float64)
+                    if vec.shape != (dim or len(vec),) or not np.isfinite(vec).all():
+                        raise ValueError(f"vector of shape {vec.shape} is not a row of "
+                                         f"{dim or 'any number of'} finite numbers")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ManifestError(f"{path}:{ln}: not an embedding record "
+                                    f"({type(exc).__name__}: {exc})") from exc
     return out
 
 

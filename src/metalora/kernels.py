@@ -6,7 +6,8 @@ They live in their own module so that callers reach them as
 The chain kernels take 2-d operands, or stacks of independent items (batch
 items or runs) with a leading axis: ``(B, ., .)`` factors and inputs against
 a shared 2-d ``w0``. Stacked matmuls make the same BLAS call per item as the
-2-d call, so an item gives the same bits alone or inside a stack.
+2-d call, so an item gives the same bits alone or inside a stack, and a
+gradient written into a caller's array (``out``) has the bits of a new one.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ def chain_forward(w0, lmd, lm, lu, scale, x):
 GRADIENTS = frozenset({"lu", "lm", "lmd", "x", "w0"})
 
 
-def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS):
+def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=(None, None)):
     """Gradients ``(d_lu, d_lm, d_lmd, dx, dw0)`` of the chain, given
     d(loss)/dh ``g`` and the forward's ``u`` and ``mid``.
 
@@ -48,7 +49,8 @@ def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS):
     one left out is ``None``, and the matmuls only it uses are skipped. A
     computed gradient has the same bits whatever else is needed. An unknown
     name, or a bare string in place of a collection of names, raises
-    ``ValueError``.
+    ``ValueError``. A needed ``d_lu`` or ``d_lm`` is written into its array
+    in ``out``, if not ``None``, with the bits of a new array.
     """
     if isinstance(need, str) or not GRADIENTS.issuperset(need):
         raise ValueError(f"chain_backward: need={need!r} is not a collection of "
@@ -56,17 +58,17 @@ def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS):
     need = frozenset(need)
     d_lu = d_lm = d_lmd = dx = dw0 = None
     if "lu" in need:
-        d_lu = scale * (g @ mid.swapaxes(-1, -2))
-    if need & {"lm", "lmd", "x"}:
-        lut_g = lu.swapaxes(-1, -2) @ g
+        d_lu = np.multiply(scale, g @ mid.mT, out=out[0])
+    if not need.isdisjoint(("lm", "lmd", "x")):  # the users of lu.T g
+        lut_g = lu.mT @ g
         if "lm" in need:
-            d_lm = scale * (lut_g @ u.swapaxes(-1, -2))
-        if need & {"lmd", "x"}:
-            lmt_lut_g = lm.swapaxes(-1, -2) @ lut_g
+            d_lm = np.multiply(scale, lut_g @ u.mT, out=out[1])
+        if not need.isdisjoint(("lmd", "x")):
+            lmt_lut_g = lm.mT @ lut_g
             if "lmd" in need:
-                d_lmd = scale * (lmt_lut_g @ x.swapaxes(-1, -2))
+                d_lmd = scale * (lmt_lut_g @ x.mT)
             if "x" in need:
-                dx = w0.swapaxes(-1, -2) @ g + scale * (lmd.swapaxes(-1, -2) @ lmt_lut_g)
+                dx = w0.mT @ g + scale * (lmd.mT @ lmt_lut_g)
     if "w0" in need:
-        dw0 = g @ x.swapaxes(-1, -2)
+        dw0 = g @ x.mT
     return d_lu, d_lm, d_lmd, dx, dw0

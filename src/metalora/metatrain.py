@@ -116,13 +116,6 @@ def split_params(params: np.ndarray, dims: list[tuple[int, int]], r1: int, r2: i
     return list(zip(views[0::2], views[1::2]))
 
 
-def join_grads(layer_grads) -> np.ndarray:
-    """Each item's mid/up gradients from :func:`metalora.toymodel.train_step`
-    as one row in the layout of :func:`split_params`."""
-    return np.concatenate([g.reshape(len(g), -1) for grads in layer_grads
-                           for g in grads[:2]], axis=1)
-
-
 class IdentityBank:
     """Shared down factors (one per adapted layer, a ``FlatGroup``) plus
     every identity's mid/up factors, one row each of a flat
@@ -268,15 +261,17 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
 
     The schedule is fixed before the loop, so :func:`drawn_batches` draws
     each iteration's batch, from its bucket's examples, blocks ahead. An
-    iteration makes one :func:`diffusion_loss` call, one update of its
-    identities' rows and, with the gate open, one step of the shared
-    factors' ``FlatGroup``.
+    iteration makes one :func:`diffusion_loss` call, writing its items' mid/up
+    gradients into one (batch_size, n) buffer, one update of its identities'
+    rows and, with the gate open, one step of the shared factors' ``FlatGroup``.
     """
     rng = make_rng(config.seed)
     buckets = partition_buckets(dataset, config.identities_per_bucket,
                                 config.batch_size, config.seed,
                                 config.warm_up_fraction)
     bank = IdentityBank(model, dataset.n_identities, config, rng)
+    item_grads = np.empty((config.batch_size, bank.params.shape[1]))
+    grad_views = split_params(item_grads, *bank.layout)
     entries, executed = [], 0  # each bucket entry's bucket and warm-up
     for bucket in cycle(buckets):
         if executed >= config.q_total:
@@ -298,8 +293,8 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
         try:
             loss, layer_grads = diffusion_loss(
                 model, inp, eps, factors=bank.operands(identities),
-                need=LIVE_NEED if lomd_live else WARM_UP_NEED)
-            rows = bank.update(identities, join_grads(layer_grads))
+                need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
+            rows = bank.update(identities, item_grads)
         except NumericError as exc:
             raise NumericError(f"iteration {it}: {exc}") from exc
         if lomd_live:

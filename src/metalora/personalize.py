@@ -24,7 +24,7 @@ from .augment import CropSpec, FaceBox, plan_crops, sample_view
 from .checkpoint import load_checkpoint
 from .errors import (CheckpointError, DimensionError, MetaLoraError,
                      NumericError, RankError)
-from .metatrain import fresh_identity_params, join_grads, split_params
+from .metatrain import fresh_identity_params, split_params
 from .numerics import AdamWState, checksum, make_rng
 from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
                        ToyIdentityDataset, train_step)
@@ -280,14 +280,14 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     content (the reference latent's bytes, the rect and the flip), and each
     key's :func:`view_latent` is computed once, on first draw. A drawn
     block is noised and conditioned at once, per stream, by one
-    ``model.noised_inputs`` call, into (block, streams, .) buffers allocated
-    once per call; each iteration gathers its row of them by the jobs'
-    streams. The math of all runs goes through one
-    :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands,
-    whose matmuls make the same BLAS call per run as a lone run. One
-    ``kernels.adamw_update`` covers a flat (R, n) buffer holding every run's
-    mid and up factors in stage 1's layout
-    (:func:`metalora.metatrain.split_params`). The loss curves fill
+    ``model.noised_inputs`` call, and gathered once by the jobs' streams
+    into (block, R, .) buffers allocated once per call. An iteration makes
+    one :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands
+    listed once per call, whose matmuls make the same BLAS call per run as
+    a lone run, and one ``kernels.adamw_update`` of a flat (R, n) buffer
+    holding every run's mid and up factors in stage 1's layout
+    (:func:`metalora.metatrain.split_params`); the step writes their
+    gradients into an (R, n) buffer of the same layout. The loss curves fill
     (iterations, R) arrays. A probe's input and its frozen layer-1 products
     are built once per run, and its layer-1 pre-activation is written into
     one preallocated buffer.
@@ -308,7 +308,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     filled = np.zeros(len(latent_args), dtype=bool)
     block = min(DRAW_BLOCK, cfg.q_st2)
     noise = np.empty((block, len(streams), d))
-    inputs = np.empty((block, len(streams), layer1.w0.shape[1]))
+    job_inputs = np.empty((block, R, layer1.w0.shape[1], 1))
+    job_noise = np.empty((block, R, d))
     before = ["".join(checksum(m) for m in job.lmd) for job in jobs]
 
     params = np.stack([streams[s].fresh for s in job_stream])
@@ -316,8 +317,10 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     hyper = (state.lr, state.beta1, state.beta2, state.eps, state.weight_decay)
-    moments = np.zeros_like(params), np.zeros_like(params)
+    grads, *moments = np.zeros((3, *params.shape))  # and AdamW's two moments
+    grad_views = split_params(grads, dims, cfg.r1, cfg.r2)
     w0_1, w0_2, s1, s2 = layer1.w0, layer2.w0, layer1.scale, layer2.scale
+    operands = ([w0_1, w0_2], [s1, s2], [lmd1, lmd2], [lm1, lm2], [lu1, lu2])
 
     probed = jobs[0].probe is not None
     if probed:
@@ -348,27 +351,25 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
             for row in drawn[~filled[drawn]]:
                 table[row] = view_latent(*latent_args[row], cfg.view_strength)
             filled[drawn] = True
-            inputs[:n] = model.noised_inputs(
-                table[rows].reshape(-1, d), ts.ravel(), prompts.ravel(),
-                noise[:n].reshape(-1, d), schedule).reshape(n, len(streams), -1)
-        losses, layer_grads = train_step([w0_1, w0_2], [s1, s2], [lmd1, lmd2],
-                                         [lm1, lm2], [lu1, lu2],
-                                         inputs[i][job_stream][:, :, None],
-                                         noise[i][job_stream], 1, need=STAGE2_NEED)
+            np.take(model.noised_inputs(table[rows].reshape(-1, d), ts.ravel(), prompts.ravel(),
+                                        noise[:n].reshape(-1, d), schedule
+                                        ).reshape(n, len(streams), -1),
+                    job_stream, axis=1, out=job_inputs[:n, :, :, 0])
+            np.take(noise[:n], job_stream, axis=1, out=job_noise[:n])
+        losses, _ = train_step(*operands, job_inputs[i], job_noise[i], 1, need=STAGE2_NEED,
+                               out=grad_views)
         if not np.isfinite(losses).all():
             bad = np.flatnonzero(~np.isfinite(losses))[0]
             raise NumericError(f"job {bad}: non-finite loss at stage-2 iteration {it}")
-        grads = join_grads(layer_grads)
         if not np.isfinite(grads).all():
             bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))[0]
-            raise NumericError(f"job {bad}: non-finite gradient at stage-2 "
-                               f"iteration {it}")
+            raise NumericError(f"job {bad}: non-finite gradient at stage-2 iteration {it}")
         kernels.adamw_update(params, grads, *moments, it + 1, *hyper)
         train_losses[it] = losses
         if probed:
             record_probe(it + 1)
 
-    del noise, inputs  # the blocks' buffers go before the curves become lists
+    del noise, job_inputs, job_noise  # the blocks' buffers go before the curves become lists
     train_curves = train_losses.T.tolist()
     probe_curves = probe_losses.T.tolist() if probed else [[] for _ in jobs]
     results = []

@@ -195,20 +195,20 @@ class ToyDenoiser:
         self.layer2.factors = f2
 
     def conditioned(self, x_t: np.ndarray, ts, prompt_ids,
-                    schedule: DiffusionSchedule) -> np.ndarray:
-        """Network input rows (B, d_in): each noisy latent (B, d) next to its
-        timestep's row of ``schedule.time_table`` and its prompt's one-hot code."""
+                    schedule: DiffusionSchedule, out=None) -> np.ndarray:
+        """Network input rows (B, d_in), into ``out`` if given: each noisy latent
+        (B, d), its timestep's row of ``schedule.time_table``, its prompt's code."""
         return np.concatenate([x_t, schedule.time_table[ts], self.prompt_codes[prompt_ids]],
-                              axis=1)
+                              axis=1, out=out)
 
     def noised_inputs(self, x0: np.ndarray, ts, prompt_ids, eps: np.ndarray,
-                      schedule: DiffusionSchedule) -> np.ndarray:
+                      schedule: DiffusionSchedule, out=None) -> np.ndarray:
         """:meth:`conditioned` rows of the latents ``x0`` (N, d) noised at
         timesteps ``ts`` by ``eps`` (N, d), as :func:`noisify` noises one.
         ``x0`` is overwritten by the noisy latents."""
         x0 *= schedule.sqrt_ab[ts, None]
         x0 += schedule.sqrt_1m_ab[ts, None] * eps
-        return self.conditioned(x0, ts, prompt_ids, schedule)
+        return self.conditioned(x0, ts, prompt_ids, schedule, out)
 
     def predict(self, x_t: np.ndarray, t: int, schedule: DiffusionSchedule,
                 prompt_id: int) -> np.ndarray:
@@ -227,7 +227,7 @@ _LAYER2_NEED = {frozenset(c): frozenset(c) | {"x"}
 
 
 def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
-               need=TRAINED):
+               need=TRAINED, out=None):
     """One forward/backward of the denoiser over B stacked items.
 
     Each argument but the last three is a per-layer list: the base ``w0``
@@ -245,23 +245,27 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
     gradient with respect to layer 2's input is always computed, because
     it carries the backward pass into layer 1; layer 1's is never
     computed. A computed gradient has the same bits whatever else is needed.
+    ``out`` holds per layer two arrays, or ``None``, that the needed mid and
+    up gradients are written into and returned as, say ``split_params`` views.
     """
     need = frozenset(need)
     if need not in _LAYER2_NEED:
         raise ValueError(f"train_step: need={sorted(need)} names a tensor outside "
                          f"{sorted(TRAINED)}")
+    (lm_out1, lu_out1), (lm_out2, lu_out2) = out or [(None, None)] * 2
     z, u1, mid1 = kernels.chain_forward(w0[0], lmd[0], lm[0], lu[0], scale[0], inp)
     a = np.tanh(z)
-    out, u2, mid2 = kernels.chain_forward(w0[1], lmd[1], lm[1], lu[1], scale[1], a)
-    resid = out[:, :, 0] - eps
+    out2, u2, mid2 = kernels.chain_forward(w0[1], lmd[1], lm[1], lu[1], scale[1], a)
+    resid = out2[:, :, 0] - eps
     # np.mean's own sum and division, without its Python wrapper
     losses = np.add.reduce(resid ** 2, axis=1) / resid.shape[1]
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
     d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
-        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=_LAYER2_NEED[need])
+        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=_LAYER2_NEED[need],
+        out=(lu_out2, lm_out2))
     d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
         w0[0], lmd[0], lm[0], lu[0], scale[0], inp, u1, mid1, g_a * (1.0 - a * a),
-        need=need)
+        need=need, out=(lu_out1, lm_out1))
     return losses, [(d_lm1, d_lu1, d_lmd1, dw0_1), (d_lm2, d_lu2, d_lmd2, dw0_2)]
 
 
@@ -271,26 +275,29 @@ def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: Diffus
     (B, d), drawn :data:`DRAW_BLOCK` iterations ahead in a lone loop's order:
     ``batch_size`` picks from the iteration's pool (the next of ``pools``),
     then each item's ``t`` and noise. A block is noised and conditioned at
-    once."""
+    once, in buffers allocated once per call: an iteration's arrays are
+    overwritten when the next block is drawn."""
     pools = iter(pools)
+    noise = np.empty((DRAW_BLOCK, batch_size, model.d))
+    inputs = np.empty((DRAW_BLOCK, batch_size, model.layer1.w0.shape[1]))
     while block := list(islice(pools, DRAW_BLOCK)):
         batches, ts = [], []
-        noise = np.empty((len(block), batch_size, model.d))
         for j, pool in enumerate(block):
             batches.append([pool[i] for i in rng.integers(len(pool), size=batch_size).tolist()])
             for k in range(batch_size):
                 ts.append(rng.integers(schedule.T))
                 noise[j, k] = rng.normal(0.0, 1.0, size=model.d)
         items = [item for batch in batches for item in batch]
-        inputs = model.noised_inputs(np.stack([e.x0 for e in items]), np.array(ts),
-                                     [e.prompt_id for e in items], noise.reshape(-1, model.d),
-                                     schedule)
-        yield from zip(batches, inputs.reshape(len(block), batch_size, -1), noise)
+        rows = inputs[:len(block)].reshape(len(items), -1)  # the latents go in place
+        model.noised_inputs(np.stack([e.x0 for e in items], out=rows[:, :model.d]),
+                            np.array(ts), [e.prompt_id for e in items],
+                            noise[:len(block)].reshape(len(items), -1), schedule, out=rows)
+        yield from zip(batches, inputs, noise)
 
 
 def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
                    factors: list[tuple] | None = None, *,
-                   need=TRAINED) -> tuple[float, list[tuple]]:
+                   need=TRAINED, out=None) -> tuple[float, list[tuple]]:
     """Mean squared error between predicted and injected noise over a batch:
     the network inputs ``inp`` (B, d_in) and the noise ``eps`` (B, d), one
     iteration's draw of :func:`drawn_batches`.
@@ -298,8 +305,8 @@ def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
     ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` operands per
     layer; omitted, every item uses the model's own factors. The whole batch
     makes one :func:`train_step`, whose per-item gradients are returned:
-    those named in ``need``, and ``None`` in place of each one left out. The
-    model is only read.
+    those named in ``need``, and ``None`` in place of each one left out;
+    ``out`` is :func:`train_step`'s. The model is only read.
     """
     if not len(eps):
         raise ValueError("diffusion_loss: empty batch")
@@ -309,7 +316,7 @@ def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
     losses, layer_grads = train_step([l.w0 for l in model.layers],
                                      [l.scale for l in model.layers],
                                      *zip(*factors), inp[:, :, None], eps, len(eps),
-                                     need=need)
+                                     need=need, out=out)
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite loss at batch index "
                            f"{np.flatnonzero(~np.isfinite(losses))[0]}")

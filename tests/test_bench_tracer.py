@@ -83,7 +83,9 @@ def test_one_stacked_step_per_training_iteration():
     # call per iteration, and it makes one chain_forward and one
     # chain_backward call per layer, whatever the batch size; a stage-1
     # iteration makes one AdamW update for the identities' mid/up factors
-    # and one per shared down factor
+    # and one per shared down factor. A stage-2 iteration without a probe,
+    # alone or in lockstep, makes one step (two chain_forward and two
+    # chain_backward calls) and one AdamW update.
     tracer_module = load_tracer_module()
     rng = make_rng(0)
     dataset = toymodel.make_dataset(rng, n_identities=4, d=4, samples_per_identity=3,
@@ -100,6 +102,13 @@ def test_one_stacked_step_per_training_iteration():
                                        max_iters=50, window=5, r1=2)
         tracer.set_phase("stage1")
         result = metatrain.run_stage1(model, dataset, schedule, config)
+        stage2 = personalize.PersonalizeConfig(q_st2=70, r1=2, r2=1)  # crosses a block
+        tracer.set_phase("stage2_lone")
+        personalize.run_stage2(model, result.lmd, dataset.reference_of(0), schedule, stage2)
+        tracer.set_phase("stage2_lockstep")
+        personalize.run_stage2_many(model, [
+            personalize.Stage2Job(result.lmd, dataset.reference_of(i), replace(stage2, seed=i))
+            for i in range(3)], schedule)
     finally:
         tracer.uninstall()
     assert tracer.stats["setup"]["toymodel.pretrain_base"]["iterations"] == 5
@@ -110,6 +119,11 @@ def test_one_stacked_step_per_training_iteration():
         assert stats["kernels.chain_backward"]["calls"] == 2 * iterations, phase
     adamw_calls = tracer.stats["stage1"]["kernels.adamw_update"]["calls"]
     assert adamw_calls <= 3 * result.executed_iterations
+    for phase in ("stage2_lone", "stage2_lockstep"):
+        stats = tracer.stats[phase]
+        assert stats["kernels.chain_forward"]["calls"] == 2 * 70, phase
+        assert stats["kernels.chain_backward"]["calls"] == 2 * 70, phase
+        assert stats["kernels.adamw_update"]["calls"] == 70, phase
 
 
 def test_each_stage_requests_only_the_gradients_it_trains(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from metalora.checkpoint import (MAGIC, VERSION, config_hash, load_checkpoint,
                                  save_checkpoint)
-from metalora.cli import main, parse_config
+from metalora.cli import main, parse_config, write_svg_curve
 from metalora.errors import CheckpointError, ConfigError
 from metalora.numerics import make_rng
 
@@ -296,6 +297,28 @@ class TestPipeline:
         assert any(r["w"] == 600 and r["h"] == 600 for r in recs)
 
 
+def per_point_svg_points(ys, width=640, height=240, pad=10):
+    """A curve's polyline points, computed and formatted one point at a time."""
+    lo, hi = float(np.min(ys)), float(np.max(ys))
+    span = (hi - lo) or 1.0
+    pts = []
+    for i, y in enumerate(np.asarray(ys, dtype=np.float64)):
+        px = pad + i * (width - 2 * pad) / (len(ys) - 1)
+        py = height - pad - (y - lo) * (height - 2 * pad) / span
+        pts.append(f"{px:.1f},{py:.1f}")
+    return " ".join(pts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 375, 3000])
+def test_svg_points_match_a_per_point_loop(tmp_path, n):
+    rng = make_rng(n)
+    path = tmp_path / "curve.svg"
+    for ys in (rng.normal(size=n), np.full(n, 0.25), 1e-3 * np.cumsum(rng.exponential(size=n))):
+        write_svg_curve(path, list(ys), title="loss")
+        points = re.search(r'points="([^"]*)"', path.read_text()).group(1)
+        assert points == per_point_svg_points(ys)
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -423,6 +446,27 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("generated, message", [
+        ("not json\n", "JSONDecodeError"),
+        ('{"id": "a||p"}\n', "KeyError: 'vector'"),
+        ('{"id": "a||p", "vector": [1.0, 2.0]}\n', "(2,) is not a row of 3 finite numbers")],
+        ids=["not_json_lines", "no_vector", "wrong_length"])
+    def test_malformed_embeddings_file_is_3(self, tmp_path, capsys, generated, message):
+        man = tmp_path / "man.json"
+        man.write_text(json.dumps({"identities": [{"id": "a", "reference": [1.0, 0.0, 0.0],
+                                                   "tests": [[0.0, 1.0, 0.0]]}],
+                                   "prompts": ["p"]}))
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text('{"id": "a||q", "vector": [1.0, 2.0, 3.0]}\n\n' + generated)
+        rc = main(["evaluate", "--manifest", str(man), "--generated", str(gen),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io"
+        assert "gen.jsonl:3: not an embedding record" in err["message"]
+        assert message in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):
