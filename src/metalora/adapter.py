@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, ImmutabilityError, RankError
+from .errors import DimensionError, RankError
 from .numerics import checksum, gaussian
 
 
@@ -81,9 +81,9 @@ class FactorGrads:
 class AdaptedLayer:
     """A linear layer with a frozen base weight and a three-factor residual.
 
-    The base weight may be trained before :meth:`freeze_base` is called
-    (used when building the toy backbone); after that any update attempt
-    raises :class:`ImmutabilityError`.
+    The base weight may be trained in place before :meth:`freeze_base` is
+    called (when building the toy backbone). Freezing write-protects it, so
+    any later in-place write raises ``ValueError``, and records its checksum.
     """
 
     def __init__(self, w0: np.ndarray, factors: AdapterFactors, scale: float = 1.0):
@@ -93,25 +93,12 @@ class AdaptedLayer:
         self.w0 = np.ascontiguousarray(w0, dtype=np.float64)
         self.factors = factors
         self.scale = scale
-        self.base_frozen = False
-        self._base_checksum: str | None = None
+        self.base_checksum: str | None = None  # set by freeze_base
 
     def freeze_base(self) -> str:
-        self.base_frozen = True
         self.w0.setflags(write=False)
-        self._base_checksum = checksum(self.w0)
-        return self._base_checksum
-
-    @property
-    def base_checksum(self) -> str | None:
-        return self._base_checksum
-
-    def update_base(self, delta: np.ndarray) -> None:
-        if self.base_frozen:
-            raise ImmutabilityError("base weight is frozen")
-        if delta.shape != self.w0.shape:
-            raise DimensionError("update_base", self.w0.shape, delta.shape)
-        self.w0 += delta
+        self.base_checksum = checksum(self.w0)
+        return self.base_checksum
 
     def _operands(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         if x.ndim != 2 or x.shape[0] != self.factors.d1:

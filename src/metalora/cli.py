@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -130,31 +131,28 @@ def write_svg_curve(path, ys, title: str = "", width: int = 640, height: int = 2
         fh.write(svg)
 
 
-def _build_world(cfg: dict):
-    """Deterministic dataset + schedule from a config."""
-    rng = make_rng(cfg["seed"])
-    dataset = toymodel.make_dataset(
-        rng, n_identities=cfg["n_identities"], d=cfg["latent_dim"],
-        samples_per_identity=cfg["samples_per_identity"], n_prompts=cfg["n_prompts"],
-        single_prototype=cfg["single_prototype"])
-    schedule = toymodel.linear_schedule(cfg["timesteps"])
-    return dataset, schedule
-
-
-def _split_identities(cfg: dict):
+def _load_world(args) -> SimpleNamespace:
+    """A pipeline command's config, dataset, schedule and identity split and,
+    if it takes them, the frozen base of ``--checkpoint`` and the shared
+    factors of ``--stage1``, by name."""
+    cfg = parse_config(args.config, {"seed": args.seed})
     n, h = cfg["n_identities"], cfg["heldout_identities"]
-    return list(range(n - h)), list(range(n - h, n))
-
-
-def _load_base_model(cfg: dict, base_ckpt: str) -> toymodel.ToyDenoiser:
-    header, tensors = load_checkpoint(base_ckpt)
+    world = SimpleNamespace(
+        cfg=cfg, schedule=toymodel.linear_schedule(cfg["timesteps"]),
+        dataset=toymodel.make_dataset(
+            make_rng(cfg["seed"]), n_identities=n, d=cfg["latent_dim"],
+            samples_per_identity=cfg["samples_per_identity"], n_prompts=cfg["n_prompts"],
+            single_prototype=cfg["single_prototype"]),
+        train_ids=list(range(n - h)), heldout=list(range(n - h, n)))
+    if not hasattr(args, "checkpoint"):
+        return world
+    header, tensors = load_checkpoint(args.checkpoint)
     if header.get("kind") != "base":
         raise CheckpointError(f"not a base checkpoint (kind={header.get('kind')!r})")
-    rng = make_rng(cfg["seed"])
-    model = toymodel.ToyDenoiser.build(
-        rng, d=cfg["latent_dim"], hidden=cfg["hidden_dim"],
+    world.model = toymodel.ToyDenoiser.build(
+        make_rng(cfg["seed"]), d=cfg["latent_dim"], hidden=cfg["hidden_dim"],
         n_prompts=cfg["n_prompts"], r1=cfg["r1"], r2=cfg["r2"], factor_mode="zero")
-    for li, layer in enumerate(model.layers):
+    for li, layer in enumerate(world.model.layers):
         if f"w0.{li}" not in tensors:
             raise CheckpointError(f"base checkpoint lacks w0.{li}")
         w0 = tensors[f"w0.{li}"]
@@ -163,7 +161,9 @@ def _load_base_model(cfg: dict, base_ckpt: str) -> toymodel.ToyDenoiser:
                                   f"{layer.w0.shape}")
         layer.w0[:] = w0
         layer.freeze_base()
-    return model
+    if hasattr(args, "stage1"):
+        world.lmd = personalize.load_stage1(args.stage1, cfg["r1"], world.model.dims)
+    return world
 
 
 def _personalize_config(cfg: dict) -> personalize.PersonalizeConfig:
@@ -175,17 +175,16 @@ def _personalize_config(cfg: dict) -> personalize.PersonalizeConfig:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = parse_config(args.config, {"seed": args.seed})
-    dataset, schedule = _build_world(cfg)
-    train_ids, _ = _split_identities(cfg)
-    train_set = toymodel.subset_dataset(dataset, train_ids)
+    world = _load_world(args)
+    cfg = world.cfg
     model = toymodel.pretrain_base(
-        train_set, schedule, seed=cfg["seed"] + 1, hidden=cfg["hidden_dim"],
+        toymodel.subset_dataset(world.dataset, world.train_ids), world.schedule,
+        seed=cfg["seed"] + 1, hidden=cfg["hidden_dim"],
         lr=cfg["pretrain_lr"], batch_size=cfg["pretrain_batch_size"],
         loss_threshold=cfg["pretrain_loss_threshold"],
-        max_iters=cfg["pretrain_max_iters"], r1=cfg["r1"], r2=cfg["r2"])
+        max_iters=cfg["pretrain_max_iters"])
     header = {"kind": "base", "seed": cfg["seed"], "config_hash": config_hash(cfg),
-              "layer_dims": [[l.factors.d1, l.factors.d2] for l in model.layers],
+              "layer_dims": [list(dims) for dims in model.dims],
               "base_checksums": [l.base_checksum for l in model.layers]}
     save_checkpoint(args.out, header, {f"w0.{li}": l.w0
                                        for li, l in enumerate(model.layers)})
@@ -195,11 +194,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_metatrain(args) -> int:
-    cfg = parse_config(args.config, {"seed": args.seed})
-    dataset, schedule = _build_world(cfg)
-    train_ids, _ = _split_identities(cfg)
-    train_set = toymodel.subset_dataset(dataset, train_ids)
-    model = _load_base_model(cfg, args.checkpoint)
+    world = _load_world(args)
+    cfg = world.cfg
     tc = metatrain.TrainConfig(
         q_total=cfg["q_total"], batch_size=cfg["batch_size"], lr=cfg["lr"],
         seed=cfg["seed"], r1=cfg["r1"], r2=cfg["r2"],
@@ -207,7 +203,8 @@ def cmd_metatrain(args) -> int:
         warm_up_fraction=cfg["warm_up_fraction"],
         warm_up_every_entry=cfg["warm_up_every_entry"],
         weight_decay=cfg["weight_decay"])
-    result = metatrain.run_stage1(model, train_set, schedule, tc)
+    train_set = toymodel.subset_dataset(world.dataset, world.train_ids)
+    result = metatrain.run_stage1(world.model, train_set, world.schedule, tc)
     header = {"kind": "stage1", "r1": cfg["r1"], "seed": cfg["seed"],
               "config_hash": config_hash(cfg),
               "executed_iterations": result.executed_iterations}
@@ -225,15 +222,11 @@ def cmd_metatrain(args) -> int:
 
 
 def cmd_personalize(args) -> int:
-    cfg = parse_config(args.config, {"seed": args.seed})
-    dataset, schedule = _build_world(cfg)
-    _, heldout = _split_identities(cfg)
-    model = _load_base_model(cfg, args.checkpoint)
-    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
-    lmd = personalize.load_stage1(args.stage1, cfg["r1"], dims)
-    ident = cfg["target_identity"] if cfg["target_identity"] >= 0 else heldout[0]
-    ref = dataset.reference_of(ident)
-    result = personalize.run_stage2(model, lmd, ref, schedule, _personalize_config(cfg))
+    world = _load_world(args)
+    cfg = world.cfg
+    ident = cfg["target_identity"] if cfg["target_identity"] >= 0 else world.heldout[0]
+    result = personalize.run_stage2(world.model, world.lmd, world.dataset.reference_of(ident),
+                                    world.schedule, _personalize_config(cfg))
     tensors = {}
     for li, f in enumerate(result.factors):
         tensors[f"lmd.{li}"] = f.l_meta_down
@@ -310,16 +303,13 @@ def cmd_evaluate(args) -> int:
     manifest = evaluation.EvalManifest.from_json(doc)
     dim = manifest.identities[0].reference.size
     generated = evaluation.read_embeddings_jsonl(args.generated, dim)
+    identity_of = {id(entry.reference): entry.identity for entry in manifest.identities}
 
     def generator(reference, prompt):
-        # reverse lookup by (identity, prompt); entries keyed "identity||prompt"
-        for entry in manifest.identities:
-            if entry.reference is reference:
-                key = f"{entry.identity}||{prompt}"
-                if key not in generated:
-                    raise KeyError(f"no generated item for {key}")
-                return generated[key]
-        raise KeyError("unknown reference")
+        key = f"{identity_of[id(reference)]}||{prompt}"
+        if key not in generated:
+            raise KeyError(f"no generated item for {key}")
+        return generated[key]
 
     embedder = evaluation.ToyEmbedder(dim, seed=args.embedder_seed)
     robust = evaluation.r_facesim(manifest, generator, embedder)
@@ -365,15 +355,12 @@ def cmd_augment_plan(args) -> int:
 
 
 def cmd_speed_experiment(args) -> int:
-    cfg = parse_config(args.config, {"seed": args.seed})
-    dataset, schedule = _build_world(cfg)
-    _train_ids, heldout = _split_identities(cfg)
-    model = _load_base_model(cfg, args.checkpoint)
-    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
-    lmd = personalize.load_stage1(args.stage1, cfg["r1"], dims)
+    world = _load_world(args)
+    cfg = world.cfg
     seeds = [cfg["seed"] + i for i in range(cfg["speed_seeds"])]
     report = personalize.adaptation_speed_experiment(
-        model, dataset, heldout, lmd, schedule, _personalize_config(cfg), seeds)
+        world.model, world.dataset, world.heldout, world.lmd, world.schedule,
+        _personalize_config(cfg), seeds)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     with open(str(args.out) + ".csv", "w", newline="") as fh:

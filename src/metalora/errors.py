@@ -21,10 +21,6 @@ class NumericError(MetaLoraError):
     """Non-finite value encountered where finite math is required."""
 
 
-class ImmutabilityError(MetaLoraError):
-    """Attempted to modify a frozen parameter."""
-
-
 class CheckpointError(MetaLoraError):
     """Checkpoint file is malformed. Carries the byte offset of the problem."""
 

@@ -51,6 +51,9 @@ class EvalManifest:
             raise ManifestError("manifest has no identities")
         if not self.prompts:
             raise ManifestError("manifest has no prompts")
+        sizes = {v.size for e in self.identities for v in (e.reference, *e.tests)}
+        if len(sizes) > 1 or 0 in sizes:
+            raise ManifestError(f"manifest vectors need one nonzero length, not {sorted(sizes)}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "EvalManifest":

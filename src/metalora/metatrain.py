@@ -15,7 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, cycle, tee
+from itertools import cycle, tee
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class IdentityBank:
 
     def __init__(self, model: ToyDenoiser, n_identities: int, config: TrainConfig,
                  rng: np.random.Generator):
-        dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+        dims = model.dims
         self.layout = (dims, config.r1, config.r2)  # split_params' arguments
         self.shared = FlatGroup([init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down
                                  for d1, d2 in dims],
@@ -137,10 +137,8 @@ class IdentityBank:
         self.params, m, v = self._planes
         self.state = AdamWState(lr=config.lr, weight_decay=config.weight_decay, m=m, v=v)
         self.steps = np.zeros(n_identities, dtype=np.int64)
-        # each factor block's slice of a params row, in split_params' order
-        sizes = [n for _d1, d2 in dims for n in (config.r2 * config.r1, d2 * config.r2)]
-        ends = list(accumulate(sizes, initial=0))
-        self._blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        # each factor block's (n_identities, ., .) view of params
+        self._blocks = [b for pair in split_params(self.params, *self.layout) for b in pair]
         # the checksum memos: what was last hashed, and its checksums
         self._hashed_bits: np.ndarray | None = None
         self._row_checksums = [""] * n_identities
@@ -172,7 +170,7 @@ class IdentityBank:
 
     def identity_checksums(self) -> dict[int, str]:
         """Every identity's checksum: per layer, its mid then its up factor,
-        each hashed from its contiguous slice of the identity's row.
+        each hashed from its contiguous block of the identity's row.
 
         Only rows whose bits changed since the last call are rehashed. The
         comparison is on the raw 64-bit words, so any change of bits (``0.0``
@@ -184,8 +182,7 @@ class IdentityBank:
             changed = np.flatnonzero((bits != self._hashed_bits).any(axis=1)).tolist()
         if len(changed):
             for i in changed:
-                row = self.params[i]
-                self._row_checksums[i] = "".join([checksum(row[b]) for b in self._blocks])
+                self._row_checksums[i] = "".join([checksum(b[i]) for b in self._blocks])
             self._hashed_bits = bits.copy()
         return dict(enumerate(self._row_checksums))
 

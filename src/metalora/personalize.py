@@ -27,7 +27,7 @@ from .errors import (CheckpointError, DimensionError, MetaLoraError,
 from .metatrain import fresh_identity_params, split_params
 from .numerics import AdamWState, checksum, make_rng
 from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
-                       ToyIdentityDataset, train_step)
+                       ToyIdentityDataset, forward, train_step)
 
 
 @dataclass
@@ -127,9 +127,7 @@ def probe_loss(model: ToyDenoiser, schedule: DiffusionSchedule,
                probe: list[ProbeItem]) -> float:
     """Probe loss of the model with its installed factors."""
     inp, eps = _probe_batch(model, schedule, probe)
-    a = np.tanh(model.layer1.forward(inp))
-    out = model.layer2.forward(a)
-    return float(np.mean((out - eps) ** 2))
+    return float(np.mean((forward(*model.operands(), inp) - eps) ** 2))
 
 
 @dataclass
@@ -180,8 +178,8 @@ def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
         if job.probe is not None and len(job.probe) != len(first.probe):
             raise MetaLoraError(f"job {k}: probe has {len(job.probe)} items, "
                                 f"job 0's has {len(first.probe)}")
-        for li, layer in enumerate(model.layers):
-            want = (first.config.r1, layer.factors.d1)
+        for li, (d1, _d2) in enumerate(model.dims):
+            want = (first.config.r1, d1)
             if job.lmd[li].shape != want:
                 raise DimensionError(f"job {k}: shared down factor {li}",
                                      job.lmd[li].shape, want)
@@ -190,24 +188,24 @@ def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
 @dataclass
 class _Stream:
     """One seeded random stream of :func:`run_stage2_many`, shared by the jobs
-    with its seed and reference objects. ``slots[v, flip]`` is the view-latent
-    table row of view ``v`` (a reference and a crop spec) with that flip."""
+    with its seed and reference objects. ``latents[v, flip]`` is the latent
+    of view ``v`` (a reference and a crop spec) with that flip."""
     rng: np.random.Generator
     views: list[tuple[Example, CropSpec]]
-    slots: np.ndarray
+    latents: np.ndarray  # (n_views, 2, d)
     prompts: np.ndarray  # (n_views,) each view's reference prompt
     fresh: np.ndarray    # the fresh mid/up factors, drawn first
 
 
-def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]]):
+def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
+                  strength: float):
     """The call's streams, one per distinct (seed, reference objects), and
-    the stream of each job. Also the view-latent table's rows: one per
-    distinct (reference latent bytes, rect, flip), as :func:`view_latent`'s
-    first three arguments."""
+    the stream of each job. The streams' view latents come from one dict
+    keyed by content (reference latent bytes, rect, flip), so each key's
+    :func:`view_latent` is computed once per call."""
     streams: list[_Stream] = []
     stream_of: dict[tuple, int] = {}  # (seed, reference ids) -> stream
-    rows: dict[tuple, int] = {}       # (latent bytes, rect, flip) -> table row
-    latent_args: list[tuple] = []
+    made: dict[tuple, np.ndarray] = {}  # (latent bytes, rect, flip) -> view latent
     job_stream = []
     for k, job in enumerate(jobs):
         refs = [job.references] if isinstance(job.references, Example) else job.references
@@ -221,30 +219,28 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]]):
                 views.extend((ref, spec) for spec in specs)
             if not views:
                 raise MetaLoraError(f"job {k}: augmentation plan is empty")
-            slots = np.empty((len(views), 2), dtype=np.intp)
+            latents = np.empty((len(views), 2, d))
             for v, (ref, spec) in enumerate(views):
                 for flip in (False, True):
                     content = (ref.x0.tobytes(), spec.rect, flip)
-                    if content not in rows:
-                        rows[content] = len(latent_args)
-                        latent_args.append((ref.x0, spec.rect, flip))
-                    slots[v, int(flip)] = rows[content]
+                    if content not in made:
+                        made[content] = view_latent(ref.x0, spec.rect, flip, strength)
+                    latents[v, int(flip)] = made[content]
             rng = make_rng(job.config.seed)
             fresh = fresh_identity_params(rng, dims, job.config.r1, job.config.r2)
             stream_of[key] = len(streams)
-            streams.append(_Stream(rng, views, slots,
+            streams.append(_Stream(rng, views, latents,
                                    np.array([ref.prompt_id for ref, _ in views]), fresh))
         job_stream.append(stream_of[key])
-    return streams, np.array(job_stream), latent_args
+    return streams, np.array(job_stream)
 
 
-def _draw_block(streams: list[_Stream], noise: np.ndarray, T: int):
+def _draw_block(streams: list[_Stream], noise: np.ndarray, latents: np.ndarray, T: int):
     """Each stream's next ``len(noise)`` iterations, drawn in a lone run's
     order: a view index, its flip, ``t`` and the noise, which goes into the
-    (n, S, d) ``noise``. Returns the (n, S) view-latent table rows,
-    timesteps and prompts."""
+    (n, S, d) ``noise``; the drawn views' latents go into the (n, S, d)
+    ``latents``. Returns the (n, S) timesteps and prompts."""
     n = len(noise)
-    rows = np.empty((n, len(streams)), dtype=np.intp)
     ts = np.empty((n, len(streams)), dtype=np.intp)
     prompts = np.empty((n, len(streams)), dtype=np.intp)
     for s, st in enumerate(streams):
@@ -256,10 +252,10 @@ def _draw_block(streams: list[_Stream], noise: np.ndarray, T: int):
             flips.append(int(sample_view(views[v][1], rng).flip))
             times.append(rng.integers(T))
             noise[i, s] = rng.normal(0.0, 1.0, size=noise.shape[2])
-        rows[:, s] = st.slots[picks, flips]
+        latents[:, s] = st.latents[picks, flips]
         ts[:, s] = times
         prompts[:, s] = st.prompts[picks]
-    return rows, ts, prompts
+    return ts, prompts
 
 
 # the gradients stage 2 trains: the mid and up factors
@@ -276,10 +272,10 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     same seed and the same reference objects replay the same stream, so
     they share one generator and its draws. Every stream draws its next
     :data:`DRAW_BLOCK` iterations ahead of the loop, so memory does not grow
-    with ``q_st2``. View latents come from one table per call, keyed by
-    content (the reference latent's bytes, the rect and the flip), and each
-    key's :func:`view_latent` is computed once, on first draw. A drawn
-    block is noised and conditioned at once, per stream, by one
+    with ``q_st2``. Each stream holds its views' latents, made before the
+    loop from one dict per call keyed by content (the reference latent's
+    bytes, the rect and the flip): each key's :func:`view_latent` is computed
+    once. A drawn block is noised and conditioned at once, per stream, by one
     ``model.noised_inputs`` call, and gathered once by the jobs' streams
     into (block, R, .) buffers allocated once per call. An iteration makes
     one :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands
@@ -301,14 +297,12 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     if cfg.lr < 0:  # adamw_step's check, made once before the loop
         raise ValueError(f"adamw_step: lr must be >= 0, got {cfg.lr}")
     R, d, T = len(jobs), model.d, schedule.T
-    layer1, layer2 = model.layers
-    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
-    streams, job_stream, latent_args = _make_streams(jobs, d, dims)
-    table = np.empty((len(latent_args), d))
-    filled = np.zeros(len(latent_args), dtype=bool)
+    dims = model.dims
+    streams, job_stream = _make_streams(jobs, d, dims, cfg.view_strength)
     block = min(DRAW_BLOCK, cfg.q_st2)
     noise = np.empty((block, len(streams), d))
-    job_inputs = np.empty((block, R, layer1.w0.shape[1], 1))
+    latents = np.empty((block, len(streams), d))
+    job_inputs = np.empty((block, R, dims[0][0], 1))
     job_noise = np.empty((block, R, d))
     before = ["".join(checksum(m) for m in job.lmd) for job in jobs]
 
@@ -319,7 +313,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     hyper = (state.lr, state.beta1, state.beta2, state.eps, state.weight_decay)
     grads, *moments = np.zeros((3, *params.shape))  # and AdamW's two moments
     grad_views = split_params(grads, dims, cfg.r1, cfg.r2)
-    w0_1, w0_2, s1, s2 = layer1.w0, layer2.w0, layer1.scale, layer2.scale
+    (w0_1, w0_2), (s1, s2), _ = model.operands()
     operands = ([w0_1, w0_2], [s1, s2], [lmd1, lmd2], [lm1, lm2], [lu1, lu2])
 
     probed = jobs[0].probe is not None
@@ -346,12 +340,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         i = it % DRAW_BLOCK
         if i == 0:
             n = min(DRAW_BLOCK, cfg.q_st2 - it)
-            rows, ts, prompts = _draw_block(streams, noise[:n], T)
-            drawn = np.unique(rows)
-            for row in drawn[~filled[drawn]]:
-                table[row] = view_latent(*latent_args[row], cfg.view_strength)
-            filled[drawn] = True
-            np.take(model.noised_inputs(table[rows].reshape(-1, d), ts.ravel(), prompts.ravel(),
+            ts, prompts = _draw_block(streams, noise[:n], latents[:n], T)
+            np.take(model.noised_inputs(latents[:n].reshape(-1, d), ts.ravel(), prompts.ravel(),
                                         noise[:n].reshape(-1, d), schedule
                                         ).reshape(n, len(streams), -1),
                     job_stream, axis=1, out=job_inputs[:n, :, :, 0])
@@ -369,7 +359,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         if probed:
             record_probe(it + 1)
 
-    del noise, job_inputs, job_noise  # the blocks' buffers go before the curves become lists
+    # the blocks' buffers go before the curves become lists
+    del noise, latents, job_inputs, job_noise
     train_curves = train_losses.T.tolist()
     probe_curves = probe_losses.T.tolist() if probed else [[] for _ in jobs]
     results = []
@@ -434,9 +425,8 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
             probe = make_probe(dataset, ident, schedule, seed=seed * 10007 + ident)
             cfg = replace(config, seed=seed * 31 + ident)
             rrng = make_rng(seed * 977 + ident)
-            lmd_rand = [init_factors(rrng, l.factors.d1, l.factors.d2,
-                                     config.r1, config.r2).l_meta_down
-                        for l in model.layers]
+            lmd_rand = [init_factors(rrng, d1, d2, config.r1, config.r2).l_meta_down
+                        for d1, d2 in model.dims]
             jobs += [Stage2Job(lmd_meta, ref, cfg, probe),
                      Stage2Job(lmd_rand, ref, cfg, probe)]
     iters = iter([iterations_to_threshold(res.probe_losses, config.tau_fraction,

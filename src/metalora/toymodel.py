@@ -190,9 +190,21 @@ class ToyDenoiser:
     def layers(self) -> list[AdaptedLayer]:
         return [self.layer1, self.layer2]
 
+    @property
+    def dims(self) -> list[tuple[int, int]]:
+        """Per layer, its input and output widths ``(d1, d2)``, from ``w0``."""
+        return [l.w0.shape[::-1] for l in self.layers]
+
     def set_factors(self, f1: AdapterFactors, f2: AdapterFactors) -> None:
         self.layer1.factors = f1
         self.layer2.factors = f2
+
+    def operands(self) -> tuple[list, list, list[tuple]]:
+        """:func:`forward`'s ``(w0s, scales, chains)``, the installed factors made
+        contiguous. The only reader of the installed factors."""
+        chains = [(np.ascontiguousarray(f.l_meta_down), np.ascontiguousarray(f.l_mid),
+                   np.ascontiguousarray(f.l_up)) for f in (l.factors for l in self.layers)]
+        return [l.w0 for l in self.layers], [l.scale for l in self.layers], chains
 
     def conditioned(self, x_t: np.ndarray, ts, prompt_ids,
                     schedule: DiffusionSchedule, out=None) -> np.ndarray:
@@ -210,12 +222,12 @@ class ToyDenoiser:
         x0 += schedule.sqrt_1m_ab[ts, None] * eps
         return self.conditioned(x0, ts, prompt_ids, schedule, out)
 
-    def predict(self, x_t: np.ndarray, t: int, schedule: DiffusionSchedule,
-                prompt_id: int) -> np.ndarray:
-        """Predict eps from the noisy latent and the conditioning, with the
-        installed factors. Forward only."""
-        inp = self.conditioned(x_t[None], [t], [prompt_id], schedule).reshape(-1, 1)
-        return self.layer2.forward(np.tanh(self.layer1.forward(inp)))[:, 0]
+
+def forward(w0s, scales, chains, inp: np.ndarray) -> np.ndarray:
+    """The noise prediction (d, cols) for the network inputs ``inp`` (d_in, cols),
+    given per layer the base weight, its scale and the ``(lmd, lm, lu)`` chain."""
+    h = kernels.chain_forward(w0s[0], *chains[0], scales[0], inp)[0]
+    return kernels.chain_forward(w0s[1], *chains[1], scales[1], np.tanh(h))[0]
 
 
 # the trained tensors whose gradients train_step and diffusion_loss can return
@@ -310,13 +322,10 @@ def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
     """
     if not len(eps):
         raise ValueError("diffusion_loss: empty batch")
-    if factors is None:
-        factors = [(l.factors.l_meta_down, l.factors.l_mid, l.factors.l_up)
-                   for l in model.layers]
-    losses, layer_grads = train_step([l.w0 for l in model.layers],
-                                     [l.scale for l in model.layers],
-                                     *zip(*factors), inp[:, :, None], eps, len(eps),
-                                     need=need, out=out)
+    w0s, scales, own = model.operands()
+    chains = own if factors is None else factors
+    losses, layer_grads = train_step(w0s, scales, *zip(*chains), inp[:, :, None], eps,
+                                     len(eps), need=need, out=out)
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite loss at batch index "
                            f"{np.flatnonzero(~np.isfinite(losses))[0]}")
@@ -327,20 +336,18 @@ def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
 def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
                   seed: int, hidden: int = 64, lr: float = 2e-3,
                   batch_size: int = 8, loss_threshold: float = 0.22,
-                  max_iters: int = 15000, window: int = 200,
-                  r1: int | None = None, r2: int = 1) -> ToyDenoiser:
+                  max_iters: int = 15000, window: int = 200) -> ToyDenoiser:
     """Train the identity-agnostic base weights on pooled data, then freeze.
 
     The pool ignores identity labels entirely. Stops once the windowed mean
     loss drops below ``loss_threshold``; raises if the budget runs out first.
     The last block of :func:`drawn_batches` may draw past the stop; nothing
     reads the stream after the loop, so no bit depends on it. Both base
-    weights train as one :class:`~metalora.numerics.FlatGroup`.
+    weights train as one :class:`~metalora.numerics.FlatGroup`; the zero
+    factors never train, so the smallest chain (``r1 = r2 = 1``) will do.
     """
     rng = make_rng(seed)
-    if r1 is None:
-        r1 = min(16, dataset.d, hidden)
-    model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=r1, r2=r2,
+    model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=1, r2=1,
                               n_prompts=dataset.n_prompts, factor_mode="zero")
     base = FlatGroup([l.w0 for l in model.layers], AdamWState(lr=lr))
     for layer, w0 in zip(model.layers, base.tensors):
@@ -350,6 +357,7 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     for _, (_, inp, eps) in zip(range(max_iters), batches):
         loss, layer_grads = diffusion_loss(model, inp, eps, need={"w0"})
         base.step([dw0 for *_, dw0 in layer_grads])
+        del layer_grads  # not held through the next step, which builds its own
         if kept == len(recent):  # the last window - 1 losses move to the front
             recent[:window - 1], kept = recent[kept - window + 1:], window - 1
         recent[kept], kept = loss, kept + 1
@@ -367,11 +375,14 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
 
 def generate(model: ToyDenoiser, schedule: DiffusionSchedule, prompt_id: int,
              rng: np.random.Generator) -> np.ndarray:
-    """Deterministic reverse pass (DDIM-style) from a seeded Gaussian latent."""
+    """Deterministic reverse pass (DDIM-style) from a seeded Gaussian latent.
+    The model's operands are read once; each step is one :func:`forward`."""
+    operands = model.operands()
     x = rng.normal(0.0, 1.0, size=model.d)
     ab = schedule.alpha_bar
     for t in range(schedule.T - 1, -1, -1):
-        eps_hat = model.predict(x, t, schedule, prompt_id)
+        inp = model.conditioned(x[None], [t], [prompt_id], schedule).reshape(-1, 1)
+        eps_hat = forward(*operands, inp)[:, 0]
         x0_hat = (x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t])
         if t > 0:
             x = np.sqrt(ab[t - 1]) * x0_hat + np.sqrt(1.0 - ab[t - 1]) * eps_hat

@@ -296,7 +296,7 @@ def test_acceptance_9_determinism_and_persistence(tmp_path):
 
     def produce(path):
         model = pretrain_base(ds, schedule, seed=7, hidden=16,
-                              loss_threshold=0.9, max_iters=3000, window=50, r1=4)
+                              loss_threshold=0.9, max_iters=3000, window=50)
         res = run_stage1(model, ds, schedule,
                          TrainConfig(q_total=60, batch_size=4, lr=1e-3, seed=7,
                                      r1=4, r2=1, identities_per_bucket=2))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from metalora import kernels
 from metalora.adapter import (AdaptedLayer, AdapterFactors, init_factors,
                               merge, merged_forward)
-from metalora.errors import DimensionError, ImmutabilityError, RankError
-from metalora.numerics import make_rng
+from metalora.errors import DimensionError, RankError
+from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
 
 
 def random_layer(rng, d1, d2, r1, r2, scale=1.0, nonzero_up=True):
@@ -193,16 +193,23 @@ class TestMerge:
 
 class TestBaseFreezing:
     def test_update_then_freeze_then_immutability(self):
+        # the base trains in place until frozen; write protection alone then
+        # refuses every in-place update, and the checksum records the frozen bits
         rng = make_rng(600)
         layer = random_layer(rng, 4, 4, 2, 1)
-        layer.update_base(np.ones((4, 4)))
+        assert layer.base_checksum is None
+        layer.w0 += np.ones((4, 4))
         c = layer.freeze_base()
-        assert layer.base_checksum == c
-        with pytest.raises(ImmutabilityError):
-            layer.update_base(np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            layer.w0[0, 0] = 99.0  # numpy write-protection
-        assert layer.base_checksum == c
+        assert layer.base_checksum == c == checksum(layer.w0)
+        frozen = layer.w0.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            layer.w0 += np.ones((4, 4))
+        with pytest.raises(ValueError, match="read-only"):
+            layer.w0[0, 0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            adamw_step(layer.w0, np.ones((4, 4)), AdamWState())
+        assert np.array_equal(layer.w0, frozen)
+        assert layer.base_checksum == c == checksum(layer.w0)
 
     def test_init_factors_zero_mode(self):
         f = init_factors(make_rng(0), 6, 6, 3, 2, mode="zero")

@@ -99,7 +99,7 @@ def test_one_stacked_step_per_training_iteration():
         # a threshold every loss meets: exactly `window` iterations
         model = toymodel.pretrain_base(dataset, schedule, seed=1, hidden=8,
                                        batch_size=8, loss_threshold=1e9,
-                                       max_iters=50, window=5, r1=2)
+                                       max_iters=50, window=5)
         tracer.set_phase("stage1")
         result = metatrain.run_stage1(model, dataset, schedule, config)
         stage2 = personalize.PersonalizeConfig(q_st2=70, r1=2, r2=1)  # crosses a block
@@ -144,7 +144,7 @@ def test_each_stage_requests_only_the_gradients_it_trains(monkeypatch):
                                     n_prompts=2)
     schedule = toymodel.linear_schedule()
     model = toymodel.pretrain_base(dataset, schedule, seed=1, hidden=8, batch_size=8,
-                                   loss_threshold=1e9, max_iters=50, window=5, r1=2)
+                                   loss_threshold=1e9, max_iters=50, window=5)
     assert calls == [(2, {"w0", "x"}), (1, {"w0"})] * 5
 
     calls.clear()

@@ -1,18 +1,23 @@
 """Checkpoint container format and the command-line pipeline."""
 
+import importlib
 import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from metalora import toymodel
 from metalora.checkpoint import (MAGIC, VERSION, config_hash, load_checkpoint,
                                  save_checkpoint)
 from metalora.cli import main, parse_config, write_svg_curve
 from metalora.errors import CheckpointError, ConfigError
 from metalora.numerics import make_rng
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "pipeline_bench"
 
 
 def header_only_checkpoint(path, hdr: bytes):
@@ -288,6 +293,26 @@ class TestPipeline:
         report = json.loads(out.read_text())
         assert {"r_facesim", "facesim", "relative_difference_pct"} <= report.keys()
 
+    def test_benchmark_workloads_run_on_the_cli_artifacts(self, cli_run, monkeypatch):
+        # pipeline_bench/workloads.py, imported as pipeline_bench/run.py
+        # imports it, loads the CLI's checkpoints and generates through
+        # set_factors, so a program name it uses that goes fails here
+        root, cfg, base, s1, pers, merged = cli_run
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        workloads = importlib.import_module("workloads")
+        oracles = importlib.import_module("oracles")
+        world = workloads.load_world(cfg, base, s1)
+        _header, export = load_checkpoint(merged)
+        chains = [workloads._export_chain(export, li) for li in range(2)]
+        world.model.set_factors(*chains)
+        got = toymodel.generate(world.model, world.schedule, 1, make_rng(3))
+        want = oracles.reverse_pass(
+            [world.base_tensors["w0.0"], world.base_tensors["w0.1"]],
+            [(f.l_meta_down, f.l_mid, f.l_up) for f in chains],
+            world.schedule.alpha_bar, world.cfg["n_prompts"], 1,
+            make_rng(3).normal(0.0, 1.0, size=world.cfg["latent_dim"]))
+        assert np.max(np.abs(got - want)) <= workloads.GENERATION_TOL
+
     def test_augment_plan_subcommand(self, capsys):
         assert main(["augment-plan", "--image-w", "4000", "--image-h", "3000",
                      "--face", "1000,1000,300,400"]) == 0
@@ -436,7 +461,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("manifest", ["{}", '{"identities": [1]}', "not json", "[]",
                                           '{"identities": [], "prompts": ["p"]}',
                                           '{"identities": [{"id": 1, "reference": "x", '
-                                          '"tests": [[1]]}], "prompts": ["p"]}'])
+                                          '"tests": [[1]]}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": 1, "reference": [1, 2, 3], '
+                                          '"tests": [[1, 2]]}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": 1, "reference": [], '
+                                          '"tests": [[]]}], "prompts": ["p"]}'])
     def test_malformed_manifest_is_3(self, tmp_path, capsys, manifest):
         man = tmp_path / "man.json"
         man.write_text(manifest)

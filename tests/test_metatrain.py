@@ -93,8 +93,7 @@ def small_stage1(seed=0, **cfg_kw):
     ds = tiny_dataset(seed=seed)
     schedule = linear_schedule()
     model = pretrain_base(ds, schedule, seed=seed + 1, hidden=16,
-                          loss_threshold=0.9, max_iters=3000, window=50,
-                          r1=4)
+                          loss_threshold=0.9, max_iters=3000, window=50)
     defaults = dict(q_total=80, batch_size=4, lr=1e-3, seed=seed + 2,
                     r1=4, r2=1, identities_per_bucket=2)
     defaults.update(cfg_kw)

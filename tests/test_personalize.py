@@ -10,7 +10,7 @@ from metalora import kernels, personalize
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors, merged_forward
 from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_checkpoint
-from metalora.errors import (CheckpointError, ImmutabilityError,
+from metalora.errors import (CheckpointError,
                              MetaLoraError, NumericError, RankError)
 from metalora.metatrain import TrainConfig, run_stage1
 from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
@@ -19,8 +19,8 @@ from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   iterations_to_threshold, load_stage1,
                                   make_probe, probe_loss, run_stage2,
                                   run_stage2_many, smooth, view_latent)
-from metalora.toymodel import (Example, ToyDenoiser, linear_schedule, make_dataset,
-                               noisify, pretrain_base, time_embedding)
+from metalora.toymodel import (Example, ToyDenoiser, generate, linear_schedule,
+                               make_dataset, noisify, pretrain_base, time_embedding)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def world():
                       samples_per_identity=6, n_prompts=2)
     schedule = linear_schedule()
     model = pretrain_base(ds, schedule, seed=1, hidden=16, loss_threshold=0.9,
-                          max_iters=3000, window=50, r1=4)
+                          max_iters=3000, window=50)
     res = run_stage1(model, ds, schedule,
                      TrainConfig(q_total=80, batch_size=4, lr=1e-3, seed=2,
                                  r1=4, r2=1, identities_per_bucket=2))
@@ -167,6 +167,47 @@ class TestRunStage2:
             PersonalizeConfig(q_st2=0)
         with pytest.raises(MetaLoraError):
             PersonalizeConfig(r2=0)
+
+
+def reference_generate(model, schedule, prompt_id, rng):
+    """generate one reverse step at a time, each prediction through the
+    installed layers' AdaptedLayer.forward, re-read on every step."""
+    x = rng.normal(0.0, 1.0, size=model.d)
+    ab = schedule.alpha_bar
+    for t in range(schedule.T - 1, -1, -1):
+        inp = model.conditioned(x[None], [t], [prompt_id], schedule).reshape(-1, 1)
+        eps_hat = model.layer2.forward(np.tanh(model.layer1.forward(inp)))[:, 0]
+        x0_hat = (x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t])
+        if t > 0:
+            x = np.sqrt(ab[t - 1]) * x0_hat + np.sqrt(1.0 - ab[t - 1]) * eps_hat
+        else:
+            x = x0_hat
+    return x
+
+
+class TestGenerate:
+    def installs(self, world):
+        """Stage-2 factors, their merged export as the chain (down, eye(r2),
+        up) and the stage-2 factors with non-contiguous down and up factors."""
+        ds, schedule, model, lmd = world
+        res = run_stage2(model, lmd, ds.reference_of(1), schedule, pcfg(r2=2))
+        merged = [AdapterFactors(m.down, np.eye(m.down.shape[0]), m.up) for m in res.merged]
+        strided = [AdapterFactors(np.asfortranarray(f.l_meta_down), f.l_mid,
+                                  np.asfortranarray(f.l_up)) for f in res.factors]
+        assert not strided[0].l_meta_down.flags.c_contiguous
+        return {"stage2": res.factors, "merged": merged, "strided": strided}
+
+    def test_matches_per_step_layer_loop(self, world):
+        ds, schedule, model, lmd = world
+        for name, factors in self.installs(world).items():
+            model.set_factors(*factors)
+            for prompt in range(ds.n_prompts):
+                got = generate(model, schedule, prompt, make_rng(40 + prompt))
+                want = reference_generate(model, schedule, prompt, make_rng(40 + prompt))
+                assert got.tobytes() == want.tobytes(), (name, prompt)
+            # the installed factors stay as installed, layout too
+            assert all(l.factors is f for l, f in zip(model.layers, factors))
+        assert not model.layer1.factors.l_meta_down.flags.c_contiguous
 
 
 class TestViewLatent:
