@@ -138,6 +138,9 @@ class Stage2Result:
     probe_losses: list[float] = field(default_factory=list)
     lmd_checksum_before: str = ""
     lmd_checksum_after: str = ""
+    # with run_stage2_many's stop_at_threshold: the iterations_to_threshold
+    # of the run's probe curve
+    iters_to_threshold: int | None = None
 
 
 @dataclass
@@ -263,7 +266,8 @@ STAGE2_NEED = frozenset({"lu", "lm"})
 
 
 def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
-                    schedule: DiffusionSchedule) -> list[Stage2Result]:
+                    schedule: DiffusionSchedule, *,
+                    stop_at_threshold: bool = False) -> list[Stage2Result]:
     """Train R independent stage-2 runs in lockstep.
 
     Each run gives the same bits as when trained alone. It replays its own
@@ -288,12 +292,23 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     are built once per run, and its layer-1 pre-activation is written into
     one preallocated buffer.
 
+    With ``stop_at_threshold`` (probed jobs only), the loop ends at the first
+    block boundary, before the next block is drawn, where every run's
+    :func:`iterations_to_threshold` is known: its count on the probe curve so
+    far is below the curve's length, so the full curve's count is the same.
+    Each result then holds that count in ``iters_to_threshold``, and its
+    curves and factors are those of the iterations run; the iterations run
+    have the bits of a full-length run. A run that never crosses keeps the
+    loop going to ``q_st2``.
+
     Jobs may differ in their seed, references, shared down factors and
     probe; the rest of their configs must agree, and either every job or
     none has a probe, all of one size. ``model`` is only read.
     """
     _check_jobs(model, jobs)
     cfg = jobs[0].config
+    if stop_at_threshold and jobs[0].probe is None:
+        raise MetaLoraError("run_stage2_many: stop_at_threshold needs probed jobs")
     if cfg.lr < 0:  # adamw_step's check, made once before the loop
         raise ValueError(f"adamw_step: lr must be >= 0, got {cfg.lr}")
     R, d, T = len(jobs), model.d, schedule.T
@@ -358,11 +373,18 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         train_losses[it] = losses
         if probed:
             record_probe(it + 1)
+        if stop_at_threshold and ((it + 1) % DRAW_BLOCK == 0 or it + 1 == cfg.q_st2):
+            # each curve so far as a contiguous row, like a result's full curve
+            counts = [iterations_to_threshold(curve, cfg.tau_fraction, cfg.smoothing_window)
+                      for curve in probe_losses[:it + 2].T.copy()]
+            if max(counts) < it + 2:
+                break
+    done = it + 1
 
     # the blocks' buffers go before the curves become lists
     del noise, latents, job_inputs, job_noise
-    train_curves = train_losses.T.tolist()
-    probe_curves = probe_losses.T.tolist() if probed else [[] for _ in jobs]
+    train_curves = train_losses[:done].T.tolist()
+    probe_curves = probe_losses[:done + 1].T.tolist() if probed else [[] for _ in jobs]
     results = []
     for k, job in enumerate(jobs):
         factors = [AdapterFactors(job.lmd[0], lm1[k].copy(), lu1[k].copy()),
@@ -371,7 +393,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
             factors=factors, merged=[merge(f) for f in factors],
             train_losses=train_curves[k], probe_losses=probe_curves[k],
             lmd_checksum_before=before[k],
-            lmd_checksum_after="".join(checksum(m) for m in job.lmd)))
+            lmd_checksum_after="".join(checksum(m) for m in job.lmd),
+            iters_to_threshold=counts[k] if stop_at_threshold else None))
     return results
 
 
@@ -411,10 +434,13 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
     down factors, per held-out identity per seed.
 
     All 2 x |seeds| x |identities| probed runs train in one
-    :func:`run_stage2_many` call. A run that never reaches the threshold
-    reports the sentinel ``q_st2 + 1`` (the length of its probe curve), and
-    that value enters the medians like any other; ``meta_never_reached`` and
-    ``random_never_reached`` count such runs, overall and per seed.
+    :func:`run_stage2_many` call with ``stop_at_threshold``: the runs stop at
+    the first block boundary where every run's count is known, and each count
+    equals the one on a full ``q_st2`` probe curve. A run that never reaches
+    the threshold reports the sentinel ``q_st2 + 1`` (the length of its full
+    probe curve), and that value enters the medians like any other;
+    ``meta_never_reached`` and ``random_never_reached`` count such runs,
+    overall and per seed.
     """
     if len(seeds) < 3:
         raise MetaLoraError("need at least 3 seeds")
@@ -429,9 +455,8 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
                         for d1, d2 in model.dims]
             jobs += [Stage2Job(lmd_meta, ref, cfg, probe),
                      Stage2Job(lmd_rand, ref, cfg, probe)]
-    iters = iter([iterations_to_threshold(res.probe_losses, config.tau_fraction,
-                                          config.smoothing_window)
-                  for res in run_stage2_many(model, jobs, schedule)])
+    iters = iter([res.iters_to_threshold for res in
+                  run_stage2_many(model, jobs, schedule, stop_at_threshold=True)])
     never = config.q_st2 + 1
 
     def summary(per_identity: list[dict]) -> dict:

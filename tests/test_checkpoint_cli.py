@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metalora import toymodel
+from metalora import cli, toymodel
+from metalora.adapter import AdapterFactors, merge
 from metalora.checkpoint import (MAGIC, VERSION, config_hash, load_checkpoint,
                                  save_checkpoint)
 from metalora.cli import main, parse_config, write_svg_curve
@@ -313,6 +314,36 @@ class TestPipeline:
             make_rng(3).normal(0.0, 1.0, size=world.cfg["latent_dim"]))
         assert np.max(np.abs(got - want)) <= workloads.GENERATION_TOL
 
+    def test_merge_verification_matches_a_per_vector_loop(self, tmp_path):
+        # the stacked check keeps the bits of 100 draws and chains one vector
+        # at a time, for factors whose chains differ in their last bits
+        rng = make_rng(5)
+        shapes = [(37, 5, 2, 11), (11, 3, 3, 7)]  # per layer: d1, r1, r2, d2
+        tensors = {}
+        for li, (d1, r1, r2, d2) in enumerate(shapes):
+            tensors[f"lmd.{li}"] = rng.normal(size=(r1, d1))
+            tensors[f"lm.{li}"] = rng.normal(size=(r2, r1))
+            tensors[f"lu.{li}"] = rng.normal(size=(d2, r2))
+        pers, out = tmp_path / "pers.bin", tmp_path / "merged.bin"
+        save_checkpoint(pers, {"kind": "personalized", "r1": 5, "r2": 2}, tensors)
+        assert main(["merge", "--checkpoint", str(pers), "--out", str(out), "--verify"]) == 0
+        want = 0.0
+        for li in range(len(shapes)):
+            f = AdapterFactors(tensors[f"lmd.{li}"], tensors[f"lm.{li}"], tensors[f"lu.{li}"])
+            m = merge(f)
+            draws = make_rng(0)
+            for _ in range(100):
+                x = draws.normal(size=(f.d1, 1))
+                three = f.l_up @ (f.l_mid @ (f.l_meta_down @ x))
+                two = m.up @ (m.down @ x)
+                want = max(want, float(np.max(np.abs(three - two))))
+        trace = json.loads((tmp_path / "merged.bin.trace.json").read_text())
+        assert want > 0
+        assert trace["verified_max_error"] == want
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_augment_plan_subcommand(self, capsys):
         assert main(["augment-plan", "--image-w", "4000", "--image-h", "3000",
                      "--face", "1000,1000,300,400"]) == 0
@@ -380,6 +411,23 @@ class TestExitCodes:
                    "--face", face])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    # sizes whose first array is larger than any address space: the
+    # allocation fails at once on every machine
+    @pytest.mark.parametrize("line", ["n_prompts = 10000000000000",
+                                      "latent_dim = 10000000000000"])
+    @pytest.mark.parametrize("command", ["pretrain", "metatrain"])
+    def test_config_too_large_to_allocate_is_2(self, cli_run, tmp_path, capsys,
+                                               command, line):
+        big = tmp_path / "big.cfg"
+        big.write_text(SMALL_CFG + line + "\n")
+        args = [command, "--config", str(big), "--out", str(tmp_path / "o")]
+        if command == "metatrain":
+            args += ["--checkpoint", str(cli_run[2])]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "Unable to allocate" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_io_error_is_3(self, tmp_path, capsys):
         rc = main(["metatrain", "--checkpoint", str(tmp_path / "missing.bin"),

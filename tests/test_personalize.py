@@ -269,6 +269,25 @@ class TestIterationsToThreshold:
             got = smooth(list(curve), window)
             assert got.tobytes() == loop_smooth(curve, window).tobytes(), (length, window)
 
+    def test_count_on_a_prefix_is_final_below_its_length(self):
+        # what stop_at_threshold relies on: on the first L entries of a curve
+        # the count is the full curve's count if that is below L, else L
+        rng = make_rng(23)
+        cases = [(1, 1, 0.5), (5, 1, 0.9), (5, 5, 0.9), (5, 6, 1.0), (3, 40, 0.0),
+                 (376, 15, 0.5)]
+        cases += [(int(rng.integers(1, 201)), int(rng.integers(1, 40)),
+                   float(rng.uniform())) for _ in range(60)]
+        crossed = 0
+        for length, window, tau in cases:
+            decay = np.exp(-rng.uniform(0.0, 0.05) * np.arange(length))
+            curve = list(decay * rng.uniform(0.5, 1.5, size=length) * rng.uniform(1e-3, 1e3))
+            full = iterations_to_threshold(curve, tau, window)
+            crossed += full < length
+            for n in range(1, length + 1):
+                assert iterations_to_threshold(curve[:n], tau, window) == min(full, n), \
+                    (length, window, tau, n)
+        assert 10 < crossed < len(cases)
+
 
 class TestSpeedExperiment:
     def test_requires_three_seeds(self, world):
@@ -457,6 +476,57 @@ class TestLockstepEngine:
         got = [v for s in rep["seeds"] for p in s["per_identity"]
                for v in (p["meta_iters"], p["random_iters"])]
         assert got == want
+
+    @pytest.mark.parametrize("lr, tau, window, blocks", [
+        (2e-2, 0.995, 5, 1),    # every run crosses inside block 1
+        (1e-2, 0.98, 1, 3),     # the last crossing lands in block 3
+        (2e-2, 0.0, 5, None)])  # no run crosses: the loop runs to q_st2
+    def test_speed_experiment_stops_at_its_answer(self, world, monkeypatch,
+                                                  lr, tau, window, blocks):
+        ds, schedule, model, lmd = world
+        q = 3 * DRAW_BLOCK + 5
+        config = pcfg(q_st2=q, lr=lr, tau_fraction=tau, smoothing_window=window)
+        idents, seeds = [2, 3], [0, 1, 2]
+        updates = []
+        adamw = kernels.adamw_update
+        monkeypatch.setattr(kernels, "adamw_update",
+                            lambda *args: updates.append(None) or adamw(*args))
+        rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule, config, seeds)
+        done = q if blocks is None else blocks * DRAW_BLOCK
+        assert len(updates) == done
+        monkeypatch.undo()
+
+        jobs = [Stage2Job(*run)
+                for run in speed_runs(model, ds, schedule, idents, lmd, config, seeds)]
+        full = run_stage2_many(model, jobs, schedule)
+        want = [iterations_to_threshold(res.probe_losses, tau, window) for res in full]
+        if blocks is None:
+            assert set(want) == {q + 1}
+        else:
+            assert (blocks - 1) * DRAW_BLOCK < max(want) <= done
+        # the report of full-length runs, each counted on its whole curve
+        for res, count in zip(full, want):
+            res.iters_to_threshold = count
+        monkeypatch.setattr(personalize, "run_stage2_many", lambda *args, **kw: full)
+        assert rep == adaptation_speed_experiment(model, ds, idents, lmd, schedule,
+                                                  config, seeds)
+        monkeypatch.undo()
+
+        # a stopped run is a full one cut after `done` iterations
+        stopped = run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+        short = run_stage2_many(model, [replace(job, config=replace(job.config, q_st2=done))
+                                        for job in jobs], schedule)
+        for res, long, cut, count in zip(stopped, full, short, want):
+            assert res.iters_to_threshold == count
+            assert res.train_losses == long.train_losses[:done]
+            assert res.probe_losses == long.probe_losses[:done + 1]
+            assert_same_run(res, cut.train_losses, cut.probe_losses, cut.factors)
+
+    def test_stop_at_threshold_needs_a_probe(self, world):
+        ds, schedule, model, lmd = world
+        with pytest.raises(MetaLoraError, match="needs probed jobs"):
+            run_stage2_many(model, [Stage2Job(lmd, ds.reference_of(0), pcfg())], schedule,
+                            stop_at_threshold=True)
 
     def test_jobs_must_agree_beyond_seed_and_references(self, world):
         ds, schedule, model, lmd = world
