@@ -31,6 +31,15 @@ from .errors import CheckpointError
 MAGIC = b"MLRA"
 VERSION = 1
 
+# the pipeline's files: kind -> (tensor families, typed header fields). Only
+# save_layers and load_layers name the tensors: family.N for adapted layer N.
+KINDS: dict[str, tuple[tuple[str, ...], dict[str, type]]] = {
+    "base": (("w0",), {"base_checksums": list}),
+    "stage1": (("lmd",), {"r1": int}),
+    "personalized": (("lmd", "lm", "lu"), {"r2": int, "identity": int, "lmd_checksum": str}),
+    "merged": (("down", "up"), {}),
+}
+
 
 def config_hash(config: dict) -> str:
     """SHA-256 of the canonical JSON encoding of a config mapping."""
@@ -126,3 +135,35 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if r.pos != len(data):
         raise CheckpointError(f"{len(data) - r.pos} trailing bytes", offset=r.pos)
     return header, tensors
+
+
+def save_layers(path, kind: str, header: dict, layers: dict[str, list[np.ndarray]]) -> None:
+    """Write a ``kind`` checkpoint, layer by layer in the family order of ``KINDS``."""
+    families = KINDS[kind][0]
+    save_checkpoint(path, {"kind": kind, **header}, {f"{family}.{li}": layers[family][li]
+                    for li in range(len(layers[families[0]])) for family in families})
+
+
+def load_layers(path, kind: str) -> tuple[dict, dict[str, list[np.ndarray]]]:
+    """A ``kind`` checkpoint's header and each family's tensors by layer. Refuses
+    another kind, a header field of the wrong type, tensors other than
+    ``family.N`` for each family and layer 0 … L−1 (L ≥ 1), and non-finite data."""
+    header, tensors = load_checkpoint(path)
+    if header.get("kind") != kind:
+        raise CheckpointError(f"not a {kind} checkpoint (kind={header.get('kind')!r})")
+    families, fields = KINDS[kind]
+    for key, typ in fields.items():
+        if type(value := header.get(key)) is not typ:  # type, not isinstance: True is no int
+            article = "an" if typ is int else "a"
+            raise CheckpointError(f"{kind} header field {key} is {value!r} of type "
+                                  f"{type(value).__name__}, not {article} {typ.__name__}")
+    n_layers = -(-len(tensors) // len(families))  # the only L that len(tensors) can fill
+    if not n_layers:
+        raise CheckpointError(f"{kind} checkpoint has no adapter layers")
+    if tensors.keys() != {f"{family}.{li}" for li in range(n_layers) for family in families}:
+        raise CheckpointError(f"{kind} checkpoint tensors {sorted(tensors)} are not "
+                              f"{', '.join(f + '.N' for f in families)} for N = 0..L-1")
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{kind} checkpoint tensor {name!r} is not finite")
+    return header, {f: [tensors[f"{f}.{li}"] for li in range(n_layers)] for f in families}

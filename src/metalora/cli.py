@@ -14,7 +14,6 @@ import csv
 import functools
 import json
 import math
-import re
 import sys
 from types import SimpleNamespace
 
@@ -22,10 +21,10 @@ import numpy as np
 
 from . import augment, evaluation, metatrain, personalize, toymodel
 from .adapter import AdapterFactors, merge
-from .checkpoint import config_hash, load_checkpoint, save_checkpoint
+from .checkpoint import config_hash, load_layers, save_layers
 from .errors import (CheckpointError, ConfigError, DimensionError, ManifestError,
                      MetaLoraError, NumericError, RankError)
-from .numerics import make_rng
+from .numerics import checksum, make_rng
 
 # key -> (type, default, lowest, highest): a value must be finite and in [lowest,
 # highest], bounds may depend on earlier keys, and unknown keys are rejected.
@@ -148,21 +147,18 @@ def _load_world(args) -> SimpleNamespace:
         train_ids=list(range(n - h)), heldout=list(range(n - h, n)))
     if not hasattr(args, "checkpoint"):
         return world
-    header, tensors = load_checkpoint(args.checkpoint)
-    if header.get("kind") != "base":
-        raise CheckpointError(f"not a base checkpoint (kind={header.get('kind')!r})")
+    header, layers = load_layers(args.checkpoint, "base")
     world.model = toymodel.ToyDenoiser.build(
         make_rng(cfg["seed"]), d=cfg["latent_dim"], hidden=cfg["hidden_dim"],
         n_prompts=cfg["n_prompts"], r1=cfg["r1"], r2=cfg["r2"], factor_mode="zero")
-    for li, layer in enumerate(world.model.layers):
-        if f"w0.{li}" not in tensors:
-            raise CheckpointError(f"base checkpoint lacks w0.{li}")
-        w0 = tensors[f"w0.{li}"]
-        if w0.shape != layer.w0.shape:
-            raise CheckpointError(f"w0.{li} shape {w0.shape} does not match model "
-                                  f"{layer.w0.shape}")
+    shapes = [w0.shape for w0 in layers["w0"]]
+    if shapes != [layer.w0.shape for layer in world.model.layers]:
+        raise CheckpointError(f"base checkpoint w0 shapes {shapes} do not match the model's "
+                              f"{[layer.w0.shape for layer in world.model.layers]}")
+    for layer, w0 in zip(world.model.layers, layers["w0"]):
         layer.w0[:] = w0
-        layer.freeze_base()
+    if [layer.freeze_base() for layer in world.model.layers] != header["base_checksums"]:
+        raise CheckpointError("base checkpoint's w0 does not match its base_checksums")
     if hasattr(args, "stage1"):
         world.lmd = personalize.load_stage1(args.stage1, cfg["r1"], world.model.dims)
     return world
@@ -185,11 +181,10 @@ def cmd_pretrain(args) -> int:
         lr=cfg["pretrain_lr"], batch_size=cfg["pretrain_batch_size"],
         loss_threshold=cfg["pretrain_loss_threshold"],
         max_iters=cfg["pretrain_max_iters"])
-    header = {"kind": "base", "seed": cfg["seed"], "config_hash": config_hash(cfg),
+    header = {"seed": cfg["seed"], "config_hash": config_hash(cfg),
               "layer_dims": [list(dims) for dims in model.dims],
               "base_checksums": [l.base_checksum for l in model.layers]}
-    save_checkpoint(args.out, header, {f"w0.{li}": l.w0
-                                       for li, l in enumerate(model.layers)})
+    save_layers(args.out, "base", header, {"w0": [l.w0 for l in model.layers]})
     write_run_trace(args.out, "pretrain", cfg)
     print(f"base checkpoint written to {args.out}")
     return 0
@@ -207,11 +202,9 @@ def cmd_metatrain(args) -> int:
         weight_decay=cfg["weight_decay"])
     train_set = toymodel.subset_dataset(world.dataset, world.train_ids)
     result = metatrain.run_stage1(world.model, train_set, world.schedule, tc)
-    header = {"kind": "stage1", "r1": cfg["r1"], "seed": cfg["seed"],
-              "config_hash": config_hash(cfg),
+    header = {"r1": cfg["r1"], "seed": cfg["seed"], "config_hash": config_hash(cfg),
               "executed_iterations": result.executed_iterations}
-    save_checkpoint(args.out, header,
-                    {f"lmd.{li}": m for li, m in enumerate(result.lmd)})
+    save_layers(args.out, "stage1", header, {"lmd": result.lmd})
     metatrain.write_trace_csv(result.trace, str(args.out) + ".trace.csv")
     metatrain.write_trace_jsonl(result.trace, str(args.out) + ".trace.jsonl")
     write_svg_curve(str(args.out) + ".loss.svg",
@@ -229,16 +222,11 @@ def cmd_personalize(args) -> int:
     ident = cfg["target_identity"] if cfg["target_identity"] >= 0 else world.heldout[0]
     result = personalize.run_stage2(world.model, world.lmd, world.dataset.reference_of(ident),
                                     world.schedule, _personalize_config(cfg))
-    tensors = {}
-    for li, f in enumerate(result.factors):
-        tensors[f"lmd.{li}"] = f.l_meta_down
-        tensors[f"lm.{li}"] = f.l_mid
-        tensors[f"lu.{li}"] = f.l_up
-    header = {"kind": "personalized", "r1": cfg["r1"], "r2": cfg["r2"],
-              "identity": ident, "seed": cfg["seed"],
-              "config_hash": config_hash(cfg),
-              "lmd_checksum": result.lmd_checksum_after}
-    save_checkpoint(args.out, header, tensors)
+    header = {"r1": cfg["r1"], "r2": cfg["r2"], "identity": ident, "seed": cfg["seed"],
+              "config_hash": config_hash(cfg), "lmd_checksum": result.lmd_checksum_after}
+    save_layers(args.out, "personalized", header, {
+        "lmd": [f.l_meta_down for f in result.factors],
+        "lm": [f.l_mid for f in result.factors], "lu": [f.l_up for f in result.factors]})
     write_run_trace(args.out, "personalize", cfg, {
         "identity": ident,
         "final_loss": result.train_losses[-1],
@@ -250,47 +238,34 @@ def cmd_personalize(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    header, tensors = load_checkpoint(args.checkpoint)
-    if header.get("kind") != "personalized":
-        raise CheckpointError(f"not a personalized checkpoint "
-                              f"(kind={header.get('kind')!r})")
-    names = [re.fullmatch(r"(lmd|lm|lu)\.(0|[1-9][0-9]*)", k) for k in tensors]
-    if not all(names):
-        raise CheckpointError(f"personalized checkpoint tensors {sorted(tensors)} are not "
-                              f"all named lmd.N, lm.N or lu.N")
-    layers = sorted({int(match.group(2)) for match in names})
-    if not layers:
-        raise CheckpointError("personalized checkpoint has no adapter layers")
-    out_tensors = {}
-    max_err = 0.0
-    for li in layers:
-        missing = [n for n in (f"lmd.{li}", f"lm.{li}", f"lu.{li}") if n not in tensors]
-        if missing:
-            raise CheckpointError(f"personalized checkpoint lacks {', '.join(missing)}")
+    header, layers = load_layers(args.checkpoint, "personalized")
+    if "".join(map(checksum, layers["lmd"])) != header["lmd_checksum"]:
+        raise CheckpointError("personalized checkpoint's lmd does not match its lmd_checksum")
+    merged, errors = {"down": [], "up": []}, []
+    for li, factors in enumerate(zip(layers["lmd"], layers["lm"], layers["lu"])):
         try:
-            f = AdapterFactors(tensors[f"lmd.{li}"], tensors[f"lm.{li}"],
-                               tensors[f"lu.{li}"])
+            f = AdapterFactors(*factors)
         except DimensionError as exc:
             raise CheckpointError(f"personalized checkpoint layer {li}: {exc}")
         m = merge(f)
-        out_tensors[f"down.{li}"] = m.down
-        out_tensors[f"up.{li}"] = m.up
+        merged["down"].append(m.down)
+        merged["up"].append(m.up)
         if args.verify:
             # 100 random columns as a stack: the draws of 100 (d1, 1) calls, and
             # the same BLAS call per column as one at a time
             x = make_rng(0).normal(size=(100, f.d1, 1))
             three = f.l_up @ (f.l_mid @ (f.l_meta_down @ x))
             two = m.up @ (m.down @ x)
-            max_err = max(max_err, float(np.max(np.abs(three - two))))
-    if args.verify and max_err > 1e-12:
+            errors.append(np.max(np.abs(three - two)))
+    max_err = float(np.max(errors)) if args.verify else None  # np.max keeps a NaN
+    if args.verify and not max_err <= 1e-12:
         raise NumericError(f"merge verification failed: max |diff| = {max_err:.3e}")
     # the source path goes only into the run trace, so that the export's
     # bytes do not depend on where its input was stored
-    out_header = {"kind": "merged", "r2": header.get("r2"),
-                  "identity": header.get("identity")}
-    save_checkpoint(args.out, out_header, out_tensors)
+    save_layers(args.out, "merged", {"r2": header["r2"], "identity": header["identity"]},
+                merged)
     write_run_trace(args.out, "merge", {"source": str(args.checkpoint)},
-                    {"verified_max_error": max_err if args.verify else None})
+                    {"verified_max_error": max_err})
     print(f"merged export written to {args.out}"
           + (f" (verified, max err {max_err:.2e})" if args.verify else ""))
     return 0

@@ -21,9 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import kernels
 from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
 from .augment import CropSpec, FaceBox, plan_crops, sample_view
-from .checkpoint import load_checkpoint
-from .errors import (CheckpointError, DimensionError, MetaLoraError,
-                     NumericError, RankError)
+from .checkpoint import load_layers
+from .errors import DimensionError, MetaLoraError, NumericError, RankError
 from .metatrain import fresh_identity_params, split_params
 from .numerics import AdamWState, checksum, make_rng
 from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
@@ -54,26 +53,14 @@ def load_stage1(path, expected_r1: int, expected_dims: list[tuple[int, int]]
     The returned arrays are write-protected: any in-place update attempt
     raises. Rank or shape mismatches against the target model are refused.
     """
-    header, tensors = load_checkpoint(path)
-    if header.get("kind") != "stage1":
-        raise CheckpointError(f"not a stage-1 checkpoint (kind={header.get('kind')!r})")
-    r1 = header.get("r1")
-    if type(r1) is not int:  # bool too: True == 1
-        raise CheckpointError(f"stage-1 header field r1 is {r1!r} of type "
-                              f"{type(r1).__name__}, not an int")
-    if r1 != expected_r1:
-        raise RankError(f"checkpoint has r1={r1}, model expects r1={expected_r1}")
-    lmd = []
-    for li, (d1, _d2) in enumerate(expected_dims):
-        name = f"lmd.{li}"
-        if name not in tensors:
-            raise CheckpointError(f"missing tensor {name!r}")
-        arr = tensors[name]
-        if arr.shape != (expected_r1, d1):
-            raise RankError(f"tensor {name!r} has shape {arr.shape}, "
-                            f"expected {(expected_r1, d1)}")
-        arr.setflags(write=False)
-        lmd.append(arr)
+    header, layers = load_layers(path, "stage1")
+    if header["r1"] != expected_r1:
+        raise RankError(f"checkpoint has r1={header['r1']}, model expects r1={expected_r1}")
+    lmd, want = layers["lmd"], [(expected_r1, d1) for d1, _d2 in expected_dims]
+    if [m.shape for m in lmd] != want:
+        raise RankError(f"stage-1 lmd shapes {[m.shape for m in lmd]}, expected {want}")
+    for m in lmd:
+        m.setflags(write=False)
     return lmd
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import metalora.cli  # noqa: F401  (the benchmark wraps after importing the CLI)
 from metalora import adapter, augment, kernels, metatrain, numerics, personalize, toymodel
-from metalora.numerics import make_rng
+from metalora.checkpoint import save_layers
+from metalora.numerics import checksum, make_rng
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "pipeline_bench" / "tracer.py"
 
@@ -43,6 +44,29 @@ def test_tracer_records_kernel_calls():
         assert stats[name]["calls"] >= 1, name
     assert stats["kernels"]["flops"] > 0
     assert (kernels.chain_forward, kernels.chain_backward, kernels.adamw_update) == originals
+
+
+def test_tracer_counts_the_files_merge_reads_and_writes(tmp_path):
+    # the CLI reaches save_checkpoint and load_checkpoint through the
+    # checkpoint module's load_layers and save_layers; the tracer must still
+    # see each file
+    rng = make_rng(0)
+    lmd = [rng.normal(size=(2, 5)), rng.normal(size=(2, 4))]
+    save_layers(tmp_path / "pers.bin", "personalized",
+                {"r2": 1, "identity": 3, "lmd_checksum": "".join(map(checksum, lmd))},
+                {"lmd": lmd, "lm": [rng.normal(size=(1, 2)) for _ in lmd],
+                 "lu": [rng.normal(size=(4, 1)), rng.normal(size=(3, 1))]})
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert metalora.cli.main(["merge", "--checkpoint", str(tmp_path / "pers.bin"),
+                                  "--out", str(tmp_path / "merged.bin"), "--verify"]) == 0
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats["setup"]
+    for name, path in (("checkpoint.load", "pers.bin"), ("checkpoint.save", "merged.bin")):
+        assert stats.get(name, {}).get("calls") == 1, name
+        assert stats[name]["bytes"] == (tmp_path / path).stat().st_size, name
 
 
 def test_tracer_covers_the_speed_experiment():

@@ -1,6 +1,8 @@
 """Checkpoint container format and the command-line pipeline."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -9,16 +11,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from metalora import cli, toymodel
 from metalora.adapter import AdapterFactors, merge
-from metalora.checkpoint import (MAGIC, VERSION, config_hash, load_checkpoint,
-                                 save_checkpoint)
+from metalora.checkpoint import (KINDS, MAGIC, VERSION, config_hash, load_checkpoint,
+                                 load_layers, save_checkpoint, save_layers)
 from metalora.cli import main, parse_config, write_svg_curve
 from metalora.errors import CheckpointError, ConfigError
-from metalora.numerics import make_rng
+from metalora.numerics import checksum, make_rng
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "pipeline_bench"
+
+
+def personalized_header(tensors, **fields):
+    """A personalized header whose lmd_checksum matches the tensors' lmd.N."""
+    lmd = [tensors[f"lmd.{li}"] for li in range(2) if f"lmd.{li}" in tensors]
+    return {"kind": "personalized", "r1": 2, "r2": 1, "identity": 0,
+            "lmd_checksum": "".join(map(checksum, lmd)), **fields}
 
 
 def header_only_checkpoint(path, hdr: bytes):
@@ -134,6 +144,34 @@ class TestCheckpointFormat:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_save_layers_writes_the_hand_built_bytes(self, tmp_path):
+        # each kind's tensors as the CLI named and ordered them by hand
+        rng = make_rng(1)
+        w0, lmd, lm, lu = ([rng.normal(size=shape) for shape in shapes] for shapes in (
+            [(16, 18), (8, 16)], [(4, 18), (4, 16)], [(1, 4), (1, 4)], [(16, 1), (8, 1)]))
+        down = [m @ d for m, d in zip(lm, lmd)]
+        cases = [
+            ("base", {"seed": 0, "layer_dims": [[18, 16], [16, 8]], "base_checksums": ["a", "b"]},
+             {"w0": w0}, {"w0.0": w0[0], "w0.1": w0[1]}),
+            ("stage1", {"r1": 4, "seed": 0, "executed_iterations": 80}, {"lmd": lmd},
+             {"lmd.0": lmd[0], "lmd.1": lmd[1]}),
+            ("personalized", {"r1": 4, "r2": 1, "identity": 4, "lmd_checksum": "c"},
+             {"lmd": lmd, "lm": lm, "lu": lu},
+             {"lmd.0": lmd[0], "lm.0": lm[0], "lu.0": lu[0],
+              "lmd.1": lmd[1], "lm.1": lm[1], "lu.1": lu[1]}),
+            ("merged", {"r2": 1, "identity": 4}, {"down": down, "up": lu},
+             {"down.0": down[0], "up.0": lu[0], "down.1": down[1], "up.1": lu[1]}),
+        ]
+        assert sorted(KINDS) == sorted(kind for kind, *_ in cases)
+        for kind, header, layers, tensors in cases:
+            save_layers(tmp_path / "new.bin", kind, header, layers)
+            save_checkpoint(tmp_path / "old.bin", {"kind": kind, **header}, tensors)
+            assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+            back_header, back = load_layers(tmp_path / "new.bin", kind)
+            assert back_header == {"kind": kind, **header}
+            assert {f: [a.tobytes() for a in back[f]] for f in back} == \
+                {f: [a.tobytes() for a in layers[f]] for f in layers}
 
     def test_config_hash_canonical(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
@@ -325,7 +363,7 @@ class TestPipeline:
             tensors[f"lm.{li}"] = rng.normal(size=(r2, r1))
             tensors[f"lu.{li}"] = rng.normal(size=(d2, r2))
         pers, out = tmp_path / "pers.bin", tmp_path / "merged.bin"
-        save_checkpoint(pers, {"kind": "personalized", "r1": 5, "r2": 2}, tensors)
+        save_checkpoint(pers, personalized_header(tensors, r1=5, r2=2), tensors)
         assert main(["merge", "--checkpoint", str(pers), "--out", str(out), "--verify"]) == 0
         want = 0.0
         for li in range(len(shapes)):
@@ -375,7 +413,96 @@ def test_svg_points_match_a_per_point_loop(tmp_path, n):
         assert points == per_point_svg_points(ys)
 
 
+def reads(kind, cli_run, path, out):
+    """The command that reads a ``kind`` checkpoint, run on ``path`` in place of
+    that artifact of ``cli_run``: merge --verify reads a personalized one, and
+    a personalize of 5 iterations a base or a stage-1 one."""
+    root, cfg, base, s1, pers, merged = cli_run
+    if kind == "personalized":
+        return ["merge", "--checkpoint", str(path), "--out", str(out), "--verify"]
+    tiny = root / "tiny.cfg"
+    tiny.write_text(SMALL_CFG.replace("q_st2 = 40", "q_st2 = 5"))
+    artifacts = {"base": base, "stage1": s1, kind: path}
+    return ["personalize", "--config", str(tiny), "--checkpoint", str(artifacts["base"]),
+            "--stage1", str(artifacts["stage1"]), "--out", str(out)]
+
+
+def bump(name, value, at=(0, 0)):
+    """An edit of a loaded checkpoint that adds ``value`` to one entry of a tensor."""
+    def edit(header, tensors):
+        tensors[name][at] += value
+    return edit
+
+
+def set_entries(value, *names):
+    """An edit of a loaded checkpoint that sets every entry of some tensors."""
+    def edit(header, tensors):
+        for name in names:
+            tensors[name][:] = value
+    return edit
+
+
+# the cli_run artifact of each kind that a test edits
+ARTIFACT = {"base": 2, "stage1": 3, "personalized": 4}
+
+# case -> (kind of the edited artifact, edit of its header and tensors, exit code):
+# each edited file is a well-formed container, so only its kind's schema, a
+# recorded checksum or merge's verification can refuse it
+EDITED_ARTIFACTS = {
+    "base with an extra w0.2": ("base", lambda h, t: t.update({"w0.2": t["w0.0"]}), 3),
+    "stage-1 with an extra lmd.2": ("stage1", lambda h, t: t.update({"lmd.2": t["lmd.0"]}), 3),
+    "stage-1 with a tensor named junk": ("stage1", lambda h, t: t.update(junk=t["lmd.0"]), 3),
+    "personalized r2 = 'seven'": ("personalized", lambda h, t: h.update(r2="seven"), 3),
+    "personalized identity = [1, 2]": ("personalized", lambda h, t: h.update(identity=[1, 2]),
+                                       3),
+    "base w0.0 altered": ("base", bump("w0.0", 1.0), 3),
+    "personalized lmd.0 altered": ("personalized", bump("lmd.0", 1.0), 3),
+    "personalized NaN in lm.0": ("personalized", bump("lm.0", np.nan), 3),
+    "personalized inf in lu.1": ("personalized", bump("lu.1", np.inf, at=(1, 0)), 3),
+    "personalized products overflow": ("personalized", set_entries(1e200, "lm.0", "lu.0"), 4),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", list(EDITED_ARTIFACTS))
+    def test_edited_artifact_is_refused(self, cli_run, tmp_path, capsys, case):
+        kind, edit, code = EDITED_ARTIFACTS[case]
+        header, tensors = load_checkpoint(cli_run[ARTIFACT[kind]])
+        edit(header, tensors)
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, header, tensors)
+        assert main(reads(kind, cli_run, bad, tmp_path / "o")) == code
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {3: "io", 4: "numeric"}[code]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["base", "stage1", "personalized"])
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_checkpoint_bytes_exit_cleanly(self, cli_run, tmp_path, kind, data):
+        # flipped, cut and inserted bytes in a CLI-written checkpoint end in a
+        # documented exit code, with a JSON error when the run fails
+        blob = bytearray(cli_run[ARTIFACT[kind]].read_bytes())
+        for how, byte in data.draw(st.lists(st.tuples(
+                st.sampled_from(["flip", "truncate", "insert"]), st.integers(1, 255)),
+                min_size=1, max_size=3)):
+            at = data.draw(st.integers(0, len(blob)))
+            if how == "flip" and at < len(blob):
+                blob[at] ^= byte
+            elif how == "truncate":
+                del blob[at:]
+            else:
+                blob[at:at] = bytes([byte])
+        bad = tmp_path / "mutated.bin"
+        bad.write_bytes(bytes(blob))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(reads(kind, cli_run, bad, tmp_path / "o"))
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            assert json.loads(err.getvalue())["error"] in ("config", "io", "numeric")
+
     def test_config_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")
@@ -459,7 +586,7 @@ class TestExitCodes:
                 tensors[name] = np.zeros((2, 3))
             else:
                 del tensors[name]
-            save_checkpoint(bad, {"kind": "personalized", "r1": 2, "r2": 1}, tensors)
+            save_checkpoint(bad, personalized_header(tensors), tensors)
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "io"
@@ -482,14 +609,15 @@ class TestExitCodes:
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         base = tmp_path / "base.bin"
-        save_checkpoint(base, {"kind": "base"}, {"w0.0": np.zeros((16, 8 + 8 + 2))})
+        save_checkpoint(base, {"kind": "base", "base_checksums": []},
+                        {"w0.0": np.zeros((16, 8 + 8 + 2))})
         args = [command, "--config", str(cfg), "--checkpoint", str(base),
                 "--out", str(tmp_path / "o")]
         if command != "metatrain":
             args += ["--stage1", str(tmp_path / "stage1.bin")]
         assert main(args) == 3
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "io" and "lacks w0.1" in err["message"]
+        assert err["error"] == "io" and "w0 shapes [(16, 18)] do not match" in err["message"]
 
     @pytest.mark.parametrize("r1, cfg_r1", [("4", 4), (True, 1), (4.0, 4), (None, 4)])
     def test_stage1_rank_of_the_wrong_type_is_3(self, cli_run, tmp_path, capsys, r1, cfg_r1):
@@ -548,7 +676,7 @@ class TestExitCodes:
 
     def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"
-        save_checkpoint(empty, {"kind": "personalized", "r1": 2, "r2": 1}, {})
+        save_checkpoint(empty, personalized_header({}), {})
         rc = main(["merge", "--checkpoint", str(empty), "--out", str(tmp_path / "o"),
                    "--verify"])
         assert rc == 3
