@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, RankError
-from .numerics import checksum, gaussian
+from .numerics import gaussian
 
 
 @dataclass
@@ -43,14 +43,6 @@ class AdapterFactors:
         if not (r2 <= r1 <= min(d1, d2)):
             raise RankError(f"need r2 <= r1 <= min(d1, d2), got r1={r1}, r2={r2}, "
                             f"d1={d1}, d2={d2}")
-
-    @property
-    def r1(self) -> int:
-        return self.l_meta_down.shape[0]
-
-    @property
-    def r2(self) -> int:
-        return self.l_mid.shape[0]
 
     @property
     def d1(self) -> int:
@@ -83,7 +75,7 @@ class AdaptedLayer:
 
     The base weight may be trained in place before :meth:`freeze_base` is
     called (when building the toy backbone). Freezing write-protects it, so
-    any later in-place write raises ``ValueError``, and records its checksum.
+    any later in-place write raises ``ValueError``.
     """
 
     def __init__(self, w0: np.ndarray, factors: AdapterFactors, scale: float = 1.0):
@@ -93,12 +85,9 @@ class AdaptedLayer:
         self.w0 = np.ascontiguousarray(w0, dtype=np.float64)
         self.factors = factors
         self.scale = scale
-        self.base_checksum: str | None = None  # set by freeze_base
 
-    def freeze_base(self) -> str:
+    def freeze_base(self) -> None:
         self.w0.setflags(write=False)
-        self.base_checksum = checksum(self.w0)
-        return self.base_checksum
 
     def _operands(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         if x.ndim != 2 or x.shape[0] != self.factors.d1:
@@ -128,11 +117,6 @@ class AdaptedLayer:
 def merge(factors: AdapterFactors) -> MergedLoRA:
     """Collapse the mid and meta-down factors into one standard down factor."""
     return MergedLoRA(down=factors.l_mid @ factors.l_meta_down, up=factors.l_up.copy())
-
-
-def merged_forward(w0: np.ndarray, merged: MergedLoRA, x: np.ndarray,
-                   scale: float = 1.0) -> np.ndarray:
-    return w0 @ x + scale * (merged.up @ (merged.down @ x))
 
 
 def init_factors(rng: np.random.Generator, d1: int, d2: int, r1: int, r2: int,

@@ -5,7 +5,7 @@ Layout (all integers little-endian):
     magic   4 bytes  b"MLRA"
     version u16
     hlen    u32      length of the UTF-8 header JSON
-    header  hlen bytes (ranks, layer names, seed, config hash, free-form)
+    header  hlen bytes (kind, ranks, tensor checksums, seed, config hash, ...)
     count   u32      number of named tensors
     per tensor:
         nlen  u16, name (UTF-8, nlen bytes)
@@ -27,17 +27,21 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
+from .numerics import checksum
 
 MAGIC = b"MLRA"
 VERSION = 1
 
-# the pipeline's files: kind -> (tensor families, typed header fields). Only
-# save_layers and load_layers name the tensors: family.N for adapted layer N.
-KINDS: dict[str, tuple[tuple[str, ...], dict[str, type]]] = {
-    "base": (("w0",), {"base_checksums": list}),
-    "stage1": (("lmd",), {"r1": int}),
-    "personalized": (("lmd", "lm", "lu"), {"r2": int, "identity": int, "lmd_checksum": str}),
-    "merged": (("down", "up"), {}),
+# the pipeline's files: kind -> (each tensor family's shape, int header fields).
+# Only save_layers and load_layers name the tensors: family.N for adapted layer
+# N. A shape names the int header field that each dimension must equal; None
+# is a dimension that the model sets.
+KINDS: dict[str, tuple[dict[str, tuple], tuple[str, ...]]] = {
+    "base": ({"w0": (None, None)}, ()),
+    "stage1": ({"lmd": ("r1", None)}, ("r1",)),
+    "personalized": ({"lmd": ("r1", None), "lm": ("r2", "r1"), "lu": (None, "r2")},
+                     ("r1", "r2", "identity")),
+    "merged": ({"down": ("r2", None), "up": (None, "r2")}, ("r2", "identity")),
 }
 
 
@@ -138,32 +142,48 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_layers(path, kind: str, header: dict, layers: dict[str, list[np.ndarray]]) -> None:
-    """Write a ``kind`` checkpoint, layer by layer in the family order of ``KINDS``."""
-    families = KINDS[kind][0]
-    save_checkpoint(path, {"kind": kind, **header}, {f"{family}.{li}": layers[family][li]
-                    for li in range(len(layers[families[0]])) for family in families})
+    """Write a ``kind`` checkpoint, layer by layer in the family order of
+    ``KINDS``, with each tensor's checksum in the header's ``checksums``."""
+    n_layers = len(next(iter(layers.values())))
+    tensors = {f"{family}.{li}": layers[family][li]
+               for li in range(n_layers) for family in KINDS[kind][0]}
+    save_checkpoint(path, {**header, "kind": kind, "checksums": {
+        name: checksum(arr) for name, arr in tensors.items()}}, tensors)
 
 
 def load_layers(path, kind: str) -> tuple[dict, dict[str, list[np.ndarray]]]:
     """A ``kind`` checkpoint's header and each family's tensors by layer. Refuses
-    another kind, a header field of the wrong type, tensors other than
-    ``family.N`` for each family and layer 0 … L−1 (L ≥ 1), and non-finite data."""
+    another kind, an int header field of another type, tensors other than
+    ``family.N`` for each family and layer 0 … L−1 (L ≥ 1), a tensor whose
+    bytes do not match its recorded checksum, non-finite data, and a shape
+    that does not match the header's rank fields."""
     header, tensors = load_checkpoint(path)
     if header.get("kind") != kind:
         raise CheckpointError(f"not a {kind} checkpoint (kind={header.get('kind')!r})")
     families, fields = KINDS[kind]
-    for key, typ in fields.items():
-        if type(value := header.get(key)) is not typ:  # type, not isinstance: True is no int
-            article = "an" if typ is int else "a"
+    for key in fields:
+        if type(value := header.get(key)) is not int:  # type, not isinstance: True is no int
             raise CheckpointError(f"{kind} header field {key} is {value!r} of type "
-                                  f"{type(value).__name__}, not {article} {typ.__name__}")
+                                  f"{type(value).__name__}, not an int")
     n_layers = -(-len(tensors) // len(families))  # the only L that len(tensors) can fill
     if not n_layers:
         raise CheckpointError(f"{kind} checkpoint has no adapter layers")
     if tensors.keys() != {f"{family}.{li}" for li in range(n_layers) for family in families}:
         raise CheckpointError(f"{kind} checkpoint tensors {sorted(tensors)} are not "
                               f"{', '.join(f + '.N' for f in families)} for N = 0..L-1")
+    sums = header.get("checksums")
+    if type(sums) is not dict or sums.keys() != tensors.keys():
+        raise CheckpointError(f"{kind} checkpoint's checksums field is missing or is not "
+                              f"a map from each tensor's name to its checksum")
     for name, arr in tensors.items():
+        if sums[name] != checksum(arr):
+            raise CheckpointError(f"{kind} checkpoint tensor {name!r} does not match "
+                                  f"its recorded checksum")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{kind} checkpoint tensor {name!r} is not finite")
+        want = tuple(header[dim] if dim else n for dim, n in
+                     zip(families[name.partition(".")[0]], arr.shape))
+        if arr.shape != want:
+            raise CheckpointError(f"{kind} checkpoint tensor {name!r} has shape {arr.shape}, "
+                                  f"not {want} as the header's rank fields give")
     return header, {f: [tensors[f"{f}.{li}"] for li in range(n_layers)] for f in families}

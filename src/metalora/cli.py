@@ -22,9 +22,9 @@ import numpy as np
 from . import augment, evaluation, metatrain, personalize, toymodel
 from .adapter import AdapterFactors, merge
 from .checkpoint import config_hash, load_layers, save_layers
-from .errors import (CheckpointError, ConfigError, DimensionError, ManifestError,
-                     MetaLoraError, NumericError, RankError)
-from .numerics import checksum, make_rng
+from .errors import (CheckpointError, ConfigError, ManifestError, MetaLoraError,
+                     NumericError, RankError)
+from .numerics import make_rng
 
 # key -> (type, default, lowest, highest): a value must be finite and in [lowest,
 # highest], bounds may depend on earlier keys, and unknown keys are rejected.
@@ -147,7 +147,7 @@ def _load_world(args) -> SimpleNamespace:
         train_ids=list(range(n - h)), heldout=list(range(n - h, n)))
     if not hasattr(args, "checkpoint"):
         return world
-    header, layers = load_layers(args.checkpoint, "base")
+    _header, layers = load_layers(args.checkpoint, "base")
     world.model = toymodel.ToyDenoiser.build(
         make_rng(cfg["seed"]), d=cfg["latent_dim"], hidden=cfg["hidden_dim"],
         n_prompts=cfg["n_prompts"], r1=cfg["r1"], r2=cfg["r2"], factor_mode="zero")
@@ -157,8 +157,7 @@ def _load_world(args) -> SimpleNamespace:
                               f"{[layer.w0.shape for layer in world.model.layers]}")
     for layer, w0 in zip(world.model.layers, layers["w0"]):
         layer.w0[:] = w0
-    if [layer.freeze_base() for layer in world.model.layers] != header["base_checksums"]:
-        raise CheckpointError("base checkpoint's w0 does not match its base_checksums")
+        layer.freeze_base()
     if hasattr(args, "stage1"):
         world.lmd = personalize.load_stage1(args.stage1, cfg["r1"], world.model.dims)
     return world
@@ -181,10 +180,8 @@ def cmd_pretrain(args) -> int:
         lr=cfg["pretrain_lr"], batch_size=cfg["pretrain_batch_size"],
         loss_threshold=cfg["pretrain_loss_threshold"],
         max_iters=cfg["pretrain_max_iters"])
-    header = {"seed": cfg["seed"], "config_hash": config_hash(cfg),
-              "layer_dims": [list(dims) for dims in model.dims],
-              "base_checksums": [l.base_checksum for l in model.layers]}
-    save_layers(args.out, "base", header, {"w0": [l.w0 for l in model.layers]})
+    save_layers(args.out, "base", {"seed": cfg["seed"], "config_hash": config_hash(cfg)},
+                {"w0": [l.w0 for l in model.layers]})
     write_run_trace(args.out, "pretrain", cfg)
     print(f"base checkpoint written to {args.out}")
     return 0
@@ -223,14 +220,14 @@ def cmd_personalize(args) -> int:
     result = personalize.run_stage2(world.model, world.lmd, world.dataset.reference_of(ident),
                                     world.schedule, _personalize_config(cfg))
     header = {"r1": cfg["r1"], "r2": cfg["r2"], "identity": ident, "seed": cfg["seed"],
-              "config_hash": config_hash(cfg), "lmd_checksum": result.lmd_checksum_after}
+              "config_hash": config_hash(cfg)}
     save_layers(args.out, "personalized", header, {
         "lmd": [f.l_meta_down for f in result.factors],
         "lm": [f.l_mid for f in result.factors], "lu": [f.l_up for f in result.factors]})
     write_run_trace(args.out, "personalize", cfg, {
         "identity": ident,
         "final_loss": result.train_losses[-1],
-        "lmd_frozen": result.lmd_checksum_before == result.lmd_checksum_after})
+        "lmd_frozen": result.lmd_frozen})
     write_svg_curve(str(args.out) + ".loss.svg", result.train_losses,
                     title="stage-2 loss")
     print(f"personalized checkpoint written to {args.out} (identity {ident})")
@@ -239,14 +236,9 @@ def cmd_personalize(args) -> int:
 
 def cmd_merge(args) -> int:
     header, layers = load_layers(args.checkpoint, "personalized")
-    if "".join(map(checksum, layers["lmd"])) != header["lmd_checksum"]:
-        raise CheckpointError("personalized checkpoint's lmd does not match its lmd_checksum")
     merged, errors = {"down": [], "up": []}, []
-    for li, factors in enumerate(zip(layers["lmd"], layers["lm"], layers["lu"])):
-        try:
-            f = AdapterFactors(*factors)
-        except DimensionError as exc:
-            raise CheckpointError(f"personalized checkpoint layer {li}: {exc}")
+    for factors in zip(layers["lmd"], layers["lm"], layers["lu"]):
+        f = AdapterFactors(*factors)
         m = merge(f)
         merged["down"].append(m.down)
         merged["up"].append(m.up)
@@ -254,9 +246,10 @@ def cmd_merge(args) -> int:
             # 100 random columns as a stack: the draws of 100 (d1, 1) calls, and
             # the same BLAS call per column as one at a time
             x = make_rng(0).normal(size=(100, f.d1, 1))
-            three = f.l_up @ (f.l_mid @ (f.l_meta_down @ x))
-            two = m.up @ (m.down @ x)
-            errors.append(np.max(np.abs(three - two)))
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses both
+                three = f.l_up @ (f.l_mid @ (f.l_meta_down @ x))
+                two = m.up @ (m.down @ x)
+                errors.append(np.max(np.abs(three - two)))
     max_err = float(np.max(errors)) if args.verify else None  # np.max keeps a NaN
     if args.verify and not max_err <= 1e-12:
         raise NumericError(f"merge verification failed: max |diff| = {max_err:.3e}")

@@ -1,4 +1,4 @@
-"""Identity-similarity and prompt-adherence metrics over pluggable embedders.
+"""Identity-similarity metrics over pluggable embedders.
 
 The headline metric scores each generated image against held-out images of
 the same identity, never against the reference used for personalization;
@@ -68,13 +68,6 @@ class EvalManifest:
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
         return cls(identities=idents, prompts=prompts)
-
-    def to_json(self) -> dict:
-        return {"identities": [{"id": e.identity,
-                                "reference": e.reference.tolist(),
-                                "tests": [t.tolist() for t in e.tests]}
-                               for e in self.identities],
-                "prompts": self.prompts}
 
 
 @dataclass
@@ -146,11 +139,6 @@ def facesim_conventional(manifest: EvalManifest, generator, embedder) -> MetricR
     return _score_identities(manifest, generator, embedder, against_reference=True)
 
 
-def prompt_adherence(prompt_embedding: np.ndarray, image_embedding: np.ndarray) -> float:
-    """Joint-space similarity between prompt and image, x100."""
-    return 100.0 * cosine(prompt_embedding, image_embedding)
-
-
 def discrepancy_report(facesim: float, r_facesim_score: float) -> float:
     """Relative difference (%), rounded to 0.1, of the robust vs conventional
     score. Negative values flag inflation under the conventional protocol."""
@@ -176,9 +164,3 @@ def read_embeddings_jsonl(path, dim: int | None = None) -> dict[str, np.ndarray]
                 raise ManifestError(f"{path}:{ln}: not an embedding record "
                                     f"({type(exc).__name__}: {exc})") from exc
     return out
-
-
-def write_embeddings_jsonl(path, embeddings: dict[str, np.ndarray]) -> None:
-    with open(path, "w") as fh:
-        for key in sorted(embeddings):
-            fh.write(json.dumps({"id": key, "vector": embeddings[key].tolist()}) + "\n")

@@ -129,6 +129,10 @@ class Stage2Result:
     # of the run's probe curve
     iters_to_threshold: int | None = None
 
+    @property
+    def lmd_frozen(self) -> bool:
+        return self.lmd_checksum_before == self.lmd_checksum_after
+
 
 @dataclass
 class Stage2Job:

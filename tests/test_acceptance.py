@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors, merge, merged_forward
+from metalora.adapter import AdaptedLayer, AdapterFactors, MergedLoRA, init_factors, merge
 from metalora.augment import ASPECTS, MULTIPLIERS, CropSpec, FaceBox, plan_crops, sample_view
-from metalora.checkpoint import load_checkpoint, save_checkpoint
+from metalora.checkpoint import load_checkpoint, save_checkpoint, save_layers
 from metalora.errors import RankError
 from metalora.evaluation import (EvalManifest, IdentityEntry, discrepancy_report,
                                  facesim_conventional, r_facesim)
@@ -70,6 +70,12 @@ def test_acceptance_1_gradient_correctness():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s >= 10s"
     report(1, f"{n_instances} instances, worst rel err {worst:.2e}, {elapsed:.2f}s")
+
+
+def merged_forward(w0: np.ndarray, merged: MergedLoRA, x: np.ndarray,
+                   scale: float = 1.0) -> np.ndarray:
+    """The forward pass of a base weight with a merged two-factor adapter."""
+    return w0 @ x + scale * (merged.up @ (merged.down @ x))
 
 
 def test_acceptance_2_merge_equivalence():
@@ -300,9 +306,8 @@ def test_acceptance_9_determinism_and_persistence(tmp_path):
         res = run_stage1(model, ds, schedule,
                          TrainConfig(q_total=60, batch_size=4, lr=1e-3, seed=7,
                                      r1=4, r2=1, identities_per_bucket=2))
-        header = {"kind": "stage1", "r1": 4, "seed": 7,
-                  "executed_iterations": res.executed_iterations}
-        save_checkpoint(path, header, {f"lmd.{i}": m for i, m in enumerate(res.lmd)})
+        header = {"r1": 4, "seed": 7, "executed_iterations": res.executed_iterations}
+        save_layers(path, "stage1", header, {"lmd": res.lmd})
         return model
 
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"

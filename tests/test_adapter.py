@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metalora import kernels
-from metalora.adapter import (AdaptedLayer, AdapterFactors, init_factors,
-                              merge, merged_forward)
+from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors, merge
 from metalora.errors import DimensionError, RankError
-from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
+from metalora.numerics import AdamWState, adamw_step, make_rng
+
+from test_acceptance import merged_forward
 
 
 def random_layer(rng, d1, d2, r1, r2, scale=1.0, nonzero_up=True):
@@ -194,13 +195,11 @@ class TestMerge:
 class TestBaseFreezing:
     def test_update_then_freeze_then_immutability(self):
         # the base trains in place until frozen; write protection alone then
-        # refuses every in-place update, and the checksum records the frozen bits
+        # refuses every in-place update
         rng = make_rng(600)
         layer = random_layer(rng, 4, 4, 2, 1)
-        assert layer.base_checksum is None
         layer.w0 += np.ones((4, 4))
-        c = layer.freeze_base()
-        assert layer.base_checksum == c == checksum(layer.w0)
+        layer.freeze_base()
         frozen = layer.w0.copy()
         with pytest.raises(ValueError, match="read-only"):
             layer.w0 += np.ones((4, 4))
@@ -209,7 +208,6 @@ class TestBaseFreezing:
         with pytest.raises(ValueError, match="read-only"):
             adamw_step(layer.w0, np.ones((4, 4)), AdamWState())
         assert np.array_equal(layer.w0, frozen)
-        assert layer.base_checksum == c == checksum(layer.w0)
 
     def test_init_factors_zero_mode(self):
         f = init_factors(make_rng(0), 6, 6, 3, 2, mode="zero")

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,6 @@ from metalora.errors import CheckpointError, ConfigError
 from metalora.numerics import checksum, make_rng
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "pipeline_bench"
-
-
-def personalized_header(tensors, **fields):
-    """A personalized header whose lmd_checksum matches the tensors' lmd.N."""
-    lmd = [tensors[f"lmd.{li}"] for li in range(2) if f"lmd.{li}" in tensors]
-    return {"kind": "personalized", "r1": 2, "r2": 1, "identity": 0,
-            "lmd_checksum": "".join(map(checksum, lmd)), **fields}
 
 
 def header_only_checkpoint(path, hdr: bytes):
@@ -152,11 +146,10 @@ class TestCheckpointFormat:
             [(16, 18), (8, 16)], [(4, 18), (4, 16)], [(1, 4), (1, 4)], [(16, 1), (8, 1)]))
         down = [m @ d for m, d in zip(lm, lmd)]
         cases = [
-            ("base", {"seed": 0, "layer_dims": [[18, 16], [16, 8]], "base_checksums": ["a", "b"]},
-             {"w0": w0}, {"w0.0": w0[0], "w0.1": w0[1]}),
+            ("base", {"seed": 0}, {"w0": w0}, {"w0.0": w0[0], "w0.1": w0[1]}),
             ("stage1", {"r1": 4, "seed": 0, "executed_iterations": 80}, {"lmd": lmd},
              {"lmd.0": lmd[0], "lmd.1": lmd[1]}),
-            ("personalized", {"r1": 4, "r2": 1, "identity": 4, "lmd_checksum": "c"},
+            ("personalized", {"r1": 4, "r2": 1, "identity": 4},
              {"lmd": lmd, "lm": lm, "lu": lu},
              {"lmd.0": lmd[0], "lm.0": lm[0], "lu.0": lu[0],
               "lmd.1": lmd[1], "lm.1": lm[1], "lu.1": lu[1]}),
@@ -165,11 +158,13 @@ class TestCheckpointFormat:
         ]
         assert sorted(KINDS) == sorted(kind for kind, *_ in cases)
         for kind, header, layers, tensors in cases:
+            full_header = {"kind": kind, **header, "checksums": {
+                name: checksum(arr) for name, arr in tensors.items()}}
             save_layers(tmp_path / "new.bin", kind, header, layers)
-            save_checkpoint(tmp_path / "old.bin", {"kind": kind, **header}, tensors)
+            save_checkpoint(tmp_path / "old.bin", full_header, tensors)
             assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
             back_header, back = load_layers(tmp_path / "new.bin", kind)
-            assert back_header == {"kind": kind, **header}
+            assert back_header == full_header
             assert {f: [a.tobytes() for a in back[f]] for f in back} == \
                 {f: [a.tobytes() for a in layers[f]] for f in layers}
 
@@ -286,6 +281,19 @@ class TestPipeline:
             want = tp[f"lm.{li}"] @ tp[f"lmd.{li}"]
             assert np.max(np.abs(down - want)) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["down.0", "up.1"])
+    def test_merged_export_with_an_edited_byte_is_refused(self, cli_run, tmp_path, name):
+        # no command reads a merged export, so load_layers is its reader
+        merged = cli_run[5]
+        load_layers(merged, "merged")
+        blob = bytearray(merged.read_bytes())
+        record = struct.pack("<H", len(name)) + name.encode()  # not the header's mention
+        blob[blob.index(record) + len(record) + 8 + 3] ^= 0x10  # past rows and cols
+        bad = tmp_path / "merged.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"{name}' does not match its recorded"):
+            load_layers(bad, "merged")
+
     def test_merged_export_independent_of_source_path(self, cli_run, tmp_path):
         pers = cli_run[4]
         merged = []
@@ -356,18 +364,15 @@ class TestPipeline:
         # the stacked check keeps the bits of 100 draws and chains one vector
         # at a time, for factors whose chains differ in their last bits
         rng = make_rng(5)
-        shapes = [(37, 5, 2, 11), (11, 3, 3, 7)]  # per layer: d1, r1, r2, d2
-        tensors = {}
-        for li, (d1, r1, r2, d2) in enumerate(shapes):
-            tensors[f"lmd.{li}"] = rng.normal(size=(r1, d1))
-            tensors[f"lm.{li}"] = rng.normal(size=(r2, r1))
-            tensors[f"lu.{li}"] = rng.normal(size=(d2, r2))
+        r1, r2, dims = 5, 2, [(37, 11), (11, 7)]  # per layer: d1, d2
+        layers = {"lmd": [rng.normal(size=(r1, d1)) for d1, _d2 in dims],
+                  "lm": [rng.normal(size=(r2, r1)) for _ in dims],
+                  "lu": [rng.normal(size=(d2, r2)) for _d1, d2 in dims]}
         pers, out = tmp_path / "pers.bin", tmp_path / "merged.bin"
-        save_checkpoint(pers, personalized_header(tensors, r1=5, r2=2), tensors)
+        save_layers(pers, "personalized", {"r1": r1, "r2": r2, "identity": 0}, layers)
         assert main(["merge", "--checkpoint", str(pers), "--out", str(out), "--verify"]) == 0
         want = 0.0
-        for li in range(len(shapes)):
-            f = AdapterFactors(tensors[f"lmd.{li}"], tensors[f"lm.{li}"], tensors[f"lu.{li}"])
+        for f in map(AdapterFactors, layers["lmd"], layers["lm"], layers["lu"]):
             m = merge(f)
             draws = make_rng(0)
             for _ in range(100):
@@ -450,17 +455,40 @@ ARTIFACT = {"base": 2, "stage1": 3, "personalized": 4}
 # recorded checksum or merge's verification can refuse it
 EDITED_ARTIFACTS = {
     "base with an extra w0.2": ("base", lambda h, t: t.update({"w0.2": t["w0.0"]}), 3),
+    "base without its checksums": ("base", lambda h, t: h.pop("checksums"), 3),
     "stage-1 with an extra lmd.2": ("stage1", lambda h, t: t.update({"lmd.2": t["lmd.0"]}), 3),
     "stage-1 with a tensor named junk": ("stage1", lambda h, t: t.update(junk=t["lmd.0"]), 3),
     "personalized r2 = 'seven'": ("personalized", lambda h, t: h.update(r2="seven"), 3),
+    "personalized r2 = 7": ("personalized", lambda h, t: h.update(r2=7), 3),
+    "personalized r1 = 9": ("personalized", lambda h, t: h.update(r1=9), 3),
     "personalized identity = [1, 2]": ("personalized", lambda h, t: h.update(identity=[1, 2]),
                                        3),
     "base w0.0 altered": ("base", bump("w0.0", 1.0), 3),
+    "stage-1 lmd.0 altered": ("stage1", bump("lmd.0", 1.0), 3),
     "personalized lmd.0 altered": ("personalized", bump("lmd.0", 1.0), 3),
+    "personalized lu.0 altered": ("personalized", bump("lu.0", 1e-3), 3),
     "personalized NaN in lm.0": ("personalized", bump("lm.0", np.nan), 3),
     "personalized inf in lu.1": ("personalized", bump("lu.1", np.inf, at=(1, 0)), 3),
     "personalized products overflow": ("personalized", set_entries(1e200, "lm.0", "lu.0"), 4),
 }
+
+
+def payload_offsets(blob: bytes) -> set[int]:
+    """The offsets of a checkpoint's tensor data bytes, read from the
+    container layout: magic, version, header, count, then per tensor its
+    name, rows and cols ahead of its data."""
+    pos = 10 + struct.unpack_from("<I", blob, 6)[0]  # past magic, version, hlen, header
+    count = struct.unpack_from("<I", blob, pos)[0]
+    pos += 4
+    offsets = set()
+    for _ in range(count):
+        pos += 2 + struct.unpack_from("<H", blob, pos)[0]  # nlen and the name
+        rows, cols = struct.unpack_from("<II", blob, pos)
+        pos += 8
+        offsets.update(range(pos, pos + 8 * rows * cols))
+        pos += 8 * rows * cols
+    assert pos == len(blob)
+    return offsets
 
 
 class TestExitCodes:
@@ -470,8 +498,17 @@ class TestExitCodes:
         header, tensors = load_checkpoint(cli_run[ARTIFACT[kind]])
         edit(header, tensors)
         bad = tmp_path / "bad.bin"
-        save_checkpoint(bad, header, tensors)
-        assert main(reads(kind, cli_run, bad, tmp_path / "o")) == code
+        if code == 4:
+            # written through save_layers, which records the edited tensors'
+            # checksums, so that only merge's verification can refuse it
+            families = KINDS[kind][0]
+            save_layers(bad, kind, header, {f: [tensors[f"{f}.{li}"] for li in range(
+                len(tensors) // len(families))] for f in families})
+        else:
+            save_checkpoint(bad, header, tensors)
+        with warnings.catch_warnings():  # an overflow is an error, not a warning
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(reads(kind, cli_run, bad, tmp_path / "o")) == code
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {3: "io", 4: "numeric"}[code]
         assert not (tmp_path / "o").exists()
@@ -482,8 +519,10 @@ class TestExitCodes:
     @given(data=st.data())
     def test_mutated_checkpoint_bytes_exit_cleanly(self, cli_run, tmp_path, kind, data):
         # flipped, cut and inserted bytes in a CLI-written checkpoint end in a
-        # documented exit code, with a JSON error when the run fails
-        blob = bytearray(cli_run[ARTIFACT[kind]].read_bytes())
+        # documented exit code, with a JSON error when the run fails, and
+        # changed tensor data in exit 3
+        original = cli_run[ARTIFACT[kind]].read_bytes()
+        blob = bytearray(original)
         for how, byte in data.draw(st.lists(st.tuples(
                 st.sampled_from(["flip", "truncate", "insert"]), st.integers(1, 255)),
                 min_size=1, max_size=3)):
@@ -502,6 +541,12 @@ class TestExitCodes:
         assert rc in (0, 2, 3, 4)
         if rc:
             assert json.loads(err.getvalue())["error"] in ("config", "io", "numeric")
+        if len(blob) == len(original) and any(blob[i] != original[i]
+                                               for i in payload_offsets(original)):
+            assert rc == 3
+        if rc == 0:  # then the run read the CLI-written tensors, bit for bit
+            assert {k: v.tobytes() for k, v in load_checkpoint(bad)[1].items()} == \
+                {k: v.tobytes() for k, v in load_checkpoint(cli_run[ARTIFACT[kind]])[1].items()}
 
     def test_config_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -586,10 +631,16 @@ class TestExitCodes:
                 tensors[name] = np.zeros((2, 3))
             else:
                 del tensors[name]
-            save_checkpoint(bad, personalized_header(tensors), tensors)
+            # names that save_layers mostly cannot write, with the checksums it records
+            save_checkpoint(bad, {"kind": "personalized", "r1": 2, "r2": 1, "identity": 0,
+                                  "checksums": {n: checksum(a) for n, a in tensors.items()}},
+                            tensors)
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io"
+        assert {"list header": "not an object", "lm.0 does not chain": "has shape (1, 5)"
+                }.get(case, "are not lmd.N, lm.N, lu.N") in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_merge_of_duplicate_tensor_is_3(self, tmp_path, capsys):
@@ -609,8 +660,7 @@ class TestExitCodes:
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         base = tmp_path / "base.bin"
-        save_checkpoint(base, {"kind": "base", "base_checksums": []},
-                        {"w0.0": np.zeros((16, 8 + 8 + 2))})
+        save_layers(base, "base", {}, {"w0": [np.zeros((16, 8 + 8 + 2))]})
         args = [command, "--config", str(cfg), "--checkpoint", str(base),
                 "--out", str(tmp_path / "o")]
         if command != "metatrain":
@@ -625,8 +675,8 @@ class TestExitCodes:
         cfg = tmp_path / "r1.cfg"
         cfg.write_text(SMALL_CFG.replace("r1 = 4", f"r1 = {cfg_r1}"))
         s1 = tmp_path / "stage1.bin"
-        save_checkpoint(s1, {"kind": "stage1", "r1": r1},
-                        {"lmd.0": np.zeros((cfg_r1, 18)), "lmd.1": np.zeros((cfg_r1, 16))})
+        save_layers(s1, "stage1", {"r1": r1},
+                    {"lmd": [np.zeros((cfg_r1, 18)), np.zeros((cfg_r1, 16))]})
         rc = main(["personalize", "--config", str(cfg), "--checkpoint", str(base),
                    "--stage1", str(s1), "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -676,7 +726,8 @@ class TestExitCodes:
 
     def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"
-        save_checkpoint(empty, personalized_header({}), {})
+        save_layers(empty, "personalized", {"r1": 2, "r2": 1, "identity": 0},
+                    {"lmd": [], "lm": [], "lu": []})
         rc = main(["merge", "--checkpoint", str(empty), "--out", str(tmp_path / "o"),
                    "--verify"])
         assert rc == 3

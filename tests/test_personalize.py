@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from metalora import kernels, personalize
-from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors, merged_forward
+from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.augment import FaceBox, plan_crops, sample_view
-from metalora.checkpoint import save_checkpoint
+from metalora.checkpoint import save_layers
 from metalora.errors import (CheckpointError,
                              MetaLoraError, NumericError, RankError)
 from metalora.metatrain import TrainConfig, run_stage1
@@ -21,6 +21,8 @@ from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   run_stage2_many, smooth, view_latent)
 from metalora.toymodel import (Example, ToyDenoiser, generate, linear_schedule,
                                make_dataset, noisify, pretrain_base, time_embedding)
+
+from test_acceptance import merged_forward
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +47,8 @@ def pcfg(**kw):
 class TestLoadStage1:
     def save(self, tmp_path, lmd, r1=4, kind="stage1"):
         path = tmp_path / "s1.bin"
-        header = {"kind": kind, "r1": r1, "seed": 0, "config_hash": "x",
-                  "executed_iterations": 80}
-        save_checkpoint(path, header, {f"lmd.{i}": m for i, m in enumerate(lmd)})
+        header = {"r1": r1, "seed": 0, "config_hash": "x", "executed_iterations": 80}
+        save_layers(path, kind, header, {"lmd": lmd} if kind == "stage1" else {"w0": lmd})
         return path
 
     def test_round_trip_bit_identical_and_frozen(self, world, tmp_path):
