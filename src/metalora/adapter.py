@@ -24,7 +24,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, RankError
-from .numerics import gaussian
 
 
 @dataclass
@@ -131,8 +130,8 @@ def init_factors(rng: np.random.Generator, d1: int, d2: int, r1: int, r2: int,
         raise RankError(f"need 1 <= r2 <= r1 <= min(d1, d2), got r1={r1}, r2={r2}, "
                         f"d1={d1}, d2={d2}")
     if mode == "fresh":
-        lmd = gaussian(rng, r1, d1, 1.0 / np.sqrt(d1))
-        lm = gaussian(rng, r2, r1, 1.0 / np.sqrt(r1))
+        lmd = rng.normal(0.0, 1.0 / np.sqrt(d1), size=(r1, d1))
+        lm = rng.normal(0.0, 1.0 / np.sqrt(r1), size=(r2, r1))
         lu = np.zeros((d2, r2))
     elif mode == "zero":
         lmd = np.zeros((r1, d1))

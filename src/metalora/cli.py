@@ -111,14 +111,14 @@ def write_run_trace(out_path: str, command: str, config: dict, extra: dict | Non
         json.dump(doc, fh, indent=2, sort_keys=True, default=str)
 
 
-def write_svg_curve(path, ys, title: str = "", width: int = 640, height: int = 240):
-    """Static SVG line chart of one curve; no plotting dependency needed."""
+def write_svg_curve(path, ys, title: str = ""):
+    """Static 640x240 SVG line chart of one curve; no plotting dependency needed."""
     ys = np.asarray(ys, dtype=np.float64)
     if len(ys) < 2:
         return
     lo, hi = float(ys.min()), float(ys.max())
     span = (hi - lo) or 1.0
-    pad = 10
+    width, height, pad = 640, 240, 10
     # each point's operations in a fixed order: the file's bytes depend on their bits
     px = pad + np.arange(len(ys)) * (width - 2 * pad) / (len(ys) - 1)
     py = height - pad - (ys - lo) * (height - 2 * pad) / span

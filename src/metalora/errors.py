@@ -9,7 +9,6 @@ class DimensionError(MetaLoraError):
     """Operand shapes are incompatible."""
 
     def __init__(self, op: str, *shapes):
-        self.shapes = shapes
         super().__init__(f"{op}: incompatible shapes {' vs '.join(str(s) for s in shapes)}")
 
 

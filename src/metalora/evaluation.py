@@ -11,7 +11,7 @@ the same file-exchange formats the CLI speaks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class MetricResult:
     score: float               # x100
     table: dict[tuple[str, str], float]  # (identity, prompt) -> mean similarity
     failures: int = 0
-    warnings: list[str] = field(default_factory=list)
 
 
 class ToyEmbedder:
@@ -98,16 +97,14 @@ def _score_identities(manifest: EvalManifest, generator, embedder,
                       against_reference: bool) -> MetricResult:
     table: dict[tuple[str, str], float] = {}
     failures = 0
-    warnings = []
     for entry in sorted(manifest.identities, key=lambda e: e.identity):
         ref_emb = embedder(entry.reference)
         test_embs = [embedder(t) for t in entry.tests]
         for prompt in manifest.prompts:
             try:
                 generated = generator(entry.reference, prompt)
-            except Exception as exc:  # generator crash: exclude, never score 0
+            except Exception:  # generator crash: exclude, never score 0
                 failures += 1
-                warnings.append(f"generation failed for ({entry.identity}, {prompt}): {exc}")
                 continue
             g_emb = embedder(generated)
             if against_reference:
@@ -120,7 +117,7 @@ def _score_identities(manifest: EvalManifest, generator, embedder,
     # fixed sorted reduction order so permuting inputs cannot change the sum
     ordered = [table[k] for k in sorted(table)]
     return MetricResult(score=100.0 * float(np.mean(ordered)), table=table,
-                        failures=failures, warnings=warnings)
+                        failures=failures)
 
 
 def r_facesim(manifest: EvalManifest, generator, embedder) -> MetricResult:

@@ -8,26 +8,31 @@ items or runs) with a leading axis: ``(B, ., .)`` factors and inputs against
 a shared 2-d ``w0``. Stacked matmuls make the same BLAS call per item as the
 2-d call, so an item gives the same bits alone or inside a stack, and a
 gradient written into a caller's array (``out``) has the bits of a new one.
+
+AdamW's β1, β2 and ε are stated once, here: every trainer uses the defaults
+of Loshchilov & Hutter, "Decoupled Weight Decay Regularization" (ICLR 2019).
 """
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-def adamw_update(param, grad, m, v, step, lr, beta1, beta2, eps, weight_decay):
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
+
+def adamw_update(param, grad, m, v, step, lr, weight_decay):
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
     if isinstance(step, np.ndarray):  # a column of counts, one per row of param
         # each row's bias corrections are Python's float ** int, as for one
         # count: numpy's vectorised power can differ from it in the last bit
         c1, c2 = (np.array([[1.0 - beta ** s] for s in step.ravel().tolist()])
-                  for beta in (beta1, beta2))
+                  for beta in (BETA1, BETA2))
     else:
-        c1, c2 = 1.0 - beta1 ** step, 1.0 - beta2 ** step
+        c1, c2 = 1.0 - BETA1 ** step, 1.0 - BETA2 ** step
     m_hat = m / c1
     v_hat = v / c2
-    param -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * param)
+    param -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * param)
 
 
 def chain_forward(w0, lmd, lm, lu, scale, x):

@@ -161,10 +161,9 @@ class IdentityBank:
         np.add.at(grads, np.searchsorted(idx, identities), item_grads)
         check_finite(grads, "stage-1 mid/up gradient")
         self.steps[idx] += 1
-        st = self.state
         block = self._planes[:, idx]
         kernels.adamw_update(block[0], grads, block[1], block[2], self.steps[idx, None],
-                             st.lr, st.beta1, st.beta2, st.eps, st.weight_decay)
+                             self.state.lr, self.state.weight_decay)
         self._planes[:, idx] = block
         return rows
 
@@ -292,10 +291,10 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                 model, inp, eps, factors=bank.operands(identities),
                 need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
             rows = bank.update(identities, item_grads)
+            if lomd_live:
+                bank.shared.step([d_lmd for _, _, d_lmd, _ in layer_grads])
         except NumericError as exc:
             raise NumericError(f"iteration {it}: {exc}") from exc
-        if lomd_live:
-            bank.shared.step([d_lmd for _, _, d_lmd, _ in layer_grads])
         trace.append(TraceRecord(
             iteration=it, bucket_id=bucket.bucket_id, entry_index=entry_index,
             iter_in_bucket=i_cb, loss=loss, lomd_updated=lomd_live,

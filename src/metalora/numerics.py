@@ -1,4 +1,4 @@
-"""Seeded PRNG, Gaussian init, finiteness checks, checksums and AdamW.
+"""Seeded PRNG, finiteness checks, checksums and AdamW.
 
 Parameters are plain float64 numpy arrays throughout the package. Random
 streams come from numpy's PCG64 generator, whose algorithm is fixed and
@@ -31,15 +31,6 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} contains non-finite values")
 
 
-def gaussian(rng: np.random.Generator, rows: int, cols: int, std: float) -> np.ndarray:
-    """i.i.d. N(0, std^2) matrix; std=0 yields exact zeros."""
-    if std < 0:
-        raise ValueError(f"gaussian: std must be >= 0, got {std}")
-    if std == 0:
-        return np.zeros((rows, cols))
-    return rng.normal(0.0, std, size=(rows, cols))
-
-
 def checksum(arr: np.ndarray) -> str:
     """SHA-1 of the raw little-endian bytes; used for freeze/immutability audits."""
     data = np.ascontiguousarray(arr, dtype=np.float64)
@@ -52,18 +43,20 @@ def checksum(arr: np.ndarray) -> str:
 class AdamWState:
     """Per-parameter AdamW state with decoupled weight decay.
 
-    Defaults follow common practice (beta1=0.9, beta2=0.999, eps=1e-8,
-    weight_decay=0); only the learning rate is externally prescribed.
+    Holds the two settings a trainer chooses, ``lr`` and ``weight_decay``;
+    β1, β2 and ε are the constants of :mod:`metalora.kernels`. A negative
+    ``lr`` is refused here, so a trainer refuses it before its first step.
     """
 
     lr: float = 4e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.lr < 0:
+            raise ValueError(f"AdamWState: lr must be >= 0, got {self.lr}")
 
     def _ensure_buffers(self, shape) -> None:
         if self.m is None:
@@ -77,14 +70,11 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, state: AdamWState) -> np.nda
     """One AdamW update, applied in place to ``param``. Returns ``param``."""
     if param.shape != grad.shape:
         raise DimensionError("adamw_step", param.shape, grad.shape)
-    if state.lr < 0:
-        raise ValueError(f"adamw_step: lr must be >= 0, got {state.lr}")
     check_finite(grad, "adamw_step: gradient")
     state._ensure_buffers(param.shape)
     state.step += 1
     kernels.adamw_update(param, np.ascontiguousarray(grad), state.m, state.v,
-                         state.step, state.lr, state.beta1, state.beta2,
-                         state.eps, state.weight_decay)
+                         state.step, state.lr, state.weight_decay)
     return param
 
 
@@ -94,8 +84,6 @@ class FlatGroup:
     moves them all: AdamW is elementwise, so each gets the bits of its own."""
 
     def __init__(self, tensors: list[np.ndarray], state: AdamWState):
-        if state.lr < 0:  # adamw_step's check, made once before any step
-            raise ValueError(f"adamw_step: lr must be >= 0, got {state.lr}")
         ends = list(accumulate((t.size for t in tensors), initial=0))
         self.flat = np.concatenate([t.ravel() for t in tensors])
         self.grad = np.empty_like(self.flat)

@@ -87,12 +87,10 @@ class ProbeItem:
 
 
 def make_probe(dataset: ToyIdentityDataset, identity: int,
-               schedule: DiffusionSchedule, seed: int,
-               max_items: int = 16) -> list[ProbeItem]:
-    """Fixed evaluation set over an identity's held-out samples."""
+               schedule: DiffusionSchedule, seed: int) -> list[ProbeItem]:
+    """Fixed evaluation set over an identity's first 16 held-out samples."""
     rng = make_rng(seed)
-    items = [e for e in dataset.of_identity(identity) if e.split == "test"]
-    items = items[:max_items]
+    items = [e for e in dataset.of_identity(identity) if e.split == "test"][:16]
     probe = []
     for e in items:
         t = int(rng.integers(schedule.T))
@@ -300,8 +298,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     cfg = jobs[0].config
     if stop_at_threshold and jobs[0].probe is None:
         raise MetaLoraError("run_stage2_many: stop_at_threshold needs probed jobs")
-    if cfg.lr < 0:  # adamw_step's check, made once before the loop
-        raise ValueError(f"adamw_step: lr must be >= 0, got {cfg.lr}")
+    state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)  # refuses lr < 0
     R, d, T = len(jobs), model.d, schedule.T
     dims = model.dims
     streams, job_stream = _make_streams(jobs, d, dims, cfg.view_strength)
@@ -315,8 +312,6 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     params = np.stack([streams[s].fresh for s in job_stream])
     (lm1, lu1), (lm2, lu2) = split_params(params, dims, cfg.r1, cfg.r2)
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
-    state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    hyper = (state.lr, state.beta1, state.beta2, state.eps, state.weight_decay)
     grads, *moments = np.zeros((3, *params.shape))  # and AdamW's two moments
     grad_views = split_params(grads, dims, cfg.r1, cfg.r2)
     (w0_1, w0_2), (s1, s2), _ = model.operands()
@@ -360,7 +355,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         if not np.isfinite(grads).all():
             bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))[0]
             raise NumericError(f"job {bad}: non-finite gradient at stage-2 iteration {it}")
-        kernels.adamw_update(params, grads, *moments, it + 1, *hyper)
+        kernels.adamw_update(params, grads, *moments, it + 1, state.lr, state.weight_decay)
         train_losses[it] = losses
         if probed:
             record_probe(it + 1)

@@ -50,8 +50,9 @@ class DiffusionSchedule:
         return len(self.alpha_bar)
 
 
-def linear_schedule(T: int = 50, start: float = 0.999, end: float = 0.01) -> DiffusionSchedule:
-    return DiffusionSchedule(np.linspace(start, end, T))
+def linear_schedule(T: int = 50) -> DiffusionSchedule:
+    """alpha_bar falling linearly from 0.999 to 0.01 over T steps."""
+    return DiffusionSchedule(np.linspace(0.999, 0.01, T))
 
 
 def noisify(schedule: DiffusionSchedule, x0: np.ndarray, t: int,
@@ -65,10 +66,9 @@ def noisify(schedule: DiffusionSchedule, x0: np.ndarray, t: int,
     return x_t, eps
 
 
-def time_embedding(t: int, T: int, dim: int = TEMB_DIM) -> np.ndarray:
-    """Sinusoidal features of t/T; gives the no-bias network usable constants."""
-    half = dim // 2
-    freqs = np.arange(1, half + 1, dtype=np.float64)
+def time_embedding(t: int, T: int) -> np.ndarray:
+    """TEMB_DIM sinusoidal features of t/T; usable constants for the no-bias network."""
+    freqs = np.arange(1, TEMB_DIM // 2 + 1, dtype=np.float64)
     phase = 2.0 * np.pi * freqs * (t / T)
     return np.concatenate([np.sin(phase), np.cos(phase)])
 
@@ -109,7 +109,6 @@ class ToyIdentityDataset:
 
 def make_dataset(rng: np.random.Generator, n_identities: int = 16, d: int = 32,
                  samples_per_identity: int = 20, n_prompts: int = 4,
-                 prototype_std: float = 1.0, perturbation_frac: float = 0.1,
                  single_prototype: bool = False) -> ToyIdentityDataset:
     """Synthesize a per-identity latent dataset.
 
@@ -119,13 +118,13 @@ def make_dataset(rng: np.random.Generator, n_identities: int = 16, d: int = 32,
     control where there is nothing identity-specific to learn).
     """
     for _ in range(100):
-        prototypes = rng.normal(0.0, prototype_std, size=(n_identities, d))
+        prototypes = rng.normal(0.0, 1.0, size=(n_identities, d))
         if single_prototype:
             prototypes = np.tile(prototypes[:1], (n_identities, 1))
-        # perturbation norm is perturbation_frac of the mean prototype norm,
-        # i.e. per-dimension std = frac * |p| / sqrt(d)
+        # perturbation norm is 0.1 of the mean prototype norm,
+        # i.e. per-dimension std = 0.1 * |p| / sqrt(d)
         mean_norm = float(np.mean(np.linalg.norm(prototypes, axis=1)))
-        pert_std = perturbation_frac * mean_norm / np.sqrt(d)
+        pert_std = 0.1 * mean_norm / np.sqrt(d)
         if single_prototype:
             break
         diffs = prototypes[:, None, :] - prototypes[None, :, :]
@@ -354,9 +353,12 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
         layer.w0 = w0
     recent, kept = np.empty(window + DRAW_BLOCK), 0  # the losses, in iteration order
     batches = drawn_batches(rng, model, schedule, repeat(dataset.examples), batch_size)
-    for _, (_, inp, eps) in zip(range(max_iters), batches):
-        loss, layer_grads = diffusion_loss(model, inp, eps, need={"w0"})
-        base.step([dw0 for *_, dw0 in layer_grads])
+    for it, (_, inp, eps) in zip(range(max_iters), batches):
+        try:
+            loss, layer_grads = diffusion_loss(model, inp, eps, need={"w0"})
+            base.step([dw0 for *_, dw0 in layer_grads])
+        except NumericError as exc:
+            raise NumericError(f"pretraining iteration {it}: {exc}") from exc
         del layer_grads  # not held through the next step, which builds its own
         if kept == len(recent):  # the last window - 1 losses move to the front
             recent[:window - 1], kept = recent[kept - window + 1:], window - 1

@@ -28,7 +28,7 @@ class TestNumpyBackend:
         g = rng.standard_normal((3, 3))
         m = np.zeros((3, 3))
         v = np.zeros((3, 3))
-        kernels.adamw_update(p, g, m, v, 1, 0.1, 0.9, 0.999, 1e-8, 0.0)
+        kernels.adamw_update(p, g, m, v, 1, 0.1, 0.0)
         assert np.allclose(m, 0.1 * g)
         assert np.allclose(v, 0.001 * g * g)
 
@@ -44,8 +44,7 @@ class TestNumpyBackend:
         g, m0 = rng.standard_normal((2, k, 4))
         v0 = rng.random((k, 4))
         p, m, v = np.zeros((k, 4)), m0.copy(), v0.copy()
-        kernels.adamw_update(p, g, m, v, np.arange(1, k + 1)[:, None],
-                             lr, b1, b2, eps, 0.0)
+        kernels.adamw_update(p, g, m, v, np.arange(1, k + 1)[:, None], lr, 0.0)
         for i in range(k):
             step = i + 1
             m_i = m0[i] * b1 + (1.0 - b1) * g[i]
@@ -53,7 +52,7 @@ class TestNumpyBackend:
             p_i = -(lr * ((m_i / (1.0 - b1 ** step))
                           / (np.sqrt(v_i / (1.0 - b2 ** step)) + eps)))
             p_l, m_l, v_l = np.zeros(4), m0[i].copy(), v0[i].copy()
-            kernels.adamw_update(p_l, g[i], m_l, v_l, step, lr, b1, b2, eps, 0.0)
+            kernels.adamw_update(p_l, g[i], m_l, v_l, step, lr, 0.0)
             for want, lone, column in ((p_i, p_l, p[i]), (m_i, m_l, m[i]), (v_i, v_l, v[i])):
                 assert lone.tobytes() == column.tobytes() == want.tobytes(), step
 

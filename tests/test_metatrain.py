@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from metalora import metatrain
+from metalora import metatrain, toymodel
 from metalora.adapter import AdapterFactors, init_factors
-from metalora.errors import MetaLoraError
+from metalora.errors import MetaLoraError, NumericError
 from metalora.metatrain import (Bucket, IdentityBank, TraceRecord, TrainConfig,
                                 partition_buckets, run_stage1, split_params,
                                 warm_up_gate, write_trace_csv, write_trace_jsonl)
@@ -365,6 +365,23 @@ class TestStage1:
     def test_negative_lr_rejected_before_training(self):
         model, ds, schedule, config = small_stage1(lr=-1.0)
         with pytest.raises(ValueError, match="lr must be >= 0"):
+            run_stage1(model, ds, schedule, config)
+
+    def test_non_finite_shared_gradient_names_its_iteration(self, monkeypatch):
+        # the shared down factors' gradient turns NaN from the first
+        # iteration with the gate open; the error names that iteration
+        model, ds, schedule, config = small_stage1()
+        first_live = next(r.iteration for r in run_stage1(model, ds, schedule, config).trace
+                          if r.lomd_updated)
+        step = toymodel.train_step
+
+        def poisoned(*args, **kwargs):
+            losses, layer_grads = step(*args, **kwargs)
+            return losses, [(d_lm, d_lu, d_lmd if d_lmd is None else np.full_like(d_lmd, np.nan),
+                             dw0) for d_lm, d_lu, d_lmd, dw0 in layer_grads]
+
+        monkeypatch.setattr(toymodel, "train_step", poisoned)
+        with pytest.raises(NumericError, match=rf"^iteration {first_live}: .*non-finite"):
             run_stage1(model, ds, schedule, config)
 
     def test_trace_writers(self, tmp_path):

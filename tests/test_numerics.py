@@ -1,11 +1,11 @@
-"""Core numeric helpers: RNG, gaussian init, finiteness checks, AdamW."""
+"""Core numeric helpers: RNG, finiteness checks, checksums, AdamW."""
 
 import numpy as np
 import pytest
 
 from metalora.errors import DimensionError, NumericError
 from metalora.numerics import (AdamWState, FlatGroup, adamw_step, check_finite,
-                               checksum, gaussian, make_rng)
+                               checksum, make_rng)
 
 
 class TestRngAndGaussian:
@@ -17,24 +17,6 @@ class TestRngAndGaussian:
     def test_make_rng_distinct_seeds(self):
         assert not np.array_equal(make_rng(1).standard_normal(10),
                                   make_rng(2).standard_normal(10))
-
-    def test_gaussian_zero_std_exact_zeros(self):
-        g = gaussian(make_rng(0), 4, 5, 0.0)
-        assert g.shape == (4, 5)
-        assert np.count_nonzero(g) == 0
-
-    def test_gaussian_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian(make_rng(0), 2, 2, -1.0)
-
-    def test_gaussian_moments(self):
-        # 1e5 samples: sample mean within 3*sigma/sqrt(n) of 0,
-        # sample std within 2% of requested.
-        n = 100_000
-        std = 0.7
-        g = gaussian(make_rng(5), n, 1, std)
-        assert abs(g.mean()) < 3 * std / np.sqrt(n)
-        assert abs(g.std() - std) / std < 0.02
 
     def test_checksum_sensitive_and_stable(self):
         a = np.arange(6.0).reshape(2, 3)

@@ -6,6 +6,7 @@ from itertools import combinations, repeat
 import numpy as np
 import pytest
 
+from metalora import toymodel
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import ConvergenceError, NumericError
 from metalora.metatrain import IdentityBank, TrainConfig, split_params
@@ -19,7 +20,7 @@ from metalora.toymodel import (DRAW_BLOCK, TRAINED, DiffusionSchedule, Example, 
 
 class TestSchedule:
     def test_linear_schedule_endpoints(self):
-        s = linear_schedule(T=50, start=0.999, end=0.01)
+        s = linear_schedule(T=50)
         assert s.T == 50
         assert s.alpha_bar[0] == pytest.approx(0.999)
         assert s.alpha_bar[-1] == pytest.approx(0.01)
@@ -501,6 +502,22 @@ class TestPretrain:
     def test_negative_lr_rejected_before_training(self):
         with pytest.raises(ValueError, match="lr must be >= 0"):
             pretrain_base(small_dataset(), linear_schedule(), seed=1, hidden=16, lr=-1.0)
+
+    def test_non_finite_gradient_names_its_iteration(self, monkeypatch):
+        # the base weights' gradient turns NaN from iteration 3 on
+        calls, step = [], toymodel.train_step
+
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            losses, layer_grads = step(*args, **kwargs)
+            if len(calls) <= 3:
+                return losses, layer_grads
+            return losses, [(*g, np.full_like(dw0, np.nan)) for *g, dw0 in layer_grads]
+
+        monkeypatch.setattr(toymodel, "train_step", poisoned)
+        with pytest.raises(NumericError, match=r"^pretraining iteration 3: .*non-finite"):
+            pretrain_base(small_dataset(), linear_schedule(), seed=1, hidden=16,
+                          loss_threshold=0.9, max_iters=3000, window=50)
 
     def test_pretrain_learns_and_freezes(self):
         ds = small_dataset(seed=20)
