@@ -68,11 +68,19 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
         blob += nb
         blob += struct.pack("<II", arr.shape[0], arr.shape[1])
         blob += arr.tobytes()
+    write_atomic(path, bytes(blob))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that a reader sees the previous file or
+    the complete new one, never a part: through a synced temporary file that
+    ``os.replace`` renames over the target. A failed write leaves no
+    temporary file."""
     # next to the target, so that os.replace renames within one file system
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(bytes(blob))
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import augment, evaluation, metatrain, personalize, toymodel
 from .adapter import AdapterFactors, merge
-from .checkpoint import config_hash, load_layers, save_layers
+from .checkpoint import config_hash, load_layers, save_layers, write_atomic
 from .errors import (CheckpointError, ConfigError, ManifestError, MetaLoraError,
                      NumericError, RankError)
 from .numerics import make_rng
@@ -331,14 +332,14 @@ def cmd_speed_experiment(args) -> int:
     report = personalize.adaptation_speed_experiment(
         world.model, world.dataset, world.heldout, world.lmd, world.schedule,
         _personalize_config(cfg), seeds)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    with open(str(args.out) + ".csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "identity", "meta_iters", "random_iters"])
-        for r in report["seeds"]:
-            for p in r["per_identity"]:
-                w.writerow([r["seed"], p["identity"], p["meta_iters"], p["random_iters"]])
+    write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True).encode())
+    table = io.StringIO()
+    w = csv.writer(table)
+    w.writerow(["seed", "identity", "meta_iters", "random_iters"])
+    for r in report["seeds"]:
+        for p in r["per_identity"]:
+            w.writerow([r["seed"], p["identity"], p["meta_iters"], p["random_iters"]])
+    write_atomic(str(args.out) + ".csv", table.getvalue().encode())
     write_run_trace(args.out, "speed-experiment", cfg)
     print(f"median iterations-to-threshold: meta={report['median_meta']:.0f} "
           f"random={report['median_random']:.0f} "

@@ -124,7 +124,8 @@ class Stage2Result:
     lmd_checksum_before: str = ""
     lmd_checksum_after: str = ""
     # with run_stage2_many's stop_at_threshold: the iterations_to_threshold
-    # of the run's probe curve
+    # of the run's full probe curve. The run stopped there, so its curves
+    # and factors are those of its first min(count, q_st2) iterations
     iters_to_threshold: int | None = None
 
     @property
@@ -269,53 +270,57 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     loop from one dict per call keyed by content (the reference latent's
     bytes, the rect and the flip): each key's :func:`view_latent` is computed
     once. A drawn block is noised and conditioned at once, per stream, by one
-    ``model.noised_inputs`` call, and gathered once by the jobs' streams
+    ``model.noised_inputs`` call, and gathered once by the runs' streams
     into (block, R, .) buffers allocated once per call. An iteration makes
-    one :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands
-    listed once per call, whose matmuls make the same BLAS call per run as
-    a lone run, and one ``kernels.adamw_update`` of a flat (R, n) buffer
-    holding every run's mid and up factors in stage 1's layout
-    (:func:`metalora.metatrain.split_params`); the step writes their
-    gradients into an (R, n) buffer of the same layout. The loss curves fill
-    (iterations, R) arrays. A probe's input and its frozen layer-1 products
-    are built once per run, and its layer-1 pre-activation is written into
-    one preallocated buffer.
+    one :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands,
+    whose matmuls make the same BLAS call per run as a lone run, and one
+    ``kernels.adamw_update`` of a flat (R, n) buffer holding every run's mid
+    and up factors in stage 1's layout (:func:`metalora.metatrain.split_params`);
+    the step writes their gradients into an (R, n) buffer of the same
+    layout. The loss curves fill (R, iterations) arrays, a run's curve in a
+    row. A probe's input and its frozen layer-1 products are built once per
+    run, and its layer-1 pre-activation is written into one preallocated
+    buffer.
 
-    With ``stop_at_threshold`` (probed jobs only), the loop ends at the first
-    block boundary, before the next block is drawn, where every run's
-    :func:`iterations_to_threshold` is known: its count on the probe curve so
-    far is below the curve's length, so the full curve's count is the same.
-    Each result then holds that count in ``iters_to_threshold``, and its
-    curves and factors are those of the iterations run; the iterations run
-    have the bits of a full-length run. A run that never crosses keeps the
-    loop going to ``q_st2``.
+    With ``stop_at_threshold`` (probed jobs only), each run stops on the
+    probe row where its :func:`iterations_to_threshold` becomes known: the
+    first row whose smoothed value passes :func:`threshold_reached`. A
+    smoothed entry reads only earlier entries and the threshold only the
+    first, so this is the count of a full ``q_st2`` curve. The run then
+    leaves the stack: its result keeps its count in ``iters_to_threshold``
+    and the factors and curves of its ``count`` iterations, which have the
+    bits of a full-length run's first ``count``. The runs still training
+    move up into the leading rows of the call's buffers, and the next block
+    draws only the streams that one of them replays. A run that never
+    crosses trains ``q_st2`` iterations and reports ``q_st2 + 1``.
 
     Jobs may differ in their seed, references, shared down factors and
     probe; the rest of their configs must agree, and either every job or
-    none has a probe, all of one size. ``model`` is only read.
+    none has a probe, all of one size. ``model`` is only read. An error
+    names the job by its index in ``jobs``.
     """
     _check_jobs(model, jobs)
     cfg = jobs[0].config
     if stop_at_threshold and jobs[0].probe is None:
         raise MetaLoraError("run_stage2_many: stop_at_threshold needs probed jobs")
     state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)  # refuses lr < 0
-    R, d, T = len(jobs), model.d, schedule.T
+    R, d, T, q = len(jobs), model.d, schedule.T, cfg.q_st2
     dims = model.dims
     streams, job_stream = _make_streams(jobs, d, dims, cfg.view_strength)
-    block = min(DRAW_BLOCK, cfg.q_st2)
-    noise = np.empty((block, len(streams), d))
-    latents = np.empty((block, len(streams), d))
+    block = min(DRAW_BLOCK, q)
+    draws = np.empty((2, block * len(streams) * d))  # a block's noise, then its latents
     job_inputs = np.empty((block, R, dims[0][0], 1))
     job_noise = np.empty((block, R, d))
     before = ["".join(checksum(m) for m in job.lmd) for job in jobs]
 
     params = np.stack([streams[s].fresh for s in job_stream])
-    (lm1, lu1), (lm2, lu2) = split_params(params, dims, cfg.r1, cfg.r2)
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     grads, *moments = np.zeros((3, *params.shape))  # and AdamW's two moments
-    grad_views = split_params(grads, dims, cfg.r1, cfg.r2)
     (w0_1, w0_2), (s1, s2), _ = model.operands()
-    operands = ([w0_1, w0_2], [s1, s2], [lmd1, lmd2], [lm1, lm2], [lu1, lu2])
+    train_losses = np.empty((R, q))
+    # what a run's stack row holds across iterations, moved up when a run
+    # leaves (each step overwrites the gradients)
+    stacked = [params, *moments, lmd1, lmd2, train_losses]
 
     probed = jobs[0].probe is not None
     if probed:
@@ -324,64 +329,118 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         p_eps = np.stack([b[1] for b in batches])
         p_w0x = w0_1 @ p_inp   # frozen: the base weight and the shared
         p_u = lmd1 @ p_inp     # down factor never move in stage 2
-        p_mid = np.empty((R, cfg.r2, p_inp.shape[2]))
+        del batches, p_inp
+        p_mid = np.empty((R, cfg.r2, p_eps.shape[2]))
         p_h = np.empty_like(p_w0x)  # layer 1's pre-activation, then its tanh
-        probe_losses = np.empty((cfg.q_st2 + 1, R))
+        probe_losses = np.empty((R, q + 1))
+        stacked += [p_eps, p_w0x, p_u, probe_losses]
 
-    def record_probe(row):
-        np.matmul(lu1, np.matmul(lm1, p_u, out=p_mid), out=p_h)
-        np.add(p_w0x, np.multiply(s1, p_h, out=p_h), out=p_h)
-        out = kernels.chain_forward(w0_2, lmd2, lm2, lu2, s2, np.tanh(p_h, out=p_h))[0]
-        probe_losses[row] = np.mean(((out - p_eps) ** 2).reshape(R, -1), axis=1)
+    def stack(n):
+        """Views of the stack's first n rows, made once per stack size: the
+        training step's operands and gradients, AdamW's flat parameters,
+        gradients and moments, the drawn block's inputs and noise, and the
+        train losses by iteration."""
+        flat = (params[:n], grads[:n], moments[0][:n], moments[1][:n])
+        (lm1, lu1), (lm2, lu2) = split_params(flat[0], dims, cfg.r1, cfg.r2)
+        return (([w0_1, w0_2], [s1, s2], [lmd1[:n], lmd2[:n]], [lm1, lm2], [lu1, lu2]),
+                split_params(flat[1], dims, cfg.r1, cfg.r2), flat,
+                job_inputs[:, :n], job_noise[:, :n], train_losses[:n].T)
 
-    if probed:
-        record_probe(0)
-    train_losses = np.empty((cfg.q_st2, R))
-    for it in range(cfg.q_st2):
-        i = it % DRAW_BLOCK
+    def record_probe(row, n):
+        (_, lmd2_n), (lm1, lm2), (lu1, lu2) = operands[2:]
+        mid, h = p_mid[:n], p_h[:n]
+        np.matmul(lu1, np.matmul(lm1, p_u[:n], out=mid), out=h)
+        np.add(p_w0x[:n], np.multiply(s1, h, out=h), out=h)
+        out = kernels.chain_forward(w0_2, lmd2_n, lm2, lu2, s2, np.tanh(h, out=h))[0]
+        probe_losses[:n, row] = np.mean(((out - p_eps[:n]) ** 2).reshape(n, -1), axis=1)
+
+    def draw_block(nb):
+        """The next nb iterations of the ``live`` streams, noised, conditioned
+        and gathered by the stack's streams ``pos`` into the leading rows of
+        the (block, R, .) buffers."""
+        noise, latents = draws[:, :nb * len(live) * d].reshape(2, nb, len(live), d)
+        ts, prompts = _draw_block([streams[s] for s in live], noise, latents, T)
+        np.take(model.noised_inputs(latents.reshape(-1, d), ts.ravel(), prompts.ravel(),
+                                    noise.reshape(-1, d), schedule).reshape(nb, len(live), -1),
+                pos, axis=1, out=block_inputs[:nb, :, :, 0])
+        np.take(noise, pos, axis=1, out=block_noise[:nb])
+
+    def result_of(j, iters):
+        """Copies of stack row j's factors and curves after ``iters`` iterations;
+        the curves become lists only once the blocks' buffers are gone."""
+        factors = [(lm[j].copy(), lu[j].copy()) for lm, lu in zip(*operands[3:])]
+        return (factors, train_losses[j, :iters].copy(),
+                probe_losses[j, :iters + 1].copy() if probed else np.empty(0))
+
+    n, rows = R, np.arange(R)  # the stack's size, and the job of each row
+    live, pos = np.arange(len(streams)), job_stream  # the streams drawn, and each row's
+    operands, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
+    counts = np.full(R, q + 1)  # iterations to threshold; q + 1: never reached
+    finished = [None] * R       # each job's result_of, once it left the stack
+    for it in range(q + 1):
+        i = it % DRAW_BLOCK  # the iteration's row of its drawn block
+        if probed:  # probe row `it`: the model after `it` iterations
+            record_probe(it, n)
+        if stop_at_threshold:
+            hit = threshold_reached(probe_losses[:n], it, cfg.tau_fraction,
+                                    cfg.smoothing_window)
+            if hit.any():
+                for j in np.flatnonzero(hit):
+                    counts[rows[j]] = it
+                    finished[rows[j]] = result_of(j, it)
+                keep = np.flatnonzero(~hit)
+                # the rows left move up in place, with their rows of the drawn
+                # block still to train: no buffer is copied whole
+                bufs = stacked + [b[i:].swapaxes(0, 1) for b in (job_inputs, job_noise) if i]
+                for dst, src in enumerate(keep.tolist()):
+                    if dst != src:
+                        for buf in bufs:
+                            buf[dst] = buf[src]
+                n, rows = len(keep), rows[keep]
+                operands, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
+                live, pos = np.unique(job_stream[rows], return_inverse=True)
+        if it == q or n == 0:
+            break
         if i == 0:
-            n = min(DRAW_BLOCK, cfg.q_st2 - it)
-            ts, prompts = _draw_block(streams, noise[:n], latents[:n], T)
-            np.take(model.noised_inputs(latents[:n].reshape(-1, d), ts.ravel(), prompts.ravel(),
-                                        noise[:n].reshape(-1, d), schedule
-                                        ).reshape(n, len(streams), -1),
-                    job_stream, axis=1, out=job_inputs[:n, :, :, 0])
-            np.take(noise[:n], job_stream, axis=1, out=job_noise[:n])
-        losses, _ = train_step(*operands, job_inputs[i], job_noise[i], 1, need=STAGE2_NEED,
-                               out=grad_views)
+            draw_block(min(DRAW_BLOCK, q - it))
+        losses, _ = train_step(*operands, block_inputs[i], block_noise[i], 1,
+                               need=STAGE2_NEED, out=grad_views)
         if not np.isfinite(losses).all():
-            bad = np.flatnonzero(~np.isfinite(losses))[0]
+            bad = rows[np.flatnonzero(~np.isfinite(losses))[0]]
             raise NumericError(f"job {bad}: non-finite loss at stage-2 iteration {it}")
-        if not np.isfinite(grads).all():
-            bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))[0]
+        if not np.isfinite(flat[1]).all():
+            bad = rows[np.flatnonzero(~np.isfinite(flat[1]).all(axis=1))[0]]
             raise NumericError(f"job {bad}: non-finite gradient at stage-2 iteration {it}")
-        kernels.adamw_update(params, grads, *moments, it + 1, state.lr, state.weight_decay)
-        train_losses[it] = losses
-        if probed:
-            record_probe(it + 1)
-        if stop_at_threshold and ((it + 1) % DRAW_BLOCK == 0 or it + 1 == cfg.q_st2):
-            # each curve so far as a contiguous row, like a result's full curve
-            counts = [iterations_to_threshold(curve, cfg.tau_fraction, cfg.smoothing_window)
-                      for curve in probe_losses[:it + 2].T.copy()]
-            if max(counts) < it + 2:
-                break
-    done = it + 1
+        kernels.adamw_update(*flat, it + 1, state.lr, state.weight_decay)
+        losses_at[it] = losses
 
-    # the blocks' buffers go before the curves become lists
-    del noise, latents, job_inputs, job_noise
-    train_curves = train_losses[:done].T.tolist()
-    probe_curves = probe_losses[:done + 1].T.tolist() if probed else [[] for _ in jobs]
+    del draws, job_inputs, job_noise, block_inputs, block_noise
+    for j in range(n):
+        finished[rows[j]] = result_of(j, q)
     results = []
     for k, job in enumerate(jobs):
-        factors = [AdapterFactors(job.lmd[0], lm1[k].copy(), lu1[k].copy()),
-                   AdapterFactors(job.lmd[1], lm2[k].copy(), lu2[k].copy())]
+        (f1, f2), train_curve, probe_curve = finished[k]
+        factors = [AdapterFactors(job.lmd[0], *f1), AdapterFactors(job.lmd[1], *f2)]
         results.append(Stage2Result(
             factors=factors, merged=[merge(f) for f in factors],
-            train_losses=train_curves[k], probe_losses=probe_curves[k],
+            train_losses=train_curve.tolist(), probe_losses=probe_curve.tolist(),
             lmd_checksum_before=before[k],
             lmd_checksum_after="".join(checksum(m) for m in job.lmd),
-            iters_to_threshold=counts[k] if stop_at_threshold else None))
+            iters_to_threshold=int(counts[k]) if stop_at_threshold else None))
     return results
+
+
+def threshold_reached(curves: np.ndarray, row: int, tau_fraction: float,
+                      window: int) -> np.ndarray:
+    """Per curve (a row of ``curves``, at least ``row + 1`` long), whether its
+    :func:`smooth` value at ``row`` is at or below ``tau_fraction`` x its
+    first value: the test :func:`iterations_to_threshold` makes at ``row``.
+
+    Each smoothed value is the mean of a contiguous slice of its own curve,
+    so it has the bits :func:`smooth` gives.
+    """
+    lo = max(0, row - window + 1)
+    return curves[:, lo:row + 1].mean(axis=1) <= tau_fraction * curves[:, 0]
 
 
 def smooth(values: list[float], window: int) -> np.ndarray:
@@ -403,7 +462,8 @@ def smooth(values: list[float], window: int) -> np.ndarray:
 def iterations_to_threshold(probe_losses: list[float], tau_fraction: float,
                             window: int) -> int:
     """First iteration whose smoothed probe loss is <= tau_fraction x the
-    initial loss; sentinel = len(curve) when never reached."""
+    initial loss; sentinel = len(curve) when never reached. The definition
+    that :func:`threshold_reached`, applied row by row, reproduces."""
     sm = smooth(probe_losses, window)
     tau = tau_fraction * sm[0]
     hits = np.nonzero(sm <= tau)[0]
@@ -420,9 +480,9 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
     down factors, per held-out identity per seed.
 
     All 2 x |seeds| x |identities| probed runs train in one
-    :func:`run_stage2_many` call with ``stop_at_threshold``: the runs stop at
-    the first block boundary where every run's count is known, and each count
-    equals the one on a full ``q_st2`` probe curve. A run that never reaches
+    :func:`run_stage2_many` call with ``stop_at_threshold``: each run stops
+    on the iteration its count becomes known, and that count equals the one
+    on a full ``q_st2`` probe curve. A run that never reaches
     the threshold reports the sentinel ``q_st2 + 1`` (the length of its full
     probe curve), and that value enters the medians like any other;
     ``meta_never_reached`` and ``random_never_reached`` count such runs,

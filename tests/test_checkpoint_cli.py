@@ -306,6 +306,37 @@ class TestPipeline:
             merged.append((d / "merged.bin").read_bytes())
         assert merged[0] == merged[1]
 
+    @pytest.mark.parametrize("failing, call", [("fsync", 1), ("fsync", 2), ("replace", 2)])
+    def test_speed_experiment_report_is_written_atomically(self, cli_run, tmp_path,
+                                                           monkeypatch, failing, call):
+        # a write that fails midway (the report's on call 1, its table's on
+        # call 2) leaves the previous files and no temporary file
+        root, cfg, base, s1, pers, merged = cli_run
+        out = tmp_path / "speed.json"
+        argv = ["speed-experiment", "--config", str(cfg), "--checkpoint", str(base),
+                "--stage1", str(s1), "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert out.read_text() == json.dumps(report, indent=2, sort_keys=True)
+        rows = [f"{s['seed']},{p['identity']},{p['meta_iters']},{p['random_iters']}\r\n"
+                for s in report["seeds"] for p in s["per_identity"]]
+        assert (tmp_path / "speed.json.csv").read_bytes() == \
+            ("seed,identity,meta_iters,random_iters\r\n" + "".join(rows)).encode()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls, original = [], getattr(os, failing)
+
+        def disk_full(*args):
+            calls.append(None)
+            if len(calls) == call:
+                raise OSError(28, "No space left on device")
+            return original(*args)
+
+        monkeypatch.setattr(os, failing, disk_full)
+        assert main(argv) == 3
+        monkeypatch.undo()
+        assert len(calls) == call
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_same_seed_twice_byte_identical(self, cli_run):
         root, cfg, base, s1, pers, merged = cli_run
         again = root / "base2.bin"

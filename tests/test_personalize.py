@@ -12,13 +12,14 @@ from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_layers
 from metalora.errors import (CheckpointError,
                              MetaLoraError, NumericError, RankError)
-from metalora.metatrain import TrainConfig, run_stage1
+from metalora.metatrain import TrainConfig, fresh_identity_params, run_stage1, split_params
 from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
 from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   adaptation_speed_experiment,
                                   iterations_to_threshold, load_stage1,
                                   make_probe, probe_loss, run_stage2,
-                                  run_stage2_many, smooth, view_latent)
+                                  run_stage2_many, smooth, threshold_reached,
+                                  view_latent)
 from metalora.toymodel import (Example, ToyDenoiser, generate, linear_schedule,
                                make_dataset, noisify, pretrain_base, time_embedding)
 
@@ -289,6 +290,31 @@ class TestIterationsToThreshold:
                     (length, window, tau, n)
         assert 10 < crossed < len(cases)
 
+    def test_threshold_reached_row_by_row_gives_the_count_bit_for_bit(self):
+        # what stop_at_threshold does after each probe row: a curve's first
+        # row that threshold_reached marks is its iterations_to_threshold.
+        # Half the cases put a smoothed value exactly at tau, which only a
+        # mean with smooth's bits meets exactly
+        rng = make_rng(29)
+        ties = 0
+        for case in range(160):
+            runs, length = int(rng.integers(1, 9)), int(rng.integers(1, 160))
+            window = int(rng.integers(1, 40))
+            tau = float(rng.choice([0.25, 0.5, 1.0])) if case % 2 else float(rng.uniform())
+            decay = np.exp(-rng.uniform(0.0, 0.05, size=(runs, 1)) * np.arange(length))
+            curves = decay * rng.uniform(0.5, 1.5, size=(runs, length)) * rng.uniform(1e-3, 1e3)
+            tie = int(rng.integers(window, length)) if case % 2 and window < length else None
+            if tie is not None:  # tau x the first value is the smoothed value at `tie`
+                curves[:, 0] = [c[tie - window + 1:tie + 1].mean() / tau for c in curves]
+            first = np.full(runs, length)
+            for row in range(length):
+                hit = threshold_reached(curves, row, tau, window)
+                first[(first == length) & hit] = row
+            want = [iterations_to_threshold(list(c), tau, window) for c in curves]
+            assert first.tolist() == want, (case, runs, length, window, tau)
+            ties += want.count(tie)
+        assert ties > 100
+
 
 class TestSpeedExperiment:
     def test_requires_three_seeds(self, world):
@@ -478,33 +504,43 @@ class TestLockstepEngine:
                for v in (p["meta_iters"], p["random_iters"])]
         assert got == want
 
+    # blocks: where the runs stop, counted from 0, with block 3 for a run that
+    # trains q_st2 iterations; ids: lr-tau-window and the last stop's block
+    # counted from 1, or None if a run trains q_st2 iterations
     @pytest.mark.parametrize("lr, tau, window, blocks", [
-        (2e-2, 0.995, 5, 1),    # every run crosses inside block 1
-        (1e-2, 0.98, 1, 3),     # the last crossing lands in block 3
-        (2e-2, 0.0, 5, None)])  # no run crosses: the loop runs to q_st2
+        (2e-2, 0.995, 5, {0}),          # every run stops inside the first block
+        (1e-2, 0.98, 1, {0, 1, 2}),     # runs stop in each of the three blocks
+        (1e-2, 0.98, 5, {0, 1, 2, 3}),  # and one run never crosses
+        (2e-2, 0.0, 5, {3})],           # no run crosses
+        ids=["0.02-0.995-5-1", "0.01-0.98-1-3", "0.01-0.98-5-None", "0.02-0.0-5-None"])
     def test_speed_experiment_stops_at_its_answer(self, world, monkeypatch,
                                                   lr, tau, window, blocks):
         ds, schedule, model, lmd = world
         q = 3 * DRAW_BLOCK + 5
         config = pcfg(q_st2=q, lr=lr, tau_fraction=tau, smoothing_window=window)
         idents, seeds = [2, 3], [0, 1, 2]
-        updates = []
-        adamw = kernels.adamw_update
+        rows, views = [], []  # the runs each AdamW update moves; the views drawn
+        adamw, draw = kernels.adamw_update, personalize.sample_view
         monkeypatch.setattr(kernels, "adamw_update",
-                            lambda *args: updates.append(None) or adamw(*args))
+                            lambda *args: rows.append(len(args[0])) or adamw(*args))
+        monkeypatch.setattr(personalize, "sample_view",
+                            lambda *args: views.append(None) or draw(*args))
         rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule, config, seeds)
-        done = q if blocks is None else blocks * DRAW_BLOCK
-        assert len(updates) == done
         monkeypatch.undo()
 
         jobs = [Stage2Job(*run)
                 for run in speed_runs(model, ds, schedule, idents, lmd, config, seeds)]
         full = run_stage2_many(model, jobs, schedule)
         want = [iterations_to_threshold(res.probe_losses, tau, window) for res in full]
-        if blocks is None:
-            assert set(want) == {q + 1}
-        else:
-            assert (blocks - 1) * DRAW_BLOCK < max(want) <= done
+        trained = [min(count, q) for count in want]
+        assert {(count - 1) // DRAW_BLOCK for count in want} == blocks
+        # iteration `it` moves only the runs that train past it
+        assert rows == [sum(t > it for t in trained) for it in range(max(trained))]
+        assert sum(rows) == sum(trained)
+        # the two arms of a (seed, identity) replay one stream, which draws
+        # the blocks that one of them trains in
+        assert len(views) == sum(min(q, -(-max(pair) // DRAW_BLOCK) * DRAW_BLOCK)
+                                 for pair in zip(trained[0::2], trained[1::2]))
         # the report of full-length runs, each counted on its whole curve
         for res, count in zip(full, want):
             res.iters_to_threshold = count
@@ -513,15 +549,59 @@ class TestLockstepEngine:
                                                   config, seeds)
         monkeypatch.undo()
 
-        # a stopped run is a full one cut after `done` iterations
+        # a stopped run is a full one cut at its own count, and a lone run
+        # of that many iterations
         stopped = run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
-        short = run_stage2_many(model, [replace(job, config=replace(job.config, q_st2=done))
-                                        for job in jobs], schedule)
-        for res, long, cut, count in zip(stopped, full, short, want):
+        for res, long, job, count, iters in zip(stopped, full, jobs, want, trained):
             assert res.iters_to_threshold == count
-            assert res.train_losses == long.train_losses[:done]
-            assert res.probe_losses == long.probe_losses[:done + 1]
-            assert_same_run(res, cut.train_losses, cut.probe_losses, cut.factors)
+            assert res.train_losses == long.train_losses[:iters]
+            assert res.probe_losses == long.probe_losses[:iters + 1]
+            lone = run_stage2(model, job.lmd, job.references, schedule,
+                              replace(job.config, q_st2=iters), probe=job.probe)
+            assert_same_run(res, lone.train_losses, lone.probe_losses, lone.factors)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.0])  # the config schema's limits
+    def test_speed_experiment_at_the_tau_fraction_limits(self, world, monkeypatch, tau):
+        # 1.0: the first probe value is its own threshold, so every count is
+        # 0 and nothing trains; 0.0: no loss reaches 0, so every run trains
+        # q_st2 iterations and reports q_st2 + 1
+        ds, schedule, model, lmd = world
+        q, idents, seeds = 70, [2, 3], [0, 1, 2]
+        config = pcfg(q_st2=q, tau_fraction=tau)
+        rows = []
+        adamw = kernels.adamw_update
+        monkeypatch.setattr(kernels, "adamw_update",
+                            lambda *args: rows.append(len(args[0])) or adamw(*args))
+        rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule, config, seeds)
+        monkeypatch.undo()
+        count = 0 if tau == 1.0 else q + 1
+        runs = 2 * len(idents) * len(seeds)
+        assert rows == ([] if tau == 1.0 else [runs] * q)
+        assert rep["max_iterations"] == q and rep["seeds_meta_faster"] == 0
+        assert [s["seed"] for s in rep["seeds"]] == seeds
+        for summary in rep["seeds"] + [rep]:
+            assert summary["median_meta"] == summary["median_random"] == float(count)
+            never = len(idents) * (len(seeds) if summary is rep else 1) * (tau == 0.0)
+            assert summary["meta_never_reached"] == summary["random_never_reached"] == never
+        for s in rep["seeds"]:
+            assert s["per_identity"] == [{"identity": i, "meta_iters": count,
+                                          "random_iters": count} for i in idents]
+
+        jobs = [Stage2Job(*run)
+                for run in speed_runs(model, ds, schedule, idents, lmd, config, seeds)]
+        full = run_stage2_many(model, jobs, schedule)
+        stopped = run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+        for res, long, job in zip(stopped, full, jobs):
+            assert res.iters_to_threshold == count
+            assert res.train_losses == long.train_losses[:count]
+            assert res.probe_losses == long.probe_losses[:count + 1]
+            if tau == 1.0:  # the run's fresh factors, drawn first from its seed
+                fresh = fresh_identity_params(make_rng(job.config.seed), model.dims, 4, 1)
+                for f, (lm, lu) in zip(res.factors, split_params(fresh[None], model.dims, 4, 1)):
+                    assert f.l_mid.tobytes() == lm[0].tobytes()
+                    assert f.l_up.tobytes() == lu[0].tobytes()
+            else:
+                assert_same_run(res, long.train_losses, long.probe_losses, long.factors)
 
     def test_stop_at_threshold_needs_a_probe(self, world):
         ds, schedule, model, lmd = world
@@ -540,7 +620,19 @@ class TestLockstepEngine:
         with pytest.raises(MetaLoraError):
             run_stage2_many(model, [], schedule)
 
-    def test_non_finite_loss_names_job_and_iteration(self, world):
+    def stopping_jobs(self, world):
+        """Three probed jobs whose runs stop after 8, 26 and 22 iterations: from
+        iteration 8 on, job 2 trains in row 1 of the stack."""
+        ds, schedule, model, lmd = world
+        jobs = [Stage2Job(lmd, ds.reference_of(i),
+                          pcfg(seed=i, tau_fraction=0.99, smoothing_window=1),
+                          make_probe(ds, i, schedule, seed=i)) for i in range(3)]
+        counts = [res.iters_to_threshold
+                  for res in run_stage2_many(model, jobs, schedule, stop_at_threshold=True)]
+        assert counts == [8, 26, 22]
+        return jobs
+
+    def test_non_finite_loss_names_job_and_iteration(self, world, monkeypatch):
         ds, schedule, model, lmd = world
         ref = ds.reference_of(0)
         bad = Example(identity=0, x0=np.full(ref.x0.shape, np.nan),
@@ -550,6 +642,24 @@ class TestLockstepEngine:
         with pytest.raises(NumericError, match="job 1: non-finite loss at "
                                               "stage-2 iteration 0"):
             run_stage2_many(model, jobs, schedule)
+
+        # after job 0 stopped, job 2's loss in the stack's last row
+        jobs = self.stopping_jobs(world)
+        rows = []
+        step = personalize.train_step
+
+        def poisoned(*args, **kwargs):
+            losses, grads = step(*args, **kwargs)
+            rows.append(len(losses))
+            if len(rows) == 10 + 1:  # iteration 10
+                losses[-1] = np.nan
+            return losses, grads
+
+        monkeypatch.setattr(personalize, "train_step", poisoned)
+        with pytest.raises(NumericError, match="job 2: non-finite loss at "
+                                              "stage-2 iteration 10"):
+            run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+        assert rows[-1] == 2
 
     def test_non_finite_gradient_names_job_and_iteration(self, world, monkeypatch):
         ds, schedule, model, lmd = world
@@ -568,6 +678,24 @@ class TestLockstepEngine:
         with pytest.raises(NumericError, match="job 2: non-finite gradient at "
                                               "stage-2 iteration 5"):
             run_stage2_many(model, jobs, schedule)
+        monkeypatch.undo()
+
+        # after job 0 stopped, job 2's gradient in the stack's last row
+        jobs = self.stopping_jobs(world)
+        calls.clear()
+
+        def poisoned_late(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            calls.append(len(grads[1]))
+            if len(calls) == 2 * 10 + 1:  # layer 2 of iteration 10
+                grads[1][-1, 0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(kernels, "chain_backward", poisoned_late)
+        with pytest.raises(NumericError, match="job 2: non-finite gradient at "
+                                              "stage-2 iteration 10"):
+            run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+        assert calls[-1] == 2
 
 
 class TestDrawAhead:
