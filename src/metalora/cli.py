@@ -108,20 +108,18 @@ def write_run_trace(out_path: str, command: str, config: dict, extra: dict | Non
     doc = {"command": command, "config": config, "config_hash": config_hash(config)}
     if extra:
         doc.update(extra)
-    with open(str(out_path) + ".trace.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+    write_atomic(str(out_path) + ".trace.json",
+                 json.dumps(doc, indent=2, sort_keys=True, default=str).encode())
 
 
 def write_svg_curve(path, ys, title: str = ""):
     """Static 640x240 SVG line chart of one curve; no plotting dependency needed."""
     ys = np.asarray(ys, dtype=np.float64)
-    if len(ys) < 2:
-        return
     lo, hi = float(ys.min()), float(ys.max())
     span = (hi - lo) or 1.0
     width, height, pad = 640, 240, 10
     # each point's operations in a fixed order: the file's bytes depend on their bits
-    px = pad + np.arange(len(ys)) * (width - 2 * pad) / (len(ys) - 1)
+    px = pad + np.arange(len(ys)) * (width - 2 * pad) / max(len(ys) - 1, 1)
     py = height - pad - (ys - lo) * (height - 2 * pad) / span
     pts = map("{:.1f},{:.1f}".format, px.tolist(), py.tolist())
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
@@ -129,8 +127,7 @@ def write_svg_curve(path, ys, title: str = ""):
            f'<rect width="100%" height="100%" fill="white"/>'
            f'<polyline fill="none" stroke="steelblue" stroke-width="1" '
            f'points="{" ".join(pts)}"/></svg>')
-    with open(path, "w") as fh:
-        fh.write(svg)
+    write_atomic(path, svg.encode())
 
 
 def _load_world(args) -> SimpleNamespace:
@@ -293,8 +290,7 @@ def cmd_evaluate(args) -> int:
         "failures": robust.failures,
         "per_pair": {f"{i}||{p}": v for (i, p), v in sorted(robust.table.items())},
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True).encode())
     write_run_trace(args.out, "evaluate", {"manifest": str(args.manifest),
                                            "generated": str(args.generated)})
     print(f"{'metric':<14}{'score':>10}")
@@ -318,8 +314,7 @@ def cmd_augment_plan(args) -> int:
         raise ConfigError(str(exc))
     text = augment.plan_to_jsonl(specs)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_atomic(args.out, text.encode())
     else:
         sys.stdout.write(text)
     return 0

@@ -31,12 +31,14 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} contains non-finite values")
 
 
+# a dtype object, not the string "<f8": parsing the string costs each call
+_LE_F8 = np.dtype("<f8")
+
+
 def checksum(arr: np.ndarray) -> str:
     """SHA-1 of the raw little-endian bytes; used for freeze/immutability audits."""
-    data = np.ascontiguousarray(arr, dtype=np.float64)
-    if data.dtype.byteorder == ">":
-        data = data.astype("<f8")
-    return hashlib.sha1(data).hexdigest()  # hashes the contiguous buffer, uncopied
+    # hashes the contiguous buffer, uncopied if it already is little-endian float64
+    return hashlib.sha1(np.ascontiguousarray(arr, dtype=_LE_F8)).hexdigest()
 
 
 @dataclass

@@ -16,7 +16,6 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
@@ -123,9 +122,9 @@ class Stage2Result:
     probe_losses: list[float] = field(default_factory=list)
     lmd_checksum_before: str = ""
     lmd_checksum_after: str = ""
-    # with run_stage2_many's stop_at_threshold: the iterations_to_threshold
-    # of the run's full probe curve. The run stopped there, so its curves
-    # and factors are those of its first min(count, q_st2) iterations
+    # a probed run's iterations_to_threshold, on which it stopped: its curves
+    # and factors are those of its first min(count, q_st2) iterations. None
+    # for a run without a probe, which trains q_st2 iterations
     iters_to_threshold: int | None = None
 
     @property
@@ -136,7 +135,7 @@ class Stage2Result:
 @dataclass
 class Stage2Job:
     """One stage-2 run: frozen shared down factors (one per layer), the
-    reference example(s), its config and an optional loss probe."""
+    reference example(s), its config and an optional loss probe, which stops it."""
     lmd: list[np.ndarray]
     references: Example | list[Example]
     config: PersonalizeConfig
@@ -145,17 +144,16 @@ class Stage2Job:
 
 def run_stage2(model: ToyDenoiser, lmd: list[np.ndarray],
                references: Example | list[Example],
-               schedule: DiffusionSchedule, config: PersonalizeConfig,
-               probe: list[ProbeItem] | None = None) -> Stage2Result:
+               schedule: DiffusionSchedule, config: PersonalizeConfig) -> Stage2Result:
     """Fit fresh mid/up factors from the augmented reference view set.
 
     Accepts one reference example or several (the multi-reference
     extension); views from all references are pooled. AdamW runs with batch
-    size 1 for q_st2 iterations. The shared down factors never move, and
-    ``model`` is only read. This is :func:`run_stage2_many` with one job.
+    size 1 for q_st2 iterations, without a probe. The shared down factors
+    never move, and ``model`` is only read. This is :func:`run_stage2_many`
+    with one job.
     """
-    return run_stage2_many(model, [Stage2Job(lmd, references, config, probe)],
-                           schedule)[0]
+    return run_stage2_many(model, [Stage2Job(lmd, references, config)], schedule)[0]
 
 
 def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
@@ -195,10 +193,12 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
     """The call's streams, one per distinct (seed, reference objects), and
     the stream of each job. The streams' view latents come from one dict
     keyed by content (reference latent bytes, rect, flip), so each key's
-    :func:`view_latent` is computed once per call."""
+    :func:`view_latent` is computed once per call; their crop plans from one
+    keyed by geometry (image size, face box), each planned once per call."""
     streams: list[_Stream] = []
     stream_of: dict[tuple, int] = {}  # (seed, reference ids) -> stream
     made: dict[tuple, np.ndarray] = {}  # (latent bytes, rect, flip) -> view latent
+    plans: dict[tuple, list[CropSpec]] = {}  # (image_w, image_h, face box) -> crop plan
     job_stream = []
     for k, job in enumerate(jobs):
         refs = [job.references] if isinstance(job.references, Example) else job.references
@@ -208,8 +208,10 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
             for ref in refs:
                 if ref.x0.shape != (d,):
                     raise DimensionError(f"job {k}: reference latent", ref.x0.shape, (d,))
-                specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
-                views.extend((ref, spec) for spec in specs)
+                geometry = (ref.image_w, ref.image_h, FaceBox(*ref.face_box))
+                if geometry not in plans:
+                    plans[geometry] = plan_crops(*geometry)
+                views.extend((ref, spec) for spec in plans[geometry])
             if not views:
                 raise MetaLoraError(f"job {k}: augmentation plan is empty")
             latents = np.empty((len(views), 2, d))
@@ -256,8 +258,7 @@ STAGE2_NEED = frozenset({"lu", "lm"})
 
 
 def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
-                    schedule: DiffusionSchedule, *,
-                    stop_at_threshold: bool = False) -> list[Stage2Result]:
+                    schedule: DiffusionSchedule) -> list[Stage2Result]:
     """Train R independent stage-2 runs in lockstep.
 
     Each run gives the same bits as when trained alone. It replays its own
@@ -282,17 +283,19 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     run, and its layer-1 pre-activation is written into one preallocated
     buffer.
 
-    With ``stop_at_threshold`` (probed jobs only), each run stops on the
-    probe row where its :func:`iterations_to_threshold` becomes known: the
-    first row whose smoothed value passes :func:`threshold_reached`. A
-    smoothed entry reads only earlier entries and the threshold only the
-    first, so this is the count of a full ``q_st2`` curve. The run then
-    leaves the stack: its result keeps its count in ``iters_to_threshold``
-    and the factors and curves of its ``count`` iterations, which have the
-    bits of a full-length run's first ``count``. The runs still training
-    move up into the leading rows of the call's buffers, and the next block
-    draws only the streams that one of them replays. A run that never
-    crosses trains ``q_st2`` iterations and reports ``q_st2 + 1``.
+    The probe is the stopping rule. A probed run stops on the first probe
+    row that :func:`threshold_reached` marks, which is its
+    :func:`iterations_to_threshold`: a smoothed entry reads only earlier
+    entries and the threshold only the first, so this is the count of a
+    full ``q_st2`` curve. The run then leaves the stack: its result keeps
+    its count in ``iters_to_threshold`` and the factors and curves of its
+    ``count`` iterations, which have the bits of a full-length run's first
+    ``count``. The runs still training move up into the leading rows of the
+    call's buffers, and the next block draws only the streams that one of
+    them replays. A run that never crosses trains ``q_st2`` iterations and
+    reports ``q_st2 + 1``; with ``tau_fraction = 0`` no positive loss
+    crosses, so every run gives its whole curve. A run without a probe
+    trains ``q_st2`` iterations and reports ``iters_to_threshold = None``.
 
     Jobs may differ in their seed, references, shared down factors and
     probe; the rest of their configs must agree, and either every job or
@@ -301,8 +304,6 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     """
     _check_jobs(model, jobs)
     cfg = jobs[0].config
-    if stop_at_threshold and jobs[0].probe is None:
-        raise MetaLoraError("run_stage2_many: stop_at_threshold needs probed jobs")
     state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)  # refuses lr < 0
     R, d, T, q = len(jobs), model.d, schedule.T, cfg.q_st2
     dims = model.dims
@@ -381,7 +382,6 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         i = it % DRAW_BLOCK  # the iteration's row of its drawn block
         if probed:  # probe row `it`: the model after `it` iterations
             record_probe(it, n)
-        if stop_at_threshold:
             hit = threshold_reached(probe_losses[:n], it, cfg.tau_fraction,
                                     cfg.smoothing_window)
             if hit.any():
@@ -426,48 +426,30 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
             train_losses=train_curve.tolist(), probe_losses=probe_curve.tolist(),
             lmd_checksum_before=before[k],
             lmd_checksum_after="".join(checksum(m) for m in job.lmd),
-            iters_to_threshold=int(counts[k]) if stop_at_threshold else None))
+            iters_to_threshold=int(counts[k]) if probed else None))
     return results
 
 
 def threshold_reached(curves: np.ndarray, row: int, tau_fraction: float,
                       window: int) -> np.ndarray:
     """Per curve (a row of ``curves``, at least ``row + 1`` long), whether its
-    :func:`smooth` value at ``row`` is at or below ``tau_fraction`` x its
-    first value: the test :func:`iterations_to_threshold` makes at ``row``.
-
-    Each smoothed value is the mean of a contiguous slice of its own curve,
-    so it has the bits :func:`smooth` gives.
+    smoothed value at ``row`` is at or below ``tau_fraction`` x its first
+    value. The smoothed value is the trailing moving average: the mean of
+    the curve's last ``window`` entries up to ``row``, fewer at the start.
     """
     lo = max(0, row - window + 1)
     return curves[:, lo:row + 1].mean(axis=1) <= tau_fraction * curves[:, 0]
 
 
-def smooth(values: list[float], window: int) -> np.ndarray:
-    """Trailing moving average (window shrinks at the start).
-
-    Each mean is taken over a contiguous run of the curve, the full windows
-    all at once, so an entry has the same bits as ``arr[lo:i + 1].mean()``.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(arr)
-    head = min(window - 1, len(arr))
-    for i in range(head):
-        out[i] = arr[:i + 1].mean()
-    if len(arr) >= window:
-        out[head:] = sliding_window_view(arr, window).mean(axis=1)
-    return out
-
-
 def iterations_to_threshold(probe_losses: list[float], tau_fraction: float,
                             window: int) -> int:
-    """First iteration whose smoothed probe loss is <= tau_fraction x the
-    initial loss; sentinel = len(curve) when never reached. The definition
-    that :func:`threshold_reached`, applied row by row, reproduces."""
-    sm = smooth(probe_losses, window)
-    tau = tau_fraction * sm[0]
-    hits = np.nonzero(sm <= tau)[0]
-    return int(hits[0]) if len(hits) else len(probe_losses)
+    """First iteration whose smoothed probe loss :func:`threshold_reached`
+    marks; sentinel = len(curve) when never reached."""
+    curve = np.asarray(probe_losses, dtype=np.float64)[None]
+    for row in range(curve.shape[1]):
+        if threshold_reached(curve, row, tau_fraction, window)[0]:
+            return row
+    return curve.shape[1]
 
 
 def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
@@ -480,11 +462,11 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
     down factors, per held-out identity per seed.
 
     All 2 x |seeds| x |identities| probed runs train in one
-    :func:`run_stage2_many` call with ``stop_at_threshold``: each run stops
-    on the iteration its count becomes known, and that count equals the one
-    on a full ``q_st2`` probe curve. A run that never reaches
-    the threshold reports the sentinel ``q_st2 + 1`` (the length of its full
-    probe curve), and that value enters the medians like any other;
+    :func:`run_stage2_many` call, where each run stops on the iteration its
+    count becomes known, and that count equals the one on a full ``q_st2``
+    probe curve. A run that never reaches the threshold reports the
+    sentinel ``q_st2 + 1`` (the length of its full probe curve), and that
+    value enters the medians like any other;
     ``meta_never_reached`` and ``random_never_reached`` count such runs,
     overall and per seed.
     """
@@ -502,7 +484,7 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
             jobs += [Stage2Job(lmd_meta, ref, cfg, probe),
                      Stage2Job(lmd_rand, ref, cfg, probe)]
     iters = iter([res.iters_to_threshold for res in
-                  run_stage2_many(model, jobs, schedule, stop_at_threshold=True)])
+                  run_stage2_many(model, jobs, schedule)])
     never = config.q_st2 + 1
 
     def summary(per_identity: list[dict]) -> dict:

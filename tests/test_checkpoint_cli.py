@@ -31,6 +31,29 @@ def header_only_checkpoint(path, hdr: bytes):
                      + struct.pack("<I", 0))
 
 
+def evaluate_inputs(tmp_path):
+    """``evaluate``'s input arguments: a manifest of three identities and a
+    generated vector per identity and prompt, written to ``tmp_path``."""
+    rng = make_rng(0)
+    ids = []
+    gen = {}
+    for i in range(3):
+        proto = rng.normal(size=8)
+        ids.append({"id": f"id{i}",
+                    "reference": (proto + 0.1 * rng.normal(size=8)).tolist(),
+                    "tests": [(proto + 0.1 * rng.normal(size=8)).tolist()
+                              for _ in range(3)]})
+        for p in ("p0", "p1"):
+            gen[f"id{i}||{p}"] = proto + 0.1 * rng.normal(size=8)
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({"identities": ids, "prompts": ["p0", "p1"]}))
+    genf = tmp_path / "gen.jsonl"
+    with open(genf, "w") as fh:
+        for k, v in gen.items():
+            fh.write(json.dumps({"id": k, "vector": v.tolist()}) + "\n")
+    return ["--manifest", str(man), "--generated", str(genf)]
+
+
 class TestCheckpointFormat:
     def sample(self, tmp_path, name="a.bin"):
         path = tmp_path / name
@@ -124,20 +147,33 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError):
             save_checkpoint(tmp_path / "x.bin", {}, {"v": np.zeros(3)})
 
-    @pytest.mark.parametrize("failing", ["fsync", "replace"])
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing):
-        path, _, _ = self.sample(tmp_path)
+    @pytest.mark.parametrize("failing, command", [
+        ("fsync", None), ("replace", None), ("replace", "augment-plan"),
+        ("replace", "evaluate")],
+        ids=["fsync", "replace", "replace-augment-plan", "replace-evaluate"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing,
+                                              command):
+        # a checkpoint written over the previous file, or a command's --out
+        out = tmp_path / "out"
+        out.mkdir()
+        path, _, _ = self.sample(out)
         before = path.read_bytes()
+        argv = {"augment-plan": ["augment-plan", "--image-w", "1024", "--image-h", "1024",
+                                 "--face", "384,384,256,256"],
+                "evaluate": ["evaluate", *evaluate_inputs(tmp_path)]}
 
         def disk_full(*args):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(os, failing, disk_full)
-        with pytest.raises(OSError):
-            save_checkpoint(path, {"kind": "stage1"}, {"lmd.0": np.ones((2, 2))})
+        if command is None:
+            with pytest.raises(OSError):
+                save_checkpoint(path, {"kind": "stage1"}, {"lmd.0": np.ones((2, 2))})
+        else:
+            assert main(argv[command] + ["--out", str(path)]) == 3
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert [p.name for p in out.iterdir()] == [path.name]
 
     def test_save_layers_writes_the_hand_built_bytes(self, tmp_path):
         # each kind's tensors as the CLI named and ordered them by hand
@@ -269,6 +305,18 @@ class TestPipeline:
         for li in range(2):
             assert t1[f"lmd.{li}"].tobytes() == tp[f"lmd.{li}"].tobytes()
 
+    def test_one_iteration_personalize_replaces_the_loss_svg(self, cli_run, tmp_path):
+        root, cfg, base, s1, pers, merged = cli_run
+        one = tmp_path / "one.cfg"
+        one.write_text(SMALL_CFG.replace("q_st2 = 40", "q_st2 = 1"))
+        out = tmp_path / "pers.bin"
+        svg = tmp_path / "pers.bin.loss.svg"
+        svg.write_text("an older run's curve")
+        assert main(["personalize", "--config", str(one), "--checkpoint", str(base),
+                     "--stage1", str(s1), "--out", str(out)]) == 0
+        # one point, at the chart's left edge and its bottom
+        assert re.search(r'points="([^"]*)"', svg.read_text()).group(1) == "10.0,230.0"
+
     def test_merged_tensors_shapes(self, cli_run):
         root, cfg, base, s1, pers, merged = cli_run
         hm, tm = load_checkpoint(merged)
@@ -348,26 +396,8 @@ class TestPipeline:
         assert s1.read_bytes() == s1b.read_bytes()
 
     def test_evaluate_subcommand(self, cli_run, tmp_path):
-        rng = make_rng(0)
-        ids = []
-        gen = {}
-        for i in range(3):
-            proto = rng.normal(size=8)
-            ids.append({"id": f"id{i}",
-                        "reference": (proto + 0.1 * rng.normal(size=8)).tolist(),
-                        "tests": [(proto + 0.1 * rng.normal(size=8)).tolist()
-                                  for _ in range(3)]})
-            for p in ("p0", "p1"):
-                gen[f"id{i}||{p}"] = proto + 0.1 * rng.normal(size=8)
-        man = tmp_path / "man.json"
-        man.write_text(json.dumps({"identities": ids, "prompts": ["p0", "p1"]}))
-        genf = tmp_path / "gen.jsonl"
-        with open(genf, "w") as fh:
-            for k, v in gen.items():
-                fh.write(json.dumps({"id": k, "vector": v.tolist()}) + "\n")
         out = tmp_path / "report.json"
-        assert main(["evaluate", "--manifest", str(man), "--generated", str(genf),
-                     "--out", str(out)]) == 0
+        assert main(["evaluate", *evaluate_inputs(tmp_path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert {"r_facesim", "facesim", "relative_difference_pct"} <= report.keys()
 
@@ -433,13 +463,13 @@ def per_point_svg_points(ys, width=640, height=240, pad=10):
     span = (hi - lo) or 1.0
     pts = []
     for i, y in enumerate(np.asarray(ys, dtype=np.float64)):
-        px = pad + i * (width - 2 * pad) / (len(ys) - 1)
+        px = pad + i * (width - 2 * pad) / max(len(ys) - 1, 1)
         py = height - pad - (y - lo) * (height - 2 * pad) / span
         pts.append(f"{px:.1f},{py:.1f}")
     return " ".join(pts)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 375, 3000])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 375, 3000])
 def test_svg_points_match_a_per_point_loop(tmp_path, n):
     rng = make_rng(n)
     path = tmp_path / "curve.svg"

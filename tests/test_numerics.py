@@ -1,5 +1,7 @@
 """Core numeric helpers: RNG, finiteness checks, checksums, AdamW."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ class TestRngAndGaussian:
         b = a.copy()
         b[1, 2] += 1e-15
         assert checksum(b) != c1
+
+    def test_checksum_hashes_little_endian_bytes(self):
+        a = make_rng(3).normal(size=(3, 5))
+        big = a.astype(">f8")
+        assert big.tobytes() != a.astype("<f8").tobytes()
+        assert checksum(big) == checksum(a.astype("<f8"))
+        assert checksum(big) == hashlib.sha1(a.astype("<f8").tobytes()).hexdigest()
 
 
 class TestFiniteChecks:

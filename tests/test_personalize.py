@@ -18,7 +18,7 @@ from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   adaptation_speed_experiment,
                                   iterations_to_threshold, load_stage1,
                                   make_probe, probe_loss, run_stage2,
-                                  run_stage2_many, smooth, threshold_reached,
+                                  run_stage2_many, threshold_reached,
                                   view_latent)
 from metalora.toymodel import (Example, ToyDenoiser, generate, linear_schedule,
                                make_dataset, noisify, pretrain_base, time_embedding)
@@ -43,6 +43,17 @@ def pcfg(**kw):
     defaults = dict(q_st2=40, r1=4, r2=1, lr=5e-3, seed=0)
     defaults.update(kw)
     return PersonalizeConfig(**defaults)
+
+
+def whole_curve(job):
+    """``job`` with tau_fraction = 0, which no positive probe loss reaches: its
+    run trains q_st2 iterations and gives its whole probe curve."""
+    return replace(job, config=replace(job.config, tau_fraction=0.0))
+
+
+def probed_run(model, lmd, ref, schedule, cfg, probe):
+    """A lone probed run of q_st2 iterations, with its whole probe curve."""
+    return run_stage2_many(model, [whole_curve(Stage2Job(lmd, ref, cfg, probe))], schedule)[0]
 
 
 class TestLoadStage1:
@@ -111,14 +122,14 @@ class TestRunStage2:
                                mode="zero") for l in model.layers]
         model.set_factors(*base_f)
         base = probe_loss(model, schedule, probe)
-        res = run_stage2(model, lmd, ref, schedule, pcfg(), probe=probe)
+        res = probed_run(model, lmd, ref, schedule, pcfg(), probe)
         assert res.probe_losses[0] == pytest.approx(base, abs=1e-15)
 
     def test_heldout_loss_improves(self, world):
         ds, schedule, model, lmd = world
         ref = ds.reference_of(2)
         probe = make_probe(ds, 2, schedule, seed=6)
-        res = run_stage2(model, lmd, ref, schedule, pcfg(q_st2=150), probe=probe)
+        res = probed_run(model, lmd, ref, schedule, pcfg(q_st2=150), probe)
         assert len(res.probe_losses) == 151
         assert res.probe_losses[-1] < res.probe_losses[0]
 
@@ -143,8 +154,7 @@ class TestRunStage2:
         # the supp-style checkpoint grid, scaled to the toy problem
         ds, schedule, model, lmd = world
         ref = ds.reference_of(3)
-        probe = make_probe(ds, 3, schedule, seed=7)
-        res = run_stage2(model, lmd, ref, schedule, pcfg(q_st2=250), probe=probe)
+        res = run_stage2(model, lmd, ref, schedule, pcfg(q_st2=250))
         grid = [50, 100, 150, 200, 250]
         best = [min(res.train_losses[:q]) for q in grid]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
@@ -154,6 +164,8 @@ class TestRunStage2:
         refs = [e for e in ds.of_identity(0)][:2]
         res = run_stage2(model, lmd, refs, schedule, pcfg())
         assert len(res.train_losses) == 40
+        # an unprobed run trains q_st2 iterations and has no count
+        assert res.probe_losses == [] and res.iters_to_threshold is None
 
     def test_deterministic(self, world):
         ds, schedule, model, lmd = world
@@ -230,6 +242,17 @@ class TestViewLatent:
         assert np.allclose(large, 10 * small)
 
 
+def loop_smooth(values, window):
+    """The trailing moving average one entry at a time: entry i is the mean
+    of the last ``window`` values up to i, fewer at the start."""
+    arr = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(arr)
+    for i in range(len(arr)):
+        lo = max(0, i - window + 1)
+        out[i] = arr[lo:i + 1].mean()
+    return out
+
+
 class TestIterationsToThreshold:
     def test_tau_one_is_zero_iterations(self):
         losses = [1.0, 0.9, 0.8]
@@ -249,30 +272,43 @@ class TestIterationsToThreshold:
         assert iterations_to_threshold(losses, 0.5, window=1) == 1
         assert iterations_to_threshold(losses, 0.5, window=4) == 6
 
-    def test_smooth_matches_hand_average(self):
-        got = smooth([4.0, 2.0, 6.0], window=2)
-        assert np.allclose(got, [4.0, 3.0, 4.0])
+    def test_threshold_reached_matches_hand_average(self):
+        # smoothed with window 2: 4, 3, 4 against 0.75 x 4
+        curves = np.array([[4.0, 2.0, 6.0]])
+        got = [bool(threshold_reached(curves, row, 0.75, 2)[0]) for row in range(3)]
+        assert got == [False, True, False]
 
-    def test_smooth_matches_loop_bit_for_bit(self):
-        def loop_smooth(values, window):
-            arr = np.asarray(values, dtype=np.float64)
-            out = np.empty_like(arr)
-            for i in range(len(arr)):
-                lo = max(0, i - window + 1)
-                out[i] = arr[lo:i + 1].mean()
-            return out
-
+    def test_threshold_reached_matches_loop_bit_for_bit(self):
+        # every row of four variants of a curve at tau = 1, where the first
+        # value is the threshold: a random fraction of the first value, and
+        # the loop's mean at a row whose window leaves the first value out,
+        # exactly and one ulp either side. Only a mean with the loop's bits
+        # decides the last three right
         rng = make_rng(17)
         cases = [(1, 1), (5, 1), (5, 5), (5, 6), (3, 40), (376, 15)]
         cases += [(int(rng.integers(1, 501)), int(rng.integers(1, 40)))
                   for _ in range(200)]
+        ties = 0
         for length, window in cases:
             curve = rng.exponential(size=length) * rng.uniform(1e-3, 1e3)
-            got = smooth(list(curve), window)
-            assert got.tobytes() == loop_smooth(curve, window).tobytes(), (length, window)
+            # the loop's means at the rows whose window leaves the first value
+            # out, which the four variants share
+            tail = loop_smooth(curve, window)[window:]
+            firsts = [rng.uniform() * curve[0]]
+            if window < length:
+                mean = tail[int(rng.integers(len(tail)))]
+                firsts += [mean, np.nextafter(mean, 0.0), np.nextafter(mean, np.inf)]
+            curves = np.column_stack([firsts, np.tile(curve[1:], (len(firsts), 1))])
+            got = np.array([threshold_reached(curves, row, 1.0, window)
+                            for row in range(length)]).T
+            smoothed = np.array([np.concatenate([loop_smooth(c[:window], window), tail])
+                                 for c in curves])
+            assert np.array_equal(got, smoothed <= curves[:, :1]), (length, window)
+            ties += int(np.sum(smoothed == curves[:, :1]))
+        assert ties > 150
 
     def test_count_on_a_prefix_is_final_below_its_length(self):
-        # what stop_at_threshold relies on: on the first L entries of a curve
+        # what stopping a probed run relies on: on the first L entries of a curve
         # the count is the full curve's count if that is below L, else L
         rng = make_rng(23)
         cases = [(1, 1, 0.5), (5, 1, 0.9), (5, 5, 0.9), (5, 6, 1.0), (3, 40, 0.0),
@@ -291,10 +327,11 @@ class TestIterationsToThreshold:
         assert 10 < crossed < len(cases)
 
     def test_threshold_reached_row_by_row_gives_the_count_bit_for_bit(self):
-        # what stop_at_threshold does after each probe row: a curve's first
-        # row that threshold_reached marks is its iterations_to_threshold.
-        # Half the cases put a smoothed value exactly at tau, which only a
-        # mean with smooth's bits meets exactly
+        # what a probed run does after each probe row: a curve's first row
+        # that threshold_reached marks is its count, the first row whose
+        # loop_smooth value is at or below tau x the first value, and
+        # iterations_to_threshold gives it. Half the cases put a smoothed
+        # value exactly at tau, which only a mean with the loop's bits meets
         rng = make_rng(29)
         ties = 0
         for case in range(160):
@@ -310,8 +347,10 @@ class TestIterationsToThreshold:
             for row in range(length):
                 hit = threshold_reached(curves, row, tau, window)
                 first[(first == length) & hit] = row
-            want = [iterations_to_threshold(list(c), tau, window) for c in curves]
+            want = [next((row for row, v in enumerate(loop_smooth(c, window))
+                          if v <= tau * c[0]), length) for c in curves]
             assert first.tolist() == want, (case, runs, length, window, tau)
+            assert [iterations_to_threshold(list(c), tau, window) for c in curves] == want
             ties += want.count(tie)
         assert ties > 100
 
@@ -422,6 +461,7 @@ def assert_same_run(res, losses, curve, factors):
 
 class TestLockstepEngine:
     def six_jobs(self, world):
+        """Six probed jobs whose runs give their whole curves."""
         ds, schedule, model, lmd = world
         rand = [init_factors(make_rng(9), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
                 for l in model.layers]
@@ -429,7 +469,8 @@ class TestLockstepEngine:
         for k in range(6):
             ident = k % 4
             refs = ds.of_identity(ident)[:2] if k == 4 else ds.reference_of(ident)
-            jobs.append(Stage2Job(rand if k % 2 else lmd, refs, pcfg(seed=100 + k),
+            jobs.append(Stage2Job(rand if k % 2 else lmd, refs,
+                                  pcfg(seed=100 + k, tau_fraction=0.0),
                                   make_probe(ds, ident, schedule, seed=k)))
         return jobs
 
@@ -438,9 +479,7 @@ class TestLockstepEngine:
         jobs = self.six_jobs(world)
         batch = run_stage2_many(model, jobs, schedule)
         for k in (3, 4):  # a single- and a multi-reference run
-            job = jobs[k]
-            alone = run_stage2(model, job.lmd, job.references, schedule, job.config,
-                               probe=job.probe)
+            alone = run_stage2_many(model, [jobs[k]], schedule)[0]
             assert_same_run(batch[k], alone.train_losses, alone.probe_losses,
                             alone.factors)
             assert len(alone.probe_losses) == 41
@@ -457,7 +496,7 @@ class TestLockstepEngine:
         # three runs of which the first and the last share a stream (one
         # seed, one reference object)
         ds, schedule, model, lmd = world
-        cfg = pcfg(q_st2=2 * DRAW_BLOCK + 3)
+        cfg = pcfg(q_st2=2 * DRAW_BLOCK + 3, tau_fraction=0.0)
         rand = self.six_jobs(world)[1].lmd
         ref = ds.reference_of(2)
         lone = [Stage2Job(lmd, ref, replace(cfg, seed=7), make_probe(ds, 2, schedule, seed=1))]
@@ -476,8 +515,8 @@ class TestLockstepEngine:
         monkeypatch.setattr(kernels, "chain_forward",
                             lambda *args: calls.append(None) or forward(*args))
         with pytest.raises(ValueError, match="lr must be >= 0"):
-            run_stage2(model, lmd, ds.reference_of(0), schedule, pcfg(lr=-1e-3),
-                       probe=make_probe(ds, 0, schedule, seed=0))
+            probed_run(model, lmd, ds.reference_of(0), schedule, pcfg(lr=-1e-3),
+                       make_probe(ds, 0, schedule, seed=0))
         assert not calls
 
     def test_does_not_touch_model(self, world):
@@ -492,7 +531,8 @@ class TestLockstepEngine:
         rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule,
                                           config, seeds)
         runs = list(speed_runs(model, ds, schedule, idents, lmd, config, seeds))
-        batch = run_stage2_many(model, [Stage2Job(*run) for run in runs], schedule)
+        batch = run_stage2_many(model, [whole_curve(Stage2Job(*run)) for run in runs],
+                                schedule)
         want = []
         for res, run in zip(batch, runs):
             losses, curve, factors = reference_stage2(model, *run[:2], schedule,
@@ -530,7 +570,7 @@ class TestLockstepEngine:
 
         jobs = [Stage2Job(*run)
                 for run in speed_runs(model, ds, schedule, idents, lmd, config, seeds)]
-        full = run_stage2_many(model, jobs, schedule)
+        full = run_stage2_many(model, [whole_curve(job) for job in jobs], schedule)
         want = [iterations_to_threshold(res.probe_losses, tau, window) for res in full]
         trained = [min(count, q) for count in want]
         assert {(count - 1) // DRAW_BLOCK for count in want} == blocks
@@ -550,14 +590,15 @@ class TestLockstepEngine:
         monkeypatch.undo()
 
         # a stopped run is a full one cut at its own count, and a lone run
-        # of that many iterations
-        stopped = run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+        # of that many iterations, which reports the same count
+        stopped = run_stage2_many(model, jobs, schedule)
         for res, long, job, count, iters in zip(stopped, full, jobs, want, trained):
             assert res.iters_to_threshold == count
             assert res.train_losses == long.train_losses[:iters]
             assert res.probe_losses == long.probe_losses[:iters + 1]
-            lone = run_stage2(model, job.lmd, job.references, schedule,
-                              replace(job.config, q_st2=iters), probe=job.probe)
+            lone = run_stage2_many(model, [replace(job, config=replace(job.config, q_st2=iters))],
+                                   schedule)[0]
+            assert lone.iters_to_threshold == count
             assert_same_run(res, lone.train_losses, lone.probe_losses, lone.factors)
 
     @pytest.mark.parametrize("tau", [1.0, 0.0])  # the config schema's limits
@@ -589,8 +630,8 @@ class TestLockstepEngine:
 
         jobs = [Stage2Job(*run)
                 for run in speed_runs(model, ds, schedule, idents, lmd, config, seeds)]
-        full = run_stage2_many(model, jobs, schedule)
-        stopped = run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+        full = run_stage2_many(model, [whole_curve(job) for job in jobs], schedule)
+        stopped = run_stage2_many(model, jobs, schedule)
         for res, long, job in zip(stopped, full, jobs):
             assert res.iters_to_threshold == count
             assert res.train_losses == long.train_losses[:count]
@@ -602,12 +643,6 @@ class TestLockstepEngine:
                     assert f.l_up.tobytes() == lu[0].tobytes()
             else:
                 assert_same_run(res, long.train_losses, long.probe_losses, long.factors)
-
-    def test_stop_at_threshold_needs_a_probe(self, world):
-        ds, schedule, model, lmd = world
-        with pytest.raises(MetaLoraError, match="needs probed jobs"):
-            run_stage2_many(model, [Stage2Job(lmd, ds.reference_of(0), pcfg())], schedule,
-                            stop_at_threshold=True)
 
     def test_jobs_must_agree_beyond_seed_and_references(self, world):
         ds, schedule, model, lmd = world
@@ -628,7 +663,7 @@ class TestLockstepEngine:
                           pcfg(seed=i, tau_fraction=0.99, smoothing_window=1),
                           make_probe(ds, i, schedule, seed=i)) for i in range(3)]
         counts = [res.iters_to_threshold
-                  for res in run_stage2_many(model, jobs, schedule, stop_at_threshold=True)]
+                  for res in run_stage2_many(model, jobs, schedule)]
         assert counts == [8, 26, 22]
         return jobs
 
@@ -658,7 +693,7 @@ class TestLockstepEngine:
         monkeypatch.setattr(personalize, "train_step", poisoned)
         with pytest.raises(NumericError, match="job 2: non-finite loss at "
                                               "stage-2 iteration 10"):
-            run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+            run_stage2_many(model, jobs, schedule)
         assert rows[-1] == 2
 
     def test_non_finite_gradient_names_job_and_iteration(self, world, monkeypatch):
@@ -694,7 +729,7 @@ class TestLockstepEngine:
         monkeypatch.setattr(kernels, "chain_backward", poisoned_late)
         with pytest.raises(NumericError, match="job 2: non-finite gradient at "
                                               "stage-2 iteration 10"):
-            run_stage2_many(model, jobs, schedule, stop_at_threshold=True)
+            run_stage2_many(model, jobs, schedule)
         assert calls[-1] == 2
 
 
@@ -757,6 +792,28 @@ class TestDrawAhead:
         for res, job in zip(batch[-3:], jobs[-3:]):
             alone = run_stage2(model, lmd, job.references, schedule, job.config)
             assert res.train_losses == alone.train_losses
+
+    def test_each_geometry_is_planned_once_per_call(self, world, monkeypatch):
+        # 12 jobs of 15 reference uses over three geometries: one plan each,
+        # whichever references share one
+        ds, schedule, model, lmd = world
+        a, b = ds.reference_of(0), ds.reference_of(1)
+        moved = replace(a, face_box=(0, 0, 300, 200))  # a's latent, another geometry
+        refs = [a, b, moved, [a, moved]]
+        geometries = {(r.image_w, r.image_h, r.face_box) for r in (a, b, moved)}
+        assert len(geometries) == 3
+        calls = []
+        plan = personalize.plan_crops
+        monkeypatch.setattr(personalize, "plan_crops",
+                            lambda w, h, f: calls.append((w, h, (f.x, f.y, f.w, f.h))) or
+                            plan(w, h, f))
+        jobs = [Stage2Job(lmd, r, pcfg(seed=s, q_st2=5)) for s in range(3) for r in refs]
+        batch = run_stage2_many(model, jobs, schedule)
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(geometries)
+        for res, job in zip(batch[-4:], jobs[-4:]):
+            alone = run_stage2(model, lmd, job.references, schedule, job.config)
+            assert_same_run(res, alone.train_losses, alone.probe_losses, alone.factors)
 
     def test_inputs_are_built_once_per_block_per_stream(self, world, monkeypatch):
         # three jobs on two streams: each block of draws makes one
