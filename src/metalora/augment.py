@@ -97,6 +97,8 @@ def _max_short_side(aspect_w: int, aspect_h: int, image_w: int, image_h: int) ->
 
 def plan_crops(image_w: int, image_h: int, face: FaceBox) -> list[CropSpec]:
     """Deterministic crop plan: aspect-major, multiplier-minor, deduplicated."""
+    if max(image_w, image_h) >= 2**31:  # PNG's limit; near 1e30 the side search never ends
+        raise MetaLoraError("image sides of 2**31 pixels or more are not supported")
     if face.x < 0 or face.y < 0 or face.x + face.w > image_w or face.y + face.h > image_h:
         raise MetaLoraError(
             f"face box {face} does not fit inside {image_w}x{image_h} image")
@@ -129,11 +131,4 @@ def sample_view(spec: CropSpec, rng: np.random.Generator) -> View:
 
 
 def plan_to_jsonl(specs: list[CropSpec]) -> str:
-    lines = []
-    for s in specs:
-        lines.append(json.dumps({
-            "x": s.x, "y": s.y, "w": s.w, "h": s.h,
-            "aspect": s.aspect, "scale_multiplier": s.scale_multiplier,
-            "flip_allowed": s.flip_allowed,
-        }))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(json.dumps(vars(s)) + "\n" for s in specs)

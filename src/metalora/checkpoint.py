@@ -19,6 +19,7 @@ file or the complete new one, never a part.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -71,16 +72,16 @@ def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     write_atomic(path, bytes(blob))
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so that a reader sees the previous file or
-    the complete new one, never a part: through a synced temporary file that
-    ``os.replace`` renames over the target. A failed write leaves no
-    temporary file."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """``open(path, mode, **kwargs)`` such that a reader sees the previous file or
+    the whole new one, never a part: writes go to a synced temporary file that
+    ``os.replace`` renames over ``path`` as the block ends, or that a failure removes."""
     # next to the target, so that os.replace renames within one file system
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -88,6 +89,12 @@ def write_atomic(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through :func:`atomic_open`."""
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 class _Reader:

@@ -2,8 +2,8 @@
 
 Every command reads a flat key=value config file, echoes the resolved
 config (defaults included) plus its hash into a ``*.trace.json`` next to its
-output, and exits 0 on success. Exit codes: 2 for config errors (an allocation
-that fails counts as one: the config sizes every array), 3 for I/O,
+output, and exits 0 on success. Exit codes: 2 for config and argument errors
+(an allocation that fails counts as one: the config sizes every array), 3 for I/O,
 checkpoint and manifest errors, 4 for numeric failures.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -161,12 +162,11 @@ def _load_world(args) -> SimpleNamespace:
     return world
 
 
-def _personalize_config(cfg: dict) -> personalize.PersonalizeConfig:
-    return personalize.PersonalizeConfig(
-        q_st2=cfg["q_st2"], r1=cfg["r1"], r2=cfg["r2"], lr=cfg["stage2_lr"],
-        seed=cfg["seed"], weight_decay=cfg["weight_decay"],
-        view_strength=cfg["view_strength"], tau_fraction=cfg["tau_fraction"],
-        smoothing_window=cfg["smoothing_window"])
+def stage_config(cls, cfg: dict):
+    """A ``TrainConfig`` or ``PersonalizeConfig`` with each field set from the
+    config key of its name, but stage 2's ``lr`` from ``stage2_lr``."""
+    keys = {"lr": "stage2_lr"} if cls is personalize.PersonalizeConfig else {}
+    return cls(**{f.name: cfg[keys.get(f.name, f.name)] for f in dataclasses.fields(cls)})
 
 
 def cmd_pretrain(args) -> int:
@@ -188,13 +188,7 @@ def cmd_pretrain(args) -> int:
 def cmd_metatrain(args) -> int:
     world = _load_world(args)
     cfg = world.cfg
-    tc = metatrain.TrainConfig(
-        q_total=cfg["q_total"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        seed=cfg["seed"], r1=cfg["r1"], r2=cfg["r2"],
-        identities_per_bucket=cfg["identities_per_bucket"],
-        warm_up_fraction=cfg["warm_up_fraction"],
-        warm_up_every_entry=cfg["warm_up_every_entry"],
-        weight_decay=cfg["weight_decay"])
+    tc = stage_config(metatrain.TrainConfig, cfg)
     train_set = toymodel.subset_dataset(world.dataset, world.train_ids)
     result = metatrain.run_stage1(world.model, train_set, world.schedule, tc)
     header = {"r1": cfg["r1"], "seed": cfg["seed"], "config_hash": config_hash(cfg),
@@ -215,8 +209,9 @@ def cmd_personalize(args) -> int:
     world = _load_world(args)
     cfg = world.cfg
     ident = cfg["target_identity"] if cfg["target_identity"] >= 0 else world.heldout[0]
-    result = personalize.run_stage2(world.model, world.lmd, world.dataset.reference_of(ident),
-                                    world.schedule, _personalize_config(cfg))
+    result = personalize.run_stage2(
+        world.model, world.lmd, world.dataset.reference_of(ident), world.schedule,
+        stage_config(personalize.PersonalizeConfig, cfg))
     header = {"r1": cfg["r1"], "r2": cfg["r2"], "identity": ident, "seed": cfg["seed"],
               "config_hash": config_hash(cfg)}
     save_layers(args.out, "personalized", header, {
@@ -263,6 +258,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.embedder_seed < 0:
+        raise ConfigError(f"--embedder-seed must be >= 0, got {args.embedder_seed}")
     with open(args.manifest) as fh:
         try:
             doc = json.load(fh)
@@ -326,7 +323,7 @@ def cmd_speed_experiment(args) -> int:
     seeds = [cfg["seed"] + i for i in range(cfg["speed_seeds"])]
     report = personalize.adaptation_speed_experiment(
         world.model, world.dataset, world.heldout, world.lmd, world.schedule,
-        _personalize_config(cfg), seeds)
+        stage_config(personalize.PersonalizeConfig, cfg), seeds)
     write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True).encode())
     table = io.StringIO()
     w = csv.writer(table)
@@ -342,10 +339,14 @@ def cmd_speed_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad argument is a config error, reported by main
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="metalora",
-                                description="desk-scale meta-adapter laboratory")
+    p = _Parser(prog="metalora", description="desk-scale meta-adapter laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, checkpoint=False, stage1=False):
@@ -401,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)

@@ -39,6 +39,8 @@ class IdentityEntry:
         if not self.tests:
             raise ManifestError(f"identity {self.identity!r} has no test items "
                                 "after excluding the reference")
+        if not all(np.isfinite(v).all() for v in (self.reference, *self.tests)):
+            raise ManifestError(f"identity {self.identity!r} has a vector that is not finite")
 
 
 @dataclass
@@ -65,7 +67,7 @@ class EvalManifest:
                                     tests=[np.asarray(t, dtype=np.float64) for t in e["tests"]])
                       for e in doc["identities"]]
             prompts = list(doc["prompts"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ManifestError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
         return cls(identities=idents, prompts=prompts)
 
@@ -86,10 +88,11 @@ class ToyEmbedder:
         self.proj = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim))
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        e = self.proj @ np.asarray(vec, dtype=np.float64).ravel()
-        n = np.linalg.norm(e)
-        if n == 0:
-            raise NumericError("toy embedder produced a zero vector")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            e = self.proj @ np.asarray(vec, dtype=np.float64).ravel()
+            n = np.linalg.norm(e)
+        if not 0 < n < np.inf:
+            raise NumericError(f"toy embedder produced a vector of norm {n}")
         return e / n
 
 
@@ -140,7 +143,7 @@ def discrepancy_report(facesim: float, r_facesim_score: float) -> float:
     """Relative difference (%), rounded to 0.1, of the robust vs conventional
     score. Negative values flag inflation under the conventional protocol."""
     if facesim == 0:
-        raise ZeroDivisionError("discrepancy_report: facesim is zero")
+        raise NumericError("discrepancy_report: facesim is zero")
     return round(100.0 * (r_facesim_score - facesim) / facesim, 1)
 
 
@@ -157,7 +160,7 @@ def read_embeddings_jsonl(path, dim: int | None = None) -> dict[str, np.ndarray]
                     if vec.shape != (dim or len(vec),) or not np.isfinite(vec).all():
                         raise ValueError(f"vector of shape {vec.shape} is not a row of "
                                          f"{dim or 'any number of'} finite numbers")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ManifestError(f"{path}:{ln}: not an embedding record "
                                     f"({type(exc).__name__}: {exc})") from exc
     return out

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kernels
 from .adapter import init_factors
+from .checkpoint import atomic_open
 from .errors import MetaLoraError, NumericError
 from .numerics import AdamWState, FlatGroup, check_finite, checksum, make_rng
 from .toymodel import (DiffusionSchedule, Example, ToyDenoiser, ToyIdentityDataset,
@@ -217,7 +218,7 @@ class Stage1Result:
 
 
 def write_trace_csv(trace: list[TraceRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iteration", "bucket_id", "entry_index", "iter_in_bucket",
                     "loss", "lomd_updated", "batch_identities"])
@@ -228,16 +229,10 @@ def write_trace_csv(trace: list[TraceRecord], path) -> None:
 
 
 def write_trace_jsonl(trace: list[TraceRecord], path) -> None:
-    with open(path, "w") as fh:
+    """One JSON object of its fields per record (int keys become strings)."""
+    with atomic_open(path, "w") as fh:
         for r in trace:
-            fh.write(json.dumps({
-                "iteration": r.iteration, "bucket_id": r.bucket_id,
-                "entry_index": r.entry_index, "iter_in_bucket": r.iter_in_bucket,
-                "loss": r.loss, "lomd_updated": r.lomd_updated,
-                "batch_identities": r.batch_identities,
-                "lomd_checksum": r.lomd_checksum,
-                "identity_checksums": {str(k): v for k, v in r.identity_checksums.items()},
-            }) + "\n")
+            fh.write(json.dumps(vars(r)) + "\n")
 
 
 # the gradients stage 1 trains: the mid and up factors, plus the shared down

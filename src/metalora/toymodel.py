@@ -10,7 +10,7 @@ identity-agnostic by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, islice, repeat
 
 import numpy as np
@@ -154,9 +154,7 @@ def make_dataset(rng: np.random.Generator, n_identities: int = 16, d: int = 32,
 def subset_dataset(dataset: ToyIdentityDataset, identity_ids: list[int]) -> ToyIdentityDataset:
     """Restrict to the given identities, renumbering them 0..k-1."""
     remap = {old: new for new, old in enumerate(identity_ids)}
-    examples = [Example(identity=remap[e.identity], x0=e.x0, prompt_id=e.prompt_id,
-                        split=e.split, image_w=e.image_w, image_h=e.image_h,
-                        face_box=e.face_box)
+    examples = [replace(e, identity=remap[e.identity])
                 for e in dataset.examples if e.identity in remap]
     return ToyIdentityDataset(prototypes=dataset.prototypes[identity_ids],
                               examples=examples, n_prompts=dataset.n_prompts,

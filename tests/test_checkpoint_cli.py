@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from metalora import cli, toymodel
+from metalora import cli, metatrain, personalize, toymodel
 from metalora.adapter import AdapterFactors, merge
 from metalora.checkpoint import (KINDS, MAGIC, VERSION, config_hash, load_checkpoint,
                                  load_layers, save_checkpoint, save_layers)
@@ -52,6 +53,24 @@ def evaluate_inputs(tmp_path):
         for k, v in gen.items():
             fh.write(json.dumps({"id": k, "vector": v.tolist()}) + "\n")
     return ["--manifest", str(man), "--generated", str(genf)]
+
+
+def run_main(argv) -> tuple[int, str]:
+    """``main``'s exit code, as the console script would end, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's own exit
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def assert_contract(rc, stderr):
+    """A documented exit code, and a failure's stderr exactly one JSON error."""
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert json.loads(stderr)["error"] in ("config", "io", "numeric")
 
 
 class TestCheckpointFormat:
@@ -149,21 +168,34 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("failing, command", [
         ("fsync", None), ("replace", None), ("replace", "augment-plan"),
-        ("replace", "evaluate")],
-        ids=["fsync", "replace", "replace-augment-plan", "replace-evaluate"])
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing,
+        ("replace", "evaluate"), ("fsync", "metatrain")],
+        ids=["fsync", "replace", "replace-augment-plan", "replace-evaluate",
+             "fsync-metatrain"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, request, failing,
                                               command):
-        # a checkpoint written over the previous file, or a command's --out
+        # a checkpoint written over the previous file, or a command's --out;
+        # metatrain's stage-1 checkpoint is written and its traces fail
         out = tmp_path / "out"
         out.mkdir()
         path, _, _ = self.sample(out)
-        before = path.read_bytes()
+        kept = [path]
         argv = {"augment-plan": ["augment-plan", "--image-w", "1024", "--image-h", "1024",
                                  "--face", "384,384,256,256"],
                 "evaluate": ["evaluate", *evaluate_inputs(tmp_path)]}
+        if command == "metatrain":
+            _root, cfg, base, *_ = request.getfixturevalue("cli_run")
+            argv[command] = ["metatrain", "--config", str(cfg), "--checkpoint", str(base)]
+            kept = [out / f"{path.name}.trace.{ext}" for ext in ("csv", "jsonl")]
+            for trace in kept:
+                trace.write_text("the previous trace\n")
+        before = {p.name: p.read_bytes() for p in kept}
+        calls, original = [], getattr(os, failing)
 
         def disk_full(*args):
-            raise OSError(28, "No space left on device")
+            calls.append(None)
+            if command != "metatrain" or len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return original(*args)
 
         monkeypatch.setattr(os, failing, disk_full)
         if command is None:
@@ -172,8 +204,8 @@ class TestCheckpointFormat:
         else:
             assert main(argv[command] + ["--out", str(path)]) == 3
         monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in out.iterdir()] == [path.name]
+        assert {p.name: p.read_bytes() for p in kept} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted({path.name, *before})
 
     def test_save_layers_writes_the_hand_built_bytes(self, tmp_path):
         # each kind's tensors as the CLI named and ordered them by hand
@@ -237,6 +269,15 @@ class TestConfigParsing:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("/no/such/file.cfg")
+
+    @pytest.mark.parametrize("cls", [metatrain.TrainConfig, personalize.PersonalizeConfig])
+    def test_stage_config_fields_are_config_keys_with_their_defaults(self, cls):
+        # every field reads a CONFIG_SCHEMA key (a KeyError otherwise) whose
+        # default is the field's: the defaults are stated in both places
+        defaults = parse_config(None)
+        assert cli.stage_config(cls, defaults) == cls()
+        renamed = cli.stage_config(cls, {**defaults, "stage2_lr": 0.5})
+        assert renamed.lr == (0.5 if cls is personalize.PersonalizeConfig else defaults["lr"])
 
 
 SMALL_CFG = """
@@ -596,12 +637,8 @@ class TestExitCodes:
                 blob[at:at] = bytes([byte])
         bad = tmp_path / "mutated.bin"
         bad.write_bytes(bytes(blob))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(reads(kind, cli_run, bad, tmp_path / "o"))
-        assert rc in (0, 2, 3, 4)
-        if rc:
-            assert json.loads(err.getvalue())["error"] in ("config", "io", "numeric")
+        rc, stderr = run_main(reads(kind, cli_run, bad, tmp_path / "o"))
+        assert_contract(rc, stderr)
         if len(blob) == len(original) and any(blob[i] != original[i]
                                                for i in payload_offsets(original)):
             assert rc == 3
@@ -644,6 +681,35 @@ class TestExitCodes:
                    "--face", face])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    # 2**31 pixels is the first side refused; from about 1e30 pixels the
+    # plan's search for the largest fitting crop never ended, and 1e400
+    # overflowed a float
+    @pytest.mark.parametrize("side", [2**31, 10**400], ids=["2**31", "10**400"])
+    def test_image_too_large_is_2(self, capsys, side):
+        rc = main(["augment-plan", "--image-w", str(side), "--image-h", "100",
+                   "--face", "0,0,1,1"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["pretrain"], ["merge", "--checkpoint"],
+        ["augment-plan", "--image-w", "x", "--image-h", "1", "--face", "0,0,1,1"],
+        ["evaluate", "--embedder-seed", "-1"]],
+        ids=["no command", "unknown command", "missing --out", "missing value", "bad int",
+             "negative embedder seed"])
+    def test_argument_error_is_2(self, tmp_path, capsys, argv):
+        if argv[-1:] == ["-1"]:
+            argv = [*argv, *evaluate_inputs(tmp_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", "--help"])
+        assert exc.value.code == 0
+        assert "--verify" in capsys.readouterr().out
 
     # sizes whose first array is larger than any address space: the
     # allocation fails at once on every machine
@@ -746,6 +812,10 @@ class TestExitCodes:
         assert f"r1 is {r1!r} of type {type(r1).__name__}, not an int" in err["message"]
 
     @pytest.mark.parametrize("manifest", ["{}", '{"identities": [1]}', "not json", "[]",
+                                          '{"identities": [{"id": 1, "reference": [1, NaN], '
+                                          '"tests": [[1, 2]]}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": 1, "reference": [1, 2], '
+                                          '"tests": [[1, -Infinity]]}], "prompts": ["p"]}',
                                           '{"identities": [], "prompts": ["p"]}',
                                           '{"identities": [{"id": 1, "reference": "x", '
                                           '"tests": [[1]]}], "prompts": ["p"]}',
@@ -785,6 +855,23 @@ class TestExitCodes:
         assert message in err["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_zero_facesim_is_4(self, tmp_path, capsys):
+        # p generates the reference r and q generates -r: the conventional
+        # cosines are c and -c, FaceSim is 0 and the relative difference has
+        # no value
+        r = [1.0, 2.0, 3.0]
+        man, gen, out = tmp_path / "man.json", tmp_path / "gen.jsonl", tmp_path / "o"
+        man.write_text(json.dumps({"identities": [{"id": "a", "reference": r,
+                                                   "tests": [[3.0, 1.0, 2.0]]}],
+                                   "prompts": ["p", "q"]}))
+        gen.write_text("".join(json.dumps({"id": f"a||{p}", "vector": v}) + "\n"
+                               for p, v in (("p", r), ("q", [-x for x in r]))))
+        assert main(["evaluate", "--manifest", str(man), "--generated", str(gen),
+                     "--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric" and "facesim is zero" in err["message"]
+        assert not out.exists()
+
     def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"
         save_layers(empty, "personalized", {"r1": 2, "r2": 1, "identity": 0},
@@ -803,3 +890,87 @@ class TestExitCodes:
         rc = main(["personalize", "--config", str(other), "--checkpoint", str(base),
                    "--stage1", str(s1), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+
+# what a fuzzed input may put in place of one vector or one entry of it: a zero
+# vector, a non-finite or huge float, or an int too large for a float
+FAULTS = [None, "zero vector", math.nan, math.inf, -math.inf, 1e300, 10**400]
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=60,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzzedCliInputs:
+    @FUZZ
+    @given(data=st.data())
+    def test_evaluate_inputs(self, tmp_path, data):
+        # manifests and generated files with sign-flipped generations and at
+        # most one fault, and embedder seeds of any sign and size
+        dim = data.draw(st.integers(1, 3))
+        nonzero = st.one_of(st.floats(-3, -0.5), st.floats(0.5, 3))  # zeros are a fault
+        vector = st.lists(nonzero, min_size=dim, max_size=dim)
+        ids = data.draw(st.lists(st.fixed_dictionaries(
+            {"id": st.sampled_from("ab"), "reference": vector,
+             "tests": st.lists(vector, min_size=1, max_size=2)}), min_size=1, max_size=2))
+        generated = []
+        for entry in ids:
+            for prompt in ("p", "q"):
+                how = data.draw(st.sampled_from(["reference", "flipped", "drawn", "missing"]))
+                vec = {"reference": entry["reference"], "drawn": data.draw(vector),
+                       "flipped": [-x for x in entry["reference"]]}.get(how)
+                if vec is not None:
+                    generated.append({"id": f"{entry['id']}||{prompt}", "vector": vec})
+        vectors = [v for e in ids for v in (e["reference"], *e["tests"])] + \
+            [g["vector"] for g in generated]
+        fault = data.draw(st.sampled_from(FAULTS))
+        if fault is not None:
+            target = vectors[data.draw(st.integers(0, len(vectors) - 1))]
+            target[:] = [0.0] * dim if fault == "zero vector" else [fault] * dim
+        seed = data.draw(st.one_of(st.integers(0, 2**65), st.integers(-2**65, 2**200)))
+        man, gen, out = tmp_path / "man.json", tmp_path / "gen.jsonl", tmp_path / "r.json"
+        man.write_text(json.dumps({"identities": ids, "prompts": ["p", "q"]}))
+        gen.write_text("".join(json.dumps(g) + "\n" for g in generated))
+        out.unlink(missing_ok=True)
+        rc, stderr = run_main(["evaluate", "--manifest", man, "--generated", gen,
+                               "--embedder-seed", seed, "--out", out])
+        assert_contract(rc, stderr)
+        assert out.exists() == (rc == 0)
+        if rc == 0:  # a report in RFC 8259 JSON, which has no NaN or Infinity
+            json.loads(out.read_text(), parse_constant=pytest.fail)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_argv_tokens(self, cli_run, tmp_path, monkeypatch, data):
+        # a working augment-plan, evaluate or merge argv with up to three
+        # tokens replaced, deleted or inserted: flags, ints, text, face boxes
+        # and paths to good and bad inputs
+        inputs = tmp_path / "inputs"
+        inputs.mkdir(exist_ok=True)
+        pers, s1 = inputs / "pers.bin", inputs / "stage1.bin"
+        pers.write_bytes(cli_run[4].read_bytes())
+        s1.write_bytes(cli_run[3].read_bytes())
+        works = {"augment-plan": ["--image-w", "1024", "--image-h", "768",
+                                  "--face", "384,384,256,256", "--out", "plan.jsonl"],
+                 "evaluate": [*evaluate_inputs(inputs), "--out", "report.json"],
+                 "merge": ["--checkpoint", str(pers), "--out", "merged.bin", "--verify"]}
+        monkeypatch.chdir(tmp_path)  # where the relative outputs go
+        flags = ["--image-w", "--image-h", "--face", "--out", "--manifest", "--generated",
+                 "--embedder-seed", "--checkpoint", "--verify", "--bogus"]
+        paths = [*works["evaluate"][1:4:2], str(pers), str(s1), str(inputs),
+                 str(inputs / "missing")]
+        token = st.one_of(st.sampled_from(flags), st.sampled_from(paths),
+                          st.integers(-2**40, 2**40).map(str), st.just(str(10**40)),
+                          st.text(max_size=4),
+                          st.lists(st.integers(-5, 3000), min_size=1, max_size=5)
+                          .map(lambda v: ",".join(map(str, v))))
+        command = data.draw(st.sampled_from(list(works)))
+        argv = list(works[command])
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(argv)))
+            how = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+            if how == "insert" or at == len(argv):
+                argv.insert(at, data.draw(token))
+            elif how == "replace":
+                argv[at] = data.draw(token)
+            else:
+                del argv[at]
+        assert_contract(*run_main([command, *argv]))

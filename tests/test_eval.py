@@ -160,7 +160,7 @@ class TestDiscrepancy:
         assert discrepancy_report(84.76, 75.72) == -10.7
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(NumericError, match="facesim is zero"):
             discrepancy_report(0.0, 50.0)
 
     def test_equal_scores_zero(self):
