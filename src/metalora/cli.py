@@ -73,7 +73,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
         try:
             with open(path) as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         for ln, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
@@ -100,8 +100,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
             values[key] = val
     for key, (_typ, _default, lo, hi) in CONFIG_SCHEMA.items():
         lo, hi = (bound(values) if callable(bound) else bound for bound in (lo, hi))
-        if not (math.isfinite(values[key]) and lo <= values[key] <= hi):
-            raise ConfigError(f"{key} = {values[key]} is outside [{lo}, {hi}]")
+        # an int beyond float range is refused like inf (math.isfinite cannot take it)
+        if not (lo <= values[key] <= hi and abs(values[key]) <= sys.float_info.max):
+            raise ConfigError(f"{key} = {values[key]} is not a finite number in [{lo}, {hi}]")
     return values
 
 

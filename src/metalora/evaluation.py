@@ -53,6 +53,14 @@ class EvalManifest:
             raise ManifestError("manifest has no identities")
         if not self.prompts:
             raise ManifestError("manifest has no prompts")
+        for p in self.prompts:
+            if not isinstance(p, str):
+                raise ManifestError(f"manifest prompt {p!r} is not a string")
+        seen = set()
+        for e in self.identities:
+            if e.identity in seen:
+                raise ManifestError(f"manifest repeats identity id {e.identity!r}")
+            seen.add(e.identity)
         sizes = {v.size for e in self.identities for v in (e.reference, *e.tests)}
         if len(sizes) > 1 or 0 in sizes:
             raise ManifestError(f"manifest vectors need one nonzero length, not {sorted(sizes)}")

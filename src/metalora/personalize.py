@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .augment import CropSpec, FaceBox, plan_crops, sample_view
 from .checkpoint import load_layers
 from .errors import DimensionError, MetaLoraError, NumericError, RankError
 from .metatrain import fresh_identity_params, split_params
-from .numerics import AdamWState, checksum, make_rng
+from .numerics import checksum, make_rng
 from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
                        ToyIdentityDataset, forward, train_step)
 
@@ -43,6 +43,8 @@ class PersonalizeConfig:
     def __post_init__(self):
         if self.r2 < 1 or self.q_st2 < 1:
             raise MetaLoraError("need r2 >= 1 and q_st2 >= 1")
+        if self.lr < 0:
+            raise ValueError(f"PersonalizeConfig: lr must be >= 0, got {self.lr}")
 
 
 def load_stage1(path, expected_r1: int, expected_dims: list[tuple[int, int]]
@@ -134,43 +136,40 @@ class Stage2Result:
 
 @dataclass
 class Stage2Job:
-    """One stage-2 run: frozen shared down factors (one per layer), the
-    reference example(s), its config and an optional loss probe, which stops it."""
+    """What one run of a :func:`run_stage2_many` call has of its own: its frozen
+    shared down factors (one per layer), its one reference example, its seed
+    and an optional loss probe, which stops it. The call's config holds the
+    rest."""
     lmd: list[np.ndarray]
-    references: Example | list[Example]
-    config: PersonalizeConfig
+    reference: Example
+    seed: int
     probe: list[ProbeItem] | None = None
 
 
-def run_stage2(model: ToyDenoiser, lmd: list[np.ndarray],
-               references: Example | list[Example],
+def run_stage2(model: ToyDenoiser, lmd: list[np.ndarray], reference: Example,
                schedule: DiffusionSchedule, config: PersonalizeConfig) -> Stage2Result:
-    """Fit fresh mid/up factors from the augmented reference view set.
+    """Fit fresh mid/up factors from the augmented views of one reference example.
 
-    Accepts one reference example or several (the multi-reference
-    extension); views from all references are pooled. AdamW runs with batch
-    size 1 for q_st2 iterations, without a probe. The shared down factors
-    never move, and ``model`` is only read. This is :func:`run_stage2_many`
-    with one job.
+    AdamW runs with batch size 1 for q_st2 iterations, without a probe. The
+    shared down factors never move, and ``model`` is only read. This is
+    :func:`run_stage2_many` with one job, seeded with ``config.seed``.
     """
-    return run_stage2_many(model, [Stage2Job(lmd, references, config)], schedule)[0]
+    return run_stage2_many(model, [Stage2Job(lmd, reference, config.seed)], schedule,
+                           config)[0]
 
 
-def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
+def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job], r1: int) -> None:
     if not jobs:
         raise MetaLoraError("run_stage2_many: no jobs")
     first = jobs[0]
     for k, job in enumerate(jobs):
-        if replace(job.config, seed=first.config.seed) != first.config:
-            raise MetaLoraError(f"job {k}: config differs from job 0 in more "
-                                f"than its seed")
         if (job.probe is None) != (first.probe is None):
             raise MetaLoraError(f"job {k}: either every job has a probe or none has")
         if job.probe is not None and len(job.probe) != len(first.probe):
             raise MetaLoraError(f"job {k}: probe has {len(job.probe)} items, "
                                 f"job 0's has {len(first.probe)}")
         for li, (d1, _d2) in enumerate(model.dims):
-            want = (first.config.r1, d1)
+            want = (r1, d1)
             if job.lmd[li].shape != want:
                 raise DimensionError(f"job {k}: shared down factor {li}",
                                      job.lmd[li].shape, want)
@@ -179,78 +178,63 @@ def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job]) -> None:
 @dataclass
 class _Stream:
     """One seeded random stream of :func:`run_stage2_many`, shared by the jobs
-    with its seed and reference objects. ``latents[v, flip]`` is the latent
-    of view ``v`` (a reference and a crop spec) with that flip."""
+    with its seed and reference object. ``latents[v, flip]`` is the latent
+    of crop spec ``v`` with that flip."""
     rng: np.random.Generator
-    views: list[tuple[Example, CropSpec]]
-    latents: np.ndarray  # (n_views, 2, d)
-    prompts: np.ndarray  # (n_views,) each view's reference prompt
+    specs: list[CropSpec]
+    latents: np.ndarray  # (n_specs, 2, d)
+    prompt: int          # the reference's prompt
     fresh: np.ndarray    # the fresh mid/up factors, drawn first
 
 
 def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
-                  strength: float):
-    """The call's streams, one per distinct (seed, reference objects), and
-    the stream of each job. The streams' view latents come from one dict
-    keyed by content (reference latent bytes, rect, flip), so each key's
-    :func:`view_latent` is computed once per call; their crop plans from one
-    keyed by geometry (image size, face box), each planned once per call."""
+                  config: PersonalizeConfig):
+    """The call's streams, one per distinct (seed, reference object), and the
+    stream of each job. Each reference object's crop plan and view latents
+    are made once per call, in one view table keyed by the reference's
+    ``id``, and shared by its streams."""
     streams: list[_Stream] = []
-    stream_of: dict[tuple, int] = {}  # (seed, reference ids) -> stream
-    made: dict[tuple, np.ndarray] = {}  # (latent bytes, rect, flip) -> view latent
-    plans: dict[tuple, list[CropSpec]] = {}  # (image_w, image_h, face box) -> crop plan
+    stream_of: dict[tuple[int, int], int] = {}  # (seed, reference id) -> stream
+    tables: dict[int, tuple] = {}  # reference id -> (crop plan, view latents)
     job_stream = []
     for k, job in enumerate(jobs):
-        refs = [job.references] if isinstance(job.references, Example) else job.references
-        key = (job.config.seed, tuple(id(ref) for ref in refs))
+        ref = job.reference
+        if id(ref) not in tables:
+            if ref.x0.shape != (d,):
+                raise DimensionError(f"job {k}: reference latent", ref.x0.shape, (d,))
+            specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
+            tables[id(ref)] = specs, np.array(
+                [[view_latent(ref.x0, spec.rect, flip, config.view_strength)
+                  for flip in (False, True)] for spec in specs])
+        key = (job.seed, id(ref))
         if key not in stream_of:
-            views = []
-            for ref in refs:
-                if ref.x0.shape != (d,):
-                    raise DimensionError(f"job {k}: reference latent", ref.x0.shape, (d,))
-                geometry = (ref.image_w, ref.image_h, FaceBox(*ref.face_box))
-                if geometry not in plans:
-                    plans[geometry] = plan_crops(*geometry)
-                views.extend((ref, spec) for spec in plans[geometry])
-            if not views:
-                raise MetaLoraError(f"job {k}: augmentation plan is empty")
-            latents = np.empty((len(views), 2, d))
-            for v, (ref, spec) in enumerate(views):
-                for flip in (False, True):
-                    content = (ref.x0.tobytes(), spec.rect, flip)
-                    if content not in made:
-                        made[content] = view_latent(ref.x0, spec.rect, flip, strength)
-                    latents[v, int(flip)] = made[content]
-            rng = make_rng(job.config.seed)
-            fresh = fresh_identity_params(rng, dims, job.config.r1, job.config.r2)
+            rng = make_rng(job.seed)
+            fresh = fresh_identity_params(rng, dims, config.r1, config.r2)
             stream_of[key] = len(streams)
-            streams.append(_Stream(rng, views, latents,
-                                   np.array([ref.prompt_id for ref, _ in views]), fresh))
+            streams.append(_Stream(rng, *tables[id(ref)], ref.prompt_id, fresh))
         job_stream.append(stream_of[key])
     return streams, np.array(job_stream)
 
 
 def _draw_block(streams: list[_Stream], noise: np.ndarray, latents: np.ndarray, T: int):
     """Each stream's next ``len(noise)`` iterations, drawn in a lone run's
-    order: a view index, its flip, ``t`` and the noise, which goes into the
-    (n, S, d) ``noise``; the drawn views' latents go into the (n, S, d)
-    ``latents``. Returns the (n, S) timesteps and prompts."""
+    order: a crop spec index, its flip, ``t`` and the noise, which goes into
+    the (n, S, d) ``noise``; the drawn views' latents go into the (n, S, d)
+    ``latents``. Returns the (n, S) timesteps."""
     n = len(noise)
     ts = np.empty((n, len(streams)), dtype=np.intp)
-    prompts = np.empty((n, len(streams)), dtype=np.intp)
     for s, st in enumerate(streams):
-        rng, views = st.rng, st.views
+        rng, specs = st.rng, st.specs
         picks, flips, times = [], [], []
         for i in range(n):
-            v = int(rng.integers(len(views)))
+            v = int(rng.integers(len(specs)))
             picks.append(v)
-            flips.append(int(sample_view(views[v][1], rng).flip))
+            flips.append(int(sample_view(specs[v], rng).flip))
             times.append(rng.integers(T))
             noise[i, s] = rng.normal(0.0, 1.0, size=noise.shape[2])
         latents[:, s] = st.latents[picks, flips]
         ts[:, s] = times
-        prompts[:, s] = st.prompts[picks]
-    return ts, prompts
+    return ts
 
 
 # the gradients stage 2 trains: the mid and up factors
@@ -258,21 +242,24 @@ STAGE2_NEED = frozenset({"lu", "lm"})
 
 
 def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
-                    schedule: DiffusionSchedule) -> list[Stage2Result]:
-    """Train R independent stage-2 runs in lockstep.
+                    schedule: DiffusionSchedule,
+                    config: PersonalizeConfig) -> list[Stage2Result]:
+    """Train R independent stage-2 runs in lockstep, all with one ``config``.
 
-    Each run gives the same bits as when trained alone. It replays its own
-    random stream in the order of a single run: fresh factors, then a view
-    index, a flip, ``t`` and the noise on every iteration. Jobs with the
-    same seed and the same reference objects replay the same stream, so
-    they share one generator and its draws. Every stream draws its next
-    :data:`DRAW_BLOCK` iterations ahead of the loop, so memory does not grow
-    with ``q_st2``. Each stream holds its views' latents, made before the
-    loop from one dict per call keyed by content (the reference latent's
-    bytes, the rect and the flip): each key's :func:`view_latent` is computed
-    once. A drawn block is noised and conditioned at once, per stream, by one
-    ``model.noised_inputs`` call, and gathered once by the runs' streams
-    into (block, R, .) buffers allocated once per call. An iteration makes
+    A job states only what its run has of its own (:class:`Stage2Job`); the
+    call's ``config`` holds every other setting, and its ``seed`` is not
+    read. Each run gives the same bits as when trained alone. It replays its
+    own random stream in the order of a single run: fresh factors, then a
+    crop spec index, a flip, ``t`` and the noise on every iteration. Jobs
+    with the same seed and the same reference object replay the same
+    stream, so they share one generator and its draws. Every stream draws
+    its next :data:`DRAW_BLOCK` iterations ahead of the loop, so memory does
+    not grow with ``q_st2``. Each reference object has one view table per
+    call, its crop plan and each spec's and flip's :func:`view_latent`, made
+    before the loop and shared by its streams. A drawn block is noised and
+    conditioned at once, per stream, by one ``model.noised_inputs`` call,
+    and gathered once by the runs' streams into (block, R, .) buffers
+    allocated once per call. An iteration makes
     one :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands,
     whose matmuls make the same BLAS call per run as a lone run, and one
     ``kernels.adamw_update`` of a flat (R, n) buffer holding every run's mid
@@ -297,17 +284,13 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     crosses, so every run gives its whole curve. A run without a probe
     trains ``q_st2`` iterations and reports ``iters_to_threshold = None``.
 
-    Jobs may differ in their seed, references, shared down factors and
-    probe; the rest of their configs must agree, and either every job or
-    none has a probe, all of one size. ``model`` is only read. An error
-    names the job by its index in ``jobs``.
+    Either every job or none has a probe, all of one size. ``model`` is only
+    read. An error names the job by its index in ``jobs``.
     """
-    _check_jobs(model, jobs)
-    cfg = jobs[0].config
-    state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)  # refuses lr < 0
-    R, d, T, q = len(jobs), model.d, schedule.T, cfg.q_st2
+    _check_jobs(model, jobs, config.r1)
+    R, d, T, q = len(jobs), model.d, schedule.T, config.q_st2
     dims = model.dims
-    streams, job_stream = _make_streams(jobs, d, dims, cfg.view_strength)
+    streams, job_stream = _make_streams(jobs, d, dims, config)
     block = min(DRAW_BLOCK, q)
     draws = np.empty((2, block * len(streams) * d))  # a block's noise, then its latents
     job_inputs = np.empty((block, R, dims[0][0], 1))
@@ -331,7 +314,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         p_w0x = w0_1 @ p_inp   # frozen: the base weight and the shared
         p_u = lmd1 @ p_inp     # down factor never move in stage 2
         del batches, p_inp
-        p_mid = np.empty((R, cfg.r2, p_eps.shape[2]))
+        p_mid = np.empty((R, config.r2, p_eps.shape[2]))
         p_h = np.empty_like(p_w0x)  # layer 1's pre-activation, then its tanh
         probe_losses = np.empty((R, q + 1))
         stacked += [p_eps, p_w0x, p_u, probe_losses]
@@ -342,9 +325,9 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         gradients and moments, the drawn block's inputs and noise, and the
         train losses by iteration."""
         flat = (params[:n], grads[:n], moments[0][:n], moments[1][:n])
-        (lm1, lu1), (lm2, lu2) = split_params(flat[0], dims, cfg.r1, cfg.r2)
+        (lm1, lu1), (lm2, lu2) = split_params(flat[0], dims, config.r1, config.r2)
         return (([w0_1, w0_2], [s1, s2], [lmd1[:n], lmd2[:n]], [lm1, lm2], [lu1, lu2]),
-                split_params(flat[1], dims, cfg.r1, cfg.r2), flat,
+                split_params(flat[1], dims, config.r1, config.r2), flat,
                 job_inputs[:, :n], job_noise[:, :n], train_losses[:n].T)
 
     def record_probe(row, n):
@@ -360,8 +343,9 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         and gathered by the stack's streams ``pos`` into the leading rows of
         the (block, R, .) buffers."""
         noise, latents = draws[:, :nb * len(live) * d].reshape(2, nb, len(live), d)
-        ts, prompts = _draw_block([streams[s] for s in live], noise, latents, T)
-        np.take(model.noised_inputs(latents.reshape(-1, d), ts.ravel(), prompts.ravel(),
+        ts = _draw_block([streams[s] for s in live], noise, latents, T)
+        prompts = np.tile([streams[s].prompt for s in live], nb)
+        np.take(model.noised_inputs(latents.reshape(-1, d), ts.ravel(), prompts,
                                     noise.reshape(-1, d), schedule).reshape(nb, len(live), -1),
                 pos, axis=1, out=block_inputs[:nb, :, :, 0])
         np.take(noise, pos, axis=1, out=block_noise[:nb])
@@ -382,8 +366,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         i = it % DRAW_BLOCK  # the iteration's row of its drawn block
         if probed:  # probe row `it`: the model after `it` iterations
             record_probe(it, n)
-            hit = threshold_reached(probe_losses[:n], it, cfg.tau_fraction,
-                                    cfg.smoothing_window)
+            hit = threshold_reached(probe_losses[:n], it, config.tau_fraction,
+                                    config.smoothing_window)
             if hit.any():
                 for j in np.flatnonzero(hit):
                     counts[rows[j]] = it
@@ -411,7 +395,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         if not np.isfinite(flat[1]).all():
             bad = rows[np.flatnonzero(~np.isfinite(flat[1]).all(axis=1))[0]]
             raise NumericError(f"job {bad}: non-finite gradient at stage-2 iteration {it}")
-        kernels.adamw_update(*flat, it + 1, state.lr, state.weight_decay)
+        kernels.adamw_update(*flat, it + 1, config.lr, config.weight_decay)
         losses_at[it] = losses
 
     del draws, job_inputs, job_noise, block_inputs, block_noise
@@ -477,14 +461,13 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
         for ident in heldout_identities:
             ref = dataset.reference_of(ident)
             probe = make_probe(dataset, ident, schedule, seed=seed * 10007 + ident)
-            cfg = replace(config, seed=seed * 31 + ident)
             rrng = make_rng(seed * 977 + ident)
             lmd_rand = [init_factors(rrng, d1, d2, config.r1, config.r2).l_meta_down
                         for d1, d2 in model.dims]
-            jobs += [Stage2Job(lmd_meta, ref, cfg, probe),
-                     Stage2Job(lmd_rand, ref, cfg, probe)]
+            jobs += [Stage2Job(lmd_meta, ref, seed * 31 + ident, probe),
+                     Stage2Job(lmd_rand, ref, seed * 31 + ident, probe)]
     iters = iter([res.iters_to_threshold for res in
-                  run_stage2_many(model, jobs, schedule)])
+                  run_stage2_many(model, jobs, schedule, config)])
     never = config.q_st2 + 1
 
     def summary(per_identity: list[dict]) -> dict:

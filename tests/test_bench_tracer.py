@@ -7,7 +7,6 @@ The guards on how the training loops call the kernels live here too.
 
 import importlib.util
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import metalora.cli  # noqa: F401  (the benchmark wraps after importing the CLI)
@@ -131,8 +130,8 @@ def test_one_stacked_step_per_training_iteration():
         personalize.run_stage2(model, result.lmd, dataset.reference_of(0), schedule, stage2)
         tracer.set_phase("stage2_lockstep")
         personalize.run_stage2_many(model, [
-            personalize.Stage2Job(result.lmd, dataset.reference_of(i), replace(stage2, seed=i))
-            for i in range(3)], schedule)
+            personalize.Stage2Job(result.lmd, dataset.reference_of(i), i) for i in range(3)],
+            schedule, stage2)
     finally:
         tracer.uninstall()
     assert tracer.stats["setup"]["toymodel.pretrain_base"]["iterations"] == 5
@@ -185,7 +184,6 @@ def test_each_stage_requests_only_the_gradients_it_trains(monkeypatch):
 
     calls.clear()
     config = personalize.PersonalizeConfig(q_st2=10, r1=2, r2=1)
-    jobs = [personalize.Stage2Job(result.lmd, dataset.reference_of(i),
-                                  replace(config, seed=i)) for i in range(3)]
-    personalize.run_stage2_many(model, jobs, schedule)
+    jobs = [personalize.Stage2Job(result.lmd, dataset.reference_of(i), i) for i in range(3)]
+    personalize.run_stage2_many(model, jobs, schedule, config)
     assert calls == [(2, {"lu", "lm", "x"}), (1, {"lu", "lm"})] * 10

@@ -668,6 +668,19 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    # math.isfinite cannot take an int beyond float range: it ended in an
+    # OverflowError traceback
+    @pytest.mark.parametrize("where", ["config file", "--seed"])
+    def test_int_beyond_float_range_is_2(self, tmp_path, capsys, where):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(SMALL_CFG + (f"n_identities = {10**400}\n" if where == "config file"
+                                    else ""))
+        args = ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(args + (["--seed", str(10**400)] if where == "--seed" else [])) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "is not a finite number" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("face", ["1,2", "1,2,3,x"])
     def test_malformed_face_is_2(self, capsys, face):
         rc = main(["augment-plan", "--image-w", "1024", "--image-h", "1024",
@@ -822,7 +835,17 @@ class TestExitCodes:
                                           '{"identities": [{"id": 1, "reference": [1, 2, 3], '
                                           '"tests": [[1, 2]]}], "prompts": ["p"]}',
                                           '{"identities": [{"id": 1, "reference": [], '
-                                          '"tests": [[]]}], "prompts": ["p"]}'])
+                                          '"tests": [[]]}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": 1, "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}], "prompts": [1, "x"]}',
+                                          '{"identities": [{"id": 1, "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}], "prompts": [{"k": 1}]}',
+                                          '{"identities": [{"id": "a", "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}, {"id": "a", "reference": '
+                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": 1, "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}, {"id": "1", "reference": '
+                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["p"]}'])
     def test_malformed_manifest_is_3(self, tmp_path, capsys, manifest):
         man = tmp_path / "man.json"
         man.write_text(manifest)
@@ -900,6 +923,45 @@ FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=60,
 
 
 class TestFuzzedCliInputs:
+    @FUZZ
+    @given(data=st.data())
+    def test_config_files(self, tmp_path, data):
+        # settings of known keys, each a small value of its type, and at most
+        # one fault: a known or unknown key with an int up to and beyond float
+        # range, a float (nan and inf too), a boolean or free text, or a free
+        # line of text or bytes. parse_config returns values inside
+        # CONFIG_SCHEMA's bounds or refuses the file, and pretrain refuses it
+        # with exit 2 and one JSON error. An accepted file is never run, which
+        # would train
+        small = {int: st.integers(-1, 40), float: st.floats(0, 1), bool: st.booleans()}
+        setting = st.sampled_from(list(cli.CONFIG_SCHEMA)).flatmap(
+            lambda k: small[cli.CONFIG_SCHEMA[k][0]].map(lambda v: f"{k} = {v}"))
+        lines = [line.encode() for line in data.draw(st.lists(setting, max_size=4))]
+        fault = data.draw(st.one_of(
+            st.none(),
+            st.tuples(st.sampled_from([*cli.CONFIG_SCHEMA, "no_such_key", ""]),
+                      st.one_of(st.integers(-2**1100, 2**1100), st.floats(), st.booleans(),
+                                st.text(max_size=6),
+                                st.sampled_from([2**1024, -2**1024, 10**400])))
+            .map(lambda kv: f"{kv[0]} = {kv[1]}".encode()),
+            st.text(max_size=8).map(str.encode), st.binary(max_size=8)))
+        if fault is not None:
+            lines.insert(data.draw(st.integers(0, len(lines))), fault)
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            values = parse_config(str(path))
+        except ConfigError:
+            out = tmp_path / "o"
+            rc, stderr = run_main(["pretrain", "--config", path, "--out", out])
+            assert rc == 2 and json.loads(stderr)["error"] == "config"
+            assert not out.exists()
+            return
+        for key, (typ, _default, lo, hi) in cli.CONFIG_SCHEMA.items():
+            lo, hi = (bound(values) if callable(bound) else bound for bound in (lo, hi))
+            assert type(values[key]) is typ and lo <= values[key] <= hi, key
+            assert math.isfinite(values[key]), key
+
     @FUZZ
     @given(data=st.data())
     def test_evaluate_inputs(self, tmp_path, data):

@@ -45,15 +45,16 @@ def pcfg(**kw):
     return PersonalizeConfig(**defaults)
 
 
-def whole_curve(job):
-    """``job`` with tau_fraction = 0, which no positive probe loss reaches: its
-    run trains q_st2 iterations and gives its whole probe curve."""
-    return replace(job, config=replace(job.config, tau_fraction=0.0))
+def whole_curve(cfg):
+    """``cfg`` with tau_fraction = 0, which no positive probe loss reaches: its
+    runs train q_st2 iterations and give their whole probe curves."""
+    return replace(cfg, tau_fraction=0.0)
 
 
 def probed_run(model, lmd, ref, schedule, cfg, probe):
     """A lone probed run of q_st2 iterations, with its whole probe curve."""
-    return run_stage2_many(model, [whole_curve(Stage2Job(lmd, ref, cfg, probe))], schedule)[0]
+    return run_stage2_many(model, [Stage2Job(lmd, ref, cfg.seed, probe)], schedule,
+                           whole_curve(cfg))[0]
 
 
 class TestLoadStage1:
@@ -158,14 +159,6 @@ class TestRunStage2:
         grid = [50, 100, 150, 200, 250]
         best = [min(res.train_losses[:q]) for q in grid]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
-
-    def test_multi_reference_pooling(self, world):
-        ds, schedule, model, lmd = world
-        refs = [e for e in ds.of_identity(0)][:2]
-        res = run_stage2(model, lmd, refs, schedule, pcfg())
-        assert len(res.train_losses) == 40
-        # an unprobed run trains q_st2 iterations and has no count
-        assert res.probe_losses == [] and res.iters_to_threshold is None
 
     def test_deterministic(self, world):
         ds, schedule, model, lmd = world
@@ -382,21 +375,21 @@ class TestSpeedExperiment:
             assert summary["median_random"] == float(np.median(rand))
 
 
-def reference_stage2(model, lmd, ref, schedule, cfg, probe):
-    """Single-run stage 2 as the engine must reproduce it: every iteration
-    builds its item's input from time_embedding and a one-hot code, runs an
-    AdaptedLayer forward/backward per layer and one adamw_step per factor;
-    the probe loss goes through the same layers. Returns (train losses,
-    probe curve, factors). ``model`` is only read."""
-    rng = make_rng(cfg.seed)
-    views = [(ref, spec) for spec in plan_crops(ref.image_w, ref.image_h,
-                                                FaceBox(*ref.face_box))]
+def reference_stage2(model, job, schedule, cfg):
+    """Single-run stage 2 of ``job`` under ``cfg`` as the engine must reproduce
+    it: every iteration builds its item's input from time_embedding and a
+    one-hot code, runs an AdaptedLayer forward/backward per layer and one
+    adamw_step per factor; the probe loss goes through the same layers.
+    Returns (train losses, probe curve, factors). ``model`` is only read."""
+    ref, probe = job.reference, job.probe
+    rng = make_rng(job.seed)
+    specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
     factors = []
-    for l, shared in zip(model.layers, lmd):
+    for l, shared in zip(model.layers, job.lmd):
         fresh = init_factors(rng, l.factors.d1, l.factors.d2, cfg.r1, cfg.r2, "fresh")
         factors.append(AdapterFactors(shared, fresh.l_mid, fresh.l_up))
     states = [(AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay),
-               AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in lmd]
+               AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in job.lmd]
     layer1, layer2 = (AdaptedLayer(l.w0, f, l.scale)
                       for l, f in zip(model.layers, factors))
 
@@ -416,8 +409,7 @@ def reference_stage2(model, lmd, ref, schedule, cfg, probe):
 
     losses, curve = [], [probe_point()]
     for _ in range(cfg.q_st2):
-        ref, spec = views[int(rng.integers(len(views)))]
-        view = sample_view(spec, rng)
+        view = sample_view(specs[int(rng.integers(len(specs)))], rng)
         x0 = view_latent(ref.x0, view.rect, view.flip, cfg.view_strength)
         t = int(rng.integers(schedule.T))
         x_t, eps = noisify(schedule, x0, t, rng)
@@ -435,19 +427,18 @@ def reference_stage2(model, lmd, ref, schedule, cfg, probe):
 
 
 def speed_runs(model, ds, schedule, idents, lmd_meta, config, seeds):
-    """The speed experiment's runs in its order: (shared factors, reference,
-    config, probe) for the meta then the random arm per (seed, identity)."""
+    """The speed experiment's jobs in its order: the meta then the random arm
+    per (seed, identity)."""
     for seed in seeds:
         for ident in idents:
             ref = ds.reference_of(ident)
             probe = make_probe(ds, ident, schedule, seed=seed * 10007 + ident)
-            cfg = replace(config, seed=seed * 31 + ident)
             rrng = make_rng(seed * 977 + ident)
             lmd_rand = [init_factors(rrng, l.factors.d1, l.factors.d2,
                                      config.r1, config.r2).l_meta_down
                         for l in model.layers]
-            yield lmd_meta, ref, cfg, probe
-            yield lmd_rand, ref, cfg, probe
+            yield Stage2Job(lmd_meta, ref, seed * 31 + ident, probe)
+            yield Stage2Job(lmd_rand, ref, seed * 31 + ident, probe)
 
 
 def assert_same_run(res, losses, curve, factors):
@@ -459,27 +450,33 @@ def assert_same_run(res, losses, curve, factors):
         assert got.l_meta_down is want.l_meta_down
 
 
+# the configs of TestLockstepEngine's six_jobs, whose runs give their whole
+# curves, and of its stopping_jobs
+SIX_CFG = pcfg(tau_fraction=0.0)
+STOP_CFG = pcfg(tau_fraction=0.99, smoothing_window=1)
+
+
 class TestLockstepEngine:
     def six_jobs(self, world):
-        """Six probed jobs whose runs give their whole curves."""
+        """Six probed jobs, whose runs under SIX_CFG give their whole curves;
+        job 4's reference is another example of its identity."""
         ds, schedule, model, lmd = world
         rand = [init_factors(make_rng(9), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
                 for l in model.layers]
         jobs = []
         for k in range(6):
             ident = k % 4
-            refs = ds.of_identity(ident)[:2] if k == 4 else ds.reference_of(ident)
-            jobs.append(Stage2Job(rand if k % 2 else lmd, refs,
-                                  pcfg(seed=100 + k, tau_fraction=0.0),
+            ref = ds.of_identity(ident)[1] if k == 4 else ds.reference_of(ident)
+            jobs.append(Stage2Job(rand if k % 2 else lmd, ref, 100 + k,
                                   make_probe(ds, ident, schedule, seed=k)))
         return jobs
 
     def test_alone_equals_inside_batch(self, world):
         ds, schedule, model, lmd = world
         jobs = self.six_jobs(world)
-        batch = run_stage2_many(model, jobs, schedule)
-        for k in (3, 4):  # a single- and a multi-reference run
-            alone = run_stage2_many(model, [jobs[k]], schedule)[0]
+        batch = run_stage2_many(model, jobs, schedule, SIX_CFG)
+        for k in (3, 4):
+            alone = run_stage2_many(model, [jobs[k]], schedule, SIX_CFG)[0]
             assert_same_run(batch[k], alone.train_losses, alone.probe_losses,
                             alone.factors)
             assert len(alone.probe_losses) == 41
@@ -487,9 +484,8 @@ class TestLockstepEngine:
     def test_matches_single_run_reference(self, world):
         ds, schedule, model, lmd = world
         job = self.six_jobs(world)[1]
-        res = run_stage2_many(model, [job], schedule)[0]
-        assert_same_run(res, *reference_stage2(model, job.lmd, job.references,
-                                               schedule, job.config, job.probe))
+        res = run_stage2_many(model, [job], schedule, SIX_CFG)[0]
+        assert_same_run(res, *reference_stage2(model, job, schedule, SIX_CFG))
 
     def test_matches_single_run_reference_across_draw_blocks(self, world):
         # two block boundaries and a short last block, for one run and for
@@ -499,14 +495,13 @@ class TestLockstepEngine:
         cfg = pcfg(q_st2=2 * DRAW_BLOCK + 3, tau_fraction=0.0)
         rand = self.six_jobs(world)[1].lmd
         ref = ds.reference_of(2)
-        lone = [Stage2Job(lmd, ref, replace(cfg, seed=7), make_probe(ds, 2, schedule, seed=1))]
-        three = [Stage2Job(lmd, ref, cfg, make_probe(ds, 2, schedule, seed=2)),
-                 Stage2Job(rand, ds.reference_of(3), cfg, make_probe(ds, 3, schedule, seed=3)),
-                 Stage2Job(rand, ref, cfg, make_probe(ds, 2, schedule, seed=4))]
+        lone = [Stage2Job(lmd, ref, 7, make_probe(ds, 2, schedule, seed=1))]
+        three = [Stage2Job(lmd, ref, 0, make_probe(ds, 2, schedule, seed=2)),
+                 Stage2Job(rand, ds.reference_of(3), 0, make_probe(ds, 3, schedule, seed=3)),
+                 Stage2Job(rand, ref, 0, make_probe(ds, 2, schedule, seed=4))]
         for jobs in (lone, three):
-            for res, job in zip(run_stage2_many(model, jobs, schedule), jobs):
-                assert_same_run(res, *reference_stage2(model, job.lmd, job.references,
-                                                       schedule, job.config, job.probe))
+            for res, job in zip(run_stage2_many(model, jobs, schedule, cfg), jobs):
+                assert_same_run(res, *reference_stage2(model, job, schedule, cfg))
 
     def test_negative_lr_raises_before_any_iteration(self, world, monkeypatch):
         ds, schedule, model, lmd = world
@@ -530,13 +525,11 @@ class TestLockstepEngine:
         config, idents, seeds = pcfg(q_st2=40), [2, 3], [0, 1, 2]
         rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule,
                                           config, seeds)
-        runs = list(speed_runs(model, ds, schedule, idents, lmd, config, seeds))
-        batch = run_stage2_many(model, [whole_curve(Stage2Job(*run)) for run in runs],
-                                schedule)
+        jobs = list(speed_runs(model, ds, schedule, idents, lmd, config, seeds))
+        batch = run_stage2_many(model, jobs, schedule, whole_curve(config))
         want = []
-        for res, run in zip(batch, runs):
-            losses, curve, factors = reference_stage2(model, *run[:2], schedule,
-                                                      *run[2:])
+        for res, job in zip(batch, jobs):
+            losses, curve, factors = reference_stage2(model, job, schedule, config)
             assert_same_run(res, losses, curve, factors)
             want.append(iterations_to_threshold(curve, config.tau_fraction,
                                                 config.smoothing_window))
@@ -568,9 +561,8 @@ class TestLockstepEngine:
         rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule, config, seeds)
         monkeypatch.undo()
 
-        jobs = [Stage2Job(*run)
-                for run in speed_runs(model, ds, schedule, idents, lmd, config, seeds)]
-        full = run_stage2_many(model, [whole_curve(job) for job in jobs], schedule)
+        jobs = list(speed_runs(model, ds, schedule, idents, lmd, config, seeds))
+        full = run_stage2_many(model, jobs, schedule, whole_curve(config))
         want = [iterations_to_threshold(res.probe_losses, tau, window) for res in full]
         trained = [min(count, q) for count in want]
         assert {(count - 1) // DRAW_BLOCK for count in want} == blocks
@@ -591,13 +583,12 @@ class TestLockstepEngine:
 
         # a stopped run is a full one cut at its own count, and a lone run
         # of that many iterations, which reports the same count
-        stopped = run_stage2_many(model, jobs, schedule)
+        stopped = run_stage2_many(model, jobs, schedule, config)
         for res, long, job, count, iters in zip(stopped, full, jobs, want, trained):
             assert res.iters_to_threshold == count
             assert res.train_losses == long.train_losses[:iters]
             assert res.probe_losses == long.probe_losses[:iters + 1]
-            lone = run_stage2_many(model, [replace(job, config=replace(job.config, q_st2=iters))],
-                                   schedule)[0]
+            lone = run_stage2_many(model, [job], schedule, replace(config, q_st2=iters))[0]
             assert lone.iters_to_threshold == count
             assert_same_run(res, lone.train_losses, lone.probe_losses, lone.factors)
 
@@ -628,42 +619,41 @@ class TestLockstepEngine:
             assert s["per_identity"] == [{"identity": i, "meta_iters": count,
                                           "random_iters": count} for i in idents]
 
-        jobs = [Stage2Job(*run)
-                for run in speed_runs(model, ds, schedule, idents, lmd, config, seeds)]
-        full = run_stage2_many(model, [whole_curve(job) for job in jobs], schedule)
-        stopped = run_stage2_many(model, jobs, schedule)
+        jobs = list(speed_runs(model, ds, schedule, idents, lmd, config, seeds))
+        full = run_stage2_many(model, jobs, schedule, whole_curve(config))
+        stopped = run_stage2_many(model, jobs, schedule, config)
         for res, long, job in zip(stopped, full, jobs):
             assert res.iters_to_threshold == count
             assert res.train_losses == long.train_losses[:count]
             assert res.probe_losses == long.probe_losses[:count + 1]
             if tau == 1.0:  # the run's fresh factors, drawn first from its seed
-                fresh = fresh_identity_params(make_rng(job.config.seed), model.dims, 4, 1)
+                fresh = fresh_identity_params(make_rng(job.seed), model.dims, 4, 1)
                 for f, (lm, lu) in zip(res.factors, split_params(fresh[None], model.dims, 4, 1)):
                     assert f.l_mid.tobytes() == lm[0].tobytes()
                     assert f.l_up.tobytes() == lu[0].tobytes()
             else:
                 assert_same_run(res, long.train_losses, long.probe_losses, long.factors)
 
-    def test_jobs_must_agree_beyond_seed_and_references(self, world):
+    def test_jobs_must_agree_on_the_probe(self, world):
         ds, schedule, model, lmd = world
         jobs = self.six_jobs(world)
-        with pytest.raises(MetaLoraError, match="job 2"):
-            run_stage2_many(model, jobs[:2] + [replace(jobs[2], config=pcfg(lr=1e-3))],
-                            schedule)
-        with pytest.raises(MetaLoraError, match="job 1"):
-            run_stage2_many(model, [jobs[0], replace(jobs[1], probe=None)], schedule)
-        with pytest.raises(MetaLoraError):
-            run_stage2_many(model, [], schedule)
+        with pytest.raises(MetaLoraError, match="job 1: either every job"):
+            run_stage2_many(model, [jobs[0], replace(jobs[1], probe=None)], schedule,
+                            SIX_CFG)
+        with pytest.raises(MetaLoraError, match="job 2: probe has 4 items, job 0.s has 5"):
+            run_stage2_many(model, jobs[:2] + [replace(jobs[2], probe=jobs[2].probe[1:])],
+                            schedule, SIX_CFG)
+        with pytest.raises(MetaLoraError, match="no jobs"):
+            run_stage2_many(model, [], schedule, SIX_CFG)
 
     def stopping_jobs(self, world):
-        """Three probed jobs whose runs stop after 8, 26 and 22 iterations: from
-        iteration 8 on, job 2 trains in row 1 of the stack."""
+        """Three probed jobs whose runs under STOP_CFG stop after 8, 26 and 22
+        iterations: from iteration 8 on, job 2 trains in row 1 of the stack."""
         ds, schedule, model, lmd = world
-        jobs = [Stage2Job(lmd, ds.reference_of(i),
-                          pcfg(seed=i, tau_fraction=0.99, smoothing_window=1),
-                          make_probe(ds, i, schedule, seed=i)) for i in range(3)]
+        jobs = [Stage2Job(lmd, ds.reference_of(i), i, make_probe(ds, i, schedule, seed=i))
+                for i in range(3)]
         counts = [res.iters_to_threshold
-                  for res in run_stage2_many(model, jobs, schedule)]
+                  for res in run_stage2_many(model, jobs, schedule, STOP_CFG)]
         assert counts == [8, 26, 22]
         return jobs
 
@@ -673,10 +663,10 @@ class TestLockstepEngine:
         bad = Example(identity=0, x0=np.full(ref.x0.shape, np.nan),
                       prompt_id=ref.prompt_id, split="reference",
                       image_w=ref.image_w, image_h=ref.image_h, face_box=ref.face_box)
-        jobs = [Stage2Job(lmd, ref, pcfg()), Stage2Job(lmd, bad, pcfg(seed=1))]
+        jobs = [Stage2Job(lmd, ref, 0), Stage2Job(lmd, bad, 1)]
         with pytest.raises(NumericError, match="job 1: non-finite loss at "
                                               "stage-2 iteration 0"):
-            run_stage2_many(model, jobs, schedule)
+            run_stage2_many(model, jobs, schedule, pcfg())
 
         # after job 0 stopped, job 2's loss in the stack's last row
         jobs = self.stopping_jobs(world)
@@ -693,12 +683,12 @@ class TestLockstepEngine:
         monkeypatch.setattr(personalize, "train_step", poisoned)
         with pytest.raises(NumericError, match="job 2: non-finite loss at "
                                               "stage-2 iteration 10"):
-            run_stage2_many(model, jobs, schedule)
+            run_stage2_many(model, jobs, schedule, STOP_CFG)
         assert rows[-1] == 2
 
     def test_non_finite_gradient_names_job_and_iteration(self, world, monkeypatch):
         ds, schedule, model, lmd = world
-        jobs = [Stage2Job(lmd, ds.reference_of(i), pcfg(seed=i)) for i in range(3)]
+        jobs = [Stage2Job(lmd, ds.reference_of(i), i) for i in range(3)]
         calls = []
         backward = kernels.chain_backward
 
@@ -712,7 +702,7 @@ class TestLockstepEngine:
         monkeypatch.setattr(kernels, "chain_backward", poisoned)
         with pytest.raises(NumericError, match="job 2: non-finite gradient at "
                                               "stage-2 iteration 5"):
-            run_stage2_many(model, jobs, schedule)
+            run_stage2_many(model, jobs, schedule, pcfg())
         monkeypatch.undo()
 
         # after job 0 stopped, job 2's gradient in the stack's last row
@@ -729,27 +719,27 @@ class TestLockstepEngine:
         monkeypatch.setattr(kernels, "chain_backward", poisoned_late)
         with pytest.raises(NumericError, match="job 2: non-finite gradient at "
                                               "stage-2 iteration 10"):
-            run_stage2_many(model, jobs, schedule)
+            run_stage2_many(model, jobs, schedule, STOP_CFG)
         assert calls[-1] == 2
 
 
 class TestDrawAhead:
-    """Streams shared by (seed, reference objects), one view-latent table per
-    call, and draws made in fixed-size blocks ahead of the lockstep loop."""
+    """Streams shared by (seed, reference object), one view table per
+    reference object per call, and draws made in fixed-size blocks ahead of
+    the lockstep loop."""
 
     def test_same_seed_different_references_do_not_share_a_stream(self, world):
         ds, schedule, model, lmd = world
         a, b = ds.reference_of(0), ds.reference_of(1)
+        twin = replace(a)  # another object with a's latent and geometry
         cfg = pcfg(q_st2=70)  # crosses a draw block
-        refs = [a, b, a, [a, b], [b, a], a]
-        jobs = [Stage2Job(lmd, r, cfg) for r in refs]
-        batch = run_stage2_many(model, jobs, schedule)
+        jobs = [Stage2Job(lmd, r, cfg.seed) for r in (a, b, a, twin)]
+        batch = run_stage2_many(model, jobs, schedule, cfg)
         for res, job in zip(batch, jobs):
-            alone = run_stage2(model, lmd, job.references, schedule, cfg)
+            alone = run_stage2(model, lmd, job.reference, schedule, cfg)
             assert_same_run(res, alone.train_losses, alone.probe_losses, alone.factors)
-        assert batch[0].train_losses == batch[2].train_losses
+        assert batch[0].train_losses == batch[2].train_losses == batch[3].train_losses
         assert batch[0].train_losses != batch[1].train_losses
-        assert batch[3].train_losses != batch[4].train_losses
 
     def test_jobs_with_one_seed_and_references_draw_once(self, world, monkeypatch):
         ds, schedule, model, lmd = world
@@ -764,55 +754,33 @@ class TestDrawAhead:
         monkeypatch.setattr(personalize, "sample_view", spy)
         rand = [init_factors(make_rng(3), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
                 for l in model.layers]
-        run_stage2_many(model, [Stage2Job(lmd, ref, pcfg(seed=4)),
-                                Stage2Job(rand, ref, pcfg(seed=4)),
-                                Stage2Job(lmd, ref, pcfg(seed=5))], schedule)
+        run_stage2_many(model, [Stage2Job(lmd, ref, 4), Stage2Job(rand, ref, 4),
+                                Stage2Job(lmd, ref, 5)], schedule, pcfg())
         assert len(calls) == 2 * 40  # two streams of q_st2 draws
 
-    def test_each_view_latent_is_computed_once_per_call(self, world, monkeypatch):
-        ds, schedule, model, lmd = world
-        ref = ds.reference_of(3)
-        twin = replace(ref)  # another object with the same latent and geometry
-        calls = []
-        compute = personalize.view_latent
-
-        def spy(x0, rect, flip, strength):
-            calls.append((x0.tobytes(), rect, flip))
-            return compute(x0, rect, flip, strength)
-
-        monkeypatch.setattr(personalize, "view_latent", spy)
-        jobs = [Stage2Job(lmd, r, pcfg(seed=s, q_st2=150))
-                for s in range(4) for r in (ref, twin)]
-        jobs.append(Stage2Job(lmd, [ref, ds.reference_of(0)], pcfg(seed=9, q_st2=150)))
-        batch = run_stage2_many(model, jobs, schedule)
-        assert len(calls) == len(set(calls))
-        views = len(plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box)))
-        assert views < len([c for c in calls if c[0] == ref.x0.tobytes()]) <= 2 * views
-        monkeypatch.undo()
-        for res, job in zip(batch[-3:], jobs[-3:]):
-            alone = run_stage2(model, lmd, job.references, schedule, job.config)
-            assert res.train_losses == alone.train_losses
-
-    def test_each_geometry_is_planned_once_per_call(self, world, monkeypatch):
-        # 12 jobs of 15 reference uses over three geometries: one plan each,
-        # whichever references share one
+    def test_each_reference_is_planned_and_viewed_once_per_call(self, world, monkeypatch):
+        # 12 jobs over four reference objects, a twin and a moved face box
+        # among them: one crop plan per object and one view_latent per spec
+        # and flip of it, and every run equals a lone run
         ds, schedule, model, lmd = world
         a, b = ds.reference_of(0), ds.reference_of(1)
-        moved = replace(a, face_box=(0, 0, 300, 200))  # a's latent, another geometry
-        refs = [a, b, moved, [a, moved]]
-        geometries = {(r.image_w, r.image_h, r.face_box) for r in (a, b, moved)}
-        assert len(geometries) == 3
-        calls = []
-        plan = personalize.plan_crops
+        refs = [a, b, replace(a), replace(a, face_box=(0, 0, 300, 200))]
+        specs = [len(plan_crops(r.image_w, r.image_h, FaceBox(*r.face_box))) for r in refs]
+        plans, views = [], []
+        plan, compute = personalize.plan_crops, personalize.view_latent
         monkeypatch.setattr(personalize, "plan_crops",
-                            lambda w, h, f: calls.append((w, h, (f.x, f.y, f.w, f.h))) or
-                            plan(w, h, f))
-        jobs = [Stage2Job(lmd, r, pcfg(seed=s, q_st2=5)) for s in range(3) for r in refs]
-        batch = run_stage2_many(model, jobs, schedule)
+                            lambda *args: plans.append(None) or plan(*args))
+        monkeypatch.setattr(personalize, "view_latent",
+                            lambda *args: views.append(None) or compute(*args))
+        cfg = pcfg(q_st2=5)
+        jobs = [Stage2Job(lmd, r, s) for s in range(3) for r in refs]
+        batch = run_stage2_many(model, jobs, schedule, cfg)
         monkeypatch.undo()
-        assert sorted(calls) == sorted(geometries)
-        for res, job in zip(batch[-4:], jobs[-4:]):
-            alone = run_stage2(model, lmd, job.references, schedule, job.config)
+        assert len(plans) == len(refs)
+        assert len(views) == 2 * sum(specs)
+        for res, job in zip(batch, jobs):
+            alone = run_stage2(model, lmd, job.reference, schedule,
+                               replace(cfg, seed=job.seed))
             assert_same_run(res, alone.train_losses, alone.probe_losses, alone.factors)
 
     def test_inputs_are_built_once_per_block_per_stream(self, world, monkeypatch):
@@ -831,9 +799,8 @@ class TestDrawAhead:
             return conditioned(self, x_t, *args)
 
         monkeypatch.setattr(ToyDenoiser, "conditioned", spy)
-        run_stage2_many(model, [Stage2Job(lmd, ref, pcfg(seed=4, q_st2=q_st2)),
-                                Stage2Job(lmd, ref, pcfg(seed=5, q_st2=q_st2)),
-                                Stage2Job(rand, ref, pcfg(seed=4, q_st2=q_st2))], schedule)
+        run_stage2_many(model, [Stage2Job(lmd, ref, 4), Stage2Job(lmd, ref, 5),
+                                Stage2Job(rand, ref, 4)], schedule, pcfg(q_st2=q_st2))
         assert len(rows) == -(-q_st2 // DRAW_BLOCK)
         assert rows == [2 * DRAW_BLOCK, 2 * DRAW_BLOCK, 2 * 3]
 
@@ -849,11 +816,10 @@ class TestDrawAhead:
         schedule = linear_schedule()
 
         def peak(q_st2):
-            jobs = [Stage2Job(lmd, r, pcfg(seed=i, q_st2=q_st2, lr=1e-4))
-                    for i, r in enumerate(refs)]
+            jobs = [Stage2Job(lmd, r, i) for i, r in enumerate(refs)]
             tracemalloc.start()
             try:
-                run_stage2_many(model, jobs, schedule)
+                run_stage2_many(model, jobs, schedule, pcfg(q_st2=q_st2, lr=1e-4))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
