@@ -30,39 +30,42 @@ from .numerics import make_rng
 
 # key -> (type, default, lowest, highest): a value must be finite and in [lowest,
 # highest], bounds may depend on earlier keys, and unknown keys are rejected.
+# Every size and count but the seed ends at MAX_SIZE, far above any config in
+# use: a larger one is refused here, not by numpy, whose array sizes it overflows.
+MAX_SIZE = 10**6
 CONFIG_SCHEMA: dict[str, tuple] = {
     "seed": (int, 0, 0, math.inf),
     "lr": (float, 4e-3, 0.0, math.inf),
     "weight_decay": (float, 0.0, 0.0, math.inf),
     # dataset / model geometry
-    "n_identities": (int, 16, 2, math.inf),
+    "n_identities": (int, 16, 2, MAX_SIZE),
     "heldout_identities": (int, 4, 1, lambda c: c["n_identities"] - 1),
-    "latent_dim": (int, 32, 1, math.inf),
-    "hidden_dim": (int, 64, 1, math.inf),
-    "samples_per_identity": (int, 20, 2, math.inf),  # a reference and a test sample
-    "n_prompts": (int, 4, 1, math.inf),
-    "timesteps": (int, 50, 1, math.inf),
+    "latent_dim": (int, 32, 1, MAX_SIZE),
+    "hidden_dim": (int, 64, 1, MAX_SIZE),
+    "samples_per_identity": (int, 20, 2, MAX_SIZE),  # a reference and a test sample
+    "n_prompts": (int, 4, 1, MAX_SIZE),
+    "timesteps": (int, 50, 1, MAX_SIZE),
     "single_prototype": (bool, False, False, True),
     # stage-1
-    "q_total": (int, 3000, 1, math.inf),
-    "batch_size": (int, 4, 1, math.inf),
+    "q_total": (int, 3000, 1, MAX_SIZE),
+    "batch_size": (int, 4, 1, MAX_SIZE),
     "r1": (int, 16, 1, lambda c: min(c["latent_dim"], c["hidden_dim"])),
     "r2": (int, 1, 1, lambda c: c["r1"]),
-    "identities_per_bucket": (int, 4, 1, math.inf),
+    "identities_per_bucket": (int, 4, 1, MAX_SIZE),
     "warm_up_fraction": (float, 0.4, 0.0, 1.0),
     "warm_up_every_entry": (bool, True, False, True),
     # base pretraining
     "pretrain_lr": (float, 2e-3, 0.0, math.inf),
-    "pretrain_batch_size": (int, 8, 1, math.inf),
+    "pretrain_batch_size": (int, 8, 1, MAX_SIZE),
     "pretrain_loss_threshold": (float, 0.22, 0.0, math.inf),
-    "pretrain_max_iters": (int, 15000, 1, math.inf),
+    "pretrain_max_iters": (int, 15000, 1, MAX_SIZE),
     # stage-2 / speed experiment
-    "q_st2": (int, 375, 1, math.inf),
+    "q_st2": (int, 375, 1, MAX_SIZE),
     "stage2_lr": (float, 1e-2, 0.0, math.inf),
     "view_strength": (float, 0.05, 0.0, math.inf),
     "tau_fraction": (float, 0.5, 0.0, 1.0),
-    "smoothing_window": (int, 15, 1, math.inf),
-    "speed_seeds": (int, 5, 3, math.inf),
+    "smoothing_window": (int, 15, 1, MAX_SIZE),
+    "speed_seeds": (int, 5, 3, MAX_SIZE),
     "target_identity": (int, -1, -1, lambda c: c["n_identities"] - 1),  # -1: first held-out
 }
 
@@ -191,14 +194,18 @@ def cmd_metatrain(args) -> int:
     cfg = world.cfg
     tc = stage_config(metatrain.TrainConfig, cfg)
     train_set = toymodel.subset_dataset(world.dataset, world.train_ids)
-    result = metatrain.run_stage1(world.model, train_set, world.schedule, tc)
-    header = {"r1": cfg["r1"], "seed": cfg["seed"], "config_hash": config_hash(cfg),
-              "executed_iterations": result.executed_iterations}
-    save_layers(args.out, "stage1", header, {"lmd": result.lmd})
-    metatrain.write_trace_csv(result.trace, str(args.out) + ".trace.csv")
-    metatrain.write_trace_jsonl(result.trace, str(args.out) + ".trace.jsonl")
-    write_svg_curve(str(args.out) + ".loss.svg",
-                    [r.loss for r in result.trace], title="stage-1 loss")
+    losses = []
+    with metatrain.trace_files(args.out) as write_trace:
+        def sink(record):
+            losses.append(record.loss)
+            write_trace(record)
+
+        result = metatrain.run_stage1(world.model, train_set, world.schedule, tc, sink)
+        header = {"r1": cfg["r1"], "seed": cfg["seed"], "config_hash": config_hash(cfg),
+                  "executed_iterations": result.executed_iterations}
+        # committed before the traces, which commit as this block ends
+        save_layers(args.out, "stage1", header, {"lmd": result.lmd})
+    write_svg_curve(str(args.out) + ".loss.svg", losses, title="stage-1 loss")
     write_run_trace(args.out, "metatrain", cfg,
                     {"executed_iterations": result.executed_iterations})
     print(f"stage-1 checkpoint written to {args.out} "

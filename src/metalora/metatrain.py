@@ -11,9 +11,11 @@ returned.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import cycle, tee
 
@@ -24,8 +26,8 @@ from .adapter import init_factors
 from .checkpoint import atomic_open
 from .errors import MetaLoraError, NumericError
 from .numerics import AdamWState, FlatGroup, check_finite, checksum, make_rng
-from .toymodel import (DiffusionSchedule, Example, ToyDenoiser, ToyIdentityDataset,
-                       diffusion_loss, drawn_batches)
+from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
+                       ToyIdentityDataset, diffusion_loss, drawn_batches)
 
 
 @dataclass
@@ -198,6 +200,9 @@ class IdentityBank:
 
 @dataclass
 class TraceRecord:
+    """One stage-1 iteration's audit: its place in the bucket schedule, the
+    loss, whether the shared down factors updated, the batch's identities,
+    and the checksums of the shared factors and of every identity after it."""
     iteration: int
     bucket_id: int
     entry_index: int
@@ -211,28 +216,69 @@ class TraceRecord:
 
 @dataclass
 class Stage1Result:
+    """The shared down factors, the executed iteration count and the buckets.
+    The per-iteration records are not kept: ``run_stage1`` hands each one to
+    its sink as it happens."""
     lmd: list[np.ndarray]
-    trace: list[TraceRecord]
     executed_iterations: int
     buckets: list[Bucket]
+
+
+CSV_HEADER = ["iteration", "bucket_id", "entry_index", "iter_in_bucket",
+              "loss", "lomd_updated", "batch_identities"]
+
+
+def _csv_rows(trace):
+    return ([r.iteration, r.bucket_id, r.entry_index, r.iter_in_bucket, f"{r.loss:.10g}",
+             int(r.lomd_updated), " ".join(str(i) for i in r.batch_identities)]
+            for r in trace)
+
+
+def _jsonl_lines(trace):
+    """One JSON object of its fields per record (int keys become strings)."""
+    return (json.dumps(vars(r)) + "\n" for r in trace)
 
 
 def write_trace_csv(trace: list[TraceRecord], path) -> None:
     with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iteration", "bucket_id", "entry_index", "iter_in_bucket",
-                    "loss", "lomd_updated", "batch_identities"])
-        for r in trace:
-            w.writerow([r.iteration, r.bucket_id, r.entry_index, r.iter_in_bucket,
-                        f"{r.loss:.10g}", int(r.lomd_updated),
-                        " ".join(str(i) for i in r.batch_identities)])
+        w.writerow(CSV_HEADER)
+        w.writerows(_csv_rows(trace))
 
 
 def write_trace_jsonl(trace: list[TraceRecord], path) -> None:
-    """One JSON object of its fields per record (int keys become strings)."""
     with atomic_open(path, "w") as fh:
-        for r in trace:
-            fh.write(json.dumps(vars(r)) + "\n")
+        fh.writelines(_jsonl_lines(trace))
+
+
+@contextlib.contextmanager
+def trace_files(out):
+    """Yields a :func:`run_stage1` sink that writes ``<out>.trace.csv`` and
+    ``<out>.trace.jsonl`` with the bytes of :func:`write_trace_csv` and
+    :func:`write_trace_jsonl`, encoding the records in blocks of
+    :data:`DRAW_BLOCK` as they come, so that at most one block is held.
+
+    Both files go through :func:`atomic_open` and are committed, the
+    ``.jsonl`` then the ``.csv``, as the block ends without an error: a file
+    written inside the block is committed before them."""
+    with atomic_open(f"{out}.trace.csv", "w", newline="") as csv_fh, \
+            atomic_open(f"{out}.trace.jsonl", "w") as jsonl_fh:
+        rows = csv.writer(csv_fh)
+        rows.writerow(CSV_HEADER)
+        block: list[TraceRecord] = []
+
+        def flush():
+            rows.writerows(_csv_rows(block))
+            jsonl_fh.writelines(_jsonl_lines(block))
+            block.clear()
+
+        def sink(record: TraceRecord) -> None:
+            block.append(record)
+            if len(block) == DRAW_BLOCK:
+                flush()
+
+        yield sink
+        flush()
 
 
 # the gradients stage 1 trains: the mid and up factors, plus the shared down
@@ -242,8 +288,14 @@ LIVE_NEED = WARM_UP_NEED | {"lmd"}
 
 
 def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
-               schedule: DiffusionSchedule, config: TrainConfig) -> Stage1Result:
+               schedule: DiffusionSchedule, config: TrainConfig,
+               sink: Callable[[TraceRecord], object]) -> Stage1Result:
     """Bucketed meta-training loop.
+
+    Each iteration's :class:`TraceRecord` goes to ``sink`` as soon as the
+    iteration ends, and is not kept, so memory does not grow with the
+    iteration count: pass ``list.append`` to collect the records, or
+    :func:`trace_files` to write them.
 
     Buckets are revisited in fixed order until the q_total budget is spent;
     each bucket entry runs its full q_bucket iterations, so the executed
@@ -277,7 +329,6 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                       for i_cb in range(bucket.q_bucket))
     batches = drawn_batches(rng, model, schedule, (p[0].examples for p in ahead),
                             config.batch_size)
-    trace: list[TraceRecord] = []
     for it, ((bucket, entry_index, i_cb, lomd_live), (batch, inp, eps)) in enumerate(
             zip(plan, batches)):
         identities = np.array([item.identity for item in batch])
@@ -290,12 +341,11 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                 bank.shared.step([d_lmd for _, _, d_lmd, _ in layer_grads])
         except NumericError as exc:
             raise NumericError(f"iteration {it}: {exc}") from exc
-        trace.append(TraceRecord(
+        sink(TraceRecord(
             iteration=it, bucket_id=bucket.bucket_id, entry_index=entry_index,
             iter_in_bucket=i_cb, loss=loss, lomd_updated=lomd_live,
             batch_identities=rows, lomd_checksum=bank.lomd_checksum(),
             identity_checksums=bank.identity_checksums(),
         ))
     lmd = [m.copy() for m in bank.lmd]
-    return Stage1Result(lmd=lmd, trace=trace, executed_iterations=executed,
-                        buckets=buckets)
+    return Stage1Result(lmd=lmd, executed_iterations=executed, buckets=buckets)

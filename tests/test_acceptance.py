@@ -116,18 +116,19 @@ def stage1_world():
     train = subset_dataset(dataset, list(range(16)))
     schedule = linear_schedule()
     model = pretrain_base(train, schedule, seed=1)
+    trace = []
     result = run_stage1(model, train, schedule,
-                        TrainConfig(q_total=3000, batch_size=4, lr=4e-3, seed=2))
-    return dataset, train, schedule, model, result
+                        TrainConfig(q_total=3000, batch_size=4, lr=4e-3, seed=2), trace.append)
+    return dataset, train, schedule, model, result, trace
 
 
 def test_acceptance_3_warm_up_contract(stage1_world):
     """From the full run trace: shared-factor checksum constant before
     q_warm_up within every bucket entry and changed at least once after;
     identity factors outside the current batch bit-unchanged per step."""
-    dataset, train, schedule, model, result = stage1_world
+    dataset, train, schedule, model, result, trace = stage1_world
     by_entry = {}
-    for r in result.trace:
+    for r in trace:
         by_entry.setdefault(r.entry_index, []).append(r)
     entries_checked = 0
     for recs in by_entry.values():
@@ -143,14 +144,14 @@ def test_acceptance_3_warm_up_contract(stage1_world):
         entries_checked += 1
     # per-step identity isolation
     prev = None
-    for r in result.trace:
+    for r in trace:
         if prev is not None:
             for ident in range(train.n_identities):
                 if ident not in r.batch_identities:
                     assert r.identity_checksums[ident] == prev[ident], \
                         f"identity {ident} changed outside its batch at iter {r.iteration}"
         prev = r.identity_checksums
-    report(3, f"{entries_checked} bucket entries, {len(result.trace)} iterations checked")
+    report(3, f"{entries_checked} bucket entries, {len(trace)} iterations checked")
 
 
 def test_acceptance_4_bucket_budget_rule():
@@ -174,7 +175,7 @@ def test_acceptance_5_meta_advantage(stage1_world):
     with meta-trained shared factors than random, and lower in >= 4/5 seeds.
     Single-prototype control shows no gap. < 5 min total."""
     start = time.perf_counter()
-    dataset, train, schedule, model, result = stage1_world
+    dataset, train, schedule, model, result, _trace = stage1_world
     cfg = PersonalizeConfig(q_st2=375, r1=16, r2=1, lr=1e-2,
                             tau_fraction=0.5, smoothing_window=15)
     rep = adaptation_speed_experiment(model, dataset, [16, 17, 18, 19],
@@ -192,7 +193,8 @@ def test_acceptance_5_meta_advantage(stage1_world):
     ctrl_train = subset_dataset(ctrl, list(range(16)))
     ctrl_model = pretrain_base(ctrl_train, schedule, seed=1)
     ctrl_s1 = run_stage1(ctrl_model, ctrl_train, schedule,
-                         TrainConfig(q_total=3000, batch_size=4, lr=4e-3, seed=2))
+                         TrainConfig(q_total=3000, batch_size=4, lr=4e-3, seed=2),
+                         lambda record: None)
     ctrl_rep = adaptation_speed_experiment(ctrl_model, ctrl, [16, 17, 18, 19],
                                            ctrl_s1.lmd, schedule, cfg,
                                            seeds=[0, 1, 2, 3, 4])
@@ -305,7 +307,8 @@ def test_acceptance_9_determinism_and_persistence(tmp_path):
                               loss_threshold=0.9, max_iters=3000, window=50)
         res = run_stage1(model, ds, schedule,
                          TrainConfig(q_total=60, batch_size=4, lr=1e-3, seed=7,
-                                     r1=4, r2=1, identities_per_bucket=2))
+                                     r1=4, r2=1, identities_per_bucket=2),
+                         lambda record: None)
         header = {"r1": 4, "seed": 7, "executed_iterations": res.executed_iterations}
         save_layers(path, "stage1", header, {"lmd": res.lmd})
         return model

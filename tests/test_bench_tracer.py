@@ -124,7 +124,7 @@ def test_one_stacked_step_per_training_iteration():
                                        batch_size=8, loss_threshold=1e9,
                                        max_iters=50, window=5)
         tracer.set_phase("stage1")
-        result = metatrain.run_stage1(model, dataset, schedule, config)
+        result = metatrain.run_stage1(model, dataset, schedule, config, lambda record: None)
         stage2 = personalize.PersonalizeConfig(q_st2=70, r1=2, r2=1)  # crosses a block
         tracer.set_phase("stage2_lone")
         personalize.run_stage2(model, result.lmd, dataset.reference_of(0), schedule, stage2)
@@ -173,8 +173,9 @@ def test_each_stage_requests_only_the_gradients_it_trains(monkeypatch):
     calls.clear()
     config = metatrain.TrainConfig(q_total=12, batch_size=4, r1=2, r2=1,
                                    identities_per_bucket=2)
-    result = metatrain.run_stage1(model, dataset, schedule, config)
-    gates = [record.lomd_updated for record in result.trace]
+    trace = []
+    result = metatrain.run_stage1(model, dataset, schedule, config, trace.append)
+    gates = [record.lomd_updated for record in trace]
     assert any(gates) and not all(gates)
     want = []
     for gate in gates:

@@ -426,6 +426,28 @@ class TestPipeline:
         assert len(calls) == call
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_streamed_traces_are_the_writers_bytes(self, cli_run, tmp_path, monkeypatch):
+        # metatrain encodes its records in blocks as training runs; its files
+        # are what the whole-trace writers make of the records its sink received
+        _root, cfg, base, *_ = cli_run
+        records, run = [], metatrain.run_stage1
+
+        def collecting(*args):
+            *inputs, sink = args
+            return run(*inputs, lambda record: (records.append(record), sink(record)))
+
+        monkeypatch.setattr(metatrain, "run_stage1", collecting)
+        out = tmp_path / "s1.bin"
+        assert main(["metatrain", "--config", str(cfg), "--checkpoint", str(base),
+                     "--out", str(out)]) == 0
+        # a whole block and a part of one
+        assert len(records) > toymodel.DRAW_BLOCK and len(records) % toymodel.DRAW_BLOCK
+        metatrain.write_trace_csv(records, tmp_path / "whole.csv")
+        metatrain.write_trace_jsonl(records, tmp_path / "whole.jsonl")
+        for ext in ("csv", "jsonl"):
+            assert (tmp_path / f"s1.bin.trace.{ext}").read_bytes() == \
+                (tmp_path / f"whole.{ext}").read_bytes()
+
     def test_same_seed_twice_byte_identical(self, cli_run):
         root, cfg, base, s1, pers, merged = cli_run
         again = root / "base2.bin"
@@ -681,6 +703,29 @@ class TestExitCodes:
         assert err["error"] == "config" and "is not a finite number" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_every_int_key_but_the_seed_is_bounded(self):
+        assert [key for key, (typ, _default, _lo, hi) in cli.CONFIG_SCHEMA.items()
+                if typ is int and not callable(hi) and hi > cli.MAX_SIZE] == ["seed"]
+
+    # 10**20 as timesteps or latent_dim passed parse_config and ended in
+    # numpy's "Maximum allowed size exceeded" traceback
+    @pytest.mark.parametrize("key", [key for key, spec in cli.CONFIG_SCHEMA.items()
+                                     if spec[3] == cli.MAX_SIZE])
+    def test_size_beyond_its_bound_is_2(self, tmp_path, capsys, monkeypatch, key):
+        def built(*args, **kwargs):
+            raise AssertionError("an array was built from the config")
+
+        # the first of the pipeline's arrays
+        monkeypatch.setattr(toymodel, "linear_schedule", built)
+        monkeypatch.setattr(toymodel, "make_dataset", built)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(SMALL_CFG + f"{key} = {10**20}\n")
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "message": f"{key} = {10**20} is not a finite "
+                       f"number in [{cli.CONFIG_SCHEMA[key][2]}, {cli.MAX_SIZE}]"}
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("face", ["1,2", "1,2,3,x"])
     def test_malformed_face_is_2(self, capsys, face):
         rc = main(["augment-plan", "--image-w", "1024", "--image-h", "1024",
@@ -725,12 +770,16 @@ class TestExitCodes:
         assert "--verify" in capsys.readouterr().out
 
     # sizes whose first array is larger than any address space: the
-    # allocation fails at once on every machine
+    # allocation fails at once on every machine. The schema refuses such
+    # sizes at parse time, so the test lifts the key's bound to reach the
+    # allocation, as a size inside the bound can on a machine with less memory
     @pytest.mark.parametrize("line", ["n_prompts = 10000000000000",
                                       "latent_dim = 10000000000000"])
     @pytest.mark.parametrize("command", ["pretrain", "metatrain"])
-    def test_config_too_large_to_allocate_is_2(self, cli_run, tmp_path, capsys,
+    def test_config_too_large_to_allocate_is_2(self, cli_run, tmp_path, capsys, monkeypatch,
                                                command, line):
+        key = line.partition(" =")[0]
+        monkeypatch.setitem(cli.CONFIG_SCHEMA, key, (*cli.CONFIG_SCHEMA[key][:3], math.inf))
         big = tmp_path / "big.cfg"
         big.write_text(SMALL_CFG + line + "\n")
         args = [command, "--config", str(big), "--out", str(tmp_path / "o")]

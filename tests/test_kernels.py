@@ -32,13 +32,14 @@ class TestNumpyBackend:
         assert np.allclose(m, 0.1 * g)
         assert np.allclose(v, 0.001 * g * g)
 
-    def test_adamw_update_step_column_matches_per_row_calls_bitwise(self):
+    def test_adamw_update_step_column_matches_per_row_calls_bitwise(self, monkeypatch):
         # one call over rows at their own step counts 1..20,000 gives each
         # row the bits of a lone call at its count, and both take the bias
         # corrections from Python's float ** int, not numpy's vectorised
         # power (which differs from it in the last bit at some counts). The
         # parameters start at zero, so an update's last bit is not rounded
-        # away in the sum.
+        # away in the sum. Each part starts from an empty table of corrections.
+        monkeypatch.setattr(kernels, "_corrections", np.empty((2, 0)))
         rng = make_rng(4)
         k, lr, b1, b2, eps = 20_000, 0.1, 0.9, 0.999, 1e-8
         g, m0 = rng.standard_normal((2, k, 4))
@@ -55,6 +56,22 @@ class TestNumpyBackend:
             kernels.adamw_update(p_l, g[i], m_l, v_l, step, lr, 0.0)
             for want, lone, column in ((p_i, p_l, p[i]), (m_i, m_l, m[i]), (v_i, v_l, v[i])):
                 assert lone.tobytes() == column.tobytes() == want.tobytes(), step
+
+        # 3,000 calls whose counts rise by one per call, as the identity
+        # bank's do, over rows at the call's count and below it: the table
+        # grows as the counts pass its end, and each row keeps the bits of a
+        # lone call at its count
+        monkeypatch.setattr(kernels, "_corrections", np.empty((2, 0)))
+        (g, m0), v0 = rng.standard_normal((2, 3, 4)), rng.random((3, 4))
+        for top in range(1, 3001):
+            steps = [top, (top + 1) // 2, max(1, top - 63)]
+            p, m, v = np.zeros((3, 4)), m0.copy(), v0.copy()
+            kernels.adamw_update(p, g, m, v, np.array(steps)[:, None], lr, 0.0)
+            for i, step in enumerate(steps):
+                p_l, m_l, v_l = np.zeros(4), m0[i].copy(), v0[i].copy()
+                kernels.adamw_update(p_l, g[i], m_l, v_l, step, lr, 0.0)
+                assert (p_l.tobytes(), m_l.tobytes(), v_l.tobytes()) == \
+                    (p[i].tobytes(), m[i].tobytes(), v[i].tobytes()), (top, step)
 
 
 def stacked_operands(rng, R=3, d1=5, d2=6, r1=3, r2=2, cols=4):

@@ -1,6 +1,8 @@
 """Bucketed meta-training: partitioning, warm-up gating, trace contracts."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,12 @@ from metalora.metatrain import (Bucket, IdentityBank, TraceRecord, TrainConfig,
 from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
 from metalora.toymodel import (DRAW_BLOCK, Example, ToyDenoiser, diffusion_loss,
                                linear_schedule, make_dataset, noisify, pretrain_base)
+
+
+def traced_stage1(*args):
+    """``run_stage1``'s result and the records its sink received, in order."""
+    trace = []
+    return run_stage1(*args, trace.append), trace
 
 
 def tiny_dataset(seed=0, n_identities=4, samples=6):
@@ -182,16 +190,16 @@ def reference_stage1(model, dataset, schedule, config):
 class TestStage1:
     def test_budget_accounting_full_buckets(self):
         model, ds, schedule, config = small_stage1()
-        res = run_stage1(model, ds, schedule, config)
+        res, trace = traced_stage1(model, ds, schedule, config)
         q_buckets = [b.q_bucket for b in res.buckets]
         # executed iterations is a sum of whole bucket runs covering q_total,
         # overshooting by less than one bucket
         assert res.executed_iterations >= config.q_total
         assert res.executed_iterations - config.q_total < max(q_buckets)
-        assert len(res.trace) == res.executed_iterations
+        assert len(trace) == res.executed_iterations
         # every bucket entry runs exactly its q_bucket iterations
         runs = {}
-        for r in res.trace:
+        for r in trace:
             runs.setdefault(r.entry_index, []).append(r)
         for entry, recs in runs.items():
             bucket = next(b for b in res.buckets if b.bucket_id == recs[0].bucket_id)
@@ -199,9 +207,9 @@ class TestStage1:
 
     def test_warm_up_freeze_visible_in_trace(self):
         model, ds, schedule, config = small_stage1()
-        res = run_stage1(model, ds, schedule, config)
+        res, trace = traced_stage1(model, ds, schedule, config)
         by_entry = {}
-        for r in res.trace:
+        for r in trace:
             by_entry.setdefault(r.entry_index, []).append(r)
         for recs in by_entry.values():
             bucket = next(b for b in res.buckets if b.bucket_id == recs[0].bucket_id)
@@ -218,9 +226,9 @@ class TestStage1:
     def test_identity_isolation(self):
         # an identity outside the current batch never changes at that step
         model, ds, schedule, config = small_stage1()
-        res = run_stage1(model, ds, schedule, config)
+        _, trace = traced_stage1(model, ds, schedule, config)
         prev = None
-        for r in res.trace:
+        for r in trace:
             if prev is not None:
                 for ident in range(ds.n_identities):
                     if ident not in r.batch_identities:
@@ -230,23 +238,23 @@ class TestStage1:
 
     def test_only_shared_factor_survives(self):
         model, ds, schedule, config = small_stage1()
-        res = run_stage1(model, ds, schedule, config)
+        res, _ = traced_stage1(model, ds, schedule, config)
         assert len(res.lmd) == 2
         assert res.lmd[0].shape == (config.r1, model.layer1.factors.d1)
         assert res.lmd[1].shape == (config.r1, model.layer2.factors.d1)
 
     def test_deterministic(self):
         model, ds, schedule, config = small_stage1()
-        a = run_stage1(model, ds, schedule, config)
-        b = run_stage1(model, ds, schedule, config)
+        a, trace_a = traced_stage1(model, ds, schedule, config)
+        b, trace_b = traced_stage1(model, ds, schedule, config)
         for x, y in zip(a.lmd, b.lmd):
             assert np.array_equal(x, y)
-        assert [r.loss for r in a.trace] == [r.loss for r in b.trace]
+        assert [r.loss for r in trace_a] == [r.loss for r in trace_b]
 
     def test_loss_improves(self):
         model, ds, schedule, config = small_stage1(q_total=300, lr=4e-3)
-        res = run_stage1(model, ds, schedule, config)
-        losses = [r.loss for r in res.trace]
+        _, trace = traced_stage1(model, ds, schedule, config)
+        losses = [r.loss for r in trace]
         head = float(np.mean(losses[:20]))
         tail = float(np.mean(losses[-20:]))
         assert tail < head
@@ -254,8 +262,8 @@ class TestStage1:
     def test_warm_up_every_entry_flag(self):
         model, ds, schedule, config = small_stage1(
             q_total=200, warm_up_every_entry=False)
-        res = run_stage1(model, ds, schedule, config)
-        later = [r for r in res.trace
+        res, trace = traced_stage1(model, ds, schedule, config)
+        later = [r for r in trace
                  if r.entry_index >= len(res.buckets) and r.iter_in_bucket == 0]
         assert later and all(r.lomd_updated for r in later)
 
@@ -340,7 +348,7 @@ class TestStage1:
             return loss(*args, factors=factors, **kwargs)
 
         monkeypatch.setattr(metatrain, "diffusion_loss", tamper)
-        trace = run_stage1(model, ds, schedule, config).trace
+        _, trace = traced_stage1(model, ds, schedule, config)
         assert not trace[1].lomd_updated and not trace[2].lomd_updated
         assert trace[0].lomd_checksum != trace[1].lomd_checksum == trace[2].lomd_checksum
 
@@ -352,26 +360,26 @@ class TestStage1:
         ids=["small", "no_rewarm_r2_2_decay", "past_two_blocks"])
     def test_matches_per_tensor_reference_bit_for_bit(self, cfg_kw):
         model, ds, schedule, config = small_stage1(**cfg_kw)
-        res = run_stage1(model, ds, schedule, config)
+        res, streamed = traced_stage1(model, ds, schedule, config)
         trace, lmd = reference_stage1(model, ds, schedule, config)
-        assert res.trace == trace
+        assert streamed == trace
         assert [m.tobytes() for m in res.lmd] == [m.tobytes() for m in lmd]
         # a bucket entry starts inside a drawn block, so one block draws
         # from two buckets
-        assert any(r.iteration % DRAW_BLOCK for r in res.trace if r.iter_in_bucket == 0)
+        assert any(r.iteration % DRAW_BLOCK for r in streamed if r.iter_in_bucket == 0)
         if "q_total" in cfg_kw:
             assert res.executed_iterations > 2 * DRAW_BLOCK
 
     def test_negative_lr_rejected_before_training(self):
         model, ds, schedule, config = small_stage1(lr=-1.0)
         with pytest.raises(ValueError, match="lr must be >= 0"):
-            run_stage1(model, ds, schedule, config)
+            traced_stage1(model, ds, schedule, config)
 
     def test_non_finite_shared_gradient_names_its_iteration(self, monkeypatch):
         # the shared down factors' gradient turns NaN from the first
         # iteration with the gate open; the error names that iteration
         model, ds, schedule, config = small_stage1()
-        first_live = next(r.iteration for r in run_stage1(model, ds, schedule, config).trace
+        first_live = next(r.iteration for r in traced_stage1(model, ds, schedule, config)[1]
                           if r.lomd_updated)
         step = toymodel.train_step
 
@@ -382,19 +390,39 @@ class TestStage1:
 
         monkeypatch.setattr(toymodel, "train_step", poisoned)
         with pytest.raises(NumericError, match=rf"^iteration {first_live}: .*non-finite"):
-            run_stage1(model, ds, schedule, config)
+            traced_stage1(model, ds, schedule, config)
+
+    def test_peak_memory_does_not_grow_with_q_total(self, tmp_path):
+        # the records stream into the trace files one block at a time, so 4x
+        # the iterations may raise the tracemalloc peak by at most 64 KiB; the
+        # 240 more records that a kept trace would hold take about 0.24 MB
+        model, ds, schedule, config = small_stage1()
+
+        def peak(q_total):
+            tracemalloc.start()
+            try:
+                with metatrain.trace_files(tmp_path / f"s1-{q_total}") as sink:
+                    run_stage1(model, ds, schedule,
+                               dataclasses.replace(config, q_total=q_total), sink)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations
+        growth = peak(320) - peak(80)
+        assert growth < 64 * 1024, growth
 
     def test_trace_writers(self, tmp_path):
         model, ds, schedule, config = small_stage1(q_total=30)
-        res = run_stage1(model, ds, schedule, config)
+        _, trace = traced_stage1(model, ds, schedule, config)
         csv_path = tmp_path / "trace.csv"
         jsonl_path = tmp_path / "trace.jsonl"
-        write_trace_csv(res.trace, csv_path)
-        write_trace_jsonl(res.trace, jsonl_path)
+        write_trace_csv(trace, csv_path)
+        write_trace_jsonl(trace, jsonl_path)
         lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == len(res.trace) + 1  # header
+        assert len(lines) == len(trace) + 1  # header
         import json
         recs = [json.loads(l) for l in jsonl_path.read_text().splitlines()]
-        assert len(recs) == len(res.trace)
+        assert len(recs) == len(trace)
         assert recs[0]["iteration"] == 0
         assert "lomd_checksum" in recs[0]

@@ -35,7 +35,7 @@ def world():
                           max_iters=3000, window=50)
     res = run_stage1(model, ds, schedule,
                      TrainConfig(q_total=80, batch_size=4, lr=1e-3, seed=2,
-                                 r1=4, r2=1, identities_per_bucket=2))
+                                 r1=4, r2=1, identities_per_bucket=2), lambda record: None)
     return ds, schedule, model, res.lmd
 
 
