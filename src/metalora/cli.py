@@ -17,13 +17,14 @@ import io
 import json
 import math
 import sys
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import augment, evaluation, metatrain, personalize, toymodel
 from .adapter import AdapterFactors, merge
-from .checkpoint import config_hash, load_layers, save_layers, write_atomic
+from .checkpoint import atomic_open, config_hash, load_layers, save_layers, write_atomic
 from .errors import (CheckpointError, ConfigError, ManifestError, MetaLoraError,
                      NumericError, RankError)
 from .numerics import make_rng
@@ -118,21 +119,23 @@ def write_run_trace(out_path: str, command: str, config: dict, extra: dict | Non
 
 
 def write_svg_curve(path, ys, title: str = ""):
-    """Static 640x240 SVG line chart of one curve; no plotting dependency needed."""
-    ys = np.asarray(ys, dtype=np.float64)
-    lo, hi = float(ys.min()), float(ys.max())
+    """Static 640x240 SVG line chart of one curve; no plotting dependency needed.
+    Each point is written as it is formatted, so the curve is not copied."""
+    lo, hi = min(ys), max(ys)
     span = (hi - lo) or 1.0
     width, height, pad = 640, 240, 10
-    # each point's operations in a fixed order: the file's bytes depend on their bits
-    px = pad + np.arange(len(ys)) * (width - 2 * pad) / max(len(ys) - 1, 1)
-    py = height - pad - (ys - lo) * (height - 2 * pad) / span
-    pts = map("{:.1f},{:.1f}".format, px.tolist(), py.tolist())
-    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-           f'<title>{title}</title>'
-           f'<rect width="100%" height="100%" fill="white"/>'
-           f'<polyline fill="none" stroke="steelblue" stroke-width="1" '
-           f'points="{" ".join(pts)}"/></svg>')
-    write_atomic(path, svg.encode())
+    last = max(len(ys) - 1, 1)
+    with atomic_open(path) as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+                 f'<title>{title}</title>'
+                 f'<rect width="100%" height="100%" fill="white"/>'
+                 f'<polyline fill="none" stroke="steelblue" stroke-width="1" '
+                 f'points="'.encode())
+        for i, y in enumerate(ys):
+            # each point's operations in a fixed order: the file's bytes depend on their bits
+            fh.write(f"{' ' if i else ''}{pad + i * (width - 2 * pad) / last:.1f},"
+                     f"{height - pad - (y - lo) * (height - 2 * pad) / span:.1f}".encode())
+        fh.write(b'"/></svg>')
 
 
 def _load_world(args) -> SimpleNamespace:
@@ -194,7 +197,7 @@ def cmd_metatrain(args) -> int:
     cfg = world.cfg
     tc = stage_config(metatrain.TrainConfig, cfg)
     train_set = toymodel.subset_dataset(world.dataset, world.train_ids)
-    losses = []
+    losses = array("d")  # 8 bytes an iteration, for the loss chart
     with metatrain.trace_files(args.out) as write_trace:
         def sink(record):
             losses.append(record.loss)

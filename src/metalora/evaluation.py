@@ -157,14 +157,21 @@ def discrepancy_report(facesim: float, r_facesim_score: float) -> float:
 
 def read_embeddings_jsonl(path, dim: int | None = None) -> dict[str, np.ndarray]:
     """Embedding-exchange format: one {"id": ..., "vector": [...]} per line, the
-    vector ``dim`` (if given) finite numbers; :class:`ManifestError` names a bad line."""
+    vector ``dim`` (if given) finite numbers and the id, as a string, on no
+    other line; :class:`ManifestError` names a bad line (and a repeated id's
+    first line)."""
     out: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}  # each id's line
     with open(path, "rb") as fh:
         for ln, line in enumerate(fh, 1):
             try:  # ValueError: not JSON or not UTF-8, or not numbers
                 if line.strip():
                     obj = json.loads(line)
-                    out[str(obj["id"])] = vec = np.asarray(obj["vector"], dtype=np.float64)
+                    key = str(obj["id"])
+                    if key in line_of:
+                        raise ValueError(f"id {key!r} repeats line {line_of[key]}")
+                    line_of[key] = ln
+                    out[key] = vec = np.asarray(obj["vector"], dtype=np.float64)
                     if vec.shape != (dim or len(vec),) or not np.isfinite(vec).all():
                         raise ValueError(f"vector of shape {vec.shape} is not a row of "
                                          f"{dim or 'any number of'} finite numbers")

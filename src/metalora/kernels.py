@@ -17,30 +17,16 @@ import numpy as np
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-# column s: the bias corrections 1 - β1 ** s and 1 - β2 ** s, each Python's
-# float ** int, as for one count (numpy's vectorised power can differ from it
-# in the last bit); doubled in length whenever a count passes its end
-_corrections = np.empty((2, 0))
-
-
-def _bias_corrections(step):
-    """The ``(c1, c2)`` columns of a column of counts, from the table."""
-    global _corrections
-    have = _corrections.shape[1]
-    if (top := int(step.max())) >= have:
-        new = range(have, max(top + 1, 2 * have))
-        _corrections = np.hstack(
-            [_corrections, [[1.0 - beta ** s for s in new] for beta in (BETA1, BETA2)]])
-    return _corrections[:, step]
-
-
 def adamw_update(param, grad, m, v, step, lr, weight_decay):
     m *= BETA1
     m += (1.0 - BETA1) * grad
     v *= BETA2
     v += (1.0 - BETA2) * grad * grad
     if isinstance(step, np.ndarray):  # a column of counts, one per row of param
-        c1, c2 = _bias_corrections(step)
+        # each row's bias corrections are Python's float ** int, as for one
+        # count: numpy's vectorised power can differ from it in the last bit
+        c1, c2 = (np.array([[1.0 - beta ** s] for s in step.ravel().tolist()])
+                  for beta in (BETA1, BETA2))
     else:
         c1, c2 = 1.0 - BETA1 ** step, 1.0 - BETA2 ** step
     m_hat = m / c1

@@ -137,8 +137,7 @@ class IdentityBank:
                            for _ in range(n_identities)])
         # the factors and their two AdamW moments, gathered and scattered together
         self._planes = np.stack([params, np.zeros_like(params), np.zeros_like(params)])
-        self.params, m, v = self._planes
-        self.state = AdamWState(lr=config.lr, weight_decay=config.weight_decay, m=m, v=v)
+        self.params, self.m, self.v = self._planes
         self.steps = np.zeros(n_identities, dtype=np.int64)
         # each factor block's (n_identities, ., .) view of params
         self._blocks = [b for pair in split_params(self.params, *self.layout) for b in pair]
@@ -166,7 +165,7 @@ class IdentityBank:
         self.steps[idx] += 1
         block = self._planes[:, idx]
         kernels.adamw_update(block[0], grads, block[1], block[2], self.steps[idx, None],
-                             self.state.lr, self.state.weight_decay)
+                             self.shared.state.lr, self.shared.state.weight_decay)
         self._planes[:, idx] = block
         return rows
 

@@ -78,41 +78,24 @@ def view_latent(x0: np.ndarray, rect: tuple[int, int, int, int], flip: bool,
     return x0 + scale * vrng.normal(0.0, 1.0, size=x0.shape)
 
 
-@dataclass
-class ProbeItem:
-    """A frozen (latent, prompt, t, eps) tuple for loss probing."""
-    x0: np.ndarray
-    prompt_id: int
-    t: int
-    eps: np.ndarray
-
-
-def make_probe(dataset: ToyIdentityDataset, identity: int,
-               schedule: DiffusionSchedule, seed: int) -> list[ProbeItem]:
-    """Fixed evaluation set over an identity's first 16 held-out samples."""
+def make_probe(model: ToyDenoiser, dataset: ToyIdentityDataset, identity: int,
+               schedule: DiffusionSchedule, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed evaluation batch over an identity's first 16 held-out samples:
+    network inputs (d_in, n) and noise targets (d, n). Each sample draws its
+    ``t`` and then its noise."""
     rng = make_rng(seed)
     items = [e for e in dataset.of_identity(identity) if e.split == "test"][:16]
-    probe = []
-    for e in items:
-        t = int(rng.integers(schedule.T))
-        eps = rng.normal(0.0, 1.0, size=e.x0.shape)
-        probe.append(ProbeItem(x0=e.x0, prompt_id=e.prompt_id, t=t, eps=eps))
-    return probe
-
-
-def _probe_batch(model: ToyDenoiser, schedule: DiffusionSchedule,
-                 probe: list[ProbeItem]) -> tuple[np.ndarray, np.ndarray]:
-    """The probe as one batch: network inputs (d_in, n) and noise targets (d, n)."""
-    eps = np.stack([p.eps for p in probe])
-    rows = model.noised_inputs(np.stack([p.x0 for p in probe]), [p.t for p in probe],
-                               [p.prompt_id for p in probe], eps, schedule)
+    draws = [(int(rng.integers(schedule.T)), rng.normal(0.0, 1.0, size=e.x0.shape))
+             for e in items]
+    eps = np.stack([noise for _, noise in draws])
+    rows = model.noised_inputs(np.stack([e.x0 for e in items]), [t for t, _ in draws],
+                               [e.prompt_id for e in items], eps, schedule)
     return np.ascontiguousarray(rows.T), np.ascontiguousarray(eps.T)
 
 
-def probe_loss(model: ToyDenoiser, schedule: DiffusionSchedule,
-               probe: list[ProbeItem]) -> float:
+def probe_loss(model: ToyDenoiser, probe: tuple[np.ndarray, np.ndarray]) -> float:
     """Probe loss of the model with its installed factors."""
-    inp, eps = _probe_batch(model, schedule, probe)
+    inp, eps = probe
     return float(np.mean((forward(*model.operands(), inp) - eps) ** 2))
 
 
@@ -138,12 +121,12 @@ class Stage2Result:
 class Stage2Job:
     """What one run of a :func:`run_stage2_many` call has of its own: its frozen
     shared down factors (one per layer), its one reference example, its seed
-    and an optional loss probe, which stops it. The call's config holds the
-    rest."""
+    and an optional loss probe (:func:`make_probe`'s inputs and noise), which
+    stops it. The call's config holds the rest."""
     lmd: list[np.ndarray]
     reference: Example
     seed: int
-    probe: list[ProbeItem] | None = None
+    probe: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def run_stage2(model: ToyDenoiser, lmd: list[np.ndarray], reference: Example,
@@ -165,9 +148,10 @@ def _check_jobs(model: ToyDenoiser, jobs: list[Stage2Job], r1: int) -> None:
     for k, job in enumerate(jobs):
         if (job.probe is None) != (first.probe is None):
             raise MetaLoraError(f"job {k}: either every job has a probe or none has")
-        if job.probe is not None and len(job.probe) != len(first.probe):
-            raise MetaLoraError(f"job {k}: probe has {len(job.probe)} items, "
-                                f"job 0's has {len(first.probe)}")
+        if job.probe is not None and ([a.shape for a in job.probe]
+                                      != [a.shape for a in first.probe]):
+            raise MetaLoraError(f"job {k}: probe shapes {[a.shape for a in job.probe]}, "
+                                f"job 0's {[a.shape for a in first.probe]}")
         for li, (d1, _d2) in enumerate(model.dims):
             want = (r1, d1)
             if job.lmd[li].shape != want:
@@ -266,9 +250,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     and up factors in stage 1's layout (:func:`metalora.metatrain.split_params`);
     the step writes their gradients into an (R, n) buffer of the same
     layout. The loss curves fill (R, iterations) arrays, a run's curve in a
-    row. A probe's input and its frozen layer-1 products are built once per
-    run, and its layer-1 pre-activation is written into one preallocated
-    buffer.
+    row. A probe's frozen layer-1 products are built once per run, and its
+    layer-1 pre-activation is written into one preallocated buffer.
 
     The probe is the stopping rule. A probed run stops on the first probe
     row that :func:`threshold_reached` marks, which is its
@@ -284,7 +267,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     crosses, so every run gives its whole curve. A run without a probe
     trains ``q_st2`` iterations and reports ``iters_to_threshold = None``.
 
-    Either every job or none has a probe, all of one size. ``model`` is only
+    Either every job or none has a probe, all of one shape. ``model`` is only
     read. An error names the job by its index in ``jobs``.
     """
     _check_jobs(model, jobs, config.r1)
@@ -308,12 +291,10 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
 
     probed = jobs[0].probe is not None
     if probed:
-        batches = [_probe_batch(model, schedule, job.probe) for job in jobs]
-        p_inp = np.stack([b[0] for b in batches])
-        p_eps = np.stack([b[1] for b in batches])
+        p_inp, p_eps = (np.stack([job.probe[i] for job in jobs]) for i in range(2))
         p_w0x = w0_1 @ p_inp   # frozen: the base weight and the shared
         p_u = lmd1 @ p_inp     # down factor never move in stage 2
-        del batches, p_inp
+        del p_inp
         p_mid = np.empty((R, config.r2, p_eps.shape[2]))
         p_h = np.empty_like(p_w0x)  # layer 1's pre-activation, then its tanh
         probe_losses = np.empty((R, q + 1))
@@ -460,7 +441,7 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
     for seed in seeds:
         for ident in heldout_identities:
             ref = dataset.reference_of(ident)
-            probe = make_probe(dataset, ident, schedule, seed=seed * 10007 + ident)
+            probe = make_probe(model, dataset, ident, schedule, seed=seed * 10007 + ident)
             rrng = make_rng(seed * 977 + ident)
             lmd_rand = [init_factors(rrng, d1, d2, config.r1, config.r2).l_meta_down
                         for d1, d2 in model.dims]

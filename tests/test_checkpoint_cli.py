@@ -8,6 +8,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -542,6 +543,29 @@ def test_svg_points_match_a_per_point_loop(tmp_path, n):
         assert points == per_point_svg_points(ys)
 
 
+def test_metatrain_peak_memory_does_not_grow_with_q_total(cli_run, tmp_path):
+    # the trace streams out, the losses are kept as 8-byte floats and the
+    # loss chart is written as it is formatted: 4x the iterations may raise
+    # the tracemalloc peak of an in-process metatrain by at most 64 KiB.
+    # Below about 1,300 iterations stage 1's own peak hides the chart's.
+    base = cli_run[2]
+
+    def peak(q_total):
+        cfg = tmp_path / f"q{q_total}.cfg"
+        cfg.write_text(SMALL_CFG.replace("q_total = 80", f"q_total = {q_total}"))
+        tracemalloc.start()
+        try:
+            assert main(["metatrain", "--config", str(cfg), "--checkpoint", str(base),
+                         "--out", str(tmp_path / f"s1-{q_total}.bin")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call allocations
+    growth = peak(2000) - peak(500)
+    assert growth < 64 * 1024, growth
+
+
 def reads(kind, cli_run, path, out):
     """The command that reads a ``kind`` checkpoint, run on ``path`` in place of
     that artifact of ``cli_run``: merge --verify reads a personalized one, and
@@ -926,6 +950,27 @@ class TestExitCodes:
         assert "gen.jsonl:3: not an embedding record" in err["message"]
         assert message in err["message"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("records, message", [
+        ([("a||p", [1.0, 2.0, 3.0]), ("a||p", [-1.0, -2.0, -3.0])],
+         "gen.jsonl:2: not an embedding record (ValueError: id 'a||p' repeats line 1)"),
+        ([("a||p", [1.0, 2.0, 3.0]), (1, [1.0, 0.0, 0.0]), ("1", [0.0, 1.0, 0.0])],
+         "gen.jsonl:3: not an embedding record (ValueError: id '1' repeats line 2)")],
+        ids=["same_id", "int_and_str_id"])
+    def test_repeated_generated_id_is_3(self, tmp_path, capsys, records, message):
+        # a later record of an id must not silently replace the first: the
+        # negated repeat of the reference alone would score FaceSim -100
+        man, gen, out = tmp_path / "man.json", tmp_path / "gen.jsonl", tmp_path / "o"
+        man.write_text(json.dumps({"identities": [{"id": "a", "reference": [1.0, 2.0, 3.0],
+                                                   "tests": [[3.0, 1.0, 2.0]]}],
+                                   "prompts": ["p"]}))
+        gen.write_text("".join(json.dumps({"id": i, "vector": v}) + "\n"
+                               for i, v in records))
+        assert main(["evaluate", "--manifest", str(man), "--generated", str(gen),
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and message in err["message"]
+        assert not out.exists()
 
     def test_zero_facesim_is_4(self, tmp_path, capsys):
         # p generates the reference r and q generates -r: the conventional

@@ -32,14 +32,13 @@ class TestNumpyBackend:
         assert np.allclose(m, 0.1 * g)
         assert np.allclose(v, 0.001 * g * g)
 
-    def test_adamw_update_step_column_matches_per_row_calls_bitwise(self, monkeypatch):
+    def test_adamw_update_step_column_matches_per_row_calls_bitwise(self):
         # one call over rows at their own step counts 1..20,000 gives each
         # row the bits of a lone call at its count, and both take the bias
         # corrections from Python's float ** int, not numpy's vectorised
         # power (which differs from it in the last bit at some counts). The
         # parameters start at zero, so an update's last bit is not rounded
-        # away in the sum. Each part starts from an empty table of corrections.
-        monkeypatch.setattr(kernels, "_corrections", np.empty((2, 0)))
+        # away in the sum.
         rng = make_rng(4)
         k, lr, b1, b2, eps = 20_000, 0.1, 0.9, 0.999, 1e-8
         g, m0 = rng.standard_normal((2, k, 4))
@@ -58,10 +57,8 @@ class TestNumpyBackend:
                 assert lone.tobytes() == column.tobytes() == want.tobytes(), step
 
         # 3,000 calls whose counts rise by one per call, as the identity
-        # bank's do, over rows at the call's count and below it: the table
-        # grows as the counts pass its end, and each row keeps the bits of a
-        # lone call at its count
-        monkeypatch.setattr(kernels, "_corrections", np.empty((2, 0)))
+        # bank's do, over rows at the call's count and below it: each row
+        # keeps the bits of a lone call at its count
         (g, m0), v0 = rng.standard_normal((2, 3, 4)), rng.random((3, 4))
         for top in range(1, 3001):
             steps = [top, (top + 1) // 2, max(1, top - 63)]

@@ -276,7 +276,7 @@ class TestStage1:
         ids = np.array([2, 0, 2])
         assert all(lmd is shared for (lmd, _, _), shared
                    in zip(bank.operands(ids), bank.lmd))
-        buffers = (bank.params, bank.state.m, bank.state.v)
+        buffers = (bank.params, bank.m, bank.v)
         before = [b.copy() for b in buffers]
         bank.update(ids, make_rng(1).normal(size=(len(ids), bank.params.shape[1])))
         for now, then in zip(buffers, before):

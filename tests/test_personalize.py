@@ -20,7 +20,7 @@ from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   make_probe, probe_loss, run_stage2,
                                   run_stage2_many, threshold_reached,
                                   view_latent)
-from metalora.toymodel import (Example, ToyDenoiser, generate, linear_schedule,
+from metalora.toymodel import (TEMB_DIM, Example, ToyDenoiser, generate, linear_schedule,
                                make_dataset, noisify, pretrain_base, time_embedding)
 
 from test_acceptance import merged_forward
@@ -101,6 +101,30 @@ class TestLoadStage1:
         assert "offset" in str(exc.value)
 
 
+class TestMakeProbe:
+    def test_matches_per_sample_build_bit_for_bit(self, world):
+        # the seed's own draws, t then the noise per held-out sample, and
+        # each input column built from x_t = sqrt(ab) x0 + sqrt(1 - ab) eps,
+        # time_embedding and a one-hot prompt code
+        ds, schedule, model, _lmd = world
+        inp, eps = make_probe(model, ds, 3, schedule, seed=11)
+        rng, ab = make_rng(11), schedule.alpha_bar
+        samples = [e for e in ds.of_identity(3) if e.split == "test"]
+        cols, noise = [], []
+        for e in samples:
+            t = int(rng.integers(schedule.T))
+            n = rng.normal(0.0, 1.0, size=e.x0.shape)
+            onehot = np.zeros(model.n_prompts)
+            onehot[e.prompt_id] = 1.0
+            x_t = np.sqrt(ab[t]) * e.x0 + np.sqrt(1.0 - ab[t]) * n
+            cols.append(np.concatenate([x_t, time_embedding(t, schedule.T), onehot]))
+            noise.append(n)
+        assert inp.shape == (model.d + TEMB_DIM + model.n_prompts, len(samples)) == (18, 5)
+        assert inp.tobytes() == np.stack(cols, axis=1).tobytes()
+        assert eps.tobytes() == np.stack(noise, axis=1).tobytes()
+        assert inp.flags.c_contiguous and eps.flags.c_contiguous
+
+
 class TestRunStage2:
     def test_lmd_frozen_bit_identical(self, world):
         ds, schedule, model, lmd = world
@@ -118,18 +142,18 @@ class TestRunStage2:
         # plain base model's probe loss exactly
         ds, schedule, model, lmd = world
         ref = ds.reference_of(1)
-        probe = make_probe(ds, 1, schedule, seed=5)
+        probe = make_probe(model, ds, 1, schedule, seed=5)
         base_f = [init_factors(make_rng(0), l.factors.d1, l.factors.d2, 4, 1,
                                mode="zero") for l in model.layers]
         model.set_factors(*base_f)
-        base = probe_loss(model, schedule, probe)
+        base = probe_loss(model, probe)
         res = probed_run(model, lmd, ref, schedule, pcfg(), probe)
         assert res.probe_losses[0] == pytest.approx(base, abs=1e-15)
 
     def test_heldout_loss_improves(self, world):
         ds, schedule, model, lmd = world
         ref = ds.reference_of(2)
-        probe = make_probe(ds, 2, schedule, seed=6)
+        probe = make_probe(model, ds, 2, schedule, seed=6)
         res = probed_run(model, lmd, ref, schedule, pcfg(q_st2=150), probe)
         assert len(res.probe_losses) == 151
         assert res.probe_losses[-1] < res.probe_losses[0]
@@ -379,9 +403,10 @@ def reference_stage2(model, job, schedule, cfg):
     """Single-run stage 2 of ``job`` under ``cfg`` as the engine must reproduce
     it: every iteration builds its item's input from time_embedding and a
     one-hot code, runs an AdaptedLayer forward/backward per layer and one
-    adamw_step per factor; the probe loss goes through the same layers.
-    Returns (train losses, probe curve, factors). ``model`` is only read."""
-    ref, probe = job.reference, job.probe
+    adamw_step per factor; the probe loss of the job's (inputs, noise) goes
+    through the same layers. Returns (train losses, probe curve, factors).
+    ``model`` is only read."""
+    ref, (p_inp, p_eps) = job.reference, job.probe
     rng = make_rng(job.seed)
     specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
     factors = []
@@ -397,11 +422,6 @@ def reference_stage2(model, job, schedule, cfg):
         onehot = np.zeros(model.n_prompts)
         onehot[prompt_id] = 1.0
         return np.concatenate([x_t, time_embedding(t, schedule.T), onehot])
-
-    ab = schedule.alpha_bar
-    p_inp = np.stack([model_input(np.sqrt(ab[p.t]) * p.x0 + np.sqrt(1.0 - ab[p.t]) * p.eps,
-                                  p.t, p.prompt_id) for p in probe], axis=1)
-    p_eps = np.stack([p.eps for p in probe], axis=1)
 
     def probe_point():
         out = layer2.forward(np.tanh(layer1.forward(p_inp)))
@@ -432,7 +452,7 @@ def speed_runs(model, ds, schedule, idents, lmd_meta, config, seeds):
     for seed in seeds:
         for ident in idents:
             ref = ds.reference_of(ident)
-            probe = make_probe(ds, ident, schedule, seed=seed * 10007 + ident)
+            probe = make_probe(model, ds, ident, schedule, seed=seed * 10007 + ident)
             rrng = make_rng(seed * 977 + ident)
             lmd_rand = [init_factors(rrng, l.factors.d1, l.factors.d2,
                                      config.r1, config.r2).l_meta_down
@@ -468,7 +488,7 @@ class TestLockstepEngine:
             ident = k % 4
             ref = ds.of_identity(ident)[1] if k == 4 else ds.reference_of(ident)
             jobs.append(Stage2Job(rand if k % 2 else lmd, ref, 100 + k,
-                                  make_probe(ds, ident, schedule, seed=k)))
+                                  make_probe(model, ds, ident, schedule, seed=k)))
         return jobs
 
     def test_alone_equals_inside_batch(self, world):
@@ -495,10 +515,11 @@ class TestLockstepEngine:
         cfg = pcfg(q_st2=2 * DRAW_BLOCK + 3, tau_fraction=0.0)
         rand = self.six_jobs(world)[1].lmd
         ref = ds.reference_of(2)
-        lone = [Stage2Job(lmd, ref, 7, make_probe(ds, 2, schedule, seed=1))]
-        three = [Stage2Job(lmd, ref, 0, make_probe(ds, 2, schedule, seed=2)),
-                 Stage2Job(rand, ds.reference_of(3), 0, make_probe(ds, 3, schedule, seed=3)),
-                 Stage2Job(rand, ref, 0, make_probe(ds, 2, schedule, seed=4))]
+        lone = [Stage2Job(lmd, ref, 7, make_probe(model, ds, 2, schedule, seed=1))]
+        three = [Stage2Job(lmd, ref, 0, make_probe(model, ds, 2, schedule, seed=2)),
+                 Stage2Job(rand, ds.reference_of(3), 0,
+                           make_probe(model, ds, 3, schedule, seed=3)),
+                 Stage2Job(rand, ref, 0, make_probe(model, ds, 2, schedule, seed=4))]
         for jobs in (lone, three):
             for res, job in zip(run_stage2_many(model, jobs, schedule, cfg), jobs):
                 assert_same_run(res, *reference_stage2(model, job, schedule, cfg))
@@ -511,7 +532,7 @@ class TestLockstepEngine:
                             lambda *args: calls.append(None) or forward(*args))
         with pytest.raises(ValueError, match="lr must be >= 0"):
             probed_run(model, lmd, ds.reference_of(0), schedule, pcfg(lr=-1e-3),
-                       make_probe(ds, 0, schedule, seed=0))
+                       make_probe(model, ds, 0, schedule, seed=0))
         assert not calls
 
     def test_does_not_touch_model(self, world):
@@ -640,8 +661,10 @@ class TestLockstepEngine:
         with pytest.raises(MetaLoraError, match="job 1: either every job"):
             run_stage2_many(model, [jobs[0], replace(jobs[1], probe=None)], schedule,
                             SIX_CFG)
-        with pytest.raises(MetaLoraError, match="job 2: probe has 4 items, job 0.s has 5"):
-            run_stage2_many(model, jobs[:2] + [replace(jobs[2], probe=jobs[2].probe[1:])],
+        short = tuple(a[:, 1:] for a in jobs[2].probe)
+        with pytest.raises(MetaLoraError, match=r"job 2: probe shapes \[\(18, 4\), \(8, 4\)\], "
+                                                r"job 0's \[\(18, 5\), \(8, 5\)\]"):
+            run_stage2_many(model, jobs[:2] + [replace(jobs[2], probe=short)],
                             schedule, SIX_CFG)
         with pytest.raises(MetaLoraError, match="no jobs"):
             run_stage2_many(model, [], schedule, SIX_CFG)
@@ -650,8 +673,8 @@ class TestLockstepEngine:
         """Three probed jobs whose runs under STOP_CFG stop after 8, 26 and 22
         iterations: from iteration 8 on, job 2 trains in row 1 of the stack."""
         ds, schedule, model, lmd = world
-        jobs = [Stage2Job(lmd, ds.reference_of(i), i, make_probe(ds, i, schedule, seed=i))
-                for i in range(3)]
+        jobs = [Stage2Job(lmd, ds.reference_of(i), i,
+                          make_probe(model, ds, i, schedule, seed=i)) for i in range(3)]
         counts = [res.iters_to_threshold
                   for res in run_stage2_many(model, jobs, schedule, STOP_CFG)]
         assert counts == [8, 26, 22]
