@@ -53,23 +53,18 @@ def config_hash(config: dict) -> str:
 
 
 def save_checkpoint(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<H", VERSION)
+    """Write each part through :func:`atomic_open` as it is encoded."""
     hdr = json.dumps(header, sort_keys=True).encode()
-    blob += struct.pack("<I", len(hdr))
-    blob += hdr
-    blob += struct.pack("<I", len(tensors))
-    for name in tensors:  # preserve caller order; loaders don't care
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        if arr.ndim != 2:
-            raise CheckpointError(f"tensor {name!r} is not 2-d")
-        nb = name.encode()
-        blob += struct.pack("<H", len(nb))
-        blob += nb
-        blob += struct.pack("<II", arr.shape[0], arr.shape[1])
-        blob += arr.tobytes()
-    write_atomic(path, bytes(blob))
+    with atomic_open(path) as fh:
+        fh.write(MAGIC + struct.pack("<HI", VERSION, len(hdr)) + hdr
+                 + struct.pack("<I", len(tensors)))
+        for name in tensors:  # preserve caller order; loaders don't care
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+            if arr.ndim != 2:
+                raise CheckpointError(f"tensor {name!r} is not 2-d")
+            nb = name.encode()
+            fh.write(struct.pack("<H", len(nb)) + nb + struct.pack("<II", *arr.shape))
+            fh.write(arr.data)
 
 
 @contextlib.contextmanager

@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import sys
@@ -336,13 +335,12 @@ def cmd_speed_experiment(args) -> int:
         world.model, world.dataset, world.heldout, world.lmd, world.schedule,
         stage_config(personalize.PersonalizeConfig, cfg), seeds)
     write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True).encode())
-    table = io.StringIO()
-    w = csv.writer(table)
-    w.writerow(["seed", "identity", "meta_iters", "random_iters"])
-    for r in report["seeds"]:
-        for p in r["per_identity"]:
-            w.writerow([r["seed"], p["identity"], p["meta_iters"], p["random_iters"]])
-    write_atomic(str(args.out) + ".csv", table.getvalue().encode())
+    with atomic_open(str(args.out) + ".csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["seed", "identity", "meta_iters", "random_iters"])
+        for r in report["seeds"]:
+            for p in r["per_identity"]:
+                w.writerow([r["seed"], p["identity"], p["meta_iters"], p["random_iters"]])
     write_run_trace(args.out, "speed-experiment", cfg)
     print(f"median iterations-to-threshold: meta={report['median_meta']:.0f} "
           f"random={report['median_random']:.0f} "

@@ -56,11 +56,12 @@ class EvalManifest:
         for p in self.prompts:
             if not isinstance(p, str):
                 raise ManifestError(f"manifest prompt {p!r} is not a string")
-        seen = set()
-        for e in self.identities:
-            if e.identity in seen:
-                raise ManifestError(f"manifest repeats identity id {e.identity!r}")
-            seen.add(e.identity)
+        # a repeat would collapse into one (identity, prompt) pair of the table
+        for what, names in (("identity id", [e.identity for e in self.identities]),
+                            ("prompt", self.prompts)):
+            if len(set(names)) < len(names):
+                repeat = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ManifestError(f"manifest repeats {what} {repeat!r}")
         sizes = {v.size for e in self.identities for v in (e.reference, *e.tests)}
         if len(sizes) > 1 or 0 in sizes:
             raise ManifestError(f"manifest vectors need one nonzero length, not {sorted(sizes)}")

@@ -256,6 +256,10 @@ def trace_files(out):
     ``<out>.trace.jsonl`` with the bytes of :func:`write_trace_csv` and
     :func:`write_trace_jsonl`, encoding the records in blocks of
     :data:`DRAW_BLOCK` as they come, so that at most one block is held.
+    The blocks are for speed, since one record at a time would hold as
+    little: on the default run's 3,000 records, one ``writerows`` and
+    ``writelines`` call per record took 89.6–93.1 ms and one per block
+    76.7–80.2 ms (2-vCPU Xeon, minimum of 15 interleaved rounds, two runs).
 
     Both files go through :func:`atomic_open` and are committed, the
     ``.jsonl`` then the ``.csv``, as the block ends without an error: a file

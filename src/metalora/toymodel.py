@@ -11,7 +11,7 @@ identity-agnostic by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -229,10 +229,6 @@ def forward(w0s, scales, chains, inp: np.ndarray) -> np.ndarray:
 
 # the trained tensors whose gradients train_step and diffusion_loss can return
 TRAINED = frozenset({"lu", "lm", "lmd", "w0"})
-# each subset of TRAINED, and what train_step asks of layer 2 for it: the
-# subset plus the input gradient, which carries the backward pass on
-_LAYER2_NEED = {frozenset(c): frozenset(c) | {"x"}
-                for k in range(len(TRAINED) + 1) for c in combinations(TRAINED, k)}
 
 
 def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
@@ -258,7 +254,7 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
     up gradients are written into and returned as, say ``split_params`` views.
     """
     need = frozenset(need)
-    if need not in _LAYER2_NEED:
+    if not need <= TRAINED:
         raise ValueError(f"train_step: need={sorted(need)} names a tensor outside "
                          f"{sorted(TRAINED)}")
     (lm_out1, lu_out1), (lm_out2, lu_out2) = out or [(None, None)] * 2
@@ -270,7 +266,7 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
     losses = np.add.reduce(resid ** 2, axis=1) / resid.shape[1]
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
     d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
-        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=_LAYER2_NEED[need],
+        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=need | {"x"},
         out=(lu_out2, lm_out2))
     d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
         w0[0], lmd[0], lm[0], lu[0], scale[0], inp, u1, mid1, g_a * (1.0 - a * a),

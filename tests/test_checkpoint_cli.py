@@ -164,37 +164,47 @@ class TestCheckpointFormat:
         assert exc.value.offset == second
 
     def test_non_2d_tensor_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            save_checkpoint(tmp_path / "x.bin", {}, {"v": np.zeros(3)})
+        # the 1-d tensor is found after the 2-d one is written: the partial
+        # file goes and the previous one stays
+        path, _, _ = self.sample(tmp_path)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="tensor 'v' is not 2-d"):
+            save_checkpoint(path, {}, {"m": np.ones((2, 2)), "v": np.zeros(3)})
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("failing, command", [
         ("fsync", None), ("replace", None), ("replace", "augment-plan"),
-        ("replace", "evaluate"), ("fsync", "metatrain")],
+        ("replace", "evaluate"), ("fsync", "metatrain"), ("fsync", "speed-experiment")],
         ids=["fsync", "replace", "replace-augment-plan", "replace-evaluate",
-             "fsync-metatrain"])
+             "fsync-metatrain", "fsync-speed-experiment"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, request, failing,
                                               command):
         # a checkpoint written over the previous file, or a command's --out;
-        # metatrain's stage-1 checkpoint is written and its traces fail
+        # metatrain's stage-1 checkpoint is written and its traces fail, and
+        # speed-experiment's report is written and its CSV table fails
         out = tmp_path / "out"
         out.mkdir()
         path, _, _ = self.sample(out)
-        kept = [path]
+        kept, written = [path], 0  # the files kept, and the writes that succeed
         argv = {"augment-plan": ["augment-plan", "--image-w", "1024", "--image-h", "1024",
                                  "--face", "384,384,256,256"],
                 "evaluate": ["evaluate", *evaluate_inputs(tmp_path)]}
-        if command == "metatrain":
-            _root, cfg, base, *_ = request.getfixturevalue("cli_run")
-            argv[command] = ["metatrain", "--config", str(cfg), "--checkpoint", str(base)]
-            kept = [out / f"{path.name}.trace.{ext}" for ext in ("csv", "jsonl")]
-            for trace in kept:
-                trace.write_text("the previous trace\n")
+        if command in ("metatrain", "speed-experiment"):
+            _root, cfg, base, s1, *_ = request.getfixturevalue("cli_run")
+            argv = {"metatrain": ["metatrain", "--config", str(cfg), "--checkpoint", str(base)],
+                    "speed-experiment": ["speed-experiment", "--config", str(cfg),
+                                         "--checkpoint", str(base), "--stage1", str(s1)]}
+            exts = {"metatrain": ["trace.csv", "trace.jsonl"], "speed-experiment": ["csv"]}
+            kept, written = [out / f"{path.name}.{ext}" for ext in exts[command]], 1
+            for previous in kept:
+                previous.write_text("the previous file\n")
         before = {p.name: p.read_bytes() for p in kept}
         calls, original = [], getattr(os, failing)
 
         def disk_full(*args):
             calls.append(None)
-            if command != "metatrain" or len(calls) > 1:
+            if len(calls) > written:
                 raise OSError(28, "No space left on device")
             return original(*args)
 
@@ -918,7 +928,10 @@ class TestExitCodes:
                                           '[2, 1], "tests": [[2, 1]]}], "prompts": ["p"]}',
                                           '{"identities": [{"id": 1, "reference": [1, 2], '
                                           '"tests": [[1, 2]]}, {"id": "1", "reference": '
-                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["p"]}'])
+                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": "a", "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}, {"id": "b", "reference": '
+                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["p", "p"]}'])
     def test_malformed_manifest_is_3(self, tmp_path, capsys, manifest):
         man = tmp_path / "man.json"
         man.write_text(manifest)
