@@ -107,11 +107,13 @@ class ToyEmbedder:
 
 def _score_identities(manifest: EvalManifest, generator, embedder,
                       against_reference: bool) -> MetricResult:
+    """A pair's score: the mean cosine of the generated item's embedding with
+    those of the protocol's targets, the reference or else the test items."""
     table: dict[tuple[str, str], float] = {}
     failures = 0
     for entry in sorted(manifest.identities, key=lambda e: e.identity):
-        ref_emb = embedder(entry.reference)
-        test_embs = [embedder(t) for t in entry.tests]
+        targets = [embedder(t) for t in ([entry.reference] if against_reference
+                                         else entry.tests)]
         for prompt in manifest.prompts:
             try:
                 generated = generator(entry.reference, prompt)
@@ -119,11 +121,8 @@ def _score_identities(manifest: EvalManifest, generator, embedder,
                 failures += 1
                 continue
             g_emb = embedder(generated)
-            if against_reference:
-                sim = cosine(g_emb, ref_emb)
-            else:
-                sim = float(np.mean([cosine(g_emb, t) for t in test_embs]))
-            table[(entry.identity, prompt)] = sim
+            table[(entry.identity, prompt)] = float(np.mean([cosine(g_emb, t)
+                                                             for t in targets]))
     if not table:
         raise MetaLoraError("all generations failed; nothing to score")
     # fixed sorted reduction order so permuting inputs cannot change the sum

@@ -141,10 +141,10 @@ class IdentityBank:
         self.steps = np.zeros(n_identities, dtype=np.int64)
         # each factor block's (n_identities, ., .) view of params
         self._blocks = [b for pair in split_params(self.params, *self.layout) for b in pair]
-        # the checksum memos: what was last hashed, and its checksums
-        self._hashed_bits: np.ndarray | None = None
+        # the checksum memos: the last hashed bits (first their complement) and checksums
+        self._row_bits = ~self.params.view(np.uint64)
         self._row_checksums = [""] * n_identities
-        self._lmd_bytes = b""
+        self._lmd_bits = ~self.shared.flat.view(np.uint64)
         self._lmd_checksum = ""
 
     def operands(self, identities: np.ndarray) -> list[tuple]:
@@ -177,23 +177,18 @@ class IdentityBank:
         comparison is on the raw 64-bit words, so any change of bits (``0.0``
         to ``-0.0`` too) is seen, in or out of the batch."""
         bits = self.params.view(np.uint64)
-        if self._hashed_bits is None:
-            changed = range(len(bits))
-        else:
-            changed = np.flatnonzero((bits != self._hashed_bits).any(axis=1)).tolist()
-        if len(changed):
-            for i in changed:
-                self._row_checksums[i] = "".join([checksum(b[i]) for b in self._blocks])
-            self._hashed_bits = bits.copy()
+        for i in np.flatnonzero((bits != self._row_bits).any(axis=1)).tolist():
+            self._row_checksums[i] = "".join([checksum(b[i]) for b in self._blocks])
+            self._row_bits[i] = bits[i]
         return dict(enumerate(self._row_checksums))
 
     def lomd_checksum(self) -> str:
         """The shared down factors' checksum, rehashed only when their raw
-        bytes changed since the last call, so ``0.0`` to ``-0.0`` counts."""
-        raw = self.shared.flat.tobytes()
-        if raw != self._lmd_bytes:
+        64-bit words changed since the last call, as for an identity's row."""
+        bits = self.shared.flat.view(np.uint64)
+        if (bits != self._lmd_bits).any():
             self._lmd_checksum = "".join(checksum(m) for m in self.lmd)
-            self._lmd_bytes = raw
+            self._lmd_bits[:] = bits
         return self._lmd_checksum
 
 
@@ -341,7 +336,7 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                 need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
             rows = bank.update(identities, item_grads)
             if lomd_live:
-                bank.shared.step([d_lmd for _, _, d_lmd, _ in layer_grads])
+                bank.shared.step([d_lmd for d_lmd, *_ in layer_grads])
         except NumericError as exc:
             raise NumericError(f"iteration {it}: {exc}") from exc
         sink(TraceRecord(

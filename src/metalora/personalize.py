@@ -200,27 +200,6 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
     return streams, np.array(job_stream)
 
 
-def _draw_block(streams: list[_Stream], noise: np.ndarray, latents: np.ndarray, T: int):
-    """Each stream's next ``len(noise)`` iterations, drawn in a lone run's
-    order: a crop spec index, its flip, ``t`` and the noise, which goes into
-    the (n, S, d) ``noise``; the drawn views' latents go into the (n, S, d)
-    ``latents``. Returns the (n, S) timesteps."""
-    n = len(noise)
-    ts = np.empty((n, len(streams)), dtype=np.intp)
-    for s, st in enumerate(streams):
-        rng, specs = st.rng, st.specs
-        picks, flips, times = [], [], []
-        for i in range(n):
-            v = int(rng.integers(len(specs)))
-            picks.append(v)
-            flips.append(int(sample_view(specs[v], rng).flip))
-            times.append(rng.integers(T))
-            noise[i, s] = rng.normal(0.0, 1.0, size=noise.shape[2])
-        latents[:, s] = st.latents[picks, flips]
-        ts[:, s] = times
-    return ts
-
-
 # the gradients stage 2 trains: the mid and up factors
 STAGE2_NEED = frozenset({"lu", "lm"})
 
@@ -243,9 +222,10 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     before the loop and shared by its streams. A drawn block is noised and
     conditioned at once, per stream, by one ``model.noised_inputs`` call,
     and gathered once by the runs' streams into (block, R, .) buffers
-    allocated once per call. An iteration makes
-    one :func:`metalora.toymodel.train_step` over stacked (R, ., .) operands,
-    whose matmuls make the same BLAS call per run as a lone run, and one
+    allocated once per call. An iteration makes one
+    :func:`metalora.toymodel.train_step` over per-layer ``(lmd, lm, lu)``
+    chains of stacked (R, ., .) views, made once per stack size, whose
+    matmuls make the same BLAS call per run as a lone run, and one
     ``kernels.adamw_update`` of a flat (R, n) buffer holding every run's mid
     and up factors in stage 1's layout (:func:`metalora.metatrain.split_params`);
     the step writes their gradients into an (R, n) buffer of the same
@@ -282,7 +262,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     params = np.stack([streams[s].fresh for s in job_stream])
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     grads, *moments = np.zeros((3, *params.shape))  # and AdamW's two moments
-    (w0_1, w0_2), (s1, s2), _ = model.operands()
+    w0s, scales, _ = model.operands()
     train_losses = np.empty((R, q))
     # what a run's stack row holds across iterations, moved up when a run
     # leaves (each step overwrites the gradients)
@@ -291,8 +271,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     probed = jobs[0].probe is not None
     if probed:
         p_inp, p_eps = (np.stack([job.probe[i] for job in jobs]) for i in range(2))
-        p_w0x = w0_1 @ p_inp   # frozen: the base weight and the shared
-        p_u = lmd1 @ p_inp     # down factor never move in stage 2
+        p_w0x = w0s[0] @ p_inp  # frozen: the base weight and the shared
+        p_u = lmd1 @ p_inp      # down factor never move in stage 2
         del p_inp
         p_mid = np.empty((R, config.r2, p_eps.shape[2]))
         p_h = np.empty_like(p_w0x)  # layer 1's pre-activation, then its tanh
@@ -301,30 +281,41 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
 
     def stack(n):
         """Views of the stack's first n rows, made once per stack size: the
-        training step's operands and gradients, AdamW's flat parameters,
+        training step's chains and gradients, AdamW's flat parameters,
         gradients and moments, the drawn block's inputs and noise, and the
         train losses by iteration."""
         flat = (params[:n], grads[:n], moments[0][:n], moments[1][:n])
-        (lm1, lu1), (lm2, lu2) = split_params(flat[0], dims, config.r1, config.r2)
-        return (([w0_1, w0_2], [s1, s2], [lmd1[:n], lmd2[:n]], [lm1, lm2], [lu1, lu2]),
+        return ([(lmd[:n], lm, lu) for lmd, (lm, lu)
+                 in zip((lmd1, lmd2), split_params(flat[0], dims, config.r1, config.r2))],
                 split_params(flat[1], dims, config.r1, config.r2), flat,
                 job_inputs[:, :n], job_noise[:, :n], train_losses[:n].T)
 
     def record_probe(row, n):
-        (_, lmd2_n), (lm1, lm2), (lu1, lu2) = operands[2:]
+        (_, lm1, lu1), (lmd2_n, lm2, lu2) = chains
         mid, h = p_mid[:n], p_h[:n]
         np.matmul(lu1, np.matmul(lm1, p_u[:n], out=mid), out=h)
-        np.add(p_w0x[:n], np.multiply(s1, h, out=h), out=h)
-        out = kernels.chain_forward(w0_2, lmd2_n, lm2, lu2, s2, np.tanh(h, out=h))[0]
+        np.add(p_w0x[:n], np.multiply(scales[0], h, out=h), out=h)
+        out = kernels.chain_forward(w0s[1], lmd2_n, lm2, lu2, scales[1], np.tanh(h, out=h))[0]
         probe_losses[:n, row] = np.mean(((out - p_eps[:n]) ** 2).reshape(n, -1), axis=1)
 
     def draw_block(nb):
-        """The next nb iterations of the ``live`` streams, noised, conditioned
-        and gathered by the stack's streams ``pos`` into the leading rows of
-        the (block, R, .) buffers."""
+        """The next nb iterations of the ``live`` streams, drawn in a lone
+        run's order: a crop spec index, its flip, ``t`` and the noise. They
+        are noised, conditioned and gathered by the stack's streams ``pos``
+        into the leading rows of the (block, R, .) buffers."""
         noise, latents = np.empty((2, nb, len(live), d))
-        ts = _draw_block([streams[s] for s in live], noise, latents, T)
-        prompts = np.tile([streams[s].prompt for s in live], nb)
+        ts = np.empty((nb, len(live)), dtype=np.intp)
+        for s, st in enumerate(streams[k] for k in live):
+            rng, specs = st.rng, st.specs
+            picks, flips, times = [], [], []
+            for i in range(nb):
+                v = int(rng.integers(len(specs)))
+                picks.append(v)
+                flips.append(int(sample_view(specs[v], rng).flip))
+                times.append(rng.integers(T))
+                noise[i, s] = rng.normal(0.0, 1.0, size=d)
+            latents[:, s], ts[:, s] = st.latents[picks, flips], times
+        prompts = np.tile([streams[k].prompt for k in live], nb)
         np.take(model.noised_inputs(latents.reshape(-1, d), ts.ravel(), prompts,
                                     noise.reshape(-1, d), schedule).reshape(nb, len(live), -1),
                 pos, axis=1, out=block_inputs[:nb, :, :, 0])
@@ -333,13 +324,13 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     def result_of(j, iters):
         """Copies of stack row j's factors and curves after ``iters`` iterations;
         the curves become lists only once the blocks' buffers are gone."""
-        factors = [(lm[j].copy(), lu[j].copy()) for lm, lu in zip(*operands[3:])]
+        factors = [(lm[j].copy(), lu[j].copy()) for _, lm, lu in chains]
         return (factors, train_losses[j, :iters].copy(),
                 probe_losses[j, :iters + 1].copy() if probed else np.empty(0))
 
     n, rows = R, np.arange(R)  # the stack's size, and the job of each row
     live, pos = np.arange(len(streams)), job_stream  # the streams drawn, and each row's
-    operands, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
+    chains, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
     counts = np.full(R, q + 1)  # iterations to threshold; q + 1: never reached
     finished = [None] * R       # each job's result_of, once it left the stack
     for it in range(q + 1):
@@ -365,13 +356,13 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                         for buf in bufs:
                             buf[dst] = buf[src]
                 n, rows = len(keep), rows[keep]
-                operands, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
+                chains, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
                 live, pos = np.unique(job_stream[rows], return_inverse=True)
         if it == q or n == 0:
             break
         if i == 0:
             draw_block(min(DRAW_BLOCK, q - it))
-        losses, _ = train_step(*operands, block_inputs[i], block_noise[i], 1,
+        losses, _ = train_step(w0s, scales, chains, block_inputs[i], block_noise[i], 1,
                                need=STAGE2_NEED, out=grad_views)
         if not np.isfinite(losses).all():
             bad = rows[np.flatnonzero(~np.isfinite(losses))[0]]

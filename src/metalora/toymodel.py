@@ -231,18 +231,18 @@ def forward(w0s, scales, chains, inp: np.ndarray) -> np.ndarray:
 TRAINED = frozenset({"lu", "lm", "lmd", "w0"})
 
 
-def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
+def train_step(w0s, scales, chains, inp: np.ndarray, eps: np.ndarray, n, *,
                need=TRAINED, out=None):
     """One forward/backward of the denoiser over B stacked items.
 
-    Each argument but the last three is a per-layer list: the base ``w0``
-    (d2, d1) and ``scale``, the down factors (B, r1, d1) or one (r1, d1)
-    shared by all items, and each item's mid (B, r2, r1) and up (B, d2, r2)
-    factors. ``inp`` (B, d_in, 1) holds the network inputs, ``eps`` (B, d)
-    the injected noise. A layer makes one ``kernels.chain_forward`` and one
+    ``w0s``, ``scales`` and the ``(lmd, lm, lu)`` ``chains`` are
+    :func:`forward`'s: a down factor is (B, r1, d1), or one (r1, d1) shared
+    by all items, a mid (B, r2, r1) and an up (B, d2, r2). ``inp``
+    (B, d_in, 1) holds the network inputs, ``eps`` (B, d) the injected
+    noise. A layer makes one ``kernels.chain_forward`` and one
     ``chain_backward`` call; their stacked matmuls make the same BLAS call
     per item as a lone item. Returns the per-item losses (B,) and, per
-    layer, the per-item gradients ``(d_lm, d_lu, d_lmd, dw0)`` of
+    layer, the per-item gradients ``(d_lmd, d_lm, d_lu, dw0)`` of
     ``sum(losses) / n``. The caller checks them for non-finite values.
 
     ``need`` names the gradients to compute, from :data:`TRAINED`; each one
@@ -258,20 +258,21 @@ def train_step(w0, scale, lmd, lm, lu, inp: np.ndarray, eps: np.ndarray, n, *,
         raise ValueError(f"train_step: need={sorted(need)} names a tensor outside "
                          f"{sorted(TRAINED)}")
     (lm_out1, lu_out1), (lm_out2, lu_out2) = out or [(None, None)] * 2
-    z, u1, mid1 = kernels.chain_forward(w0[0], lmd[0], lm[0], lu[0], scale[0], inp)
+    (lmd1, lm1, lu1), (lmd2, lm2, lu2) = chains  # no *-unpacking per call (~1.5 µs/step)
+    z, u1, mid1 = kernels.chain_forward(w0s[0], lmd1, lm1, lu1, scales[0], inp)
     a = np.tanh(z)
-    out2, u2, mid2 = kernels.chain_forward(w0[1], lmd[1], lm[1], lu[1], scale[1], a)
+    out2, u2, mid2 = kernels.chain_forward(w0s[1], lmd2, lm2, lu2, scales[1], a)
     resid = out2[:, :, 0] - eps
     # np.mean's own sum and division, without its Python wrapper
     losses = np.add.reduce(resid ** 2, axis=1) / resid.shape[1]
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
     d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
-        w0[1], lmd[1], lm[1], lu[1], scale[1], a, u2, mid2, g_out, need=need | {"x"},
+        w0s[1], lmd2, lm2, lu2, scales[1], a, u2, mid2, g_out, need=need | {"x"},
         out=(lu_out2, lm_out2))
     d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
-        w0[0], lmd[0], lm[0], lu[0], scale[0], inp, u1, mid1, g_a * (1.0 - a * a),
+        w0s[0], lmd1, lm1, lu1, scales[0], inp, u1, mid1, g_a * (1.0 - a * a),
         need=need, out=(lu_out1, lm_out1))
-    return losses, [(d_lm1, d_lu1, d_lmd1, dw0_1), (d_lm2, d_lu2, d_lmd2, dw0_2)]
+    return losses, [(d_lmd1, d_lm1, d_lu1, dw0_1), (d_lmd2, d_lm2, d_lu2, dw0_2)]
 
 
 def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: DiffusionSchedule,
@@ -307,18 +308,17 @@ def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
     the network inputs ``inp`` (B, d_in) and the noise ``eps`` (B, d), one
     iteration's draw of :func:`drawn_batches`.
 
-    ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` operands per
+    ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` chain per
     layer; omitted, every item uses the model's own factors. The whole batch
-    makes one :func:`train_step`, whose per-item gradients are returned:
-    those named in ``need``, and ``None`` in place of each one left out;
-    ``out`` is :func:`train_step`'s. The model is only read.
+    makes one :func:`train_step`, whose per-item gradients are returned, per
+    layer ``(d_lmd, d_lm, d_lu, dw0)``: those named in ``need``, and ``None``
+    for each one left out; ``out`` is :func:`train_step`'s. The model is only read.
     """
     if not len(eps):
         raise ValueError("diffusion_loss: empty batch")
     w0s, scales, own = model.operands()
-    chains = own if factors is None else factors
-    losses, layer_grads = train_step(w0s, scales, *zip(*chains), inp[:, :, None], eps,
-                                     len(eps), need=need, out=out)
+    losses, layer_grads = train_step(w0s, scales, own if factors is None else factors,
+                                     inp[:, :, None], eps, len(eps), need=need, out=out)
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite loss at batch index "
                            f"{np.flatnonzero(~np.isfinite(losses))[0]}")

@@ -459,15 +459,32 @@ class TestPipeline:
             assert (tmp_path / f"s1.bin.trace.{ext}").read_bytes() == \
                 (tmp_path / f"whole.{ext}").read_bytes()
 
-    def test_same_seed_twice_byte_identical(self, cli_run):
-        root, cfg, base, s1, pers, merged = cli_run
-        again = root / "base2.bin"
-        assert main(["pretrain", "--config", str(cfg), "--out", str(again)]) == 0
-        assert base.read_bytes() == again.read_bytes()
-        s1b = root / "stage1b.bin"
-        assert main(["metatrain", "--config", str(cfg), "--checkpoint", str(again),
-                     "--out", str(s1b)]) == 0
-        assert s1.read_bytes() == s1b.read_bytes()
+    # a one-dimensional latent, the smallest the schema allows, runs the chain too
+    @pytest.mark.parametrize("edits", [{}, {"latent_dim = 8": "latent_dim = 1",
+                                            "r1 = 4": "r1 = 1"}],
+                             ids=["small", "one-dimensional-latent"])
+    def test_same_seed_twice_byte_identical(self, tmp_path, monkeypatch, edits):
+        # the chain from pretrain to speed-experiment, twice, with relative
+        # paths: every file repeats its bytes
+        text = SMALL_CFG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        (tmp_path / "small.cfg").write_text(text)
+        cfg = ["--config", str(tmp_path / "small.cfg")]
+        runs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            for argv in (["pretrain", *cfg, "--out", "base.bin"],
+                         ["metatrain", *cfg, "--checkpoint", "base.bin", "--out", "s1.bin"],
+                         ["personalize", *cfg, "--checkpoint", "base.bin", "--stage1", "s1.bin",
+                          "--out", "pers.bin"],
+                         ["merge", "--checkpoint", "pers.bin", "--out", "merged.bin", "--verify"],
+                         ["speed-experiment", *cfg, "--checkpoint", "base.bin",
+                          "--stage1", "s1.bin", "--out", "speed.json"]):
+                assert main(argv) == 0, argv
+            runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert len(runs[0]) == 15 and runs[0] == runs[1]
 
     def test_evaluate_subcommand(self, cli_run, tmp_path):
         out = tmp_path / "report.json"
@@ -1000,6 +1017,26 @@ class TestExitCodes:
                      "--out", str(out)]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numeric" and "facesim is zero" in err["message"]
+        assert not out.exists()
+
+    # each trainer refuses the non-finite values itself: numpy's overflow
+    # warnings must neither precede its one JSON error nor, as errors, replace it
+    @pytest.mark.parametrize("command, line", [("pretrain", "pretrain_lr = 1e300"),
+                                               ("metatrain", "weight_decay = 1e6"),
+                                               ("personalize", "stage2_lr = 1e300")])
+    def test_overflow_in_training_is_4(self, cli_run, tmp_path, command, line):
+        root, cfg, base, s1, pers, merged = cli_run
+        bad, out = tmp_path / "bad.cfg", tmp_path / "o"
+        bad.write_text(SMALL_CFG + line + "\n")
+        args = [command, "--config", bad, "--out", out]
+        if command != "pretrain":
+            args += ["--checkpoint", base] + (["--stage1", s1] if command == "personalize" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, stderr = run_main(args)
+        assert rc == 4 and len(stderr.splitlines()) == 1, stderr
+        err = json.loads(stderr)
+        assert err["error"] == "numeric" and "non-finite" in err["message"]
         assert not out.exists()
 
     def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):

@@ -164,13 +164,13 @@ def reference_stage1(model, dataset, schedule, config):
                     factors=operands)
                 for ident in dict.fromkeys(b.identity for b in batch):
                     items = [k for k, b in enumerate(batch) if b.identity == ident]
-                    for li, (d_lm, d_lu, _, _) in enumerate(layer_grads):
+                    for li, (_, d_lm, d_lu, _) in enumerate(layer_grads):
                         st_lm, st_lu = states[ident][li]
                         adamw_step(chains[ident][li].l_mid, item_sum(d_lm[items]), st_lm)
                         adamw_step(chains[ident][li].l_up, item_sum(d_lu[items]), st_lu)
                 live = i_cb >= warm_up
                 if live:
-                    for li, (_, _, d_lmd, _) in enumerate(layer_grads):
+                    for li, (d_lmd, *_) in enumerate(layer_grads):
                         adamw_step(lmd[li], item_sum(d_lmd), lmd_states[li])
                 trace.append(TraceRecord(
                     iteration=i_curr + i_cb, bucket_id=bucket.bucket_id,
@@ -385,8 +385,8 @@ class TestStage1:
 
         def poisoned(*args, **kwargs):
             losses, layer_grads = step(*args, **kwargs)
-            return losses, [(d_lm, d_lu, d_lmd if d_lmd is None else np.full_like(d_lmd, np.nan),
-                             dw0) for d_lm, d_lu, d_lmd, dw0 in layer_grads]
+            return losses, [(d_lmd if d_lmd is None else np.full_like(d_lmd, np.nan), *rest)
+                            for d_lmd, *rest in layer_grads]
 
         monkeypatch.setattr(toymodel, "train_step", poisoned)
         with pytest.raises(NumericError, match=rf"^iteration {first_live}: .*non-finite"):

@@ -161,7 +161,7 @@ def batch_inputs(model, batch, schedule, rng):
 def per_item_reference(model, batch, schedule, rng, factors=None):
     """diffusion_loss item by item: each item's own conditioning and an
     AdaptedLayer forward/backward per layer. Returns the loss and, per layer,
-    the items' (d_lm, d_lu, d_lmd, dw0) stacked."""
+    the items' (d_lmd, d_lm, d_lu, dw0) stacked."""
     n, d, T = len(batch), model.d, schedule.T
     total = 0.0
     grads = [[], []]
@@ -180,7 +180,7 @@ def per_item_reference(model, batch, schedule, rng, factors=None):
         g2 = l2.backward(a, (2.0 * resid / (d * n)).reshape(-1, 1))
         g1 = l1.backward(inp, g2.x * (1.0 - a * a))
         for li, g in enumerate((g1, g2)):
-            grads[li].append((g.l_mid, g.l_up, g.l_meta_down, g.w0))
+            grads[li].append((g.l_meta_down, g.l_mid, g.l_up, g.w0))
     return total / n, [[np.stack(gs) for gs in zip(*layer)] for layer in grads]
 
 
@@ -223,8 +223,7 @@ class TestDenoiser:
         eps = np.stack([forward(*m.operands(), row[:, None])[:, 0] for row in inp])
         losses, layer_grads = train_step(
             [l.w0 for l in m.layers], [l.scale for l in m.layers],
-            *[[np.stack([getattr(f, name)] * 4) for f in chain]
-              for name in ("l_meta_down", "l_mid", "l_up")],
+            [tuple(np.stack([t] * 4) for t in (f.l_meta_down, f.l_mid, f.l_up)) for f in chain],
             inp[:, :, None], eps, 4)
         assert np.count_nonzero(losses) == 0
         for grads in layer_grads:
@@ -256,7 +255,7 @@ class TestDenoiser:
                    for f in stage1_factors(m, [0], seed=4)[0]]
         inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
         _, full = diffusion_loss(m, inp, eps, factors=factors)
-        names = ("lm", "lu", "lmd", "w0")  # the order of each layer's gradients
+        names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
         for need in ({"lm"}, {"lu"}, {"lmd"}, {"w0"}, {"lu", "lm"}, {"lu", "lm", "lmd"}):
             _, got = diffusion_loss(m, inp, eps, factors=factors, need=need)
             for want_layer, got_layer in zip(full, got):
@@ -279,8 +278,8 @@ class TestDenoiser:
         ids = np.array([item.identity for item in batch])
         inp, eps = batch_inputs(m, batch, linear_schedule(), make_rng(6))
         operands = ([l.w0 for l in m.layers], [l.scale for l in m.layers],
-                    *zip(*bank.operands(ids)), inp[:, :, None], eps, len(ids))
-        names = ("lm", "lu", "lmd", "w0")  # the order of each layer's gradients
+                    bank.operands(ids), inp[:, :, None], eps, len(ids))
+        names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
         for need in (set(c) for k in range(5) for c in combinations(sorted(TRAINED), k)):
             want_losses, want = train_step(*operands, need=need)
             buf = np.full((len(ids), bank.params.shape[1]), np.nan)
@@ -293,7 +292,7 @@ class TestDenoiser:
                         assert g.tobytes() == w.tobytes(), (need, name)
                     else:
                         assert g is None, (need, name)
-                for name, g, view in zip(names, got_layer, layer_views):
+                for name, g, view in zip(names[1:3], got_layer[1:3], layer_views):
                     if name in need:
                         assert g is view, (need, name)
                     else:
@@ -344,7 +343,7 @@ class TestDenoiser:
         rows = np.zeros_like(bank.params)
         np.add.at(rows, ids, item_grads)
         checks = [(rows, bank.params)]
-        for layer, lmd, (_, _, d_lmd, dw0) in zip(m.layers, bank.lmd, layer_grads):
+        for layer, lmd, (d_lmd, *_, dw0) in zip(m.layers, bank.lmd, layer_grads):
             checks += [(dw0.sum(axis=0), layer.w0), (d_lmd.sum(axis=0), lmd)]
         h = 1e-5
         for analytic, param in checks:
