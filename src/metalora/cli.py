@@ -78,6 +78,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
+        line_of: dict[str, int] = {}  # each set key's line
         for ln, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -88,6 +89,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
             key, val = key.strip(), val.strip()
             if key not in CONFIG_SCHEMA:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            if key in line_of:  # a later value must not silently replace the first
+                raise ConfigError(f"{path}:{ln}: key {key!r} repeats line {line_of[key]}")
+            line_of[key] = ln
             typ = CONFIG_SCHEMA[key][0]
             try:
                 if typ is bool:

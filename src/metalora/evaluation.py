@@ -11,6 +11,7 @@ the same file-exchange formats the CLI speaks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise DimensionError("cosine", a.shape, b.shape)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    # np.linalg.norm's own formula for a real vector, without its wrapper
+    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
     if na == 0 or nb == 0:
         raise NumericError("cosine: zero-norm input")
     return float(np.dot(a, b) / (na * nb))
@@ -99,7 +101,7 @@ class ToyEmbedder:
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             e = self.proj @ np.asarray(vec, dtype=np.float64).ravel()
-            n = np.linalg.norm(e)
+            n = math.sqrt(e.dot(e))  # np.linalg.norm's formula, as in cosine
         if not 0 < n < np.inf:
             raise NumericError(f"toy embedder produced a vector of norm {n}")
         return e / n

@@ -203,12 +203,25 @@ class ToyDenoiser:
                    np.ascontiguousarray(f.l_up)) for f in (l.factors for l in self.layers)]
         return [l.w0 for l in self.layers], [l.scale for l in self.layers], chains
 
+    def fields(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the noisy latent (d), time features (TEMB_DIM) and prompt
+        code (n_prompts) along the last axis of network inputs (..., d_in):
+        the input layout, stated once."""
+        d, t = self.d, self.d + TEMB_DIM
+        return inputs[..., :d], inputs[..., d:t], inputs[..., t:]
+
     def conditioned(self, x_t: np.ndarray, ts, prompt_ids,
                     schedule: DiffusionSchedule, out=None) -> np.ndarray:
         """Network input rows (B, d_in), into ``out`` if given: each noisy latent
-        (B, d), its timestep's row of ``schedule.time_table``, its prompt's code."""
-        return np.concatenate([x_t, schedule.time_table[ts], self.prompt_codes[prompt_ids]],
-                              axis=1, out=out)
+        (B, d), its timestep's row of ``schedule.time_table``, its prompt's code,
+        laid out by :meth:`fields`."""
+        if out is None:
+            out = np.empty((len(x_t), self.layer1.w0.shape[1]))
+        x, temb, code = self.fields(out)
+        x[...] = x_t  # a no-op when x_t is already that view of ``out``
+        temb[...] = schedule.time_table[ts]
+        code[...] = self.prompt_codes[prompt_ids]
+        return out
 
     def noised_inputs(self, x0: np.ndarray, ts, prompt_ids, eps: np.ndarray,
                       schedule: DiffusionSchedule, out=None) -> np.ndarray:
@@ -372,16 +385,20 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
 def generate(model: ToyDenoiser, schedule: DiffusionSchedule, prompt_id: int,
              rng: np.random.Generator) -> np.ndarray:
     """Deterministic reverse pass (DDIM-style) from a seeded Gaussian latent.
-    The model's operands are read once; each step is one :func:`forward`."""
+    The model's operands are read once; each step is one :func:`forward` of
+    one input column (d_in, 1), allocated once per call: its prompt code is
+    written once, its latent and time features in place at each step. The
+    step coefficients are the schedule's ``sqrt_ab`` and ``sqrt_1m_ab``."""
     operands = model.operands()
-    x = rng.normal(0.0, 1.0, size=model.d)
-    ab = schedule.alpha_bar
+    col = np.empty((model.layer1.w0.shape[1], 1))
+    x, temb, code = model.fields(col[:, 0])
+    x[...] = rng.normal(0.0, 1.0, size=model.d)
+    code[...] = model.prompt_codes[prompt_id]
+    sqrt_ab, sqrt_1m_ab = schedule.sqrt_ab, schedule.sqrt_1m_ab
     for t in range(schedule.T - 1, -1, -1):
-        inp = model.conditioned(x[None], [t], [prompt_id], schedule).reshape(-1, 1)
-        eps_hat = forward(*operands, inp)[:, 0]
-        x0_hat = (x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t])
+        temb[...] = schedule.time_table[t]
+        eps_hat = forward(*operands, col)[:, 0]
+        x0_hat = (x - sqrt_1m_ab[t] * eps_hat) / sqrt_ab[t]
         if t > 0:
-            x = np.sqrt(ab[t - 1]) * x0_hat + np.sqrt(1.0 - ab[t - 1]) * eps_hat
-        else:
-            x = x0_hat
-    return x
+            x[...] = sqrt_ab[t - 1] * x0_hat + sqrt_1m_ab[t - 1] * eps_hat
+    return x0_hat

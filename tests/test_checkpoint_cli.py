@@ -308,6 +308,14 @@ speed_seeds = 3
 """
 
 
+def small_cfg_with(line):
+    """SMALL_CFG with ``line`` setting its key, in place of SMALL_CFG's own
+    setting of that key if it has one: a config file sets each key once."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in SMALL_CFG.splitlines() if old.partition("=")[0].strip() != key]
+    return "\n".join(kept) + "\n" + line + "\n"
+
+
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """Full pipeline once per module; individual tests inspect artifacts."""
@@ -736,18 +744,34 @@ class TestExitCodes:
                                       "lr = nan", "stage2_lr = inf", "speed_seeds = 2"])
     def test_config_out_of_range_is_2(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(SMALL_CFG + line + "\n")
+        bad.write_text(small_cfg_with(line))
         rc = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    # a later setting of a key silently replaced the first, and the run went on
+    @pytest.mark.parametrize("first, second", [("seed = 1", "seed = 2"),
+                                               ("single_prototype = true",
+                                                "single_prototype = false")],
+                             ids=["int", "bool"])
+    def test_repeated_config_key_is_2(self, tmp_path, first, second):
+        cfg, out = tmp_path / "twice.cfg", tmp_path / "o"
+        lines = [first, *SMALL_CFG.splitlines(), second]
+        cfg.write_text("\n".join(lines) + "\n")
+        rc, stderr = run_main(["pretrain", "--config", cfg, "--out", out])
+        assert rc == 2 and len(stderr.splitlines()) == 1, stderr
+        key = first.partition(" =")[0]
+        assert json.loads(stderr) == {"error": "config", "message": f"{cfg}:{len(lines)}: "
+                                      f"key {key!r} repeats line 1"}
+        assert not out.exists()
 
     # math.isfinite cannot take an int beyond float range: it ended in an
     # OverflowError traceback
     @pytest.mark.parametrize("where", ["config file", "--seed"])
     def test_int_beyond_float_range_is_2(self, tmp_path, capsys, where):
         cfg = tmp_path / "big.cfg"
-        cfg.write_text(SMALL_CFG + (f"n_identities = {10**400}\n" if where == "config file"
-                                    else ""))
+        cfg.write_text(small_cfg_with(f"n_identities = {10**400}") if where == "config file"
+                       else SMALL_CFG)
         args = ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]
         assert main(args + (["--seed", str(10**400)] if where == "--seed" else [])) == 2
         err = json.loads(capsys.readouterr().err)
@@ -770,7 +794,7 @@ class TestExitCodes:
         monkeypatch.setattr(toymodel, "linear_schedule", built)
         monkeypatch.setattr(toymodel, "make_dataset", built)
         cfg = tmp_path / "big.cfg"
-        cfg.write_text(SMALL_CFG + f"{key} = {10**20}\n")
+        cfg.write_text(small_cfg_with(f"{key} = {10**20}"))
         assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "config", "message": f"{key} = {10**20} is not a finite "
@@ -832,7 +856,7 @@ class TestExitCodes:
         key = line.partition(" =")[0]
         monkeypatch.setitem(cli.CONFIG_SCHEMA, key, (*cli.CONFIG_SCHEMA[key][:3], math.inf))
         big = tmp_path / "big.cfg"
-        big.write_text(SMALL_CFG + line + "\n")
+        big.write_text(small_cfg_with(line))
         args = [command, "--config", str(big), "--out", str(tmp_path / "o")]
         if command == "metatrain":
             args += ["--checkpoint", str(cli_run[2])]
@@ -1027,7 +1051,7 @@ class TestExitCodes:
     def test_overflow_in_training_is_4(self, cli_run, tmp_path, command, line):
         root, cfg, base, s1, pers, merged = cli_run
         bad, out = tmp_path / "bad.cfg", tmp_path / "o"
-        bad.write_text(SMALL_CFG + line + "\n")
+        bad.write_text(small_cfg_with(line))
         args = [command, "--config", bad, "--out", out]
         if command != "pretrain":
             args += ["--checkpoint", base] + (["--stage1", s1] if command == "personalize" else [])

@@ -1,10 +1,12 @@
 """Identity-similarity metrics: exclusion semantics, oracles, reporting."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from metalora.cli import main
 from metalora.errors import DimensionError, MetaLoraError, NumericError
 from metalora.evaluation import (EvalManifest, IdentityEntry, ToyEmbedder,
                                  cosine, discrepancy_report, facesim_conventional,
@@ -22,13 +24,80 @@ class TestCosine:
     def test_antiparallel_is_minus_one(self):
         assert cosine(np.array([1.0, 1.0]), np.array([-3.0, -3.0])) == pytest.approx(-1.0)
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(NumericError):
-            cosine(np.zeros(3), np.ones(3))
+    # a nonzero vector whose squared norm underflows has np.linalg.norm 0 too
+    @pytest.mark.parametrize("a", [np.zeros(3), np.full(3, 1e-170)],
+                             ids=["zero", "square-underflows"])
+    def test_zero_norm_rejected(self, a):
+        for args in ((a, np.ones(3)), (np.ones(3), a)):
+            with pytest.raises(NumericError, match="^cosine: zero-norm input$"):
+                cosine(*args)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             cosine(np.ones(3), np.ones(4))
+
+
+def spread_vectors(seed, n):
+    """``n`` random vectors of 1 to 40 entries, each scaled by a magnitude
+    drawn log-uniformly from 1e-150 to 1e150."""
+    rng = make_rng(seed)
+    return [rng.normal(size=int(rng.integers(1, 41))) * 10.0 ** rng.uniform(-150, 150)
+            for _ in range(n)]
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestNormForms:
+    """cosine and ToyEmbedder take a norm as sqrt(v . v), np.linalg.norm's own
+    formula for a real vector: the same bits, and the same refusals."""
+
+    def test_cosine_equals_its_linalg_norm_form_bitwise(self):
+        for a in spread_vectors(1, 400):
+            b = make_rng(len(a)).normal(size=len(a)) * np.abs(a).max()
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+            assert bits(cosine(a, b)) == bits(float(np.dot(a, b) / (na * nb)))
+            assert bits(cosine(a, a)) == bits(float(np.dot(a, a) / (na * na)))
+
+    def test_embedder_equals_its_linalg_norm_form_bitwise(self):
+        for v in spread_vectors(2, 400):
+            emb = ToyEmbedder(in_dim=len(v), out_dim=16, seed=len(v))
+            e = emb.proj @ v
+            assert emb(v).tobytes() == (e / np.linalg.norm(e)).tobytes()
+
+    @pytest.mark.parametrize("v", [np.zeros(4), np.full(4, 1e-170), np.full(4, 1e300),
+                                   np.array([1.0, np.inf, 0.0, 0.0]), np.full(4, np.nan)],
+                             ids=["zero", "square-underflows", "square-overflows", "inf",
+                                  "nan"])
+    def test_embedder_refuses_a_norm_of_zero_or_not_finite(self, v):
+        emb = ToyEmbedder(in_dim=4, out_dim=3, seed=7)
+        with np.errstate(all="ignore"):
+            e = emb.proj @ v
+            n = np.linalg.norm(e)
+        with pytest.raises(NumericError) as exc:
+            emb(v)
+        assert str(exc.value) == f"toy embedder produced a vector of norm {n}"
+
+    @pytest.mark.parametrize("where, vector", [("generated", [0.0, 0.0, 0.0]),
+                                               ("reference", [0.0, 0.0, 0.0]),
+                                               ("generated", [1e300, -1e300, 1e300])],
+                             ids=["zero-generated", "zero-reference", "overflowing-generated"])
+    def test_evaluate_exits_4(self, tmp_path, capsys, where, vector):
+        # a zero vector embeds to norm 0, and one of 1e300 entries to norm inf
+        ref = vector if where == "reference" else [1.0, 2.0, 3.0]
+        gen_vec = vector if where == "generated" else [2.0, 1.0, 3.0]
+        man, gen, out = tmp_path / "man.json", tmp_path / "gen.jsonl", tmp_path / "o"
+        man.write_text(json.dumps({"identities": [{"id": "a", "reference": ref,
+                                                   "tests": [[3.0, 1.0, 2.0]]}],
+                                   "prompts": ["p"]}))
+        gen.write_text(json.dumps({"id": "a||p", "vector": gen_vec}) + "\n")
+        assert main(["evaluate", "--manifest", str(man), "--generated", str(gen),
+                     "--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric" and "toy embedder produced a vector of norm" in \
+            err["message"]
+        assert not out.exists()
 
 
 def identity_embedder(v):
