@@ -72,9 +72,9 @@ class FactorGrads:
 class AdaptedLayer:
     """A linear layer with a frozen base weight and a three-factor residual.
 
-    The base weight may be trained in place before :meth:`freeze_base` is
-    called (when building the toy backbone). Freezing write-protects it, so
-    any later in-place write raises ``ValueError``.
+    The base weight is written in place only before :meth:`freeze_base`, by
+    pretraining or a checkpoint load installing its values. Freezing
+    write-protects it, so any later in-place write raises ``ValueError``.
     """
 
     def __init__(self, w0: np.ndarray, factors: AdapterFactors, scale: float = 1.0):

@@ -19,16 +19,25 @@ import numpy as np
 from .errors import DimensionError, ManifestError, MetaLoraError, NumericError
 
 
+# the squared norms a cosine may divide by: below the smallest normal float a
+# square has lost bits, above the largest it has overflowed
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise DimensionError("cosine", a.shape, b.shape)
     # np.linalg.norm's own formula for a real vector, without its wrapper
-    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
-    if na == 0 or nb == 0:
-        raise NumericError("cosine: zero-norm input")
-    return float(np.dot(a, b) / (na * nb))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        squares = a.dot(a), b.dot(b)
+    for v, sq in zip((a, b), squares):
+        if not _TINY <= sq <= _HUGE:
+            fault = "underflows" if sq < _TINY else "overflows" if sq > _HUGE else "is nan"
+            raise NumericError(f"cosine: an input's squared norm {fault} ({sq})" if v.any()
+                               else "cosine: zero-norm input")
+    return float(np.dot(a, b) / (math.sqrt(squares[0]) * math.sqrt(squares[1])))
 
 
 @dataclass
@@ -113,16 +122,23 @@ def _score_identities(manifest: EvalManifest, generator, embedder,
     those of the protocol's targets, the reference or else the test items."""
     table: dict[tuple[str, str], float] = {}
     failures = 0
+
+    def embed(vec, entry, what):  # an embedder's NumericError names its record
+        try:
+            return embedder(vec)
+        except NumericError as exc:
+            raise NumericError(f"identity {entry.identity!r}, {what}: {exc}") from exc
+
     for entry in sorted(manifest.identities, key=lambda e: e.identity):
-        targets = [embedder(t) for t in ([entry.reference] if against_reference
-                                         else entry.tests)]
+        targets = ([embed(entry.reference, entry, "reference")] if against_reference
+                   else [embed(t, entry, f"test item {k}") for k, t in enumerate(entry.tests)])
         for prompt in manifest.prompts:
             try:
                 generated = generator(entry.reference, prompt)
             except Exception:  # generator crash: exclude, never score 0
                 failures += 1
                 continue
-            g_emb = embedder(generated)
+            g_emb = embed(generated, entry, f"generated item {entry.identity + '||' + prompt!r}")
             table[(entry.identity, prompt)] = float(np.mean([cosine(g_emb, t)
                                                              for t in targets]))
     if not table:

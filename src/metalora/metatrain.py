@@ -327,12 +327,13 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                       for i_cb in range(bucket.q_bucket))
     batches = drawn_batches(rng, model, schedule, (p[0].examples for p in ahead),
                             config.batch_size)
+    w0s, scales, _ = model.operands()
     for it, ((bucket, entry_index, i_cb, lomd_live), (batch, inp, eps)) in enumerate(
             zip(plan, batches)):
         identities = np.array([item.identity for item in batch])
         try:
             loss, layer_grads = diffusion_loss(
-                model, inp, eps, factors=bank.operands(identities),
+                w0s, scales, bank.operands(identities), inp, eps,
                 need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
             rows = bank.update(identities, item_grads)
             if lomd_live:

@@ -93,10 +93,10 @@ def make_probe(model: ToyDenoiser, dataset: ToyIdentityDataset, identity: int,
     return np.ascontiguousarray(rows.T), np.ascontiguousarray(eps.T)
 
 
-def probe_loss(model: ToyDenoiser, probe: tuple[np.ndarray, np.ndarray]) -> float:
-    """Probe loss of the model with its installed factors."""
+def probe_loss(w0s, scales, chains, probe: tuple[np.ndarray, np.ndarray]) -> float:
+    """Probe loss of the denoiser with :func:`~metalora.toymodel.forward`'s operands."""
     inp, eps = probe
-    return float(np.mean((forward(*model.operands(), inp) - eps) ** 2))
+    return float(np.mean((forward(w0s, scales, chains, inp) - eps) ** 2))
 
 
 @dataclass

@@ -314,24 +314,22 @@ def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: Diffus
         yield from zip(batches, inputs, noise)
 
 
-def diffusion_loss(model: ToyDenoiser, inp: np.ndarray, eps: np.ndarray,
-                   factors: list[tuple] | None = None, *,
+def diffusion_loss(w0s, scales, chains, inp: np.ndarray, eps: np.ndarray, *,
                    need=TRAINED, out=None) -> tuple[float, list[tuple]]:
     """Mean squared error between predicted and injected noise over a batch:
     the network inputs ``inp`` (B, d_in) and the noise ``eps`` (B, d), one
     iteration's draw of :func:`drawn_batches`.
 
-    ``factors`` holds :func:`train_step`'s ``(lmd, lm, lu)`` chain per
-    layer; omitted, every item uses the model's own factors. The whole batch
-    makes one :func:`train_step`, whose per-item gradients are returned, per
-    layer ``(d_lmd, d_lm, d_lu, dw0)``: those named in ``need``, and ``None``
-    for each one left out; ``out`` is :func:`train_step`'s. The model is only read.
+    ``w0s``, ``scales`` and ``chains`` are :func:`train_step`'s. The whole
+    batch makes one :func:`train_step`, whose per-item gradients are returned,
+    per layer ``(d_lmd, d_lm, d_lu, dw0)``: those named in ``need``, and
+    ``None`` for each one left out; ``out`` is :func:`train_step`'s. The
+    operands are only read.
     """
     if not len(eps):
         raise ValueError("diffusion_loss: empty batch")
-    w0s, scales, own = model.operands()
-    losses, layer_grads = train_step(w0s, scales, own if factors is None else factors,
-                                     inp[:, :, None], eps, len(eps), need=need, out=out)
+    losses, layer_grads = train_step(w0s, scales, chains, inp[:, :, None], eps, len(eps),
+                                     need=need, out=out)
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite loss at batch index "
                            f"{np.flatnonzero(~np.isfinite(losses))[0]}")
@@ -349,20 +347,21 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     loss drops below ``loss_threshold``; raises if the budget runs out first.
     The last block of :func:`drawn_batches` may draw past the stop; nothing
     reads the stream after the loop, so no bit depends on it. Both base
-    weights train as one :class:`~metalora.numerics.FlatGroup`; the zero
+    weights train as one :class:`~metalora.numerics.FlatGroup`'s own tensors,
+    then are copied into the model's base weights, which are frozen; the zero
     factors never train, so the smallest chain (``r1 = r2 = 1``) will do.
     """
     rng = make_rng(seed)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=1, r2=1,
                               n_prompts=dataset.n_prompts, factor_mode="zero")
-    base = FlatGroup([l.w0 for l in model.layers], AdamWState(lr=lr))
-    for layer, w0 in zip(model.layers, base.tensors):
-        layer.w0 = w0
+    w0s, scales, chains = model.operands()
+    base = FlatGroup(w0s, AdamWState(lr=lr))
     recent, kept = np.empty(window + DRAW_BLOCK), 0  # the losses, in iteration order
     batches = drawn_batches(rng, model, schedule, repeat(dataset.examples), batch_size)
     for it, (_, inp, eps) in zip(range(max_iters), batches):
         try:
-            loss, layer_grads = diffusion_loss(model, inp, eps, need={"w0"})
+            loss, layer_grads = diffusion_loss(base.tensors, scales, chains, inp, eps,
+                                               need={"w0"})
             base.step([dw0 for *_, dw0 in layer_grads])
         except NumericError as exc:
             raise NumericError(f"pretraining iteration {it}: {exc}") from exc
@@ -377,7 +376,8 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
         raise ConvergenceError(
             f"pretraining did not reach loss {loss_threshold} within {max_iters} "
             f"iterations (windowed loss {np.mean(recent[max(kept - window, 0):kept]):.4f})")
-    for layer in model.layers:
+    for layer, trained in zip(model.layers, base.tensors):
+        layer.w0[...] = trained
         layer.freeze_base()
     return model
 

@@ -55,9 +55,10 @@ CHAIN = [
 ]
 
 
-def openblas_core() -> str | None:
-    """The core of the OpenBLAS that numpy loaded, read through ctypes from
-    the library mapped into this process; ``None`` without one."""
+def openblas_query(suffix: str, restype):
+    """What the no-argument OpenBLAS function ``openblas_<suffix>`` returns,
+    called through ctypes in the library numpy loaded into this process (as
+    ``scipy_openblas_<suffix>64_`` in numpy's own build); ``None`` without one."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
@@ -65,12 +66,18 @@ def openblas_core() -> str | None:
         return None
     for path in libs:
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(lib, name, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
+        for name in (f"scipy_openblas_{suffix}64_", f"openblas_{suffix}"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], restype
+                return fn()
     return None
+
+
+def openblas_core() -> str | None:
+    """The core of the OpenBLAS that numpy loaded; ``None`` without one."""
+    core = openblas_query("get_corename", ctypes.c_char_p)
+    return None if core is None else core.decode()
 
 
 PLATFORM = (np.__version__, openblas_core())

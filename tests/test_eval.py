@@ -24,13 +24,25 @@ class TestCosine:
     def test_antiparallel_is_minus_one(self):
         assert cosine(np.array([1.0, 1.0]), np.array([-3.0, -3.0])) == pytest.approx(-1.0)
 
-    # a nonzero vector whose squared norm underflows has np.linalg.norm 0 too
-    @pytest.mark.parametrize("a", [np.zeros(3), np.full(3, 1e-170)],
-                             ids=["zero", "square-underflows"])
-    def test_zero_norm_rejected(self, a):
-        for args in ((a, np.ones(3)), (np.ones(3), a)):
+    def test_zero_norm_rejected(self):
+        for args in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))):
             with pytest.raises(NumericError, match="^cosine: zero-norm input$"):
                 cosine(*args)
+
+    # a nonzero vector whose squared norm is not a normal finite float: its
+    # cosine would be silently wrong (nan, 0.0, or the parent's "zero-norm"
+    # refusal of a nonzero vector), so the fault is named instead
+    @pytest.mark.parametrize("a, b, fault", [
+        ([1e200, 0.0], [1e200, 0.0], "overflows (inf)"),
+        ([1e200, 0.0], [1.0, 0.0], "overflows (inf)"),
+        (np.full(2, 1e-170), [1.0, 1.0], "underflows (0.0)"),
+        ([1e-160, 0.0], [1.0, 0.0], "underflows (1e-320)")],
+        ids=["both-overflow", "one-overflows", "square-underflows", "square-subnormal"])
+    def test_extreme_norm_rejected(self, a, b, fault):
+        for args in ((a, b), (b, a)):
+            with pytest.raises(NumericError) as exc:
+                cosine(*args)
+            assert str(exc.value) == f"cosine: an input's squared norm {fault}"
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -79,24 +91,31 @@ class TestNormForms:
             emb(v)
         assert str(exc.value) == f"toy embedder produced a vector of norm {n}"
 
-    @pytest.mark.parametrize("where, vector", [("generated", [0.0, 0.0, 0.0]),
-                                               ("reference", [0.0, 0.0, 0.0]),
-                                               ("generated", [1e300, -1e300, 1e300])],
-                             ids=["zero-generated", "zero-reference", "overflowing-generated"])
-    def test_evaluate_exits_4(self, tmp_path, capsys, where, vector):
-        # a zero vector embeds to norm 0, and one of 1e300 entries to norm inf
+    @pytest.mark.parametrize("where, vector, record", [
+        ("generated", [0.0, 0.0, 0.0], "generated item 'a||p'"),
+        ("reference", [0.0, 0.0, 0.0], "reference"),
+        ("test", [0.0, 0.0, 0.0], "test item 1"),
+        ("generated", [1e300, -1e300, 1e300], "generated item 'a||p'")],
+        ids=["zero-generated", "zero-reference", "zero-test", "overflowing-generated"])
+    def test_evaluate_exits_4(self, tmp_path, capsys, where, vector, record):
+        # a zero vector embeds to norm 0, and one of 1e300 entries to norm inf;
+        # the error names the identity and the record
         ref = vector if where == "reference" else [1.0, 2.0, 3.0]
         gen_vec = vector if where == "generated" else [2.0, 1.0, 3.0]
+        tests = [[3.0, 1.0, 2.0], vector if where == "test" else [1.0, 3.0, 2.0]]
         man, gen, out = tmp_path / "man.json", tmp_path / "gen.jsonl", tmp_path / "o"
         man.write_text(json.dumps({"identities": [{"id": "a", "reference": ref,
-                                                   "tests": [[3.0, 1.0, 2.0]]}],
+                                                   "tests": tests}],
                                    "prompts": ["p"]}))
         gen.write_text(json.dumps({"id": "a||p", "vector": gen_vec}) + "\n")
         assert main(["evaluate", "--manifest", str(man), "--generated", str(gen),
                      "--out", str(out)]) == 4
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "numeric" and "toy embedder produced a vector of norm" in \
-            err["message"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numeric"
+        assert err["message"].startswith(
+            f"identity 'a', {record}: toy embedder produced a vector of norm ")
         assert not out.exists()
 
 

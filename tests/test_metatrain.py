@@ -160,8 +160,8 @@ def reference_stage1(model, dataset, schedule, config):
                              np.stack([chains[b.identity][li].l_up for b in batch]))
                             for li in range(2)]
                 loss, layer_grads = diffusion_loss(
-                    model, *item_by_item_inputs(model, batch, schedule, rng),
-                    factors=operands)
+                    *model.operands()[:2], operands,
+                    *item_by_item_inputs(model, batch, schedule, rng))
                 for ident in dict.fromkeys(b.identity for b in batch):
                     items = [k for k, b in enumerate(batch) if b.identity == ident]
                     for li, (_, d_lm, d_lu, _) in enumerate(layer_grads):
@@ -334,6 +334,14 @@ class TestStage1:
         assert bank.lomd_checksum() not in (zero, first)
         assert bank.lomd_checksum() == full() and len(calls) == 4
 
+    def test_reads_the_model_operands_once(self, monkeypatch):
+        model, ds, schedule, config = small_stage1()
+        calls, operands = [], ToyDenoiser.operands
+        monkeypatch.setattr(ToyDenoiser, "operands",
+                            lambda model: calls.append(None) or operands(model))
+        res, _ = traced_stage1(model, ds, schedule, config)
+        assert res.executed_iterations > 1 and len(calls) == 1
+
     def test_audit_sees_a_shared_factor_change_while_the_gate_is_closed(self, monkeypatch):
         # a change of the shared down factors must show in the trace whatever
         # the gate says: pipeline_bench's warm-up rule relies on it
@@ -341,11 +349,11 @@ class TestStage1:
         calls = []
         loss = metatrain.diffusion_loss
 
-        def tamper(*args, factors, **kwargs):
+        def tamper(w0s, scales, chains, *args, **kwargs):
             calls.append(None)
             if len(calls) == 2:  # iteration 1, in the first warm-up
-                factors[1][0][0, 0] += 1.0  # the bank's own shared down array
-            return loss(*args, factors=factors, **kwargs)
+                chains[1][0][0, 0] += 1.0  # the bank's own shared down array
+            return loss(w0s, scales, chains, *args, **kwargs)
 
         monkeypatch.setattr(metatrain, "diffusion_loss", tamper)
         _, trace = traced_stage1(model, ds, schedule, config)

@@ -143,10 +143,10 @@ class TestRunStage2:
         ds, schedule, model, lmd = world
         ref = ds.reference_of(1)
         probe = make_probe(model, ds, 1, schedule, seed=5)
-        base_f = [init_factors(make_rng(0), l.factors.d1, l.factors.d2, 4, 1,
-                               mode="zero") for l in model.layers]
-        model.set_factors(*base_f)
-        base = probe_loss(model, probe)
+        base_f = [init_factors(make_rng(0), d1, d2, 4, 1, mode="zero")
+                  for d1, d2 in model.dims]
+        base = probe_loss(*model.operands()[:2],
+                          [(f.l_meta_down, f.l_mid, f.l_up) for f in base_f], probe)
         res = probed_run(model, lmd, ref, schedule, pcfg(), probe)
         assert res.probe_losses[0] == pytest.approx(base, abs=1e-15)
 

@@ -238,11 +238,11 @@ class TestDenoiser:
         rng = make_rng(5)
         m = ToyDenoiser.build(rng, d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
-        loss_zero, _ = diffusion_loss(m, inp, eps)
+        loss_zero, _ = diffusion_loss(*m.operands(), inp, eps)
         f1 = init_factors(make_rng(7), m.layer1.factors.d1, 16, 4, 1, "fresh")
         f2 = init_factors(make_rng(8), 16, 8, 4, 1, "fresh")
-        loss_fresh, _ = diffusion_loss(m, inp, eps, factors=[(f.l_meta_down, f.l_mid, f.l_up)
-                                                             for f in (f1, f2)])
+        loss_fresh, _ = diffusion_loss(*m.operands()[:2], [(f.l_meta_down, f.l_mid, f.l_up)
+                                                           for f in (f1, f2)], inp, eps)
         assert loss_fresh == pytest.approx(loss_zero, abs=1e-15)
 
     def test_need_keeps_the_bits_of_the_requested_gradients(self):
@@ -254,10 +254,10 @@ class TestDenoiser:
         factors = [(f.l_meta_down, f.l_mid, f.l_up)
                    for f in stage1_factors(m, [0], seed=4)[0]]
         inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
-        _, full = diffusion_loss(m, inp, eps, factors=factors)
+        _, full = diffusion_loss(*m.operands()[:2], factors, inp, eps)
         names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
         for need in ({"lm"}, {"lu"}, {"lmd"}, {"w0"}, {"lu", "lm"}, {"lu", "lm", "lmd"}):
-            _, got = diffusion_loss(m, inp, eps, factors=factors, need=need)
+            _, got = diffusion_loss(*m.operands()[:2], factors, inp, eps, need=need)
             for want_layer, got_layer in zip(full, got):
                 for name, want, g in zip(names, want_layer, got_layer):
                     if name in need:
@@ -303,21 +303,23 @@ class TestDenoiser:
         ds = small_dataset()
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         with pytest.raises(ValueError):
-            diffusion_loss(m, *batch_inputs(m, ds.examples[:2], linear_schedule(), make_rng(0)),
+            diffusion_loss(*m.operands(),
+                           *batch_inputs(m, ds.examples[:2], linear_schedule(), make_rng(0)),
                            need=need)
 
     def test_empty_batch_rejected(self):
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         with pytest.raises(ValueError, match="empty batch"):
-            diffusion_loss(m, np.empty((0, m.layer1.w0.shape[1])), np.empty((0, m.d)))
+            diffusion_loss(*m.operands(), np.empty((0, m.layer1.w0.shape[1])),
+                           np.empty((0, m.d)))
 
     def test_nonfinite_loss_reports_batch_index(self):
         ds = small_dataset()
         bad = Example(identity=0, x0=np.full(8, np.inf), prompt_id=0, split="test")
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="index 1"):
-            diffusion_loss(m, *batch_inputs(m, [ds.examples[0], bad], linear_schedule(),
-                                            make_rng(0)))
+            diffusion_loss(*m.operands(), *batch_inputs(m, [ds.examples[0], bad],
+                                                        linear_schedule(), make_rng(0)))
 
     def test_model_gradients_match_finite_differences(self):
         # Central differences through diffusion_loss (stage-1 mode, through
@@ -336,7 +338,7 @@ class TestDenoiser:
         inp, eps = batch_inputs(m, batch, s, make_rng(42))
 
         def loss(out=None):
-            return diffusion_loss(m, inp, eps, factors=bank.operands(ids), out=out)
+            return diffusion_loss(*m.operands()[:2], bank.operands(ids), inp, eps, out=out)
 
         item_grads = np.empty((len(ids), bank.params.shape[1]))
         _, layer_grads = loss(split_params(item_grads, *bank.layout))
@@ -368,31 +370,33 @@ class TestDenoiser:
         if mode == "pretraining":
             m.set_factors(*factors[0])
             factors = None
+        w0s, scales, own = m.operands()
         pick = make_rng(13)
         for k in range(20):
             batch = [ds.examples[i] for i in pick.integers(len(ds.examples), size=6)]
-            operands = None if factors is None else batch_operands(factors, batch)
-            loss, layer_grads = diffusion_loss(m, *batch_inputs(m, batch, s, make_rng(k)),
-                                               factors=operands)
+            chains = own if factors is None else batch_operands(factors, batch)
+            loss, layer_grads = diffusion_loss(w0s, scales, chains,
+                                               *batch_inputs(m, batch, s, make_rng(k)))
             want_loss, want_grads = per_item_reference(m, batch, s, make_rng(k),
                                                        factors=factors)
             assert loss == want_loss
             for got, ref in zip(layer_grads, want_grads):
                 assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
 
-    def test_model_is_only_read(self):
+    def test_operands_are_only_read(self):
+        # every array diffusion_loss is given keeps its bytes: the base
+        # weights, each layer's shared down and stacked mid/up factors, the
+        # inputs and the noise
         ds = small_dataset()
         m = ToyDenoiser.build(make_rng(14), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
-        installed = [l.factors for l in m.layers]
-        snapshot = [[a.copy() for a in (l.w0, l.factors.l_meta_down, l.factors.l_mid,
-                                         l.factors.l_up)] for l in m.layers]
         factors = stage1_factors(m, range(ds.n_identities), seed=16)
-        diffusion_loss(m, *batch_inputs(m, ds.examples[:6], linear_schedule(), make_rng(15)),
-                       factors=batch_operands(factors, ds.examples[:6]))
-        assert all(a is b for a, b in zip((l.factors for l in m.layers), installed))
-        for l, arrays in zip(m.layers, snapshot):
-            assert all(np.array_equal(a, b) for a, b in zip(
-                (l.w0, l.factors.l_meta_down, l.factors.l_mid, l.factors.l_up), arrays))
+        w0s, scales, _ = m.operands()
+        chains = batch_operands(factors, ds.examples[:6])
+        inp, eps = batch_inputs(m, ds.examples[:6], linear_schedule(), make_rng(15))
+        arrays = [*w0s, *(a for chain in chains for a in chain), inp, eps]
+        snapshot = [a.tobytes() for a in arrays]
+        diffusion_loss(w0s, scales, chains, inp, eps)
+        assert [a.tobytes() for a in arrays] == snapshot
 
 
 def reference_pretrain(dataset, schedule, seed, hidden, loss_threshold, max_iters,
@@ -536,10 +540,28 @@ class TestPretrain:
         # trained base beats an untrained one on the same batches
         fresh = ToyDenoiser.build(make_rng(1), d=8, hidden=16, n_prompts=2,
                                   r1=4, r2=1)
-        l_tr, _ = diffusion_loss(m, *batch_inputs(m, ds.examples[:16], s, make_rng(99)))
-        l_un, _ = diffusion_loss(fresh, *batch_inputs(fresh, ds.examples[:16], s,
-                                                      make_rng(99)))
+        l_tr, _ = diffusion_loss(*m.operands(), *batch_inputs(m, ds.examples[:16], s,
+                                                              make_rng(99)))
+        l_un, _ = diffusion_loss(*fresh.operands(), *batch_inputs(fresh, ds.examples[:16], s,
+                                                                  make_rng(99)))
         assert l_tr < l_un
+
+    def test_pretrained_base_owns_its_frozen_memory(self):
+        # the trained values are copied into each layer's own array, so no
+        # writable buffer behind a frozen base weight can move it
+        m = pretrain_base(small_dataset(seed=20), linear_schedule(), seed=1, hidden=16,
+                          loss_threshold=0.9, max_iters=3000, window=50)
+        for layer in m.layers:
+            assert layer.w0.base is None
+            assert not layer.w0.flags.writeable
+
+    def test_pretraining_reads_the_model_operands_once(self, monkeypatch):
+        calls, operands = [], ToyDenoiser.operands
+        monkeypatch.setattr(ToyDenoiser, "operands",
+                            lambda model: calls.append(None) or operands(model))
+        pretrain_base(small_dataset(seed=20), linear_schedule(), seed=1, hidden=16,
+                      loss_threshold=0.9, max_iters=3000, window=50)
+        assert len(calls) == 1
 
     def test_pretrain_deterministic(self):
         ds = small_dataset(seed=21)
