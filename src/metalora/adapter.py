@@ -26,6 +26,12 @@ from . import kernels
 from .errors import DimensionError, RankError
 
 
+def check_ranks(r1: int, r2: int, d1: int, d2: int) -> None:
+    """:class:`RankError` unless the ranks satisfy 1 <= r2 <= r1 <= min(d1, d2)."""
+    if not 1 <= r2 <= r1 <= min(d1, d2):
+        raise RankError(f"need 1 <= r2 <= r1 <= min(d1, d2), got {r1=}, {r2=}, {d1=}, {d2=}")
+
+
 @dataclass
 class AdapterFactors:
     l_meta_down: np.ndarray  # (r1, d1), shared across identities
@@ -39,9 +45,7 @@ class AdapterFactors:
         if r1 != r1b or r2 != r2b:
             raise DimensionError("AdapterFactors: factor chain",
                                  self.l_up.shape, self.l_mid.shape, self.l_meta_down.shape)
-        if not (r2 <= r1 <= min(d1, d2)):
-            raise RankError(f"need r2 <= r1 <= min(d1, d2), got r1={r1}, r2={r2}, "
-                            f"d1={d1}, d2={d2}")
+        check_ranks(r1, r2, d1, d2)
 
     @property
     def d1(self) -> int:
@@ -126,17 +130,10 @@ def init_factors(rng: np.random.Generator, d1: int, d2: int, r1: int, r2: int,
     the up factor, so the residual starts as an exact no-op. "zero" zeros
     everything (used for the identity-agnostic backbone).
     """
-    if not (1 <= r2 <= r1 <= min(d1, d2)):
-        raise RankError(f"need 1 <= r2 <= r1 <= min(d1, d2), got r1={r1}, r2={r2}, "
-                        f"d1={d1}, d2={d2}")
-    if mode == "fresh":
-        lmd = rng.normal(0.0, 1.0 / np.sqrt(d1), size=(r1, d1))
-        lm = rng.normal(0.0, 1.0 / np.sqrt(r1), size=(r2, r1))
-        lu = np.zeros((d2, r2))
-    elif mode == "zero":
-        lmd = np.zeros((r1, d1))
-        lm = np.zeros((r2, r1))
-        lu = np.zeros((d2, r2))
-    else:
+    check_ranks(r1, r2, d1, d2)  # before a draw, which a negative rank would fail
+    if mode == "zero":
+        return AdapterFactors(np.zeros((r1, d1)), np.zeros((r2, r1)), np.zeros((d2, r2)))
+    if mode != "fresh":
         raise ValueError(f"unknown init mode {mode!r}")
-    return AdapterFactors(lmd, lm, lu)
+    return AdapterFactors(rng.normal(0.0, 1.0 / np.sqrt(d1), size=(r1, d1)),
+                          rng.normal(0.0, 1.0 / np.sqrt(r1), size=(r2, r1)), np.zeros((d2, r2)))

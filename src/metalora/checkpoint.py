@@ -34,7 +34,7 @@ MAGIC = b"MLRA"
 VERSION = 1
 
 # the pipeline's files: kind -> (each tensor family's shape, int header fields).
-# Only save_layers and load_layers name the tensors: family.N for adapted layer
+# Only save_layers and check_layers name the tensors: family.N for adapted layer
 # N. A shape names the int header field that each dimension must equal; None
 # is a dimension that the model sets.
 KINDS: dict[str, tuple[dict[str, tuple], tuple[str, ...]]] = {
@@ -152,22 +152,29 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_layers(path, kind: str, header: dict, layers: dict[str, list[np.ndarray]]) -> None:
-    """Write a ``kind`` checkpoint, layer by layer in the family order of
-    ``KINDS``, with each tensor's checksum in the header's ``checksums``."""
+    """Write a ``kind`` checkpoint, layer by layer in the family order of ``KINDS``,
+    with each tensor's checksum in the header, if :func:`check_layers` accepts it."""
     n_layers = len(next(iter(layers.values())))
     tensors = {f"{family}.{li}": layers[family][li]
                for li in range(n_layers) for family in KINDS[kind][0]}
-    save_checkpoint(path, {**header, "kind": kind, "checksums": {
-        name: checksum(arr) for name, arr in tensors.items()}}, tensors)
+    sums = {name: checksum(arr) for name, arr in tensors.items()}
+    check_layers(kind, header := {**header, "kind": kind, "checksums": sums}, tensors, sums)
+    save_checkpoint(path, header, tensors)
 
 
 def load_layers(path, kind: str) -> tuple[dict, dict[str, list[np.ndarray]]]:
-    """A ``kind`` checkpoint's header and each family's tensors by layer. Refuses
-    another kind, an int header field of another type, tensors other than
-    ``family.N`` for each family and layer 0 … L−1 (L ≥ 1), a tensor whose
-    bytes do not match its recorded checksum, non-finite data, and a shape
-    that does not match the header's rank fields."""
+    """A ``kind`` checkpoint's header, and its tensors as :func:`check_layers` gives them."""
     header, tensors = load_checkpoint(path)
+    sums = {name: checksum(arr) for name, arr in tensors.items()}
+    return header, check_layers(kind, header, tensors, sums)
+
+
+def check_layers(kind: str, header: dict, tensors: dict[str, np.ndarray],
+                 sums: dict[str, str]) -> dict[str, list[np.ndarray]]:
+    """Each family's tensors by layer of a ``kind`` checkpoint with tensor checksums
+    ``sums``. Refuses another kind, an int header field of another type, names other
+    than ``family.N`` for layers 0 … L−1 (L ≥ 1), a checksum other than the header's,
+    non-finite data, and a shape that does not match the header's rank fields."""
     if header.get("kind") != kind:
         raise CheckpointError(f"not a {kind} checkpoint (kind={header.get('kind')!r})")
     families, fields = KINDS[kind]
@@ -181,12 +188,12 @@ def load_layers(path, kind: str) -> tuple[dict, dict[str, list[np.ndarray]]]:
     if tensors.keys() != {f"{family}.{li}" for li in range(n_layers) for family in families}:
         raise CheckpointError(f"{kind} checkpoint tensors {sorted(tensors)} are not "
                               f"{', '.join(f + '.N' for f in families)} for N = 0..L-1")
-    sums = header.get("checksums")
-    if type(sums) is not dict or sums.keys() != tensors.keys():
+    recorded = header.get("checksums")
+    if type(recorded) is not dict or recorded.keys() != tensors.keys():
         raise CheckpointError(f"{kind} checkpoint's checksums field is missing or is not "
                               f"a map from each tensor's name to its checksum")
     for name, arr in tensors.items():
-        if sums[name] != checksum(arr):
+        if recorded[name] != sums[name]:
             raise CheckpointError(f"{kind} checkpoint tensor {name!r} does not match "
                                   f"its recorded checksum")
         if not np.isfinite(arr).all():
@@ -196,4 +203,4 @@ def load_layers(path, kind: str) -> tuple[dict, dict[str, list[np.ndarray]]]:
         if arr.shape != want:
             raise CheckpointError(f"{kind} checkpoint tensor {name!r} has shape {arr.shape}, "
                                   f"not {want} as the header's rank fields give")
-    return header, {f: [tensors[f"{f}.{li}"] for li in range(n_layers)] for f in families}
+    return {f: [tensors[f"{f}.{li}"] for li in range(n_layers)] for f in families}

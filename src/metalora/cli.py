@@ -244,8 +244,7 @@ def cmd_personalize(args) -> int:
 def cmd_merge(args) -> int:
     header, layers = load_layers(args.checkpoint, "personalized")
     merged, errors = {"down": [], "up": []}, []
-    for factors in zip(layers["lmd"], layers["lm"], layers["lu"]):
-        f = AdapterFactors(*factors)
+    for f in map(AdapterFactors, layers["lmd"], layers["lm"], layers["lu"]):
         m = merge(f)
         merged["down"].append(m.down)
         merged["up"].append(m.up)
@@ -282,11 +281,8 @@ def cmd_evaluate(args) -> int:
     generated = evaluation.read_embeddings_jsonl(args.generated, dim)
     identity_of = {id(entry.reference): entry.identity for entry in manifest.identities}
 
-    def generator(reference, prompt):
-        key = f"{identity_of[id(reference)]}||{prompt}"
-        if key not in generated:
-            raise KeyError(f"no generated item for {key}")
-        return generated[key]
+    def generator(reference, prompt):  # a missing key is a failed generation
+        return generated[evaluation.pair_key(identity_of[id(reference)], prompt)]
 
     embedder = evaluation.ToyEmbedder(dim, seed=args.embedder_seed)
     robust = evaluation.r_facesim(manifest, generator, embedder)
@@ -297,7 +293,7 @@ def cmd_evaluate(args) -> int:
         "relative_difference_pct": evaluation.discrepancy_report(
             conventional.score, robust.score),
         "failures": robust.failures,
-        "per_pair": {f"{i}||{p}": v for (i, p), v in sorted(robust.table.items())},
+        "per_pair": {evaluation.pair_key(*pair): v for pair, v in sorted(robust.table.items())},
     }
     write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True).encode())
     write_run_trace(args.out, "evaluate", {"manifest": str(args.manifest),

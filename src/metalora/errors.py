@@ -13,7 +13,7 @@ class DimensionError(MetaLoraError):
 
 
 class RankError(MetaLoraError):
-    """Adapter rank constraints violated (need r2 <= r1 <= min(d1, d2))."""
+    """Adapter rank constraints violated (need 1 <= r2 <= r1 <= min(d1, d2))."""
 
 
 class NumericError(MetaLoraError):

@@ -19,9 +19,19 @@ import numpy as np
 from .errors import DimensionError, ManifestError, MetaLoraError, NumericError
 
 
-# the squared norms a cosine may divide by: below the smallest normal float a
-# square has lost bits, above the largest it has overflowed
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+
+
+def checked_norm(v: np.ndarray, what: str) -> float:
+    """``sqrt(v . v)``, np.linalg.norm's formula for a real vector. NumericError, naming
+    ``what``, refuses a squared norm that is zero, nan, subnormal or not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        sq = v.dot(v)
+    if not _TINY <= sq <= _HUGE:
+        fault = ("is zero" if not v.any() else "underflows" if sq < _TINY
+                 else "overflows" if sq > _HUGE else "is nan")
+        raise NumericError(f"{what}'s squared norm {fault} ({sq})")
+    return math.sqrt(sq)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -29,15 +39,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise DimensionError("cosine", a.shape, b.shape)
-    # np.linalg.norm's own formula for a real vector, without its wrapper
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        squares = a.dot(a), b.dot(b)
-    for v, sq in zip((a, b), squares):
-        if not _TINY <= sq <= _HUGE:
-            fault = "underflows" if sq < _TINY else "overflows" if sq > _HUGE else "is nan"
-            raise NumericError(f"cosine: an input's squared norm {fault} ({sq})" if v.any()
-                               else "cosine: zero-norm input")
-    return float(np.dot(a, b) / (math.sqrt(squares[0]) * math.sqrt(squares[1])))
+    na, nb = checked_norm(a, "cosine: an input"), checked_norm(b, "cosine: an input")
+    return float(np.dot(a, b) / (na * nb))
 
 
 @dataclass
@@ -50,8 +53,8 @@ class IdentityEntry:
         if not self.tests:
             raise ManifestError(f"identity {self.identity!r} has no test items "
                                 "after excluding the reference")
-        if not all(np.isfinite(v).all() for v in (self.reference, *self.tests)):
-            raise ManifestError(f"identity {self.identity!r} has a vector that is not finite")
+        if not all(v.ndim == 1 and np.isfinite(v).all() for v in (self.reference, *self.tests)):
+            raise ManifestError(f"identity {self.identity!r} has a vector not 1-d and finite")
 
 
 @dataclass
@@ -64,12 +67,12 @@ class EvalManifest:
             raise ManifestError("manifest has no identities")
         if not self.prompts:
             raise ManifestError("manifest has no prompts")
-        for p in self.prompts:
-            if not isinstance(p, str):
-                raise ManifestError(f"manifest prompt {p!r} is not a string")
-        # a repeat would collapse into one (identity, prompt) pair of the table
+        # a repeat, or a "||" (pair_key's separator), would make two pairs one
         for what, names in (("identity id", [e.identity for e in self.identities]),
                             ("prompt", self.prompts)):
+            for name in names:
+                if not isinstance(name, str) or "||" in name:
+                    raise ManifestError(f"manifest {what} {name!r} is not a string without '||'")
             if len(set(names)) < len(names):
                 repeat = next(n for i, n in enumerate(names) if n in names[:i])
                 raise ManifestError(f"manifest repeats {what} {repeat!r}")
@@ -82,21 +85,28 @@ class EvalManifest:
         """The manifest of a parsed JSON document; a missing or ill-typed
         field raises :class:`ManifestError`."""
         try:
+            if not all(type(v) is list for v in (doc["identities"], doc["prompts"],
+                                                 *(e["tests"] for e in doc["identities"]))):
+                raise ValueError("identities, prompts and each identity's tests are JSON lists")
             idents = [IdentityEntry(identity=str(e["id"]),
                                     reference=np.asarray(e["reference"], dtype=np.float64),
                                     tests=[np.asarray(t, dtype=np.float64) for t in e["tests"]])
                       for e in doc["identities"]]
-            prompts = list(doc["prompts"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ManifestError(f"malformed manifest ({type(exc).__name__}: {exc})") from exc
-        return cls(identities=idents, prompts=prompts)
+        return cls(identities=idents, prompts=doc["prompts"])
+
+
+def pair_key(identity: str, prompt: str) -> str:
+    """An (identity, prompt) pair's key in the ``--generated`` file and the report."""
+    return f"{identity}||{prompt}"
 
 
 @dataclass
 class MetricResult:
     score: float               # x100
     table: dict[tuple[str, str], float]  # (identity, prompt) -> mean similarity
-    failures: int = 0
+    failures: int
 
 
 class ToyEmbedder:
@@ -108,12 +118,9 @@ class ToyEmbedder:
         self.proj = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim))
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked_norm refuses it
             e = self.proj @ np.asarray(vec, dtype=np.float64).ravel()
-            n = math.sqrt(e.dot(e))  # np.linalg.norm's formula, as in cosine
-        if not 0 < n < np.inf:
-            raise NumericError(f"toy embedder produced a vector of norm {n}")
-        return e / n
+        return e / checked_norm(e, "toy embedder: a projection")
 
 
 def _score_identities(manifest: EvalManifest, generator, embedder,
@@ -138,7 +145,7 @@ def _score_identities(manifest: EvalManifest, generator, embedder,
             except Exception:  # generator crash: exclude, never score 0
                 failures += 1
                 continue
-            g_emb = embed(generated, entry, f"generated item {entry.identity + '||' + prompt!r}")
+            g_emb = embed(generated, entry, f"generated item {pair_key(entry.identity, prompt)!r}")
             table[(entry.identity, prompt)] = float(np.mean([cosine(g_emb, t)
                                                              for t in targets]))
     if not table:

@@ -41,8 +41,8 @@ class PersonalizeConfig:
     smoothing_window: int = 15
 
     def __post_init__(self):
-        if self.r2 < 1 or self.q_st2 < 1:
-            raise MetaLoraError("need r2 >= 1 and q_st2 >= 1")
+        if self.q_st2 < 1:
+            raise MetaLoraError("need q_st2 >= 1")
         if self.lr < 0:
             raise ValueError(f"PersonalizeConfig: lr must be >= 0, got {self.lr}")
 
@@ -54,10 +54,8 @@ def load_stage1(path, expected_r1: int, expected_dims: list[tuple[int, int]]
     The returned arrays are write-protected: any in-place update attempt
     raises. Rank or shape mismatches against the target model are refused.
     """
-    header, layers = load_layers(path, "stage1")
-    if header["r1"] != expected_r1:
-        raise RankError(f"checkpoint has r1={header['r1']}, model expects r1={expected_r1}")
-    lmd, want = layers["lmd"], [(expected_r1, d1) for d1, _d2 in expected_dims]
+    lmd = load_layers(path, "stage1")[1]["lmd"]
+    want = [(expected_r1, d1) for d1, _d2 in expected_dims]
     if [m.shape for m in lmd] != want:
         raise RankError(f"stage-1 lmd shapes {[m.shape for m in lmd]}, expected {want}")
     for m in lmd:
@@ -237,9 +235,9 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     row that :func:`threshold_reached` marks, which is its
     :func:`iterations_to_threshold`: a smoothed entry reads only earlier
     entries and the threshold only the first, so this is the count of a
-    full ``q_st2`` curve. The run then leaves the stack: its result keeps
-    its count in ``iters_to_threshold`` and the factors and curves of its
-    ``count`` iterations, which have the bits of a full-length run's first
+    full ``q_st2`` curve. The run then leaves the stack with its result, made
+    there: its count in ``iters_to_threshold`` and the factors and curves of
+    its ``count`` iterations, which have the bits of a full-length run's first
     ``count``. The runs still training move up into the leading rows of the
     call's buffers, and the next block draws only the streams that one of
     them replays. A run that never crosses trains ``q_st2`` iterations and
@@ -321,18 +319,21 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                 pos, axis=1, out=block_inputs[:nb, :, :, 0])
         np.take(noise, pos, axis=1, out=block_noise[:nb])
 
-    def result_of(j, iters):
-        """Copies of stack row j's factors and curves after ``iters`` iterations;
-        the curves become lists only once the blocks' buffers are gone."""
-        factors = [(lm[j].copy(), lu[j].copy()) for _, lm, lu in chains]
-        return (factors, train_losses[j, :iters].copy(),
-                probe_losses[j, :iters + 1].copy() if probed else np.empty(0))
+    def finish(j, count):
+        """Stack row j's job's result at ``count`` (q + 1: never reached), from copies
+        of its factors and curves; ``lmd_checksum_after`` comes after the loop."""
+        k, iters = rows[j], min(count, q)
+        factors = [AdapterFactors(m, lm[j].copy(), lu[j].copy())
+                   for m, (_, lm, lu) in zip(jobs[k].lmd, chains)]
+        results[k] = Stage2Result(
+            factors, [merge(f) for f in factors], train_losses[j, :iters].tolist(),
+            probe_losses[j, :iters + 1].tolist() if probed else [],
+            lmd_checksum_before=before[k], iters_to_threshold=count if probed else None)
 
     n, rows = R, np.arange(R)  # the stack's size, and the job of each row
     live, pos = np.arange(len(streams)), job_stream  # the streams drawn, and each row's
     chains, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
-    counts = np.full(R, q + 1)  # iterations to threshold; q + 1: never reached
-    finished = [None] * R       # each job's result_of, once it left the stack
+    results = [None] * R  # each job's result, made as it leaves the stack
     for it in range(q + 1):
         i = it % DRAW_BLOCK  # the iteration's row of its drawn block
         if probed:  # probe row `it`: the model after `it` iterations
@@ -341,8 +342,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                                     config.smoothing_window)
             if hit.any():
                 for j in np.flatnonzero(hit):
-                    counts[rows[j]] = it
-                    finished[rows[j]] = result_of(j, it)
+                    finish(j, it)
                 keep = np.flatnonzero(~hit)
                 # the rows left move up in place, with their rows of the drawn
                 # block still to train, one row at a time and only those that
@@ -374,18 +374,10 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         losses_at[it] = losses
 
     del job_inputs, job_noise, block_inputs, block_noise
-    for j in range(n):
-        finished[rows[j]] = result_of(j, q)
-    results = []
-    for k, job in enumerate(jobs):
-        (f1, f2), train_curve, probe_curve = finished[k]
-        factors = [AdapterFactors(job.lmd[0], *f1), AdapterFactors(job.lmd[1], *f2)]
-        results.append(Stage2Result(
-            factors=factors, merged=[merge(f) for f in factors],
-            train_losses=train_curve.tolist(), probe_losses=probe_curve.tolist(),
-            lmd_checksum_before=before[k],
-            lmd_checksum_after="".join(checksum(m) for m in job.lmd),
-            iters_to_threshold=int(counts[k]) if probed else None))
+    for j in range(n):  # the runs still training, once the blocks' buffers are gone
+        finish(j, q + 1)
+    for result, job in zip(results, jobs):
+        result.lmd_checksum_after = "".join(checksum(m) for m in job.lmd)
     return results
 
 

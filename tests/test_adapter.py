@@ -54,6 +54,20 @@ class TestForwardChain:
                            l_mid=np.zeros((4, 2)),   # r2 > r1
                            l_up=np.zeros((8, 4)))
 
+    @pytest.mark.parametrize("r1, r2", [(2, 0), (0, 0)])
+    def test_empty_rank_refused(self, r1, r2):
+        # a rank-0 chain is an empty adapter, refused as a drawn one is
+        with pytest.raises(RankError, match=f"r1={r1}, r2={r2}"):
+            AdapterFactors(l_meta_down=np.zeros((r1, 8)), l_mid=np.zeros((r2, r1)),
+                           l_up=np.zeros((8, r2)))
+        with pytest.raises(RankError, match=f"r1={r1}, r2={r2}"):
+            init_factors(make_rng(0), 8, 8, r1, r2)
+
+    @pytest.mark.parametrize("r1, r2", [(2, -1), (-1, -2)])
+    def test_negative_rank_refused_before_the_draw(self, r1, r2):
+        with pytest.raises(RankError, match=f"r1={r1}, r2={r2}"):
+            init_factors(make_rng(0), 8, 8, r1, r2)
+
     def test_chain_shape_mismatch(self):
         with pytest.raises(DimensionError):
             AdapterFactors(l_meta_down=np.zeros((3, 8)),
@@ -81,6 +95,13 @@ def rel_err(a, b):
 
 
 class TestAnalyticGradients:
+    @pytest.mark.parametrize("shape", [(5, 3), (6, 4)], ids=["rows", "columns"])
+    def test_upstream_grad_of_another_shape_refused(self, shape):
+        # either dimension alone is refused, not left to a matmul's ValueError
+        layer = random_layer(make_rng(1), 7, 6, 4, 2)
+        with pytest.raises(DimensionError, match="backward: upstream_grad"):
+            layer.backward(np.ones((7, 3)), np.ones(shape))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_factor_grads_match_finite_differences(self, seed):
         rng = make_rng(100 + seed)

@@ -163,6 +163,24 @@ class TestCheckpointFormat:
             load_checkpoint(path)
         assert exc.value.offset == second
 
+    @pytest.mark.parametrize("header, layers, message", [
+        ({"r1": 2}, {"lmd": [np.array([[1.0, np.inf, 0.0]] * 2)]},
+         "tensor 'lmd.0' is not finite"),
+        ({"r1": 2.0}, {"lmd": [np.zeros((2, 3))]}, "field r1 is 2.0 of type float"),
+        ({"r1": 3}, {"lmd": [np.zeros((2, 3))]}, "'lmd.0' has shape (2, 3), not (3, 3)"),
+        ({"r1": 2}, {"lmd": []}, "has no adapter layers")],
+        ids=["not-finite", "rank-of-the-wrong-type", "shape-against-rank", "no-layers"])
+    def test_save_layers_refuses_what_load_layers_refuses(self, tmp_path, header, layers,
+                                                          message):
+        # one rule on write as on read: a refused write keeps the previous file
+        path = tmp_path / "s1.bin"
+        save_layers(path, "stage1", {"r1": 2}, {"lmd": [np.ones((2, 3))]})
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            save_layers(path, "stage1", header, layers)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_non_2d_tensor_rejected(self, tmp_path):
         # the 1-d tensor is found after the 2-d one is written: the partial
         # file goes and the previous one stays
@@ -939,8 +957,10 @@ class TestExitCodes:
         cfg = tmp_path / "r1.cfg"
         cfg.write_text(SMALL_CFG.replace("r1 = 4", f"r1 = {cfg_r1}"))
         s1 = tmp_path / "stage1.bin"
-        save_layers(s1, "stage1", {"r1": r1},
-                    {"lmd": [np.zeros((cfg_r1, 18)), np.zeros((cfg_r1, 16))]})
+        # raw, with the checksums save_layers records: save_layers refuses the field
+        tensors = {"lmd.0": np.zeros((cfg_r1, 18)), "lmd.1": np.zeros((cfg_r1, 16))}
+        save_checkpoint(s1, {"kind": "stage1", "r1": r1, "checksums": {
+            n: checksum(a) for n, a in tensors.items()}}, tensors)
         rc = main(["personalize", "--config", str(cfg), "--checkpoint", str(base),
                    "--stage1", str(s1), "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -972,7 +992,23 @@ class TestExitCodes:
                                           '[2, 1], "tests": [[2, 1]]}], "prompts": ["p"]}',
                                           '{"identities": [{"id": "a", "reference": [1, 2], '
                                           '"tests": [[1, 2]]}, {"id": "b", "reference": '
-                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["p", "p"]}'])
+                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["p", "p"]}',
+                                          # ("a||b", "c") and ("a", "b||c") share the key
+                                          # a||b||c
+                                          '{"identities": [{"id": "a||b", "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}, {"id": "a", "reference": '
+                                          '[2, 1], "tests": [[2, 1]]}], "prompts": ["c", "b||c"]}',
+                                          '{"identities": [{"id": "a", "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}], "prompts": ["b||c"]}',
+                                          # a string is not a list of prompts p and q
+                                          '{"identities": [{"id": "a", "reference": [1, 2], '
+                                          '"tests": [[1, 2]]}], "prompts": "pq"}',
+                                          '{"identities": [{"id": "a", "reference": [2], '
+                                          '"tests": {"1": 0}}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": "a", "reference": [[1, 0, 0]], '
+                                          '"tests": [[1, 0, 0]]}], "prompts": ["p"]}',
+                                          '{"identities": [{"id": "a", "reference": [1, 2], '
+                                          '"tests": [[[1, 2]]]}], "prompts": ["p"]}'])
     def test_malformed_manifest_is_3(self, tmp_path, capsys, manifest):
         man = tmp_path / "man.json"
         man.write_text(manifest)
@@ -1063,10 +1099,32 @@ class TestExitCodes:
         assert err["error"] == "numeric" and "non-finite" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, verify, message", [
+        (0.0, True, "need 1 <= r2 <= r1 <= min(d1, d2), got r1=2, r2=0"),
+        (1e200, False, "merged checkpoint tensor 'down.0' is not finite")],
+        ids=["rank-0", "would-write-inf"])
+    def test_merge_that_would_write_a_refused_file_is_3(self, tmp_path, entry, verify,
+                                                        message):
+        # a rank-0 chain, or finite factors whose merged down factor overflows:
+        # the merged file would be refused on read, so it is not written
+        r2 = 0 if entry == 0.0 else 1
+        pers, out = tmp_path / "pers.bin", tmp_path / "merged.bin"
+        save_layers(pers, "personalized", {"r1": 2, "r2": r2, "identity": 0},
+                    {"lmd": [np.full((2, 3), entry)], "lm": [np.full((r2, 2), entry)],
+                     "lu": [np.ones((4, r2))]})
+        out.write_bytes(b"the previous file")
+        rc, stderr = run_main(["merge", "--checkpoint", pers, "--out", out]
+                              + ["--verify"] * verify)
+        assert rc == 3 and len(stderr.splitlines()) == 1, stderr
+        err = json.loads(stderr)
+        assert err["error"] == "io" and message in err["message"]
+        assert out.read_bytes() == b"the previous file"
+
     def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"
-        save_layers(empty, "personalized", {"r1": 2, "r2": 1, "identity": 0},
-                    {"lmd": [], "lm": [], "lu": []})
+        # raw: save_layers refuses to write a file without layers
+        save_checkpoint(empty, {"kind": "personalized", "r1": 2, "r2": 1, "identity": 0,
+                                "checksums": {}}, {})
         rc = main(["merge", "--checkpoint", str(empty), "--out", str(tmp_path / "o"),
                    "--verify"])
         assert rc == 3

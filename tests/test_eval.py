@@ -13,6 +13,8 @@ from metalora.evaluation import (EvalManifest, IdentityEntry, ToyEmbedder,
                                  r_facesim, read_embeddings_jsonl)
 from metalora.numerics import make_rng
 
+from test_checkpoint_cli import evaluate_inputs
+
 
 class TestCosine:
     def test_parallel_is_one(self):
@@ -26,7 +28,8 @@ class TestCosine:
 
     def test_zero_norm_rejected(self):
         for args in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))):
-            with pytest.raises(NumericError, match="^cosine: zero-norm input$"):
+            with pytest.raises(NumericError,
+                               match=r"^cosine: an input's squared norm is zero \(0\.0\)$"):
                 cosine(*args)
 
     # a nonzero vector whose squared norm is not a normal finite float: its
@@ -47,6 +50,13 @@ class TestCosine:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             cosine(np.ones(3), np.ones(4))
+
+    def test_smallest_normal_square_accepted(self):
+        # 2**-511 squares to exactly the smallest normal float: no bit is lost
+        tiny = np.finfo(np.float64).tiny
+        assert (2.0 ** -511) ** 2 == tiny
+        for args in (([2.0 ** -511], [1.0]), ([1.0], [2.0 ** -511])):
+            assert cosine(*args) == 1.0
 
 
 def spread_vectors(seed, n):
@@ -78,18 +88,23 @@ class TestNormForms:
             e = emb.proj @ v
             assert emb(v).tobytes() == (e / np.linalg.norm(e)).tobytes()
 
-    @pytest.mark.parametrize("v", [np.zeros(4), np.full(4, 1e-170), np.full(4, 1e300),
-                                   np.array([1.0, np.inf, 0.0, 0.0]), np.full(4, np.nan)],
-                             ids=["zero", "square-underflows", "square-overflows", "inf",
-                                  "nan"])
-    def test_embedder_refuses_a_norm_of_zero_or_not_finite(self, v):
+    # cosine's rule: a projection whose squared norm is not a normal finite
+    # float. At 1e-160 the square is subnormal, and dividing by its root would
+    # give an embedding of norm 1.0003
+    @pytest.mark.parametrize("v, fault", [
+        (np.zeros(4), "is zero"), (np.full(4, 1e-170), "underflows"),
+        (np.full(4, 1e-160), "underflows"), (np.full(4, 1e300), "overflows"),
+        (np.array([1.0, np.inf, 0.0, 0.0]), "overflows"), (np.full(4, np.nan), "is nan")],
+        ids=["zero", "square-underflows", "square-subnormal", "square-overflows", "inf",
+             "nan"])
+    def test_embedder_refuses_a_squared_norm_that_is_not_normal(self, v, fault):
         emb = ToyEmbedder(in_dim=4, out_dim=3, seed=7)
         with np.errstate(all="ignore"):
             e = emb.proj @ v
-            n = np.linalg.norm(e)
+            sq = e.dot(e)
         with pytest.raises(NumericError) as exc:
             emb(v)
-        assert str(exc.value) == f"toy embedder produced a vector of norm {n}"
+        assert str(exc.value) == f"toy embedder: a projection's squared norm {fault} ({sq})"
 
     @pytest.mark.parametrize("where, vector, record", [
         ("generated", [0.0, 0.0, 0.0], "generated item 'a||p'"),
@@ -115,8 +130,19 @@ class TestNormForms:
         err = json.loads(lines[0])
         assert err["error"] == "numeric"
         assert err["message"].startswith(
-            f"identity 'a', {record}: toy embedder produced a vector of norm ")
+            f"identity 'a', {record}: toy embedder: a projection's squared norm ")
         assert not out.exists()
+
+
+def test_evaluate_scores_are_pinned(tmp_path):
+    # evaluate's scores on fixed inputs with the default --embedder-seed, to
+    # 1e-12: a change to the embedder's projection or the scoring rule moves them
+    out = tmp_path / "report.json"
+    assert main(["evaluate", *evaluate_inputs(tmp_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["r_facesim"] == pytest.approx(98.87058151652082, rel=1e-12, abs=0)
+    assert report["facesim"] == pytest.approx(97.74405560962373, rel=1e-12, abs=0)
+    assert report["relative_difference_pct"] == 1.2
 
 
 def identity_embedder(v):

@@ -193,11 +193,15 @@ class TestRunStage2:
         for fa, fb in zip(a.factors, b.factors):
             assert np.array_equal(fa.l_up, fb.l_up)
 
-    def test_config_validation(self):
+    def test_config_validation(self, world, monkeypatch):
         with pytest.raises(MetaLoraError):
             PersonalizeConfig(q_st2=0)
-        with pytest.raises(MetaLoraError):
-            PersonalizeConfig(r2=0)
+        # the rank rule is adapter.check_ranks': the fresh-factor draw refuses
+        # r2 = 0 before the first iteration
+        ds, schedule, model, lmd = world
+        monkeypatch.setattr(personalize, "train_step", None)  # a step would fail on it
+        with pytest.raises(RankError, match="r1=4, r2=0"):
+            run_stage2(model, lmd, ds.reference_of(0), schedule, pcfg(r2=0))
 
 
 def reference_generate(model, schedule, prompt_id, rng):
