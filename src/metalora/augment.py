@@ -4,9 +4,10 @@ For each of five aspect ratios and five scale multipliers, a crop is sized so
 its short side is multiplier * f_long (the longer side of the face box),
 centered on the face and translated minimally to stay inside the image. When
 the requested size does not fit, the largest feasible size at the same
-aspect is substituted. Exact duplicate rectangles collapse, so a single
-image yields at most 25 crop specs. Horizontal flips are drawn per sample,
-not enumerated into the plan.
+aspect is substituted; an aspect that fits at no size (16:9 in a 1x1
+image) is left out, so every crop is at least 1x1. Exact duplicate
+rectangles collapse, so a single image yields at most 25 crop specs.
+Horizontal flips are drawn per sample, not enumerated into the plan.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _crop_dims(aspect_w: int, aspect_h: int, short_side: int) -> tuple[int, int]
 
 
 def _max_short_side(aspect_w: int, aspect_h: int, image_w: int, image_h: int) -> int:
-    """Largest short side for which the aspect still fits inside the image."""
+    """Largest short side for which the aspect still fits inside the image;
+    0 when it fits at no size."""
     def fits(s: int) -> bool:
         w, h = _crop_dims(aspect_w, aspect_h, s)
         return w <= image_w and h <= image_h
@@ -107,9 +109,10 @@ def plan_crops(image_w: int, image_h: int, face: FaceBox) -> list[CropSpec]:
     seen: set[tuple[int, int, int, int]] = set()
     for aspect, aw, ah in ASPECTS:
         max_s = _max_short_side(aw, ah, image_w, image_h)
+        if max_s == 0:  # no crop of this aspect fits
+            continue
         for mult in MULTIPLIERS:
-            requested = round(mult * face.f_long)
-            s = min(max(requested, 1), max_s)
+            s = min(round(mult * face.f_long), max_s)
             w, h = _crop_dims(aw, ah, s)
             x = round(cx - w / 2.0)
             y = round(cy - h / 2.0)

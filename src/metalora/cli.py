@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import sys
 from array import array
 from types import SimpleNamespace
@@ -22,55 +21,19 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import augment, evaluation, metatrain, personalize, toymodel
-from .adapter import AdapterFactors, merge
+from .adapter import AdapterFactors, check_ranks, merge
 from .checkpoint import atomic_open, config_hash, load_layers, save_layers, write_atomic
+from .config import CONFIG_SCHEMA, MAX_SIZE  # also read as cli.CONFIG_SCHEMA, cli.MAX_SIZE
 from .errors import (CheckpointError, ConfigError, ManifestError, MetaLoraError,
                      NumericError, RankError)
 from .numerics import make_rng
 
-# key -> (type, default, lowest, highest): a value must be finite and in [lowest,
-# highest], bounds may depend on earlier keys, and unknown keys are rejected.
-# Every size and count but the seed ends at MAX_SIZE, far above any config in
-# use: a larger one is refused here, not by numpy, whose array sizes it overflows.
-MAX_SIZE = 10**6
-CONFIG_SCHEMA: dict[str, tuple] = {
-    "seed": (int, 0, 0, math.inf),
-    "lr": (float, 4e-3, 0.0, math.inf),
-    "weight_decay": (float, 0.0, 0.0, math.inf),
-    # dataset / model geometry
-    "n_identities": (int, 16, 2, MAX_SIZE),
-    "heldout_identities": (int, 4, 1, lambda c: c["n_identities"] - 1),
-    "latent_dim": (int, 32, 1, MAX_SIZE),
-    "hidden_dim": (int, 64, 1, MAX_SIZE),
-    "samples_per_identity": (int, 20, 2, MAX_SIZE),  # a reference and a test sample
-    "n_prompts": (int, 4, 1, MAX_SIZE),
-    "timesteps": (int, 50, 1, MAX_SIZE),
-    "single_prototype": (bool, False, False, True),
-    # stage-1
-    "q_total": (int, 3000, 1, MAX_SIZE),
-    "batch_size": (int, 4, 1, MAX_SIZE),
-    "r1": (int, 16, 1, lambda c: min(c["latent_dim"], c["hidden_dim"])),
-    "r2": (int, 1, 1, lambda c: c["r1"]),
-    "identities_per_bucket": (int, 4, 1, MAX_SIZE),
-    "warm_up_fraction": (float, 0.4, 0.0, 1.0),
-    "warm_up_every_entry": (bool, True, False, True),
-    # base pretraining
-    "pretrain_lr": (float, 2e-3, 0.0, math.inf),
-    "pretrain_batch_size": (int, 8, 1, MAX_SIZE),
-    "pretrain_loss_threshold": (float, 0.22, 0.0, math.inf),
-    "pretrain_max_iters": (int, 15000, 1, MAX_SIZE),
-    # stage-2 / speed experiment
-    "q_st2": (int, 375, 1, MAX_SIZE),
-    "stage2_lr": (float, 1e-2, 0.0, math.inf),
-    "view_strength": (float, 0.05, 0.0, math.inf),
-    "tau_fraction": (float, 0.5, 0.0, 1.0),
-    "smoothing_window": (int, 15, 1, MAX_SIZE),
-    "speed_seeds": (int, 5, 3, MAX_SIZE),
-    "target_identity": (int, -1, -1, lambda c: c["n_identities"] - 1),  # -1: first held-out
-}
-
 
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
+    """The run config: :data:`CONFIG_SCHEMA`'s defaults, then the file's
+    settings, then the non-``None`` ``overrides``, each checked against its
+    key's type and bounds, and the ranks against the model's widths by
+    :func:`~metalora.adapter.check_ranks`. Any refusal is a ``ConfigError``."""
     values = {k: spec[1] for k, spec in CONFIG_SCHEMA.items()}
     if path is not None:
         try:
@@ -110,6 +73,11 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
         # an int beyond float range is refused like inf (math.isfinite cannot take it)
         if not (lo <= values[key] <= hi and abs(values[key]) <= sys.float_info.max):
             raise ConfigError(f"{key} = {values[key]} is not a finite number in [{lo}, {hi}]")
+    # layer 2 (hidden_dim -> latent_dim) binds: layer 1's input is wider than latent_dim
+    try:
+        check_ranks(values["r1"], values["r2"], values["hidden_dim"], values["latent_dim"])
+    except RankError as exc:
+        raise ConfigError(f"r1, r2 against hidden_dim, latent_dim: {exc}") from exc
     return values
 
 
@@ -174,9 +142,8 @@ def _load_world(args) -> SimpleNamespace:
 
 def stage_config(cls, cfg: dict):
     """A ``TrainConfig`` or ``PersonalizeConfig`` with each field set from the
-    config key of its name, but stage 2's ``lr`` from ``stage2_lr``."""
-    keys = {"lr": "stage2_lr"} if cls is personalize.PersonalizeConfig else {}
-    return cls(**{f.name: cfg[keys.get(f.name, f.name)] for f in dataclasses.fields(cls)})
+    config key it stands for (:func:`metalora.config.setting`)."""
+    return cls(**{f.name: cfg[f.metadata["key"]] for f in dataclasses.fields(cls)})
 
 
 def cmd_pretrain(args) -> int:

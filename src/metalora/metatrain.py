@@ -24,6 +24,7 @@ import numpy as np
 from . import kernels
 from .adapter import init_factors
 from .checkpoint import atomic_open
+from .config import default, setting
 from .errors import MetaLoraError, NumericError
 from .numerics import AdamWState, FlatGroup, check_finite, checksum, make_rng
 from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
@@ -32,17 +33,18 @@ from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
 
 @dataclass
 class TrainConfig:
-    q_total: int = 3000
-    batch_size: int = 4
-    lr: float = 4e-3
-    seed: int = 0
-    r1: int = 16
-    r2: int = 1
-    identities_per_bucket: int = 4
-    warm_up_fraction: float = 0.4
+    """Stage 1's settings: each field is the config key that its ``setting`` names."""
+    q_total: int = setting("q_total")
+    batch_size: int = setting("batch_size")
+    lr: float = setting("lr")
+    seed: int = setting("seed")
+    r1: int = setting("r1")
+    r2: int = setting("r2")
+    identities_per_bucket: int = setting("identities_per_bucket")
+    warm_up_fraction: float = setting("warm_up_fraction")
     # whether a revisited bucket re-triggers its warm-up phase
-    warm_up_every_entry: bool = True
-    weight_decay: float = 0.0
+    warm_up_every_entry: bool = setting("warm_up_every_entry")
+    weight_decay: float = setting("weight_decay")
 
 
 @dataclass
@@ -61,7 +63,8 @@ class Bucket:
 
 def partition_buckets(dataset: ToyIdentityDataset, identities_per_bucket: int,
                       batch_size: int, seed: int,
-                      warm_up_fraction: float = 0.4) -> list[Bucket]:
+                      warm_up_fraction: float = default("warm_up_fraction")
+                      ) -> list[Bucket]:
     """Deterministic partition: seeded shuffle of identities, then chunks.
 
     q_bucket = ceil(10 * |bucket examples| / batch_size), i.e. each example

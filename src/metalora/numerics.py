@@ -52,9 +52,9 @@ class AdamWState:
 
     lr: float = 4e-4
     weight_decay: float = 0.0
-    step: int = 0
-    m: np.ndarray | None = field(default=None, repr=False)
-    v: np.ndarray | None = field(default=None, repr=False)
+    step: int = field(default=0, init=False)
+    m: np.ndarray | None = field(default=None, init=False, repr=False)
+    v: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.lr < 0:

@@ -21,6 +21,7 @@ from . import kernels
 from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
 from .augment import CropSpec, FaceBox, plan_crops, sample_view
 from .checkpoint import load_layers
+from .config import setting
 from .errors import DimensionError, MetaLoraError, NumericError, RankError
 from .metatrain import fresh_identity_params, split_params
 from .numerics import checksum, make_rng
@@ -30,15 +31,16 @@ from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
 
 @dataclass
 class PersonalizeConfig:
-    q_st2: int = 375
-    r1: int = 16
-    r2: int = 1
-    lr: float = 1e-2
-    seed: int = 0
-    weight_decay: float = 0.0
-    view_strength: float = 0.05  # latent perturbation per augmented view
-    tau_fraction: float = 0.5    # speed-experiment loss threshold
-    smoothing_window: int = 15
+    """Stage 2's settings: each field is the config key that its ``setting`` names."""
+    q_st2: int = setting("q_st2")
+    r1: int = setting("r1")
+    r2: int = setting("r2")
+    lr: float = setting("stage2_lr")
+    seed: int = setting("seed")
+    weight_decay: float = setting("weight_decay")
+    view_strength: float = setting("view_strength")
+    tau_fraction: float = setting("tau_fraction")
+    smoothing_window: int = setting("smoothing_window")
 
     def __post_init__(self):
         if self.q_st2 < 1:

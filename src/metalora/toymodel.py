@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels
 from .adapter import AdaptedLayer, AdapterFactors, init_factors
+from .config import default
 from .errors import ConvergenceError, DimensionError, NumericError
 from .numerics import AdamWState, FlatGroup, make_rng
 
@@ -50,7 +51,7 @@ class DiffusionSchedule:
         return len(self.alpha_bar)
 
 
-def linear_schedule(T: int = 50) -> DiffusionSchedule:
+def linear_schedule(T: int = default("timesteps")) -> DiffusionSchedule:
     """alpha_bar falling linearly from 0.999 to 0.01 over T steps."""
     return DiffusionSchedule(np.linspace(0.999, 0.01, T))
 
@@ -107,9 +108,11 @@ class ToyIdentityDataset:
         return next(e for e in self.of_identity(identity) if e.split == "reference")
 
 
-def make_dataset(rng: np.random.Generator, n_identities: int = 16, d: int = 32,
-                 samples_per_identity: int = 20, n_prompts: int = 4,
-                 single_prototype: bool = False) -> ToyIdentityDataset:
+def make_dataset(rng: np.random.Generator, n_identities: int = default("n_identities"),
+                 d: int = default("latent_dim"),
+                 samples_per_identity: int = default("samples_per_identity"),
+                 n_prompts: int = default("n_prompts"),
+                 single_prototype: bool = default("single_prototype")) -> ToyIdentityDataset:
     """Synthesize a per-identity latent dataset.
 
     Prototypes are resampled until pairwise separation is at least 4x the
@@ -173,8 +176,9 @@ class ToyDenoiser:
         self.prompt_codes = np.eye(n_prompts)  # row p: the one-hot code of prompt p
 
     @classmethod
-    def build(cls, rng: np.random.Generator, d: int = 32, hidden: int = 64,
-              n_prompts: int = 4, r1: int = 16, r2: int = 1,
+    def build(cls, rng: np.random.Generator, d: int = default("latent_dim"),
+              hidden: int = default("hidden_dim"), n_prompts: int = default("n_prompts"),
+              r1: int = default("r1"), r2: int = default("r2"),
               factor_mode: str = "zero") -> "ToyDenoiser":
         d_in = d + TEMB_DIM + n_prompts
         w0_1 = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(hidden, d_in))
@@ -338,9 +342,12 @@ def diffusion_loss(w0s, scales, chains, inp: np.ndarray, eps: np.ndarray, *,
 
 
 def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
-                  seed: int, hidden: int = 64, lr: float = 2e-3,
-                  batch_size: int = 8, loss_threshold: float = 0.22,
-                  max_iters: int = 15000, window: int = 200) -> ToyDenoiser:
+                  seed: int, hidden: int = default("hidden_dim"),
+                  lr: float = default("pretrain_lr"),
+                  batch_size: int = default("pretrain_batch_size"),
+                  loss_threshold: float = default("pretrain_loss_threshold"),
+                  max_iters: int = default("pretrain_max_iters"),
+                  window: int = 200) -> ToyDenoiser:
     """Train the identity-agnostic base weights on pooled data, then freeze.
 
     The pool ignores identity labels entirely. Stops once the windowed mean

@@ -83,11 +83,17 @@ class TestPlanGeometry:
         (1920, 1080, 0, 0, 640, 480),
         (500, 900, 100, 200, 50, 300),
         (333, 777, 0, 0, 333, 100),
+        # images where an aspect fits at no size: it was planned as (0, 0, 0, 0)
+        (1, 1, 0, 0, 1, 1),
+        (2, 1, 0, 0, 1, 1),
+        (1, 3, 0, 0, 1, 1),
     ])
     def test_matches_brute_force_oracle(self, image_w, image_h, fx, fy, fw, fh):
         face = FaceBox(fx, fy, fw, fh)
         plan = plan_crops(image_w, image_h, face)
         assert [s.rect for s in plan] == oracle_plan(image_w, image_h, face)
+        for s in plan:
+            assert s.w >= 1 and s.h >= 1 and s.x + s.w <= image_w and s.y + s.h <= image_h
 
     @given(st.integers(100, 3000), st.integers(100, 3000), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

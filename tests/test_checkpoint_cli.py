@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -302,11 +303,34 @@ class TestConfigParsing:
     @pytest.mark.parametrize("cls", [metatrain.TrainConfig, personalize.PersonalizeConfig])
     def test_stage_config_fields_are_config_keys_with_their_defaults(self, cls):
         # every field reads a CONFIG_SCHEMA key (a KeyError otherwise) whose
-        # default is the field's: the defaults are stated in both places
+        # default is the field's, read from the table (metalora.config)
         defaults = parse_config(None)
         assert cli.stage_config(cls, defaults) == cls()
         renamed = cli.stage_config(cls, {**defaults, "stage2_lr": 0.5})
         assert renamed.lr == (0.5 if cls is personalize.PersonalizeConfig else defaults["lr"])
+
+    # each argument that stands for a config key, and its key
+    ARGUMENT_KEYS = {
+        toymodel.make_dataset: {"n_identities": "n_identities", "d": "latent_dim",
+                                "samples_per_identity": "samples_per_identity",
+                                "n_prompts": "n_prompts",
+                                "single_prototype": "single_prototype"},
+        toymodel.ToyDenoiser.build: {"d": "latent_dim", "hidden": "hidden_dim",
+                                     "n_prompts": "n_prompts", "r1": "r1", "r2": "r2"},
+        toymodel.pretrain_base: {"hidden": "hidden_dim", "lr": "pretrain_lr",
+                                 "batch_size": "pretrain_batch_size",
+                                 "loss_threshold": "pretrain_loss_threshold",
+                                 "max_iters": "pretrain_max_iters"},
+        toymodel.linear_schedule: {"T": "timesteps"},
+        metatrain.partition_buckets: {"warm_up_fraction": "warm_up_fraction"},
+    }
+
+    @pytest.mark.parametrize("fn", list(ARGUMENT_KEYS), ids=lambda fn: fn.__qualname__)
+    def test_arguments_are_config_keys_with_their_defaults(self, fn):
+        defaults = parse_config(None)
+        params = inspect.signature(fn).parameters
+        assert {arg: params[arg].default for arg in self.ARGUMENT_KEYS[fn]} == \
+            {arg: defaults[key] for arg, key in self.ARGUMENT_KEYS[fn].items()}
 
 
 SMALL_CFG = """
@@ -767,6 +791,20 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    # the rank rule is adapter.check_ranks', applied to layer 2 (hidden_dim ->
+    # latent_dim), whose widths bind; its RankError is a config error here
+    @pytest.mark.parametrize("lines, got", [
+        (["r1 = 33"], "r1=33, r2=1, d1=64, d2=32"),
+        (["r1 = 1", "r2 = 2"], "r1=1, r2=2, d1=64, d2=32")], ids=["r1 > latent_dim", "r2 > r1"])
+    def test_ranks_refused_by_check_ranks_are_2(self, tmp_path, lines, got):
+        cfg, out = tmp_path / "ranks.cfg", tmp_path / "o"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc, stderr = run_main(["pretrain", "--config", cfg, "--out", out])
+        assert rc == 2 and len(stderr.splitlines()) == 1, stderr
+        assert json.loads(stderr) == {"error": "config", "message": "r1, r2 against hidden_dim, "
+                                      f"latent_dim: need 1 <= r2 <= r1 <= min(d1, d2), got {got}"}
+        assert not out.exists()
+
     # a later setting of a key silently replaced the first, and the run went on
     @pytest.mark.parametrize("first, second", [("seed = 1", "seed = 2"),
                                                ("single_prototype = true",
@@ -832,6 +870,13 @@ class TestExitCodes:
                    "--face", face])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    # 16:9 and 9:16 fit in a 1x1 image at no size, and were printed as 0x0 crops
+    def test_augment_plan_prints_no_empty_crop(self, capsys):
+        rc = main(["augment-plan", "--image-w", "1", "--image-h", "1", "--face", "0,0,1,1"])
+        specs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rc == 0 and specs
+        assert all((s["x"], s["y"], s["w"], s["h"]) == (0, 0, 1, 1) for s in specs), specs
 
     # 2**31 pixels is the first side refused; from about 1e30 pixels the
     # plan's search for the largest fitting crop never ended, and 1e400

@@ -98,6 +98,14 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step(np.zeros((1, 1)), np.zeros((1, 1)), AdamWState(lr=-1.0))
 
+    @pytest.mark.parametrize("buffer", ["step", "m", "v"])
+    def test_constructor_takes_only_the_settings(self, buffer):
+        # the step count and the moments are the optimizer's own, made by its first step
+        with pytest.raises(TypeError):
+            AdamWState(lr=0.1, **{buffer: 3 if buffer == "step" else np.zeros((1, 1))})
+        st_ = AdamWState(lr=0.1, weight_decay=0.01)
+        assert (st_.step, st_.m, st_.v) == (0, None, None)
+
     def test_nonfinite_grad_rejected(self):
         p = np.zeros((2, 2))
         g = np.full((2, 2), np.nan)
