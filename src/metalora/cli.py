@@ -252,8 +252,7 @@ def cmd_evaluate(args) -> int:
         return generated[evaluation.pair_key(identity_of[id(reference)], prompt)]
 
     embedder = evaluation.ToyEmbedder(dim, seed=args.embedder_seed)
-    robust = evaluation.r_facesim(manifest, generator, embedder)
-    conventional = evaluation.facesim_conventional(manifest, generator, embedder)
+    robust, conventional = evaluation.facesim_scores(manifest, generator, embedder)
     report = {
         "r_facesim": robust.score,
         "facesim": conventional.score,
@@ -264,7 +263,9 @@ def cmd_evaluate(args) -> int:
     }
     write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True).encode())
     write_run_trace(args.out, "evaluate", {"manifest": str(args.manifest),
-                                           "generated": str(args.generated)})
+                                           "generated": str(args.generated),
+                                           "embedder_seed": args.embedder_seed},
+                    {"failures": robust.failures})
     print(f"{'metric':<14}{'score':>10}")
     print(f"{'FaceSim':<14}{conventional.score:>10.2f}")
     print(f"{'R-FaceSim':<14}{robust.score:>10.2f}")

@@ -113,7 +113,7 @@ class ToyEmbedder:
     """Deterministic stand-in embedder: a seeded random projection of the
     latent, normalized to unit length."""
 
-    def __init__(self, in_dim: int, out_dim: int = 16, seed: int = 1234):
+    def __init__(self, in_dim: int, out_dim: int = 16, *, seed: int):
         rng = np.random.Generator(np.random.PCG64(seed))
         self.proj = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim))
 
@@ -123,11 +123,16 @@ class ToyEmbedder:
         return e / checked_norm(e, "toy embedder: a projection")
 
 
+# each protocol's targets of an identity, as (record, vector) pairs
+_TARGETS = {"robust": lambda e: [(f"test item {k}", t) for k, t in enumerate(e.tests)],
+            "conventional": lambda e: [("reference", e.reference)]}
+
+
 def _score_identities(manifest: EvalManifest, generator, embedder,
-                      against_reference: bool) -> MetricResult:
-    """A pair's score: the mean cosine of the generated item's embedding with
-    those of the protocol's targets, the reference or else the test items."""
-    table: dict[tuple[str, str], float] = {}
+                      *protocols) -> list[MetricResult]:
+    """One :class:`MetricResult` per named protocol, from one generation and one embedding
+    per pair; a protocol scores a pair as the mean cosine with its targets' embeddings."""
+    tables: list[dict[tuple[str, str], float]] = [{} for _ in protocols]
     failures = 0
 
     def embed(vec, entry, what):  # an embedder's NumericError names its record
@@ -137,8 +142,7 @@ def _score_identities(manifest: EvalManifest, generator, embedder,
             raise NumericError(f"identity {entry.identity!r}, {what}: {exc}") from exc
 
     for entry in sorted(manifest.identities, key=lambda e: e.identity):
-        targets = ([embed(entry.reference, entry, "reference")] if against_reference
-                   else [embed(t, entry, f"test item {k}") for k, t in enumerate(entry.tests)])
+        targets = [[embed(v, entry, what) for what, v in _TARGETS[p](entry)] for p in protocols]
         for prompt in manifest.prompts:
             try:
                 generated = generator(entry.reference, prompt)
@@ -146,14 +150,14 @@ def _score_identities(manifest: EvalManifest, generator, embedder,
                 failures += 1
                 continue
             g_emb = embed(generated, entry, f"generated item {pair_key(entry.identity, prompt)!r}")
-            table[(entry.identity, prompt)] = float(np.mean([cosine(g_emb, t)
-                                                             for t in targets]))
-    if not table:
+            for table, embs in zip(tables, targets):
+                table[(entry.identity, prompt)] = float(np.mean([cosine(g_emb, t)
+                                                                 for t in embs]))
+    if not tables[0]:
         raise MetaLoraError("all generations failed; nothing to score")
     # fixed sorted reduction order so permuting inputs cannot change the sum
-    ordered = [table[k] for k in sorted(table)]
-    return MetricResult(score=100.0 * float(np.mean(ordered)), table=table,
-                        failures=failures)
+    return [MetricResult(score=100.0 * float(np.mean([table[k] for k in sorted(table)])),
+                         table=table, failures=failures) for table in tables]
 
 
 def r_facesim(manifest: EvalManifest, generator, embedder) -> MetricResult:
@@ -163,21 +167,28 @@ def r_facesim(manifest: EvalManifest, generator, embedder) -> MetricResult:
     ``generator(reference, prompt)`` must return a generated item (the
     reference conditions or fine-tunes the underlying model).
     """
-    return _score_identities(manifest, generator, embedder, against_reference=False)
+    return _score_identities(manifest, generator, embedder, "robust")[0]
 
 
 def facesim_conventional(manifest: EvalManifest, generator, embedder) -> MetricResult:
     """Conventional protocol: compares against the reference itself, which a
     pose-copying generator can saturate."""
-    return _score_identities(manifest, generator, embedder, against_reference=True)
+    return _score_identities(manifest, generator, embedder, "conventional")[0]
+
+
+def facesim_scores(manifest: EvalManifest, generator, embedder) -> tuple[MetricResult, ...]:
+    """(:func:`r_facesim`, :func:`facesim_conventional`) from one generation and
+    one embedding per pair, so both score the same pairs and the same items."""
+    return tuple(_score_identities(manifest, generator, embedder, "robust", "conventional"))
 
 
 def discrepancy_report(facesim: float, r_facesim_score: float) -> float:
     """Relative difference (%), rounded to 0.1, of the robust vs conventional
-    score. Negative values flag inflation under the conventional protocol."""
+    score, taken against ``|facesim|``: negative values flag inflation under the
+    conventional protocol, whatever the sign of FaceSim."""
     if facesim == 0:
         raise NumericError("discrepancy_report: facesim is zero")
-    return round(100.0 * (r_facesim_score - facesim) / facesim, 1)
+    return round(100.0 * (r_facesim_score - facesim) / abs(facesim), 1)
 
 
 def read_embeddings_jsonl(path, dim: int | None = None) -> dict[str, np.ndarray]:

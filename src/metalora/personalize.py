@@ -102,7 +102,6 @@ def probe_loss(w0s, scales, chains, probe: tuple[np.ndarray, np.ndarray]) -> flo
 @dataclass
 class Stage2Result:
     factors: list[AdapterFactors]
-    merged: list[MergedLoRA]
     train_losses: list[float]
     probe_losses: list[float] = field(default_factory=list)
     lmd_checksum_before: str = ""
@@ -111,6 +110,11 @@ class Stage2Result:
     # and factors are those of its first min(count, q_st2) iterations. None
     # for a run without a probe, which trains q_st2 iterations
     iters_to_threshold: int | None = None
+
+    @property
+    def merged(self) -> list[MergedLoRA]:
+        """Each layer's two-factor export, merged from ``factors`` when read."""
+        return [merge(f) for f in self.factors]
 
     @property
     def lmd_frozen(self) -> bool:
@@ -328,7 +332,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         factors = [AdapterFactors(m, lm[j].copy(), lu[j].copy())
                    for m, (_, lm, lu) in zip(jobs[k].lmd, chains)]
         results[k] = Stage2Result(
-            factors, [merge(f) for f in factors], train_losses[j, :iters].tolist(),
+            factors, train_losses[j, :iters].tolist(),
             probe_losses[j, :iters + 1].tolist() if probed else [],
             lmd_checksum_before=before[k], iters_to_threshold=count if probed else None)
 

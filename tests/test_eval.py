@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from metalora import evaluation
 from metalora.cli import main
-from metalora.errors import DimensionError, MetaLoraError, NumericError
+from metalora.errors import DimensionError, ManifestError, MetaLoraError, NumericError
 from metalora.evaluation import (EvalManifest, IdentityEntry, ToyEmbedder,
                                  cosine, discrepancy_report, facesim_conventional,
-                                 r_facesim, read_embeddings_jsonl)
+                                 facesim_scores, r_facesim, read_embeddings_jsonl)
 from metalora.numerics import make_rng
 
 from test_checkpoint_cli import evaluate_inputs
@@ -56,6 +57,16 @@ class TestCosine:
         tiny = np.finfo(np.float64).tiny
         assert (2.0 ** -511) ** 2 == tiny
         for args in (([2.0 ** -511], [1.0]), ([1.0], [2.0 ** -511])):
+            assert cosine(*args) == 1.0
+
+    def test_largest_finite_square_accepted(self):
+        # sqrt(max)**2 is one ulp below the largest float, and a second entry
+        # of 1.2 * 2**485 adds that ulp: the squared norm is exactly the largest
+        # finite float, which is still accepted
+        huge = np.finfo(np.float64).max
+        v = np.array([np.sqrt(huge), 1.2 * 2.0 ** 485])
+        assert v.dot(v) == huge
+        for args in ((v, [1.0, 0.0]), ([1.0, 0.0], v)):
             assert cosine(*args) == 1.0
 
 
@@ -257,6 +268,12 @@ class TestRFaceSim:
         assert res.failures == 1
         assert len(res.table) == 1
         assert res.score == pytest.approx(100.0)  # mean over scored cells only
+        # both protocols of one pass exclude the one failed generation
+        calls["n"] = 0
+        robust, conventional = facesim_scores(man, flaky, identity_embedder)
+        assert calls["n"] == 2
+        assert robust.failures == conventional.failures == 1
+        assert list(robust.table) == list(conventional.table) == [("b", "p")]
 
     def test_all_failures_is_error(self):
         man = manifest_from_vectors([("a", np.ones(2), [np.ones(2)])])
@@ -279,6 +296,123 @@ class TestDiscrepancy:
 
     def test_equal_scores_zero(self):
         assert discrepancy_report(70.0, 70.0) == 0.0
+
+    # the sign rule holds for a negative FaceSim too: the difference is taken
+    # against |FaceSim|, so a higher R-FaceSim is never reported as inflation
+    @pytest.mark.parametrize("facesim, robust, want", [
+        (-10.0, -5.0, 50.0), (-5.0, -10.0, -100.0), (10.0, 5.0, -50.0), (5.0, 10.0, 100.0)])
+    def test_sign_follows_the_robust_score(self, facesim, robust, want):
+        assert discrepancy_report(facesim, robust) == want
+
+    def test_evaluate_reports_no_inflation_for_an_anticopy(self, tmp_path, capsys):
+        # the generated item is minus the reference: FaceSim -100, R-FaceSim
+        # above it, so the relative difference is positive
+        r = [1.0, 2.0, 3.0]
+        man, gen, out = tmp_path / "man.json", tmp_path / "gen.jsonl", tmp_path / "o"
+        man.write_text(json.dumps({"identities": [{"id": "a", "reference": r,
+                                                   "tests": [[3.0, 1.0, 2.0]]}],
+                                   "prompts": ["p"]}))
+        gen.write_text(json.dumps({"id": "a||p", "vector": [-x for x in r]}) + "\n")
+        assert main(["evaluate", "--manifest", str(man), "--generated", str(gen),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["facesim"] == pytest.approx(-100.0, abs=1e-12)
+        assert report["r_facesim"] > report["facesim"]
+        assert report["relative_difference_pct"] == 23.8
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["rel.", "diff", "%", "23.8"]
+
+
+class TestOnePass:
+    """facesim_scores generates and embeds each pair once for both protocols;
+    each protocol alone embeds only its own targets."""
+
+    def test_evaluate_generates_and_embeds_each_pair_once(self, tmp_path, monkeypatch):
+        # 3 identities x 2 prompts: 6 lookups of --generated, and 3 x (3 test
+        # items + 1 reference) + 6 generated items = 18 embeddings
+        lookups, embeds = [], []
+
+        class Records(dict):
+            def __getitem__(self, key):
+                lookups.append(key)
+                return super().__getitem__(key)
+
+        read, embed = evaluation.read_embeddings_jsonl, ToyEmbedder.__call__
+        monkeypatch.setattr(evaluation, "read_embeddings_jsonl",
+                            lambda *args: Records(read(*args)))
+        monkeypatch.setattr(ToyEmbedder, "__call__",
+                            lambda self, v: embeds.append(v) or embed(self, v))
+        out = tmp_path / "report.json"
+        assert main(["evaluate", *evaluate_inputs(tmp_path), "--out", str(out)]) == 0
+        assert len(lookups) == len(set(lookups)) == 6
+        assert len(embeds) == 18
+
+    def test_a_generation_that_fails_once_is_excluded_from_both(self, tmp_path, monkeypatch):
+        # a generator that fails on its first call only gives the report of a
+        # --generated file without that pair: both scores exclude the pair
+        argv, calls = evaluate_inputs(tmp_path), []
+
+        class FailsFirst(dict):
+            def __getitem__(self, key):
+                calls.append(key)
+                if len(calls) == 1:
+                    raise KeyError(key)
+                return super().__getitem__(key)
+
+        read = evaluation.read_embeddings_jsonl
+        monkeypatch.setattr(evaluation, "read_embeddings_jsonl",
+                            lambda *args: FailsFirst(read(*args)))
+        flaky = tmp_path / "flaky.json"
+        assert main(["evaluate", *argv, "--out", str(flaky)]) == 0
+        monkeypatch.setattr(evaluation, "read_embeddings_jsonl", read)
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text("".join(line for line in gen.read_text().splitlines(True)
+                               if json.loads(line)["id"] != calls[0]))
+        missing = tmp_path / "missing.json"
+        assert main(["evaluate", *argv, "--out", str(missing)]) == 0
+        assert calls[0] == "id0||p0"
+        report = json.loads(flaky.read_text())
+        assert report["failures"] == 1 and len(report["per_pair"]) == 5
+        assert flaky.read_bytes() == missing.read_bytes()
+
+    def test_each_protocol_alone_embeds_only_its_targets(self):
+        # 8 identities x 4 prompts, 19 test items each: R-FaceSim embeds
+        # 8 x 19 + 32 = 184 vectors, FaceSim 8 + 32 = 40, and both in one pass
+        # 8 x 20 + 32 = 192; each pair is generated once per call
+        rng = make_rng(32)
+        entries = [(f"id{i}", rng.normal(size=6), [rng.normal(size=6) for _ in range(19)])
+                   for i in range(8)]
+        man = manifest_from_vectors(entries, prompts=["p0", "p1", "p2", "p3"])
+        emb = ToyEmbedder(in_dim=6, out_dim=5, seed=9)
+        embeds, generations = [], []
+
+        def embedder(v):
+            embeds.append(v)
+            return emb(v)
+
+        def gen(ref, prompt):
+            generations.append(prompt)
+            return ref + 0.1 * len(generations)
+
+        results = []
+        for score, want in ((r_facesim, 184), (facesim_conventional, 40), (facesim_scores, 192)):
+            embeds.clear()
+            generations.clear()
+            results.append(score(man, gen, embedder))
+            assert (len(embeds), len(generations)) == (want, 32), score.__name__
+        # the one pass gives each protocol's own result, bit for bit
+        assert results[2] == tuple(results[:2])
+
+    def test_evaluate_trace_names_the_embedder_and_failures(self, tmp_path):
+        argv, traces = evaluate_inputs(tmp_path), []
+        for seed in (1, 2):
+            out = tmp_path / f"report{seed}.json"
+            assert main(["evaluate", *argv, "--embedder-seed", str(seed),
+                         "--out", str(out)]) == 0
+            traces.append(json.loads((tmp_path / f"report{seed}.json.trace.json").read_text()))
+        for seed, trace in zip((1, 2), traces):
+            assert trace["config"]["embedder_seed"] == seed
+            assert trace["failures"] == 0
+        assert traces[0]["config_hash"] != traces[1]["config_hash"]
 
 
 class TestManifestAndIO:
@@ -304,6 +438,14 @@ class TestManifestAndIO:
         with pytest.raises(MetaLoraError):
             EvalManifest(identities=[], prompts=["p"])
 
+    def test_repeat_is_named(self):
+        # the error names the repeated id or prompt, not the first one listed
+        ident = lambda name: (name, np.ones(2), [np.ones(2)])
+        with pytest.raises(ManifestError, match=r"^manifest repeats identity id 'b'$"):
+            manifest_from_vectors([ident("a"), ident("b"), ident("b")])
+        with pytest.raises(ManifestError, match=r"^manifest repeats prompt 'q'$"):
+            manifest_from_vectors([ident("a")], prompts=["p", "q", "q"])
+
     def test_embeddings_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         data = {"a": np.array([1.0, 2.5]), "b": np.array([-0.5, 0.0, 3.0])}
@@ -317,6 +459,15 @@ class TestManifestAndIO:
     def test_toy_embedder_unit_norm_and_deterministic(self):
         emb = ToyEmbedder(in_dim=8, out_dim=4, seed=5)
         v = make_rng(0).normal(size=8)
-        e1, e2 = emb(v), ToyEmbedder(8, 4, 5)(v)
+        e1, e2 = emb(v), ToyEmbedder(8, 4, seed=5)(v)
         assert np.linalg.norm(e1) == pytest.approx(1.0)
         assert np.array_equal(e1, e2)
+
+    def test_toy_embedder_projection_is_rebuilt_from_its_seed(self):
+        # the projection is PCG64(seed)'s normal(0, 1/sqrt(in_dim)) draw, bit
+        # for bit: a brute-force scorer (the benchmark's) rebuilds it from the
+        # seed alone, and its scale sets which inputs checked_norm refuses
+        for in_dim, out_dim, seed in ((8, 4, 5), (32, 16, 1234), (3, 7, 0)):
+            want = np.random.Generator(np.random.PCG64(seed)).normal(
+                0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim))
+            assert ToyEmbedder(in_dim, out_dim, seed=seed).proj.tobytes() == want.tobytes()
