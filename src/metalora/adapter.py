@@ -5,7 +5,7 @@ chain of three factors: a shared down-projection ``l_meta_down`` (r1 x d1),
 an identity-specific compressor ``l_mid`` (r2 x r1), and an identity-specific
 up-projection ``l_up`` (d2 x r2):
 
-    h = w0 @ x + scale * l_up @ (l_mid @ (l_meta_down @ x))
+    h = w0 @ x + SCALE * l_up @ (l_mid @ (l_meta_down @ x))
 
 The chain is always applied factor-by-factor; the dense delta-W is never
 materialized. Collapsing ``l_mid @ l_meta_down`` into a single down factor
@@ -24,6 +24,9 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, RankError
+
+# LoRA's alpha / r, one constant: no checkpoint, export, merge or benchmark oracle records another
+SCALE = 1.0
 
 
 def check_ranks(r1: int, r2: int, d1: int, d2: int) -> None:
@@ -81,13 +84,12 @@ class AdaptedLayer:
     write-protects it, so any later in-place write raises ``ValueError``.
     """
 
-    def __init__(self, w0: np.ndarray, factors: AdapterFactors, scale: float = 1.0):
+    def __init__(self, w0: np.ndarray, factors: AdapterFactors):
         if w0.shape != (factors.d2, factors.d1):
             raise DimensionError("AdaptedLayer: w0 vs factors", w0.shape,
                                  (factors.d2, factors.d1))
         self.w0 = np.ascontiguousarray(w0, dtype=np.float64)
         self.factors = factors
-        self.scale = scale
 
     def freeze_base(self) -> None:
         self.w0.setflags(write=False)
@@ -98,7 +100,7 @@ class AdaptedLayer:
         f = self.factors
         return (self.w0, np.ascontiguousarray(f.l_meta_down),
                 np.ascontiguousarray(f.l_mid), np.ascontiguousarray(f.l_up),
-                self.scale, np.ascontiguousarray(x))
+                SCALE, np.ascontiguousarray(x))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Residual forward pass over the columns of ``x`` (d1, batch)."""
@@ -110,10 +112,10 @@ class AdaptedLayer:
         if upstream_grad.shape[0] != self.factors.d2 or upstream_grad.shape[1] != x.shape[1]:
             raise DimensionError("backward: upstream_grad", upstream_grad.shape,
                                  (self.factors.d2, x.shape[1]))
-        w0, lmd, lm, lu, scale, x = self._operands(x)
+        w0, lmd, lm, lu, _, x = self._operands(x)
         u = lmd @ x
         d_lu, d_lm, d_lmd, dx, dw0 = kernels.chain_backward(
-            w0, lmd, lm, lu, scale, x, u, lm @ u, np.ascontiguousarray(upstream_grad))
+            w0, lmd, lm, lu, SCALE, x, u, lm @ u, np.ascontiguousarray(upstream_grad))
         return FactorGrads(l_up=d_lu, l_mid=d_lm, l_meta_down=d_lmd, x=dx, w0=dw0)
 
 

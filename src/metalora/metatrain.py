@@ -79,7 +79,8 @@ def partition_buckets(dataset: ToyIdentityDataset, identities_per_bucket: int,
     buckets = []
     for b, start in enumerate(range(0, len(order), identities_per_bucket)):
         ids = [int(i) for i in order[start:start + identities_per_bucket]]
-        examples = [e for e in dataset.examples if e.identity in set(ids)]
+        members = set(ids)
+        examples = [e for e in dataset.examples if e.identity in members]
         q_bucket = math.ceil(10 * len(examples) / batch_size)
         buckets.append(Bucket(bucket_id=b, identity_ids=ids, examples=examples,
                               q_bucket=q_bucket,
@@ -330,13 +331,13 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                       for i_cb in range(bucket.q_bucket))
     batches = drawn_batches(rng, model, schedule, (p[0].examples for p in ahead),
                             config.batch_size)
-    w0s, scales, _ = model.operands()
+    w0s, _ = model.operands()
     for it, ((bucket, entry_index, i_cb, lomd_live), (batch, inp, eps)) in enumerate(
             zip(plan, batches)):
         identities = np.array([item.identity for item in batch])
         try:
             loss, layer_grads = diffusion_loss(
-                w0s, scales, bank.operands(identities), inp, eps,
+                w0s, bank.operands(identities), inp, eps,
                 need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
             rows = bank.update(identities, item_grads)
             if lomd_live:

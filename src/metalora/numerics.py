@@ -50,7 +50,7 @@ class AdamWState:
     ``lr`` is refused here, so a trainer refuses it before its first step.
     """
 
-    lr: float = 4e-4
+    lr: float
     weight_decay: float = 0.0
     step: int = field(default=0, init=False)
     m: np.ndarray | None = field(default=None, init=False, repr=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .adapter import AdapterFactors, MergedLoRA, init_factors, merge
+from .adapter import SCALE, AdapterFactors, MergedLoRA, init_factors, merge
 from .augment import CropSpec, FaceBox, plan_crops, sample_view
 from .checkpoint import load_layers
 from .config import setting
@@ -93,10 +93,10 @@ def make_probe(model: ToyDenoiser, dataset: ToyIdentityDataset, identity: int,
     return np.ascontiguousarray(rows.T), np.ascontiguousarray(eps.T)
 
 
-def probe_loss(w0s, scales, chains, probe: tuple[np.ndarray, np.ndarray]) -> float:
+def probe_loss(w0s, chains, probe: tuple[np.ndarray, np.ndarray]) -> float:
     """Probe loss of the denoiser with :func:`~metalora.toymodel.forward`'s operands."""
     inp, eps = probe
-    return float(np.mean((forward(w0s, scales, chains, inp) - eps) ** 2))
+    return float(np.mean((forward(w0s, chains, inp) - eps) ** 2))
 
 
 @dataclass
@@ -266,7 +266,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     params = np.stack([streams[s].fresh for s in job_stream])
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     grads, *moments = np.zeros((3, *params.shape))  # and AdamW's two moments
-    w0s, scales, _ = model.operands()
+    w0s, _ = model.operands()
     train_losses = np.empty((R, q))
     # what a run's stack row holds across iterations, moved up when a run
     # leaves (each step overwrites the gradients)
@@ -298,8 +298,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         (_, lm1, lu1), (lmd2_n, lm2, lu2) = chains
         mid, h = p_mid[:n], p_h[:n]
         np.matmul(lu1, np.matmul(lm1, p_u[:n], out=mid), out=h)
-        np.add(p_w0x[:n], np.multiply(scales[0], h, out=h), out=h)
-        out = kernels.chain_forward(w0s[1], lmd2_n, lm2, lu2, scales[1], np.tanh(h, out=h))[0]
+        np.add(p_w0x[:n], np.multiply(SCALE, h, out=h), out=h)
+        out = kernels.chain_forward(w0s[1], lmd2_n, lm2, lu2, SCALE, np.tanh(h, out=h))[0]
         probe_losses[:n, row] = np.mean(((out - p_eps[:n]) ** 2).reshape(n, -1), axis=1)
 
     def draw_block(nb):
@@ -368,7 +368,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
             break
         if i == 0:
             draw_block(min(DRAW_BLOCK, q - it))
-        losses, _ = train_step(w0s, scales, chains, block_inputs[i], block_noise[i], 1,
+        losses, _ = train_step(w0s, chains, block_inputs[i], block_noise[i], 1,
                                need=STAGE2_NEED, out=grad_views)
         if not np.isfinite(losses).all():
             bad = rows[np.flatnonzero(~np.isfinite(losses))[0]]

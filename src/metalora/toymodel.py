@@ -16,7 +16,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from . import kernels
-from .adapter import AdaptedLayer, AdapterFactors, init_factors
+from .adapter import SCALE, AdaptedLayer, AdapterFactors, init_factors
 from .config import default
 from .errors import ConvergenceError, DimensionError, NumericError
 from .numerics import AdamWState, FlatGroup, make_rng
@@ -81,9 +81,9 @@ class Example:
     prompt_id: int
     split: str  # "reference" or "test"
     # synthetic source-image geometry, consumed by the crop planner
-    image_w: int = 1024
-    image_h: int = 1024
-    face_box: tuple[int, int, int, int] = (384, 384, 256, 256)
+    image_w: int
+    image_h: int
+    face_box: tuple[int, int, int, int]
 
 
 @dataclass
@@ -115,9 +115,9 @@ def make_dataset(rng: np.random.Generator, n_identities: int = default("n_identi
                  single_prototype: bool = default("single_prototype")) -> ToyIdentityDataset:
     """Synthesize a per-identity latent dataset.
 
-    Prototypes are resampled until pairwise separation is at least 4x the
-    perturbation std, so identities are genuinely distinguishable. With
-    ``single_prototype`` every identity shares one prototype (a degenerate
+    Prototypes are drawn, at most 100 times, until pairwise separation is at
+    least 4x the perturbation std, so identities are genuinely distinguishable.
+    With ``single_prototype`` every identity shares one prototype (a degenerate
     control where there is nothing identity-specific to learn).
     """
     for _ in range(100):
@@ -200,12 +200,12 @@ class ToyDenoiser:
         self.layer1.factors = f1
         self.layer2.factors = f2
 
-    def operands(self) -> tuple[list, list, list[tuple]]:
-        """:func:`forward`'s ``(w0s, scales, chains)``, the installed factors made
+    def operands(self) -> tuple[list, list[tuple]]:
+        """:func:`forward`'s ``(w0s, chains)``, the installed factors made
         contiguous. The only reader of the installed factors."""
         chains = [(np.ascontiguousarray(f.l_meta_down), np.ascontiguousarray(f.l_mid),
                    np.ascontiguousarray(f.l_up)) for f in (l.factors for l in self.layers)]
-        return [l.w0 for l in self.layers], [l.scale for l in self.layers], chains
+        return [l.w0 for l in self.layers], chains
 
     def fields(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of the noisy latent (d), time features (TEMB_DIM) and prompt
@@ -237,24 +237,24 @@ class ToyDenoiser:
         return self.conditioned(x0, ts, prompt_ids, schedule, out)
 
 
-def forward(w0s, scales, chains, inp: np.ndarray) -> np.ndarray:
+def forward(w0s, chains, inp: np.ndarray) -> np.ndarray:
     """The noise prediction (d, cols) for the network inputs ``inp`` (d_in, cols),
-    given per layer the base weight, its scale and the ``(lmd, lm, lu)`` chain."""
-    h = kernels.chain_forward(w0s[0], *chains[0], scales[0], inp)[0]
-    return kernels.chain_forward(w0s[1], *chains[1], scales[1], np.tanh(h))[0]
+    given per layer the base weight and the ``(lmd, lm, lu)`` chain."""
+    h = kernels.chain_forward(w0s[0], *chains[0], SCALE, inp)[0]
+    return kernels.chain_forward(w0s[1], *chains[1], SCALE, np.tanh(h))[0]
 
 
 # the trained tensors whose gradients train_step and diffusion_loss can return
 TRAINED = frozenset({"lu", "lm", "lmd", "w0"})
 
 
-def train_step(w0s, scales, chains, inp: np.ndarray, eps: np.ndarray, n, *,
+def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *,
                need=TRAINED, out=None):
     """One forward/backward of the denoiser over B stacked items.
 
-    ``w0s``, ``scales`` and the ``(lmd, lm, lu)`` ``chains`` are
-    :func:`forward`'s: a down factor is (B, r1, d1), or one (r1, d1) shared
-    by all items, a mid (B, r2, r1) and an up (B, d2, r2). ``inp``
+    ``w0s`` and the ``(lmd, lm, lu)`` ``chains`` are :func:`forward`'s: a
+    down factor is (B, r1, d1), or one (r1, d1) shared by all items, a mid
+    (B, r2, r1) and an up (B, d2, r2). ``inp``
     (B, d_in, 1) holds the network inputs, ``eps`` (B, d) the injected
     noise. A layer makes one ``kernels.chain_forward`` and one
     ``chain_backward`` call; their stacked matmuls make the same BLAS call
@@ -276,18 +276,18 @@ def train_step(w0s, scales, chains, inp: np.ndarray, eps: np.ndarray, n, *,
                          f"{sorted(TRAINED)}")
     (lm_out1, lu_out1), (lm_out2, lu_out2) = out or [(None, None)] * 2
     (lmd1, lm1, lu1), (lmd2, lm2, lu2) = chains  # no *-unpacking per call (~1.5 µs/step)
-    z, u1, mid1 = kernels.chain_forward(w0s[0], lmd1, lm1, lu1, scales[0], inp)
+    z, u1, mid1 = kernels.chain_forward(w0s[0], lmd1, lm1, lu1, SCALE, inp)
     a = np.tanh(z)
-    out2, u2, mid2 = kernels.chain_forward(w0s[1], lmd2, lm2, lu2, scales[1], a)
+    out2, u2, mid2 = kernels.chain_forward(w0s[1], lmd2, lm2, lu2, SCALE, a)
     resid = out2[:, :, 0] - eps
     # np.mean's own sum and division, without its Python wrapper
     losses = np.add.reduce(resid ** 2, axis=1) / resid.shape[1]
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
     d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
-        w0s[1], lmd2, lm2, lu2, scales[1], a, u2, mid2, g_out, need=need | {"x"},
+        w0s[1], lmd2, lm2, lu2, SCALE, a, u2, mid2, g_out, need=need | {"x"},
         out=(lu_out2, lm_out2))
     d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
-        w0s[0], lmd1, lm1, lu1, scales[0], inp, u1, mid1, g_a * (1.0 - a * a),
+        w0s[0], lmd1, lm1, lu1, SCALE, inp, u1, mid1, g_a * (1.0 - a * a),
         need=need, out=(lu_out1, lm_out1))
     return losses, [(d_lmd1, d_lm1, d_lu1, dw0_1), (d_lmd2, d_lm2, d_lu2, dw0_2)]
 
@@ -318,13 +318,13 @@ def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: Diffus
         yield from zip(batches, inputs, noise)
 
 
-def diffusion_loss(w0s, scales, chains, inp: np.ndarray, eps: np.ndarray, *,
+def diffusion_loss(w0s, chains, inp: np.ndarray, eps: np.ndarray, *,
                    need=TRAINED, out=None) -> tuple[float, list[tuple]]:
     """Mean squared error between predicted and injected noise over a batch:
     the network inputs ``inp`` (B, d_in) and the noise ``eps`` (B, d), one
     iteration's draw of :func:`drawn_batches`.
 
-    ``w0s``, ``scales`` and ``chains`` are :func:`train_step`'s. The whole
+    ``w0s`` and ``chains`` are :func:`train_step`'s. The whole
     batch makes one :func:`train_step`, whose per-item gradients are returned,
     per layer ``(d_lmd, d_lm, d_lu, dw0)``: those named in ``need``, and
     ``None`` for each one left out; ``out`` is :func:`train_step`'s. The
@@ -332,7 +332,7 @@ def diffusion_loss(w0s, scales, chains, inp: np.ndarray, eps: np.ndarray, *,
     """
     if not len(eps):
         raise ValueError("diffusion_loss: empty batch")
-    losses, layer_grads = train_step(w0s, scales, chains, inp[:, :, None], eps, len(eps),
+    losses, layer_grads = train_step(w0s, chains, inp[:, :, None], eps, len(eps),
                                      need=need, out=out)
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite loss at batch index "
@@ -361,13 +361,13 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     rng = make_rng(seed)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=1, r2=1,
                               n_prompts=dataset.n_prompts, factor_mode="zero")
-    w0s, scales, chains = model.operands()
+    w0s, chains = model.operands()
     base = FlatGroup(w0s, AdamWState(lr=lr))
     recent, kept = np.empty(window + DRAW_BLOCK), 0  # the losses, in iteration order
     batches = drawn_batches(rng, model, schedule, repeat(dataset.examples), batch_size)
     for it, (_, inp, eps) in zip(range(max_iters), batches):
         try:
-            loss, layer_grads = diffusion_loss(base.tensors, scales, chains, inp, eps,
+            loss, layer_grads = diffusion_loss(base.tensors, chains, inp, eps,
                                                need={"w0"})
             base.step([dw0 for *_, dw0 in layer_grads])
         except NumericError as exc:

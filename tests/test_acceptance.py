@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from metalora.adapter import AdaptedLayer, AdapterFactors, MergedLoRA, init_factors, merge
+from metalora import kernels
+from metalora.adapter import AdapterFactors, MergedLoRA, init_factors, merge
 from metalora.augment import ASPECTS, MULTIPLIERS, CropSpec, FaceBox, plan_crops, sample_view
 from metalora.checkpoint import load_checkpoint, save_checkpoint, save_layers
 from metalora.errors import RankError
@@ -33,8 +34,10 @@ def report(n, detail):
 
 
 def test_acceptance_1_gradient_correctness():
-    """>= 20 random layer instances (dims <= 16): every factor gradient matches
-    central finite differences (h=1e-5) with relative error <= 1e-4; < 10 s."""
+    """>= 20 random layer instances (dims <= 16), each at a drawn scale: every
+    factor gradient of ``kernels.chain_backward`` matches central finite
+    differences (h=1e-5) of ``kernels.chain_forward`` with relative error
+    <= 1e-4; < 10 s."""
     start = time.perf_counter()
     h = 1e-5
     worst = 0.0
@@ -48,21 +51,23 @@ def test_acceptance_1_gradient_correctness():
         scale = float(rng.uniform(0.3, 1.5))
         f = init_factors(rng, d1, d2, r1, r2, mode="fresh")
         f.l_up[:] = rng.standard_normal(f.l_up.shape) / np.sqrt(r2)
-        layer = AdaptedLayer(rng.standard_normal((d2, d1)) / np.sqrt(d1), f,
-                             scale=scale)
+        operands = (rng.standard_normal((d2, d1)) / np.sqrt(d1),
+                    f.l_meta_down, f.l_mid, f.l_up, scale)
         x = rng.standard_normal((d1, 3))
         g = rng.standard_normal((d2, 3))
-        layer.forward(x)
-        grads = layer.backward(x, g)
-        for param, analytic in ((f.l_up, grads.l_up), (f.l_mid, grads.l_mid),
-                                (f.l_meta_down, grads.l_meta_down)):
+
+        def forward():  # reads the factors as the differences move them
+            return kernels.chain_forward(*operands, x)
+
+        d_lu, d_lm, d_lmd, _, _ = kernels.chain_backward(*operands, x, *forward()[1:], g)
+        for param, analytic in ((f.l_up, d_lu), (f.l_mid, d_lm), (f.l_meta_down, d_lmd)):
             fd = np.zeros_like(param)
             for idx in np.ndindex(param.shape):
                 orig = param[idx]
                 param[idx] = orig + h
-                fp = float(np.sum(g * layer.forward(x)))
+                fp = float(np.sum(g * forward()[0]))
                 param[idx] = orig - h
-                fm = float(np.sum(g * layer.forward(x)))
+                fm = float(np.sum(g * forward()[0]))
                 param[idx] = orig
                 fd[idx] = (fp - fm) / (2 * h)
             denom = max(np.max(np.abs(fd)), np.max(np.abs(analytic)), 1e-12)
@@ -81,8 +86,9 @@ def merged_forward(w0: np.ndarray, merged: MergedLoRA, x: np.ndarray,
 
 
 def test_acceptance_2_merge_equivalence():
-    """Three-factor vs merged forward agree within 1e-12 (inf-norm) over 100
-    random inputs per instance; merged delta-W has numerical rank <= r2; < 5 s."""
+    """Three-factor (``kernels.chain_forward``) vs merged forward, at a drawn
+    scale, agree within 1e-12 (inf-norm) over 100 random inputs per instance;
+    merged delta-W has numerical rank <= r2; < 5 s."""
     start = time.perf_counter()
     worst = 0.0
     for seed in range(10):
@@ -94,12 +100,12 @@ def test_acceptance_2_merge_equivalence():
         scale = float(rng.uniform(0.3, 1.5))
         f = init_factors(rng, d1, d2, r1, r2, mode="fresh")
         f.l_up[:] = rng.standard_normal(f.l_up.shape)
-        layer = AdaptedLayer(rng.standard_normal((d2, d1)), f, scale=scale)
+        w0 = rng.standard_normal((d2, d1))
         m = merge(f)
         for _ in range(100):
             x = rng.standard_normal((d1, 1))
-            diff = np.max(np.abs(layer.forward(x) -
-                                 merged_forward(layer.w0, m, x, scale=scale)))
+            chain = kernels.chain_forward(w0, f.l_meta_down, f.l_mid, f.l_up, scale, x)[0]
+            diff = np.max(np.abs(chain - merged_forward(w0, m, x, scale=scale)))
             worst = max(worst, float(diff))
             assert diff <= 1e-12, f"inf-norm diff {diff:.2e} > 1e-12"
         sv = np.linalg.svd(m.up @ m.down, compute_uv=False)

@@ -5,39 +5,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metalora import kernels
-from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors, merge
+from metalora.adapter import SCALE, AdaptedLayer, AdapterFactors, init_factors, merge
 from metalora.errors import DimensionError, RankError
 from metalora.numerics import AdamWState, adamw_step, make_rng
 
 from test_acceptance import merged_forward
 
 
-def random_layer(rng, d1, d2, r1, r2, scale=1.0, nonzero_up=True):
+def random_layer(rng, d1, d2, r1, r2, nonzero_up=True):
     f = init_factors(rng, d1, d2, r1, r2, mode="fresh")
     if nonzero_up:
         f.l_up[:] = rng.standard_normal(f.l_up.shape) / np.sqrt(r2)
     w0 = rng.standard_normal((d2, d1)) / np.sqrt(d1)
-    return AdaptedLayer(w0, f, scale=scale)
+    return AdaptedLayer(w0, f)
 
 
 class TestForwardChain:
     def test_hand_computed_scalar_chain(self):
-        # d1=d2=1, r1=r2=1, all factors scalars:
-        # h = w0*x + s * lu*lm*lmd*x = 2*3 + 0.5*5*1*4*3 = 6 + 30 = 36
+        # d1=d2=1, r1=r2=1, all factors scalars, SCALE = 1:
+        # h = w0*x + SCALE * lu*lm*lmd*x = 2*3 + 1*5*1*4*3 = 6 + 60 = 66
         f = AdapterFactors(l_meta_down=np.array([[4.0]]),
                            l_mid=np.array([[1.0]]),
                            l_up=np.array([[5.0]]))
-        layer = AdaptedLayer(np.array([[2.0]]), f, scale=0.5)
+        assert SCALE == 1.0
+        layer = AdaptedLayer(np.array([[2.0]]), f)
         h = layer.forward(np.array([[3.0]]))
         assert h.shape == (1, 1)
-        assert h[0, 0] == pytest.approx(36.0, abs=1e-15)
+        assert h[0, 0] == pytest.approx(66.0, abs=1e-15)
 
     def test_matches_explicit_dense_expression(self):
         rng = make_rng(1)
-        layer = random_layer(rng, d1=6, d2=4, r1=3, r2=2, scale=0.7)
+        layer = random_layer(rng, d1=6, d2=4, r1=3, r2=2)
         x = rng.standard_normal((6, 5))
         f = layer.factors
-        want = layer.w0 @ x + 0.7 * (f.l_up @ (f.l_mid @ (f.l_meta_down @ x)))
+        want = layer.w0 @ x + SCALE * (f.l_up @ (f.l_mid @ (f.l_meta_down @ x)))
         assert np.max(np.abs(layer.forward(x) - want)) <= 1e-13
 
     def test_zero_up_factor_is_noop(self):
@@ -106,7 +107,7 @@ class TestAnalyticGradients:
     def test_factor_grads_match_finite_differences(self, seed):
         rng = make_rng(100 + seed)
         d1, d2, r1, r2 = 7, 6, 4, 2
-        layer = random_layer(rng, d1, d2, r1, r2, scale=0.9)
+        layer = random_layer(rng, d1, d2, r1, r2)
         x = rng.standard_normal((d1, 3))
         g = rng.standard_normal((d2, 3))
         layer.forward(x)
@@ -119,7 +120,7 @@ class TestAnalyticGradients:
 
     def test_input_grad_matches_finite_differences(self):
         rng = make_rng(200)
-        layer = random_layer(rng, 5, 4, 3, 2, scale=0.5)
+        layer = random_layer(rng, 5, 4, 3, 2)
         x = rng.standard_normal((5, 2))
         g = rng.standard_normal((4, 2))
         layer.forward(x)
@@ -157,7 +158,7 @@ class TestAnalyticGradients:
         x = rng.standard_normal((4, 2))
         g = rng.standard_normal((4, 2))
         f = layer.factors
-        operands = (layer.w0, f.l_meta_down, f.l_mid, f.l_up, layer.scale, x)
+        operands = (layer.w0, f.l_meta_down, f.l_mid, f.l_up, SCALE, x)
         _, u, mid = kernels.chain_forward(*operands)
         want = kernels.chain_backward(*operands, u, mid, g)
         alone = layer.backward(x, g)
@@ -182,12 +183,12 @@ class TestMerge:
     @pytest.mark.parametrize("seed", range(3))
     def test_merged_forward_equivalence(self, seed):
         rng = make_rng(400 + seed)
-        layer = random_layer(rng, d1=12, d2=9, r1=5, r2=2, scale=1.3)
+        layer = random_layer(rng, d1=12, d2=9, r1=5, r2=2)
         m = merge(layer.factors)
         for _ in range(20):
             x = rng.standard_normal((12, 4))
             a = layer.forward(x)
-            b = merged_forward(layer.w0, m, x, scale=1.3)
+            b = merged_forward(layer.w0, m, x)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_merged_rank_bounded_by_r2(self):
@@ -206,10 +207,10 @@ class TestMerge:
         d2 = int(rng.integers(2, 10))
         r1 = int(rng.integers(1, min(d1, d2) + 1))
         r2 = int(rng.integers(1, r1 + 1))
-        layer = random_layer(rng, d1, d2, r1, r2, scale=0.8)
+        layer = random_layer(rng, d1, d2, r1, r2)
         x = rng.standard_normal((d1, 3))
         a = layer.forward(x)
-        b = merged_forward(layer.w0, merge(layer.factors), x, scale=0.8)
+        b = merged_forward(layer.w0, merge(layer.factors), x)
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -227,7 +228,7 @@ class TestBaseFreezing:
         with pytest.raises(ValueError, match="read-only"):
             layer.w0[0, 0] = 99.0
         with pytest.raises(ValueError, match="read-only"):
-            adamw_step(layer.w0, np.ones((4, 4)), AdamWState())
+            adamw_step(layer.w0, np.ones((4, 4)), AdamWState(lr=0.1))
         assert np.array_equal(layer.w0, frozen)
 
     def test_init_factors_zero_mode(self):

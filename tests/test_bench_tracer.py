@@ -35,7 +35,7 @@ def test_tracer_records_kernel_calls():
         x = rng.standard_normal((5, 2))
         layer.forward(x)
         grads = layer.backward(x, rng.standard_normal((6, 2)))
-        numerics.adamw_step(layer.factors.l_mid, grads.l_mid, numerics.AdamWState())
+        numerics.adamw_step(layer.factors.l_mid, grads.l_mid, numerics.AdamWState(lr=0.1))
     finally:
         tracer.uninstall()
     stats = tracer.stats["setup"]

@@ -160,7 +160,7 @@ def reference_stage1(model, dataset, schedule, config):
                              np.stack([chains[b.identity][li].l_up for b in batch]))
                             for li in range(2)]
                 loss, layer_grads = diffusion_loss(
-                    *model.operands()[:2], operands,
+                    model.operands()[0], operands,
                     *item_by_item_inputs(model, batch, schedule, rng))
                 for ident in dict.fromkeys(b.identity for b in batch):
                     items = [k for k, b in enumerate(batch) if b.identity == ident]
@@ -349,11 +349,11 @@ class TestStage1:
         calls = []
         loss = metatrain.diffusion_loss
 
-        def tamper(w0s, scales, chains, *args, **kwargs):
+        def tamper(w0s, chains, *args, **kwargs):
             calls.append(None)
             if len(calls) == 2:  # iteration 1, in the first warm-up
                 chains[1][0][0, 0] += 1.0  # the bank's own shared down array
-            return loss(w0s, scales, chains, *args, **kwargs)
+            return loss(w0s, chains, *args, **kwargs)
 
         monkeypatch.setattr(metatrain, "diffusion_loss", tamper)
         _, trace = traced_stage1(model, ds, schedule, config)
@@ -419,6 +419,19 @@ class TestStage1:
         peak(10)  # first-call allocations
         growth = peak(320) - peak(80)
         assert growth < 64 * 1024, growth
+
+    def test_trace_files_encode_whole_blocks(self, tmp_path, monkeypatch):
+        # the records are encoded DRAW_BLOCK at a time as they come, and the
+        # part block that is left when the sink closes
+        model, ds, schedule, config = small_stage1(q_total=30)
+        _, trace = traced_stage1(model, ds, schedule, config)
+        sizes, rows = [], metatrain._csv_rows
+        monkeypatch.setattr(metatrain, "_csv_rows",
+                            lambda block: sizes.append(len(block)) or rows(block))
+        with metatrain.trace_files(tmp_path / "s1") as sink:
+            for k in range(2 * DRAW_BLOCK + 3):
+                sink(trace[k % len(trace)])
+        assert sizes == [DRAW_BLOCK, DRAW_BLOCK, 3]
 
     def test_trace_writers(self, tmp_path):
         model, ds, schedule, config = small_stage1(q_total=30)

@@ -145,7 +145,7 @@ class TestRunStage2:
         probe = make_probe(model, ds, 1, schedule, seed=5)
         base_f = [init_factors(make_rng(0), d1, d2, 4, 1, mode="zero")
                   for d1, d2 in model.dims]
-        base = probe_loss(*model.operands()[:2],
+        base = probe_loss(model.operands()[0],
                           [(f.l_meta_down, f.l_mid, f.l_up) for f in base_f], probe)
         res = probed_run(model, lmd, ref, schedule, pcfg(), probe)
         assert res.probe_losses[0] == pytest.approx(base, abs=1e-15)
@@ -419,8 +419,7 @@ def reference_stage2(model, job, schedule, cfg):
         factors.append(AdapterFactors(shared, fresh.l_mid, fresh.l_up))
     states = [(AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay),
                AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in job.lmd]
-    layer1, layer2 = (AdaptedLayer(l.w0, f, l.scale)
-                      for l, f in zip(model.layers, factors))
+    layer1, layer2 = (AdaptedLayer(l.w0, f) for l, f in zip(model.layers, factors))
 
     def model_input(x_t, t, prompt_id):
         onehot = np.zeros(model.n_prompts)
@@ -838,7 +837,8 @@ class TestDrawAhead:
         model = ToyDenoiser.build(rng, d=32, hidden=16, n_prompts=2, r1=4)
         lmd = [init_factors(rng, l.factors.d1, l.factors.d2, 4, 1).l_meta_down
                for l in model.layers]
-        refs = [Example(identity=i, x0=rng.normal(size=32), prompt_id=i, split="reference")
+        refs = [Example(identity=i, x0=rng.normal(size=32), prompt_id=i, split="reference",
+                        image_w=1024, image_h=1024, face_box=(384, 384, 256, 256))
                 for i in range(2)]
         schedule = linear_schedule()
 

@@ -35,6 +35,10 @@ class TestSchedule:
         with pytest.raises(ValueError):
             DiffusionSchedule(np.array([0.5, 0.0]))
 
+    def test_range_includes_one(self):
+        # (0, 1] is closed at 1: a noiseless first timestep is a schedule
+        assert DiffusionSchedule(np.array([1.0, 0.5])).sqrt_1m_ab[0] == 0.0
+
 
 class TestNoisify:
     def test_zero_latent_pure_noise_scaling(self):
@@ -102,6 +106,29 @@ class TestDataset:
         np.fill_diagonal(dists, np.inf)
         assert dists.min() >= 4.0 * ds.perturbation_std
 
+    def test_first_draw_kept_iff_separated_by_four_stds(self):
+        # three identities on a line: the first draw's separation in
+        # perturbation stds, re-derived here, falls on either side of 4
+        ratios = []
+        for seed in range(40):
+            first = make_rng(seed).normal(0.0, 1.0, size=(3, 1))
+            dists = np.abs(first - first.T) + np.diag([np.inf] * 3)
+            ratios.append(dists.min() / (0.1 * np.mean(np.abs(first))))
+            ds = make_dataset(make_rng(seed), n_identities=3, d=1,
+                              samples_per_identity=1, n_prompts=1)
+            assert np.array_equal(ds.prototypes, first) == (ratios[-1] >= 4.0), seed
+        assert any(3.0 <= r < 4.0 for r in ratios) and any(4.0 <= r < 5.0 for r in ratios)
+
+    def test_prototype_draws_end_after_100(self):
+        # 200 identities on a line are never 4 stds apart
+        rng = make_rng(0)
+        with pytest.raises(ConvergenceError):
+            make_dataset(rng, n_identities=200, d=1, samples_per_identity=1, n_prompts=1)
+        want = make_rng(0)
+        for _ in range(100):
+            want.normal(0.0, 1.0, size=(200, 1))
+        assert rng.bit_generator.state == want.bit_generator.state
+
     def test_single_prototype_control(self):
         ds = small_dataset(single_prototype=True)
         assert np.all(ds.prototypes == ds.prototypes[0])
@@ -112,6 +139,21 @@ class TestDataset:
         assert sub.n_identities == 2
         assert {e.identity for e in sub.examples} == {0, 1}
         assert np.array_equal(sub.prototypes[0], ds.prototypes[2])
+
+    def test_examples_are_drawn_in_the_stated_order(self):
+        # after the prototypes, per identity and sample: its perturbation, its
+        # prompt, then a face box of 180-419 px sides placed anywhere it fits
+        # inside the 1024 x 1024 image, left and top edges included
+        ds = small_dataset(seed=3)
+        rng = make_rng(3)
+        assert np.array_equal(ds.prototypes, rng.normal(0.0, 1.0, size=(4, 8)))
+        for e in ds.examples:
+            x0 = ds.prototypes[e.identity] + rng.normal(0.0, ds.perturbation_std, size=8)
+            prompt = int(rng.integers(2))
+            fw, fh = int(rng.integers(180, 420)), int(rng.integers(180, 420))
+            box = (int(rng.integers(0, 1024 - fw)), int(rng.integers(0, 1024 - fh)), fw, fh)
+            assert (e.x0.tobytes(), e.prompt_id, e.image_w, e.image_h, e.face_box) == \
+                (x0.tobytes(), prompt, 1024, 1024, box)
 
     def test_face_boxes_inside_image(self):
         ds = small_dataset()
@@ -170,7 +212,7 @@ def per_item_reference(model, batch, schedule, rng, factors=None):
         x_t, eps = noisify(schedule, item.x0, t, rng)
         chain = (factors[item.identity] if factors is not None
                  else [l.factors for l in model.layers])
-        l1, l2 = (AdaptedLayer(l.w0, f, l.scale) for l, f in zip(model.layers, chain))
+        l1, l2 = (AdaptedLayer(l.w0, f) for l, f in zip(model.layers, chain))
         onehot = np.zeros(model.n_prompts)
         onehot[item.prompt_id] = 1.0
         inp = np.concatenate([x_t, time_embedding(t, T), onehot]).reshape(-1, 1)
@@ -222,7 +264,7 @@ class TestDenoiser:
         # each item's own forward: one column, as train_step runs each item
         eps = np.stack([forward(*m.operands(), row[:, None])[:, 0] for row in inp])
         losses, layer_grads = train_step(
-            [l.w0 for l in m.layers], [l.scale for l in m.layers],
+            [l.w0 for l in m.layers],
             [tuple(np.stack([t] * 4) for t in (f.l_meta_down, f.l_mid, f.l_up)) for f in chain],
             inp[:, :, None], eps, 4)
         assert np.count_nonzero(losses) == 0
@@ -241,8 +283,8 @@ class TestDenoiser:
         loss_zero, _ = diffusion_loss(*m.operands(), inp, eps)
         f1 = init_factors(make_rng(7), m.layer1.factors.d1, 16, 4, 1, "fresh")
         f2 = init_factors(make_rng(8), 16, 8, 4, 1, "fresh")
-        loss_fresh, _ = diffusion_loss(*m.operands()[:2], [(f.l_meta_down, f.l_mid, f.l_up)
-                                                           for f in (f1, f2)], inp, eps)
+        loss_fresh, _ = diffusion_loss(m.operands()[0], [(f.l_meta_down, f.l_mid, f.l_up)
+                                                         for f in (f1, f2)], inp, eps)
         assert loss_fresh == pytest.approx(loss_zero, abs=1e-15)
 
     def test_need_keeps_the_bits_of_the_requested_gradients(self):
@@ -254,10 +296,10 @@ class TestDenoiser:
         factors = [(f.l_meta_down, f.l_mid, f.l_up)
                    for f in stage1_factors(m, [0], seed=4)[0]]
         inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
-        _, full = diffusion_loss(*m.operands()[:2], factors, inp, eps)
+        _, full = diffusion_loss(m.operands()[0], factors, inp, eps)
         names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
         for need in ({"lm"}, {"lu"}, {"lmd"}, {"w0"}, {"lu", "lm"}, {"lu", "lm", "lmd"}):
-            _, got = diffusion_loss(*m.operands()[:2], factors, inp, eps, need=need)
+            _, got = diffusion_loss(m.operands()[0], factors, inp, eps, need=need)
             for want_layer, got_layer in zip(full, got):
                 for name, want, g in zip(names, want_layer, got_layer):
                     if name in need:
@@ -277,8 +319,8 @@ class TestDenoiser:
         batch = [ds.of_identity(0)[1], ds.of_identity(1)[2], ds.of_identity(0)[3]]
         ids = np.array([item.identity for item in batch])
         inp, eps = batch_inputs(m, batch, linear_schedule(), make_rng(6))
-        operands = ([l.w0 for l in m.layers], [l.scale for l in m.layers],
-                    bank.operands(ids), inp[:, :, None], eps, len(ids))
+        operands = ([l.w0 for l in m.layers], bank.operands(ids), inp[:, :, None], eps,
+                    len(ids))
         names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
         for need in (set(c) for k in range(5) for c in combinations(sorted(TRAINED), k)):
             want_losses, want = train_step(*operands, need=need)
@@ -315,7 +357,8 @@ class TestDenoiser:
 
     def test_nonfinite_loss_reports_batch_index(self):
         ds = small_dataset()
-        bad = Example(identity=0, x0=np.full(8, np.inf), prompt_id=0, split="test")
+        bad = Example(identity=0, x0=np.full(8, np.inf), prompt_id=0, split="test",
+                      image_w=1024, image_h=1024, face_box=(384, 384, 256, 256))
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="index 1"):
             diffusion_loss(*m.operands(), *batch_inputs(m, [ds.examples[0], bad],
@@ -338,7 +381,7 @@ class TestDenoiser:
         inp, eps = batch_inputs(m, batch, s, make_rng(42))
 
         def loss(out=None):
-            return diffusion_loss(*m.operands()[:2], bank.operands(ids), inp, eps, out=out)
+            return diffusion_loss(m.operands()[0], bank.operands(ids), inp, eps, out=out)
 
         item_grads = np.empty((len(ids), bank.params.shape[1]))
         _, layer_grads = loss(split_params(item_grads, *bank.layout))
@@ -370,12 +413,12 @@ class TestDenoiser:
         if mode == "pretraining":
             m.set_factors(*factors[0])
             factors = None
-        w0s, scales, own = m.operands()
+        w0s, own = m.operands()
         pick = make_rng(13)
         for k in range(20):
             batch = [ds.examples[i] for i in pick.integers(len(ds.examples), size=6)]
             chains = own if factors is None else batch_operands(factors, batch)
-            loss, layer_grads = diffusion_loss(w0s, scales, chains,
+            loss, layer_grads = diffusion_loss(w0s, chains,
                                                *batch_inputs(m, batch, s, make_rng(k)))
             want_loss, want_grads = per_item_reference(m, batch, s, make_rng(k),
                                                        factors=factors)
@@ -390,12 +433,12 @@ class TestDenoiser:
         ds = small_dataset()
         m = ToyDenoiser.build(make_rng(14), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         factors = stage1_factors(m, range(ds.n_identities), seed=16)
-        w0s, scales, _ = m.operands()
+        w0s, _ = m.operands()
         chains = batch_operands(factors, ds.examples[:6])
         inp, eps = batch_inputs(m, ds.examples[:6], linear_schedule(), make_rng(15))
         arrays = [*w0s, *(a for chain in chains for a in chain), inp, eps]
         snapshot = [a.tobytes() for a in arrays]
-        diffusion_loss(w0s, scales, chains, inp, eps)
+        diffusion_loss(w0s, chains, inp, eps)
         assert [a.tobytes() for a in arrays] == snapshot
 
 
@@ -441,6 +484,16 @@ class TestPretrain:
                                   max_iters=max_iters, window=window)
         for a, b in zip(got.layers, want.layers):
             assert a.w0.tobytes() == b.w0.tobytes()
+
+    def test_default_window_is_200_iterations(self):
+        # the window the CLI's pretraining uses; at loss 1e9 the run stops
+        # after exactly `window` iterations, so the bits show it
+        ds = small_dataset(seed=20)
+        s = linear_schedule()
+        runs = [pretrain_base(ds, s, seed=6, hidden=16, loss_threshold=1e9, max_iters=3000,
+                              **window) for window in ({}, {"window": 200})]
+        assert [l.w0.tobytes() for l in runs[0].layers] == \
+            [l.w0.tobytes() for l in runs[1].layers]
 
     def test_budget_exhaustion_matches_item_by_item_reference(self):
         ds = small_dataset(seed=22)
@@ -535,7 +588,7 @@ class TestPretrain:
             with pytest.raises(ValueError, match="read-only"):
                 layer.w0 += np.zeros_like(layer.w0)
             with pytest.raises(ValueError, match="read-only"):
-                adamw_step(layer.w0, np.ones_like(layer.w0), AdamWState())
+                adamw_step(layer.w0, np.ones_like(layer.w0), AdamWState(lr=0.1))
             assert layer.w0.tobytes() == frozen
         # trained base beats an untrained one on the same batches
         fresh = ToyDenoiser.build(make_rng(1), d=8, hidden=16, n_prompts=2,
