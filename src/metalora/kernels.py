@@ -8,6 +8,9 @@ items or runs) with a leading axis: ``(B, ., .)`` factors and inputs against
 a shared 2-d ``w0``. Stacked matmuls make the same BLAS call per item as the
 2-d call, so an item gives the same bits alone or inside a stack, and a
 gradient written into a caller's array (``out``) has the bits of a new one.
+The gradient of an operand the whole stack shares (``w0``, and a 2-d
+``lmd``) is the items' gradients summed in item order onto +0.0, in the
+operand's shape: see :func:`stack_sum`.
 
 AdamW's β1, β2 and ε are stated once, here: every trainer uses the defaults
 of Loshchilov & Hutter, "Decoupled Weight Decay Regularization" (ICLR 2019).
@@ -41,6 +44,25 @@ def chain_forward(w0, lmd, lm, lu, scale, x):
     return h, u, mid
 
 
+def stack_sum(a, b):
+    """``a @ b.mT`` of 2-d operands. Of stacks, the items' products summed
+    in item order onto +0.0: the bits of ``np.add.reduce(a @ b.mT, axis=0,
+    initial=0.0)``, without the (B, ., .) stack of products.
+
+    C-contiguous stacks of single-column items make one contraction, numpy's
+    own loop over the items outermost, each product rounded before it is
+    added: no BLAS. numpy orders that loop by the strides, and would sum a
+    1 x 1 result in its vector loop, both in another order, so other layouts
+    and a 1 x 1 result take the per-item path, as stacks of wider items do.
+    """
+    if a.ndim == 2:
+        return a @ b.mT
+    if (a.shape[-1] == 1 and a.shape[-2] * b.shape[-2] > 1
+            and a.flags.c_contiguous and b.flags.c_contiguous):
+        return np.einsum("bi,bj->ij", a[..., 0], b[..., 0])
+    return np.add.reduce(a @ b.mT, axis=0, initial=0.0)
+
+
 # the gradients chain_backward can compute, named for the operand each is of
 GRADIENTS = frozenset({"lu", "lm", "lmd", "x", "w0"})
 
@@ -54,7 +76,10 @@ def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=
     computed gradient has the same bits whatever else is needed. An unknown
     name, or a bare string in place of a collection of names, raises
     ``ValueError``. A needed ``d_lu`` or ``d_lm`` is written into its array
-    in ``out``, if not ``None``, with the bits of a new array.
+    in ``out``, if not ``None``, with the bits of a new array. ``dw0``, and
+    a 2-d ``lmd``'s ``d_lmd``, are summed over a stack by :func:`stack_sum`;
+    ``d_lmd`` scales ``lm.T lu.T g`` before the product with ``x``, so that
+    an item's sum term is its lone call's gradient.
     """
     if isinstance(need, str) or not GRADIENTS.issuperset(need):
         raise ValueError(f"chain_backward: need={need!r} is not a collection of "
@@ -70,9 +95,10 @@ def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=
         if not need.isdisjoint(("lmd", "x")):
             lmt_lut_g = lm.mT @ lut_g
             if "lmd" in need:
-                d_lmd = scale * (lmt_lut_g @ x.mT)
+                scaled = scale * lmt_lut_g
+                d_lmd = stack_sum(scaled, x) if lmd.ndim == 2 else scaled @ x.mT
             if "x" in need:
                 dx = w0.mT @ g + scale * (lmd.mT @ lmt_lut_g)
     if "w0" in need:
-        dw0 = g @ x.mT
+        dw0 = stack_sum(g, x)
     return d_lu, d_lm, d_lmd, dx, dw0

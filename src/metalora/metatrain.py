@@ -164,7 +164,8 @@ class IdentityBank:
         rows = sorted(set(identities.tolist()))
         idx = np.array(rows)
         grads = np.zeros((len(rows), item_grads.shape[1]))
-        np.add.at(grads, np.searchsorted(idx, identities), item_grads)
+        for slot, item in zip(np.searchsorted(idx, identities).tolist(), item_grads):
+            grads[slot] += item
         check_finite(grads, "stage-1 mid/up gradient")
         self.steps[idx] += 1
         block = self._planes[:, idx]
@@ -308,7 +309,8 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
     each iteration's batch, from its bucket's examples, blocks ahead. An
     iteration makes one :func:`diffusion_loss` call, writing its items' mid/up
     gradients into one (batch_size, n) buffer, one update of its identities'
-    rows and, with the gate open, one step of the shared factors' ``FlatGroup``.
+    rows and, with the gate open, one step of the shared factors' ``FlatGroup``
+    on their gradients, already summed over the batch.
     """
     rng = make_rng(config.seed)
     buckets = partition_buckets(dataset, config.identities_per_bucket,

@@ -94,10 +94,11 @@ class FlatGroup:
                                      for buf in (self.flat, self.grad))
         self.state = state
 
-    def step(self, item_grads: list[np.ndarray]) -> None:
-        """One AdamW step. Each tensor's gradient adds its per-item gradients
-        (B, ...) from ``item_grads`` in item order onto zeros: the bits of
-        ``sum(items, np.zeros(...))``, signed zeros included."""
-        for g, items in zip(self._grads, item_grads):
-            np.add.reduce(items, axis=0, initial=0.0, out=g)
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One AdamW step on ``grads``, one gradient per tensor in the shape
+        of its tensor, copied into the flat gradient buffer."""
+        for g, grad in zip(self._grads, grads, strict=True):
+            if grad.shape != g.shape:
+                raise DimensionError("FlatGroup.step", g.shape, grad.shape)
+            g[...] = grad
         adamw_step(self.flat, self.grad, self.state)

@@ -259,8 +259,11 @@ def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *,
     noise. A layer makes one ``kernels.chain_forward`` and one
     ``chain_backward`` call; their stacked matmuls make the same BLAS call
     per item as a lone item. Returns the per-item losses (B,) and, per
-    layer, the per-item gradients ``(d_lmd, d_lm, d_lu, dw0)`` of
-    ``sum(losses) / n``. The caller checks them for non-finite values.
+    layer, the gradients ``(d_lmd, d_lm, d_lu, dw0)`` of ``sum(losses) / n``:
+    ``d_lm`` and ``d_lu`` per item, as ``d_lmd`` of a stacked down factor;
+    ``dw0``, and ``d_lmd`` of a shared one, in the operand's shape, the
+    items' gradients summed in item order onto +0.0 (``kernels.stack_sum``).
+    The caller checks them for non-finite values.
 
     ``need`` names the gradients to compute, from :data:`TRAINED`; each one
     left out is ``None`` in every layer, and its matmuls are skipped. The
@@ -325,7 +328,7 @@ def diffusion_loss(w0s, chains, inp: np.ndarray, eps: np.ndarray, *,
     iteration's draw of :func:`drawn_batches`.
 
     ``w0s`` and ``chains`` are :func:`train_step`'s. The whole
-    batch makes one :func:`train_step`, whose per-item gradients are returned,
+    batch makes one :func:`train_step`, whose gradients are returned,
     per layer ``(d_lmd, d_lm, d_lu, dw0)``: those named in ``need``, and
     ``None`` for each one left out; ``out`` is :func:`train_step`'s. The
     operands are only read.

@@ -8,6 +8,8 @@ import pytest
 from metalora import kernels
 from metalora.numerics import make_rng
 
+CPU_BASELINE = np._core._multiarray_umath.__cpu_baseline__
+
 
 class TestNumpyBackend:
     def test_chain_forward_matches_direct_expression(self):
@@ -83,9 +85,27 @@ def stacked_operands(rng, R=3, d1=5, d2=6, r1=3, r2=2, cols=4):
     return w0, lmd, lm, lu, x, g
 
 
+def ordered_sum(slices):
+    """The slices added one by one, in order, onto +0.0."""
+    return sum(slices, np.zeros(slices[0].shape))
+
+
+def per_slice_backward(w0, lmd, lm, lu, x, g):
+    """chain_backward slice by slice, lone 2-d calls: per output, the list
+    of the slices' gradients. A 2-d ``lmd`` is every slice's."""
+    per = []
+    for r in range(len(x)):
+        lmd_r = lmd if lmd.ndim == 2 else lmd[r]
+        _h, u, mid = kernels.chain_forward(w0, lmd_r, lm[r], lu[r], 0.7, x[r])
+        per.append(kernels.chain_backward(w0, lmd_r, lm[r], lu[r], 0.7, x[r], u, mid, g[r]))
+    return list(zip(*per))
+
+
 class TestStackedChain:
     @pytest.mark.parametrize("cols", [1, 4])
     def test_stack_equals_per_slice_calls_bitwise(self, cols):
+        # the stacked factors' gradients are the slices', and the shared w0's
+        # the slices' summed in order
         w0, lmd, lm, lu, x, g = stacked_operands(make_rng(2), cols=cols)
         h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
         back = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g)
@@ -93,10 +113,45 @@ class TestStackedChain:
             one = kernels.chain_forward(w0, lmd[r], lm[r], lu[r], 0.7, x[r])
             for stacked, alone in zip((h, u, mid), one):
                 assert stacked[r].tobytes() == alone.tobytes()
-            one_back = kernels.chain_backward(w0, lmd[r], lm[r], lu[r], 0.7, x[r],
-                                              one[1], one[2], g[r])
-            for stacked, alone in zip(back, one_back):
-                assert stacked[r].tobytes() == alone.tobytes()
+        per = per_slice_backward(w0, lmd, lm, lu, x, g)
+        for stacked, slices in zip(back[:4], per[:4]):
+            assert [s.tobytes() for s in stacked] == [s.tobytes() for s in slices]
+        assert back[4].shape == w0.shape
+        assert back[4].tobytes() == ordered_sum(per[4]).tobytes()
+
+    @pytest.mark.parametrize("cols", [1, 4])
+    def test_shared_operands_get_the_ordered_sum_of_per_slice_calls(self, cols):
+        # a 2-d lmd against stacked inputs: its gradient, as w0's, is the
+        # slices' summed in item order onto +0.0, in its own shape
+        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(8), cols=cols)
+        lmd = lmd[0]
+        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+        back = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g)
+        per = per_slice_backward(w0, lmd, lm, lu, x, g)
+        for name, stacked, slices in zip(NAMES, back, per):
+            if name in ("lmd", "w0"):
+                want = ordered_sum(slices)
+                assert stacked.shape == want.shape == slices[0].shape, name
+                assert stacked.tobytes() == want.tobytes(), name
+            else:
+                assert [s.tobytes() for s in stacked] == [s.tobytes() for s in slices], name
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_shared_gradient_adds_items_onto_zeros_in_item_order(self, cols):
+        # items whose w0 products are g's rows (x's first column is ones, any
+        # other column zeros): signed zeros, 0.0 + -0.0 is 0.0; order,
+        # (1e16 + 1) - 1e16 is 0, where adding 1e16 and -1e16 first gives 1
+        rows = np.array([[-0.0, 1e16, 0.5], [-0.0, 1.0, -0.0], [-0.0, -1e16, 0.25]])
+        w0, lmd, lm, lu, _x, _g = stacked_operands(make_rng(9), d1=2, d2=3, r1=2, r2=1,
+                                                   cols=cols)
+        x = np.zeros((3, 2, cols))
+        x[:, :, 0] = 1.0
+        g = np.zeros((3, 3, cols))
+        g[:, :, 0] = rows
+        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+        dw0 = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g, need={"w0"})[4]
+        assert dw0.tobytes() == np.repeat([[0.0], [0.0], [0.75]], 2, axis=1).tobytes()
+        assert not np.signbit(dw0).any()
 
     def test_stacked_gradients_match_central_differences(self):
         w0, lmd, lm, lu, x, g = stacked_operands(make_rng(3))
@@ -121,14 +176,50 @@ class TestStackedChain:
         d_lu, d_lm, d_lmd, dx, dw0 = kernels.chain_backward(
             w0, lmd, lm, lu, scale, x, u, mid, g)
         # w0 is shared by the stack: its gradient is the sum of the runs'
-        for analytic, param in ((d_lu, lu), (d_lm, lm), (d_lmd, lmd), (dx, x),
-                                (dw0.sum(axis=0), w0)):
+        for analytic, param in ((d_lu, lu), (d_lm, lm), (d_lmd, lmd), (dx, x), (dw0, w0)):
             numeric = central(param)
             err = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
             assert err <= 1e-4
 
 
 NAMES = ("lu", "lm", "lmd", "x", "w0")  # chain_backward's outputs, in order
+
+
+def fuzzed(rng, shape):
+    """Normal draws at magnitudes 1e-8 to 1e8, a tenth of them +0.0 and a
+    tenth -0.0."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    pick = rng.random(shape)
+    a[pick < 0.1] = 0.0
+    a[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    return a
+
+
+def test_stack_sum_is_the_per_item_products_reduced_in_order():
+    # 3,000 stacks of single-column items, B 1-11 and widths 1-79: the
+    # contraction has the bits of the per-item (BLAS) products added in item
+    # order onto +0.0. A numpy built to fuse the multiply and the add
+    # (FMA) in einsum's loop would round differently, so the message names
+    # numpy's version and its SIMD baseline. In every fourth stack each odd
+    # item negates the item before it, so the in-order sum is exactly +0.0
+    # (or the last item's product, for odd B), and every fifth is in
+    # Fortran order, whose strides would have einsum loop over the items
+    # innermost. A 1 x 1 result, which einsum would sum in its vector loop,
+    # is pinned at B 1-64 after them.
+    rng = make_rng(10)
+    shapes = [(int(rng.integers(1, 12)), *(int(w) for w in rng.integers(1, 80, size=2)))
+              for _ in range(3000)]
+    for trial, (B, d2, d1) in enumerate(shapes + [(B, 1, 1) for B in range(1, 65)]):
+        a, b = fuzzed(rng, (B, d2, 1)), fuzzed(rng, (B, d1, 1))
+        if trial % 4 == 0:
+            a[1::2], b[1::2] = -a[0:B - 1:2], b[0:B - 1:2]
+        if trial % 5 == 0:
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        want = np.add.reduce(a @ b.mT, axis=0, initial=0.0)
+        got = kernels.stack_sum(a, b)
+        assert got.tobytes() == want.tobytes(), (
+            f"stack_sum of ({B}, {d2}, 1) and ({B}, {d1}, 1) differs from the ordered "
+            f"reduce on numpy {np.__version__}, SIMD baseline {CPU_BASELINE}")
 
 
 class TestNeed:

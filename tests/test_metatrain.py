@@ -156,7 +156,10 @@ def reference_stage1(model, dataset, schedule, config):
             for i_cb in range(bucket.q_bucket):
                 idxs = rng.integers(len(bucket.examples), size=config.batch_size)
                 batch = [bucket.examples[i] for i in idxs]
-                operands = [(lmd[li], np.stack([chains[b.identity][li].l_mid for b in batch]),
+                # the shared down factor stacked per item: its gradients come
+                # per item, and are summed in item order here
+                operands = [(np.stack([lmd[li]] * len(batch)),
+                             np.stack([chains[b.identity][li].l_mid for b in batch]),
                              np.stack([chains[b.identity][li].l_up for b in batch]))
                             for li in range(2)]
                 loss, layer_grads = diffusion_loss(
@@ -282,6 +285,24 @@ class TestStage1:
         for now, then in zip(buffers, before):
             assert np.flatnonzero((now != then).any(axis=1)).tolist() == [0, 2]
         assert bank.steps.tolist() == [1, 0, 1, 0]
+
+    def test_update_adds_a_rows_items_onto_zeros_in_item_order(self, monkeypatch):
+        # identity 2's row adds items 0, 2 and 3 one by one onto +0.0: signed
+        # zeros, 0.0 + -0.0 is 0.0; order, (1e16 + 1) - 1e16 is 0, where
+        # adding 1e16 and -1e16 first gives 1
+        model, ds, schedule, config = small_stage1()
+        bank = IdentityBank(model, ds.n_identities, config, make_rng(0))
+        seen = []
+        monkeypatch.setattr(metatrain.kernels, "adamw_update",
+                            lambda param, grad, *rest: seen.append(grad.copy()))
+        item_grads = np.zeros((4, bank.params.shape[1]))
+        item_grads[:, :3] = [[-0.0, 1e16, 0.5], [7.0, -0.0, 3.0],
+                             [-0.0, 1.0, -0.0], [-0.0, -1e16, 0.25]]
+        assert bank.update(np.array([2, 0, 2, 2]), item_grads) == [0, 2]
+        want = np.zeros((2, bank.params.shape[1]))
+        want[0, :3], want[1, 2] = [7.0, 0.0, 3.0], 0.75
+        (grads,) = seen
+        assert grads.tobytes() == want.tobytes()
 
     def test_checksums_rehash_only_rows_whose_bits_changed(self, monkeypatch):
         model, ds, schedule, config = small_stage1()

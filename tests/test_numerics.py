@@ -134,22 +134,26 @@ class TestFlatGroup:
         group = FlatGroup(tensors, AdamWState(lr=0.05, weight_decay=0.01))
         states = [AdamWState(lr=0.05, weight_decay=0.01) for _ in tensors]
         for _ in range(5):
-            items = [rng.standard_normal((3, *t.shape)) for t in tensors]
-            group.step(items)
-            for t, g, st_ in zip(tensors, items, states):
-                adamw_step(t, sum(g, np.zeros(t.shape)), st_)
+            grads = [rng.standard_normal(t.shape) for t in tensors]
+            group.step(grads)
+            for t, g, st_ in zip(tensors, grads, states):
+                adamw_step(t, g, st_)
         assert [t.tobytes() for t in group.tensors] == [t.tobytes() for t in tensors]
         assert all(np.shares_memory(t, group.flat) for t in group.tensors)
 
-    def test_gradient_adds_items_onto_zeros_in_item_order(self):
-        # signed zeros: 0.0 + -0.0 is 0.0; order: (1e16 + 1) - 1e16 is 0
+    def test_gradients_are_copied_bit_for_bit_in_tensor_order(self):
+        # one gradient per tensor, in its shape, signed zeros included; the
+        # sum over a batch's items is the kernels' (test_kernels.py)
         g = np.array([[-0.0, 1e16, 0.5], [-0.0, 1.0, -0.0], [-0.0, -1e16, 0.25]])
-        items = [np.stack([g, -g, 2 * g], axis=1), g[:, :2]]  # (3 items, 3, 3), (3 items, 2)
+        grads = [g, np.array([-0.0, 2.0])]
         group = FlatGroup([np.zeros((3, 3)), np.zeros(2)], AdamWState(lr=0.0))
-        group.step(items)
-        want = [sum(i, np.zeros(i.shape[1:])) for i in items]
-        assert group.grad.tobytes() == b"".join(w.tobytes() for w in want)
-        assert not np.signbit(want[0][0, 0]) and want[0][0, 1] == 0.0
+        group.step(grads)
+        assert group.grad.tobytes() == b"".join(w.tobytes() for w in grads)
+        for bad in ([np.stack([g, g]), grads[1]], [g, grads[1][:, None]]):
+            with pytest.raises(DimensionError, match="FlatGroup.step"):
+                group.step(bad)
+        with pytest.raises(ValueError):  # a gradient short
+            group.step([g])
 
     def test_negative_lr_rejected_before_any_step(self):
         with pytest.raises(ValueError, match="lr must be >= 0"):

@@ -6,7 +6,7 @@ from itertools import combinations, repeat
 import numpy as np
 import pytest
 
-from metalora import toymodel
+from metalora import kernels, toymodel
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import ConvergenceError, NumericError
 from metalora.metatrain import IdentityBank, TrainConfig, split_params
@@ -226,6 +226,11 @@ def per_item_reference(model, batch, schedule, rng, factors=None):
     return total / n, [[np.stack(gs) for gs in zip(*layer)] for layer in grads]
 
 
+def item_sum(stack):
+    """The items of a (B, ...) stack added one by one, in order, onto +0.0."""
+    return sum(stack, np.zeros(stack.shape[1:]))
+
+
 def rel_err(a, b):
     denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
     return np.max(np.abs(a - b)) / denom
@@ -389,7 +394,7 @@ class TestDenoiser:
         np.add.at(rows, ids, item_grads)
         checks = [(rows, bank.params)]
         for layer, lmd, (d_lmd, *_, dw0) in zip(m.layers, bank.lmd, layer_grads):
-            checks += [(dw0.sum(axis=0), layer.w0), (d_lmd.sum(axis=0), lmd)]
+            checks += [(dw0, layer.w0), (d_lmd, lmd)]
         h = 1e-5
         for analytic, param in checks:
             fd = np.zeros_like(param)
@@ -423,8 +428,11 @@ class TestDenoiser:
             want_loss, want_grads = per_item_reference(m, batch, s, make_rng(k),
                                                        factors=factors)
             assert loss == want_loss
-            for got, ref in zip(layer_grads, want_grads):
-                assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+            # the shared down factor's and base weight's gradients are the
+            # items' summed in item order, the mid and up factors' per item
+            for got, (d_lmd, d_lm, d_lu, dw0) in zip(layer_grads, want_grads):
+                want = (item_sum(d_lmd), d_lm, d_lu, item_sum(dw0))
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_operands_are_only_read(self):
         # every array diffusion_loss is given keeps its bytes: the base
@@ -457,7 +465,7 @@ def reference_pretrain(dataset, schedule, seed, hidden, loss_threshold, max_iter
         loss, layer_grads = per_item_reference(model, [dataset.examples[i] for i in idxs],
                                                schedule, rng)
         for layer, (_, _, _, dw0), state in zip(model.layers, layer_grads, states):
-            adamw_step(layer.w0, sum(dw0, np.zeros(dw0.shape[1:])), state)
+            adamw_step(layer.w0, item_sum(dw0), state)
         recent = (recent + [loss])[-window:]
         if len(recent) == window and float(np.mean(recent)) < loss_threshold:
             return model
@@ -542,10 +550,11 @@ class TestPretrain:
 
     def test_default_pretraining_peak_memory(self):
         # default pretraining (d = 32, hidden = 64, batch 8) holds one
-        # iteration's per-item base gradients at a time: 1,006 KiB measured;
-        # holding the previous iteration's through the next step peaked at
-        # 1,143 KiB. 300 iterations that never reach a loss of 0 cover four
-        # whole draw blocks and the first shift of the loss window (at 264).
+        # iteration's base gradients, each summed over the batch, at a time:
+        # 814 KiB measured; holding each iteration's per-item gradients
+        # instead peaked at 1,050 KiB. 300 iterations that never reach a loss
+        # of 0 cover four whole draw blocks and the first shift of the loss
+        # window (at 264).
         ds = make_dataset(make_rng(0))
         schedule = linear_schedule()
         tracemalloc.start()
@@ -555,7 +564,38 @@ class TestPretrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1050 * 1024, peak
+        assert peak < 900 * 1024, peak
+
+    def test_an_iteration_builds_no_per_item_gradient_stack(self, monkeypatch):
+        # from an iteration's diffusion_loss call up to its AdamW arithmetic,
+        # default pretraining allocates less than one (B, d2, d1) stack of
+        # per-item base gradients, even of layer 2, the smaller (8 x 32 x 64
+        # doubles, 128 KiB): 64 KiB measured (115 KiB in the first iteration,
+        # which fills first-call caches), 329 KiB (381) with per-item stacks.
+        # AdamW's own temporaries (about five of the 38 KiB flat buffer)
+        # are left out: they do not depend on how the gradient is formed.
+        peaks, loss, update = [], toymodel.diffusion_loss, kernels.adamw_update
+
+        def loss_from_zero(*args, **kwargs):
+            peaks.append(-tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return loss(*args, **kwargs)
+
+        def update_at_peak(*args):
+            peaks[-1] += tracemalloc.get_traced_memory()[1]
+            return update(*args)
+
+        monkeypatch.setattr(toymodel, "diffusion_loss", loss_from_zero)
+        monkeypatch.setattr(kernels, "adamw_update", update_at_peak)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError):
+                pretrain_base(make_dataset(make_rng(0)), linear_schedule(), seed=1,
+                              loss_threshold=0.0, max_iters=5)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 5
+        assert max(peaks) < 8 * 32 * 64 * 8, peaks
 
     def test_negative_lr_rejected_before_training(self):
         with pytest.raises(ValueError, match="lr must be >= 0"):

@@ -43,8 +43,12 @@ LENGTHS = {"pretrain": (64, 128), "stage1": (60, 120), "stage2": (64, 128),
 # key -> stage -> (Python calls, C calls) of the long length minus the short
 TABLE = {
     ("3.11", "2.4.6"): {
-        "pretrain": (1997, 3404),
-        "stage1": (4115, 6476),
+        # pretrain and stage1: +7 Python calls per summed shared gradient
+        # (kernels.stack_sum, np.einsum and its argument dispatcher's five
+        # resumptions); the C calls hold, as one c_einsum call replaces
+        # FlatGroup.step's np.add.reduce
+        "pretrain": (2893, 3404),
+        "stage1": (4619, 6476),
         "stage2": (723, 1174),
         "lockstep": (1942, 3158),
     },
