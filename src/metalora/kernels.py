@@ -44,10 +44,11 @@ def chain_forward(w0, lmd, lm, lu, scale, x):
     return h, u, mid
 
 
-def stack_sum(a, b):
-    """``a @ b.mT`` of 2-d operands. Of stacks, the items' products summed
-    in item order onto +0.0: the bits of ``np.add.reduce(a @ b.mT, axis=0,
-    initial=0.0)``, without the (B, ., .) stack of products.
+def stack_sum(a, b, out=None):
+    """``a @ b.mT`` of 2-d operands, written into ``out`` if given. Of stacks,
+    the items' products summed in item order onto +0.0: the bits of
+    ``np.add.reduce(a @ b.mT, axis=0, initial=0.0)``, without the (B, ., .)
+    stack of products.
 
     C-contiguous stacks of single-column items make one contraction, numpy's
     own loop over the items outermost, each product rounded before it is
@@ -56,18 +57,18 @@ def stack_sum(a, b):
     and a 1 x 1 result take the per-item path, as stacks of wider items do.
     """
     if a.ndim == 2:
-        return a @ b.mT
+        return np.matmul(a, b.mT, out=out)
     if (a.shape[-1] == 1 and a.shape[-2] * b.shape[-2] > 1
             and a.flags.c_contiguous and b.flags.c_contiguous):
-        return np.einsum("bi,bj->ij", a[..., 0], b[..., 0])
-    return np.add.reduce(a @ b.mT, axis=0, initial=0.0)
+        return np.einsum("bi,bj->ij", a[..., 0], b[..., 0], out=out)
+    return np.add.reduce(a @ b.mT, axis=0, initial=0.0, out=out)
 
 
 # the gradients chain_backward can compute, named for the operand each is of
 GRADIENTS = frozenset({"lu", "lm", "lmd", "x", "w0"})
 
 
-def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=(None, None)):
+def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=(None,) * 4):
     """Gradients ``(d_lu, d_lm, d_lmd, dx, dw0)`` of the chain, given
     d(loss)/dh ``g`` and the forward's ``u`` and ``mid``.
 
@@ -75,9 +76,9 @@ def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=
     one left out is ``None``, and the matmuls only it uses are skipped. A
     computed gradient has the same bits whatever else is needed. An unknown
     name, or a bare string in place of a collection of names, raises
-    ``ValueError``. A needed ``d_lu`` or ``d_lm`` is written into its array
-    in ``out``, if not ``None``, with the bits of a new array. ``dw0``, and
-    a 2-d ``lmd``'s ``d_lmd``, are summed over a stack by :func:`stack_sum`;
+    ``ValueError``. A needed ``d_lu``, ``d_lm``, ``d_lmd`` or ``dw0`` is
+    written into its array in ``out``, if not ``None``, in that order.
+    ``dw0``, and a 2-d ``lmd``'s ``d_lmd``, are summed by :func:`stack_sum`;
     ``d_lmd`` scales ``lm.T lu.T g`` before the product with ``x``, so that
     an item's sum term is its lone call's gradient.
     """
@@ -96,9 +97,10 @@ def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=
             lmt_lut_g = lm.mT @ lut_g
             if "lmd" in need:
                 scaled = scale * lmt_lut_g
-                d_lmd = stack_sum(scaled, x) if lmd.ndim == 2 else scaled @ x.mT
+                d_lmd = (stack_sum(scaled, x, out[2]) if lmd.ndim == 2
+                         else np.matmul(scaled, x.mT, out=out[2]))
             if "x" in need:
                 dx = w0.mT @ g + scale * (lmd.mT @ lmt_lut_g)
     if "w0" in need:
-        dw0 = stack_sum(g, x)
+        dw0 = stack_sum(g, x, out[3])
     return d_lu, d_lm, d_lmd, dx, dw0

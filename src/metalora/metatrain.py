@@ -26,7 +26,7 @@ from .adapter import init_factors
 from .checkpoint import atomic_open
 from .config import default, setting
 from .errors import MetaLoraError, NumericError
-from .numerics import AdamWState, FlatGroup, check_finite, checksum, make_rng
+from .numerics import check_finite, checksum, flat_views, make_rng
 from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
                        ToyIdentityDataset, diffusion_loss, drawn_batches)
 
@@ -115,28 +115,28 @@ def split_params(params: np.ndarray, dims: list[tuple[int, int]], r1: int, r2: i
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per layer, the (R, r2, r1) mid and (R, d2, r2) up views of an (R, n)
     buffer whose rows hold, per layer, the mid then the up factor."""
-    views, offset = [], 0
-    for _d1, d2 in dims:
-        for a, b in ((r2, r1), (d2, r2)):
-            views.append(params[:, offset:offset + a * b].reshape(len(params), a, b))
-            offset += a * b
+    views = flat_views(params, [s for _d1, d2 in dims for s in ((r2, r1), (d2, r2))])
     return list(zip(views[0::2], views[1::2]))
 
 
 class IdentityBank:
-    """Shared down factors (one per adapted layer, a ``FlatGroup``) plus
-    every identity's mid/up factors, one row each of a flat
-    (n_identities, n) buffer, with per-row AdamW moments and step counts.
+    """Shared down factors ``lmd``, one per adapted layer, and their gradients
+    ``lmd_grads``: views of one flat AdamW buffer. Every identity's mid/up
+    factors: one row each of a flat (n_identities, n) buffer, with per-row
+    AdamW moments and step counts.
     """
 
     def __init__(self, model: ToyDenoiser, n_identities: int, config: TrainConfig,
                  rng: np.random.Generator):
+        if config.lr < 0:
+            raise ValueError(f"IdentityBank: lr must be >= 0, got {config.lr}")
+        self.adamw, self._lmd_steps = (config.lr, config.weight_decay), 0
         dims = model.dims
         self.layout = (dims, config.r1, config.r2)  # split_params' arguments
-        self.shared = FlatGroup([init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down
-                                 for d1, d2 in dims],
-                                AdamWState(lr=config.lr, weight_decay=config.weight_decay))
-        self.lmd = self.shared.tensors
+        lmd = [init_factors(rng, d1, d2, config.r1, config.r2).l_meta_down for d1, d2 in dims]
+        self._flat = tuple(np.zeros((4, sum(m.size for m in lmd))))  # weights, gradient, m, v
+        np.concatenate([m.ravel() for m in lmd], out=self._flat[0])
+        self.lmd, self.lmd_grads = (flat_views(r, [m.shape for m in lmd]) for r in self._flat[:2])
         params = np.stack([fresh_identity_params(rng, *self.layout)
                            for _ in range(n_identities)])
         # the factors and their two AdamW moments, gathered and scattered together
@@ -148,14 +148,14 @@ class IdentityBank:
         # the checksum memos: the last hashed bits (first their complement) and checksums
         self._row_bits = ~self.params.view(np.uint64)
         self._row_checksums = [""] * n_identities
-        self._lmd_bits = ~self.shared.flat.view(np.uint64)
+        self._lmd_bits = ~self._flat[0].view(np.uint64)
         self._lmd_checksum = ""
 
     def operands(self, identities: np.ndarray) -> list[tuple]:
         """Per layer, :func:`metalora.toymodel.train_step`'s ``(lmd, lm, lu)``
         for a batch: the shared down factor and each item's gathered mid/up."""
-        return [(lmd, lm, lu) for lmd, (lm, lu)
-                in zip(self.lmd, split_params(self.params[identities], *self.layout))]
+        return [(lmd, lm[identities], lu[identities])
+                for lmd, lm, lu in zip(self.lmd, self._blocks[0::2], self._blocks[1::2])]
 
     def update(self, identities: np.ndarray, item_grads: np.ndarray) -> list[int]:
         """One AdamW step on the rows of the batch's identities only; returns
@@ -169,10 +169,15 @@ class IdentityBank:
         check_finite(grads, "stage-1 mid/up gradient")
         self.steps[idx] += 1
         block = self._planes[:, idx]
-        kernels.adamw_update(block[0], grads, block[1], block[2], self.steps[idx, None],
-                             self.shared.state.lr, self.shared.state.weight_decay)
+        kernels.adamw_update(block[0], grads, *block[1:], self.steps[idx, None], *self.adamw)
         self._planes[:, idx] = block
         return rows
+
+    def update_shared(self) -> None:
+        """One AdamW step of the shared down factors on ``lmd_grads``."""
+        check_finite(self._flat[1], "stage-1 shared down-factor gradient")
+        self._lmd_steps += 1
+        kernels.adamw_update(*self._flat, self._lmd_steps, *self.adamw)
 
     def identity_checksums(self) -> dict[int, str]:
         """Every identity's checksum: per layer, its mid then its up factor,
@@ -190,7 +195,7 @@ class IdentityBank:
     def lomd_checksum(self) -> str:
         """The shared down factors' checksum, rehashed only when their raw
         64-bit words changed since the last call, as for an identity's row."""
-        bits = self.shared.flat.view(np.uint64)
+        bits = self._flat[0].view(np.uint64)
         if (bits != self._lmd_bits).any():
             self._lmd_checksum = "".join(checksum(m) for m in self.lmd)
             self._lmd_bits[:] = bits
@@ -309,8 +314,8 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
     each iteration's batch, from its bucket's examples, blocks ahead. An
     iteration makes one :func:`diffusion_loss` call, writing its items' mid/up
     gradients into one (batch_size, n) buffer, one update of its identities'
-    rows and, with the gate open, one step of the shared factors' ``FlatGroup``
-    on their gradients, already summed over the batch.
+    rows and, with the gate open, one step of the shared factors on their
+    gradients, summed over the batch by the kernels into ``bank.lmd_grads``.
     """
     rng = make_rng(config.seed)
     buckets = partition_buckets(dataset, config.identities_per_bucket,
@@ -318,7 +323,8 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                                 config.warm_up_fraction)
     bank = IdentityBank(model, dataset.n_identities, config, rng)
     item_grads = np.empty((config.batch_size, bank.params.shape[1]))
-    grad_views = split_params(item_grads, *bank.layout)
+    grad_views = [(d_lmd, lm, lu, None) for d_lmd, (lm, lu)
+                  in zip(bank.lmd_grads, split_params(item_grads, *bank.layout))]
     entries, executed = [], 0  # each bucket entry's bucket and warm-up
     for bucket in cycle(buckets):
         if executed >= config.q_total:
@@ -338,12 +344,12 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
             zip(plan, batches)):
         identities = np.array([item.identity for item in batch])
         try:
-            loss, layer_grads = diffusion_loss(
+            loss, _ = diffusion_loss(
                 w0s, bank.operands(identities), inp, eps,
                 need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
             rows = bank.update(identities, item_grads)
             if lomd_live:
-                bank.shared.step([d_lmd for d_lmd, *_ in layer_grads])
+                bank.update_shared()
         except NumericError as exc:
             raise NumericError(f"iteration {it}: {exc}") from exc
         sink(TraceRecord(

@@ -1,4 +1,4 @@
-"""Seeded PRNG, finiteness checks, checksums and AdamW.
+"""Seeded PRNG, finiteness checks, checksums, flat views and AdamW.
 
 Parameters are plain float64 numpy arrays throughout the package. Random
 streams come from numpy's PCG64 generator, whose algorithm is fixed and
@@ -12,6 +12,7 @@ change every trained artifact.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -41,13 +42,21 @@ def checksum(arr: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(arr, dtype=_LE_F8)).hexdigest()
 
 
+def flat_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive slices of ``buf``'s last axis, one per shape (a
+    tuple) in ``shapes``, each shaped ``buf.shape[:-1] + shape``."""
+    ends = list(accumulate(map(math.prod, shapes), initial=0))
+    return [buf[..., a:b].reshape(buf.shape[:-1] + shape)
+            for a, b, shape in zip(ends, ends[1:], shapes)]
+
+
 @dataclass
 class AdamWState:
-    """Per-parameter AdamW state with decoupled weight decay.
+    """One tensor's :func:`adamw_step` state, with decoupled weight decay.
 
     Holds the two settings a trainer chooses, ``lr`` and ``weight_decay``;
     β1, β2 and ε are the constants of :mod:`metalora.kernels`. A negative
-    ``lr`` is refused here, so a trainer refuses it before its first step.
+    ``lr`` is refused here, as each trainer refuses it before its first step.
     """
 
     lr: float
@@ -69,7 +78,9 @@ class AdamWState:
 
 
 def adamw_step(param: np.ndarray, grad: np.ndarray, state: AdamWState) -> np.ndarray:
-    """One AdamW update, applied in place to ``param``. Returns ``param``."""
+    """One AdamW update, applied in place to ``param``. Returns ``param``. No
+    trainer calls it: it is the one-tensor reference that tests compare the
+    trainers' flat steps with, and the benchmark's tracer wraps it by name."""
     if param.shape != grad.shape:
         raise DimensionError("adamw_step", param.shape, grad.shape)
     check_finite(grad, "adamw_step: gradient")
@@ -78,27 +89,3 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, state: AdamWState) -> np.nda
     kernels.adamw_update(param, np.ascontiguousarray(grad), state.m, state.v,
                          state.step, state.lr, state.weight_decay)
     return param
-
-
-class FlatGroup:
-    """Tensors trained together. Their values are copied into one flat buffer,
-    ``flat``, of which ``tensors`` are views, and one :func:`adamw_step`
-    moves them all: AdamW is elementwise, so each gets the bits of its own."""
-
-    def __init__(self, tensors: list[np.ndarray], state: AdamWState):
-        ends = list(accumulate((t.size for t in tensors), initial=0))
-        self.flat = np.concatenate([t.ravel() for t in tensors])
-        self.grad = np.empty_like(self.flat)
-        self.tensors, self._grads = ([buf[a:b].reshape(t.shape) for a, b, t
-                                      in zip(ends, ends[1:], tensors)]
-                                     for buf in (self.flat, self.grad))
-        self.state = state
-
-    def step(self, grads: list[np.ndarray]) -> None:
-        """One AdamW step on ``grads``, one gradient per tensor in the shape
-        of its tensor, copied into the flat gradient buffer."""
-        for g, grad in zip(self._grads, grads, strict=True):
-            if grad.shape != g.shape:
-                raise DimensionError("FlatGroup.step", g.shape, grad.shape)
-            g[...] = grad
-        adamw_step(self.flat, self.grad, self.state)

@@ -291,7 +291,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         flat = (params[:n], grads[:n], moments[0][:n], moments[1][:n])
         return ([(lmd[:n], lm, lu) for lmd, (lm, lu)
                  in zip((lmd1, lmd2), split_params(flat[0], dims, config.r1, config.r2))],
-                split_params(flat[1], dims, config.r1, config.r2), flat,
+                [(None, lm, lu, None) for lm, lu
+                 in split_params(flat[1], dims, config.r1, config.r2)], flat,
                 job_inputs[:, :n], job_noise[:, :n], train_losses[:n].T)
 
     def record_probe(row, n):

@@ -19,7 +19,7 @@ from . import kernels
 from .adapter import SCALE, AdaptedLayer, AdapterFactors, init_factors
 from .config import default
 from .errors import ConvergenceError, DimensionError, NumericError
-from .numerics import AdamWState, FlatGroup, make_rng
+from .numerics import check_finite, flat_views, make_rng
 
 TEMB_DIM = 8
 # iterations whose inputs a training loop draws ahead of its steps
@@ -270,14 +270,14 @@ def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *,
     gradient with respect to layer 2's input is always computed, because
     it carries the backward pass into layer 1; layer 1's is never
     computed. A computed gradient has the same bits whatever else is needed.
-    ``out`` holds per layer two arrays, or ``None``, that the needed mid and
-    up gradients are written into and returned as, say ``split_params`` views.
+    ``out`` holds per layer four arrays (or ``None``), in the gradients'
+    order, that the needed ones are written into and returned as.
     """
     need = frozenset(need)
     if not need <= TRAINED:
         raise ValueError(f"train_step: need={sorted(need)} names a tensor outside "
                          f"{sorted(TRAINED)}")
-    (lm_out1, lu_out1), (lm_out2, lu_out2) = out or [(None, None)] * 2
+    (lmd_o1, lm_o1, lu_o1, w0_o1), (lmd_o2, lm_o2, lu_o2, w0_o2) = out or [(None,) * 4] * 2
     (lmd1, lm1, lu1), (lmd2, lm2, lu2) = chains  # no *-unpacking per call (~1.5 µs/step)
     z, u1, mid1 = kernels.chain_forward(w0s[0], lmd1, lm1, lu1, SCALE, inp)
     a = np.tanh(z)
@@ -288,10 +288,10 @@ def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *,
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
     d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
         w0s[1], lmd2, lm2, lu2, SCALE, a, u2, mid2, g_out, need=need | {"x"},
-        out=(lu_out2, lm_out2))
+        out=(lu_o2, lm_o2, lmd_o2, w0_o2))
     d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
         w0s[0], lmd1, lm1, lu1, SCALE, inp, u1, mid1, g_a * (1.0 - a * a),
-        need=need, out=(lu_out1, lm_out1))
+        need=need, out=(lu_o1, lm_o1, lmd_o1, w0_o1))
     return losses, [(d_lmd1, d_lm1, d_lu1, dw0_1), (d_lmd2, d_lm2, d_lu2, dw0_2)]
 
 
@@ -357,25 +357,29 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     loss drops below ``loss_threshold``; raises if the budget runs out first.
     The last block of :func:`drawn_batches` may draw past the stop; nothing
     reads the stream after the loop, so no bit depends on it. Both base
-    weights train as one :class:`~metalora.numerics.FlatGroup`'s own tensors,
-    then are copied into the model's base weights, which are frozen; the zero
-    factors never train, so the smallest chain (``r1 = r2 = 1``) will do.
+    weights train as views of one flat AdamW buffer, which the kernels write
+    their gradients into, then are copied into the model's base weights, which
+    are frozen; the zero factors never train, so ``r1 = r2 = 1`` will do.
     """
+    if lr < 0:
+        raise ValueError(f"pretrain_base: lr must be >= 0, got {lr}")
     rng = make_rng(seed)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=1, r2=1,
                               n_prompts=dataset.n_prompts, factor_mode="zero")
     w0s, chains = model.operands()
-    base = FlatGroup(w0s, AdamWState(lr=lr))
+    flat = tuple(np.zeros((4, sum(w.size for w in w0s))))  # AdamW's weights, gradient, m, v
+    np.concatenate([w.ravel() for w in w0s], out=flat[0])
+    base, grads = (flat_views(row, [w.shape for w in w0s]) for row in flat[:2])
+    out = [(None, None, None, dw0) for dw0 in grads]
     recent, kept = np.empty(window + DRAW_BLOCK), 0  # the losses, in iteration order
     batches = drawn_batches(rng, model, schedule, repeat(dataset.examples), batch_size)
     for it, (_, inp, eps) in zip(range(max_iters), batches):
         try:
-            loss, layer_grads = diffusion_loss(base.tensors, chains, inp, eps,
-                                               need={"w0"})
-            base.step([dw0 for *_, dw0 in layer_grads])
+            loss, _ = diffusion_loss(base, chains, inp, eps, need={"w0"}, out=out)
+            check_finite(flat[1], "base-weight gradient")
         except NumericError as exc:
             raise NumericError(f"pretraining iteration {it}: {exc}") from exc
-        del layer_grads  # not held through the next step, which builds its own
+        kernels.adamw_update(*flat, it + 1, lr, 0.0)
         if kept == len(recent):  # the last window - 1 losses move to the front
             recent[:window - 1], kept = recent[kept - window + 1:], window - 1
         recent[kept], kept = loss, kept + 1
@@ -386,7 +390,7 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
         raise ConvergenceError(
             f"pretraining did not reach loss {loss_threshold} within {max_iters} "
             f"iterations (windowed loss {np.mean(recent[max(kept - window, 0):kept]):.4f})")
-    for layer, trained in zip(model.layers, base.tensors):
+    for layer, trained in zip(model.layers, base):
         layer.w0[...] = trained
         layer.freeze_base()
     return model

@@ -222,6 +222,60 @@ def test_stack_sum_is_the_per_item_products_reduced_in_order():
             f"reduce on numpy {np.__version__}, SIMD baseline {CPU_BASELINE}")
 
 
+# stack_sum's branches: (items B or None for 2-d, d1 = d2, r1, columns, Fortran order)
+STACK_SUM_BRANCHES = {
+    "2d": (None, 5, 3, 4, False),
+    "single-column-einsum": (6, 5, 3, 1, False),
+    "wider-items": (6, 5, 3, 4, False),
+    "fortran-order": (6, 5, 3, 1, True),
+    "one-by-one": (6, 1, 1, 1, False),
+}
+
+
+@pytest.mark.parametrize("branch", list(STACK_SUM_BRANCHES))
+def test_summed_gradient_written_into_out_has_the_bits_of_a_new_one(branch):
+    # per branch of stack_sum, through chain_backward over a shared 2-d down
+    # factor: dw0 and d_lmd written into NaN-filled arrays are returned as
+    # them, with a fresh return's bytes; and stack_sum's own out does the same
+    B, d, r1, cols, fortran = STACK_SUM_BRANCHES[branch]
+    rng = make_rng(12)
+    lead = () if B is None else (B,)
+    w0, lmd = fuzzed(rng, (d, d)), fuzzed(rng, (r1, d))
+    lm, lu = (fuzzed(rng, lead + shape) for shape in ((2, r1), (d, 2)))
+    x, g = (fuzzed(rng, lead + (d, cols)) for _ in range(2))
+    if fortran:
+        x, g = np.asfortranarray(x), np.asfortranarray(g)
+    _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+    operands = (w0, lmd, lm, lu, 0.7, x, u, mid, g)
+    _, _, want_lmd, _, want_w0 = kernels.chain_backward(*operands)
+    out = (None, None, np.full(lmd.shape, np.nan), np.full(w0.shape, np.nan))
+    _, _, got_lmd, _, got_w0 = kernels.chain_backward(*operands, need={"lmd", "w0"}, out=out)
+    assert got_lmd is out[2] and got_lmd.tobytes() == want_lmd.tobytes()
+    assert got_w0 is out[3] and got_w0.tobytes() == want_w0.tobytes()
+    dst = np.full(w0.shape, np.nan)
+    assert kernels.stack_sum(g, x, dst) is dst and dst.tobytes() == want_w0.tobytes()
+
+
+def test_every_out_slot_holds_the_bits_of_the_returned_gradient():
+    # stacked chains: the per-item d_lu, d_lm and d_lmd and the summed dw0,
+    # each written into its out slot in return order, the slots of
+    # gradients left out untouched
+    w0, lmd, lm, lu, x, g = stacked_operands(make_rng(13))
+    _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
+    operands = (w0, lmd, lm, lu, 0.7, x, u, mid, g)
+    full = kernels.chain_backward(*operands)
+    trained = ("lu", "lm", "lmd", "w0")  # the out slots, in return order
+    for need in (set(c) for k in range(1, 5) for c in combinations(trained, k)):
+        out = tuple(np.full(a.shape, np.nan) for a in (lu, lm, lmd, w0))
+        got = kernels.chain_backward(*operands, need=need, out=out)
+        for name, dst in zip(trained, out):
+            i = NAMES.index(name)
+            if name in need:
+                assert got[i] is dst and dst.tobytes() == full[i].tobytes(), (need, name)
+            else:
+                assert got[i] is None and np.isnan(dst).all(), (need, name)
+
+
 class TestNeed:
     @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
     def test_every_subset_gives_the_default_bits_and_none_elsewhere(self, stacked):

@@ -406,7 +406,8 @@ class TestStage1:
 
     def test_non_finite_shared_gradient_names_its_iteration(self, monkeypatch):
         # the shared down factors' gradient turns NaN from the first
-        # iteration with the gate open; the error names that iteration
+        # iteration with the gate open; the error names that iteration. The
+        # gradient is the bank's own buffer, so it is poisoned in place
         model, ds, schedule, config = small_stage1()
         first_live = next(r.iteration for r in traced_stage1(model, ds, schedule, config)[1]
                           if r.lomd_updated)
@@ -414,8 +415,10 @@ class TestStage1:
 
         def poisoned(*args, **kwargs):
             losses, layer_grads = step(*args, **kwargs)
-            return losses, [(d_lmd if d_lmd is None else np.full_like(d_lmd, np.nan), *rest)
-                            for d_lmd, *rest in layer_grads]
+            for d_lmd, *_ in layer_grads:
+                if d_lmd is not None:
+                    d_lmd[...] = np.nan
+            return losses, layer_grads
 
         monkeypatch.setattr(toymodel, "train_step", poisoned)
         with pytest.raises(NumericError, match=rf"^iteration {first_live}: .*non-finite"):

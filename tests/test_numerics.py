@@ -1,4 +1,4 @@
-"""Core numeric helpers: RNG, finiteness checks, checksums, AdamW."""
+"""Core numeric helpers: RNG, finiteness checks, checksums, flat views, AdamW."""
 
 import hashlib
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from metalora.errors import DimensionError, NumericError
-from metalora.numerics import (AdamWState, FlatGroup, adamw_step, check_finite,
-                               checksum, make_rng)
+from metalora.numerics import (AdamWState, adamw_step, check_finite, checksum,
+                               flat_views, make_rng)
 
 
 class TestRngAndGaussian:
@@ -127,34 +127,13 @@ class TestAdamW:
         assert np.array_equal(run(), run())
 
 
-class TestFlatGroup:
-    def test_matches_an_adamw_step_per_tensor(self):
-        rng = make_rng(3)
-        tensors = [rng.standard_normal((4, 3)), rng.standard_normal((2, 5))]
-        group = FlatGroup(tensors, AdamWState(lr=0.05, weight_decay=0.01))
-        states = [AdamWState(lr=0.05, weight_decay=0.01) for _ in tensors]
-        for _ in range(5):
-            grads = [rng.standard_normal(t.shape) for t in tensors]
-            group.step(grads)
-            for t, g, st_ in zip(tensors, grads, states):
-                adamw_step(t, g, st_)
-        assert [t.tobytes() for t in group.tensors] == [t.tobytes() for t in tensors]
-        assert all(np.shares_memory(t, group.flat) for t in group.tensors)
-
-    def test_gradients_are_copied_bit_for_bit_in_tensor_order(self):
-        # one gradient per tensor, in its shape, signed zeros included; the
-        # sum over a batch's items is the kernels' (test_kernels.py)
-        g = np.array([[-0.0, 1e16, 0.5], [-0.0, 1.0, -0.0], [-0.0, -1e16, 0.25]])
-        grads = [g, np.array([-0.0, 2.0])]
-        group = FlatGroup([np.zeros((3, 3)), np.zeros(2)], AdamWState(lr=0.0))
-        group.step(grads)
-        assert group.grad.tobytes() == b"".join(w.tobytes() for w in grads)
-        for bad in ([np.stack([g, g]), grads[1]], [g, grads[1][:, None]]):
-            with pytest.raises(DimensionError, match="FlatGroup.step"):
-                group.step(bad)
-        with pytest.raises(ValueError):  # a gradient short
-            group.step([g])
-
-    def test_negative_lr_rejected_before_any_step(self):
-        with pytest.raises(ValueError, match="lr must be >= 0"):
-            FlatGroup([np.zeros(2)], AdamWState(lr=-1.0))
+class TestFlatViews:
+    def test_views_are_consecutive_slices_shaped_after_the_leading_axes(self):
+        buf = np.arange(2 * 18.0).reshape(2, 18)
+        a, b, c = flat_views(buf, [(3, 4), (5,), ()])
+        assert (a.shape, b.shape, c.shape) == ((2, 3, 4), (2, 5), (2,))
+        assert np.array_equal(a, buf[:, :12].reshape(2, 3, 4))
+        assert np.array_equal(b, buf[:, 12:17]) and np.array_equal(c, buf[:, 17])
+        assert all(np.shares_memory(view, buf) for view in (a, b, c))
+        a[1, 2, 3] = -1.0  # a write through a view lands in the buffer
+        assert buf[1, 11] == -1.0

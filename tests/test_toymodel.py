@@ -10,7 +10,7 @@ from metalora import kernels, toymodel
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import ConvergenceError, NumericError
 from metalora.metatrain import IdentityBank, TrainConfig, split_params
-from metalora.numerics import AdamWState, adamw_step, make_rng
+from metalora.numerics import AdamWState, adamw_step, flat_views, make_rng
 from metalora.toymodel import (DRAW_BLOCK, TRAINED, DiffusionSchedule, Example, ToyDenoiser,
                                diffusion_loss, drawn_batches, forward, generate,
                                linear_schedule,
@@ -314,9 +314,11 @@ class TestDenoiser:
 
     def test_out_buffer_holds_the_bits_of_the_returned_gradients(self):
         # every subset of the trained tensors, stage-1 operands: the needed
-        # mid/up gradients are written into split_params' views of a flat
-        # buffer and returned as them, with the bits of a call without the
-        # buffer; the views of gradients left out are not written
+        # gradients of all four slots are written into views of flat
+        # buffers (the mid/up ones split_params' views, the summed shared
+        # down factor's and base weight's flat_views) and returned as them,
+        # with the bits of a call without the buffers; the views of
+        # gradients left out are not written
         ds = small_dataset()
         m = ToyDenoiser.build(make_rng(3), d=8, hidden=16, n_prompts=2, r1=4, r2=2)
         bank = IdentityBank(m, 2, TrainConfig(r1=4, r2=2), make_rng(10))
@@ -330,20 +332,19 @@ class TestDenoiser:
         for need in (set(c) for k in range(5) for c in combinations(sorted(TRAINED), k)):
             want_losses, want = train_step(*operands, need=need)
             buf = np.full((len(ids), bank.params.shape[1]), np.nan)
-            views = split_params(buf, *bank.layout)
+            summed = (*bank.lmd, *operands[0])  # the shared down factors, the base weights
+            sums = flat_views(np.full(sum(a.size for a in summed), np.nan),
+                              [a.shape for a in summed])
+            views = [(lmd, lm, lu, w0) for lmd, (lm, lu), w0
+                     in zip(sums[:2], split_params(buf, *bank.layout), sums[2:])]
             losses, got = train_step(*operands, need=need, out=views)
             assert losses.tobytes() == want_losses.tobytes()
             for want_layer, got_layer, layer_views in zip(want, got, views):
-                for name, w, g in zip(names, want_layer, got_layer):
+                for name, w, g, view in zip(names, want_layer, got_layer, layer_views):
                     if name in need:
-                        assert g.tobytes() == w.tobytes(), (need, name)
+                        assert g is view and g.tobytes() == w.tobytes(), (need, name)
                     else:
-                        assert g is None, (need, name)
-                for name, g, view in zip(names[1:3], got_layer[1:3], layer_views):
-                    if name in need:
-                        assert g is view, (need, name)
-                    else:
-                        assert np.isnan(view).all(), (need, name)
+                        assert g is None and np.isnan(view).all(), (need, name)
 
     @pytest.mark.parametrize("need", [{"x"}, {"lu", "x"}, {"mid"}])
     def test_need_names_only_trained_tensors(self, need):
@@ -389,7 +390,10 @@ class TestDenoiser:
             return diffusion_loss(m.operands()[0], bank.operands(ids), inp, eps, out=out)
 
         item_grads = np.empty((len(ids), bank.params.shape[1]))
-        _, layer_grads = loss(split_params(item_grads, *bank.layout))
+        # the out slots of run_stage1: the bank's shared gradient views and
+        # the flat mid/up rows
+        _, layer_grads = loss([(d_lmd, lm, lu, None) for d_lmd, (lm, lu)
+                               in zip(bank.lmd_grads, split_params(item_grads, *bank.layout))])
         rows = np.zeros_like(bank.params)
         np.add.at(rows, ids, item_grads)
         checks = [(rows, bank.params)]
@@ -602,15 +606,17 @@ class TestPretrain:
             pretrain_base(small_dataset(), linear_schedule(), seed=1, hidden=16, lr=-1.0)
 
     def test_non_finite_gradient_names_its_iteration(self, monkeypatch):
-        # the base weights' gradient turns NaN from iteration 3 on
+        # the base weights' gradient turns NaN from iteration 3 on; it is
+        # pretraining's own flat buffer, so it is poisoned in place
         calls, step = [], toymodel.train_step
 
         def poisoned(*args, **kwargs):
             calls.append(None)
             losses, layer_grads = step(*args, **kwargs)
-            if len(calls) <= 3:
-                return losses, layer_grads
-            return losses, [(*g, np.full_like(dw0, np.nan)) for *g, dw0 in layer_grads]
+            if len(calls) > 3:
+                for *_, dw0 in layer_grads:
+                    dw0[...] = np.nan
+            return losses, layer_grads
 
         monkeypatch.setattr(toymodel, "train_step", poisoned)
         with pytest.raises(NumericError, match=r"^pretraining iteration 3: .*non-finite"):

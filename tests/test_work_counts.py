@@ -43,12 +43,19 @@ LENGTHS = {"pretrain": (64, 128), "stage1": (60, 120), "stage2": (64, 128),
 # key -> stage -> (Python calls, C calls) of the long length minus the short
 TABLE = {
     ("3.11", "2.4.6"): {
-        # pretrain and stage1: +7 Python calls per summed shared gradient
-        # (kernels.stack_sum, np.einsum and its argument dispatcher's five
-        # resumptions); the C calls hold, as one c_einsum call replaces
-        # FlatGroup.step's np.add.reduce
-        "pretrain": (2893, 3404),
-        "stage1": (4619, 6476),
+        # pretrain and stage1: the kernels write the shared gradients into
+        # the trainers' flat AdamW buffers, each stepped by one
+        # kernels.adamw_update call, with no per-tensor optimizer step and no
+        # gradient copy in between. pretrain: -4 Python calls per iteration
+        # (adamw_step, its state's buffer check, the step that copied the
+        # gradients, and the comprehension that listed them) and -1 C call
+        # (np.ascontiguousarray). stage1 saves as much on its 36 iterations
+        # with the gate open, less IdentityBank.update_shared's call, and
+        # IdentityBank.operands gathers the four mid/up blocks in place of
+        # a row gather and split_params: -1 Python and -12 C calls (len,
+        # list.append and ndarray.reshape per block) on all 60
+        "pretrain": (2637, 3340),
+        "stage1": (4451, 5720),
         "stage2": (723, 1174),
         "lockstep": (1942, 3158),
     },
