@@ -10,7 +10,9 @@ a shared 2-d ``w0``. Stacked matmuls make the same BLAS call per item as the
 gradient written into a caller's array (``out``) has the bits of a new one.
 The gradient of an operand the whole stack shares (``w0``, and a 2-d
 ``lmd``) is the items' gradients summed in item order onto +0.0, in the
-operand's shape: see :func:`stack_sum`.
+operand's shape: see :func:`stack_sum`. A chain of rank 0, with ``(0, d1)``,
+``(0, 0)`` and ``(d2, 0)`` factors, is valid: numpy's empty products are
+zeros, so its adapter terms add exact zeros to ``w0 @ x`` and ``w0.T @ g``.
 
 AdamW's β1, β2 and ε are stated once, here: every trainer uses the defaults
 of Loshchilov & Hutter, "Decoupled Weight Decay Regularization" (ICLR 2019).

@@ -151,7 +151,7 @@ class IdentityBank:
         self._lmd_bits = ~self._flat[0].view(np.uint64)
         self._lmd_checksum = ""
 
-    def operands(self, identities: np.ndarray) -> list[tuple]:
+    def chains(self, identities: np.ndarray) -> list[tuple]:
         """Per layer, :func:`metalora.toymodel.train_step`'s ``(lmd, lm, lu)``
         for a batch: the shared down factor and each item's gathered mid/up."""
         return [(lmd, lm[identities], lu[identities])
@@ -339,13 +339,13 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                       for i_cb in range(bucket.q_bucket))
     batches = drawn_batches(rng, model, schedule, (p[0].examples for p in ahead),
                             config.batch_size)
-    w0s, _ = model.operands()
+    w0s = [l.w0 for l in model.layers]
     for it, ((bucket, entry_index, i_cb, lomd_live), (batch, inp, eps)) in enumerate(
             zip(plan, batches)):
         identities = np.array([item.identity for item in batch])
         try:
             loss, _ = diffusion_loss(
-                w0s, bank.operands(identities), inp, eps,
+                w0s, bank.chains(identities), inp, eps,
                 need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
             rows = bank.update(identities, item_grads)
             if lomd_live:

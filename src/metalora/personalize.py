@@ -106,9 +106,9 @@ class Stage2Result:
     probe_losses: list[float] = field(default_factory=list)
     lmd_checksum_before: str = ""
     lmd_checksum_after: str = ""
-    # a probed run's iterations_to_threshold, on which it stopped: its curves
-    # and factors are those of its first min(count, q_st2) iterations. None
-    # for a run without a probe, which trains q_st2 iterations
+    # a probed run's iterations to threshold, the probe row it stopped on:
+    # its curves and factors are those of its first min(count, q_st2)
+    # iterations. None for a run without a probe, which trains q_st2
     iters_to_threshold: int | None = None
 
     @property
@@ -238,12 +238,12 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     layer-1 pre-activation is written into one preallocated buffer.
 
     The probe is the stopping rule. A probed run stops on the first probe
-    row that :func:`threshold_reached` marks, which is its
-    :func:`iterations_to_threshold`: a smoothed entry reads only earlier
-    entries and the threshold only the first, so this is the count of a
-    full ``q_st2`` curve. The run then leaves the stack with its result, made
-    there: its count in ``iters_to_threshold`` and the factors and curves of
-    its ``count`` iterations, which have the bits of a full-length run's first
+    row that :func:`threshold_reached` marks, its iterations to threshold:
+    a smoothed entry reads only earlier entries and the threshold only the
+    first, so this is the count of a full ``q_st2`` curve. The run then
+    leaves the stack with its result, made there: its count in
+    ``iters_to_threshold`` and the factors and curves of its ``count``
+    iterations, which have the bits of a full-length run's first
     ``count``. The runs still training move up into the leading rows of the
     call's buffers, and the next block draws only the streams that one of
     them replays. A run that never crosses trains ``q_st2`` iterations and
@@ -266,7 +266,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     params = np.stack([streams[s].fresh for s in job_stream])
     lmd1, lmd2 = (np.stack([job.lmd[li] for job in jobs]) for li in range(2))
     grads, *moments = np.zeros((3, *params.shape))  # and AdamW's two moments
-    w0s, _ = model.operands()
+    w0s = [l.w0 for l in model.layers]
     train_losses = np.empty((R, q))
     # what a run's stack row holds across iterations, moved up when a run
     # leaves (each step overwrites the gradients)
@@ -397,17 +397,6 @@ def threshold_reached(curves: np.ndarray, row: int, tau_fraction: float,
     """
     lo = max(0, row - window + 1)
     return curves[:, lo:row + 1].mean(axis=1) <= tau_fraction * curves[:, 0]
-
-
-def iterations_to_threshold(probe_losses: list[float], tau_fraction: float,
-                            window: int) -> int:
-    """First iteration whose smoothed probe loss :func:`threshold_reached`
-    marks; sentinel = len(curve) when never reached."""
-    curve = np.asarray(probe_losses, dtype=np.float64)[None]
-    for row in range(curve.shape[1]):
-        if threshold_reached(curve, row, tau_fraction, window)[0]:
-            return row
-    return curve.shape[1]
 
 
 def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,

@@ -202,7 +202,7 @@ class ToyDenoiser:
 
     def operands(self) -> tuple[list, list[tuple]]:
         """:func:`forward`'s ``(w0s, chains)``, the installed factors made
-        contiguous. The only reader of the installed factors."""
+        contiguous. The only reader of the installed factors, for :func:`generate`."""
         chains = [(np.ascontiguousarray(f.l_meta_down), np.ascontiguousarray(f.l_mid),
                    np.ascontiguousarray(f.l_up)) for f in (l.factors for l in self.layers)]
         return [l.w0 for l in self.layers], chains
@@ -359,14 +359,17 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     reads the stream after the loop, so no bit depends on it. Both base
     weights train as views of one flat AdamW buffer, which the kernels write
     their gradients into, then are copied into the model's base weights, which
-    are frozen; the zero factors never train, so ``r1 = r2 = 1`` will do.
+    are frozen. The step's chains have rank 0, ``(0, d1)``, ``(0, 0)`` and
+    ``(d2, 0)`` factors, so their adapter term is an exact zero; the model's
+    own zero ``r1 = r2 = 1`` factors serve only :func:`generate`.
     """
     if lr < 0:
         raise ValueError(f"pretrain_base: lr must be >= 0, got {lr}")
     rng = make_rng(seed)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=1, r2=1,
                               n_prompts=dataset.n_prompts, factor_mode="zero")
-    w0s, chains = model.operands()
+    w0s = [l.w0 for l in model.layers]
+    chains = [(np.zeros((0, d1)), np.zeros((0, 0)), np.zeros((d2, 0))) for d1, d2 in model.dims]
     flat = tuple(np.zeros((4, sum(w.size for w in w0s))))  # AdamW's weights, gradient, m, v
     np.concatenate([w.ravel() for w in w0s], out=flat[0])
     base, grads = (flat_views(row, [w.shape for w in w0s]) for row in flat[:2])

@@ -398,8 +398,7 @@ def test_acceptance_9_determinism_and_persistence(tmp_path):
     p3 = tmp_path / "c.bin"
     save_checkpoint(p3, header, tensors)
     assert p1.read_bytes() == p3.read_bytes(), "round trip not bit-exact"
-    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
     with pytest.raises(RankError):
-        load_stage1(p1, expected_r1=8, expected_dims=dims)
+        load_stage1(p1, expected_r1=8, expected_dims=model.dims)
     report(9, f"{len(p1.read_bytes())}-byte checkpoints byte-identical; "
               "round trip exact; cross-rank load refused (RankError)")

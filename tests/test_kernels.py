@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metalora import kernels
+from metalora.adapter import SCALE
 from metalora.numerics import make_rng
 
 CPU_BASELINE = np._core._multiarray_umath.__cpu_baseline__
@@ -274,6 +275,24 @@ def test_every_out_slot_holds_the_bits_of_the_returned_gradient():
                 assert got[i] is dst and dst.tobytes() == full[i].tobytes(), (need, name)
             else:
                 assert got[i] is None and np.isnan(dst).all(), (need, name)
+
+
+@pytest.mark.parametrize("B", [None, 5], ids=["2d", "stacked"])
+def test_rank_zero_chain_adds_exact_zeros(B):
+    # pretraining trains the base alone through chains of (0, d1), (0, 0)
+    # and (d2, 0) factors: h and dx are w0's products plus +0.0, and dw0 is
+    # stack_sum's
+    rng = make_rng(14)
+    d1, d2 = 7, 4
+    w0 = fuzzed(rng, (d2, d1))
+    x, g = (fuzzed(rng, (d, 3) if B is None else (B, d, 1)) for d in (d1, d2))
+    lmd, lm, lu = np.zeros((0, d1)), np.zeros((0, 0)), np.zeros((d2, 0))
+    h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, SCALE, x)
+    _, _, _, dx, dw0 = kernels.chain_backward(w0, lmd, lm, lu, SCALE, x, u, mid, g,
+                                              need={"w0", "x"})
+    for got, want in ((h, w0 @ x + 0.0), (dx, w0.mT @ g + 0.0),
+                      (dw0, kernels.stack_sum(g, x))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestNeed:

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from metalora import metatrain, toymodel
-from metalora.adapter import AdapterFactors, init_factors
+from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import MetaLoraError, NumericError
 from metalora.metatrain import (Bucket, IdentityBank, TraceRecord, TrainConfig,
                                 partition_buckets, run_stage1, split_params,
                                 warm_up_gate, write_trace_csv, write_trace_jsonl)
 from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
+from metalora.personalize import (PersonalizeConfig, Stage2Job, make_probe, run_stage2,
+                                  run_stage2_many)
 from metalora.toymodel import (DRAW_BLOCK, Example, ToyDenoiser, diffusion_loss,
                                linear_schedule, make_dataset, noisify, pretrain_base)
 
@@ -109,6 +111,25 @@ def small_stage1(seed=0, **cfg_kw):
     return model, ds, schedule, config
 
 
+def stage_runs(model, ds, schedule, config):
+    """Stage 1 and its trace, then, on its shared down factors, a lone
+    ``run_stage2`` and a probed ``run_stage2_many`` run of identity 0."""
+    res, trace = traced_stage1(model, ds, schedule, config)
+    cfg = PersonalizeConfig(q_st2=20, r1=config.r1, r2=config.r2, lr=5e-3, seed=0)
+    ref = ds.reference_of(0)
+    probe = make_probe(model, ds, 0, schedule, seed=0)
+    return (res, trace, run_stage2(model, res.lmd, ref, schedule, cfg),
+            run_stage2_many(model, [Stage2Job(res.lmd, ref, 1, probe)], schedule, cfg)[0])
+
+
+def run_bits(res, trace, *stage2):
+    """What :func:`stage_runs` gives, as comparable bits."""
+    return ([m.tobytes() for m in res.lmd], trace,
+            [(r.train_losses, r.probe_losses, r.iters_to_threshold,
+              [a.tobytes() for f in r.factors for a in (f.l_meta_down, f.l_mid, f.l_up)])
+             for r in stage2])
+
+
 def item_by_item_inputs(model, batch, schedule, rng):
     """A batch's network inputs and noise, drawn and noised item by item:
     each item its t, then its noise, through noisify."""
@@ -130,7 +151,7 @@ def reference_stage1(model, dataset, schedule, config):
     rng = make_rng(config.seed)
     buckets = partition_buckets(dataset, config.identities_per_bucket,
                                 config.batch_size, config.seed, config.warm_up_fraction)
-    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+    dims = model.dims
 
     def state():
         return AdamWState(lr=config.lr, weight_decay=config.weight_decay)
@@ -242,9 +263,7 @@ class TestStage1:
     def test_only_shared_factor_survives(self):
         model, ds, schedule, config = small_stage1()
         res, _ = traced_stage1(model, ds, schedule, config)
-        assert len(res.lmd) == 2
-        assert res.lmd[0].shape == (config.r1, model.layer1.factors.d1)
-        assert res.lmd[1].shape == (config.r1, model.layer2.factors.d1)
+        assert [m.shape for m in res.lmd] == [(config.r1, d1) for d1, _ in model.dims]
 
     def test_deterministic(self):
         model, ds, schedule, config = small_stage1()
@@ -278,7 +297,7 @@ class TestStage1:
         bank = IdentityBank(model, ds.n_identities, config, make_rng(0))
         ids = np.array([2, 0, 2])
         assert all(lmd is shared for (lmd, _, _), shared
-                   in zip(bank.operands(ids), bank.lmd))
+                   in zip(bank.chains(ids), bank.lmd))
         buffers = (bank.params, bank.m, bank.v)
         before = [b.copy() for b in buffers]
         bank.update(ids, make_rng(1).normal(size=(len(ids), bank.params.shape[1])))
@@ -355,13 +374,29 @@ class TestStage1:
         assert bank.lomd_checksum() not in (zero, first)
         assert bank.lomd_checksum() == full() and len(calls) == 4
 
-    def test_reads_the_model_operands_once(self, monkeypatch):
+    def test_stages_never_read_the_model_operands(self, monkeypatch):
+        # the trainers read the base weights and pass their own chains: only
+        # generate reads a model's installed factors
         model, ds, schedule, config = small_stage1()
-        calls, operands = [], ToyDenoiser.operands
-        monkeypatch.setattr(ToyDenoiser, "operands",
-                            lambda model: calls.append(None) or operands(model))
-        res, _ = traced_stage1(model, ds, schedule, config)
-        assert res.executed_iterations > 1 and len(calls) == 1
+
+        def refuse(model):
+            raise AssertionError("ToyDenoiser.operands read by a trainer")
+
+        monkeypatch.setattr(ToyDenoiser, "operands", refuse)
+        res, _, lone, probed = stage_runs(model, ds, schedule, config)
+        assert res.executed_iterations > 1
+        assert len(lone.train_losses) == 20 and probed.iters_to_threshold is not None
+
+    def test_stages_ignore_the_model_factors(self):
+        # stage 1 and stage 2 on a model whose layers hold no factors give
+        # the bits of the runs on the untouched model
+        model, ds, schedule, config = small_stage1()
+        bare = ToyDenoiser(*(AdaptedLayer(l.w0, l.factors) for l in model.layers),
+                           model.d, model.n_prompts)
+        for layer in bare.layers:
+            layer.factors = None
+        assert run_bits(*stage_runs(bare, ds, schedule, config)) == \
+            run_bits(*stage_runs(model, ds, schedule, config))
 
     def test_audit_sees_a_shared_factor_change_while_the_gate_is_closed(self, monkeypatch):
         # a change of the shared down factors must show in the trace whatever

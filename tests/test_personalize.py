@@ -15,8 +15,7 @@ from metalora.errors import (CheckpointError,
 from metalora.metatrain import TrainConfig, fresh_identity_params, run_stage1, split_params
 from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
 from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
-                                  adaptation_speed_experiment,
-                                  iterations_to_threshold, load_stage1,
+                                  adaptation_speed_experiment, load_stage1,
                                   make_probe, probe_loss, run_stage2,
                                   run_stage2_many, threshold_reached,
                                   view_latent)
@@ -67,8 +66,7 @@ class TestLoadStage1:
     def test_round_trip_bit_identical_and_frozen(self, world, tmp_path):
         ds, schedule, model, lmd = world
         path = self.save(tmp_path, lmd)
-        dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
-        loaded = load_stage1(path, expected_r1=4, expected_dims=dims)
+        loaded = load_stage1(path, expected_r1=4, expected_dims=model.dims)
         for a, b in zip(loaded, lmd):
             assert np.array_equal(a, b)
             with pytest.raises(ValueError):
@@ -77,16 +75,14 @@ class TestLoadStage1:
     def test_rank_mismatch_refused(self, world, tmp_path):
         ds, schedule, model, lmd = world
         path = self.save(tmp_path, lmd, r1=4)
-        dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
         with pytest.raises(RankError):
-            load_stage1(path, expected_r1=8, expected_dims=dims)
+            load_stage1(path, expected_r1=8, expected_dims=model.dims)
 
     def test_wrong_kind_refused(self, world, tmp_path):
         ds, schedule, model, lmd = world
         path = self.save(tmp_path, lmd, kind="base")
-        dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
         with pytest.raises(CheckpointError):
-            load_stage1(path, expected_r1=4, expected_dims=dims)
+            load_stage1(path, expected_r1=4, expected_dims=model.dims)
 
     def test_truncated_file_reports_offset(self, world, tmp_path):
         ds, schedule, model, lmd = world
@@ -94,9 +90,8 @@ class TestLoadStage1:
         blob = path.read_bytes()
         cut = tmp_path / "cut.bin"
         cut.write_bytes(blob[:len(blob) - 20])
-        dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
         with pytest.raises(CheckpointError) as exc:
-            load_stage1(cut, expected_r1=4, expected_dims=dims)
+            load_stage1(cut, expected_r1=4, expected_dims=model.dims)
         assert exc.value.offset is not None
         assert "offset" in str(exc.value)
 
@@ -166,7 +161,7 @@ class TestRunStage2:
         for li, layer in enumerate(model.layers):
             layer.factors = res.factors[li]
             for _ in range(10):
-                x = rng.standard_normal((layer.factors.d1, 4))
+                x = rng.standard_normal((model.dims[li][0], 4))
                 a = layer.forward(x)
                 b = merged_forward(layer.w0, res.merged[li], x)
                 assert np.max(np.abs(a - b)) <= 1e-12
@@ -272,6 +267,17 @@ def loop_smooth(values, window):
         lo = max(0, i - window + 1)
         out[i] = arr[lo:i + 1].mean()
     return out
+
+
+def iterations_to_threshold(probe_losses, tau_fraction, window):
+    """The reference for the engine's counts: the first iteration whose
+    smoothed probe loss :func:`threshold_reached` marks, tested row by row on
+    the whole curve; sentinel = len(curve) when never reached."""
+    curve = np.asarray(probe_losses, dtype=np.float64)[None]
+    for row in range(curve.shape[1]):
+        if threshold_reached(curve, row, tau_fraction, window)[0]:
+            return row
+    return curve.shape[1]
 
 
 class TestIterationsToThreshold:
@@ -414,8 +420,8 @@ def reference_stage2(model, job, schedule, cfg):
     rng = make_rng(job.seed)
     specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
     factors = []
-    for l, shared in zip(model.layers, job.lmd):
-        fresh = init_factors(rng, l.factors.d1, l.factors.d2, cfg.r1, cfg.r2, "fresh")
+    for (d1, d2), shared in zip(model.dims, job.lmd):
+        fresh = init_factors(rng, d1, d2, cfg.r1, cfg.r2, "fresh")
         factors.append(AdapterFactors(shared, fresh.l_mid, fresh.l_up))
     states = [(AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay),
                AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)) for _ in job.lmd]
@@ -457,9 +463,8 @@ def speed_runs(model, ds, schedule, idents, lmd_meta, config, seeds):
             ref = ds.reference_of(ident)
             probe = make_probe(model, ds, ident, schedule, seed=seed * 10007 + ident)
             rrng = make_rng(seed * 977 + ident)
-            lmd_rand = [init_factors(rrng, l.factors.d1, l.factors.d2,
-                                     config.r1, config.r2).l_meta_down
-                        for l in model.layers]
+            lmd_rand = [init_factors(rrng, d1, d2, config.r1, config.r2).l_meta_down
+                        for d1, d2 in model.dims]
             yield Stage2Job(lmd_meta, ref, seed * 31 + ident, probe)
             yield Stage2Job(lmd_rand, ref, seed * 31 + ident, probe)
 
@@ -484,8 +489,7 @@ class TestLockstepEngine:
         """Six probed jobs, whose runs under SIX_CFG give their whole curves;
         job 4's reference is another example of its identity."""
         ds, schedule, model, lmd = world
-        rand = [init_factors(make_rng(9), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
-                for l in model.layers]
+        rand = [init_factors(make_rng(9), d1, d2, 4, 1).l_meta_down for d1, d2 in model.dims]
         jobs = []
         for k in range(6):
             ident = k % 4
@@ -778,8 +782,7 @@ class TestDrawAhead:
             return draw(spec, rng)
 
         monkeypatch.setattr(personalize, "sample_view", spy)
-        rand = [init_factors(make_rng(3), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
-                for l in model.layers]
+        rand = [init_factors(make_rng(3), d1, d2, 4, 1).l_meta_down for d1, d2 in model.dims]
         run_stage2_many(model, [Stage2Job(lmd, ref, 4), Stage2Job(rand, ref, 4),
                                 Stage2Job(lmd, ref, 5)], schedule, pcfg())
         assert len(calls) == 2 * 40  # two streams of q_st2 draws
@@ -813,8 +816,7 @@ class TestDrawAhead:
         # three jobs on two streams: each block of draws makes one
         # conditioned call over (block iterations) x (streams) rows
         ds, schedule, model, lmd = world
-        rand = [init_factors(make_rng(3), l.factors.d1, l.factors.d2, 4, 1).l_meta_down
-                for l in model.layers]
+        rand = [init_factors(make_rng(3), d1, d2, 4, 1).l_meta_down for d1, d2 in model.dims]
         ref = ds.reference_of(1)
         q_st2 = 2 * DRAW_BLOCK + 3
         rows = []
@@ -835,8 +837,7 @@ class TestDrawAhead:
         # streams would take 0.9 MB; the loss curves' floats take about 0.1 MB
         rng = make_rng(4)
         model = ToyDenoiser.build(rng, d=32, hidden=16, n_prompts=2, r1=4)
-        lmd = [init_factors(rng, l.factors.d1, l.factors.d2, 4, 1).l_meta_down
-               for l in model.layers]
+        lmd = [init_factors(rng, d1, d2, 4, 1).l_meta_down for d1, d2 in model.dims]
         refs = [Example(identity=i, x0=rng.normal(size=32), prompt_id=i, split="reference",
                         image_w=1024, image_h=1024, face_box=(384, 384, 256, 256))
                 for i in range(2)]

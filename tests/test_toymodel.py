@@ -167,7 +167,7 @@ def stage1_factors(model, identities, seed):
     non-zero up factors."""
     rng = make_rng(seed)
     r1, r2 = model.layer1.factors.l_meta_down.shape[0], model.layer1.factors.l_mid.shape[0]
-    dims = [(l.factors.d1, l.factors.d2) for l in model.layers]
+    dims = model.dims
     lmd = [init_factors(rng, d1, d2, r1, r2).l_meta_down for d1, d2 in dims]
     factors = {}
     for i in identities:
@@ -286,7 +286,7 @@ class TestDenoiser:
         m = ToyDenoiser.build(rng, d=8, hidden=16, n_prompts=2, r1=4, r2=1)
         inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
         loss_zero, _ = diffusion_loss(*m.operands(), inp, eps)
-        f1 = init_factors(make_rng(7), m.layer1.factors.d1, 16, 4, 1, "fresh")
+        f1 = init_factors(make_rng(7), m.dims[0][0], 16, 4, 1, "fresh")
         f2 = init_factors(make_rng(8), 16, 8, 4, 1, "fresh")
         loss_fresh, _ = diffusion_loss(m.operands()[0], [(f.l_meta_down, f.l_mid, f.l_up)
                                                          for f in (f1, f2)], inp, eps)
@@ -326,7 +326,7 @@ class TestDenoiser:
         batch = [ds.of_identity(0)[1], ds.of_identity(1)[2], ds.of_identity(0)[3]]
         ids = np.array([item.identity for item in batch])
         inp, eps = batch_inputs(m, batch, linear_schedule(), make_rng(6))
-        operands = ([l.w0 for l in m.layers], bank.operands(ids), inp[:, :, None], eps,
+        operands = ([l.w0 for l in m.layers], bank.chains(ids), inp[:, :, None], eps,
                     len(ids))
         names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
         for need in (set(c) for k in range(5) for c in combinations(sorted(TRAINED), k)):
@@ -387,7 +387,7 @@ class TestDenoiser:
         inp, eps = batch_inputs(m, batch, s, make_rng(42))
 
         def loss(out=None):
-            return diffusion_loss(m.operands()[0], bank.operands(ids), inp, eps, out=out)
+            return diffusion_loss(m.operands()[0], bank.chains(ids), inp, eps, out=out)
 
         item_grads = np.empty((len(ids), bank.params.shape[1]))
         # the out slots of run_stage1: the bank's shared gradient views and
@@ -654,13 +654,14 @@ class TestPretrain:
             assert layer.w0.base is None
             assert not layer.w0.flags.writeable
 
-    def test_pretraining_reads_the_model_operands_once(self, monkeypatch):
-        calls, operands = [], ToyDenoiser.operands
-        monkeypatch.setattr(ToyDenoiser, "operands",
-                            lambda model: calls.append(None) or operands(model))
+    def test_pretraining_never_reads_the_model_operands(self, monkeypatch):
+        # the base trains alone, through rank-0 chains of its own
+        def refuse(model):
+            raise AssertionError("ToyDenoiser.operands read by pretraining")
+
+        monkeypatch.setattr(ToyDenoiser, "operands", refuse)
         pretrain_base(small_dataset(seed=20), linear_schedule(), seed=1, hidden=16,
                       loss_threshold=0.9, max_iters=3000, window=50)
-        assert len(calls) == 1
 
     def test_pretrain_deterministic(self):
         ds = small_dataset(seed=21)

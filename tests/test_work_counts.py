@@ -51,7 +51,7 @@ TABLE = {
         # gradients, and the comprehension that listed them) and -1 C call
         # (np.ascontiguousarray). stage1 saves as much on its 36 iterations
         # with the gate open, less IdentityBank.update_shared's call, and
-        # IdentityBank.operands gathers the four mid/up blocks in place of
+        # IdentityBank.chains gathers the four mid/up blocks in place of
         # a row gather and split_params: -1 Python and -12 C calls (len,
         # list.append and ndarray.reshape per block) on all 60
         "pretrain": (2637, 3340),
