@@ -64,12 +64,6 @@ class CropSpec:
         return (self.x, self.y, self.w, self.h)
 
 
-@dataclass(frozen=True)
-class View:
-    rect: tuple[int, int, int, int]
-    flip: bool
-
-
 def _crop_dims(aspect_w: int, aspect_h: int, short_side: int) -> tuple[int, int]:
     """(w, h) of a crop with the given aspect whose short side is short_side."""
     if aspect_w >= aspect_h:  # landscape or square: height is the short side
@@ -88,11 +82,10 @@ def _max_short_side(aspect_w: int, aspect_h: int, image_w: int, image_h: int) ->
         s = min(image_h, int(image_w * aspect_h / aspect_w))
     else:
         s = min(image_w, int(image_h * aspect_w / aspect_h))
-    # rounding in _crop_dims moves the long side by up to a pixel either way;
-    # settle on the largest short side that actually fits
-    while s > 1 and not fits(s):
-        s -= 1
-    while fits(s + 1) and s + 1 <= min(image_w, image_h):
+    # the floor fits (a long side of at most the image's rounds to at most
+    # it), but _crop_dims rounds the long side, which can leave room for a
+    # larger short side: settle on the largest that fits
+    while fits(s + 1):
         s += 1
     return s
 
@@ -127,10 +120,10 @@ def plan_crops(image_w: int, image_h: int, face: FaceBox) -> list[CropSpec]:
     return specs
 
 
-def sample_view(spec: CropSpec, rng: np.random.Generator) -> View:
-    """Concrete training view: the spec's rect plus a fair-coin flip flag."""
-    flip = bool(rng.random() < 0.5) if spec.flip_allowed else False
-    return View(rect=spec.rect, flip=flip)
+def sample_view(spec: CropSpec, rng: np.random.Generator) -> bool:
+    """A training view's flip of the spec's rect: a fair coin where the spec
+    allows a flip, else ``False`` and no draw."""
+    return bool(rng.random() < 0.5) if spec.flip_allowed else False
 
 
 def plan_to_jsonl(specs: list[CropSpec]) -> str:

@@ -125,7 +125,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     hdr_start = r.pos
     try:
         header = json.loads(r.take(hlen, "header JSON").decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"malformed header JSON: {exc}", offset=hdr_start)
     if not isinstance(header, dict):
         raise CheckpointError(f"header JSON is a {type(header).__name__}, not an object",

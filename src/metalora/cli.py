@@ -26,7 +26,7 @@ from .checkpoint import atomic_open, config_hash, load_layers, save_layers, writ
 from .config import CONFIG_SCHEMA, MAX_SIZE  # also read as cli.CONFIG_SCHEMA, cli.MAX_SIZE
 from .errors import (CheckpointError, ConfigError, ManifestError, MetaLoraError,
                      NumericError, RankError)
-from .numerics import make_rng
+from .numerics import check_finite, make_rng
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
@@ -211,8 +211,9 @@ def cmd_personalize(args) -> int:
 def cmd_merge(args) -> int:
     header, layers = load_layers(args.checkpoint, "personalized")
     merged, errors = {"down": [], "up": []}, []
-    for f in map(AdapterFactors, layers["lmd"], layers["lm"], layers["lu"]):
+    for li, f in enumerate(map(AdapterFactors, layers["lmd"], layers["lm"], layers["lu"])):
         m = merge(f)
+        check_finite(m.down, f"merged layer {li} down factor")  # up: the read l_up's copy
         merged["down"].append(m.down)
         merged["up"].append(m.up)
         if args.verify:
@@ -241,7 +242,7 @@ def cmd_evaluate(args) -> int:
     with open(args.manifest) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or nested too deep
             raise ManifestError(f"manifest {args.manifest} is not JSON: {exc}") from exc
     manifest = evaluation.EvalManifest.from_json(doc)
     dim = manifest.identities[0].reference.size

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ManifestError, MetaLoraError, NumericError
+from .numerics import make_rng
 
 
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
@@ -114,8 +115,7 @@ class ToyEmbedder:
     latent, normalized to unit length."""
 
     def __init__(self, in_dim: int, out_dim: int = 16, *, seed: int):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.proj = rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim))
+        self.proj = make_rng(seed).normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim))
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # checked_norm refuses it
@@ -200,7 +200,7 @@ def read_embeddings_jsonl(path, dim: int | None = None) -> dict[str, np.ndarray]
     line_of: dict[str, int] = {}  # each id's line
     with open(path, "rb") as fh:
         for ln, line in enumerate(fh, 1):
-            try:  # ValueError: not JSON or not UTF-8, or not numbers
+            try:  # ValueError: not JSON, UTF-8 or numbers; RecursionError: nested too deep
                 if line.strip():
                     obj = json.loads(line)
                     key = str(obj["id"])
@@ -211,7 +211,7 @@ def read_embeddings_jsonl(path, dim: int | None = None) -> dict[str, np.ndarray]
                     if vec.shape != (dim or len(vec),) or not np.isfinite(vec).all():
                         raise ValueError(f"vector of shape {vec.shape} is not a row of "
                                          f"{dim or 'any number of'} finite numbers")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ManifestError(f"{path}:{ln}: not an embedding record "
                                     f"({type(exc).__name__}: {exc})") from exc
     return out

@@ -145,11 +145,12 @@ class IdentityBank:
         self.steps = np.zeros(n_identities, dtype=np.int64)
         # each factor block's (n_identities, ., .) view of params
         self._blocks = [b for pair in split_params(self.params, *self.layout) for b in pair]
-        # the checksum memos: the last hashed bits (first their complement) and checksums
-        self._row_bits = ~self.params.view(np.uint64)
-        self._row_checksums = [""] * n_identities
-        self._lmd_bits = ~self._flat[0].view(np.uint64)
-        self._lmd_checksum = ""
+        # the checksum memos, per (rows, n) table: its raw 64-bit words, the
+        # last hashed words (first their complement), each row's checksum and
+        # the blocks hashed per row. The shared factors are a one-row table
+        words = self.params.view(np.uint64), self._flat[0].view(np.uint64)[None]
+        self._row_memo = words[0], ~words[0], [""] * n_identities, self._blocks
+        self._lmd_memo = words[1], ~words[1], [""], [m[None] for m in self.lmd]
 
     def chains(self, identities: np.ndarray) -> list[tuple]:
         """Per layer, :func:`metalora.toymodel.train_step`'s ``(lmd, lm, lu)``
@@ -179,27 +180,28 @@ class IdentityBank:
         self._lmd_steps += 1
         kernels.adamw_update(*self._flat, self._lmd_steps, *self.adamw)
 
+    @staticmethod
+    def _checksums(memo) -> list[str]:
+        """Each row's checksum of a memo's table: the row of each of its
+        blocks, hashed in order. The one rule of "changed": only rows whose
+        raw 64-bit words changed since the last call are rehashed, so any
+        change of bits (``0.0`` to ``-0.0`` too) is seen, in or out of the
+        batch."""
+        words, last, sums, blocks = memo
+        for i in (words != last).any(axis=1).nonzero()[0].tolist():
+            sums[i] = "".join([checksum(b[i]) for b in blocks])
+            last[i] = words[i]
+        return sums
+
     def identity_checksums(self) -> dict[int, str]:
         """Every identity's checksum: per layer, its mid then its up factor,
-        each hashed from its contiguous block of the identity's row.
-
-        Only rows whose bits changed since the last call are rehashed. The
-        comparison is on the raw 64-bit words, so any change of bits (``0.0``
-        to ``-0.0`` too) is seen, in or out of the batch."""
-        bits = self.params.view(np.uint64)
-        for i in np.flatnonzero((bits != self._row_bits).any(axis=1)).tolist():
-            self._row_checksums[i] = "".join([checksum(b[i]) for b in self._blocks])
-            self._row_bits[i] = bits[i]
-        return dict(enumerate(self._row_checksums))
+        each hashed from its contiguous block of the identity's row."""
+        return dict(enumerate(self._checksums(self._row_memo)))
 
     def lomd_checksum(self) -> str:
-        """The shared down factors' checksum, rehashed only when their raw
-        64-bit words changed since the last call, as for an identity's row."""
-        bits = self._flat[0].view(np.uint64)
-        if (bits != self._lmd_bits).any():
-            self._lmd_checksum = "".join(checksum(m) for m in self.lmd)
-            self._lmd_bits[:] = bits
-        return self._lmd_checksum
+        """The shared down factors' checksum, by the identities' rule: a
+        one-row table."""
+        return self._checksums(self._lmd_memo)[0]
 
 
 @dataclass

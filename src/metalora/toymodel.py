@@ -58,13 +58,12 @@ def linear_schedule(T: int = default("timesteps")) -> DiffusionSchedule:
 
 def noisify(schedule: DiffusionSchedule, x0: np.ndarray, t: int,
             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-process sample: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
+    """Forward-process sample: x_t = sqrt(ab_t) x0 + sqrt(1 - ab_t) eps, with
+    the schedule's ``sqrt_ab`` and ``sqrt_1m_ab``."""
     if not 0 <= t < schedule.T:
         raise ValueError(f"timestep {t} out of range [0, {schedule.T})")
-    ab = schedule.alpha_bar[t]
     eps = rng.normal(0.0, 1.0, size=x0.shape)
-    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    return x_t, eps
+    return schedule.sqrt_ab[t] * x0 + schedule.sqrt_1m_ab[t] * eps, eps
 
 
 def time_embedding(t: int, T: int) -> np.ndarray:

@@ -308,7 +308,7 @@ def test_acceptance_6_augmentation_geometry():
             assert 0 <= x and 0 <= y and x + w <= iw and y + h <= ih
     rng = make_rng(6)
     spec = CropSpec(0, 0, 64, 64, "1:1", 1.5)
-    freq = sum(sample_view(spec, rng).flip for _ in range(10_000)) / 10_000
+    freq = sum(sample_view(spec, rng) for _ in range(10_000)) / 10_000
     assert abs(freq - 0.5) <= 0.015, f"flip frequency {freq}"
     report(6, f"25 specs unbounded; {len(fixtures)} oracle fixtures; "
               f"flip freq {freq:.4f}")

@@ -1,11 +1,13 @@
 """Crop-plan geometry and flip sampling."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metalora import augment
 from metalora.augment import (ASPECTS, MULTIPLIERS, CropSpec, FaceBox,
                               _crop_dims, _max_short_side, plan_crops,
                               plan_to_jsonl, sample_view)
@@ -134,11 +136,27 @@ class TestPlanGeometry:
         face = FaceBox(100, 120, 140, 160)
         assert plan_crops(900, 800, face) == plan_crops(900, 800, face)
 
-    def test_face_out_of_bounds_rejected(self):
+    @pytest.mark.parametrize("face", [FaceBox(400, 400, 200, 200), FaceBox(350, 0, 200, 100),
+                                      FaceBox(0, 450, 100, 100), FaceBox(-1, 0, 10, 10),
+                                      FaceBox(0, -1, 10, 10)],
+                             ids=["both-sides", "right-edge", "bottom-edge", "left-edge",
+                                  "top-edge"])
+    def test_face_out_of_bounds_rejected(self, face):
         with pytest.raises(MetaLoraError):
-            plan_crops(500, 500, FaceBox(400, 400, 200, 200))
+            plan_crops(500, 500, face)
+
+    @pytest.mark.parametrize("w, h", [(0, 10), (10, 0), (-1, 10), (10, -1)])
+    def test_face_box_without_area_rejected(self, w, h):
         with pytest.raises(MetaLoraError):
-            FaceBox(0, 0, 0, 10)
+            FaceBox(0, 0, w, h)
+
+    def test_short_sides_are_the_papers_multipliers(self):
+        # a face that every crop fits around: each aspect's short sides are
+        # 1.5, 2, 2.5, 3.5 and 4.5 x f_long
+        plan = plan_crops(4000, 4000, FaceBox(1900, 1900, 80, 100))
+        assert [(s.aspect, min(s.w, s.h)) for s in plan] == [
+            (aspect, side) for aspect in ("16:9", "4:3", "1:1", "3:4", "9:16")
+            for side in (150, 200, 250, 350, 450)]
 
     def test_max_short_side_fits(self):
         for _, aw, ah in ASPECTS:
@@ -146,34 +164,61 @@ class TestPlanGeometry:
             w, h = _crop_dims(aw, ah, s)
             assert w <= 1234 and h <= 777
 
+    def test_max_short_side_is_the_largest_that_fits(self):
+        # brute force over every image up to 40 x 40, 21 x 12 among them,
+        # where 16:9's floor (11) is one below the largest side that fits (12)
+        assert _max_short_side(16, 9, 21, 12) == 12
+        for _, aw, ah in ASPECTS:
+            for iw in range(1, 41):
+                for ih in range(1, 41):
+                    fitting = [s for s in range(1, 41) if all(
+                        a <= b for a, b in zip(_crop_dims(aw, ah, s), (iw, ih)))]
+                    assert _max_short_side(aw, ah, iw, ih) == max(fitting, default=0)
+
+    @pytest.mark.parametrize("iw, ih", [(1920, 1080), (1080, 1920), (2**31 - 1, 2**31 - 1),
+                                        (2**31 - 1, 7), (7, 2**31 - 1)])
+    def test_max_short_side_settles_in_a_few_steps(self, monkeypatch, iw, ih):
+        # the search starts at the floor of the answer, so its cost does not
+        # grow with the image
+        calls = []
+        crop = augment._crop_dims
+        monkeypatch.setattr(augment, "_crop_dims", lambda *a: calls.append(a) or crop(*a))
+        for _, aw, ah in ASPECTS:
+            calls.clear()
+            _max_short_side(aw, ah, iw, ih)
+            assert len(calls) <= 3
+
 
 class TestSampleView:
     def test_flip_frequency(self):
         spec = CropSpec(0, 0, 100, 100, "1:1", 1.5)
         rng = make_rng(3)
         n = 10_000
-        flips = sum(sample_view(spec, rng).flip for _ in range(n))
+        flips = sum(sample_view(spec, rng) for _ in range(n))
         assert abs(flips / n - 0.5) <= 0.015
+
+    def test_coin_is_exactly_fair(self):
+        # a draw below 0.5 flips and 0.5 does not: exactly half of random()'s
+        # 2**53 equally likely values
+        spec = CropSpec(0, 0, 100, 100, "1:1", 1.5)
+        draws = [np.nextafter(0.5, 0.0), 0.5, 0.0]
+        assert [sample_view(spec, SimpleNamespace(random=lambda: d)) for d in draws] == \
+            [True, False, True]
 
     def test_flip_disallowed_always_false(self):
         spec = CropSpec(0, 0, 100, 100, "1:1", 1.5, flip_allowed=False)
         rng = make_rng(4)
-        assert all(not sample_view(spec, rng).flip for _ in range(200))
+        assert all(sample_view(spec, rng) is False for _ in range(200))
 
     def test_seeded_sequence_reproducible(self):
         spec = CropSpec(0, 0, 100, 100, "1:1", 1.5)
-        a = [sample_view(spec, make_rng(7)).flip for _ in range(1)]
-        seq1 = [sample_view(spec, rng).flip for rng in [make_rng(7)] * 0]
+        a = [sample_view(spec, make_rng(7)) for _ in range(1)]
+        seq1 = [sample_view(spec, rng) for rng in [make_rng(7)] * 0]
         rng1, rng2 = make_rng(9), make_rng(9)
-        s1 = [sample_view(spec, rng1).flip for _ in range(50)]
-        s2 = [sample_view(spec, rng2).flip for _ in range(50)]
+        s1 = [sample_view(spec, rng1) for _ in range(50)]
+        s2 = [sample_view(spec, rng2) for _ in range(50)]
         assert s1 == s2
         assert a is not None and seq1 == []
-
-    def test_view_keeps_rect(self):
-        spec = CropSpec(5, 6, 70, 80, "3:4", 2.0)
-        v = sample_view(spec, make_rng(0))
-        assert v.rect == (5, 6, 70, 80)
 
 
 class TestJsonl:

@@ -1144,26 +1144,61 @@ class TestExitCodes:
         assert err["error"] == "numeric" and "non-finite" in err["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry, verify, message", [
-        (0.0, True, "need 1 <= r2 <= r1 <= min(d1, d2), got r1=2, r2=0"),
-        (1e200, False, "merged checkpoint tensor 'down.0' is not finite")],
-        ids=["rank-0", "would-write-inf"])
-    def test_merge_that_would_write_a_refused_file_is_3(self, tmp_path, entry, verify,
-                                                        message):
-        # a rank-0 chain, or finite factors whose merged down factor overflows:
-        # the merged file would be refused on read, so it is not written
-        r2 = 0 if entry == 0.0 else 1
+    def test_merge_that_would_write_a_refused_file_is_3(self, tmp_path):
+        # a rank-0 chain: the merged file would be refused on read, so it is
+        # not written
         pers, out = tmp_path / "pers.bin", tmp_path / "merged.bin"
-        save_layers(pers, "personalized", {"r1": 2, "r2": r2, "identity": 0},
-                    {"lmd": [np.full((2, 3), entry)], "lm": [np.full((r2, 2), entry)],
-                     "lu": [np.ones((4, r2))]})
+        save_layers(pers, "personalized", {"r1": 2, "r2": 0, "identity": 0},
+                    {"lmd": [np.zeros((2, 3))], "lm": [np.zeros((0, 2))],
+                     "lu": [np.ones((4, 0))]})
         out.write_bytes(b"the previous file")
-        rc, stderr = run_main(["merge", "--checkpoint", pers, "--out", out]
-                              + ["--verify"] * verify)
+        rc, stderr = run_main(["merge", "--checkpoint", pers, "--out", out, "--verify"])
+        assert rc == 3 and len(stderr.splitlines()) == 1, stderr
+        err = json.loads(stderr)
+        assert err["error"] == "io"
+        assert "need 1 <= r2 <= r1 <= min(d1, d2), got r1=2, r2=0" in err["message"]
+        assert out.read_bytes() == b"the previous file"
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    def test_merge_whose_product_overflows_is_4(self, tmp_path, verify):
+        # finite factors whose merged down factor overflows are a numeric
+        # failure, named by layer, with or without --verify, and not written
+        pers, out = tmp_path / "pers.bin", tmp_path / "merged.bin"
+        save_layers(pers, "personalized", {"r1": 2, "r2": 1, "identity": 0},
+                    {"lmd": [np.full((2, 3), 1e200)], "lm": [np.full((1, 2), 1e200)],
+                     "lu": [np.ones((4, 1))]})
+        out.write_bytes(b"the previous file")
+        with warnings.catch_warnings():  # an overflow is an error, not a warning
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, stderr = run_main(["merge", "--checkpoint", pers, "--out", out]
+                                  + ["--verify"] * verify)
+        assert rc == 4 and len(stderr.splitlines()) == 1, stderr
+        assert json.loads(stderr) == {"error": "numeric", "message": "merged layer 0 down "
+                                      "factor contains non-finite values"}
+        assert out.read_bytes() == b"the previous file"
+
+    @pytest.mark.parametrize("where, message", [
+        ("checkpoint header", "malformed header JSON: maximum recursion depth"),
+        ("manifest", "is not JSON: maximum recursion depth"),
+        ("generated line", "gen.jsonl:1: not an embedding record (RecursionError")],
+        ids=["checkpoint-header", "manifest", "generated-line"])
+    def test_deeply_nested_json_is_3(self, tmp_path, where, message):
+        # nesting past the parser's recursion limit is a malformed input of
+        # its reader, not a traceback
+        deep = "[" * 200_000 + "]" * 200_000
+        argv = ["evaluate", *evaluate_inputs(tmp_path)]
+        if where == "checkpoint header":
+            header_only_checkpoint(tmp_path / "pers.bin", deep.encode())
+            argv = ["merge", "--checkpoint", tmp_path / "pers.bin"]
+        else:
+            (tmp_path / ("man.json" if where == "manifest" else "gen.jsonl")).write_text(deep)
+        rc, stderr = run_main([*argv, "--out", tmp_path / "o"])
         assert rc == 3 and len(stderr.splitlines()) == 1, stderr
         err = json.loads(stderr)
         assert err["error"] == "io" and message in err["message"]
-        assert out.read_bytes() == b"the previous file"
+        if where == "checkpoint header":  # the header's offset: past magic, version, length
+            assert err["message"].endswith("(at byte offset 10)")
+        assert not (tmp_path / "o").exists()
 
     def test_merge_of_empty_checkpoint_is_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"

@@ -19,8 +19,9 @@ from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   make_probe, probe_loss, run_stage2,
                                   run_stage2_many, threshold_reached,
                                   view_latent)
-from metalora.toymodel import (TEMB_DIM, Example, ToyDenoiser, generate, linear_schedule,
-                               make_dataset, noisify, pretrain_base, time_embedding)
+from metalora.toymodel import (TEMB_DIM, Example, ToyDenoiser, forward, generate,
+                               linear_schedule, make_dataset, noisify, pretrain_base,
+                               time_embedding)
 
 from test_acceptance import merged_forward
 
@@ -48,6 +49,13 @@ def whole_curve(cfg):
     """``cfg`` with tau_fraction = 0, which no positive probe loss reaches: its
     runs train q_st2 iterations and give their whole probe curves."""
     return replace(cfg, tau_fraction=0.0)
+
+
+def forward_probe_losses(w0s, chains, inp, eps):
+    """Each run's probe loss of a stack of n probes, the inputs ``inp``
+    (n, d_in, cols) and noise ``eps`` (n, d, cols), through
+    ``toymodel.forward`` on the inputs."""
+    return np.mean(((forward(w0s, chains, inp) - eps) ** 2).reshape(len(eps), -1), axis=1)
 
 
 def probed_run(model, lmd, ref, schedule, cfg, probe):
@@ -120,6 +128,28 @@ class TestMakeProbe:
         assert inp.flags.c_contiguous and eps.flags.c_contiguous
 
 
+class TestProbeLoss:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_forward_on_the_inputs_bit_for_bit(self, world, n):
+        # a stack of n runs' probes, with trained-looking chains laid out as
+        # the engine lays them out: the shared down factors stacked, the mid
+        # and up factors views of one flat (n, .) buffer
+        ds, schedule, model, lmd = world
+        rng = make_rng(n)
+        inp, eps = (np.stack(a) for a in zip(*(make_probe(model, ds, k, schedule, seed=k)
+                                                for k in range(n))))
+        lmd1, lmd2 = (np.stack([m + 0.1 * rng.normal(size=m.shape) for _ in range(n)])
+                      for m in lmd)
+        flat = np.stack([fresh_identity_params(rng, model.dims, 4, 1) for _ in range(n)])
+        flat += 0.1 * rng.normal(size=flat.shape)  # nonzero up factors
+        chains = [(m, lm, lu) for m, (lm, lu)
+                  in zip((lmd1, lmd2), split_params(flat, model.dims, 4, 1))]
+        w0s = [l.w0 for l in model.layers]
+        got = probe_loss(w0s, chains, w0s[0] @ inp, lmd1 @ inp, eps)
+        assert got.shape == (n,)
+        assert got.tobytes() == forward_probe_losses(w0s, chains, inp, eps).tobytes()
+
+
 class TestRunStage2:
     def test_lmd_frozen_bit_identical(self, world):
         ds, schedule, model, lmd = world
@@ -140,8 +170,9 @@ class TestRunStage2:
         probe = make_probe(model, ds, 1, schedule, seed=5)
         base_f = [init_factors(make_rng(0), d1, d2, 4, 1, mode="zero")
                   for d1, d2 in model.dims]
-        base = probe_loss(model.operands()[0],
-                          [(f.l_meta_down, f.l_mid, f.l_up) for f in base_f], probe)
+        base = forward_probe_losses([l.w0 for l in model.layers],
+                                    [(f.l_meta_down, f.l_mid, f.l_up) for f in base_f],
+                                    probe[0][None], probe[1][None])[0]
         res = probed_run(model, lmd, ref, schedule, pcfg(), probe)
         assert res.probe_losses[0] == pytest.approx(base, abs=1e-15)
 
@@ -438,8 +469,8 @@ def reference_stage2(model, job, schedule, cfg):
 
     losses, curve = [], [probe_point()]
     for _ in range(cfg.q_st2):
-        view = sample_view(specs[int(rng.integers(len(specs)))], rng)
-        x0 = view_latent(ref.x0, view.rect, view.flip, cfg.view_strength)
+        spec = specs[int(rng.integers(len(specs)))]
+        x0 = view_latent(ref.x0, spec.rect, sample_view(spec, rng), cfg.view_strength)
         t = int(rng.integers(schedule.T))
         x_t, eps = noisify(schedule, x0, t, rng)
         inp = model_input(x_t, t, ref.prompt_id).reshape(-1, 1)
@@ -564,6 +595,21 @@ class TestLockstepEngine:
         got = [v for s in rep["seeds"] for p in s["per_identity"]
                for v in (p["meta_iters"], p["random_iters"])]
         assert got == want
+
+    def test_speed_experiment_probes_only_through_probe_loss(self, world, monkeypatch):
+        # each probe row a run records is its entry of one probe_loss call,
+        # made once per row over the runs still training: a run of count
+        # iterations to threshold records min(count, q_st2) + 1 rows
+        ds, schedule, model, lmd = world
+        config = pcfg(q_st2=40, tau_fraction=0.98, smoothing_window=1)
+        stacks, probe = [], personalize.probe_loss
+        monkeypatch.setattr(personalize, "probe_loss",
+                            lambda *args: stacks.append(len(args[-1])) or probe(*args))
+        rep = adaptation_speed_experiment(model, ds, [2, 3], lmd, schedule, config, [0, 1, 2])
+        rows = sorted((min(v, config.q_st2) + 1 for s in rep["seeds"] for p in s["per_identity"]
+                       for v in (p["meta_iters"], p["random_iters"])), reverse=True)
+        assert len(set(rows)) > 1  # runs leave the stack at different rows
+        assert stacks == [sum(r > row for r in rows) for row in range(rows[0])]
 
     # blocks: where the runs stop, counted from 0, with block 3 for a run that
     # trains q_st2 iterations; ids: lr-tau-window and the last stop's block

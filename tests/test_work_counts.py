@@ -53,11 +53,19 @@ TABLE = {
         # with the gate open, less IdentityBank.update_shared's call, and
         # IdentityBank.chains gathers the four mid/up blocks in place of
         # a row gather and split_params: -1 Python and -12 C calls (len,
-        # list.append and ndarray.reshape per block) on all 60
+        # list.append and ndarray.reshape per block) on all 60.
+        # stage1: the audit's one change test, IdentityBank._checksums, finds
+        # the changed rows of the identities and of the shared factors (a
+        # one-row table) with ndarray.nonzero, not np.flatnonzero's Python
+        # wrappers: -6.2 Python and -4 C calls per iteration. stage2: the flip
+        # is sample_view's bool, with no View record or CropSpec.rect read:
+        # -2 Python calls per iteration. lockstep: the same on each of its 4
+        # streams, -8 Python calls, and each probe row one probe_loss call in
+        # place of the inline record_probe: +1 C call (its len) per iteration
         "pretrain": (2637, 3340),
-        "stage1": (4451, 5720),
-        "stage2": (723, 1174),
-        "lockstep": (1942, 3158),
+        "stage1": (4079, 5480),
+        "stage2": (595, 1174),
+        "lockstep": (1430, 3222),
     },
 }
 
