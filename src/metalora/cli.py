@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import sys
@@ -23,17 +22,16 @@ import numpy as np
 from . import augment, evaluation, metatrain, personalize, toymodel
 from .adapter import AdapterFactors, check_ranks, merge
 from .checkpoint import atomic_open, config_hash, load_layers, save_layers, write_atomic
-from .config import CONFIG_SCHEMA, MAX_SIZE  # also read as cli.CONFIG_SCHEMA, cli.MAX_SIZE
+from .config import CONFIG_SCHEMA, MAX_SIZE, check  # also read as cli.CONFIG_SCHEMA, cli.MAX_SIZE
 from .errors import (CheckpointError, ConfigError, ManifestError, MetaLoraError,
                      NumericError, RankError)
 from .numerics import check_finite, make_rng
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
-    """The run config: :data:`CONFIG_SCHEMA`'s defaults, then the file's
-    settings, then the non-``None`` ``overrides``, each checked against its
-    key's type and bounds, and the ranks against the model's widths by
-    :func:`~metalora.adapter.check_ranks`. Any refusal is a ``ConfigError``."""
+    """The run config: :data:`CONFIG_SCHEMA`'s defaults, then the file's settings (each of
+    its key's type), then the non-``None`` ``overrides``, in bounds (:func:`check`) and
+    with ranks that fit (:func:`~metalora.adapter.check_ranks`), or a ``ConfigError``."""
     values = {k: spec[1] for k, spec in CONFIG_SCHEMA.items()}
     if path is not None:
         try:
@@ -65,14 +63,8 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
                     values[key] = typ(val)
             except ValueError:
                 raise ConfigError(f"{path}:{ln}: cannot parse {val!r} as {typ.__name__}")
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
-    for key, (_typ, _default, lo, hi) in CONFIG_SCHEMA.items():
-        lo, hi = (bound(values) if callable(bound) else bound for bound in (lo, hi))
-        # an int beyond float range is refused like inf (math.isfinite cannot take it)
-        if not (lo <= values[key] <= hi and abs(values[key]) <= sys.float_info.max):
-            raise ConfigError(f"{key} = {values[key]} is not a finite number in [{lo}, {hi}]")
+    values.update({key: val for key, val in (overrides or {}).items() if val is not None})
+    check(values)
     # layer 2 (hidden_dim -> latent_dim) binds: layer 1's input is wider than latent_dim
     try:
         check_ranks(values["r1"], values["r2"], values["hidden_dim"], values["latent_dim"])
@@ -140,12 +132,6 @@ def _load_world(args) -> SimpleNamespace:
     return world
 
 
-def stage_config(cls, cfg: dict):
-    """A ``TrainConfig`` or ``PersonalizeConfig`` with each field set from the
-    config key it stands for (:func:`metalora.config.setting`)."""
-    return cls(**{f.name: cfg[f.metadata["key"]] for f in dataclasses.fields(cls)})
-
-
 def cmd_pretrain(args) -> int:
     world = _load_world(args)
     cfg = world.cfg
@@ -165,7 +151,7 @@ def cmd_pretrain(args) -> int:
 def cmd_metatrain(args) -> int:
     world = _load_world(args)
     cfg = world.cfg
-    tc = stage_config(metatrain.TrainConfig, cfg)
+    tc = metatrain.TrainConfig.from_config(cfg)
     train_set = toymodel.subset_dataset(world.dataset, world.train_ids)
     losses = array("d")  # 8 bytes an iteration, for the loss chart
     with metatrain.trace_files(args.out) as write_trace:
@@ -192,7 +178,7 @@ def cmd_personalize(args) -> int:
     ident = cfg["target_identity"] if cfg["target_identity"] >= 0 else world.heldout[0]
     result = personalize.run_stage2(
         world.model, world.lmd, world.dataset.reference_of(ident), world.schedule,
-        stage_config(personalize.PersonalizeConfig, cfg))
+        personalize.PersonalizeConfig.from_config(cfg))
     header = {"r1": cfg["r1"], "r2": cfg["r2"], "identity": ident, "seed": cfg["seed"],
               "config_hash": config_hash(cfg)}
     save_layers(args.out, "personalized", header, {
@@ -300,7 +286,7 @@ def cmd_speed_experiment(args) -> int:
     seeds = [cfg["seed"] + i for i in range(cfg["speed_seeds"])]
     report = personalize.adaptation_speed_experiment(
         world.model, world.dataset, world.heldout, world.lmd, world.schedule,
-        stage_config(personalize.PersonalizeConfig, cfg), seeds)
+        personalize.PersonalizeConfig.from_config(cfg), seeds)
     write_atomic(args.out, json.dumps(report, indent=2, sort_keys=True).encode())
     with atomic_open(str(args.out) + ".csv", "w", newline="") as fh:
         w = csv.writer(fh)

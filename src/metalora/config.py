@@ -1,17 +1,18 @@
 """The run settings: each config key's type, default and bounds, stated once.
 
-:func:`metalora.cli.parse_config` reads a config file against this table,
-and every library default that stands for a key (a field of a stage's
-config, an argument of the dataset, model, schedule or pretraining) reads
-it through :func:`default`, or through :func:`setting` for a field. The
-rank rule is not restated here: it is
-:func:`metalora.adapter.check_ranks`', which ``parse_config`` applies.
+:func:`metalora.cli.parse_config` reads a config file against this table, every
+library default that stands for a key reads it through :func:`default` (a stage
+config's field through :func:`setting`), and only :func:`check` enforces the bounds,
+for the CLI and the library alike. The rank rule is :func:`metalora.adapter.check_ranks`'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import field
+import sys
+from dataclasses import field, fields
+
+from .errors import ConfigError
 
 # key -> (type, default, lowest, highest): a value must be finite and in [lowest,
 # highest], bounds may depend on earlier keys, and unknown keys are rejected.
@@ -62,6 +63,27 @@ def default(key: str):
 
 def setting(key: str):
     """A stage config's dataclass field that stands for the config key ``key``:
-    its default is the key's, and :func:`metalora.cli.stage_config` sets it
-    from the key's value."""
+    its default is the key's, and :meth:`Settings.from_config` sets it from
+    the key's value."""
     return field(default=default(key), metadata={"key": key})
+
+
+def check(values: dict) -> None:
+    """:class:`ConfigError` unless each key of ``values`` holds a value in its bounds."""
+    for key, val in values.items():
+        lo, hi = (b(values) if callable(b) else b for b in CONFIG_SCHEMA[key][2:])
+        # an int beyond float range is refused like inf (math.isfinite cannot take it)
+        if not (lo <= val <= hi and abs(val) <= sys.float_info.max):
+            raise ConfigError(f"{key} = {val} is not a finite number in [{lo}, {hi}]")
+
+
+class Settings:
+    """A stage config of :func:`setting` fields, checked as it is built or replaced."""
+
+    def __post_init__(self):
+        check({f.metadata["key"]: getattr(self, f.name) for f in fields(self)})
+
+    @classmethod
+    def from_config(cls, cfg: dict):
+        """The stage config with each field set from the run config's key it stands for."""
+        return cls(**{f.name: cfg[f.metadata["key"]] for f in fields(cls)})

@@ -35,7 +35,7 @@ class ManifestError(MetaLoraError):
 
 
 class ConfigError(MetaLoraError):
-    """Run configuration file is invalid or contains unknown keys."""
+    """A malformed config file, or a setting out of its key's bounds, in the CLI or the library."""
 
 
 class ConvergenceError(MetaLoraError):

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .adapter import init_factors
 from .checkpoint import atomic_open
-from .config import default, setting
+from .config import Settings, check, default, setting
 from .errors import MetaLoraError, NumericError
 from .numerics import check_finite, checksum, flat_views, make_rng
 from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
@@ -32,7 +32,7 @@ from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Settings):
     """Stage 1's settings: each field is the config key that its ``setting`` names."""
     q_total: int = setting("q_total")
     batch_size: int = setting("batch_size")
@@ -70,8 +70,8 @@ def partition_buckets(dataset: ToyIdentityDataset, identities_per_bucket: int,
     q_bucket = ceil(10 * |bucket examples| / batch_size), i.e. each example
     is consumed for ten iterations in expectation.
     """
-    if identities_per_bucket < 1:
-        raise ValueError("identities_per_bucket must be >= 1")
+    check({"identities_per_bucket": identities_per_bucket, "batch_size": batch_size,
+           "seed": seed, "warm_up_fraction": warm_up_fraction})
     if not dataset.examples:
         raise MetaLoraError("empty dataset")
     rng = make_rng(seed)
@@ -128,8 +128,6 @@ class IdentityBank:
 
     def __init__(self, model: ToyDenoiser, n_identities: int, config: TrainConfig,
                  rng: np.random.Generator):
-        if config.lr < 0:
-            raise ValueError(f"IdentityBank: lr must be >= 0, got {config.lr}")
         self.adamw, self._lmd_steps = (config.lr, config.weight_decay), 0
         dims = model.dims
         self.layout = (dims, config.r1, config.r2)  # split_params' arguments

@@ -56,7 +56,7 @@ class AdamWState:
 
     Holds the two settings a trainer chooses, ``lr`` and ``weight_decay``;
     β1, β2 and ε are the constants of :mod:`metalora.kernels`. A negative
-    ``lr`` is refused here, as each trainer refuses it before its first step.
+    ``lr`` is refused here, as :func:`metalora.config.check` refuses a trainer's.
     """
 
     lr: float

@@ -21,7 +21,7 @@ from . import kernels
 from .adapter import SCALE, AdapterFactors, MergedLoRA, init_factors, merge
 from .augment import CropSpec, FaceBox, plan_crops, sample_view
 from .checkpoint import load_layers
-from .config import setting
+from .config import Settings, check, setting
 from .errors import DimensionError, MetaLoraError, NumericError, RankError
 from .metatrain import fresh_identity_params, split_params
 from .numerics import checksum, make_rng
@@ -30,7 +30,7 @@ from .toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
 
 
 @dataclass
-class PersonalizeConfig:
+class PersonalizeConfig(Settings):
     """Stage 2's settings: each field is the config key that its ``setting`` names."""
     q_st2: int = setting("q_st2")
     r1: int = setting("r1")
@@ -41,12 +41,6 @@ class PersonalizeConfig:
     view_strength: float = setting("view_strength")
     tau_fraction: float = setting("tau_fraction")
     smoothing_window: int = setting("smoothing_window")
-
-    def __post_init__(self):
-        if self.q_st2 < 1:
-            raise MetaLoraError("need q_st2 >= 1")
-        if self.lr < 0:
-            raise ValueError(f"PersonalizeConfig: lr must be >= 0, got {self.lr}")
 
 
 def load_stage1(path, expected_r1: int, expected_dims: list[tuple[int, int]]
@@ -418,8 +412,7 @@ def adaptation_speed_experiment(model: ToyDenoiser, dataset: ToyIdentityDataset,
     ``meta_never_reached`` and ``random_never_reached`` count such runs,
     overall and per seed.
     """
-    if len(seeds) < 3:
-        raise MetaLoraError("need at least 3 seeds")
+    check({"speed_seeds": len(seeds)})
     jobs = []
     for seed in seeds:
         for ident in heldout_identities:

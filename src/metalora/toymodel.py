@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .adapter import SCALE, AdaptedLayer, AdapterFactors, init_factors
-from .config import default
+from .config import check, default
 from .errors import ConvergenceError, DimensionError, NumericError
 from .numerics import check_finite, flat_views, make_rng
 
@@ -362,8 +362,8 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     ``(d2, 0)`` factors, so their adapter term is an exact zero; the model's
     own zero ``r1 = r2 = 1`` factors serve only :func:`generate`.
     """
-    if lr < 0:
-        raise ValueError(f"pretrain_base: lr must be >= 0, got {lr}")
+    check({"hidden_dim": hidden, "pretrain_lr": lr, "pretrain_batch_size": batch_size,
+           "pretrain_loss_threshold": loss_threshold, "pretrain_max_iters": max_iters})
     rng = make_rng(seed)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=1, r2=1,
                               n_prompts=dataset.n_prompts, factor_mode="zero")

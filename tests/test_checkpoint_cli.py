@@ -1,6 +1,7 @@
 """Checkpoint container format and the command-line pipeline."""
 
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from metalora import cli, metatrain, personalize, toymodel
+from metalora import cli, kernels, metatrain, personalize, toymodel
 from metalora.adapter import AdapterFactors, merge
 from metalora.checkpoint import (KINDS, MAGIC, VERSION, config_hash, load_checkpoint,
                                  load_layers, save_checkpoint, save_layers)
@@ -305,8 +306,8 @@ class TestConfigParsing:
         # every field reads a CONFIG_SCHEMA key (a KeyError otherwise) whose
         # default is the field's, read from the table (metalora.config)
         defaults = parse_config(None)
-        assert cli.stage_config(cls, defaults) == cls()
-        renamed = cli.stage_config(cls, {**defaults, "stage2_lr": 0.5})
+        assert cls.from_config(defaults) == cls()
+        renamed = cls.from_config({**defaults, "stage2_lr": 0.5})
         assert renamed.lr == (0.5 if cls is personalize.PersonalizeConfig else defaults["lr"])
 
     # each argument that stands for a config key, and its key
@@ -331,6 +332,92 @@ class TestConfigParsing:
         params = inspect.signature(fn).parameters
         assert {arg: params[arg].default for arg in self.ARGUMENT_KEYS[fn]} == \
             {arg: defaults[key] for arg, key in self.ARGUMENT_KEYS[fn].items()}
+
+    # the smallest world, each key at its lowest value, and the README's cap of
+    # 10**6 on every size and count: stated here, not read from CONFIG_SCHEMA
+    SMALLEST = {"seed": 0, "n_identities": 2, "heldout_identities": 1, "latent_dim": 1,
+                "hidden_dim": 1, "samples_per_identity": 2, "n_prompts": 1, "timesteps": 1,
+                "q_total": 1, "batch_size": 1, "r1": 1, "r2": 1, "identities_per_bucket": 1,
+                "pretrain_batch_size": 1, "pretrain_max_iters": 1, "q_st2": 1,
+                "smoothing_window": 1, "speed_seeds": 3, "target_identity": -1}
+    CAPPED = ["n_identities", "latent_dim", "hidden_dim", "samples_per_identity", "n_prompts",
+              "timesteps", "q_total", "batch_size", "identities_per_bucket",
+              "pretrain_batch_size", "pretrain_max_iters", "q_st2", "smoothing_window",
+              "speed_seeds"]
+
+    def test_smallest_world_parses_and_nothing_below_it_or_above_the_cap(self):
+        assert parse_config(None, self.SMALLEST) == {**parse_config(None), **self.SMALLEST}
+        for key, low in self.SMALLEST.items():
+            with pytest.raises(ConfigError, match=rf"^{key} = {low - 1} is not a finite"):
+                parse_config(None, {**self.SMALLEST, key: low - 1})
+        for key in self.CAPPED:
+            assert parse_config(None, {**self.SMALLEST, key: 10**6})[key] == 10**6
+            with pytest.raises(ConfigError, match=rf"^{key} = 1000001 is not a finite "
+                                                  rf"number in \[{self.SMALLEST[key]}, 1000000\]"):
+                parse_config(None, {**self.SMALLEST, key: 10**6 + 1})
+
+    # a value out of its key's bounds, the call that receives it and the key
+    # that the refusal names
+    LIBRARY_REFUSALS = {
+        "q_total=0": (lambda ds: metatrain.TrainConfig(q_total=0), "q_total"),
+        "warm_up_fraction=1.5": (lambda ds: metatrain.TrainConfig(warm_up_fraction=1.5),
+                                 "warm_up_fraction"),
+        "stage1-batch_size=0": (lambda ds: metatrain.TrainConfig(batch_size=0), "batch_size"),
+        "smoothing_window=0": (lambda ds: personalize.PersonalizeConfig(smoothing_window=0),
+                               "smoothing_window"),
+        "tau_fraction=2.0": (lambda ds: personalize.PersonalizeConfig(tau_fraction=2.0),
+                             "tau_fraction"),
+        "lr=nan": (lambda ds: personalize.PersonalizeConfig(lr=math.nan), "stage2_lr"),
+        "r2=0": (lambda ds: personalize.PersonalizeConfig(r2=0), "r2"),
+        "max_iters=0": (lambda ds: toymodel.pretrain_base(
+            ds, toymodel.linear_schedule(), seed=1, hidden=16, max_iters=0),
+            "pretrain_max_iters"),
+        "partition-batch_size=0": (lambda ds: metatrain.partition_buckets(
+            ds, identities_per_bucket=2, batch_size=0, seed=0), "batch_size"),
+    }
+
+    @pytest.mark.parametrize("case", list(LIBRARY_REFUSALS))
+    def test_library_refuses_a_setting_out_of_bounds_before_any_kernel_call(
+            self, case, monkeypatch):
+        call, key = self.LIBRARY_REFUSALS[case]
+        ds = toymodel.make_dataset(make_rng(0), n_identities=4, d=8,
+                                   samples_per_identity=6, n_prompts=2)
+        calls = []
+        for name in ("adamw_update", "chain_forward", "stack_sum", "chain_backward"):
+            monkeypatch.setattr(kernels, name, lambda *a, name=name, **kw: calls.append(name))
+        with pytest.raises(ConfigError, match=rf"^{key} = \S+ is not a finite number in \["):
+            call(ds)
+        assert not calls
+
+    @pytest.mark.parametrize("cls", [metatrain.TrainConfig, personalize.PersonalizeConfig])
+    def test_stage_configs_refuse_what_parse_config_refuses(self, cls):
+        # each field at and just past its key's bounds, and NaN; the ranks get
+        # room under check_ranks, which parse_config applies and the stage
+        # configs do not
+        room = {"hidden_dim": cli.MAX_SIZE, "latent_dim": cli.MAX_SIZE, "r1": cli.MAX_SIZE}
+
+        def accepted(build):
+            try:
+                build()
+            except ConfigError:
+                return False
+            return True
+
+        for f in dataclasses.fields(cls):
+            key = f.metadata["key"]
+            typ, _default, lo, hi = cli.CONFIG_SCHEMA[key]
+            if typ is float:
+                values = [lo, hi, math.nextafter(lo, -math.inf),
+                          math.nextafter(hi, math.inf), math.nan]
+            else:
+                values = [lo, hi, lo - 1, hi + 1]
+            verdicts = []
+            for val in values:
+                verdict = accepted(lambda: parse_config(None, {**room, key: val}))
+                assert accepted(lambda: cls(**{f.name: val})) == verdict, (key, val)
+                assert accepted(lambda: dataclasses.replace(cls(), **{f.name: val})) == verdict
+                verdicts.append(verdict)
+            assert True in verdicts and False in verdicts, (key, verdicts)
 
 
 SMALL_CFG = """

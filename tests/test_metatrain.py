@@ -9,7 +9,7 @@ import pytest
 
 from metalora import metatrain, toymodel
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
-from metalora.errors import MetaLoraError, NumericError
+from metalora.errors import ConfigError, MetaLoraError, NumericError
 from metalora.metatrain import (Bucket, IdentityBank, TraceRecord, TrainConfig,
                                 partition_buckets, run_stage1, split_params,
                                 warm_up_gate, write_trace_csv, write_trace_jsonl)
@@ -435,9 +435,11 @@ class TestStage1:
             assert res.executed_iterations > 2 * DRAW_BLOCK
 
     def test_negative_lr_rejected_before_training(self):
-        model, ds, schedule, config = small_stage1(lr=-1.0)
-        with pytest.raises(ValueError, match="lr must be >= 0"):
-            traced_stage1(model, ds, schedule, config)
+        # the config cannot be built, nor copied with the value
+        with pytest.raises(ConfigError, match=r"^lr = -1.0 is not a finite number"):
+            TrainConfig(lr=-1.0)
+        with pytest.raises(ConfigError, match=r"^lr = -1.0 is not a finite number"):
+            dataclasses.replace(TrainConfig(), lr=-1.0)
 
     def test_non_finite_shared_gradient_names_its_iteration(self, monkeypatch):
         # the shared down factors' gradient turns NaN from the first

@@ -10,7 +10,7 @@ from metalora import kernels, personalize
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_layers
-from metalora.errors import (CheckpointError,
+from metalora.errors import (CheckpointError, ConfigError,
                              MetaLoraError, NumericError, RankError)
 from metalora.metatrain import TrainConfig, fresh_identity_params, run_stage1, split_params
 from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
@@ -220,14 +220,14 @@ class TestRunStage2:
             assert np.array_equal(fa.l_up, fb.l_up)
 
     def test_config_validation(self, world, monkeypatch):
-        with pytest.raises(MetaLoraError):
+        with pytest.raises(ConfigError, match=r"^q_st2 = 0 is not a finite number"):
             PersonalizeConfig(q_st2=0)
         # the rank rule is adapter.check_ranks': the fresh-factor draw refuses
-        # r2 = 0 before the first iteration
+        # r2 > r1 before the first iteration
         ds, schedule, model, lmd = world
         monkeypatch.setattr(personalize, "train_step", None)  # a step would fail on it
-        with pytest.raises(RankError, match="r1=4, r2=0"):
-            run_stage2(model, lmd, ds.reference_of(0), schedule, pcfg(r2=0))
+        with pytest.raises(RankError, match="r1=4, r2=5"):
+            run_stage2(model, lmd, ds.reference_of(0), schedule, pcfg(r2=5))
 
 
 def reference_generate(model, schedule, prompt_id, rng):
@@ -416,7 +416,7 @@ class TestIterationsToThreshold:
 class TestSpeedExperiment:
     def test_requires_three_seeds(self, world):
         ds, schedule, model, lmd = world
-        with pytest.raises(MetaLoraError):
+        with pytest.raises(ConfigError, match=r"^speed_seeds = 2 is not a finite number"):
             adaptation_speed_experiment(model, ds, [0], lmd, schedule,
                                         pcfg(), seeds=[0, 1])
 
@@ -568,7 +568,7 @@ class TestLockstepEngine:
         forward = kernels.chain_forward
         monkeypatch.setattr(kernels, "chain_forward",
                             lambda *args: calls.append(None) or forward(*args))
-        with pytest.raises(ValueError, match="lr must be >= 0"):
+        with pytest.raises(ConfigError, match=r"^stage2_lr = -0.001 is not a finite number"):
             probed_run(model, lmd, ds.reference_of(0), schedule, pcfg(lr=-1e-3),
                        make_probe(model, ds, 0, schedule, seed=0))
         assert not calls

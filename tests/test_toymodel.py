@@ -8,7 +8,7 @@ import pytest
 
 from metalora import kernels, toymodel
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
-from metalora.errors import ConvergenceError, NumericError
+from metalora.errors import ConfigError, ConvergenceError, NumericError
 from metalora.metatrain import IdentityBank, TrainConfig, split_params
 from metalora.numerics import AdamWState, adamw_step, flat_views, make_rng
 from metalora.toymodel import (DRAW_BLOCK, TRAINED, DiffusionSchedule, Example, ToyDenoiser,
@@ -602,7 +602,7 @@ class TestPretrain:
         assert max(peaks) < 8 * 32 * 64 * 8, peaks
 
     def test_negative_lr_rejected_before_training(self):
-        with pytest.raises(ValueError, match="lr must be >= 0"):
+        with pytest.raises(ConfigError, match=r"^pretrain_lr = -1.0 is not a finite number"):
             pretrain_base(small_dataset(), linear_schedule(), seed=1, hidden=16, lr=-1.0)
 
     def test_non_finite_gradient_names_its_iteration(self, monkeypatch):

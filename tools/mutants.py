@@ -1,7 +1,7 @@
 """Mutation sampler: how many small faults in a module does tier-1 notice?
 
     python tools/mutants.py --modules adapter evaluation checkpoint \
-        --sample 40 --seed 0 [--timeout 600] [--workers 2]
+        --sample 40 --seed 0 [--timeout SECONDS] [--workers 2]
 
 A site is one place in ``src/metalora/<module>.py`` where one operator
 applies:
@@ -23,9 +23,10 @@ and runs tier-1 with ``-x``:
 
 The run's address space is bounded by :data:`MEMORY_BOUND`. A mutant is
 ``killed`` if that run fails, ``timeout`` if it runs longer than ``--timeout``
-seconds, ``memory`` if it ends in a ``MemoryError`` or by a signal, as C code
-that cannot allocate ends (both counted as killed), and ``survived`` if it
-passes.
+seconds (by default :data:`TIMEOUT_FACTOR` times the unmutated run's, at least
+:data:`MIN_TIMEOUT`), ``memory`` if it ends in a ``MemoryError`` or by a
+signal, as C code that cannot allocate ends (both counted as killed), and
+``survived`` if it passes.
 Before any mutant, an unmutated copy must pass. The tool prints one JSON line
 per mutant, then one per module with its score: the share of its mutants
 killed. It is not part of tier-1 or CI.
@@ -58,6 +59,10 @@ COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.
 # with one BLAS thread peaked at 384 MiB of address space and 278 MiB resident
 # (VmPeak and VmHWM; 2-vCPU Xeon, Python 3.11, numpy 2.4.6)
 MEMORY_BOUND = 1 << 30
+# the default per-mutant timeout: this many times the unmutated run's seconds, at
+# least MIN_TIMEOUT, so that a mutant that loops forever holds a worker for minutes,
+# not for as long as the unmutated run may take (BASELINE_TIMEOUT)
+TIMEOUT_FACTOR, MIN_TIMEOUT, BASELINE_TIMEOUT = 4, 60.0, 600.0
 # the test process: it bounds its own address space, then runs pytest
 BOUNDED_PYTEST = ("import resource, sys; "
                   f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_BOUND}, {MEMORY_BOUND})); "
@@ -176,7 +181,9 @@ def main(argv=None) -> int:
                    help="module names under src/metalora, e.g. adapter evaluation")
     p.add_argument("--sample", type=int, required=True, help="number of sites to draw")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
+    p.add_argument("--timeout", type=float, default=None,
+                   help=f"seconds per mutant (default: {TIMEOUT_FACTOR} times the unmutated "
+                        f"run's, at least {MIN_TIMEOUT:.0f})")
     p.add_argument("--workers", type=int, default=2)
     args = p.parse_args(argv)
     if not 1 <= args.workers <= 8:
@@ -186,15 +193,17 @@ def main(argv=None) -> int:
                     key=sites.index)
     for site in chosen:  # a site that does not compile is a fault of this tool
         mutate_source((PACKAGE / f"{site.module}.py").read_text(), site)
-    baseline = run_mutant(None, args.timeout)
+    baseline = run_mutant(None, args.timeout or BASELINE_TIMEOUT)
     if baseline["status"] != "survived":
         print(json.dumps({"error": "unmutated copy fails tier-1", **baseline}))
         return 1
+    timeout = args.timeout or max(MIN_TIMEOUT, TIMEOUT_FACTOR * baseline["seconds"])
     print(json.dumps({"sites": len(sites), "sampled": len(chosen), "seed": args.seed,
-                      "baseline_seconds": baseline["seconds"]}), flush=True)
+                      "baseline_seconds": baseline["seconds"], "timeout": timeout}),
+          flush=True)
     results = []
     with ThreadPoolExecutor(args.workers) as pool:
-        for result in pool.map(lambda s: run_mutant(s, args.timeout), chosen):
+        for result in pool.map(lambda s: run_mutant(s, timeout), chosen):
             print(json.dumps(result), flush=True)
             results.append(result)
     for module in args.modules:
