@@ -114,8 +114,8 @@ class AdaptedLayer:
                                  (self.factors.d2, x.shape[1]))
         w0, lmd, lm, lu, _, x = self._operands(x)
         u = lmd @ x
-        d_lu, d_lm, d_lmd, dx, dw0 = kernels.chain_backward(
-            w0, lmd, lm, lu, SCALE, x, u, lm @ u, np.ascontiguousarray(upstream_grad))
+        (d_lmd, d_lm, d_lu, dw0), dx = kernels.chain_backward(
+            w0, lmd, lm, lu, SCALE, x, u, lm @ u, np.ascontiguousarray(upstream_grad), dx=True)
         return FactorGrads(l_up=d_lu, l_mid=d_lm, l_meta_down=d_lmd, x=dx, w0=dw0)
 
 

@@ -69,9 +69,15 @@ def setting(key: str):
 
 
 def check(values: dict) -> None:
-    """:class:`ConfigError` unless each key of ``values`` holds a value in its bounds."""
+    """:class:`ConfigError` unless each key of ``values`` holds a value of its
+    type in its bounds: an int key takes an int, a float key an int or a float,
+    a bool key a bool, and no other key a bool."""
     for key, val in values.items():
-        lo, hi = (b(values) if callable(b) else b for b in CONFIG_SCHEMA[key][2:])
+        typ, _default, *bounds = CONFIG_SCHEMA[key]
+        kinds = (int, float) if typ is float else typ
+        if isinstance(val, bool) != (typ is bool) or not isinstance(val, kinds):
+            raise ConfigError(f"{key} = {val!r} is not of type {typ.__name__}")
+        lo, hi = (b(values) if callable(b) else b for b in bounds)
         # an int beyond float range is refused like inf (math.isfinite cannot take it)
         if not (lo <= val <= hi and abs(val) <= sys.float_info.max):
             raise ConfigError(f"{key} = {val} is not a finite number in [{lo}, {hi}]")

@@ -66,43 +66,38 @@ def stack_sum(a, b, out=None):
     return np.add.reduce(a @ b.mT, axis=0, initial=0.0, out=out)
 
 
-# the gradients chain_backward can compute, named for the operand each is of
-GRADIENTS = frozenset({"lu", "lm", "lmd", "x", "w0"})
-
-
-def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, need=GRADIENTS, out=(None,) * 4):
-    """Gradients ``(d_lu, d_lm, d_lmd, dx, dw0)`` of the chain, given
+def chain_backward(w0, lmd, lm, lu, scale, x, u, mid, g, *, out=None, dx=False):
+    """Gradients ``(d_lmd, d_lm, d_lu, dw0), dx`` of the chain, given
     d(loss)/dh ``g`` and the forward's ``u`` and ``mid``.
 
-    ``need`` names the gradients to compute, from :data:`GRADIENTS`; each
-    one left out is ``None``, and the matmuls only it uses are skipped. A
-    computed gradient has the same bits whatever else is needed. An unknown
-    name, or a bare string in place of a collection of names, raises
-    ``ValueError``. A needed ``d_lu``, ``d_lm``, ``d_lmd`` or ``dw0`` is
-    written into its array in ``out``, if not ``None``, in that order.
-    ``dw0``, and a 2-d ``lmd``'s ``d_lmd``, are summed by :func:`stack_sum`;
-    ``d_lmd`` scales ``lm.T lu.T g`` before the product with ``x``, so that
-    an item's sum term is its lone call's gradient.
+    ``out`` holds one slot per gradient, in that order: an array, which the
+    gradient is written into and returned as, or ``None``, which leaves the
+    gradient uncomputed, with the matmuls only it uses, and returns ``None``.
+    ``out=None`` computes all four, each as a new array. ``dx=True``
+    computes the input gradient, else it is ``None``. A computed gradient has
+    the same bits whatever else is computed. ``dw0``, and a 2-d ``lmd``'s
+    ``d_lmd``, are summed by :func:`stack_sum`; ``d_lmd`` scales ``lm.T lu.T
+    g`` before the product with ``x``, so that an item's sum term is its lone
+    call's gradient.
     """
-    if isinstance(need, str) or not GRADIENTS.issuperset(need):
-        raise ValueError(f"chain_backward: need={need!r} is not a collection of "
-                         f"names from {sorted(GRADIENTS)}")
-    need = frozenset(need)
-    d_lu = d_lm = d_lmd = dx = dw0 = None
-    if "lu" in need:
-        d_lu = np.multiply(scale, g @ mid.mT, out=out[0])
-    if not need.isdisjoint(("lm", "lmd", "x")):  # the users of lu.T g
+    new = out is None  # every gradient, each as a new array
+    o_lmd, o_lm, o_lu, o_w0 = (None,) * 4 if new else out
+    get_lmd, get_lm = new or o_lmd is not None, new or o_lm is not None
+    d_lmd = d_lm = d_lu = dw0 = d_x = None
+    if new or o_lu is not None:
+        d_lu = np.multiply(scale, g @ mid.mT, out=o_lu)
+    if get_lm or get_lmd or dx:  # the users of lu.T g
         lut_g = lu.mT @ g
-        if "lm" in need:
-            d_lm = np.multiply(scale, lut_g @ u.mT, out=out[1])
-        if not need.isdisjoint(("lmd", "x")):
+        if get_lm:
+            d_lm = np.multiply(scale, lut_g @ u.mT, out=o_lm)
+        if get_lmd or dx:
             lmt_lut_g = lm.mT @ lut_g
-            if "lmd" in need:
+            if get_lmd:
                 scaled = scale * lmt_lut_g
-                d_lmd = (stack_sum(scaled, x, out[2]) if lmd.ndim == 2
-                         else np.matmul(scaled, x.mT, out=out[2]))
-            if "x" in need:
-                dx = w0.mT @ g + scale * (lmd.mT @ lmt_lut_g)
-    if "w0" in need:
-        dw0 = stack_sum(g, x, out[3])
-    return d_lu, d_lm, d_lmd, dx, dw0
+                d_lmd = (stack_sum(scaled, x, o_lmd) if lmd.ndim == 2
+                         else np.matmul(scaled, x.mT, out=o_lmd))
+            if dx:
+                d_x = w0.mT @ g + scale * (lmd.mT @ lmt_lut_g)
+    if new or o_w0 is not None:
+        dw0 = stack_sum(g, x, o_w0)
+    return (d_lmd, d_lm, d_lu, dw0), d_x

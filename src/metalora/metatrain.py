@@ -289,12 +289,6 @@ def trace_files(out):
         flush()
 
 
-# the gradients stage 1 trains: the mid and up factors, plus the shared down
-# factors once the warm-up gate opens
-WARM_UP_NEED = frozenset({"lu", "lm"})
-LIVE_NEED = WARM_UP_NEED | {"lmd"}
-
-
 def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                schedule: DiffusionSchedule, config: TrainConfig,
                sink: Callable[[TraceRecord], object]) -> Stage1Result:
@@ -323,8 +317,11 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
                                 config.warm_up_fraction)
     bank = IdentityBank(model, dataset.n_identities, config, rng)
     item_grads = np.empty((config.batch_size, bank.params.shape[1]))
-    grad_views = [(d_lmd, lm, lu, None) for d_lmd, (lm, lu)
-                  in zip(bank.lmd_grads, split_params(item_grads, *bank.layout))]
+    # the gradients trained, per layer: the items' mid and up factors, and the
+    # shared down factors' once the warm-up gate opens
+    mid_up = split_params(item_grads, *bank.layout)
+    warm_up_slots = [(None, lm, lu, None) for lm, lu in mid_up]
+    live_slots = [(d_lmd, lm, lu, None) for d_lmd, (lm, lu) in zip(bank.lmd_grads, mid_up)]
     entries, executed = [], 0  # each bucket entry's bucket and warm-up
     for bucket in cycle(buckets):
         if executed >= config.q_total:
@@ -344,9 +341,8 @@ def run_stage1(model: ToyDenoiser, dataset: ToyIdentityDataset,
             zip(plan, batches)):
         identities = np.array([item.identity for item in batch])
         try:
-            loss, _ = diffusion_loss(
-                w0s, bank.chains(identities), inp, eps,
-                need=LIVE_NEED if lomd_live else WARM_UP_NEED, out=grad_views)
+            loss, _ = diffusion_loss(w0s, bank.chains(identities), inp, eps,
+                                     out=live_slots if lomd_live else warm_up_slots)
             rows = bank.update(identities, item_grads)
             if lomd_live:
                 bank.update_shared()

@@ -206,10 +206,6 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
     return streams, np.array(job_stream)
 
 
-# the gradients stage 2 trains: the mid and up factors
-STAGE2_NEED = frozenset({"lu", "lm"})
-
-
 def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                     schedule: DiffusionSchedule,
                     config: PersonalizeConfig) -> list[Stage2Result]:
@@ -365,7 +361,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         if i == 0:
             draw_block(min(DRAW_BLOCK, q - it))
         losses, _ = train_step(w0s, chains, block_inputs[i], block_noise[i], 1,
-                               need=STAGE2_NEED, out=grad_views)
+                               out=grad_views)
         if not np.isfinite(losses).all():
             bad = rows[np.flatnonzero(~np.isfinite(losses))[0]]
             raise NumericError(f"job {bad}: non-finite loss at stage-2 iteration {it}")

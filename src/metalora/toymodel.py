@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .adapter import SCALE, AdaptedLayer, AdapterFactors, init_factors
 from .config import check, default
-from .errors import ConvergenceError, DimensionError, NumericError
+from .errors import ConfigError, ConvergenceError, DimensionError, NumericError
 from .numerics import check_finite, flat_views, make_rng
 
 TEMB_DIM = 8
@@ -243,12 +243,7 @@ def forward(w0s, chains, inp: np.ndarray) -> np.ndarray:
     return kernels.chain_forward(w0s[1], *chains[1], SCALE, np.tanh(h))[0]
 
 
-# the trained tensors whose gradients train_step and diffusion_loss can return
-TRAINED = frozenset({"lu", "lm", "lmd", "w0"})
-
-
-def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *,
-               need=TRAINED, out=None):
+def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *, out=None):
     """One forward/backward of the denoiser over B stacked items.
 
     ``w0s`` and the ``(lmd, lm, lu)`` ``chains`` are :func:`forward`'s: a
@@ -264,19 +259,14 @@ def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *,
     items' gradients summed in item order onto +0.0 (``kernels.stack_sum``).
     The caller checks them for non-finite values.
 
-    ``need`` names the gradients to compute, from :data:`TRAINED`; each one
-    left out is ``None`` in every layer, and its matmuls are skipped. The
-    gradient with respect to layer 2's input is always computed, because
-    it carries the backward pass into layer 1; layer 1's is never
-    computed. A computed gradient has the same bits whatever else is needed.
-    ``out`` holds per layer four arrays (or ``None``), in the gradients'
-    order, that the needed ones are written into and returned as.
+    ``out`` holds per layer the four ``chain_backward`` slots, in the
+    gradients' order, passed through as they are: the gradients with an
+    array are computed into it, those with ``None`` are not, and
+    ``out=None`` computes all of them. Layer 2's input gradient, which
+    carries the backward pass into layer 1, is always computed; layer 1's
+    never is.
     """
-    need = frozenset(need)
-    if not need <= TRAINED:
-        raise ValueError(f"train_step: need={sorted(need)} names a tensor outside "
-                         f"{sorted(TRAINED)}")
-    (lmd_o1, lm_o1, lu_o1, w0_o1), (lmd_o2, lm_o2, lu_o2, w0_o2) = out or [(None,) * 4] * 2
+    slots1, slots2 = out or (None, None)
     (lmd1, lm1, lu1), (lmd2, lm2, lu2) = chains  # no *-unpacking per call (~1.5 µs/step)
     z, u1, mid1 = kernels.chain_forward(w0s[0], lmd1, lm1, lu1, SCALE, inp)
     a = np.tanh(z)
@@ -285,13 +275,11 @@ def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *,
     # np.mean's own sum and division, without its Python wrapper
     losses = np.add.reduce(resid ** 2, axis=1) / resid.shape[1]
     g_out = (2.0 * resid / (resid.shape[1] * n))[:, :, None]
-    d_lu2, d_lm2, d_lmd2, g_a, dw0_2 = kernels.chain_backward(
-        w0s[1], lmd2, lm2, lu2, SCALE, a, u2, mid2, g_out, need=need | {"x"},
-        out=(lu_o2, lm_o2, lmd_o2, w0_o2))
-    d_lu1, d_lm1, d_lmd1, _, dw0_1 = kernels.chain_backward(
-        w0s[0], lmd1, lm1, lu1, SCALE, inp, u1, mid1, g_a * (1.0 - a * a),
-        need=need, out=(lu_o1, lm_o1, lmd_o1, w0_o1))
-    return losses, [(d_lmd1, d_lm1, d_lu1, dw0_1), (d_lmd2, d_lm2, d_lu2, dw0_2)]
+    grads2, g_a = kernels.chain_backward(w0s[1], lmd2, lm2, lu2, SCALE, a, u2, mid2, g_out,
+                                         out=slots2, dx=True)
+    grads1, _ = kernels.chain_backward(w0s[0], lmd1, lm1, lu1, SCALE, inp, u1, mid1,
+                                       g_a * (1.0 - a * a), out=slots1)
+    return losses, [grads1, grads2]
 
 
 def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: DiffusionSchedule,
@@ -321,21 +309,19 @@ def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: Diffus
 
 
 def diffusion_loss(w0s, chains, inp: np.ndarray, eps: np.ndarray, *,
-                   need=TRAINED, out=None) -> tuple[float, list[tuple]]:
+                   out=None) -> tuple[float, list[tuple]]:
     """Mean squared error between predicted and injected noise over a batch:
     the network inputs ``inp`` (B, d_in) and the noise ``eps`` (B, d), one
     iteration's draw of :func:`drawn_batches`.
 
-    ``w0s`` and ``chains`` are :func:`train_step`'s. The whole
-    batch makes one :func:`train_step`, whose gradients are returned,
-    per layer ``(d_lmd, d_lm, d_lu, dw0)``: those named in ``need``, and
-    ``None`` for each one left out; ``out`` is :func:`train_step`'s. The
-    operands are only read.
+    ``w0s``, ``chains`` and the ``out`` slots are :func:`train_step`'s. The
+    whole batch makes one :func:`train_step`, whose gradients are returned,
+    per layer ``(d_lmd, d_lm, d_lu, dw0)``, ``None`` for each ``None`` slot.
+    The operands are only read.
     """
     if not len(eps):
         raise ValueError("diffusion_loss: empty batch")
-    losses, layer_grads = train_step(w0s, chains, inp[:, :, None], eps, len(eps),
-                                     need=need, out=out)
+    losses, layer_grads = train_step(w0s, chains, inp[:, :, None], eps, len(eps), out=out)
     if not np.isfinite(losses).all():
         raise NumericError(f"non-finite loss at batch index "
                            f"{np.flatnonzero(~np.isfinite(losses))[0]}")
@@ -353,7 +339,9 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     """Train the identity-agnostic base weights on pooled data, then freeze.
 
     The pool ignores identity labels entirely. Stops once the windowed mean
-    loss drops below ``loss_threshold``; raises if the budget runs out first.
+    loss drops below ``loss_threshold``; raises if the budget runs out first,
+    and refuses at entry a ``window`` outside [1, ``max_iters``], which no run
+    could fill.
     The last block of :func:`drawn_batches` may draw past the stop; nothing
     reads the stream after the loop, so no bit depends on it. Both base
     weights train as views of one flat AdamW buffer, which the kernels write
@@ -364,6 +352,9 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     """
     check({"hidden_dim": hidden, "pretrain_lr": lr, "pretrain_batch_size": batch_size,
            "pretrain_loss_threshold": loss_threshold, "pretrain_max_iters": max_iters})
+    if not 1 <= window <= max_iters:  # the stop rule reads a full window of losses
+        raise ConfigError(f"pretrain_max_iters = {max_iters} cannot hold a stopping window "
+                          f"of {window} iterations")
     rng = make_rng(seed)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, r1=1, r2=1,
                               n_prompts=dataset.n_prompts, factor_mode="zero")
@@ -377,7 +368,7 @@ def pretrain_base(dataset: ToyIdentityDataset, schedule: DiffusionSchedule,
     batches = drawn_batches(rng, model, schedule, repeat(dataset.examples), batch_size)
     for it, (_, inp, eps) in zip(range(max_iters), batches):
         try:
-            loss, _ = diffusion_loss(base, chains, inp, eps, need={"w0"}, out=out)
+            loss, _ = diffusion_loss(base, chains, inp, eps, out=out)
             check_finite(flat[1], "base-weight gradient")
         except NumericError as exc:
             raise NumericError(f"pretraining iteration {it}: {exc}") from exc

@@ -59,7 +59,7 @@ def test_acceptance_1_gradient_correctness():
         def forward():  # reads the factors as the differences move them
             return kernels.chain_forward(*operands, x)
 
-        d_lu, d_lm, d_lmd, _, _ = kernels.chain_backward(*operands, x, *forward()[1:], g)
+        (d_lmd, d_lm, d_lu, _), _ = kernels.chain_backward(*operands, x, *forward()[1:], g)
         for param, analytic in ((f.l_up, d_lu), (f.l_mid, d_lm), (f.l_meta_down, d_lmd)):
             fd = np.zeros_like(param)
             for idx in np.ndindex(param.shape):

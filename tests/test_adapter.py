@@ -96,6 +96,15 @@ def rel_err(a, b):
 
 
 class TestAnalyticGradients:
+    @pytest.mark.parametrize("shape", [(6, 3), (7,), (7, 3, 1)],
+                             ids=["rows", "one-dim", "three-dim"])
+    def test_input_of_another_shape_refused(self, shape):
+        # a wrong row count or a column count of one alone is refused, not
+        # left to a matmul's ValueError or to a result of another shape
+        layer = random_layer(make_rng(1), 7, 6, 4, 2)
+        with pytest.raises(DimensionError, match="AdaptedLayer: x"):
+            layer.forward(np.ones(shape))
+
     @pytest.mark.parametrize("shape", [(5, 3), (6, 4)], ids=["rows", "columns"])
     def test_upstream_grad_of_another_shape_refused(self, shape):
         # either dimension alone is refused, not left to a matmul's ValueError
@@ -160,7 +169,8 @@ class TestAnalyticGradients:
         f = layer.factors
         operands = (layer.w0, f.l_meta_down, f.l_mid, f.l_up, SCALE, x)
         _, u, mid = kernels.chain_forward(*operands)
-        want = kernels.chain_backward(*operands, u, mid, g)
+        (d_lmd, d_lm, d_lu, dw0), dx = kernels.chain_backward(*operands, u, mid, g, dx=True)
+        want = (d_lu, d_lm, d_lmd, dx, dw0)
         alone = layer.backward(x, g)
         layer.forward(rng.standard_normal((4, 2)))
         after_other_input = layer.backward(x.copy(), g)

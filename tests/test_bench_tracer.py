@@ -153,12 +153,15 @@ def test_each_stage_requests_only_the_gradients_it_trains(monkeypatch):
     # pretraining trains w0 only; stage 1 trains mid/up, and the shared down
     # factors while the warm-up gate is open; stage 2 trains mid/up only.
     # Layer 2 also needs its input gradient for backprop, layer 1 never does.
+    # A request is the names of the filled out slots, and "x" for dx=True.
     calls = []
     backward = kernels.chain_backward
 
     def spy(*args, **kwargs):
         layer = 1 if args[0].shape == (8, 4 + toymodel.TEMB_DIM + 2) else 2
-        calls.append((layer, set(kwargs.get("need", kernels.GRADIENTS))))
+        slots = zip(("lmd", "lm", "lu", "w0"), kwargs["out"])
+        calls.append((layer, {name for name, slot in slots if slot is not None}
+                      | ({"x"} if kwargs.get("dx") else set())))
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "chain_backward", spy)

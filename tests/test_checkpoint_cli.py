@@ -23,6 +23,7 @@ from metalora.adapter import AdapterFactors, merge
 from metalora.checkpoint import (KINDS, MAGIC, VERSION, config_hash, load_checkpoint,
                                  load_layers, save_checkpoint, save_layers)
 from metalora.cli import main, parse_config, write_svg_curve
+from metalora.config import check
 from metalora.errors import CheckpointError, ConfigError
 from metalora.numerics import checksum, make_rng
 
@@ -356,38 +357,66 @@ class TestConfigParsing:
                                                   rf"number in \[{self.SMALLEST[key]}, 1000000\]"):
                 parse_config(None, {**self.SMALLEST, key: 10**6 + 1})
 
-    # a value out of its key's bounds, the call that receives it and the key
-    # that the refusal names
+    # a value out of its key's bounds or of another type, or a pretraining
+    # budget that cannot hold the stop rule's window: the call that receives
+    # it, the key that the refusal names and the reason that it gives
+    BOUNDS, TYPE = r"is not a finite number in \[", r"is not of type "
     LIBRARY_REFUSALS = {
-        "q_total=0": (lambda ds: metatrain.TrainConfig(q_total=0), "q_total"),
+        "q_total=0": (lambda ds: metatrain.TrainConfig(q_total=0), "q_total", BOUNDS),
         "warm_up_fraction=1.5": (lambda ds: metatrain.TrainConfig(warm_up_fraction=1.5),
-                                 "warm_up_fraction"),
-        "stage1-batch_size=0": (lambda ds: metatrain.TrainConfig(batch_size=0), "batch_size"),
+                                 "warm_up_fraction", BOUNDS),
+        "stage1-batch_size=0": (lambda ds: metatrain.TrainConfig(batch_size=0), "batch_size",
+                                BOUNDS),
         "smoothing_window=0": (lambda ds: personalize.PersonalizeConfig(smoothing_window=0),
-                               "smoothing_window"),
+                               "smoothing_window", BOUNDS),
         "tau_fraction=2.0": (lambda ds: personalize.PersonalizeConfig(tau_fraction=2.0),
-                             "tau_fraction"),
-        "lr=nan": (lambda ds: personalize.PersonalizeConfig(lr=math.nan), "stage2_lr"),
-        "r2=0": (lambda ds: personalize.PersonalizeConfig(r2=0), "r2"),
+                             "tau_fraction", BOUNDS),
+        "lr=nan": (lambda ds: personalize.PersonalizeConfig(lr=math.nan), "stage2_lr", BOUNDS),
+        "r2=0": (lambda ds: personalize.PersonalizeConfig(r2=0), "r2", BOUNDS),
         "max_iters=0": (lambda ds: toymodel.pretrain_base(
             ds, toymodel.linear_schedule(), seed=1, hidden=16, max_iters=0),
-            "pretrain_max_iters"),
+            "pretrain_max_iters", BOUNDS),
         "partition-batch_size=0": (lambda ds: metatrain.partition_buckets(
-            ds, identities_per_bucket=2, batch_size=0, seed=0), "batch_size"),
+            ds, identities_per_bucket=2, batch_size=0, seed=0), "batch_size", BOUNDS),
+        "batch_size=2.5": (lambda ds: metatrain.TrainConfig(batch_size=2.5), "batch_size",
+                           TYPE + "int"),
+        "r1=2.0": (lambda ds: metatrain.TrainConfig(r1=2.0), "r1", TYPE + "int"),
+        "q_total=1.5": (lambda ds: metatrain.TrainConfig(q_total=1.5), "q_total",
+                        TYPE + "int"),
+        "batch_size=True": (lambda ds: metatrain.TrainConfig(batch_size=True), "batch_size",
+                            TYPE + "int"),
+        "lr=True": (lambda ds: personalize.PersonalizeConfig(lr=True), "stage2_lr",
+                    TYPE + "float"),
+        "max_iters=150": (lambda ds: toymodel.pretrain_base(
+            ds, toymodel.linear_schedule(), seed=1, hidden=16, max_iters=150),
+            "pretrain_max_iters", "cannot hold a stopping window of 200 iterations"),
+        "window=0": (lambda ds: toymodel.pretrain_base(
+            ds, toymodel.linear_schedule(), seed=1, hidden=16, window=0),
+            "pretrain_max_iters", "cannot hold a stopping window of 0 iterations"),
     }
 
     @pytest.mark.parametrize("case", list(LIBRARY_REFUSALS))
     def test_library_refuses_a_setting_out_of_bounds_before_any_kernel_call(
             self, case, monkeypatch):
-        call, key = self.LIBRARY_REFUSALS[case]
+        call, key, reason = self.LIBRARY_REFUSALS[case]
         ds = toymodel.make_dataset(make_rng(0), n_identities=4, d=8,
                                    samples_per_identity=6, n_prompts=2)
         calls = []
         for name in ("adamw_update", "chain_forward", "stack_sum", "chain_backward"):
             monkeypatch.setattr(kernels, name, lambda *a, name=name, **kw: calls.append(name))
-        with pytest.raises(ConfigError, match=rf"^{key} = \S+ is not a finite number in \["):
+        monkeypatch.setattr(toymodel, "make_rng", lambda *a: calls.append("make_rng"))
+        with pytest.raises(ConfigError, match=rf"^{key} = \S+ {reason}"):
             call(ds)
         assert not calls
+
+    def test_config_check_takes_each_type_its_keys_admit(self):
+        # an int for a float key; True, 1 and an int-valued float refused
+        # where their type is not the key's; numpy's float64 is a float
+        check({"lr": 1, "warm_up_fraction": np.float64(0.5), "single_prototype": False})
+        for values in ({"single_prototype": 1}, {"seed": 1.0}, {"n_prompts": False},
+                       {"weight_decay": True}):
+            with pytest.raises(ConfigError, match=rf"^{next(iter(values))} = "):
+                check(values)
 
     @pytest.mark.parametrize("cls", [metatrain.TrainConfig, personalize.PersonalizeConfig])
     def test_stage_configs_refuse_what_parse_config_refuses(self, cls):
@@ -877,6 +906,17 @@ class TestExitCodes:
         rc = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    # a budget below pretraining's 200-iteration stopping window trained in
+    # full, then ended in ConvergenceError (exit 4) whatever the losses
+    def test_pretraining_budget_below_its_window_is_2(self, tmp_path):
+        cfg, out = tmp_path / "short.cfg", tmp_path / "o"
+        cfg.write_text(small_cfg_with("pretrain_max_iters = 150"))
+        rc, stderr = run_main(["pretrain", "--config", cfg, "--out", out])
+        assert rc == 2 and len(stderr.splitlines()) == 1, stderr
+        assert json.loads(stderr) == {"error": "config", "message": "pretrain_max_iters = 150 "
+                                      "cannot hold a stopping window of 200 iterations"}
+        assert not out.exists()
 
     # the rank rule is adapter.check_ranks', applied to layer 2 (hidden_dim ->
     # latent_dim), whose widths bind; its RankError is a config error here

@@ -91,14 +91,22 @@ def ordered_sum(slices):
     return sum(slices, np.zeros(slices[0].shape))
 
 
+def every_gradient(*operands):
+    """chain_backward's four gradients and the input gradient, all computed,
+    as one tuple in :data:`NAMES` order."""
+    grads, dx = kernels.chain_backward(*operands, dx=True)
+    return (*grads, dx)
+
+
 def per_slice_backward(w0, lmd, lm, lu, x, g):
-    """chain_backward slice by slice, lone 2-d calls: per output, the list
-    of the slices' gradients. A 2-d ``lmd`` is every slice's."""
+    """chain_backward slice by slice, lone 2-d calls: per output, in
+    :data:`NAMES` order, the list of the slices' gradients. A 2-d ``lmd`` is
+    every slice's."""
     per = []
     for r in range(len(x)):
         lmd_r = lmd if lmd.ndim == 2 else lmd[r]
         _h, u, mid = kernels.chain_forward(w0, lmd_r, lm[r], lu[r], 0.7, x[r])
-        per.append(kernels.chain_backward(w0, lmd_r, lm[r], lu[r], 0.7, x[r], u, mid, g[r]))
+        per.append(every_gradient(w0, lmd_r, lm[r], lu[r], 0.7, x[r], u, mid, g[r]))
     return list(zip(*per))
 
 
@@ -109,16 +117,18 @@ class TestStackedChain:
         # the slices' summed in order
         w0, lmd, lm, lu, x, g = stacked_operands(make_rng(2), cols=cols)
         h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
-        back = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g)
+        back = every_gradient(w0, lmd, lm, lu, 0.7, x, u, mid, g)
         for r in range(len(x)):
             one = kernels.chain_forward(w0, lmd[r], lm[r], lu[r], 0.7, x[r])
             for stacked, alone in zip((h, u, mid), one):
                 assert stacked[r].tobytes() == alone.tobytes()
         per = per_slice_backward(w0, lmd, lm, lu, x, g)
-        for stacked, slices in zip(back[:4], per[:4]):
-            assert [s.tobytes() for s in stacked] == [s.tobytes() for s in slices]
-        assert back[4].shape == w0.shape
-        assert back[4].tobytes() == ordered_sum(per[4]).tobytes()
+        for name, stacked, slices in zip(NAMES, back, per):
+            if name == "w0":
+                assert stacked.shape == w0.shape
+                assert stacked.tobytes() == ordered_sum(slices).tobytes()
+            else:
+                assert [s.tobytes() for s in stacked] == [s.tobytes() for s in slices], name
 
     @pytest.mark.parametrize("cols", [1, 4])
     def test_shared_operands_get_the_ordered_sum_of_per_slice_calls(self, cols):
@@ -127,7 +137,7 @@ class TestStackedChain:
         w0, lmd, lm, lu, x, g = stacked_operands(make_rng(8), cols=cols)
         lmd = lmd[0]
         _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
-        back = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g)
+        back = every_gradient(w0, lmd, lm, lu, 0.7, x, u, mid, g)
         per = per_slice_backward(w0, lmd, lm, lu, x, g)
         for name, stacked, slices in zip(NAMES, back, per):
             if name in ("lmd", "w0"):
@@ -150,7 +160,8 @@ class TestStackedChain:
         g = np.zeros((3, 3, cols))
         g[:, :, 0] = rows
         _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
-        dw0 = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g, need={"w0"})[4]
+        dw0 = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g,
+                                     out=(None, None, None, np.empty(w0.shape)))[0][3]
         assert dw0.tobytes() == np.repeat([[0.0], [0.0], [0.75]], 2, axis=1).tobytes()
         assert not np.signbit(dw0).any()
 
@@ -174,8 +185,8 @@ class TestStackedChain:
             return grad
 
         _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, scale, x)
-        d_lu, d_lm, d_lmd, dx, dw0 = kernels.chain_backward(
-            w0, lmd, lm, lu, scale, x, u, mid, g)
+        (d_lmd, d_lm, d_lu, dw0), dx = kernels.chain_backward(
+            w0, lmd, lm, lu, scale, x, u, mid, g, dx=True)
         # w0 is shared by the stack: its gradient is the sum of the runs'
         for analytic, param in ((d_lu, lu), (d_lm, lm), (d_lmd, lmd), (dx, x), (dw0, w0)):
             numeric = central(param)
@@ -183,7 +194,8 @@ class TestStackedChain:
             assert err <= 1e-4
 
 
-NAMES = ("lu", "lm", "lmd", "x", "w0")  # chain_backward's outputs, in order
+# chain_backward's four gradients, in the order of its out slots, then dx
+NAMES = ("lmd", "lm", "lu", "w0", "x")
 
 
 def fuzzed(rng, shape):
@@ -248,33 +260,42 @@ def test_summed_gradient_written_into_out_has_the_bits_of_a_new_one(branch):
         x, g = np.asfortranarray(x), np.asfortranarray(g)
     _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
     operands = (w0, lmd, lm, lu, 0.7, x, u, mid, g)
-    _, _, want_lmd, _, want_w0 = kernels.chain_backward(*operands)
-    out = (None, None, np.full(lmd.shape, np.nan), np.full(w0.shape, np.nan))
-    _, _, got_lmd, _, got_w0 = kernels.chain_backward(*operands, need={"lmd", "w0"}, out=out)
-    assert got_lmd is out[2] and got_lmd.tobytes() == want_lmd.tobytes()
+    (want_lmd, _, _, want_w0), _ = kernels.chain_backward(*operands)
+    out = (np.full(lmd.shape, np.nan), None, None, np.full(w0.shape, np.nan))
+    (got_lmd, _, _, got_w0), _ = kernels.chain_backward(*operands, out=out)
+    assert got_lmd is out[0] and got_lmd.tobytes() == want_lmd.tobytes()
     assert got_w0 is out[3] and got_w0.tobytes() == want_w0.tobytes()
     dst = np.full(w0.shape, np.nan)
     assert kernels.stack_sum(g, x, dst) is dst and dst.tobytes() == want_w0.tobytes()
 
 
-def test_every_out_slot_holds_the_bits_of_the_returned_gradient():
-    # stacked chains: the per-item d_lu, d_lm and d_lmd and the summed dw0,
-    # each written into its out slot in return order, the slots of
-    # gradients left out untouched
-    w0, lmd, lm, lu, x, g = stacked_operands(make_rng(13))
+@pytest.mark.parametrize("dx", [False, True], ids=["no-dx", "dx"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+def test_slots_name_the_gradients_computed(stacked, dx):
+    # every subset of the four out slots: a gradient with an array is
+    # written into it and returned as it, with the bits of an out=None call;
+    # a gradient with None comes back None; dx only when asked for
+    w0, lmd, lm, lu, x, g = stacked_operands(make_rng(5))
+    if not stacked:
+        lmd, lm, lu, x, g = (a[0] for a in (lmd, lm, lu, x, g))
     _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
     operands = (w0, lmd, lm, lu, 0.7, x, u, mid, g)
-    full = kernels.chain_backward(*operands)
-    trained = ("lu", "lm", "lmd", "w0")  # the out slots, in return order
-    for need in (set(c) for k in range(1, 5) for c in combinations(trained, k)):
-        out = tuple(np.full(a.shape, np.nan) for a in (lu, lm, lmd, w0))
-        got = kernels.chain_backward(*operands, need=need, out=out)
-        for name, dst in zip(trained, out):
-            i = NAMES.index(name)
-            if name in need:
-                assert got[i] is dst and dst.tobytes() == full[i].tobytes(), (need, name)
+    full, want_dx = kernels.chain_backward(*operands, dx=True)
+    subsets = [set(c) for k in range(5) for c in combinations(NAMES[:4], k)]
+    assert len(subsets) == 16
+    for chosen in subsets:
+        out = tuple(np.full(a.shape, np.nan) if name in chosen else None
+                    for name, a in zip(NAMES, (lmd, lm, lu, w0)))
+        got, got_dx = kernels.chain_backward(*operands, out=out, dx=dx)
+        for name, want, slot, grad in zip(NAMES, full, out, got):
+            if name in chosen:
+                assert grad is slot and grad.tobytes() == want.tobytes(), (chosen, name)
             else:
-                assert got[i] is None and np.isnan(dst).all(), (need, name)
+                assert grad is None, (chosen, name)
+        if dx:
+            assert got_dx.tobytes() == want_dx.tobytes(), chosen
+        else:
+            assert got_dx is None, chosen
 
 
 @pytest.mark.parametrize("B", [None, 5], ids=["2d", "stacked"])
@@ -288,43 +309,8 @@ def test_rank_zero_chain_adds_exact_zeros(B):
     x, g = (fuzzed(rng, (d, 3) if B is None else (B, d, 1)) for d in (d1, d2))
     lmd, lm, lu = np.zeros((0, d1)), np.zeros((0, 0)), np.zeros((d2, 0))
     h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, SCALE, x)
-    _, _, _, dx, dw0 = kernels.chain_backward(w0, lmd, lm, lu, SCALE, x, u, mid, g,
-                                              need={"w0", "x"})
+    (*_, dw0), dx = kernels.chain_backward(w0, lmd, lm, lu, SCALE, x, u, mid, g,
+                                           out=(None, None, None, np.empty(w0.shape)), dx=True)
     for got, want in ((h, w0 @ x + 0.0), (dx, w0.mT @ g + 0.0),
                       (dw0, kernels.stack_sum(g, x))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-class TestNeed:
-    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
-    def test_every_subset_gives_the_default_bits_and_none_elsewhere(self, stacked):
-        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(5))
-        if not stacked:
-            lmd, lm, lu, x, g = (a[0] for a in (lmd, lm, lu, x, g))
-        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
-        operands = (w0, lmd, lm, lu, 0.7, x, u, mid, g)
-        full = kernels.chain_backward(*operands)
-        assert kernels.GRADIENTS == set(NAMES)
-        subsets = [set(c) for k in range(1, len(NAMES) + 1)
-                   for c in combinations(NAMES, k)]
-        assert len(subsets) == 31
-        for need in subsets:
-            got = kernels.chain_backward(*operands, need=need)
-            for name, want, out in zip(NAMES, full, got):
-                if name in need:
-                    assert out.tobytes() == want.tobytes(), (need, name)
-                else:
-                    assert out is None, (need, name)
-
-    def test_need_may_be_a_tuple(self):
-        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(6))
-        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
-        got = kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g, need=("lm",))
-        assert got[1] is not None and all(o is None for o in got[:1] + got[2:])
-
-    @pytest.mark.parametrize("need", [{"lu", "dw0"}, {"u"}, "lm", "x", ["lmd", "mid"]])
-    def test_unknown_name_raises(self, need):
-        w0, lmd, lm, lu, x, g = stacked_operands(make_rng(7))
-        _h, u, mid = kernels.chain_forward(w0, lmd, lm, lu, 0.7, x)
-        with pytest.raises(ValueError, match="need"):
-            kernels.chain_backward(w0, lmd, lm, lu, 0.7, x, u, mid, g, need=need)

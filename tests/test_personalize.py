@@ -772,7 +772,7 @@ class TestLockstepEngine:
             grads = backward(*args, **kwargs)
             calls.append(None)
             if len(calls) == 2 * 5 + 1:  # layer 2 of iteration 5
-                grads[1][2, 0, 0] = np.inf
+                grads[0][1][2, 0, 0] = np.inf
             return grads
 
         monkeypatch.setattr(kernels, "chain_backward", poisoned)
@@ -787,9 +787,9 @@ class TestLockstepEngine:
 
         def poisoned_late(*args, **kwargs):
             grads = backward(*args, **kwargs)
-            calls.append(len(grads[1]))
+            calls.append(len(grads[0][1]))
             if len(calls) == 2 * 10 + 1:  # layer 2 of iteration 10
-                grads[1][-1, 0, 0] = np.inf
+                grads[0][1][-1, 0, 0] = np.inf
             return grads
 
         monkeypatch.setattr(kernels, "chain_backward", poisoned_late)

@@ -11,7 +11,7 @@ from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.errors import ConfigError, ConvergenceError, NumericError
 from metalora.metatrain import IdentityBank, TrainConfig, split_params
 from metalora.numerics import AdamWState, adamw_step, flat_views, make_rng
-from metalora.toymodel import (DRAW_BLOCK, TRAINED, DiffusionSchedule, Example, ToyDenoiser,
+from metalora.toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
                                diffusion_loss, drawn_batches, forward, generate,
                                linear_schedule,
                                make_dataset, noisify, pretrain_base,
@@ -292,8 +292,8 @@ class TestDenoiser:
                                                          for f in (f1, f2)], inp, eps)
         assert loss_fresh == pytest.approx(loss_zero, abs=1e-15)
 
-    def test_need_keeps_the_bits_of_the_requested_gradients(self):
-        # each trained tensor alone, and the three stages' requests: the
+    def test_slots_keep_the_bits_of_the_requested_gradients(self):
+        # each trained tensor's slot alone, and the three stages' slots: the
         # requested gradients have the default call's bits, the rest are None
         ds = small_dataset()
         s = linear_schedule()
@@ -303,22 +303,23 @@ class TestDenoiser:
         inp, eps = batch_inputs(m, ds.examples[:4], s, make_rng(6))
         _, full = diffusion_loss(m.operands()[0], factors, inp, eps)
         names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
-        for need in ({"lm"}, {"lu"}, {"lmd"}, {"w0"}, {"lu", "lm"}, {"lu", "lm", "lmd"}):
-            _, got = diffusion_loss(m.operands()[0], factors, inp, eps, need=need)
+        for asked in ({"lm"}, {"lu"}, {"lmd"}, {"w0"}, {"lu", "lm"}, {"lu", "lm", "lmd"}):
+            slots = [tuple(np.empty(w.shape) if name in asked else None
+                           for name, w in zip(names, layer)) for layer in full]
+            _, got = diffusion_loss(m.operands()[0], factors, inp, eps, out=slots)
             for want_layer, got_layer in zip(full, got):
                 for name, want, g in zip(names, want_layer, got_layer):
-                    if name in need:
-                        assert g.tobytes() == want.tobytes(), (need, name)
+                    if name in asked:
+                        assert g.tobytes() == want.tobytes(), (asked, name)
                     else:
-                        assert g is None, (need, name)
+                        assert g is None, (asked, name)
 
     def test_out_buffer_holds_the_bits_of_the_returned_gradients(self):
-        # every subset of the trained tensors, stage-1 operands: the needed
-        # gradients of all four slots are written into views of flat
-        # buffers (the mid/up ones split_params' views, the summed shared
-        # down factor's and base weight's flat_views) and returned as them,
-        # with the bits of a call without the buffers; the views of
-        # gradients left out are not written
+        # every subset of the four slots, stage-1 operands: the requested
+        # gradients are written into views of flat buffers (the mid/up ones
+        # split_params' views, the summed shared down factor's and base
+        # weight's flat_views) and returned as them, with the bits of a call
+        # without the buffers; the gradients of None slots are None
         ds = small_dataset()
         m = ToyDenoiser.build(make_rng(3), d=8, hidden=16, n_prompts=2, r1=4, r2=2)
         bank = IdentityBank(m, 2, TrainConfig(r1=4, r2=2), make_rng(10))
@@ -329,31 +330,24 @@ class TestDenoiser:
         operands = ([l.w0 for l in m.layers], bank.chains(ids), inp[:, :, None], eps,
                     len(ids))
         names = ("lmd", "lm", "lu", "w0")  # the order of each layer's gradients
-        for need in (set(c) for k in range(5) for c in combinations(sorted(TRAINED), k)):
-            want_losses, want = train_step(*operands, need=need)
+        want_losses, want = train_step(*operands)
+        for asked in (set(c) for k in range(5) for c in combinations(names, k)):
             buf = np.full((len(ids), bank.params.shape[1]), np.nan)
             summed = (*bank.lmd, *operands[0])  # the shared down factors, the base weights
             sums = flat_views(np.full(sum(a.size for a in summed), np.nan),
                               [a.shape for a in summed])
             views = [(lmd, lm, lu, w0) for lmd, (lm, lu), w0
                      in zip(sums[:2], split_params(buf, *bank.layout), sums[2:])]
-            losses, got = train_step(*operands, need=need, out=views)
+            slots = [tuple(v if name in asked else None for name, v in zip(names, layer))
+                     for layer in views]
+            losses, got = train_step(*operands, out=slots)
             assert losses.tobytes() == want_losses.tobytes()
             for want_layer, got_layer, layer_views in zip(want, got, views):
                 for name, w, g, view in zip(names, want_layer, got_layer, layer_views):
-                    if name in need:
-                        assert g is view and g.tobytes() == w.tobytes(), (need, name)
+                    if name in asked:
+                        assert g is view and g.tobytes() == w.tobytes(), (asked, name)
                     else:
-                        assert g is None and np.isnan(view).all(), (need, name)
-
-    @pytest.mark.parametrize("need", [{"x"}, {"lu", "x"}, {"mid"}])
-    def test_need_names_only_trained_tensors(self, need):
-        ds = small_dataset()
-        m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
-        with pytest.raises(ValueError):
-            diffusion_loss(*m.operands(),
-                           *batch_inputs(m, ds.examples[:2], linear_schedule(), make_rng(0)),
-                           need=need)
+                        assert g is None and np.isnan(view).all(), (asked, name)
 
     def test_empty_batch_rejected(self):
         m = ToyDenoiser.build(make_rng(0), d=8, hidden=16, n_prompts=2, r1=4, r2=1)
@@ -390,10 +384,11 @@ class TestDenoiser:
             return diffusion_loss(m.operands()[0], bank.chains(ids), inp, eps, out=out)
 
         item_grads = np.empty((len(ids), bank.params.shape[1]))
-        # the out slots of run_stage1: the bank's shared gradient views and
-        # the flat mid/up rows
-        _, layer_grads = loss([(d_lmd, lm, lu, None) for d_lmd, (lm, lu)
-                               in zip(bank.lmd_grads, split_params(item_grads, *bank.layout))])
+        # the out slots of run_stage1 with its gate open, the bank's shared
+        # gradient views and the flat mid/up rows, and a base-weight slot
+        _, layer_grads = loss([(d_lmd, lm, lu, np.empty(l.w0.shape)) for d_lmd, (lm, lu), l
+                               in zip(bank.lmd_grads, split_params(item_grads, *bank.layout),
+                                      m.layers)])
         rows = np.zeros_like(bank.params)
         np.add.at(rows, ids, item_grads)
         checks = [(rows, bank.params)]
@@ -595,7 +590,7 @@ class TestPretrain:
         try:
             with pytest.raises(ConvergenceError):
                 pretrain_base(make_dataset(make_rng(0)), linear_schedule(), seed=1,
-                              loss_threshold=0.0, max_iters=5)
+                              loss_threshold=0.0, max_iters=5, window=5)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 5

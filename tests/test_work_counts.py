@@ -61,11 +61,15 @@ TABLE = {
         # is sample_view's bool, with no View record or CropSpec.rect read:
         # -2 Python calls per iteration. lockstep: the same on each of its 4
         # streams, -8 Python calls, and each probe row one probe_loss call in
-        # place of the inline record_probe: +1 C call (its len) per iteration
-        "pretrain": (2637, 3340),
-        "stage1": (4079, 5480),
-        "stage2": (595, 1174),
-        "lockstep": (1430, 3222),
+        # place of the inline record_probe: +1 C call (its len) per iteration.
+        # every stage: chain_backward reads its out slots for the gradients
+        # to compute, with no need set to check (isinstance, issuperset) or
+        # intersect (isdisjoint per branch): -7 C calls per iteration in
+        # pretrain, whose layer 1 takes one branch fewer, -8 in the others
+        "pretrain": (2637, 2892),
+        "stage1": (4079, 5000),
+        "stage2": (595, 662),
+        "lockstep": (1430, 2710),
     },
 }
 
