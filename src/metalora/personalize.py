@@ -182,7 +182,9 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
     """The call's streams, one per distinct (seed, reference object), and the
     stream of each job. Each reference object's crop plan and view latents
     are made once per call, in one view table keyed by the reference's
-    ``id``, and shared by its streams."""
+    ``id``, and shared by its streams. Both are for speed: one stream per
+    job made the default speed experiment 18-22 % slower, and a
+    :func:`view_latent` per draw 38-52 % (2-vCPU Xeon, 1 BLAS thread)."""
     streams: list[_Stream] = []
     stream_of: dict[tuple[int, int], int] = {}  # (seed, reference id) -> stream
     tables: dict[int, tuple] = {}  # reference id -> (crop plan, view latents)
@@ -243,11 +245,12 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     ``iters_to_threshold`` and the factors and curves of its ``count``
     iterations, which have the bits of a full-length run's first
     ``count``. The runs still training move up into the leading rows of the
-    call's buffers, and the next block draws only the streams that one of
-    them replays. A run that never crosses trains ``q_st2`` iterations and
-    reports ``q_st2 + 1``; with ``tau_fraction = 0`` no positive loss
-    crosses, so every run gives its whole curve. A run without a probe
-    trains ``q_st2`` iterations and reports ``iters_to_threshold = None``.
+    call's buffers, by one gather per buffer, and the next block draws only
+    the streams that one of them replays. A run that never crosses trains
+    ``q_st2`` iterations and reports ``q_st2 + 1``; with
+    ``tau_fraction = 0`` no positive loss crosses, so every run gives its
+    whole curve. A run without a probe trains ``q_st2`` iterations and
+    reports ``iters_to_threshold = None``.
 
     Either every job or none has a probe, all of one shape. ``model`` is only
     read. An error names the job by its index in ``jobs``.
@@ -276,7 +279,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         # frozen: the base weight and the shared down factor never move in
         # stage 2, so their products with the inputs are made once. Probing
         # through forward on the inputs gives the same bits, but made the
-        # default speed experiment about 9 % slower (2-core x86_64, OpenBLAS)
+        # default speed experiment 1-8 % slower (2-vCPU Xeon, 1 BLAS thread)
         p_w0x, p_u = w0s[0] @ p_inp, lmd1 @ p_inp
         del p_inp
         probe_losses = np.empty((R, q + 1))
@@ -342,18 +345,11 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                 for j in np.flatnonzero(hit):
                     finish(j, it)
                 keep = np.flatnonzero(~hit)
-                # the rows left move up in place, with their rows of the drawn
-                # block still to train, one row at a time and only those that
-                # move. A gather per buffer (buf[:k] = buf[keep]) gives the same
-                # bits in 3 fewer lines, but measured 0.5-3 ms slower of the
-                # default speed experiment's ~53 ms in 5 of 6 processes (min of
-                # 15 calls), and no faster on a 2-vCPU Xeon: it waits for a gain
-                bufs = stacked + [b[i:].swapaxes(0, 1) for b in (job_inputs, job_noise) if i]
-                for dst, src in enumerate(keep.tolist()):
-                    if dst != src:
-                        for buf in bufs:
-                            buf[dst] = buf[src]
                 n, rows = len(keep), rows[keep]
+                # the rows left move up, with their rows of the drawn block
+                # still to train: one gather per buffer
+                for buf in stacked + [b[i:].swapaxes(0, 1) for b in (job_inputs, job_noise) if i]:
+                    buf[:n] = buf[keep]
                 chains, grad_views, flat, block_inputs, block_noise, losses_at = stack(n)
                 live, pos = np.unique(job_stream[rows], return_inverse=True)
         if it == q or n == 0:

@@ -69,6 +69,14 @@ class TestForwardChain:
         with pytest.raises(RankError, match=f"r1={r1}, r2={r2}"):
             init_factors(make_rng(0), 8, 8, r1, r2)
 
+    @pytest.mark.parametrize("shape", [(5, 8), (8, 6)], ids=["rows", "transposed"])
+    def test_base_weight_that_does_not_fit_the_factors_refused(self, shape):
+        f = init_factors(make_rng(0), 8, 6, 2, 1)  # d1 = 8 inputs, d2 = 6 outputs
+        with pytest.raises(DimensionError) as exc:
+            AdaptedLayer(np.zeros(shape), f)
+        assert str(exc.value) == f"AdaptedLayer: w0 vs factors: incompatible shapes " \
+                                 f"{shape} vs (6, 8)"
+
     def test_chain_shape_mismatch(self):
         with pytest.raises(DimensionError):
             AdapterFactors(l_meta_down=np.zeros((3, 8)),

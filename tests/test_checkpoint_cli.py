@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from metalora import cli, kernels, metatrain, personalize, toymodel
-from metalora.adapter import AdapterFactors, merge
+from metalora.adapter import AdapterFactors, MergedLoRA, merge
 from metalora.checkpoint import (KINDS, MAGIC, VERSION, config_hash, load_checkpoint,
                                  load_layers, save_checkpoint, save_layers)
 from metalora.cli import main, parse_config, write_svg_curve
@@ -658,6 +658,46 @@ class TestPipeline:
         report = json.loads(out.read_text())
         assert {"r_facesim", "facesim", "relative_difference_pct"} <= report.keys()
 
+    @pytest.mark.parametrize("seed", ["0", "1234"])  # the smallest seed, and the default
+    def test_evaluate_report_is_indented_sorted_json(self, cli_run, tmp_path, seed):
+        out = tmp_path / "report.json"
+        assert main(["evaluate", *evaluate_inputs(tmp_path), "--embedder-seed", seed,
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+    def test_personalize_takes_identity_zero(self, cli_run, tmp_path):
+        # a target_identity >= 0 names the identity; only -1 means the first held-out one
+        _root, _cfg, base, s1, *_ = cli_run
+        cfg, out = tmp_path / "zero.cfg", tmp_path / "pers.bin"
+        cfg.write_text(small_cfg_with("target_identity = 0"))
+        assert main(["personalize", "--config", str(cfg), "--checkpoint", str(base),
+                     "--stage1", str(s1), "--out", str(out)]) == 0
+        assert load_checkpoint(out)[0]["identity"] == 0
+        assert json.loads((tmp_path / "pers.bin.trace.json").read_text())["identity"] == 0
+
+    @pytest.mark.parametrize("diff, rc", [(1e-12, 0), (2e-12, 4)], ids=["at-bound", "above"])
+    def test_merge_verification_bound(self, tmp_path, monkeypatch, diff, rc):
+        # 100 columns of ones through 1 x 1 chains whose product is zero, and a
+        # merged export whose product differs from it by exactly diff
+        sizes = []
+
+        class Ones:
+            def normal(self, size):
+                sizes.append(size)
+                return np.ones(size)
+
+        monkeypatch.setattr(cli, "make_rng", lambda seed: Ones())
+        monkeypatch.setattr(cli, "merge",
+                            lambda f: MergedLoRA(np.array([[diff]]), np.ones((1, 1))))
+        pers, out = tmp_path / "pers.bin", tmp_path / "merged.bin"
+        ones = [np.ones((1, 1))] * 2
+        save_layers(pers, "personalized", {"r1": 1, "r2": 1, "identity": 0},
+                    {"lmd": ones, "lm": ones, "lu": [np.zeros((1, 1))] * 2})
+        assert run_main(["merge", "--checkpoint", pers, "--out", out, "--verify"])[0] == rc
+        assert sizes == [(100, 1, 1)] * 2
+        assert out.exists() == (rc == 0)
+
     def test_benchmark_workloads_run_on_the_cli_artifacts(self, cli_run, monkeypatch):
         # pipeline_bench/workloads.py, imported as pipeline_bench/run.py
         # imports it, loads the CLI's checkpoints and generates through
@@ -892,6 +932,19 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("line, typ", [("q_total = banana", "int"),
+                                           ("single_prototype = maybe", "bool")])
+    def test_unparsable_value_is_2(self, tmp_path, line, typ):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "o"
+        cfg.write_text(small_cfg_with(line))
+        rc, stderr = run_main(["pretrain", "--config", cfg, "--out", out])
+        assert rc == 2 and len(stderr.splitlines()) == 1, stderr
+        ln = small_cfg_with(line).splitlines().index(line) + 1
+        value = line.partition(" = ")[2]
+        assert json.loads(stderr) == {"error": "config", "message": f"{cfg}:{ln}: "
+                                      f"cannot parse {value!r} as {typ}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["heldout_identities = 6", "heldout_identities = 0",
                                       "target_identity = 6", "target_identity = -2",
                                       "batch_size = 0", "n_prompts = 0",
@@ -1069,9 +1122,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["list header", "no lm.0", "no lu.1", "no lmd.1",
                                       "lm.0 does not chain", "extra lmd.%", "extra lmd.x",
                                       "extra lmd.", "extra lmd.0.1", "extra lm.01",
-                                      "extra w0.0"])
+                                      "extra w0.0", "lu.1 not UTF-8"])
     def test_malformed_checkpoint_is_3(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.bin"
+        expected = {"list header": "not an object", "lm.0 does not chain": "has shape (1, 5)"
+                    }.get(case, "are not lmd.N, lm.N, lu.N")
         if case == "list header":
             header_only_checkpoint(bad, b"[]")
         else:
@@ -1083,18 +1138,23 @@ class TestExitCodes:
                 tensors["lm.0"] = np.zeros((1, 5))
             elif what == "extra":
                 tensors[name] = np.zeros((2, 3))
-            else:
+            elif what == "no":
                 del tensors[name]
             # names that save_layers mostly cannot write, with the checksums it records
             save_checkpoint(bad, {"kind": "personalized", "r1": 2, "r2": 1, "identity": 0,
                                   "checksums": {n: checksum(a) for n, a in tensors.items()}},
                             tensors)
+            if case == "lu.1 not UTF-8":  # refused at the name's first byte
+                blob = bad.read_bytes()
+                at = blob.rindex(b"lu.1")  # the name, past the header's checksums
+                bad.write_bytes(blob[:at] + b"lu\xff1" + blob[at + 4:])
+                expected = f"malformed tensor name: 'utf-8' codec can't decode byte 0xff " \
+                           f"in position 2: invalid start byte (at byte offset {at})"
         rc = main(["merge", "--checkpoint", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io"
-        assert {"list header": "not an object", "lm.0 does not chain": "has shape (1, 5)"
-                }.get(case, "are not lmd.N, lm.N, lu.N") in err["message"]
+        assert expected in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_merge_of_duplicate_tensor_is_3(self, tmp_path, capsys):

@@ -74,6 +74,11 @@ class TestBucketSizing:
         assert [x.identity_ids for x in a] == [x.identity_ids for x in b]
         assert [x.identity_ids for x in a] != [x.identity_ids for x in c]
 
+    def test_empty_dataset_refused(self):
+        ds = dataclasses.replace(tiny_dataset(), examples=[])
+        with pytest.raises(MetaLoraError, match="^empty dataset$"):
+            partition_buckets(ds, 2, 4, seed=0)
+
     def test_foreign_identity_rejected(self):
         ds = tiny_dataset()
         with pytest.raises(MetaLoraError):

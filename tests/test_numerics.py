@@ -116,6 +116,17 @@ class TestAdamW:
         with pytest.raises(DimensionError):
             adamw_step(np.zeros((2, 2)), np.zeros((2, 3)), AdamWState(lr=0.1))
 
+    def test_state_reused_on_another_shape_rejected(self):
+        # a state's moments are its first tensor's: another shape is refused
+        # before either the parameter or the state moves
+        st_ = AdamWState(lr=0.1)
+        adamw_step(np.zeros((2, 2)), np.ones((2, 2)), st_)
+        p = np.zeros((2, 3))
+        with pytest.raises(DimensionError) as exc:
+            adamw_step(p, np.ones((2, 3)), st_)
+        assert str(exc.value) == "adamw_step: state buffers: incompatible shapes (2, 2) vs (2, 3)"
+        assert st_.step == 1 and not p.any()
+
     def test_deterministic_across_runs(self):
         def run():
             rng = make_rng(9)

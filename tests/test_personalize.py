@@ -10,7 +10,7 @@ from metalora import kernels, personalize
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
 from metalora.augment import FaceBox, plan_crops, sample_view
 from metalora.checkpoint import save_layers
-from metalora.errors import (CheckpointError, ConfigError,
+from metalora.errors import (CheckpointError, ConfigError, DimensionError,
                              MetaLoraError, NumericError, RankError)
 from metalora.metatrain import TrainConfig, fresh_identity_params, run_stage1, split_params
 from metalora.numerics import AdamWState, adamw_step, make_rng, checksum
@@ -721,6 +721,23 @@ class TestLockstepEngine:
                             schedule, SIX_CFG)
         with pytest.raises(MetaLoraError, match="no jobs"):
             run_stage2_many(model, [], schedule, SIX_CFG)
+
+    @pytest.mark.parametrize("part", ["shared down factor 1", "reference latent"])
+    def test_job_of_another_shape_is_named(self, world, part):
+        # refused before any training step, with the index of the job
+        ds, schedule, model, lmd = world
+        jobs = self.six_jobs(world)[:3]
+        if part == "reference latent":
+            ref = jobs[2].reference
+            jobs[2] = replace(jobs[2], reference=replace(ref, x0=ref.x0[1:]))
+            shapes = f"({model.d - 1},) vs ({model.d},)"
+        else:
+            jobs[2] = replace(jobs[2], lmd=[lmd[0], lmd[1][:, 1:]])
+            d1 = model.dims[1][0]
+            shapes = f"(4, {d1 - 1}) vs (4, {d1})"
+        with pytest.raises(DimensionError) as exc:
+            run_stage2_many(model, jobs, schedule, SIX_CFG)
+        assert str(exc.value) == f"job 2: {part}: incompatible shapes {shapes}"
 
     def stopping_jobs(self, world):
         """Three probed jobs whose runs under STOP_CFG stop after 8, 26 and 22

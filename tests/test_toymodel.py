@@ -8,7 +8,7 @@ import pytest
 
 from metalora import kernels, toymodel
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
-from metalora.errors import ConfigError, ConvergenceError, NumericError
+from metalora.errors import ConfigError, ConvergenceError, DimensionError, NumericError
 from metalora.metatrain import IdentityBank, TrainConfig, split_params
 from metalora.numerics import AdamWState, adamw_step, flat_views, make_rng
 from metalora.toymodel import (DRAW_BLOCK, DiffusionSchedule, Example, ToyDenoiser,
@@ -34,6 +34,13 @@ class TestSchedule:
             DiffusionSchedule(np.array([1.2, 0.5]))
         with pytest.raises(ValueError):
             DiffusionSchedule(np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("alpha_bar", [[[0.9, 0.5]], []], ids=["two-dim", "empty"])
+    def test_alpha_bar_must_be_one_dimensional_and_not_empty(self, alpha_bar):
+        shape = np.shape(alpha_bar)
+        with pytest.raises(DimensionError) as exc:
+            DiffusionSchedule(np.array(alpha_bar))
+        assert str(exc.value) == f"DiffusionSchedule: alpha_bar: incompatible shapes {shape}"
 
     def test_range_includes_one(self):
         # (0, 1] is closed at 1: a noiseless first timestep is a schedule
