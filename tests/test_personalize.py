@@ -834,6 +834,24 @@ class TestDrawAhead:
         assert batch[0].train_losses == batch[2].train_losses == batch[3].train_losses
         assert batch[0].train_losses != batch[1].train_losses
 
+    @pytest.mark.parametrize("q_st2", [75, 100, 128])
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, world, q_st2):
+        # a block's draws do not depend on q_st2: 75 and 100 end inside the
+        # second block, 128 at its end, and 130 trains two iterations of a third
+        ds, schedule, model, lmd = world
+        ref = ds.reference_of(1)
+        probe = make_probe(model, ds, 1, schedule, seed=5)
+
+        def runs(q):
+            cfg = pcfg(q_st2=q, seed=3)
+            return run_stage2(model, lmd, ref, schedule, cfg), \
+                probed_run(model, lmd, ref, schedule, cfg, probe)
+
+        (lone, probed), (long_lone, long_probed) = runs(q_st2), runs(130)
+        assert lone.train_losses == long_lone.train_losses[:q_st2]
+        assert probed.train_losses == long_probed.train_losses[:q_st2]
+        assert probed.probe_losses == long_probed.probe_losses[:q_st2 + 1]
+
     def test_jobs_with_one_seed_and_references_draw_once(self, world, monkeypatch):
         ds, schedule, model, lmd = world
         ref = ds.reference_of(2)
