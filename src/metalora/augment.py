@@ -7,7 +7,7 @@ the requested size does not fit, the largest feasible size at the same
 aspect is substituted; an aspect that fits at no size (16:9 in a 1x1
 image) is left out, so every crop is at least 1x1. Exact duplicate
 rectangles collapse, so a single image yields at most 25 crop specs.
-Horizontal flips are drawn per sample, not enumerated into the plan.
+Horizontal flips are drawn per view, not enumerated into the plan.
 """
 
 from __future__ import annotations
@@ -120,10 +120,13 @@ def plan_crops(image_w: int, image_h: int, face: FaceBox) -> list[CropSpec]:
     return specs
 
 
-def sample_view(spec: CropSpec, rng: np.random.Generator) -> bool:
-    """A training view's flip of the spec's rect: a fair coin where the spec
-    allows a flip, else ``False`` and no draw."""
-    return bool(rng.random() < 0.5) if spec.flip_allowed else False
+def sample_view(rng: np.random.Generator, specs: list[CropSpec], n: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """n training views of a crop plan: their spec indices (n,), then their
+    flips (n,), a fair coin drawn for each view, kept where its spec allows."""
+    indices = rng.integers(len(specs), size=n)
+    allowed = np.array([spec.flip_allowed for spec in specs])
+    return indices, (rng.random(size=n) < 0.5) & allowed[indices]
 
 
 def plan_to_jsonl(specs: list[CropSpec]) -> str:

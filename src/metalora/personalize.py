@@ -74,14 +74,13 @@ def view_latent(x0: np.ndarray, rect: tuple[int, int, int, int], flip: bool,
 def make_probe(model: ToyDenoiser, dataset: ToyIdentityDataset, identity: int,
                schedule: DiffusionSchedule, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed evaluation batch over an identity's first 16 held-out samples:
-    network inputs (d_in, n) and noise targets (d, n). Each sample draws its
-    ``t`` and then its noise."""
+    network inputs (d_in, n) and noise targets (d, n). The samples' ``t``
+    are drawn as one array (n,), then their noise (n, d)."""
     rng = make_rng(seed)
     items = [e for e in dataset.of_identity(identity) if e.split == "test"][:16]
-    draws = [(int(rng.integers(schedule.T)), rng.normal(0.0, 1.0, size=e.x0.shape))
-             for e in items]
-    eps = np.stack([noise for _, noise in draws])
-    rows = model.noised_inputs(np.stack([e.x0 for e in items]), [t for t, _ in draws],
+    ts = rng.integers(schedule.T, size=len(items))
+    eps = rng.normal(0.0, 1.0, size=(len(items), dataset.d))
+    rows = model.noised_inputs(np.stack([e.x0 for e in items]), ts,
                                [e.prompt_id for e in items], eps, schedule)
     return np.ascontiguousarray(rows.T), np.ascontiguousarray(eps.T)
 
@@ -183,8 +182,9 @@ def _make_streams(jobs: list[Stage2Job], d: int, dims: list[tuple[int, int]],
     stream of each job. Each reference object's crop plan and view latents
     are made once per call, in one view table keyed by the reference's
     ``id``, and shared by its streams. Both are for speed: one stream per
-    job made the default speed experiment 18-22 % slower, and a
-    :func:`view_latent` per draw 38-52 % (2-vCPU Xeon, 1 BLAS thread)."""
+    job made the default speed experiment 6-11 % slower (3 undisturbed pairs
+    of 6 alternating processes), and a :func:`view_latent` per draw 38-52 %
+    (minimum of 15 calls, 2-vCPU Xeon, 1 BLAS thread)."""
     streams: list[_Stream] = []
     stream_of: dict[tuple[int, int], int] = {}  # (seed, reference id) -> stream
     tables: dict[int, tuple] = {}  # reference id -> (crop plan, view latents)
@@ -216,17 +216,18 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     A job states only what its run has of its own (:class:`Stage2Job`); the
     call's ``config`` holds every other setting, and its ``seed`` is not
     read. Each run gives the same bits as when trained alone. It replays its
-    own random stream in the order of a single run: fresh factors, then a
-    crop spec index, a flip, ``t`` and the noise on every iteration. Jobs
+    own random stream in the order of a single run: fresh factors, then per
+    block of :data:`DRAW_BLOCK` iterations its crop spec indices and flips
+    (:func:`~metalora.augment.sample_view`), ``t`` and noise, one array each,
+    drawn whole ahead of the loop, also past ``q_st2``: memory does not grow
+    with ``q_st2``, and a shorter run is a bit prefix of a longer one. Jobs
     with the same seed and the same reference object replay the same
-    stream, so they share one generator and its draws. Every stream draws
-    its next :data:`DRAW_BLOCK` iterations ahead of the loop, so memory does
-    not grow with ``q_st2``. Each reference object has one view table per
-    call, its crop plan and each spec's and flip's :func:`view_latent`, made
-    before the loop and shared by its streams. A drawn block is noised and
-    conditioned at once, per stream, by one ``model.noised_inputs`` call,
-    and gathered once by the runs' streams into (block, R, .) buffers
-    allocated once per call. An iteration makes one
+    stream, so they share one generator and its draws. Each reference
+    object has one view table per call, its crop plan and each spec's and
+    flip's :func:`view_latent`, made before the loop and shared by its
+    streams. A drawn block is noised and conditioned at once, per stream, by
+    one ``model.noised_inputs`` call, and gathered once by the runs' streams
+    into (block, R, .) buffers allocated once per call. An iteration makes one
     :func:`metalora.toymodel.train_step` over per-layer ``(lmd, lm, lu)``
     chains of stacked (R, ., .) views, made once per stack size, whose
     matmuls make the same BLAS call per run as a lone run, and one
@@ -259,9 +260,8 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
     R, d, T, q = len(jobs), model.d, schedule.T, config.q_st2
     dims = model.dims
     streams, job_stream = _make_streams(jobs, d, dims, config)
-    block = min(DRAW_BLOCK, q)
-    job_inputs = np.empty((block, R, dims[0][0], 1))
-    job_noise = np.empty((block, R, d))
+    job_inputs = np.empty((DRAW_BLOCK, R, dims[0][0], 1))
+    job_noise = np.empty((DRAW_BLOCK, R, d))
     before = ["".join(checksum(m) for m in job.lmd) for job in jobs]
 
     params = np.stack([streams[s].fresh for s in job_stream])
@@ -297,28 +297,23 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
                  in split_params(flat[1], dims, config.r1, config.r2)], flat,
                 job_inputs[:, :n], job_noise[:, :n], train_losses[:n].T)
 
-    def draw_block(nb):
-        """The next nb iterations of the ``live`` streams, drawn in a lone
-        run's order: a crop spec index, its flip, ``t`` and the noise. They
+    def draw_block():
+        """The next block of the ``live`` streams, each drawn as arrays in a
+        lone run's order: spec indices and flips, ``t``, then the noise. They
         are noised, conditioned and gathered by the stack's streams ``pos``
-        into the leading rows of the (block, R, .) buffers."""
-        noise, latents = np.empty((2, nb, len(live), d))
-        ts = np.empty((nb, len(live)), dtype=np.intp)
+        into the (block, R, .) buffers."""
+        noise, latents = np.empty((2, DRAW_BLOCK, len(live), d))
+        ts = np.empty((DRAW_BLOCK, len(live)), dtype=np.intp)
         for s, st in enumerate(streams[k] for k in live):
-            rng, specs = st.rng, st.specs
-            picks, flips, times = [], [], []
-            for i in range(nb):
-                v = int(rng.integers(len(specs)))
-                picks.append(v)
-                flips.append(int(sample_view(specs[v], rng)))
-                times.append(rng.integers(T))
-                noise[i, s] = rng.normal(0.0, 1.0, size=d)
-            latents[:, s], ts[:, s] = st.latents[picks, flips], times
-        prompts = np.tile([streams[k].prompt for k in live], nb)
-        np.take(model.noised_inputs(latents.reshape(-1, d), ts.ravel(), prompts,
-                                    noise.reshape(-1, d), schedule).reshape(nb, len(live), -1),
-                pos, axis=1, out=block_inputs[:nb, :, :, 0])
-        np.take(noise, pos, axis=1, out=block_noise[:nb])
+            picks, flips = sample_view(st.rng, st.specs, DRAW_BLOCK)
+            latents[:, s] = st.latents[picks, flips.astype(np.intp)]
+            ts[:, s] = st.rng.integers(T, size=DRAW_BLOCK)
+            noise[:, s] = st.rng.normal(0.0, 1.0, size=(DRAW_BLOCK, d))
+        prompts = np.tile([streams[k].prompt for k in live], DRAW_BLOCK)
+        rows = model.noised_inputs(latents.reshape(-1, d), ts.ravel(), prompts,
+                                   noise.reshape(-1, d), schedule)
+        np.take(rows.reshape(DRAW_BLOCK, len(live), -1), pos, axis=1, out=block_inputs[..., 0])
+        np.take(noise, pos, axis=1, out=block_noise)
 
     def finish(j, count):
         """Stack row j's job's result at ``count`` (q + 1: never reached), from copies
@@ -355,7 +350,7 @@ def run_stage2_many(model: ToyDenoiser, jobs: list[Stage2Job],
         if it == q or n == 0:
             break
         if i == 0:
-            draw_block(min(DRAW_BLOCK, q - it))
+            draw_block()
         losses, _ = train_step(w0s, chains, block_inputs[i], block_noise[i], 1,
                                out=grad_views)
         if not np.isfinite(losses).all():

@@ -117,7 +117,9 @@ def make_dataset(rng: np.random.Generator, n_identities: int = default("n_identi
     Prototypes are drawn, at most 100 times, until pairwise separation is at
     least 4x the perturbation std, so identities are genuinely distinguishable.
     With ``single_prototype`` every identity shares one prototype (a degenerate
-    control where there is nothing identity-specific to learn).
+    control where there is nothing identity-specific to learn). Each identity
+    then draws its samples' latents, prompts, face-box sizes and corners, one
+    array each.
     """
     for _ in range(100):
         prototypes = rng.normal(0.0, 1.0, size=(n_identities, d))
@@ -137,18 +139,16 @@ def make_dataset(rng: np.random.Generator, n_identities: int = default("n_identi
     else:
         raise ConvergenceError("could not draw sufficiently separated prototypes")
 
-    examples = []
+    examples, n = [], samples_per_identity
     for i in range(n_identities):
-        for k in range(samples_per_identity):
-            x0 = prototypes[i] + rng.normal(0.0, pert_std, size=d)
-            prompt_id = int(rng.integers(n_prompts))
-            fw, fh = int(rng.integers(180, 420)), int(rng.integers(180, 420))
-            fx = int(rng.integers(0, 1024 - fw))
-            fy = int(rng.integers(0, 1024 - fh))
-            examples.append(Example(identity=i, x0=x0, prompt_id=prompt_id,
-                                    split="reference" if k == 0 else "test",
-                                    image_w=1024, image_h=1024,
-                                    face_box=(fx, fy, fw, fh)))
+        x0s = prototypes[i] + rng.normal(0.0, pert_std, size=(n, d))
+        prompts = rng.integers(n_prompts, size=n)
+        sizes = rng.integers(180, 420, size=(2, n))  # widths, heights
+        corners = rng.integers(0, 1024 - sizes, size=sizes.shape)  # anywhere the box fits
+        boxes = zip(*np.concatenate([corners, sizes]).tolist())
+        examples += [Example(identity=i, x0=x0, prompt_id=prompt, image_w=1024, image_h=1024,
+                             split="test" if k else "reference", face_box=box)
+                     for k, (x0, prompt, box) in enumerate(zip(x0s, prompts.tolist(), boxes))]
     return ToyIdentityDataset(prototypes=prototypes, examples=examples,
                               n_prompts=n_prompts, perturbation_std=pert_std)
 
@@ -285,26 +285,25 @@ def train_step(w0s, chains, inp: np.ndarray, eps: np.ndarray, n, *, out=None):
 def drawn_batches(rng: np.random.Generator, model: ToyDenoiser, schedule: DiffusionSchedule,
                   pools, batch_size: int):
     """Each iteration's batch (examples), network inputs (B, d_in) and noise
-    (B, d), drawn :data:`DRAW_BLOCK` iterations ahead in a lone loop's order:
-    ``batch_size`` picks from the iteration's pool (the next of ``pools``),
-    then each item's ``t`` and noise. A block is noised and conditioned at
-    once, in buffers allocated once per call: an iteration's arrays are
-    overwritten when the next block is drawn."""
+    (B, d), drawn :data:`DRAW_BLOCK` iterations ahead. A block of nb
+    iterations draws the picks (nb, B), row j from the pool of iteration j
+    (the next of ``pools``), then the items' ``t`` (nb * B), then the noise
+    (nb, B, d). It is noised and conditioned at once, in buffers allocated
+    once per call: an iteration's arrays are overwritten by the next block."""
     pools = iter(pools)
     noise = np.empty((DRAW_BLOCK, batch_size, model.d))
     inputs = np.empty((DRAW_BLOCK, batch_size, model.layer1.w0.shape[1]))
     while block := list(islice(pools, DRAW_BLOCK)):
-        batches, ts = [], []
-        for j, pool in enumerate(block):
-            batches.append([pool[i] for i in rng.integers(len(pool), size=batch_size).tolist()])
-            for k in range(batch_size):
-                ts.append(rng.integers(schedule.T))
-                noise[j, k] = rng.normal(0.0, 1.0, size=model.d)
+        nb = len(block)
+        picks = rng.integers(np.array([[len(pool)] for pool in block]), size=(nb, batch_size))
+        ts = rng.integers(schedule.T, size=nb * batch_size)
+        noise[:nb] = rng.normal(0.0, 1.0, size=(nb, batch_size, model.d))
+        batches = [[pool[i] for i in row] for pool, row in zip(block, picks.tolist())]
         items = [item for batch in batches for item in batch]
-        rows = inputs[:len(block)].reshape(len(items), -1)  # the latents go in place
-        model.noised_inputs(np.stack([e.x0 for e in items], out=rows[:, :model.d]),
-                            np.array(ts), [e.prompt_id for e in items],
-                            noise[:len(block)].reshape(len(items), -1), schedule, out=rows)
+        rows = inputs[:nb].reshape(len(items), -1)  # the latents go in place
+        model.noised_inputs(np.stack([e.x0 for e in items], out=rows[:, :model.d]), ts,
+                            [e.prompt_id for e in items], noise[:nb].reshape(len(items), -1),
+                            schedule, out=rows)
         yield from zip(batches, inputs, noise)
 
 

@@ -306,9 +306,8 @@ def test_acceptance_6_augmentation_geometry():
         assert got == want, f"oracle mismatch on {iw}x{ih}"
         for x, y, w, h in got:
             assert 0 <= x and 0 <= y and x + w <= iw and y + h <= ih
-    rng = make_rng(6)
     spec = CropSpec(0, 0, 64, 64, "1:1", 1.5)
-    freq = sum(sample_view(spec, rng) for _ in range(10_000)) / 10_000
+    freq = float(sample_view(make_rng(6), [spec], 10_000)[1].mean())  # stage 2's draw
     assert abs(freq - 0.5) <= 0.015, f"flip frequency {freq}"
     report(6, f"25 specs unbounded; {len(fixtures)} oracle fixtures; "
               f"flip freq {freq:.4f}")

@@ -1,6 +1,7 @@
 """Crop-plan geometry and flip sampling."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -192,33 +193,41 @@ class TestPlanGeometry:
 class TestSampleView:
     def test_flip_frequency(self):
         spec = CropSpec(0, 0, 100, 100, "1:1", 1.5)
-        rng = make_rng(3)
         n = 10_000
-        flips = sum(sample_view(spec, rng) for _ in range(n))
-        assert abs(flips / n - 0.5) <= 0.015
+        indices, flips = sample_view(make_rng(3), [spec], n)
+        assert indices.shape == flips.shape == (n,) and not indices.any()
+        assert abs(flips.mean() - 0.5) <= 0.015
 
     def test_coin_is_exactly_fair(self):
         # a draw below 0.5 flips and 0.5 does not: exactly half of random()'s
         # 2**53 equally likely values
         spec = CropSpec(0, 0, 100, 100, "1:1", 1.5)
-        draws = [np.nextafter(0.5, 0.0), 0.5, 0.0]
-        assert [sample_view(spec, SimpleNamespace(random=lambda: d)) for d in draws] == \
-            [True, False, True]
+        draws = np.array([np.nextafter(0.5, 0.0), 0.5, 0.0])
+        rng = SimpleNamespace(integers=lambda high, size: np.zeros(size, dtype=np.intp),
+                              random=lambda size: draws[:size])
+        assert sample_view(rng, [spec], 3)[1].tolist() == [True, False, True]
 
     def test_flip_disallowed_always_false(self):
-        spec = CropSpec(0, 0, 100, 100, "1:1", 1.5, flip_allowed=False)
-        rng = make_rng(4)
-        assert all(sample_view(spec, rng) is False for _ in range(200))
+        # a coin is drawn for every view, so the indices and the other spec's
+        # flips are those of a plan where both specs allow a flip
+        plan = [CropSpec(0, 0, 100, 100, "1:1", 1.5, flip_allowed=False),
+                CropSpec(0, 0, 50, 50, "1:1", 2.0)]
+        indices, flips = sample_view(make_rng(4), plan, 200)
+        both = sample_view(make_rng(4), [replace(plan[0], flip_allowed=True), plan[1]], 200)
+        assert indices.tolist() == both[0].tolist()
+        assert not flips[indices == 0].any()
+        assert flips[indices == 1].tolist() == both[1][indices == 1].tolist()
+        assert 0 < flips.sum() < (indices == 1).sum()
 
     def test_seeded_sequence_reproducible(self):
-        spec = CropSpec(0, 0, 100, 100, "1:1", 1.5)
-        a = [sample_view(spec, make_rng(7)) for _ in range(1)]
-        seq1 = [sample_view(spec, rng) for rng in [make_rng(7)] * 0]
-        rng1, rng2 = make_rng(9), make_rng(9)
-        s1 = [sample_view(spec, rng1) for _ in range(50)]
-        s2 = [sample_view(spec, rng2) for _ in range(50)]
-        assert s1 == s2
-        assert a is not None and seq1 == []
+        # the stated order: every view's spec index, then every view's coin,
+        # and nothing more is drawn
+        plan = plan_crops(1024, 1024, FaceBox(300, 300, 200, 200))
+        rng, want = make_rng(9), make_rng(9)
+        indices, flips = sample_view(rng, plan, 50)
+        assert indices.tolist() == want.integers(len(plan), size=50).tolist()
+        assert flips.tolist() == (want.random(size=50) < 0.5).tolist()
+        assert rng.bit_generator.state == want.bit_generator.state
 
 
 class TestJsonl:

@@ -38,7 +38,7 @@ print(json.dumps([openblas_query("get_num_threads", ctypes.c_int), openblas_core
 
 # the largest |difference| of any entry of any checkpoint tensor between two
 # BLAS cores: 2**-51. Measured against SkylakeX on numpy 2.4.6: at most
-# 1.1e-16 for base.bin and stage1.bin, 1.7e-16 for pers.bin and 2.2e-16 for
+# 1.7e-16 for base.bin and stage1.bin, 2.2e-16 for pers.bin and 3.3e-16 for
 # merged.bin, under Haswell and under Sandybridge
 CORE_BOUND = 2.0 ** -51
 

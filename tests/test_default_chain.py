@@ -24,20 +24,20 @@ from metalora.cli import main
 RECORDED = ("2.4.6", "SkylakeX")
 
 SHA256 = {
-    "base.bin": "21f9cf3004f033d17249323cab822551728e903459dae2b84e24cbf47f64e6e7",
+    "base.bin": "484c72550ce0974f77053d984dc0f279de86eafa8f318e42de4e3ac0a0535234",
     "base.bin.trace.json": "dfae27c3cff079760f71aa4ace8fcf2013e85a30d3805e951a6b83890b434a02",
-    "stage1.bin": "f57e00e2fe43e5139a57c7b5a1b94bb0a827f16f4c1f3fc813cd7a4c37e5519d",
-    "stage1.bin.loss.svg": "d17e898577c622a524cc0c840efa0fde06ee6b8845283f0a239ce1669de070bd",
-    "stage1.bin.trace.csv": "4f9481803c77fba2ee987b2c9362584b7981e454e5f2ddfe758d16a5fd714599",
+    "stage1.bin": "f69c4b3e5282d5005221ae25cd74cc3572b31c39419af784f15152d793273dda",
+    "stage1.bin.loss.svg": "1893df4a063400f0f0edb41a4031699e0285793de73ca5a6859bdd7defe69d75",
+    "stage1.bin.trace.csv": "acadc9c16bd8f9745762e099237e712796d0b417e84e900a4475ac78a4ddbde3",
     "stage1.bin.trace.json": "eae6b972cb284d4347fcf30729645ea1ffb29066bde9f17b58d3dcba8e388b85",
-    "stage1.bin.trace.jsonl": "fee63f883685267c77ad02620590dd43bb6148e1f6c0df56e7e95a23c1873686",
-    "pers.bin": "73bfc9500355abe8cc50890fb525d342bb1a063d11e9a1d62b34eedcaf1bcd6f",
-    "pers.bin.loss.svg": "3dce97808fff753db432b429668ec051df64d25f3f1dcaa488a8de4aaebccb1c",
-    "pers.bin.trace.json": "03cb7eb45b3693fc3232f68b951ab76767d43ed48731c1d50b236959a90138f2",
-    "merged.bin": "bc0dae7da56e653c612bfd5ef5d8459842a045abef1b4f676caf6aad09c3600d",
-    "merged.bin.trace.json": "1b61703d4f95bfe37d3f13137ab6a62b51dd18af5034b997a5be8fff07c253db",
-    "speed.json": "abe97f0f728fe1cb17585aa5b01e02e1ebbcb3dc1a00a85f6a8f573a140bb1ea",
-    "speed.json.csv": "b0da82c5ec8daa879ce39f2572e667c9f84f5f495d9759dabb1884af4df3873e",
+    "stage1.bin.trace.jsonl": "a87dc4b6c9bcfc1cdcb2b2f8875d0da0df5bc0e3b3bd1526bc945c7c88423da4",
+    "pers.bin": "bbde75b28eff87f6879299fc3439710063778aee56c0ccb2484cb308b80e43d0",
+    "pers.bin.loss.svg": "354e14463684b2118f54a3f6369c26aace72a38106a7032c5742ea4b19e53cb3",
+    "pers.bin.trace.json": "3789c5fd665b224aa5097dae191a59fcb76128b6893796d9c938eda2a3119f32",
+    "merged.bin": "fb6f6a8a7348ecc07abfa02c02548b154c477e597967b3e27b7bb37fbe5d928f",
+    "merged.bin.trace.json": "57f5a62804e7e13b5171c6f6db301472f5e608d4e97c1492ea9eb9bad224f768",
+    "speed.json": "39a15d86c35e119c2f19fcbe2b8573a1a5280167f8d78d137fd7497a8eae2097",
+    "speed.json.csv": "ae6920f8d2bc426220e284380d3642e72c04144ba602f7b5079a056883918af4",
     "speed.json.trace.json": "afada3514188f2645e07b47f1a1a5141e2a83a6d6388584f159a7c45958a4d11",
 }
 

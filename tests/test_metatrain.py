@@ -17,7 +17,9 @@ from metalora.numerics import AdamWState, adamw_step, checksum, make_rng
 from metalora.personalize import (PersonalizeConfig, Stage2Job, make_probe, run_stage2,
                                   run_stage2_many)
 from metalora.toymodel import (DRAW_BLOCK, Example, ToyDenoiser, diffusion_loss,
-                               linear_schedule, make_dataset, noisify, pretrain_base)
+                               linear_schedule, make_dataset, pretrain_base)
+
+from test_toymodel import block_draws
 
 
 def traced_stage1(*args):
@@ -135,17 +137,13 @@ def run_bits(res, trace, *stage2):
              for r in stage2])
 
 
-def item_by_item_inputs(model, batch, schedule, rng):
-    """A batch's network inputs and noise, drawn and noised item by item:
-    each item its t, then its noise, through noisify."""
-    ts, x_t, eps = [], [], []
-    for item in batch:
-        ts.append(int(rng.integers(schedule.T)))
-        xt, e = noisify(schedule, item.x0, ts[-1], rng)
-        x_t.append(xt)
-        eps.append(e)
+def item_by_item_inputs(model, batch, schedule, ts, eps):
+    """A batch's network inputs and noise, noised item by item from the
+    items' timesteps ``ts`` and noise ``eps``, as noisify noises one."""
+    x_t = [schedule.sqrt_ab[t] * item.x0 + schedule.sqrt_1m_ab[t] * e
+           for item, t, e in zip(batch, ts, eps)]
     inp = model.conditioned(np.stack(x_t), ts, [item.prompt_id for item in batch], schedule)
-    return inp, np.stack(eps)
+    return inp, eps
 
 
 def reference_stage1(model, dataset, schedule, config):
@@ -173,46 +171,51 @@ def reference_stage1(model, dataset, schedule, config):
             fresh = init_factors(rng, d1, d2, config.r1, config.r2, "fresh")
             chains[i].append(AdapterFactors(lmd[li], fresh.l_mid, fresh.l_up))
         states[i] = [(state(), state()) for _ in dims]
-    trace, i_curr, entry, seen = [], 0, 0, set()
-    while i_curr < config.q_total:
+    # each iteration's (bucket, entry index, iteration in bucket, warm-up)
+    plan, entry, seen = [], 0, set()
+    while len(plan) < config.q_total:
         for bucket in buckets:
             revisit = not config.warm_up_every_entry and bucket.bucket_id in seen
-            warm_up = 0 if revisit else bucket.q_warm_up
             seen.add(bucket.bucket_id)
-            for i_cb in range(bucket.q_bucket):
-                idxs = rng.integers(len(bucket.examples), size=config.batch_size)
-                batch = [bucket.examples[i] for i in idxs]
-                # the shared down factor stacked per item: its gradients come
-                # per item, and are summed in item order here
-                operands = [(np.stack([lmd[li]] * len(batch)),
-                             np.stack([chains[b.identity][li].l_mid for b in batch]),
-                             np.stack([chains[b.identity][li].l_up for b in batch]))
-                            for li in range(2)]
-                loss, layer_grads = diffusion_loss(
-                    model.operands()[0], operands,
-                    *item_by_item_inputs(model, batch, schedule, rng))
-                for ident in dict.fromkeys(b.identity for b in batch):
-                    items = [k for k, b in enumerate(batch) if b.identity == ident]
-                    for li, (_, d_lm, d_lu, _) in enumerate(layer_grads):
-                        st_lm, st_lu = states[ident][li]
-                        adamw_step(chains[ident][li].l_mid, item_sum(d_lm[items]), st_lm)
-                        adamw_step(chains[ident][li].l_up, item_sum(d_lu[items]), st_lu)
-                live = i_cb >= warm_up
-                if live:
-                    for li, (d_lmd, *_) in enumerate(layer_grads):
-                        adamw_step(lmd[li], item_sum(d_lmd), lmd_states[li])
-                trace.append(TraceRecord(
-                    iteration=i_curr + i_cb, bucket_id=bucket.bucket_id,
-                    entry_index=entry, iter_in_bucket=i_cb, loss=loss,
-                    lomd_updated=live, batch_identities=sorted({b.identity for b in batch}),
-                    lomd_checksum="".join(checksum(m) for m in lmd),
-                    identity_checksums={i: "".join(checksum(f.l_mid) + checksum(f.l_up)
-                                                   for f in chain)
-                                        for i, chain in chains.items()}))
-            i_curr += bucket.q_bucket
+            plan += [(bucket, entry, i_cb, 0 if revisit else bucket.q_warm_up)
+                     for i_cb in range(bucket.q_bucket)]
             entry += 1
-            if i_curr >= config.q_total:
+            if len(plan) >= config.q_total:
                 break
+    # each iteration's picks from its bucket, timesteps and noise, drawn in
+    # the blocks of drawn_batches
+    draws = block_draws(rng, [len(bucket.examples) for bucket, *_ in plan],
+                        config.batch_size, schedule, model.d)
+    trace = []
+    for it, ((bucket, entry, i_cb, warm_up), (idxs, ts, eps)) in enumerate(zip(plan, draws)):
+        batch = [bucket.examples[i] for i in idxs]
+        # the shared down factor stacked per item: its gradients come
+        # per item, and are summed in item order here
+        operands = [(np.stack([lmd[li]] * len(batch)),
+                     np.stack([chains[b.identity][li].l_mid for b in batch]),
+                     np.stack([chains[b.identity][li].l_up for b in batch]))
+                    for li in range(2)]
+        loss, layer_grads = diffusion_loss(
+            model.operands()[0], operands,
+            *item_by_item_inputs(model, batch, schedule, ts, eps))
+        for ident in dict.fromkeys(b.identity for b in batch):
+            items = [k for k, b in enumerate(batch) if b.identity == ident]
+            for li, (_, d_lm, d_lu, _) in enumerate(layer_grads):
+                st_lm, st_lu = states[ident][li]
+                adamw_step(chains[ident][li].l_mid, item_sum(d_lm[items]), st_lm)
+                adamw_step(chains[ident][li].l_up, item_sum(d_lu[items]), st_lu)
+        live = i_cb >= warm_up
+        if live:
+            for li, (d_lmd, *_) in enumerate(layer_grads):
+                adamw_step(lmd[li], item_sum(d_lmd), lmd_states[li])
+        trace.append(TraceRecord(
+            iteration=it, bucket_id=bucket.bucket_id,
+            entry_index=entry, iter_in_bucket=i_cb, loss=loss,
+            lomd_updated=live, batch_identities=sorted({b.identity for b in batch}),
+            lomd_checksum="".join(checksum(m) for m in lmd),
+            identity_checksums={i: "".join(checksum(f.l_mid) + checksum(f.l_up)
+                                           for f in chain)
+                                for i, chain in chains.items()}))
     return trace, lmd
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from metalora import kernels, personalize
 from metalora.adapter import AdaptedLayer, AdapterFactors, init_factors
-from metalora.augment import FaceBox, plan_crops, sample_view
+from metalora.augment import FaceBox, plan_crops
 from metalora.checkpoint import save_layers
 from metalora.errors import (CheckpointError, ConfigError, DimensionError,
                              MetaLoraError, NumericError, RankError)
@@ -20,7 +20,7 @@ from metalora.personalize import (DRAW_BLOCK, PersonalizeConfig, Stage2Job,
                                   run_stage2_many, threshold_reached,
                                   view_latent)
 from metalora.toymodel import (TEMB_DIM, Example, ToyDenoiser, forward, generate,
-                               linear_schedule, make_dataset, noisify, pretrain_base,
+                               linear_schedule, make_dataset, pretrain_base,
                                time_embedding)
 
 from test_acceptance import merged_forward
@@ -106,17 +106,18 @@ class TestLoadStage1:
 
 class TestMakeProbe:
     def test_matches_per_sample_build_bit_for_bit(self, world):
-        # the seed's own draws, t then the noise per held-out sample, and
-        # each input column built from x_t = sqrt(ab) x0 + sqrt(1 - ab) eps,
-        # time_embedding and a one-hot prompt code
+        # the seed's own draws, every held-out sample's t, then every
+        # sample's noise, and each input column built from
+        # x_t = sqrt(ab) x0 + sqrt(1 - ab) eps, time_embedding and a one-hot
+        # prompt code
         ds, schedule, model, _lmd = world
         inp, eps = make_probe(model, ds, 3, schedule, seed=11)
         rng, ab = make_rng(11), schedule.alpha_bar
         samples = [e for e in ds.of_identity(3) if e.split == "test"]
+        ts = rng.integers(schedule.T, size=len(samples))
+        draws = rng.normal(0.0, 1.0, size=(len(samples), model.d))
         cols, noise = [], []
-        for e in samples:
-            t = int(rng.integers(schedule.T))
-            n = rng.normal(0.0, 1.0, size=e.x0.shape)
+        for e, t, n in zip(samples, ts, draws):
             onehot = np.zeros(model.n_prompts)
             onehot[e.prompt_id] = 1.0
             x_t = np.sqrt(ab[t]) * e.x0 + np.sqrt(1.0 - ab[t]) * n
@@ -442,7 +443,9 @@ class TestSpeedExperiment:
 
 def reference_stage2(model, job, schedule, cfg):
     """Single-run stage 2 of ``job`` under ``cfg`` as the engine must reproduce
-    it: every iteration builds its item's input from time_embedding and a
+    it: the run's stream draws its fresh factors, then each block of
+    DRAW_BLOCK iterations as four arrays; every iteration builds its item's
+    input from time_embedding and a
     one-hot code, runs an AdaptedLayer forward/backward per layer and one
     adamw_step per factor; the probe loss of the job's (inputs, noise) goes
     through the same layers. Returns (train losses, probe curve, factors).
@@ -468,11 +471,17 @@ def reference_stage2(model, job, schedule, cfg):
         return float(np.mean((out - p_eps) ** 2))
 
     losses, curve = [], [probe_point()]
-    for _ in range(cfg.q_st2):
-        spec = specs[int(rng.integers(len(specs)))]
-        x0 = view_latent(ref.x0, spec.rect, sample_view(spec, rng), cfg.view_strength)
-        t = int(rng.integers(schedule.T))
-        x_t, eps = noisify(schedule, x0, t, rng)
+    for it in range(cfg.q_st2):
+        i = it % DRAW_BLOCK
+        if i == 0:  # a whole block: its spec indices, coins, timesteps, then noise
+            picks = rng.integers(len(specs), size=DRAW_BLOCK)
+            coins = rng.random(size=DRAW_BLOCK)
+            ts = rng.integers(schedule.T, size=DRAW_BLOCK)
+            noise = rng.normal(0.0, 1.0, size=(DRAW_BLOCK, model.d))
+        spec, t, eps = specs[picks[i]], int(ts[i]), noise[i]
+        flip = spec.flip_allowed and bool(coins[i] < 0.5)
+        x0 = view_latent(ref.x0, spec.rect, flip, cfg.view_strength)
+        x_t = schedule.sqrt_ab[t] * x0 + schedule.sqrt_1m_ab[t] * eps
         inp = model_input(x_t, t, ref.prompt_id).reshape(-1, 1)
         a = np.tanh(layer1.forward(inp))
         resid = layer2.forward(a)[:, 0] - eps
@@ -615,23 +624,23 @@ class TestLockstepEngine:
     # trains q_st2 iterations; ids: lr-tau-window and the last stop's block
     # counted from 1, or None if a run trains q_st2 iterations
     @pytest.mark.parametrize("lr, tau, window, blocks", [
-        (2e-2, 0.995, 5, {0}),          # every run stops inside the first block
-        (1e-2, 0.98, 1, {0, 1, 2}),     # runs stop in each of the three blocks
-        (1e-2, 0.98, 5, {0, 1, 2, 3}),  # and one run never crosses
+        (5e-2, 0.995, 1, {0}),          # every run stops inside the first block
+        (2e-2, 0.995, 5, {0, 1, 2}),    # runs stop in each of the three blocks
+        (1e-2, 0.97, 5, {0, 1, 2, 3}),  # and one run never crosses
         (2e-2, 0.0, 5, {3})],           # no run crosses
-        ids=["0.02-0.995-5-1", "0.01-0.98-1-3", "0.01-0.98-5-None", "0.02-0.0-5-None"])
+        ids=["0.05-0.995-1-1", "0.02-0.995-5-3", "0.01-0.97-5-None", "0.02-0.0-5-None"])
     def test_speed_experiment_stops_at_its_answer(self, world, monkeypatch,
                                                   lr, tau, window, blocks):
         ds, schedule, model, lmd = world
         q = 3 * DRAW_BLOCK + 5
         config = pcfg(q_st2=q, lr=lr, tau_fraction=tau, smoothing_window=window)
         idents, seeds = [2, 3], [0, 1, 2]
-        rows, views = [], []  # the runs each AdamW update moves; the views drawn
+        rows, views = [], []  # the runs each AdamW update moves; each draw's views
         adamw, draw = kernels.adamw_update, personalize.sample_view
         monkeypatch.setattr(kernels, "adamw_update",
                             lambda *args: rows.append(len(args[0])) or adamw(*args))
         monkeypatch.setattr(personalize, "sample_view",
-                            lambda *args: views.append(None) or draw(*args))
+                            lambda *args: views.append(args[-1]) or draw(*args))
         rep = adaptation_speed_experiment(model, ds, idents, lmd, schedule, config, seeds)
         monkeypatch.undo()
 
@@ -644,8 +653,9 @@ class TestLockstepEngine:
         assert rows == [sum(t > it for t in trained) for it in range(max(trained))]
         assert sum(rows) == sum(trained)
         # the two arms of a (seed, identity) replay one stream, which draws
-        # the blocks that one of them trains in
-        assert len(views) == sum(min(q, -(-max(pair) // DRAW_BLOCK) * DRAW_BLOCK)
+        # each block that one of them trains in, whole, past q_st2 too
+        assert views == [DRAW_BLOCK] * len(views)
+        assert len(views) == sum(-(-max(pair) // DRAW_BLOCK)
                                  for pair in zip(trained[0::2], trained[1::2]))
         # the report of full-length runs, each counted on its whole curve
         for res, count in zip(full, want):
@@ -740,14 +750,15 @@ class TestLockstepEngine:
         assert str(exc.value) == f"job 2: {part}: incompatible shapes {shapes}"
 
     def stopping_jobs(self, world):
-        """Three probed jobs whose runs under STOP_CFG stop after 8, 26 and 22
+        """Three probed jobs whose runs under STOP_CFG stop after 8, 21 and 27
         iterations: from iteration 8 on, job 2 trains in row 1 of the stack."""
         ds, schedule, model, lmd = world
-        jobs = [Stage2Job(lmd, ds.reference_of(i), i,
-                          make_probe(model, ds, i, schedule, seed=i)) for i in range(3)]
+        jobs = [Stage2Job(lmd, ds.reference_of(i), seed,
+                          make_probe(model, ds, i, schedule, seed=i))
+                for i, seed in enumerate([3, 11, 9])]
         counts = [res.iters_to_threshold
                   for res in run_stage2_many(model, jobs, schedule, STOP_CFG)]
-        assert counts == [8, 26, 22]
+        assert counts == [8, 21, 27]
         return jobs
 
     def test_non_finite_loss_names_job_and_iteration(self, world, monkeypatch):
@@ -858,15 +869,15 @@ class TestDrawAhead:
         calls = []
         draw = personalize.sample_view
 
-        def spy(spec, rng):
-            calls.append(None)
-            return draw(spec, rng)
+        def spy(rng, specs, n):
+            calls.append(n)
+            return draw(rng, specs, n)
 
         monkeypatch.setattr(personalize, "sample_view", spy)
         rand = [init_factors(make_rng(3), d1, d2, 4, 1).l_meta_down for d1, d2 in model.dims]
         run_stage2_many(model, [Stage2Job(lmd, ref, 4), Stage2Job(rand, ref, 4),
-                                Stage2Job(lmd, ref, 5)], schedule, pcfg())
-        assert len(calls) == 2 * 40  # two streams of q_st2 draws
+                                Stage2Job(lmd, ref, 5)], schedule, pcfg(q_st2=DRAW_BLOCK + 1))
+        assert calls == [DRAW_BLOCK] * 2 * 2  # two streams of two whole blocks
 
     def test_each_reference_is_planned_and_viewed_once_per_call(self, world, monkeypatch):
         # 12 jobs over four reference objects, a twin and a moved face box
@@ -894,8 +905,9 @@ class TestDrawAhead:
             assert_same_run(res, alone.train_losses, alone.probe_losses, alone.factors)
 
     def test_inputs_are_built_once_per_block_per_stream(self, world, monkeypatch):
-        # three jobs on two streams: each block of draws makes one
-        # conditioned call over (block iterations) x (streams) rows
+        # three jobs on two streams: each block of draws, whole also where
+        # q_st2 ends inside it, makes one conditioned call over
+        # (block iterations) x (streams) rows
         ds, schedule, model, lmd = world
         rand = [init_factors(make_rng(3), d1, d2, 4, 1).l_meta_down for d1, d2 in model.dims]
         ref = ds.reference_of(1)
@@ -911,7 +923,7 @@ class TestDrawAhead:
         run_stage2_many(model, [Stage2Job(lmd, ref, 4), Stage2Job(lmd, ref, 5),
                                 Stage2Job(rand, ref, 4)], schedule, pcfg(q_st2=q_st2))
         assert len(rows) == -(-q_st2 // DRAW_BLOCK)
-        assert rows == [2 * DRAW_BLOCK, 2 * DRAW_BLOCK, 2 * 3]
+        assert rows == [2 * DRAW_BLOCK] * 3
 
     def test_peak_memory_does_not_grow_with_q_st2(self):
         # at d = 32, the noise of 1,800 more iterations drawn ahead for two

@@ -28,6 +28,10 @@ RULES = {
         r"\bneed=|_NEED\b|\bGRADIENTS\b|\bTRAINED\b", None,
         "a step computes exactly the gradients whose out slots its caller fills, "
         "so no module names them a second time in a set"),
+    "every draw is an array": (
+        r"^(?!.*\bsize=).*\.(integers|normal|random)\(", None,
+        "a stream draws each quantity of a block, a batch or an identity as one array "
+        "(size=), so its order is stated once and no loop draws one value at a time"),
 }
 
 

@@ -1,7 +1,7 @@
 """Toy conditional denoiser: schedule, noising, losses, base pretraining."""
 
 import tracemalloc
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 
 import numpy as np
 import pytest
@@ -148,19 +148,23 @@ class TestDataset:
         assert np.array_equal(sub.prototypes[0], ds.prototypes[2])
 
     def test_examples_are_drawn_in_the_stated_order(self):
-        # after the prototypes, per identity and sample: its perturbation, its
-        # prompt, then a face box of 180-419 px sides placed anywhere it fits
-        # inside the 1024 x 1024 image, left and top edges included
+        # after the prototypes, per identity, one array per quantity over its
+        # samples: the perturbations, the prompts, the face boxes' widths and
+        # heights (180-419 px), then their left and top edges, anywhere the
+        # box fits inside the 1024 x 1024 image, those edges included
         ds = small_dataset(seed=3)
         rng = make_rng(3)
         assert np.array_equal(ds.prototypes, rng.normal(0.0, 1.0, size=(4, 8)))
-        for e in ds.examples:
-            x0 = ds.prototypes[e.identity] + rng.normal(0.0, ds.perturbation_std, size=8)
-            prompt = int(rng.integers(2))
-            fw, fh = int(rng.integers(180, 420)), int(rng.integers(180, 420))
-            box = (int(rng.integers(0, 1024 - fw)), int(rng.integers(0, 1024 - fh)), fw, fh)
-            assert (e.x0.tobytes(), e.prompt_id, e.image_w, e.image_h, e.face_box) == \
-                (x0.tobytes(), prompt, 1024, 1024, box)
+        for i in range(4):
+            x0s = ds.prototypes[i] + rng.normal(0.0, ds.perturbation_std, size=(6, 8))
+            prompts = rng.integers(2, size=6)
+            fw, fh = rng.integers(180, 420, size=(2, 6))
+            fx, fy = rng.integers(0, 1024 - np.stack([fw, fh]), size=(2, 6))
+            assert len(ds.of_identity(i)) == 6
+            for k, e in enumerate(ds.of_identity(i)):
+                box = (int(fx[k]), int(fy[k]), int(fw[k]), int(fh[k]))
+                assert (e.x0.tobytes(), e.prompt_id, e.image_w, e.image_h, e.face_box) == \
+                    (x0s[k].tobytes(), int(prompts[k]), 1024, 1024, box)
 
     def test_face_boxes_inside_image(self):
         ds = small_dataset()
@@ -194,29 +198,43 @@ def batch_operands(factors, batch):
              np.stack([c[li].l_up for c in chains])) for li in range(2)]
 
 
+def item_draws(rng, n, schedule, d):
+    """n items' timesteps (n,), then their noise (n, d), drawn as the
+    training loops draw a block's: each quantity as one array."""
+    return rng.integers(schedule.T, size=n), rng.normal(0.0, 1.0, size=(n, d))
+
+
+def block_draws(rng, pool_sizes, batch_size, schedule, d):
+    """Each iteration's picks (B,), timesteps (B,) and noise (B, d), drawn as
+    ``drawn_batches`` states them: per block of up to DRAW_BLOCK iterations
+    (the next of ``pool_sizes``, one pool size per iteration), every
+    iteration's picks from its pool, then every item's t, then its noise."""
+    pool_sizes = iter(pool_sizes)
+    while sizes := list(islice(pool_sizes, DRAW_BLOCK)):
+        nb = len(sizes)
+        picks = rng.integers(np.array(sizes)[:, None], size=(nb, batch_size))
+        ts, eps = item_draws(rng, nb * batch_size, schedule, d)
+        yield from zip(picks, ts.reshape(nb, batch_size), eps.reshape(nb, batch_size, d))
+
+
 def batch_inputs(model, batch, schedule, rng):
-    """diffusion_loss's inputs and noise for a batch, drawn as the training
-    loops draw them: each item its t, then its noise, in batch order. The
-    batch is noised and conditioned at once."""
-    ts = np.empty(len(batch), dtype=np.intp)
-    eps = np.empty((len(batch), model.d))
-    for k in range(len(batch)):
-        ts[k] = rng.integers(schedule.T)
-        eps[k] = rng.normal(0.0, 1.0, size=model.d)
+    """diffusion_loss's inputs and noise for a batch, drawn by
+    :func:`item_draws`. The batch is noised and conditioned at once."""
+    ts, eps = item_draws(rng, len(batch), schedule, model.d)
     x0 = np.stack([item.x0 for item in batch])
     return model.noised_inputs(x0, ts, [item.prompt_id for item in batch], eps, schedule), eps
 
 
-def per_item_reference(model, batch, schedule, rng, factors=None):
-    """diffusion_loss item by item: each item's own conditioning and an
-    AdaptedLayer forward/backward per layer. Returns the loss and, per layer,
-    the items' (d_lmd, d_lm, d_lu, dw0) stacked."""
+def per_item_reference(model, batch, schedule, draws, factors=None):
+    """diffusion_loss item by item, on the items' timesteps and noise
+    ``draws``: each item's own noising and conditioning and an AdaptedLayer
+    forward/backward per layer. Returns the loss and, per layer, the items'
+    (d_lmd, d_lm, d_lu, dw0) stacked."""
     n, d, T = len(batch), model.d, schedule.T
     total = 0.0
     grads = [[], []]
-    for item in batch:
-        t = int(rng.integers(T))
-        x_t, eps = noisify(schedule, item.x0, t, rng)
+    for item, t, eps in zip(batch, *draws):
+        x_t = schedule.sqrt_ab[t] * item.x0 + schedule.sqrt_1m_ab[t] * eps
         chain = (factors[item.identity] if factors is not None
                  else [l.factors for l in model.layers])
         l1, l2 = (AdaptedLayer(l.w0, f) for l, f in zip(model.layers, chain))
@@ -431,8 +449,8 @@ class TestDenoiser:
             chains = own if factors is None else batch_operands(factors, batch)
             loss, layer_grads = diffusion_loss(w0s, chains,
                                                *batch_inputs(m, batch, s, make_rng(k)))
-            want_loss, want_grads = per_item_reference(m, batch, s, make_rng(k),
-                                                       factors=factors)
+            want_loss, want_grads = per_item_reference(
+                m, batch, s, item_draws(make_rng(k), len(batch), s, m.d), factors=factors)
             assert loss == want_loss
             # the shared down factor's and base weight's gradients are the
             # items' summed in item order, the mid and up factors' per item
@@ -458,18 +476,19 @@ class TestDenoiser:
 
 def reference_pretrain(dataset, schedule, seed, hidden, loss_threshold, max_iters,
                        window, lr=2e-3, batch_size=8):
-    """pretrain_base item by item: each iteration draws its picks, then each
-    item's t and noise (per_item_reference), and makes one adamw_step per
+    """pretrain_base item by item: each iteration's picks, timesteps and
+    noise come from :func:`block_draws` over the whole pool, its loss and
+    gradients from :func:`per_item_reference`, and it makes one adamw_step per
     base weight on the items' gradients summed in item order onto zeros."""
     rng = make_rng(seed)
     model = ToyDenoiser.build(rng, d=dataset.d, hidden=hidden, n_prompts=dataset.n_prompts,
                               r1=min(16, dataset.d, hidden), factor_mode="zero")
     states = [AdamWState(lr=lr) for _ in model.layers]
     recent = []
-    for _ in range(max_iters):
-        idxs = rng.integers(len(dataset.examples), size=batch_size)
+    draws = block_draws(rng, repeat(len(dataset.examples)), batch_size, schedule, dataset.d)
+    for _, (idxs, ts, eps) in zip(range(max_iters), draws):
         loss, layer_grads = per_item_reference(model, [dataset.examples[i] for i in idxs],
-                                               schedule, rng)
+                                               schedule, (ts, eps))
         for layer, (_, _, _, dw0), state in zip(model.layers, layer_grads, states):
             adamw_step(layer.w0, item_sum(dw0), state)
         recent = (recent + [loss])[-window:]

@@ -65,11 +65,17 @@ TABLE = {
         # every stage: chain_backward reads its out slots for the gradients
         # to compute, with no need set to check (isinstance, issuperset) or
         # intersect (isdisjoint per branch): -7 C calls per iteration in
-        # pretrain, whose layer 1 takes one branch fewer, -8 in the others
-        "pretrain": (2637, 2892),
-        "stage1": (4079, 5000),
-        "stage2": (595, 662),
-        "lockstep": (1430, 2710),
+        # pretrain, whose layer 1 takes one branch fewer, -8 in the others.
+        # every stage: each random stream draws a block's quantities as a few
+        # arrays, not one iteration or one item at a time (drawn_batches'
+        # per-item t and noise draws, draw_block's four draws and a
+        # sample_view call per iteration and stream). pretrain: -11.7 Python
+        # and -20.9 C calls per iteration; stage1: -8.0 and -13.5; stage2:
+        # -0.8 and -3.9; lockstep, over its 4 streams: -3.4 and -15.5
+        "pretrain": (1886, 1557),
+        "stage1": (3601, 4190),
+        "stage2": (541, 414),
+        "lockstep": (1214, 1721),
     },
 }
 
