@@ -445,11 +445,10 @@ def reference_stage2(model, job, schedule, cfg):
     """Single-run stage 2 of ``job`` under ``cfg`` as the engine must reproduce
     it: the run's stream draws its fresh factors, then each block of
     DRAW_BLOCK iterations as four arrays; every iteration builds its item's
-    input from time_embedding and a
-    one-hot code, runs an AdaptedLayer forward/backward per layer and one
-    adamw_step per factor; the probe loss of the job's (inputs, noise) goes
-    through the same layers. Returns (train losses, probe curve, factors).
-    ``model`` is only read."""
+    input from time_embedding and a one-hot code, runs an AdaptedLayer
+    forward/backward per layer and one adamw_step per factor; the probe loss
+    of the job's (inputs, noise) goes through the same layers. Returns
+    (train losses, probe curve, factors). ``model`` is only read."""
     ref, (p_inp, p_eps) = job.reference, job.probe
     rng = make_rng(job.seed)
     specs = plan_crops(ref.image_w, ref.image_h, FaceBox(*ref.face_box))
